@@ -38,11 +38,9 @@
 // against an epoch-versioned partition directory, writes the directory's
 // crash-safe epoch journal to the given path, and proves it by
 // recovering the journal and comparing the recovered assignment hash
-// against the live directory. -dir-bench additionally measures lookup
-// throughput while a publisher keeps flipping epochs underneath the
-// readers:
+// against the live directory:
 //
-//	paragon -in graph.metis -dir-journal dir.journal -dir-bench
+//	paragon -in graph.metis -dir-journal dir.journal
 package main
 
 import (
@@ -54,9 +52,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"paragon/internal/dir"
 	"paragon/internal/graph"
@@ -97,7 +92,6 @@ func main() {
 	summary := flag.Bool("summary", false, "print a per-phase metrics summary table after refinement")
 	pprofHTTP := flag.String("pprof-http", "", "serve net/http/pprof on this address (e.g. localhost:6060) during the run")
 	dirJournal := flag.String("dir-journal", "", "serve the refinement through a partition directory and write its epoch journal here (recovery-verified)")
-	dirBench := flag.Bool("dir-bench", false, "benchmark directory lookup throughput under concurrent epoch flips")
 	flag.Parse()
 
 	if *pprofHTTP != "" {
@@ -139,18 +133,18 @@ func main() {
 		}()
 	}
 
+	var cl *topology.Cluster
+	switch *clusterName {
+	case "pitt":
+		cl = topology.PittCluster(*nodes)
+	case "gordon":
+		cl = topology.GordonCluster(*nodes)
+	case "uma":
+		cl = topology.UMACluster(*nodes)
+	default:
+		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
+	}
 	if *topo {
-		var cl *topology.Cluster
-		switch *clusterName {
-		case "pitt":
-			cl = topology.PittCluster(*nodes)
-		case "gordon":
-			cl = topology.GordonCluster(*nodes)
-		case "uma":
-			cl = topology.UMACluster(*nodes)
-		default:
-			fatal(fmt.Errorf("unknown cluster %q", *clusterName))
-		}
 		fmt.Print(cl.Describe())
 		return
 	}
@@ -178,17 +172,6 @@ func main() {
 		fatal(err)
 	}
 
-	var cl *topology.Cluster
-	switch *clusterName {
-	case "pitt":
-		cl = topology.PittCluster(*nodes)
-	case "gordon":
-		cl = topology.GordonCluster(*nodes)
-	case "uma":
-		cl = topology.UMACluster(*nodes)
-	default:
-		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
-	}
 	if *k == 0 {
 		*k = cl.TotalCores()
 	}
@@ -236,7 +219,7 @@ func main() {
 	// The serving layer: every committed round becomes one directory
 	// epoch; the journal written at the end replays to the final state.
 	var directory *dir.Directory
-	if *dirJournal != "" || *dirBench {
+	if *dirJournal != "" {
 		var derr error
 		directory, derr = dir.New(p.Assign, p.K, dir.Options{Trace: tracer, Metrics: registry})
 		if derr != nil {
@@ -367,9 +350,6 @@ func main() {
 		}
 		fmt.Printf("wrote directory journal to %s (recovery verified at epoch %d)\n", *dirJournal, rec.Epoch())
 	}
-	if *dirBench {
-		benchDirectory(directory, g.NumVertices())
-	}
 
 	if *out != "" {
 		of, err := os.Create(*out)
@@ -388,67 +368,6 @@ func main() {
 		}
 		fmt.Printf("wrote assignment to %s\n", *out)
 	}
-}
-
-// benchDirectory measures lookup throughput while a publisher flips
-// epochs underneath the readers: GOMAXPROCS reader goroutines hammer
-// Lookup for a fixed wall-clock window (driver code — the directory
-// itself never reads the wall clock) while one goroutine keeps
-// publishing small rotation epochs. Every observed epoch must be
-// monotone per reader, or the bench aborts.
-func benchDirectory(d *dir.Directory, n int32) {
-	const window = 500 * time.Millisecond
-	readers := runtime.GOMAXPROCS(0)
-	var stop atomic.Bool
-	var lookups, flips atomic.Int64
-	var torn atomic.Int64
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			x := uint64(r)*0x9e3779b97f4a7c15 + 1
-			var count int64
-			lastEpoch := int64(-1)
-			for !stop.Load() {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				_, epoch := d.Lookup(int32(x % uint64(n)))
-				if epoch < lastEpoch {
-					torn.Add(1)
-					break
-				}
-				lastEpoch = epoch
-				count++
-			}
-			lookups.Add(count)
-		}(r)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		k := d.Current().K()
-		for !stop.Load() {
-			s := d.Current()
-			v := int32(flips.Load()) % n
-			from := s.Rank(v)
-			if _, err := d.Publish([]dir.Move{{Vertex: v, From: from, To: (from + 1) % k}}); err != nil {
-				fatal(err)
-			}
-			flips.Add(1)
-		}
-	}()
-	start := time.Now()
-	time.Sleep(window)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-	if torn.Load() != 0 {
-		fatal(fmt.Errorf("dir-bench: %d epoch-order violations observed", torn.Load()))
-	}
-	fmt.Printf("dir-bench:  %.1fM lookups/s across %d readers, %d epoch flips in %s (final epoch %d)\n",
-		float64(lookups.Load())/elapsed.Seconds()/1e6, readers, flips.Load(), elapsed.Round(time.Millisecond), d.Epoch())
 }
 
 func fatal(err error) {

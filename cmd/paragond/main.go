@@ -11,14 +11,14 @@
 //
 //	paragond -n0 20000 -m0 100000 -k 16 -batches 200 \
 //	         -adds 400 -removes 150 -arrivals 10 -workers 4 \
-//	         -fault-rate 0.3 -replay-out run.txt -bench-json bench.json
+//	         -fault-rate 0.3 -replay-out run.txt
 //
 // Everything the daemon computes is a pure function of the seeds and
 // the schedule: the -replay-out file (final assignment hash, directory
 // epoch, live score, full counter block) is byte-identical at every
 // -workers value and every -fault-rate replay. Wall-clock numbers
-// (edges/sec while refining) go to stdout and -bench-json only, never
-// into the replay file.
+// (edges/sec while refining) go to stdout only, never into the replay
+// file.
 package main
 
 import (
@@ -60,7 +60,6 @@ func main() {
 	replayOut := flag.String("replay-out", "", "write the deterministic replay summary here (byte-identical at every -workers)")
 	traceOut := flag.String("trace", "", "write the session event stream here (JSONL, deterministic)")
 	metricsOut := flag.String("metrics", "", "write session+epoch metrics here (Prometheus text format, deterministic)")
-	benchJSON := flag.String("bench-json", "", "append one wall-clock benchmark JSON line here")
 	flag.Parse()
 
 	rule, err := paragon.ParsePlaceRule(*placement)
@@ -116,7 +115,7 @@ func main() {
 
 	// The ingest loop. Wall time is measured around it — that is the
 	// window refinement epochs run concurrently inside — but feeds only
-	// the stdout/bench reporting, never the replay summary.
+	// the stdout line, never the replay summary.
 	start := time.Now()
 	for i := 0; i < *batches; i++ {
 		if _, err := s.Ingest(w.Next(s.Source())); err != nil {
@@ -176,24 +175,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)
-	}
-
-	if *benchJSON != "" {
-		bf, err := os.OpenFile(*benchJSON, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(bf,
-			`{"n0":%d,"m0":%d,"k":%d,"batches":%d,"workers":%d,"fault_rate":%g,`+
-				`"elapsed_ms":%d,"churn_edges_per_sec":%.0f,"epochs_launched":%d,`+
-				`"epochs_committed":%d,"epochs_aborted":%d,"assign_hash":"%#x"}`+"\n",
-			*n0, *m0, *k, st.Batches, *workers, *faultRate,
-			elapsed.Milliseconds(), edgesPerSec, st.EpochsLaunched,
-			st.EpochsCommitted, st.EpochsAborted, s.AssignHash())
-		if err := bf.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("appended benchmark line to %s\n", *benchJSON)
 	}
 }
 

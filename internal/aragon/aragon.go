@@ -93,31 +93,6 @@ func gainFromDegrees(g *graph.Graph, dext []int64, orig []int32, v, i, j int32, 
 	return gStd + gTopo + gMig
 }
 
-// RefinePair refines the pair (pi, pj) of p in place, moving vertices
-// between the two partitions while the balance bound admits it. orig is
-// the decomposition before any refinement (migration reference); loads
-// is the current per-partition weight vector, updated in place. It
-// returns the number of moves kept and the gain realized.
-func RefinePair(g *graph.Graph, p *partition.Partitioning, orig []int32, pi, pj int32, c [][]float64, loads []int64, maxLoad int64, cfg Config) Result {
-	return RefinePairAllowed(g, p, orig, pi, pj, c, loads, maxLoad, cfg, nil)
-}
-
-// RefinePairAllowed is RefinePair restricted to an explicit candidate
-// mask: only vertices with a set bit in allowed may move. PARAGON uses
-// this to model the k-hop boundary shipping of §5 — a group server only
-// holds the vertices its group members shipped, so only those can
-// migrate. A nil mask admits every boundary vertex of the pair (full
-// ARAGON behavior).
-//
-// This is the single-pair convenience form: it builds a fresh
-// partition.Index (O(|V|+|E|)) for the one call. Sweeps over many pairs
-// should build the index once and drive a Refiner instead, as Refine and
-// PARAGON's group servers do.
-func RefinePairAllowed(g *graph.Graph, p *partition.Partitioning, orig []int32, pi, pj int32, c [][]float64, loads []int64, maxLoad int64, cfg Config, allowed *partition.Bitset) Result {
-	r := NewRefiner(g, partition.BuildIndex(g, p), cfg)
-	return r.RefinePair(orig, pi, pj, c, loads, maxLoad, allowed)
-}
-
 // Refine runs full ARAGON: it applies RefinePair to every pair of the
 // n-way decomposition sequentially and returns the aggregate result. p is
 // modified in place; the original assignment is captured up front as the

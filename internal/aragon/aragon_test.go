@@ -113,7 +113,7 @@ func TestRefinePairProducesFigure5(t *testing.T) {
 	loads := p.Weights(g)
 	cfg := Config{Alpha: 1, MaxImbalance: 0.3, BadMoveLimit: 8}
 	maxLoad := partition.BalanceBound(g, 3, 0.3) // ceil(10/3)·1.3 = 5
-	res := RefinePair(g, p, orig, 0, 1, c, loads, maxLoad, cfg)
+	res := NewRefiner(g, partition.BuildIndex(g, p), cfg).RefinePair(orig, 0, 1, c, loads, maxLoad, nil)
 	if res.Moves < 1 {
 		t.Fatalf("no move made: %+v", res)
 	}
@@ -139,7 +139,7 @@ func TestRefinePairRespectsBalance(t *testing.T) {
 	c := topology.PaperExampleMatrix()
 	loads := p.Weights(g)
 	// maxLoad 4 forbids P2 from growing to 5: a must stay in P1.
-	res := RefinePair(g, p, orig, 0, 1, c, loads, 4, Config{Alpha: 1})
+	res := NewRefiner(g, partition.BuildIndex(g, p), Config{Alpha: 1}).RefinePair(orig, 0, 1, c, loads, 4, nil)
 	want := fig4()
 	for v := range p.Assign {
 		if p.Assign[v] != want.Assign[v] {

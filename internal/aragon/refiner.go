@@ -127,10 +127,14 @@ func (r *Refiner) RefinePairScheduled(dst []Move, orig []int32, pi, pj int32, c 
 }
 
 // RefinePair refines the pair (pi, pj) in place — the FM hill climb with
-// rollback of RefinePairAllowed, with candidates enumerated from the
-// index. orig is the migration reference, loads the live per-partition
-// weights (updated in place, rollback included), and allowed the optional
-// movable-vertex mask of §5.
+// rollback, candidates enumerated from the index — and returns the
+// number of moves kept and the gain realized. orig is the decomposition
+// before any refinement (migration reference), loads the live
+// per-partition weights (updated in place, rollback included). Only
+// vertices with a set bit in allowed may move: PARAGON uses the mask to
+// model the k-hop boundary shipping of §5 — a group server only holds the
+// vertices its group members shipped. A nil mask admits every boundary
+// vertex of the pair (full ARAGON behavior).
 func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []int64, maxLoad int64, allowed *partition.Bitset) Result {
 	if pi == pj {
 		return Result{}

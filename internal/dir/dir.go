@@ -44,7 +44,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"paragon/internal/exchange"
+	"paragon/internal/detrand"
 	"paragon/internal/faultsim"
 	"paragon/internal/migrate"
 	"paragon/internal/obs"
@@ -67,10 +67,6 @@ var ErrPublishCrashed = fmt.Errorf("publisher crashed between prepare and flip: 
 // committed — the one stale-read shape that is a client error, not a
 // forwardable state.
 var ErrFutureEpoch = errors.New("lookup pinned to an uncommitted epoch")
-
-// Move aliases migrate.Move: the unit of an epoch delta, so directory
-// deltas and migration plans are literally the same records.
-type Move = migrate.Move
 
 // Options tunes a Directory. The zero value is usable: 2^16-vertex
 // shards, no fault injection, no observability.
@@ -163,10 +159,10 @@ func (s *Snapshot) AppendAssign(dst []int32) []int32 {
 // lineage. This is the integrity digest the commit journal record
 // carries and recovery re-derives.
 func (s *Snapshot) AssignHash() uint64 {
-	h := fnvFold(fnvOffset, uint64(uint32(s.k)))
-	h = fnvFold(h, uint64(uint32(s.n)))
+	h := detrand.FNVFold64(detrand.FNVOffset64, uint64(uint32(s.k)))
+	h = detrand.FNVFold64(h, uint64(uint32(s.n)))
 	for _, sh := range s.shardHash {
-		h = fnvFold(h, sh)
+		h = detrand.FNVFold64(h, sh)
 	}
 	return h
 }
@@ -458,6 +454,11 @@ func (d *Directory) abort(epoch int64, phase int32, attempts int) {
 // the append fails with ErrPublishFailed and the journal is unchanged
 // (the writer repairs its tail — torn tails only ever exist at a crash
 // boundary, which the recovery sweep covers byte by byte).
+//
+// This loop deliberately does not go through faultsim.Deliver: an attempt
+// here pays its fsync tick before the drop decision, where a message
+// attempt pays nothing until it is lost, so sharing would make the shared
+// loop branch on which caller it serves.
 func (d *Directory) appendRecord(typ byte, epoch int64, payload []byte, fe, op int) (attempts int, err error) {
 	rec := appendRecordBytes(nil, typ, epoch, payload)
 	for attempt := 0; ; attempt++ {
@@ -492,25 +493,6 @@ func (d *Directory) PublishAssign(assign []int32) (int64, error) {
 	for v := int32(0); v < cur.n; v++ {
 		if from := cur.Rank(v); from != assign[v] {
 			moves = append(moves, migrate.Move{Vertex: v, From: from, To: assign[v]})
-		}
-	}
-	return d.publishLocked(moves)
-}
-
-// PublishUpdates publishes a location-exchange epoch delta
-// (exchange.EpochDelta's output: vertex-sorted, duplicate-free) as one
-// whole epoch, skipping no-op entries.
-func (d *Directory) PublishUpdates(ups []exchange.Update) (int64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cur := d.cur.Load()
-	moves := make([]migrate.Move, 0, len(ups))
-	for _, u := range ups {
-		if u.Vertex < 0 || u.Vertex >= cur.n {
-			return 0, fmt.Errorf("dir: update vertex %d out of range [0,%d)", u.Vertex, cur.n)
-		}
-		if from := cur.Rank(u.Vertex); from != u.Rank {
-			moves = append(moves, migrate.Move{Vertex: u.Vertex, From: from, To: u.Rank})
 		}
 	}
 	return d.publishLocked(moves)

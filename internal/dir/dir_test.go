@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"paragon/internal/exchange"
 	"paragon/internal/faultsim"
 	"paragon/internal/migrate"
 	"paragon/internal/obs"
@@ -177,28 +176,6 @@ func TestLookupAtForwardsStaleEpochs(t *testing.T) {
 	}
 	if got := reg.Counter("dir_forwards_total", "").Value(); got != 1 {
 		t.Fatalf("dir_forwards_total = %d, want 1", got)
-	}
-}
-
-func TestPublishUpdates(t *testing.T) {
-	assign := testAssign(300, 6, 6)
-	d := mustNew(t, assign, 6, Options{})
-	ups := []exchange.Update{
-		{Vertex: 3, Rank: (assign[3] + 1) % 6},
-		{Vertex: 7, Rank: assign[7]}, // no-op entry: skipped, not an error
-		{Vertex: 250, Rank: (assign[250] + 3) % 6},
-	}
-	if _, err := d.PublishUpdates(ups); err != nil {
-		t.Fatal(err)
-	}
-	if rank, _ := d.Lookup(3); rank != ups[0].Rank {
-		t.Fatalf("vertex 3 = %d, want %d", rank, ups[0].Rank)
-	}
-	if rank, _ := d.Lookup(250); rank != ups[2].Rank {
-		t.Fatalf("vertex 250 = %d, want %d", rank, ups[2].Rank)
-	}
-	if _, err := d.PublishUpdates([]exchange.Update{{Vertex: -1, Rank: 0}}); err == nil {
-		t.Fatal("out-of-range update accepted")
 	}
 }
 

@@ -3,6 +3,7 @@ package dir
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 
 	"paragon/internal/migrate"
 	"paragon/internal/obs"
@@ -48,30 +49,11 @@ const (
 // silently, but bytes the directory's writer could never have produced.
 var ErrJournalCorrupt = errors.New("directory journal corrupt beyond torn-tail repair")
 
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
-
-// fnvFold folds one 64-bit quantity into an FNV-1a state, byte by byte
-// (little-endian), matching partition's digest discipline.
-func fnvFold(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime
-		x >>= 8
-	}
-	return h
-}
-
-// fnvSum digests a byte slice.
+// fnvSum digests a byte slice (FNV-1a, 64-bit).
 func fnvSum(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 func appendUint32(dst []byte, x uint32) []byte {

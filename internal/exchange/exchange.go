@@ -65,34 +65,6 @@ func (e *DeliveryError) Error() string {
 // Unwrap makes errors.Is(err, ErrExchangeFailed) hold.
 func (e *DeliveryError) Unwrap() error { return ErrExchangeFailed }
 
-// deliver attempts to send one message op under the fault fabric,
-// retrying with capped backoff until it is delivered or the retry budget
-// is exhausted. Each attempt (including lost ones — the bytes went out)
-// costs size bytes; backoff advances the virtual clock. It returns the
-// total bytes spent and the number of retries performed. onRetry, when
-// non-nil, is invoked after each backoff with the lost attempt's index
-// and the ticks waited — the coordinator-side hook the Region strategy
-// uses to trace retries.
-func deliver(f faultsim.Fabric, pol faultsim.Policy, clk *faultsim.Clock, epoch, op int, size int64, onRetry func(attempt int, backoff int64)) (bytes int64, retries int, err error) {
-	for attempt := 0; ; attempt++ {
-		bytes += size
-		if f == nil || !f.Drop(epoch, op, attempt) {
-			return bytes, retries, nil
-		}
-		if attempt >= pol.MaxRetries {
-			return bytes, retries, fmt.Errorf("exchange: message %d dropped %d times: %w", op, attempt+1, ErrExchangeFailed)
-		}
-		b := pol.Backoff(attempt)
-		if clk != nil {
-			clk.Advance(b)
-		}
-		if onRetry != nil {
-			onRetry(attempt, b)
-		}
-		retries++
-	}
-}
-
 // exchangeMetrics resolves the registry handles both strategies share.
 // The zero value (nil registry) makes every operation a no-op.
 type exchangeMetrics struct {
@@ -206,7 +178,7 @@ func (d Directory) Propagate(servers []*Server) (int64, error) {
 	// Delivery failures land in per-server arena slots (the sharedwrite
 	// contract): each goroutine writes only its own index, and
 	// deliveryError reduces the slice deterministically afterwards.
-	pushErrs := make([]error, len(servers))
+	pushFailed := make([]bool, len(servers))
 	// Phase 1: every server pushes its updates to the owning shards. The
 	// push batch is one message: a dropped batch never reaches a shard
 	// and is retried whole (idempotent — it re-writes the same values).
@@ -216,15 +188,15 @@ func (d Directory) Propagate(servers []*Server) (int64, error) {
 		go func(si int, s *Server) {
 			defer wg.Done()
 			batch := int64(len(s.Updates)) * updateBytes
-			bytes, retries, err := deliver(d.Fabric, pol, d.Clock, epoch, si, batch, nil)
+			bytes, retries, ok := faultsim.Deliver(d.Fabric, pol, d.Clock, epoch, si, batch, nil)
 			volMu.Lock()
 			volume += bytes
 			volMu.Unlock()
 			mx.bytes.Add(bytes)
 			mx.retries.Add(int64(retries))
-			if err != nil {
+			if !ok {
 				mx.aborts.Inc()
-				pushErrs[si] = fmt.Errorf("exchange: push from server %d: %w", s.ID, err)
+				pushFailed[si] = true
 				return
 			}
 			for v, loc := range s.Updates {
@@ -241,7 +213,7 @@ func (d Directory) Propagate(servers []*Server) (int64, error) {
 		}(si, s)
 	}
 	wg.Wait()
-	if err := deliveryError("push", servers, pushErrs); err != nil {
+	if err := deliveryError("push", servers, pushFailed); err != nil {
 		return volume, err
 	}
 	// Surface conflicts deterministically: lowest vertex id wins the
@@ -262,7 +234,7 @@ func (d Directory) Propagate(servers []*Server) (int64, error) {
 	}
 	// Phase 2: every server pulls the locations it needs; the pull batch
 	// (requests + replies) is one retryable message.
-	pullErrs := make([]error, len(servers))
+	pullFailed := make([]bool, len(servers))
 	for si, s := range servers {
 		wg.Add(1)
 		go func(si int, s *Server) {
@@ -274,15 +246,15 @@ func (d Directory) Propagate(servers []*Server) (int64, error) {
 				}
 				batch += requestBytes + replyBytes
 			}
-			bytes, retries, err := deliver(d.Fabric, pol, d.Clock, epoch, len(servers)+si, batch, nil)
+			bytes, retries, ok := faultsim.Deliver(d.Fabric, pol, d.Clock, epoch, len(servers)+si, batch, nil)
 			volMu.Lock()
 			volume += bytes
 			volMu.Unlock()
 			mx.bytes.Add(bytes)
 			mx.retries.Add(int64(retries))
-			if err != nil {
+			if !ok {
 				mx.aborts.Inc()
-				pullErrs[si] = fmt.Errorf("exchange: pull by server %d: %w", s.ID, err)
+				pullFailed[si] = true
 				return
 			}
 			for _, v := range s.Needs {
@@ -300,7 +272,7 @@ func (d Directory) Propagate(servers []*Server) (int64, error) {
 		}(si, s)
 	}
 	wg.Wait()
-	if err := deliveryError("pull", servers, pullErrs); err != nil {
+	if err := deliveryError("pull", servers, pullFailed); err != nil {
 		return volume, err
 	}
 	// The directory only refreshes pulled vertices; apply each server's
@@ -313,17 +285,17 @@ func (d Directory) Propagate(servers []*Server) (int64, error) {
 	return volume, nil
 }
 
-// deliveryError reduces a per-server error arena (nil slots = delivered)
+// deliveryError reduces a per-server failure arena (false = delivered)
 // into the deterministic verdict of a phase: nil when every delivery
 // landed, otherwise a DeliveryError naming every exhausted server in
 // ascending rank order. The set — not a single representative — is what
 // makes a failed directory-epoch publish attributable: the caller sees
 // exactly which servers' batches died, however the goroutines
 // interleaved.
-func deliveryError(phase string, servers []*Server, errs []error) error {
+func deliveryError(phase string, servers []*Server, dropped []bool) error {
 	var failed []int
-	for si, e := range errs {
-		if e != nil {
+	for si, d := range dropped {
+		if d {
 			failed = append(failed, servers[si].ID)
 		}
 	}
@@ -437,17 +409,17 @@ func (r Region) Propagate(servers []*Server) (int64, error) {
 					A: int32(reg), B: int32(attempt), N: backoff})
 			}
 		}
-		bytes, retries, err := deliver(r.Fabric, pol, r.Clock, epoch, region, (hi-lo)*4, onRetry)
+		bytes, retries, ok := faultsim.Deliver(r.Fabric, pol, r.Clock, epoch, region, (hi-lo)*4, onRetry)
 		volume += bytes
 		mx.bytes.Add(bytes)
 		mx.retries.Add(int64(retries))
-		if err != nil {
+		if !ok {
 			mx.aborts.Inc()
 			if r.Trace != nil {
 				r.Trace.Emit(obs.Event{Kind: obs.KindRegionAbort, Round: int32(epoch),
 					A: int32(region), B: int32(retries + 1)})
 			}
-			return volume, fmt.Errorf("exchange: region %d reduce: %w", region, err)
+			return volume, fmt.Errorf("exchange: region %d reduce dropped %d times: %w", region, retries+1, ErrExchangeFailed)
 		}
 		if r.Trace != nil {
 			r.Trace.Emit(obs.Event{Kind: obs.KindRegionSent, Round: int32(epoch),
@@ -465,51 +437,6 @@ func (r Region) Propagate(servers []*Server) (int64, error) {
 		wg.Wait()
 	}
 	return volume, nil
-}
-
-// Update is one vertex ownership change — the unit of the epoch deltas
-// the partition directory (internal/dir) consumes.
-type Update struct {
-	Vertex int32
-	Rank   int32
-}
-
-// EpochDelta is the directory adapter: it merges every server's pending
-// Updates into one deterministic, vertex-sorted delta, the whole-epoch
-// write a partition-directory publish applies. Servers own disjoint
-// partitions, so their updates must be disjoint (duplicates that agree
-// are deduplicated); two servers moving the same vertex to different
-// ranks is a protocol violation reported against the lowest conflicting
-// vertex, like Propagate.
-func EpochDelta(servers []*Server) ([]Update, error) {
-	total := 0
-	for _, s := range servers {
-		total += len(s.Updates)
-	}
-	out := make([]Update, 0, total)
-	for _, s := range servers {
-		//lint:ignore maprange map order never reaches the result: the merged slice is sorted by (Vertex, Rank) below, before dedup or any caller observes it
-		for v, loc := range s.Updates {
-			out = append(out, Update{Vertex: v, Rank: loc})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Vertex != out[j].Vertex {
-			return out[i].Vertex < out[j].Vertex
-		}
-		return out[i].Rank < out[j].Rank
-	})
-	uniq := out[:0]
-	for _, u := range out {
-		if len(uniq) > 0 && uniq[len(uniq)-1].Vertex == u.Vertex {
-			if uniq[len(uniq)-1].Rank != u.Rank {
-				return nil, fmt.Errorf("exchange: conflicting updates for vertex %d", u.Vertex)
-			}
-			continue
-		}
-		uniq = append(uniq, u)
-	}
-	return uniq, nil
 }
 
 // Consistent reports whether all servers hold identical location views.

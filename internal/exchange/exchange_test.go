@@ -248,53 +248,3 @@ func TestQuickRegionCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// EpochDelta must merge all servers' updates into one vertex-sorted,
-// duplicate-free delta — the whole-epoch write the partition directory
-// applies — independent of map iteration order.
-func TestEpochDelta(t *testing.T) {
-	servers, want := buildScenario(200, 5, 8, 11)
-	delta, err := EpochDelta(servers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(delta); i++ {
-		if delta[i-1].Vertex >= delta[i].Vertex {
-			t.Fatalf("delta not strictly vertex-sorted at %d: %v %v", i, delta[i-1], delta[i])
-		}
-	}
-	// The delta applied to the initial view must equal the converged view.
-	got := append([]int32(nil), servers[0].Locations...)
-	for _, u := range delta {
-		got[u.Vertex] = u.Rank
-	}
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("delta-applied view wrong at vertex %d: %d, want %d", v, got[v], want[v])
-		}
-	}
-	// Determinism: rebuilt scenario, identical delta.
-	servers2, _ := buildScenario(200, 5, 8, 11)
-	delta2, err := EpochDelta(servers2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(delta) != len(delta2) {
-		t.Fatalf("delta lengths differ: %d vs %d", len(delta), len(delta2))
-	}
-	for i := range delta {
-		if delta[i] != delta2[i] {
-			t.Fatalf("delta diverged at %d: %v vs %v", i, delta[i], delta2[i])
-		}
-	}
-	// Agreeing duplicates dedup; disagreeing ones are a protocol error.
-	servers[1].Updates[9999] = 3
-	servers[2].Updates[9999] = 3
-	if _, err := EpochDelta(servers); err != nil {
-		t.Fatalf("agreeing duplicate rejected: %v", err)
-	}
-	servers[2].Updates[9999] = 4
-	if _, err := EpochDelta(servers); err == nil {
-		t.Fatal("conflicting duplicate accepted")
-	}
-}

@@ -28,6 +28,7 @@ import (
 	"sort"
 	"sync"
 
+	"paragon/internal/detrand"
 	"paragon/internal/obs"
 )
 
@@ -181,23 +182,14 @@ func keyOf(ev Event) scriptKey {
 	return k
 }
 
-// splitmix64's finalizer: a full-avalanche 64-bit mixer, so neighboring
-// coordinates decorrelate completely.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // hash folds the seed, fault kind, and call-site coordinates into one
 // uniform 64-bit value. Purely functional: no state, no ordering.
 func (in *Injector) hash(kind Kind, a, b, c int) uint64 {
-	h := mix64(uint64(in.seed) ^ 0xa5a5a5a5a5a5a5a5)
-	h = mix64(h ^ uint64(kind))
-	h = mix64(h ^ uint64(int64(a)))
-	h = mix64(h ^ uint64(int64(b)))
-	return mix64(h ^ uint64(int64(c)))
+	h := detrand.Mix64(uint64(in.seed) ^ 0xa5a5a5a5a5a5a5a5)
+	h = detrand.Mix64(h ^ uint64(kind))
+	h = detrand.Mix64(h ^ uint64(int64(a)))
+	h = detrand.Mix64(h ^ uint64(int64(b)))
+	return detrand.Mix64(h ^ uint64(int64(c)))
 }
 
 // fires converts a hash to a Bernoulli(rate) draw. The top 53 bits give
@@ -281,7 +273,7 @@ func (in *Injector) GroupDelay(round, group int) int64 {
 		}
 		// Reuse the untested low bits for the magnitude so the firing
 		// draw and the delay draw stay independent-ish but replayable.
-		delay = 1 + int64(mix64(h)%uint64(in.maxDelay))
+		delay = 1 + int64(detrand.Mix64(h)%uint64(in.maxDelay))
 	}
 	if delay <= 0 {
 		return 0
@@ -396,9 +388,9 @@ func DefaultPolicy() Policy {
 	return Policy{MaxRetries: 4, BackoffBase: 1, BackoffCap: 16, RoundTimeout: 16}
 }
 
-// withDefaults fills zero fields so a zero Policy behaves like
-// DefaultPolicy.
-func (p Policy) withDefaults() Policy {
+// Normalized fills zero fields so a zero Policy behaves like
+// DefaultPolicy — what consumers call once up front.
+func (p Policy) Normalized() Policy {
 	d := DefaultPolicy()
 	if p.MaxRetries == 0 {
 		p.MaxRetries = d.MaxRetries
@@ -418,7 +410,7 @@ func (p Policy) withDefaults() Policy {
 // Backoff returns the capped exponential backoff, in virtual ticks,
 // before retry attempt (0-based: the wait after the attempt-th loss).
 func (p Policy) Backoff(attempt int) int64 {
-	p = p.withDefaults()
+	p = p.Normalized()
 	b := p.BackoffBase
 	for i := 0; i < attempt; i++ {
 		b <<= 1
@@ -432,6 +424,33 @@ func (p Policy) Backoff(attempt int) int64 {
 	return b
 }
 
-// Normalized returns the policy with defaults applied — what consumers
-// should call once up front so a zero Policy value means DefaultPolicy.
-func (p Policy) Normalized() Policy { return p.withDefaults() }
+// Deliver is the one retry/backoff loop for a droppable message: it
+// attempts to send message op of round (or epoch) under the fabric,
+// retrying with the policy's capped backoff until the message is
+// delivered or the retry budget is exhausted. Each attempt (including
+// lost ones — the bytes went out) costs size bytes; each backoff advances
+// clk when one is installed. It returns the total bytes spent, the
+// number of retries performed, and whether the message arrived — on
+// false it was dropped retries+1 times. onRetry, when non-nil, runs on
+// the caller's goroutine after each backoff with the lost attempt's
+// index and the ticks waited: the hook callers hang their own
+// accounting and trace events on.
+func Deliver(f Fabric, pol Policy, clk *Clock, round, op int, size int64, onRetry func(attempt int, backoff int64)) (bytes int64, retries int, delivered bool) {
+	for attempt := 0; ; attempt++ {
+		bytes += size
+		if f == nil || !f.Drop(round, op, attempt) {
+			return bytes, retries, true
+		}
+		if attempt >= pol.MaxRetries {
+			return bytes, retries, false
+		}
+		b := pol.Backoff(attempt)
+		if clk != nil {
+			clk.Advance(b)
+		}
+		if onRetry != nil {
+			onRetry(attempt, b)
+		}
+		retries++
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"paragon/internal/detrand"
 	"paragon/internal/graph"
 )
 
@@ -69,7 +70,7 @@ func RMATSharded(n int32, m int64, a, b, c float64, seed int64, workers int) *gr
 	for (int64(1) << levels) < int64(n) {
 		levels++
 	}
-	salt := splitmixFin(uint64(seed) * 0x94d049bb133111eb)
+	salt := detrand.Fin64(uint64(seed) * 0x94d049bb133111eb)
 
 	// Phase 1: shards generate locally-deduped candidate keys in parallel.
 	shardKeys := make([][]int64, rmatShards)
@@ -121,7 +122,7 @@ func rmatShard(n int32, m int64, a, b, c float64, seed int64, salt uint64, level
 	if quota == 0 {
 		return nil
 	}
-	rng := splitmix{state: splitmixFin(splitmixFin(uint64(seed)) + uint64(s)*0x9e3779b97f4a7c15)}
+	rng := splitmix{state: detrand.Fin64(detrand.Fin64(uint64(seed)) + uint64(s)*0x9e3779b97f4a7c15)}
 	ab, abc := a+b, a+b+c
 	seen := make(map[int64]struct{}, quota)
 	keys := make([]int64, 0, quota)
@@ -184,19 +185,12 @@ type splitmix struct{ state uint64 }
 
 func (r *splitmix) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	return splitmixFin(r.state)
+	return detrand.Fin64(r.state)
 }
 
 // float64 returns a uniform float in [0,1) from the top 53 bits.
 func (r *splitmix) float64() float64 {
 	return float64(r.next()>>11) / (1 << 53)
-}
-
-// splitmixFin is the splitmix64 output finalizer.
-func splitmixFin(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // ensureNoIsolatesHashed attaches every isolated vertex v to a partner
@@ -210,7 +204,7 @@ func ensureNoIsolatesHashed(bld *graph.Builder, seed int64) {
 		return
 	}
 	for _, v := range bld.AppendIsolated(nil) {
-		u := int32(splitmixFin(uint64(seed)^(uint64(v)*0xbf58476d1ce4e5b9)) % uint64(n))
+		u := int32(detrand.Fin64(uint64(seed)^(uint64(v)*0xbf58476d1ce4e5b9)) % uint64(n))
 		if u == v {
 			u = (u + 1) % n
 		}

@@ -12,8 +12,9 @@ import (
 // sizes at fixed average degree. Build is O(|V| + |E|) with no
 // comparison sorts, so ns/op must grow near-linearly with n (within
 // cache effects) and allocs/op must stay flat — the regression guards
-// for the 10M-vertex scale path (scripts/bench_scale.sh exercises the
-// full 10M build; this bench keeps the complexity honest in CI).
+// for the 10M-vertex scale path (this bench keeps the complexity honest
+// in CI; bench/README.md's gen.build_s times generation plus build end
+// to end).
 func BenchmarkBuild(b *testing.B) {
 	for _, n := range []int32{100_000, 400_000, 1_600_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -187,3 +187,25 @@ func TestLoaderModule(t *testing.T) {
 		t.Fatalf("internal/lint has type errors: %v", pkgs[0].TypeErrors)
 	}
 }
+
+// A "./..." walk stops at nested modules, as the go tool's does: bench/
+// has its own go.mod and is not part of the determinism kernel.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	root := filepath.Join("..", "..")
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("Load(./...) from the module root returned no packages")
+	}
+	for _, p := range pkgs {
+		if p.Path == "paragon/bench" || strings.HasPrefix(p.Path, "paragon/bench/") {
+			t.Errorf("Load(./...) descended into the nested module: %s", p.Path)
+		}
+	}
+}

@@ -93,7 +93,8 @@ func (l *Loader) AllLoaded() []*Package {
 // Load resolves patterns relative to dir and returns the matched
 // packages in deterministic (import path) order. Supported patterns:
 // "./..." and "dir/..." recursive forms, plus plain directory paths.
-// Directories named testdata or vendor, and dot/underscore directories,
+// Directories named testdata or vendor, dot/underscore directories, and
+// nested modules (a subdirectory with its own go.mod, such as bench/)
 // are skipped, mirroring the go tool.
 func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 	dirs := map[string]bool{}
@@ -126,6 +127,11 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 			if path != target && (name == "testdata" || name == "vendor" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
+			}
+			if path != target {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			if hasGoFiles(path) {
 				dirs[path] = true

@@ -15,7 +15,8 @@ import (
 
 // The refinement benchmarks run on a 100k-vertex power-law graph, the
 // scale at which the per-pair full-graph scans of the naive hot path
-// dominate. scripts/bench.sh records their trajectory in BENCH_refine.json.
+// dominate. They are for measuring while you work; the numbers a change
+// is judged by come from bench/ (bench/README.md).
 
 var (
 	refineBenchOnce  sync.Once
@@ -41,17 +42,17 @@ func BenchmarkParagonRound(b *testing.B) {
 // BenchmarkParagonRoundFault is the guard on the fault layer's
 // instrumentation cost: the identical round with a fault fabric
 // installed but a zero-fault schedule, so every fault point is consulted
-// and none fires. scripts/bench.sh records the pair to BENCH_fault.json;
-// the overhead target is < 5%.
+// and none fires. The overhead target is < 5%; bench/README.md's
+// faultsim.overhead_pct is the same pair measured end to end.
 func BenchmarkParagonRoundFault(b *testing.B) {
 	benchParagonRound(b, true, false)
 }
 
 // BenchmarkParagonRoundObs is the same guard on the observability layer:
 // the identical round with a tracer and a metrics registry installed, so
-// every emission site pays its full cost. scripts/bench.sh records the
-// pair to BENCH_obs.json; with both nil (BenchmarkParagonRound) the
-// layer must cost nothing but nil checks.
+// every emission site pays its full cost (bench/README.md's
+// obs.overhead_pct is the same pair measured end to end); with both nil
+// (BenchmarkParagonRound) the layer must cost nothing but nil checks.
 func BenchmarkParagonRoundObs(b *testing.B) {
 	benchParagonRound(b, false, true)
 }
@@ -86,8 +87,8 @@ func benchParagonRound(b *testing.B, faultLayer, observed bool) {
 // BenchmarkParagonRoundWorkers is the worker-scaling curve of the
 // pair-level scheduler: the identical round at Workers ∈ {1, 2, 4,
 // GOMAXPROCS}. Every point computes the bit-identical decomposition —
-// only the wall clock (and per-worker scratch) may differ.
-// scripts/bench_parallel.sh records the curve in BENCH_parallel.json.
+// only the wall clock (and per-worker scratch) may differ
+// (bench/README.md's paragon.speedup is the recorded point of the curve).
 func BenchmarkParagonRoundWorkers(b *testing.B) {
 	gomax := runtime.GOMAXPROCS(0)
 	points := []int{1, 2, 4}

@@ -32,6 +32,7 @@ import (
 	"paragon/internal/graph"
 	"paragon/internal/obs"
 	"paragon/internal/partition"
+	"paragon/internal/topology"
 )
 
 // Config tunes PARAGON. The zero value picks the paper's defaults.
@@ -135,36 +136,19 @@ type PortfolioConfig struct {
 	// overlays; the overlay is currently pairwise, so any value >= 2
 	// combines the top two and values < 2 disable combining. Default 2.
 	CombineTop int
-	// CombineRounds bounds the boundary-restricted re-refinement rounds
-	// over the disagreement region of the overlay (default 2; each round
-	// stops early when no move is kept).
-	CombineRounds int
-}
-
-func (pc PortfolioConfig) withDefaults() PortfolioConfig {
-	if pc.Size <= 0 {
-		pc.Size = 4
-	}
-	if pc.CombineTop == 0 {
-		pc.CombineTop = 2
-	}
-	if pc.CombineRounds <= 0 {
-		pc.CombineRounds = 2
-	}
-	return pc
 }
 
 // WithDefaults returns the config with the paper's defaults filled in
 // and DRP clamped for k partitions — the normalization Refine applies on
-// entry, exported for the portfolio driver, which must see the same
-// effective settings its members run under.
+// entry, exported for the portfolio driver and the session, which must
+// see the same effective settings their refinements run under.
 func (c Config) WithDefaults(k int32) Config {
-	c = c.withDefaults(k)
-	c.Portfolio = c.Portfolio.withDefaults()
-	return c
-}
-
-func (c Config) withDefaults(k int32) Config {
+	if c.Portfolio.Size <= 0 {
+		c.Portfolio.Size = 4
+	}
+	if c.Portfolio.CombineTop == 0 {
+		c.Portfolio.CombineTop = 2
+	}
 	if c.DRP == 0 {
 		c.DRP = 8
 	}
@@ -194,6 +178,21 @@ func (c Config) withDefaults(k int32) Config {
 		c.BadMoveLimit = 64
 	}
 	return c
+}
+
+// FaultFabric resolves the fault fabric a run under this config
+// consults: an explicit Fabric wins, FaultRate > 0 builds the seeded
+// injector, otherwise nil — the fault layer is a true no-op. An injector,
+// either way, reports its fired-fault counters to Metrics.
+func (c Config) FaultFabric() faultsim.Fabric {
+	fab := c.Fabric
+	if fab == nil && c.FaultRate > 0 {
+		fab = faultsim.NewInjector(faultsim.Config{Seed: c.FaultSeed, Rate: c.FaultRate})
+	}
+	if in, ok := fab.(*faultsim.Injector); ok && c.Metrics != nil {
+		in.Observe(c.Metrics)
+	}
+	return fab
 }
 
 // AragonConfig projects the pairwise-refiner settings out of the driver
@@ -294,7 +293,7 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	if cfg.NodeOf != nil && int32(len(cfg.NodeOf)) < p.K {
 		return Stats{}, fmt.Errorf("paragon: NodeOf has %d entries for k=%d", len(cfg.NodeOf), p.K)
 	}
-	cfg = cfg.withDefaults(p.K)
+	cfg = cfg.WithDefaults(p.K)
 	k := p.K
 
 	var st Stats
@@ -325,13 +324,7 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	// installed fabric is consulted at each fault point. Decisions are
 	// pure hashes of (seed, coordinates), so the parallel fan-out below
 	// can query it from any goroutine without losing determinism.
-	fab := cfg.Fabric
-	if fab == nil && cfg.FaultRate > 0 {
-		fab = faultsim.NewInjector(faultsim.Config{Seed: cfg.FaultSeed, Rate: cfg.FaultRate})
-	}
-	if in, ok := fab.(*faultsim.Injector); ok && cfg.Metrics != nil {
-		in.Observe(cfg.Metrics)
-	}
+	fab := cfg.FaultFabric()
 	pol := faultsim.DefaultPolicy()
 	clk := faultsim.NewClock()
 
@@ -493,36 +486,30 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 				if hi > nV {
 					hi = nV
 				}
-				for attempt := 0; ; attempt++ {
-					st.LocationExchangeBytes += (hi - lo) * 4 // spent even when dropped
-					mx.exchangeBytes.Add((hi - lo) * 4)
-					if fab == nil || !fab.Drop(round, region, attempt) {
+				bytes, retries, ok := faultsim.Deliver(fab, pol, clk, round, region, (hi-lo)*4,
+					func(attempt int, b int64) {
+						st.Faults.ExchangeRetries++
+						mx.exchangeRetries.Inc()
+						st.Faults.BackoffTicks += b
+						mx.backoffTicks.Add(b)
 						if tr != nil {
-							tr.Emit(obs.Event{Kind: obs.KindRegionSent, Round: int32(round),
-								A: int32(region), N: (hi - lo) * 4 * int64(attempt+1), M: int64(attempt)})
+							tr.Emit(obs.Event{Kind: obs.KindRegionRetry, Round: int32(round),
+								A: int32(region), B: int32(attempt), N: b})
 						}
-						break
-					}
-					if attempt >= pol.MaxRetries {
-						st.Faults.ExchangeAborts++
-						mx.exchangeAborts.Inc()
-						if tr != nil {
-							tr.Emit(obs.Event{Kind: obs.KindRegionAbort, Round: int32(round),
-								A: int32(region), B: int32(attempt + 1)})
-						}
-						exchangeOK = false
-						break
-					}
-					st.Faults.ExchangeRetries++
-					mx.exchangeRetries.Inc()
-					b := pol.Backoff(attempt)
-					st.Faults.BackoffTicks += b
-					mx.backoffTicks.Add(b)
-					clk.Advance(b)
+					})
+				st.LocationExchangeBytes += bytes // lost attempts spent theirs too
+				mx.exchangeBytes.Add(bytes)
+				if !ok {
+					st.Faults.ExchangeAborts++
+					mx.exchangeAborts.Inc()
 					if tr != nil {
-						tr.Emit(obs.Event{Kind: obs.KindRegionRetry, Round: int32(round),
-							A: int32(region), B: int32(attempt), N: b})
+						tr.Emit(obs.Event{Kind: obs.KindRegionAbort, Round: int32(round),
+							A: int32(region), B: int32(retries + 1)})
 					}
+					exchangeOK = false
+				} else if tr != nil {
+					tr.Emit(obs.Event{Kind: obs.KindRegionSent, Round: int32(round),
+						A: int32(region), N: bytes, M: int64(retries)})
 				}
 			}
 			if !exchangeOK {
@@ -554,18 +541,5 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 // UNIPARAGON baseline of §7.2 that assumes a homogeneous, contention-free
 // environment.
 func RefineUniform(g *graph.Graph, p *partition.Partitioning, cfg Config) (Stats, error) {
-	// One flat backing array with row slices: k+1 allocations would be
-	// k×k tiny ones otherwise, and the rows stay cache-adjacent.
-	k := int(p.K)
-	flat := make([]float64, k*k)
-	c := make([][]float64, k)
-	for i := range c {
-		c[i] = flat[i*k : (i+1)*k : (i+1)*k]
-		for j := range c[i] {
-			if i != j {
-				c[i][j] = 1
-			}
-		}
-	}
-	return Refine(g, p, c, cfg)
+	return Refine(g, p, topology.UniformMatrix(int(p.K)), cfg)
 }

@@ -19,8 +19,8 @@ import (
 
 // PairIndexer is the minimal surface the pairwise refiner needs: candidate
 // enumeration for a partition pair and delta-maintained vertex moves.
-// Index (full boundary tracking) and GroupIndex (a group server's private
-// bucket view) both implement it.
+// Index (full boundary tracking) and Shadow (the scheduler's shared
+// bucket view of the master, which tracks no boundary) both implement it.
 type PairIndexer interface {
 	// Partitioning returns the decomposition the indexer maintains;
 	// Move must keep its Assign array in sync.

@@ -3,6 +3,8 @@ package partition
 import (
 	"fmt"
 	"math/bits"
+
+	"paragon/internal/detrand"
 )
 
 // Packed is a bit-packed assignment vector: n entries in [0, K), each
@@ -131,25 +133,10 @@ func PackedFromWords(n, k int32, words []uint64) (*Packed, error) {
 // folding in n and k so vectors of different shape never collide by
 // accident. Two Packed holding the same assignment hash identically.
 func (p *Packed) Hash64() uint64 {
-	h := fnvMix(fnvOffset, uint64(uint32(p.n)))
-	h = fnvMix(h, uint64(uint32(p.k)))
+	h := detrand.FNVFold64(detrand.FNVOffset64, uint64(uint32(p.n)))
+	h = detrand.FNVFold64(h, uint64(uint32(p.k)))
 	for _, w := range p.words {
-		h = fnvMix(h, w)
-	}
-	return h
-}
-
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
-
-// fnvMix folds one 64-bit quantity into an FNV-1a state, byte by byte.
-func fnvMix(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime
-		x >>= 8
+		h = detrand.FNVFold64(h, w)
 	}
 	return h
 }

@@ -1,110 +1,12 @@
 package portfolio
 
 import (
-	"fmt"
-	"os"
-	"strconv"
 	"testing"
-	"time"
 
 	"paragon/internal/gen"
-	"paragon/internal/paragon"
 	"paragon/internal/partition"
 	"paragon/internal/stream"
 )
-
-// The portfolio bench (scripts/bench_portfolio.sh) is env-driven so one
-// process measures exactly one (P, workers) grid point — the wall-clock
-// speedup claim needs a quiet process per point, and the selected-hash
-// cross-check needs one hash line per run. Without PARAGON_PORT_P set it
-// runs a small fixed smoke configuration, so ci.sh's bench-bitrot pass
-// still compiles and exercises it.
-//
-//	PARAGON_PORT_P          portfolio size (members)
-//	PARAGON_PORT_WORKERS    Config.Workers (default 1)
-//	PARAGON_PORT_N          vertex count (default 50000; edges = 6n)
-//	PARAGON_PORT_K          partitions (default 64)
-//	PARAGON_PORT_HASH_FILE  append "p=<P> workers=<w> hash=<h>" after the
-//	                        run; the script cross-checks the hash over all
-//	                        worker counts of a P (bit-identical selection)
-
-func portEnvInt(name string, def int) int {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return def
-}
-
-// BenchmarkPortfolio measures one full portfolio refinement on a warmed
-// pool. Reported metrics beyond ns/op:
-//
-//	membercpu-ns/op  Σ per-member CPU time — member-level concurrency
-//	                 witness: on a multi-core box wall clock shrinks
-//	                 with workers while this stays ~constant, so
-//	                 membercpu/ns_op > 1 proves members overlapped.
-//	selcost          the selected decomposition's Eq. 2+3 cost —
-//	                 quality at each grid point (lower is better).
-func BenchmarkPortfolio(b *testing.B) {
-	size := portEnvInt("PARAGON_PORT_P", 4)
-	workers := portEnvInt("PARAGON_PORT_WORKERS", 0)
-	n := int32(portEnvInt("PARAGON_PORT_N", 50000))
-	k := int32(portEnvInt("PARAGON_PORT_K", 64))
-	if os.Getenv("PARAGON_PORT_P") == "" {
-		// Bitrot-smoke configuration: small enough for -benchtime=1x.
-		n, k, size = 10000, 32, 2
-	}
-	g := gen.RMAT(n, int64(n)*6, 0.57, 0.19, 0.19, 42)
-	g.UseDegreeWeights()
-	p0 := stream.HP(g, k)
-	cfg := paragon.Config{
-		DRP: 8, Shuffles: 2, Seed: 1, Workers: workers,
-		Portfolio: paragon.PortfolioConfig{Size: size, CombineTop: 2},
-	}
-	c := make([][]float64, k)
-	for i := range c {
-		c[i] = make([]float64, k)
-		for j := range c[i] {
-			if i != j {
-				c[i][j] = 1
-			}
-		}
-	}
-	var pool Pool
-	p := p0.Clone()
-	st, err := RefineWithPool(g, p, c, cfg, &pool) // warm the pool
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cpu time.Duration
-	var hash uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		copy(p.Assign, p0.Assign)
-		b.StartTimer()
-		st, err = RefineWithPool(g, p, c, cfg, &pool)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		cpu += st.CPUTime
-		hash = assignHash(p)
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(cpu)/float64(b.N), "membercpu-ns/op")
-	b.ReportMetric(st.SelectedScore.Cost(), "selcost")
-	if path := os.Getenv("PARAGON_PORT_HASH_FILE"); path != "" {
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		fmt.Fprintf(f, "p=%d workers=%d hash=%#x\n", size, workers, hash)
-	}
-}
 
 // BenchmarkPortfolioScorer isolates the shared Eq. 2–4 scorer — the
 // per-member selection overhead the portfolio pays on top of refinement.

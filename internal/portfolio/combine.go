@@ -11,8 +11,8 @@ import (
 // §5 — b's dissenting moves are only worth re-judging together with
 // their immediate neighborhoods) into a movable-vertex mask, and the
 // partitions touched by D are re-refined pairwise, ascending, for at
-// most `rounds` boundary-restricted rounds with early exit once no move
-// is kept.
+// most combineRounds boundary-restricted rounds with early exit once no
+// move is kept.
 //
 // Every kept prefix has strictly positive Eq. 5 gain, so the overlay
 // never scores worse than a under the partition.Score total order up to
@@ -20,7 +20,9 @@ import (
 // keeps a when the overlay fails to strictly improve. Deterministic
 // because it is serial: a fixed traversal of a fixed schedule on the
 // coordinator.
-func (scr *memberScratch) combine(a, b, base []int32, c [][]float64, par memberParams, rounds int) (score partition.Score, diff, moves int, gain float64) {
+const combineRounds = 2
+
+func (scr *memberScratch) combine(a, b, base []int32, c [][]float64, par memberParams) (score partition.Score, diff, moves int, gain float64) {
 	copy(scr.p.Assign, a)
 	scr.ix.Rebuild()
 	scr.reloadWeights()
@@ -54,7 +56,7 @@ func (scr *memberScratch) combine(a, b, base []int32, c [][]float64, par memberP
 		}
 	}
 
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < combineRounds; r++ {
 		roundMoves := 0
 		for i := 0; i < len(scr.parts); i++ {
 			for j := i + 1; j < len(scr.parts); j++ {

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"paragon/internal/detrand"
 	"paragon/internal/faultsim"
 	"paragon/internal/graph"
 	"paragon/internal/obs"
@@ -113,23 +114,16 @@ func (r *runner) worker(w int) {
 }
 
 // memberSeed derives member m's grouping seed: member 0 inherits the
-// configured seed unchanged (portfolio size 1 degenerates to the plain
-// seeded refinement), members beyond it decorrelate via a splitmix64
-// finalizer — pure arithmetic, no shared rng stream to order.
+// configured seed unchanged, members beyond it decorrelate via the
+// splitmix64 mixer — pure arithmetic, no shared rng stream to order.
+// Sharing the seed does not make member 0 reproduce paragon.Refine: a
+// member deals its groups with rng.Shuffle (regroup) and refines serially
+// on its live index, without the scheduler's frozen view.
 func memberSeed(seed int64, m int) int64 {
 	if m == 0 {
 		return seed
 	}
-	return int64(mix64(uint64(seed) ^ mix64(uint64(m))))
-}
-
-// mix64 is the splitmix64 finalizer (same construction as the fault
-// injector's hash; duplicated here because faultsim keeps it private).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return int64(detrand.Mix64(uint64(seed) ^ detrand.Mix64(uint64(m))))
 }
 
 // RefineWithPool is Refine on caller-owned scratch: passing the same
@@ -166,13 +160,7 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 	// timed-out member forfeits: it does not run and is excluded from
 	// scoring. Fates depend only on (fabric, member id) — not on
 	// workers, not on completion order.
-	fab := cfg.Fabric
-	if fab == nil && cfg.FaultRate > 0 {
-		fab = faultsim.NewInjector(faultsim.Config{Seed: cfg.FaultSeed, Rate: cfg.FaultRate})
-	}
-	if in, ok := fab.(*faultsim.Injector); ok && cfg.Metrics != nil {
-		in.Observe(cfg.Metrics)
-	}
+	fab := cfg.FaultFabric()
 	pol := faultsim.DefaultPolicy()
 	if fab != nil {
 		for m := 0; m < size; m++ {
@@ -190,13 +178,7 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 			c:       c,
 			size:    size,
 			workers: workers,
-			par: memberParams{
-				drp:      cfg.DRP,
-				shuffles: cfg.Shuffles,
-				khop:     cfg.KHop,
-				alpha:    cfg.Alpha,
-				maxLoad:  partition.BalanceBound(g, p.K, cfg.MaxImbalance),
-			},
+			par:     runnerParams(cfg, g, p.K),
 		}
 		r.wg.Add(workers)
 		for w := 0; w < workers; w++ {
@@ -245,7 +227,7 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 		scr := pool.scratch[0] // idle after the join; combine is coordinator-only
 		cs, diff, mv, gn := scr.combine(
 			pool.assigns[st.Winner], pool.assigns[st.RunnerUp], p.Assign, c,
-			runnerParams(cfg, g, p.K), cfg.Portfolio.CombineRounds)
+			runnerParams(cfg, g, p.K))
 		st.CombineDiff = diff
 		st.CombineMoves = mv
 		st.CombineGain = gn

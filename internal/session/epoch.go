@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"paragon/internal/detrand"
 	"paragon/internal/dir"
 	"paragon/internal/dyn"
 	"paragon/internal/faultsim"
@@ -34,7 +35,7 @@ import (
 func (s *Session) Ingest(b dyn.Batch) (BatchStats, error) {
 	seq := s.batches
 	s.batches++
-	s.clock.Advance(s.cfg.BatchTicks)
+	s.clock.Advance(1) // one virtual tick per ingested batch
 	st := BatchStats{Seq: seq}
 
 	if s.run != nil && seq >= s.run.joinBatch {
@@ -312,7 +313,7 @@ func (s *Session) launchEpoch(seq int64, d dyn.Decision) {
 	copy(s.pre, s.pidx.Assign)
 
 	refCfg := s.cfg.Refine
-	refCfg.Seed = int64(sessionMix(uint64(s.cfg.Refine.Seed) ^ sessionMix(uint64(launch)+0x51)))
+	refCfg.Seed = int64(detrand.Fin64(uint64(s.cfg.Refine.Seed) ^ detrand.Fin64(uint64(launch)+0x51)))
 	refCfg.Trace = nil     // the tracer is single-goroutine; the session owns it
 	refCfg.Directory = nil // the session publishes at the merge, not per round
 	refCfg.Metrics = s.cfg.Metrics
@@ -320,7 +321,7 @@ func (s *Session) launchEpoch(seq int64, d dyn.Decision) {
 	refCfg.FaultRate = 0
 	if s.cfg.FaultRate > 0 {
 		refCfg.Fabric = faultsim.NewInjector(faultsim.Config{
-			Seed: int64(sessionMix(uint64(s.cfg.FaultSeed) ^ sessionMix(uint64(launch)+0xe7))),
+			Seed: int64(detrand.Fin64(uint64(s.cfg.FaultSeed) ^ detrand.Fin64(uint64(launch)+0xe7))),
 			Rate: s.cfg.FaultRate,
 		})
 	}

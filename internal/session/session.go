@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 
+	"paragon/internal/detrand"
 	"paragon/internal/dir"
 	"paragon/internal/dyn"
 	"paragon/internal/faultsim"
@@ -62,17 +63,15 @@ type Config struct {
 	// join and the next launch (default 4), so a trigger the refinement
 	// cannot clear does not relaunch every batch.
 	CooldownBatches int
-	// BatchTicks advances the virtual clock per ingested batch
-	// (default 1).
-	BatchTicks int64
 	// Refine configures the per-epoch refinement. The session overrides
 	// the ownership fields — Trace and Directory are forced nil (the
 	// session emits its own events and owns publishing), Fabric/
 	// FaultRate/FaultSeed are replaced by the session's per-epoch
 	// injectors, and Seed is folded with the epoch launch index so each
-	// epoch draws a fresh deterministic schedule. A zero-value Refine
-	// gets paragon.DefaultConfig() with Shuffles reduced to 2 (epochs
-	// run often; nine rounds each would starve ingest).
+	// epoch draws a fresh deterministic schedule. Zero fields get the
+	// paper's defaults (paragon.Config.WithDefaults), except Shuffles,
+	// where 0 means 2 — epochs run often; nine rounds each would starve
+	// ingest — and a negative value means none.
 	Refine paragon.Config
 	// Costs is the k×k relative communication cost matrix (required).
 	Costs [][]float64
@@ -81,8 +80,6 @@ type Config struct {
 	// deterministic injectors derived from (FaultSeed, launch index).
 	FaultRate float64
 	FaultSeed int64
-	// DirShardBits passes through to the directory (0 = its default).
-	DirShardBits int
 	// Trace, when non-nil, receives ingest_batch / epoch_* events. The
 	// session emits only from the ingest goroutine at deterministic
 	// points, so the stream is bit-identical at every Workers value.
@@ -264,32 +261,17 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 	if cfg.CooldownBatches <= 0 {
 		cfg.CooldownBatches = 4
 	}
-	if cfg.BatchTicks <= 0 {
-		cfg.BatchTicks = 1
-	}
-	if cfg.Refine.Alpha == 0 && cfg.Refine.DRP == 0 {
-		shf := cfg.Refine.Shuffles
-		workers := cfg.Refine.Workers
-		seed := cfg.Refine.Seed
-		cfg.Refine = paragon.DefaultConfig()
+	if cfg.Refine.Shuffles == 0 {
 		cfg.Refine.Shuffles = 2
-		if shf > 0 {
-			cfg.Refine.Shuffles = shf
-		}
-		cfg.Refine.Workers = workers
-		cfg.Refine.Seed = seed
 	}
-	alpha := cfg.Refine.Alpha
-	if alpha == 0 {
-		alpha = paragon.DefaultConfig().Alpha
-	}
+	cfg.Refine = cfg.Refine.WithDefaults(k)
 
 	s := &Session{
 		cfg:    cfg,
 		k:      k,
 		n0:     n0,
 		cap:    capN,
-		alpha:  alpha,
+		alpha:  cfg.Refine.Alpha,
 		active: n0,
 		adj:    make([][]half, capN),
 		weight: make([]int32, capN),
@@ -342,14 +324,13 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 	// The serving layer, on the session clock, with its own fault
 	// injector so dropped publishes abort epochs deterministically.
 	dopt := dir.Options{
-		ShardBits: cfg.DirShardBits,
-		Clock:     s.clock,
-		Trace:     cfg.Trace,
-		Metrics:   cfg.Metrics,
+		Clock:   s.clock,
+		Trace:   cfg.Trace,
+		Metrics: cfg.Metrics,
 	}
 	if cfg.FaultRate > 0 {
 		in := faultsim.NewInjector(faultsim.Config{
-			Seed: int64(sessionMix(uint64(cfg.FaultSeed) ^ 0xd19c)),
+			Seed: int64(detrand.Fin64(uint64(cfg.FaultSeed) ^ 0xd19c)),
 			Rate: cfg.FaultRate,
 		})
 		in.Observe(cfg.Metrics)
@@ -361,17 +342,6 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 	}
 	s.dirc = d
 	return s, nil
-}
-
-// sessionMix is the splitmix64 finalizer — the same mixer faultsim uses —
-// for deriving independent per-epoch seeds from one session seed.
-func sessionMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // materialize freezes the live graph into an immutable CSR snapshot over
@@ -474,24 +444,12 @@ func (s *Session) Stats() Stats {
 // fingerprint the daemon CLI prints and the benches cmp across worker
 // counts.
 func (s *Session) AssignHash() uint64 {
-	const (
-		offset64 = 0xcbf29ce484222325
-		prime64  = 0x100000001b3
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
-	}
+	h := uint64(detrand.FNVOffset64)
 	for _, a := range s.live {
-		mix(uint64(uint32(a)))
+		h = detrand.FNVFold64(h, uint64(uint32(a)))
 	}
-	mix(uint64(uint32(s.active)))
-	mix(uint64(s.commits))
-	return h
+	h = detrand.FNVFold64(h, uint64(uint32(s.active)))
+	return detrand.FNVFold64(h, uint64(s.commits))
 }
 
 // Source returns the live adjacency bounded to the active prefix, the

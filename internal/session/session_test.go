@@ -9,6 +9,7 @@ import (
 	"paragon/internal/gen"
 	"paragon/internal/graph"
 	"paragon/internal/obs"
+	"paragon/internal/paragon"
 	"paragon/internal/partition"
 	"paragon/internal/stream"
 	"paragon/internal/topology"
@@ -58,10 +59,19 @@ type runResult struct {
 // returns everything the replay contract pins.
 func runSchedule(t *testing.T, workers int, faultRate float64, batches int) runResult {
 	t.Helper()
+	return runScheduleRefine(t, paragon.Config{Workers: workers, Seed: 11}, faultRate, batches)
+}
+
+// runScheduleRefine is runSchedule with the per-epoch refinement config
+// spelled out by the caller.
+func runScheduleRefine(t *testing.T, refine paragon.Config, faultRate float64, batches int) runResult {
+	t.Helper()
 	g0, p0 := testBase(t)
 	tr := obs.NewTracer(1 << 14)
 	mr := obs.NewRegistry()
-	s, err := New(g0, p0, testConfig(workers, faultRate, tr, mr))
+	cfg := testConfig(refine.Workers, faultRate, tr, mr)
+	cfg.Refine = refine
+	s, err := New(g0, p0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,5 +320,26 @@ func TestSessionConfigValidation(t *testing.T) {
 	cfg := testConfig(1, 0, nil, nil)
 	if _, err := New(g0, p1, cfg); err == nil {
 		t.Fatal("k = 1 accepted")
+	}
+}
+
+// Regression: New used to replace Config.Refine wholesale with the
+// defaults whenever Alpha and DRP were both zero, silently dropping
+// every other field the caller set. A sparse config must refine exactly
+// like the same config with its defaults spelled out, and not like the
+// all-defaults one.
+func TestSparseRefineConfigReachesEpochs(t *testing.T) {
+	sparse := runScheduleRefine(t, paragon.Config{Workers: 1, Seed: 11, KHop: 1, MaxImbalance: 0.05}, 0, 40)
+	if sparse.committed == 0 {
+		t.Fatal("schedule never committed an epoch")
+	}
+	full := paragon.DefaultConfig()
+	full.Shuffles, full.Workers, full.Seed = 2, 1, 11
+	full.KHop, full.MaxImbalance = 1, 0.05
+	if want := runScheduleRefine(t, full, 0, 40); sparse.hash != want.hash || !bytes.Equal(sparse.metrics, want.metrics) {
+		t.Errorf("sparse Refine config diverged from its spelled-out form: hash %#x vs %#x", sparse.hash, want.hash)
+	}
+	if defaults := runSchedule(t, 1, 0, 40); bytes.Equal(sparse.metrics, defaults.metrics) {
+		t.Error("KHop/MaxImbalance never reached the epoch refinement: metrics equal the all-defaults run")
 	}
 }

@@ -97,34 +97,25 @@ cmp "$obsdir/dm1.prom" "$obsdir/dm8.prom"
 # code can't silently rot between perf-measurement sessions.
 go test -bench=. -benchtime=1x -run='^$' ./... > /dev/null
 
-# Scale-harness smoke: the full bench_scale.sh pipeline (sharded
-# generation, binary write/reload, env-driven bench processes, hash
-# cross-check, JSON assembly) at n=100k with one iteration and the 10M
-# point disabled — seconds, not minutes, but any wiring rot fails here
-# instead of during a real measurement session.
-SCALE_NS="100000" SCALE_WORKERS="1 2" SCALE_TENM=0 \
-    scripts/bench_scale.sh "$obsdir/scale_smoke.json" > /dev/null
-grep -q '"refine/n=100000/workers=2"' "$obsdir/scale_smoke.json"
+# The benchmark harness is a module of its own (bench/go.mod), so the
+# root ./... above never builds it: vet it and run its tests, which drive
+# all four BENCHMARK.json workloads at -scale tiny through the
+# correctness gate (cross-worker hash identity, directory recovery,
+# replay identity across sessions).
+(cd bench && go vet ./... && go test ./...)
 
-# Serving-layer harness smoke: bench_dir.sh end to end (env-driven bench
-# processes, reader-count hash cross-check, JSON assembly) at a small
-# directory — wiring rot fails here, not in a measurement session.
-DIR_WORKERS="1 2" DIR_N=65536 DIR_FLIPS=64 \
-    scripts/bench_dir.sh "$obsdir/dir_smoke.json" > /dev/null
-grep -q '"lookupflip/workers=2"' "$obsdir/dir_smoke.json"
-
-# Portfolio harness smoke: bench_portfolio.sh end to end (env-driven
-# bench processes, cross-worker selected-hash identity, JSON assembly)
-# at a small grid — the bit-identity enforcement itself runs here too.
-PORT_P="2" PORT_WORKERS="1 2" PORT_N=10000 PORT_K=32 \
-    scripts/bench_portfolio.sh "$obsdir/port_smoke.json" > /dev/null
-grep -q '"portfolio/p=2/workers=2"' "$obsdir/port_smoke.json"
-
-# Daemon harness smoke: bench_daemon.sh end to end (env-driven daemon
-# runs, cmp-enforced cross-worker replay identity, JSON assembly) at a
-# small schedule — the replay enforcement itself runs here too.
-DAEMON_WORKERS="1 4" DAEMON_N0=2000 DAEMON_M0=10000 DAEMON_BATCHES=30 \
-    scripts/bench_daemon.sh "$obsdir/daemon_smoke.json" > /dev/null
-grep -q '"ingest/workers=4"' "$obsdir/daemon_smoke.json"
+# Layering guards: the serving layer must not depend on the exchange
+# strategies, and the splitmix64/FNV-1a primitives stay defined once, in
+# internal/detrand (its pinned vectors are what keep seeds and journal
+# checksums stable). Plain `! cmd` would be exempt from errexit.
+dirdeps="$(go list -deps ./internal/dir)"
+if grep -q internal/exchange <<< "$dirdeps"; then
+    echo "ci: internal/dir depends on internal/exchange" >&2
+    exit 1
+fi
+if git grep -nE 'func (mix64|sessionMix|splitmixFin|fnvFold|fnvMix)\(' -- '*.go' ':!internal/detrand'; then
+    echo "ci: a private mixer/FNV copy is back; use internal/detrand" >&2
+    exit 1
+fi
 
 echo "ci: all green"
