@@ -131,8 +131,8 @@ type floatHeap struct {
 	g   []float64
 }
 
-func newFloatHeap(capHint int) *floatHeap {
-	return &floatHeap{idx: make([]int32, 0, capHint), g: make([]float64, 0, capHint)}
+func newFloatHeap(capHint int) floatHeap {
+	return floatHeap{idx: make([]int32, 0, capHint), g: make([]float64, 0, capHint)}
 }
 
 func (h *floatHeap) len() int { return len(h.idx) }

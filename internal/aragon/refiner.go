@@ -6,28 +6,43 @@ import (
 )
 
 // Refiner bundles the reusable scratch state of the pairwise FM hot path:
-// the dense candidate slot array, the gain/moved slices, the gain heap,
-// and the sparse external-degree buffer. Construct one per refinement
-// sweep (per group server in PARAGON) and call RefinePair for every pair
-// of the sweep — candidate enumeration comes from the supplied
-// partition.PairIndexer instead of a full-graph scan, and all per-pair
-// allocations are amortized across the k(k−1)/2 pair loop.
+// the dense candidate slot array, the per-candidate gain state, the gain
+// heap, the candidate-ordering bitmap and the sparse external-degree
+// buffer. Construct one per refinement sweep (per worker in PARAGON) and
+// call RefinePair for every pair of the sweep — candidate enumeration
+// comes from the supplied partition.PairIndexer instead of a full-graph
+// scan, and all per-pair allocations are amortized across the k(k−1)/2
+// pair loop.
 //
 // The refiner produces bit-identical results to the historical scan-based
-// implementation: candidates arrive in ascending vertex order, gains are
-// accumulated over partitions in ascending order, and the heap receives
-// pushes in the same sequence, so tie-breaking is unchanged.
+// implementation: candidates are ordered ascending, gains are accumulated
+// over partitions in ascending order, and the heap receives pushes in the
+// same sequence, so tie-breaking is unchanged.
 //
-// Under a uniform off-diagonal cost matrix (standard FM) the refiner
-// runs in delta mode: each candidate's gain is a pure function of two
-// integer accumulators (its edge weight toward each side of the pair),
-// which are kept current with O(1) updates per incident committed move
-// instead of an O(deg) adjacency rescan per update. Because the float
-// gain is recomputed from the same integer state the rescan would
-// produce, delta mode is bit-identical to rescan mode — it only removes
-// the repeated adjacency walks that dominate refinement on power-law
-// graphs (hub candidates are re-evaluated once per neighboring move).
+// Gains are kept in delta mode for every cost matrix. While a pair
+// (Pi, Pj) is refined only its own vertices move, and only between Pi and
+// Pj, so of an unmoved candidate's Eq. 5 terms the migration term g_mig
+// and the topology term g_topo = α·Σ_{k∉{i,j}} d_ext(v,Pk)·(c[i][k]−c[j][k])
+// are constants; only the two integers d_ext(v,Pi), d_ext(v,Pj) change.
+// Each candidate is therefore seeded once — from its wave-start profile
+// segment under the scheduler, from one adjacency scan otherwise — and
+// every re-evaluation after an incident move is an O(1) update of the two
+// integer accumulators. Because the float gain is recomputed from the
+// same integer state and the same constants a rescan would produce, the
+// result is bit-identical to rescanning — it only removes the repeated
+// adjacency walks that dominate refinement on power-law graphs (hub
+// candidates are re-evaluated once per neighboring move).
+//
+// PARAGON builds one refiner per worker back to back, so the allocator
+// lays them (and their small scratch) out adjacently. The slice headers
+// below are rewritten on every heap push, pop and move; the pads and the
+// line-rounded scratch (scratchWords) keep one worker's writes off the
+// cache lines another worker reads. Without them whether two workers
+// shared a line depended on the heap layout of the call, and the same
+// Refine ran 25 % slower whenever they did.
 type Refiner struct {
+	_ [cacheLinePad]byte
+
 	g   *graph.Graph
 	p   *partition.Partitioning
 	ix  partition.PairIndexer
@@ -35,39 +50,54 @@ type Refiner struct {
 
 	slot    []int32 // vertex -> candidate slot + 1; 0 = not in current pair
 	cands   []int32
-	gains   []float64
-	moved   []bool
-	h       *floatHeap
+	order   []uint64 // ⌈|V|/64⌉-word candidate-ordering bitmap, all-zero between uses
+	h       floatHeap
 	dext    []int64  // sparse K-length external-degree scratch, all-zero between uses
 	dmask   []uint64 // ⌈K/64⌉-word touched-partition bitmap, all-zero between uses
 	touched []int32  // partitions touched by the last dext fill
 	history []moveRec
 
-	// Delta-mode per-candidate state (uniform cost matrices only):
-	// dfrom/dto are the candidate's edge weight toward its own/the other
-	// partition of the pair, gmig its constant Eq. 9 migration term.
+	// Per-candidate state, grown together (grow): dfrom/dto are the
+	// candidate's edge weight toward its own/the other partition of the
+	// pair; gtopo and gmig its Eq. 8 and Eq. 9 terms, constant while the
+	// pair is refined; gains the current Eq. 5 value.
+	gains []float64
+	moved []bool
 	dfrom []int64
 	dto   []int64
+	gtopo []float64
 	gmig  []float64
 
-	// frozen, when non-nil, is a wave-constant view of the assignment used
-	// for reading neighbors that do not belong to the current pair. The
-	// scheduler updates it only at wave barriers, so every pair's gain
-	// computation is independent of concurrently executing pairs.
-	frozen []int32
-
-	// profile, when non-nil alongside frozen, is the scheduler's
-	// wave-start neighbor-partition weight table: delta-mode seeding
-	// reads each candidate's pair-local degrees from two O(log t)
-	// lookups instead of an O(deg) adjacency scan. The scheduler keeps
-	// it in lockstep with frozen at wave barriers.
+	// profile, when non-nil, is the scheduler's wave-start
+	// neighbor-partition weight table. Seeding runs before any of the
+	// pair's moves and concurrent pairs move vertices of other partitions
+	// only, so v's segment is exactly what an adjacency scan under the
+	// scheduler's dual-view read rule would sum. The scheduler patches the
+	// table at wave barriers only.
 	profile *partition.NeighborProfile
 
 	// Cached off-diagonal-uniformity of the last cost matrix seen (keyed
 	// by its first row). Cost matrices are treated as immutable.
 	cRow0    *[]float64
 	cUniform bool
+
+	_ [cacheLinePad]byte
 }
+
+// cacheLinePad separates two workers' hot state: the 64-byte line plus the
+// neighbor the adjacent-line prefetcher of current x86 parts pulls with it.
+const cacheLinePad = 128
+
+// scratchWords returns an all-zero n-word scratch whose backing array
+// fills whole cache lines, so it shares none with the next allocation.
+func scratchWords[T int64 | uint64](n int) []T {
+	return make([]T, n, (n+7)&^7)
+}
+
+// testMoveApplied, consulted only when non-nil (set by the differential
+// oracle test, never concurrently with a running RefinePair), fires after
+// every applied move once the neighbors' gain state absorbed it.
+var testMoveApplied func(r *Refiner, pi, pj int32)
 
 type moveRec struct {
 	v        int32
@@ -85,23 +115,17 @@ func NewRefiner(g *graph.Graph, ix partition.PairIndexer, cfg Config) *Refiner {
 		ix:    ix,
 		cfg:   cfg.WithDefaults(),
 		slot:  make([]int32, g.NumVertices()),
+		order: scratchWords[uint64](partition.MaskWords(g.NumVertices())),
 		h:     newFloatHeap(64),
-		dext:  make([]int64, p.K),
-		dmask: make([]uint64, partition.MaskWords(p.K)),
+		dext:  scratchWords[int64](int(p.K)),
+		dmask: scratchWords[uint64](partition.MaskWords(p.K)),
 	}
 }
 
-// SetFrozen installs (or clears, with nil) the wave-constant assignment
-// view consulted for neighbors outside the pair being refined. With a nil
-// frozen view the refiner reads every neighbor live — the serial ARAGON
-// semantics.
-func (r *Refiner) SetFrozen(frozen []int32) {
-	r.frozen = frozen
-}
-
-// SetProfile installs (or clears) the wave-start neighbor-partition
-// weight table used to seed delta-mode gains under the frozen view. The
-// caller owns keeping it consistent with the frozen assignment.
+// SetProfile installs (or clears, with nil) the neighbor-partition
+// weight table candidates are seeded from. The caller owns keeping it
+// equal to the assignment the refiner sees at the start of every pair;
+// with a nil profile each candidate is seeded from one adjacency scan.
 func (r *Refiner) SetProfile(np *partition.NeighborProfile) {
 	r.profile = np
 }
@@ -143,7 +167,8 @@ func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []
 		r.cRow0 = &c[0]
 		r.cUniform = uniformOffDiag(c)
 	}
-	r.cands = r.ix.AppendPairCandidates(r.cands[:0], pi, pj, allowed)
+	r.cands = r.ix.AppendPairUnsorted(r.cands[:0], pi, pj, allowed)
+	partition.SortCandidates(r.cands, r.order)
 	n := len(r.cands)
 	if n == 0 {
 		return Result{PairsSeen: 1}
@@ -151,43 +176,11 @@ func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []
 	for idx, v := range r.cands {
 		r.slot[v] = int32(idx) + 1
 	}
-	if cap(r.gains) < n {
-		r.gains = make([]float64, n)
-		r.moved = make([]bool, n)
-		r.dfrom = make([]int64, n)
-		r.dto = make([]int64, n)
-		r.gmig = make([]float64, n)
-	} else {
-		r.gains = r.gains[:n]
-		r.moved = r.moved[:n]
-		r.dfrom = r.dfrom[:n]
-		r.dto = r.dto[:n]
-		r.gmig = r.gmig[:n]
-		for i := range r.moved {
-			r.moved[i] = false
-		}
-	}
+	r.grow(n)
 	r.h.reset()
-	delta := r.cUniform
-	recompute := func(idx int) {
-		v := r.cands[idx]
-		from := r.p.Assign[v]
-		to := pi
-		if from == pi {
-			to = pj
-		}
-		r.gains[idx] = r.gain(v, from, to, orig, c)
-	}
-	if delta {
-		for idx := 0; idx < n; idx++ {
-			r.seedUniform(idx, pi, pj, orig, c)
-			r.h.push(int32(idx), r.gains[idx])
-		}
-	} else {
-		for idx := 0; idx < n; idx++ {
-			recompute(idx)
-			r.h.push(int32(idx), r.gains[idx])
-		}
+	for idx := 0; idx < n; idx++ {
+		r.seed(idx, pi, pj, orig, c)
+		r.h.push(int32(idx), r.gains[idx])
 	}
 
 	r.history = r.history[:0]
@@ -223,50 +216,41 @@ func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []
 		} else {
 			bad++
 		}
-		// Re-evaluate unmoved candidate neighbors of v: their d_ext
-		// toward pi/pj changed. In delta mode the two integer
-		// accumulators shift by the connecting edge weight — O(1) per
-		// neighbor; otherwise the gain is recomputed from an O(deg)
-		// adjacency rescan. Both orders of evaluation are identical:
-		// the gain value is the same function of the same state.
+		// Re-evaluate unmoved candidate neighbors of v: of their gain
+		// state only d_ext toward pi/pj changed, by the connecting edge
+		// weight — O(1) per neighbor.
 		adj := r.g.Neighbors(v)
-		if delta {
-			w := r.g.EdgeWeights(v)
-			w = w[:len(adj)]
-			for i, u := range adj {
-				s := r.slot[u]
-				if s == 0 || r.moved[s-1] {
-					continue
-				}
-				ui := int(s - 1)
-				// u is unmoved, so its orientation (fromU → toU) is
-				// unchanged; v carried weight w toward `from`, now
-				// toward `to`.
-				fromU := r.p.Assign[u]
-				if from == fromU {
-					r.dfrom[ui] -= int64(w[i])
-				} else {
-					r.dto[ui] -= int64(w[i])
-				}
-				if to == fromU {
-					r.dfrom[ui] += int64(w[i])
-				} else {
-					r.dto[ui] += int64(w[i])
-				}
-				toU := pi
-				if fromU == pi {
-					toU = pj
-				}
-				r.gains[ui] = r.uniformGain(ui, fromU, toU, c)
-				r.h.push(s-1, r.gains[ui])
+		w := r.g.EdgeWeights(v)
+		w = w[:len(adj)]
+		for i, u := range adj {
+			s := r.slot[u]
+			if s == 0 || r.moved[s-1] {
+				continue
 			}
-		} else {
-			for _, u := range adj {
-				if s := r.slot[u]; s != 0 && !r.moved[s-1] {
-					recompute(int(s - 1))
-					r.h.push(s-1, r.gains[s-1])
-				}
+			ui := int(s - 1)
+			// u is unmoved, so its orientation (fromU → toU) is
+			// unchanged; v carried weight w toward `from`, now
+			// toward `to`.
+			fromU := r.p.Assign[u]
+			if from == fromU {
+				r.dfrom[ui] -= int64(w[i])
+			} else {
+				r.dto[ui] -= int64(w[i])
 			}
+			if to == fromU {
+				r.dfrom[ui] += int64(w[i])
+			} else {
+				r.dto[ui] += int64(w[i])
+			}
+			toU := pi
+			if fromU == pi {
+				toU = pj
+			}
+			r.gains[ui] = r.pairGain(ui, fromU, toU, c)
+			r.h.push(s-1, r.gains[ui])
+		}
+		if testMoveApplied != nil {
+			testMoveApplied(r, pi, pj)
 		}
 	}
 	// Roll back past the best prefix (through the index, so its
@@ -283,12 +267,37 @@ func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []
 	return Result{Moves: bestLen, Gain: best, PairsSeen: 1}
 }
 
-// seedUniform initializes candidate idx's delta state — the pair-local
-// external degrees from one adjacency scan, the constant Eq. 9 term —
-// and its gain. The scan applies the same dual-view read rule as the
-// general path: a neighbor whose frozen owner is outside the pair is
-// read at its wave-constant frozen assignment.
-func (r *Refiner) seedUniform(idx int, pi, pj int32, orig []int32, c [][]float64) {
+// grow sizes the per-candidate slices for n candidates and clears moved.
+// A pair larger than any before reallocates all of them once, with
+// headroom, so a run of slowly growing pairs does not reallocate per pair.
+func (r *Refiner) grow(n int) {
+	if cap(r.gains) < n {
+		c := n + n/8 + 8
+		r.gains = make([]float64, c)
+		r.moved = make([]bool, c)
+		r.dfrom = make([]int64, c)
+		r.dto = make([]int64, c)
+		r.gtopo = make([]float64, c)
+		r.gmig = make([]float64, c)
+	}
+	r.gains = r.gains[:n]
+	r.moved = r.moved[:n]
+	r.dfrom = r.dfrom[:n]
+	r.dto = r.dto[:n]
+	r.gtopo = r.gtopo[:n]
+	r.gmig = r.gmig[:n]
+	clear(r.moved)
+}
+
+// seed initializes candidate idx's gain state and its gain. Under a
+// uniform cost matrix only the pair-local degrees are needed (g_topo is
+// identically zero): two profile lookups, or a two-accumulator adjacency
+// pass. Under a general matrix every partition v touches contributes to
+// g_topo: one walk of v's profile segment, or one sparse external-degree
+// scan. Either source lists the same (partition, weight) entries in
+// ascending partition order — the dense evaluation's summation order — so
+// the two loops form the same float sum term for term.
+func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 	v := r.cands[idx]
 	from := r.p.Assign[v]
 	to := pi
@@ -296,37 +305,11 @@ func (r *Refiner) seedUniform(idx int, pi, pj int32, orig []int32, c [][]float64
 		to = pj
 	}
 	var dfrom, dto int64
-	if frozen := r.frozen; frozen != nil {
-		if r.profile != nil {
-			// Seeding runs before any of this pair's moves, so every
-			// pair-owned neighbor still sits at its wave-start (frozen)
-			// owner and the dual-view sum collapses to the wave-start
-			// profile: two presorted-segment lookups, no adjacency walk.
-			// Integer sums are order-free, so this is the exact value
-			// the scan below computes.
-			dfrom, dto = r.profile.GetPair(v, from, to)
-		} else {
-			// Dual-view read: a neighbor counts toward the pair only if
-			// both its frozen owner and its live owner are in the pair —
-			// foreign vertices are read at their wave-constant frozen
-			// assignment, so concurrent pairs cannot perturb this sum.
-			adj := r.g.Neighbors(v)
-			w := r.g.EdgeWeights(v)
-			w = w[:len(adj)]
-			assign := r.p.Assign
-			for i, u := range adj {
-				a := frozen[u]
-				if a == from || a == to {
-					switch assign[u] {
-					case from:
-						dfrom += int64(w[i])
-					case to:
-						dto += int64(w[i])
-					}
-				}
-			}
-		}
-	} else {
+	gtopo := 0.0
+	switch {
+	case r.cUniform && r.profile != nil:
+		dfrom, dto = r.profile.GetPair(v, from, to)
+	case r.cUniform:
 		adj := r.g.Neighbors(v)
 		w := r.g.EdgeWeights(v)
 		w = w[:len(adj)]
@@ -339,59 +322,55 @@ func (r *Refiner) seedUniform(idx int, pi, pj int32, orig []int32, c [][]float64
 				dto += int64(w[i])
 			}
 		}
+	case r.profile != nil:
+		parts, ws := r.profile.Segment(v)
+		ws = ws[:len(parts)]
+		cf, ct := c[from], c[to]
+		for i, k := range parts {
+			switch k {
+			case from:
+				dfrom = ws[i]
+			case to:
+				dto = ws[i]
+			default:
+				gtopo += float64(ws[i]) * (cf[k] - ct[k])
+			}
+		}
+		gtopo *= r.cfg.Alpha
+	default:
+		r.touched = partition.ExternalDegreesSparse(r.g, r.p, v, r.dext, r.dmask, r.touched[:0])
+		cf, ct := c[from], c[to]
+		for _, k := range r.touched {
+			d := r.dext[k]
+			r.dext[k] = 0 // sparse reset: only the touched entries
+			switch k {
+			case from:
+				dfrom = d
+			case to:
+				dto = d
+			default:
+				gtopo += float64(d) * (cf[k] - ct[k])
+			}
+		}
+		gtopo *= r.cfg.Alpha
 	}
 	r.dfrom[idx] = dfrom
 	r.dto[idx] = dto
+	r.gtopo[idx] = gtopo
 	k0 := orig[v]
 	r.gmig[idx] = float64(r.g.VertexSize(v)) * (c[from][k0] - c[to][k0])
-	r.gains[idx] = r.uniformGain(idx, from, to, c)
+	r.gains[idx] = r.pairGain(idx, from, to, c)
 }
 
-// uniformGain is Eq. 5 specialized to an off-diagonal-constant cost
-// matrix (standard FM): every Eq. 8 term carries a factor
-// c[from][k]−c[to][k], which is exactly zero for k ∉ {from, to}, so
-// g_topo is identically +0.0 and the gain is a pure function of the
-// maintained pair-local external degrees. The expression tree matches
-// the historical rescan implementation term for term, so delta
-// re-evaluation is bit-identical to a full recompute.
-func (r *Refiner) uniformGain(idx int, from, to int32, c [][]float64) float64 {
+// pairGain is Eq. 5 from candidate idx's maintained state: Eq. 6 from the
+// two pair-local degrees plus the constant Eq. 8 and Eq. 9 terms. The
+// expression tree matches the dense evaluation's (gStd+gTopo)+gMig term
+// for term, so a delta re-evaluation is bit-identical to a full
+// recompute. Under a uniform matrix gtopo is the literal +0.0: every
+// Eq. 8 factor c[from][k]−c[to][k] is exactly zero for k ∉ {from, to}.
+func (r *Refiner) pairGain(idx int, from, to int32, c [][]float64) float64 {
 	gStd := r.cfg.Alpha * float64(r.dto[idx]-r.dfrom[idx]) * c[from][to]
-	gTopo := 0.0 // Σ dext[k]·0 — kept as an explicit +0.0 term so the
-	// final sum associates exactly as the general path's (gStd+gTopo)+gMig
-	gMig := r.gmig[idx]
-	return gStd + gTopo + gMig
-}
-
-// gain computes Eq. 5 for moving v from `from` to `to` using the sparse
-// external-degree scratch: O(deg(v) + K/64 + t) per evaluation instead of
-// the dense O(deg(v) + K). The partitions are visited in ascending order
-// (the touched bitmap is drained low bit first), matching the dense
-// loop's summation order bit for bit. Only the general (non-uniform)
-// path comes through here; uniform matrices run in delta mode.
-func (r *Refiner) gain(v, from, to int32, orig []int32, c [][]float64) float64 {
-	if r.frozen != nil {
-		r.touched = partition.ExternalDegreesSparseFrozen(r.g, r.p.Assign, r.frozen, v, from, to, r.dext, r.dmask, r.touched[:0])
-	} else {
-		r.touched = partition.ExternalDegreesSparse(r.g, r.p, v, r.dext, r.dmask, r.touched[:0])
-	}
-	// Eq. 6: impact on the (Pi, Pj) cut.
-	gStd := r.cfg.Alpha * float64(r.dext[to]-r.dext[from]) * c[from][to]
-	// Eq. 8: impact on v's communication with every other partition.
-	var gTopo float64
-	for _, k := range r.touched {
-		if k == from || k == to {
-			continue
-		}
-		gTopo += float64(r.dext[k]) * (c[from][k] - c[to][k])
-	}
-	gTopo *= r.cfg.Alpha
-	// Eq. 9: impact on migration cost relative to the original owner.
-	k0 := orig[v]
-	gMig := float64(r.g.VertexSize(v)) * (c[from][k0] - c[to][k0])
-	for _, k := range r.touched {
-		r.dext[k] = 0 // sparse reset: only the touched entries
-	}
-	return gStd + gTopo + gMig
+	return gStd + r.gtopo[idx] + r.gmig[idx]
 }
 
 // uniformOffDiag reports whether every off-diagonal entry of c is equal —

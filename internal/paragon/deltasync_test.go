@@ -17,8 +17,8 @@ import (
 // scratch full copy of the round-start assignment with the waves' kept
 // moves replayed in task order, and the wave-start neighbor profile must
 // equal one rebuilt from scratch against that frozen view. Asserted at
-// Workers 1, 2 and 8, over both gain paths (uniform fast path with the
-// profile, arch-aware general path).
+// Workers 1, 2 and 8, over both profile seedings (two lookups under a
+// uniform matrix, the segment walk under an arch-aware one).
 func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
 	cases := []struct {
 		name string
@@ -82,7 +82,10 @@ func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
 								workers, sc.round, wave, v, sc.frozen[v], replay[v])
 						}
 					}
-					want := partition.BuildNeighborProfile(sc.g, sc.frozen, sc.pm.K)
+					want, err := partition.BuildNeighborProfile(sc.g, sc.frozen, sc.pm.K)
+					if err != nil {
+						t.Fatal(err)
+					}
 					for v := int32(0); v < sc.g.NumVertices(); v++ {
 						for q := int32(0); q < sc.pm.K; q++ {
 							if got, exp := sc.profile.Get(v, q), want.Get(v, q); got != exp {

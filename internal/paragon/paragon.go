@@ -352,7 +352,10 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	// master, a wave-constant frozen view, per-worker refiners and move
 	// arenas, and the sharded O(|V|) sweeps — all scratch allocated once
 	// here and reused by every round.
-	sc := newScheduler(g, p, ix, c, orig, maxLoad, cfg)
+	sc, err := newScheduler(g, p, ix, c, orig, maxLoad, cfg)
+	if err != nil {
+		return st, fmt.Errorf("paragon: %w", err)
+	}
 	defer sc.close()
 	serverOf := make([]int32, k) // partition -> its group's server this round
 	ps := make([]int64, 0, k)    // pooled incident-edge sums, reused per round

@@ -169,7 +169,11 @@ type scheduler struct {
 	done  chan struct{}
 }
 
-func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Index, c [][]float64, orig []int32, maxLoad int64, cfg Config) *scheduler {
+func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Index, c [][]float64, orig []int32, maxLoad int64, cfg Config) (*scheduler, error) {
+	profile, err := partition.BuildNeighborProfile(g, pm.Assign, pm.K)
+	if err != nil {
+		return nil, err
+	}
 	n := g.NumVertices()
 	w := cfg.Workers
 	sc := &scheduler{
@@ -181,8 +185,9 @@ func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Inde
 		maxLoad: maxLoad,
 		workers: w,
 
-		cur:    &partition.Partitioning{K: pm.K, Assign: make([]int32, n)},
-		frozen: make([]int32, n),
+		cur:     &partition.Partitioning{K: pm.K, Assign: make([]int32, n)},
+		frozen:  make([]int32, n),
+		profile: profile,
 
 		refiners: make([]*aragon.Refiner, w),
 		arenas:   make([][]aragon.Move, w),
@@ -209,17 +214,15 @@ func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Inde
 	copy(sc.frozen, pm.Assign)
 	sc.shadow = partition.NewShadow(sc.cur, n)
 	sc.shadow.Reset(ix)
-	sc.profile = partition.BuildNeighborProfile(g, sc.frozen, pm.K)
 	acfg := cfg.AragonConfig()
 	for i := 0; i < w; i++ {
 		r := aragon.NewRefiner(g, sc.shadow, acfg)
-		r.SetFrozen(sc.frozen)
 		r.SetProfile(sc.profile)
 		sc.refiners[i] = r
 		sc.start[i] = make(chan span, 1)
 		go sc.worker(i)
 	}
-	return sc
+	return sc, nil
 }
 
 // close shuts the worker pool down. Workers drain their channel and

@@ -146,12 +146,14 @@ func TestShadow(t *testing.T) {
 	for v := int32(0); v < allowed.Len(); v++ {
 		allowed.SetTo(v, rng.Intn(2) == 0)
 	}
+	scratch := make([]uint64, len(allowed.Words()))
 	checkPairs := func() {
 		t.Helper()
 		for pi := int32(0); pi < k; pi++ {
 			for pj := pi + 1; pj < k; pj++ {
 				want := scanPairCandidates(g, view, pi, pj, allowed)
-				got := s.AppendPairCandidates(nil, pi, pj, allowed)
+				got := s.AppendPairUnsorted(nil, pi, pj, allowed)
+				SortCandidates(got, scratch)
 				if !slices.Equal(got, want) {
 					t.Fatalf("pair (%d,%d): got %v want %v", pi, pj, got, want)
 				}
@@ -185,76 +187,67 @@ func TestShadow(t *testing.T) {
 			t.Fatal("expected panic for nil mask")
 		}
 	}()
-	s.AppendPairCandidates(nil, 0, 1, nil)
+	s.AppendPairUnsorted(nil, 0, 1, nil)
 }
 
-func TestExternalDegreesSparseFrozen(t *testing.T) {
-	// With frozen == cur the frozen variant must agree with the live one
-	// for every vertex and pair; with a diverged cur, pair-owned neighbors
-	// must be read live and all others from the frozen view.
-	g := gen.ErdosRenyi(300, 1500, 23)
-	rng := rand.New(rand.NewSource(29))
-	const k = 6
-	p := randomPartitioning(g, k, rng)
-	frozen := append([]int32(nil), p.Assign...)
-	buf := make([]int64, k)
-	mask := make([]uint64, MaskWords(k))
-	ref := make([]int64, k)
-	var tlist []int32
-	for v := int32(0); v < g.NumVertices(); v++ {
-		tlist = ExternalDegreesSparse(g, p, v, buf, mask, tlist[:0])
-		copy(ref, buf)
-		for _, q := range tlist {
-			buf[q] = 0
+// TestSortCandidates drives both legs of SortCandidates — the bitmap
+// drain and the comparison-sort fallback for sets much sparser than their
+// span — and checks each against slices.Sort, with the scratch left
+// all-zero for the next call.
+func TestSortCandidates(t *testing.T) {
+	const n = 1 << 16
+	scratch := make([]uint64, n/64)
+	rng := rand.New(rand.NewSource(41))
+	perm := rng.Perm(n)
+	for _, tc := range []struct {
+		name      string
+		size, off int
+		span      int // ids drawn from [off, off+span)
+		bitmap    bool
+	}{
+		{"empty", 0, 0, n, false},
+		{"single", 1, 777, 1, false},
+		{"dense", 900, 0, 1000, true},
+		{"dense-offset", 900, 40000, 1000, true},
+		{"two-words", 2, 63, 2, true},
+		{"at-threshold", 100, 0, 100 * sortSpanFactor * 64, true},
+		{"sparse", 5, 0, n, false},
+		{"whole-space", n, 0, n, true},
+	} {
+		// size distinct ids of [off, off+span), both ends included so the
+		// span is exactly what the case names, in random order.
+		var vs []int32
+		if tc.size >= 1 {
+			vs = append(vs, int32(tc.off))
 		}
-		tlist = ExternalDegreesSparseFrozen(g, p.Assign, frozen, v, 0, 1, buf, mask, tlist[:0])
-		for q := int32(0); q < k; q++ {
-			if buf[q] != ref[q] {
-				t.Fatalf("v=%d frozen==cur: d_ext[%d] = %d, want %d", v, q, buf[q], ref[q])
+		if tc.size >= 2 {
+			vs = append(vs, int32(tc.off+tc.span-1))
+		}
+		for _, x := range perm {
+			if len(vs) == tc.size {
+				break
+			}
+			if x > 0 && x < tc.span-1 {
+				vs = append(vs, int32(tc.off+x))
 			}
 		}
-		for _, q := range tlist {
-			buf[q] = 0
-		}
-	}
-	// Diverge cur: flip some vertices between partitions 0 and 1 (the
-	// "pair"), and some others among foreign partitions. Frozen reads must
-	// see pair members live and foreigners at their frozen owners.
-	cur := append([]int32(nil), p.Assign...)
-	for i := 0; i < 100; i++ {
-		v := rng.Int31n(g.NumVertices())
-		if cur[v] <= 1 {
-			cur[v] = 1 - cur[v] // pair-internal move, visible
-		} else {
-			cur[v] = 2 + (cur[v]+1)%4 // foreign move, must stay invisible
-		}
-	}
-	for v := int32(0); v < g.NumVertices(); v++ {
-		// The reference: neighbors owned by the pair (per frozen) read cur,
-		// others read frozen.
-		for q := range ref {
-			ref[q] = 0
-		}
-		adj := g.Neighbors(v)
-		w := g.EdgeWeights(v)
-		for i, u := range adj {
-			pu := frozen[u]
-			if pu == 0 || pu == 1 {
-				pu = cur[u]
-			}
-			ref[pu] += int64(w[i])
-		}
-		tlist = ExternalDegreesSparseFrozen(g, cur, frozen, v, 0, 1, buf, mask, tlist[:0])
-		if !slices.IsSorted(tlist) {
-			t.Fatalf("v=%d: touched list not sorted: %v", v, tlist)
-		}
-		for q := int32(0); q < k; q++ {
-			if buf[q] != ref[q] {
-				t.Fatalf("v=%d diverged: d_ext[%d] = %d, want %d", v, q, buf[q], ref[q])
+		rng.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
+		if len(vs) >= 2 {
+			words := int(slices.Max(vs)>>6) - int(slices.Min(vs)>>6) + 1
+			if got := words <= sortSpanFactor*len(vs); got != tc.bitmap {
+				t.Fatalf("%s: %d words for %d ids takes bitmap path = %v, case wants %v", tc.name, words, len(vs), got, tc.bitmap)
 			}
 		}
-		for _, q := range tlist {
-			buf[q] = 0
+		want := slices.Clone(vs)
+		slices.Sort(want)
+		SortCandidates(vs, scratch)
+		if !slices.Equal(vs, want) {
+			t.Fatalf("%s: got %v want %v", tc.name, vs, want)
+		}
+		for w, b := range scratch {
+			if b != 0 {
+				t.Fatalf("%s: scratch[%d] = %#x on return", tc.name, w, b)
+			}
 		}
 	}
 }

@@ -1,17 +1,23 @@
 package partition
 
-import "paragon/internal/graph"
+import (
+	"fmt"
+	"math"
+
+	"paragon/internal/graph"
+)
 
 // NeighborProfile is a per-vertex partition-weight table: entry (v, q)
 // holds Σ w(v,u) over neighbors u owned by partition q under a reference
-// assignment. The scheduled uniform refiner seeds each candidate's
-// pair-local external degrees from two O(log t) lookups here instead of
-// an O(deg) adjacency scan per pair — on a tournament round every
+// assignment. The scheduled refiner seeds each candidate's gain state
+// from v's segment instead of an O(deg) adjacency scan per pair — two
+// O(log t) lookups under a uniform cost matrix, one O(t) walk under a
+// general one (Eq. 8 needs every entry). On a tournament round every
 // boundary vertex is a candidate of m−1 pairs, so the scan repeats its
 // random-access walk of the frozen view m−1 times while the profile
 // answers from one contiguous, presorted segment. The weights are exact
-// integer sums, so a profile lookup returns bit-for-bit the value the
-// scan would.
+// integer sums, so a profile read returns bit-for-bit the value the scan
+// would.
 //
 // The reference assignment is the scheduler's wave-start frozen view:
 // after each wave barrier, MoveNeighbor replays the wave's kept moves
@@ -30,21 +36,35 @@ type NeighborProfile struct {
 	ws    []int64 // summed edge weight per entry, always > 0
 }
 
-// BuildNeighborProfile constructs the profile of g under assign in
-// O(|V| + |E|), with k the partition count.
-func BuildNeighborProfile(g *graph.Graph, assign []int32, k int32) *NeighborProfile {
-	n := g.NumVertices()
-	np := &NeighborProfile{off: make([]int32, int(n)+1), end: make([]int32, n)}
+// segmentOffsets lays out one segment of capacity min(deg(v), k) per
+// vertex and returns the n+1 segment starts. Offsets are int32 — half the
+// footprint of the per-vertex arrays — so a table of 2³¹ or more entries
+// is refused instead of silently wrapping.
+func segmentOffsets(n, k int32, deg func(v int32) int32) ([]int32, error) {
+	off := make([]int32, int(n)+1)
 	var total int64
 	for v := int32(0); v < n; v++ {
-		np.off[v] = int32(total)
-		c := int64(g.Degree(v))
-		if c > int64(k) {
-			c = int64(k)
+		off[v] = int32(total)
+		total += int64(min(deg(v), k))
+		if total > math.MaxInt32 {
+			return nil, fmt.Errorf("partition: neighbor profile needs more than 2^31-1 entries (Σ min(deg, k=%d) passes it at vertex %d of %d); refine with fewer partitions or a smaller graph", k, v, n)
 		}
-		total += c
 	}
-	np.off[n] = int32(total)
+	off[n] = int32(total)
+	return off, nil
+}
+
+// BuildNeighborProfile constructs the profile of g under assign in
+// O(|V| + |E|), with k the partition count. It fails when the table would
+// outgrow its int32 offsets (see segmentOffsets).
+func BuildNeighborProfile(g *graph.Graph, assign []int32, k int32) (*NeighborProfile, error) {
+	n := g.NumVertices()
+	off, err := segmentOffsets(n, k, g.Degree)
+	if err != nil {
+		return nil, err
+	}
+	np := &NeighborProfile{off: off, end: make([]int32, n)}
+	total := off[n]
 	np.parts = make([]int32, total)
 	np.ws = make([]int64, total)
 	buf := make([]int64, k)
@@ -68,7 +88,15 @@ func BuildNeighborProfile(g *graph.Graph, assign []int32, k int32) *NeighborProf
 		}
 		np.end[v] = int32(base + len(tl))
 	}
-	return np
+	return np, nil
+}
+
+// Segment returns v's live entries — partitions ascending, each with its
+// nonzero summed weight. The slices alias the table: read-only, valid
+// until the next MoveNeighbor on v.
+func (np *NeighborProfile) Segment(v int32) (parts []int32, ws []int64) {
+	base, end := np.off[v], np.end[v]
+	return np.parts[base:end], np.ws[base:end]
 }
 
 // Get returns Σ w(v,u) over neighbors u owned by partition q — zero when

@@ -117,5 +117,14 @@ if git grep -nE 'func (mix64|sessionMix|splitmixFin|fnvFold|fnvMix)\(' -- '*.go'
     echo "ci: a private mixer/FNV copy is back; use internal/detrand" >&2
     exit 1
 fi
+# One gain path: aragon.Refiner keeps every gain in delta mode, seeded
+# once per candidate (DESIGN.md §9). The adjacency-rescan evaluator, its
+# frozen-view reader and the closure that re-ran it per update must not
+# come back.
+if git grep -nE 'ExternalDegreesSparseFrozen|SetFrozen\(' -- '*.go' ||
+    git grep -nE 'recompute[[:space:]]*:?=[[:space:]]*func' -- 'internal/aragon/*.go'; then
+    echo "ci: a gain-rescan path is back in the pair kernel; seed once, update by delta" >&2
+    exit 1
+fi
 
 echo "ci: all green"
