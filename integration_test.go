@@ -7,6 +7,8 @@ import (
 	paragonlib "paragon"
 
 	"paragon/internal/apps"
+	"paragon/internal/aragon"
+	"paragon/internal/aragonlb"
 	"paragon/internal/bsp"
 	"paragon/internal/exchange"
 	"paragon/internal/gen"
@@ -14,6 +16,8 @@ import (
 	"paragon/internal/migrate"
 	"paragon/internal/paragon"
 	"paragon/internal/partition"
+	"paragon/internal/portfolio"
+	"paragon/internal/session"
 	"paragon/internal/stream"
 	"paragon/internal/topology"
 )
@@ -203,5 +207,46 @@ func TestChurnTriggerRefineLoop(t *testing.T) {
 	}
 	if after := partition.EdgeCut(cur, p); after >= before {
 		t.Fatalf("refinement did not repair churned cut: %d -> %d", before, after)
+	}
+}
+
+// TestJaggedCostMatrixRejected: a cost matrix with enough rows but one
+// short row must come back as an error from every refinement entry
+// point, not as an index panic inside a kernel.
+func TestJaggedCostMatrixRejected(t *testing.T) {
+	g := gen.RMAT(400, 2400, 0.57, 0.19, 0.19, 3)
+	g.UseDegreeWeights()
+	const k = 4
+	c := topology.UniformMatrix(k)
+	c[2] = c[2][:3]
+	entries := []struct {
+		name string
+		run  func(p *partition.Partitioning) error
+	}{
+		{"paragon.Refine", func(p *partition.Partitioning) error {
+			_, err := paragon.Refine(g, p, c, paragon.Config{Seed: 1})
+			return err
+		}},
+		{"aragon.Refine", func(p *partition.Partitioning) error {
+			_, err := aragon.Refine(g, p, c, aragon.Config{})
+			return err
+		}},
+		{"portfolio.RefineWithPool", func(p *partition.Partitioning) error {
+			_, err := portfolio.RefineWithPool(g, p, c, paragon.Config{Seed: 1}, &portfolio.Pool{})
+			return err
+		}},
+		{"session.New", func(p *partition.Partitioning) error {
+			_, err := session.New(g, p, session.Config{Costs: c})
+			return err
+		}},
+		{"aragonlb.Repartition", func(p *partition.Partitioning) error {
+			_, err := aragonlb.Repartition(g, p, c, aragonlb.Config{})
+			return err
+		}},
+	}
+	for _, e := range entries {
+		if err := e.run(stream.DG(g, k, stream.DefaultOptions())); err == nil {
+			t.Errorf("%s accepted a cost matrix whose row 2 has 3 of %d entries", e.name, k)
+		}
 	}
 }

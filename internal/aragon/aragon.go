@@ -101,8 +101,8 @@ func Refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	if err := p.Validate(g); err != nil {
 		return Result{}, fmt.Errorf("aragon: %w", err)
 	}
-	if int32(len(c)) < p.K {
-		return Result{}, fmt.Errorf("aragon: cost matrix %d×· smaller than k=%d", len(c), p.K)
+	if err := partition.CheckCosts(c, p.K); err != nil {
+		return Result{}, fmt.Errorf("aragon: %w", err)
 	}
 	cfg = cfg.WithDefaults()
 	orig := append([]int32(nil), p.Assign...)

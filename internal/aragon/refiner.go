@@ -71,9 +71,9 @@ type Refiner struct {
 	// profile, when non-nil, is the scheduler's wave-start
 	// neighbor-partition weight table. Seeding runs before any of the
 	// pair's moves and concurrent pairs move vertices of other partitions
-	// only, so v's segment is exactly what an adjacency scan under the
-	// scheduler's dual-view read rule would sum. The scheduler patches the
-	// table at wave barriers only.
+	// only, so v's segment is exactly what an adjacency scan reading
+	// foreign neighbors at their wave-start owner would sum. The scheduler
+	// patches the table at wave barriers only.
 	profile *partition.NeighborProfile
 
 	// Cached off-diagonal-uniformity of the last cost matrix seen (keyed

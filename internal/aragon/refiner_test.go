@@ -119,9 +119,9 @@ func TestUniformGainMatchesDense(t *testing.T) {
 // neighbor read live), and the scheduler's arrangement — a Shadow plus a
 // wave-start profile, pairs of one wave run back to back without a sync
 // in between, so later pairs see earlier pairs' moves in the live view
-// and must not read them (foreign neighbors count at their frozen
-// owner). The profile and the frozen view are patched from the kept
-// moves at each wave barrier, as the scheduler does.
+// and must not read them (foreign neighbors count at their wave-start
+// owner, which the master still holds). The profile and the master index
+// absorb the kept moves at each wave barrier, as the scheduler does.
 func TestDeltaGainMatchesOracle(t *testing.T) {
 	const k = 130
 	c := mixedCostMatrix(k)
@@ -184,11 +184,10 @@ func TestDeltaGainMatchesOracle(t *testing.T) {
 
 		t.Run("shadow-profile", func(t *testing.T) {
 			p := p0.Clone()
-			cur := p.Clone()
-			shadow := partition.NewShadow(cur, n)
-			shadow.Reset(partition.BuildIndex(g, p))
-			frozen := append([]int32(nil), p.Assign...)
-			profile, err := partition.BuildNeighborProfile(g, frozen, k)
+			ix := partition.BuildIndex(g, p)
+			shadow := ix.NewShadow()
+			cur := shadow.Partitioning()
+			profile, err := partition.BuildNeighborProfile(g, p.Assign, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +199,7 @@ func TestDeltaGainMatchesOracle(t *testing.T) {
 			}
 			loads := p.Weights(g)
 			testMoveApplied = oracle(t, func(u, pi, pj int32) int32 {
-				if a := frozen[u]; a != pi && a != pj {
+				if a := p.Assign[u]; a != pi && a != pj {
 					return a
 				}
 				return cur.Assign[u]
@@ -217,12 +216,12 @@ func TestDeltaGainMatchesOracle(t *testing.T) {
 				for _, mv := range kept {
 					w := g.EdgeWeights(mv.V)
 					for i, u := range g.Neighbors(mv.V) {
-						profile.MoveNeighbor(u, frozen[mv.V], mv.To, int64(w[i]))
+						profile.MoveNeighbor(u, p.Assign[mv.V], mv.To, int64(w[i]))
 					}
-					frozen[mv.V] = mv.To
+					ix.Move(mv.V, mv.To)
 				}
-				if !slices.Equal(frozen, cur.Assign) {
-					t.Fatalf("wave %d: frozen view and live view disagree after the barrier", wave)
+				if !slices.Equal(p.Assign, cur.Assign) {
+					t.Fatalf("wave %d: master and live view disagree after the barrier", wave)
 				}
 			}
 			if checks < 1000 {

@@ -24,28 +24,9 @@ import (
 	"paragon/internal/partition"
 )
 
-// Config tunes ARAGONLB.
-type Config struct {
-	// Alpha is the Eq. 2 communication/migration weight (default 10).
-	Alpha float64
-	// MaxImbalance is the balance tolerance (default 0.02).
-	MaxImbalance float64
-	// BadMoveLimit bounds non-improving FM moves per pair (default 64).
-	BadMoveLimit int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Alpha == 0 {
-		c.Alpha = 10
-	}
-	if c.MaxImbalance == 0 {
-		c.MaxImbalance = 0.02
-	}
-	if c.BadMoveLimit == 0 {
-		c.BadMoveLimit = 64
-	}
-	return c
-}
+// Config tunes ARAGONLB: the ARAGON settings and paper defaults, shared by
+// the balancing phase (MaxImbalance) and the refinement phase.
+type Config = aragon.Config
 
 // Stats reports one repartitioning.
 type Stats struct {
@@ -64,10 +45,10 @@ func Repartition(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg C
 	if err := p.Validate(g); err != nil {
 		return Stats{}, fmt.Errorf("aragonlb: %w", err)
 	}
-	if int32(len(c)) < p.K {
-		return Stats{}, fmt.Errorf("aragonlb: cost matrix %d×· smaller than k=%d", len(c), p.K)
+	if err := partition.CheckCosts(c, p.K); err != nil {
+		return Stats{}, fmt.Errorf("aragonlb: %w", err)
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	var st Stats
 
 	// The single-server model: every partition's vertices and edge lists
@@ -82,11 +63,7 @@ func Repartition(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg C
 	st.RebalanceMoves = rebalance(g, p, c, cfg)
 
 	// Phase 2: serial ARAGON over all pairs.
-	res, err := aragon.Refine(g, p, c, aragon.Config{
-		Alpha:        cfg.Alpha,
-		MaxImbalance: cfg.MaxImbalance,
-		BadMoveLimit: cfg.BadMoveLimit,
-	})
+	res, err := aragon.Refine(g, p, c, cfg)
 	if err != nil {
 		return st, fmt.Errorf("aragonlb: %w", err)
 	}

@@ -65,7 +65,7 @@ const (
 	// per-worker Bufs, committed in task order at the wave barrier.
 	KindPairRefined
 	// KindWaveCommitted closes wave A of Round: N moves entered the
-	// frozen view at the barrier.
+	// master at the barrier.
 	KindWaveCommitted
 	// KindShipAccounted reports the round's boundary-shipping volume:
 	// N vertices, M accompanying half-edges.

@@ -2,169 +2,160 @@ package paragon
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"paragon/internal/faultsim"
 	"paragon/internal/gen"
+	"paragon/internal/graph"
 	"paragon/internal/partition"
 	"paragon/internal/stream"
 	"paragon/internal/topology"
 )
 
-// TestDeltaWaveSyncMatchesFullCopy cross-checks the scheduler's delta
-// wave sync against the design it replaced: after EVERY wave barrier the
-// frozen view — patched only from the move log — must equal a from-
-// scratch full copy of the round-start assignment with the waves' kept
-// moves replayed in task order, and the wave-start neighbor profile must
-// equal one rebuilt from scratch against that frozen view. Asserted at
-// Workers 1, 2 and 8, over both profile seedings (two lookups under a
-// uniform matrix, the segment walk under an arch-aware one).
+// TestDeltaWaveSyncMatchesFullCopy asserts the scheduler's barrier
+// invariant after EVERY wave barrier, against state rebuilt from
+// scratch: the master — patched only from the move log — equals a full
+// copy of the input with the waves' kept moves replayed in task order,
+// its index validates against a rebuild, the shadow's view equals the
+// master, the scheduler's loads equal the master's partition weights, and
+// the wave-start neighbor profile equals one built over the master.
+// Asserted at Workers 1, 2 and 8, over both profile seedings (two lookups
+// under a uniform matrix, the segment walk under an arch-aware one), with
+// a quarter of the groups degraded by the fault layer, and with one
+// scripted crash — a crashed group's tournament is discarded up front, so
+// during its round its partitions must neither lose nor gain a vertex.
 func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
+	const crashK, crashDRP, crashSeed, crashed = 24, 4, 9, 2
 	cases := []struct {
-		name string
-		run  func(t *testing.T, workers int)
+		name  string
+		input func(t *testing.T) (*graph.Graph, *partition.Partitioning, [][]float64, Config)
+		// untouched lists partitions no move may enter or leave in round 0.
+		untouched func() []int32
 	}{
 		{
 			name: "uniform",
-			run: func(t *testing.T, workers int) {
+			input: func(t *testing.T) (*graph.Graph, *partition.Partitioning, [][]float64, Config) {
 				g := gen.BarabasiAlbert(2500, 4, 7)
 				g.UseDegreeWeights()
-				p := stream.LDG(g, 24, stream.DefaultOptions())
-				if _, err := RefineUniform(g, p, Config{DRP: 4, Shuffles: 2, Seed: 11, Workers: workers}); err != nil {
-					t.Fatal(err)
-				}
+				return g, stream.LDG(g, 24, stream.DefaultOptions()), topology.UniformMatrix(24),
+					Config{DRP: 4, Shuffles: 2, Seed: 11}
 			},
 		},
 		{
 			name: "arch-aware-khop",
-			run: func(t *testing.T, workers int) {
-				g := gen.RMAT(2000, 12000, 0.57, 0.19, 0.19, 13)
+			input: func(t *testing.T) (*graph.Graph, *partition.Partitioning, [][]float64, Config) {
+				g, p, c := archAwareInput(t)
+				return g, p, c, Config{DRP: 4, Shuffles: 1, Seed: 5, KHop: 1}
+			},
+		},
+		{
+			name: "fault-rate",
+			input: func(t *testing.T) (*graph.Graph, *partition.Partitioning, [][]float64, Config) {
+				g, p, c := archAwareInput(t)
+				return g, p, c, Config{DRP: 4, Shuffles: 3, Seed: 5, FaultRate: 0.3, FaultSeed: 2}
+			},
+		},
+		{
+			name: "crashed-group",
+			input: func(t *testing.T) (*graph.Graph, *partition.Partitioning, [][]float64, Config) {
+				g := gen.RMAT(3000, 18000, 0.57, 0.19, 0.19, 31)
 				g.UseDegreeWeights()
-				cl := topology.PittCluster(2)
-				const k = 16
-				c, err := cl.PartitionCostMatrix(k, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p := stream.DG(g, k, stream.DefaultOptions())
-				if _, err := Refine(g, p, c, Config{DRP: 4, Shuffles: 1, Seed: 5, KHop: 1, Workers: workers}); err != nil {
-					t.Fatal(err)
-				}
+				fab := faultsim.NewInjector(faultsim.Config{Script: []faultsim.Event{
+					{Kind: faultsim.KindCrash, Round: 0, Index: crashed}}})
+				return g, stream.DG(g, crashK, stream.DefaultOptions()), topology.UniformMatrix(crashK),
+					Config{DRP: crashDRP, Seed: crashSeed, Fabric: fab}
+			},
+			// Refine's round-0 grouping: the grouping rng is seeded with
+			// cfg.Seed and consumed first.
+			untouched: func() []int32 {
+				return randomGrouping(crashK, crashDRP, rand.New(rand.NewSource(crashSeed)))[crashed]
 			},
 		},
 	}
+	defer func() { testWaveSynced = nil }()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
-				var replay []int32
-				waves := 0
-				testRoundStart = func(sc *scheduler) {
-					// Delta round-sync invariant: between rounds the three
-					// views agree without any copying having happened.
-					for v := range sc.frozen {
-						if sc.frozen[v] != sc.pm.Assign[v] || sc.cur.Assign[v] != sc.pm.Assign[v] {
-							t.Fatalf("round %d start: views disagree at vertex %d: frozen=%d cur=%d master=%d",
-								sc.round, v, sc.frozen[v], sc.cur.Assign[v], sc.pm.Assign[v])
-						}
+				g, p, c, cfg := tc.input(t)
+				cfg.Workers = workers
+				inUntouched := make([]bool, p.K)
+				if tc.untouched != nil {
+					for _, q := range tc.untouched() {
+						inUntouched[q] = true
 					}
-					replay = append(replay[:0], sc.pm.Assign...)
 				}
+				replay := slices.Clone(p.Assign)
+				waves := 0
 				testWaveSynced = func(sc *scheduler, wave int, lo, hi int32) {
 					waves++
 					for ti := lo; ti < hi; ti++ {
 						for _, mv := range sc.taskMoves(ti) {
+							if sc.round == 0 && (inUntouched[replay[mv.V]] || inUntouched[mv.To]) {
+								t.Fatalf("workers=%d wave %d: vertex %d moved %d -> %d through a crashed group",
+									workers, wave, mv.V, replay[mv.V], mv.To)
+							}
 							replay[mv.V] = mv.To
 						}
 					}
-					for v := range replay {
-						if sc.frozen[v] != replay[v] {
-							t.Fatalf("workers=%d round %d wave %d: frozen[%d]=%d, full-copy replay says %d",
-								workers, sc.round, wave, v, sc.frozen[v], replay[v])
-						}
-					}
-					want, err := partition.BuildNeighborProfile(sc.g, sc.frozen, sc.pm.K)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for v := int32(0); v < sc.g.NumVertices(); v++ {
-						for q := int32(0); q < sc.pm.K; q++ {
-							if got, exp := sc.profile.Get(v, q), want.Get(v, q); got != exp {
-								t.Fatalf("workers=%d round %d wave %d: profile(%d,%d)=%d, rebuild says %d",
-									workers, sc.round, wave, v, q, got, exp)
-							}
-						}
-					}
+					checkBarrierInvariant(t, sc, replay)
 				}
-				tc.run(t, workers)
-				testRoundStart, testWaveSynced = nil, nil
+				st, err := Refine(g, p, c, cfg)
+				testWaveSynced = nil
+				if err != nil {
+					t.Fatal(err)
+				}
 				if waves == 0 {
 					t.Fatalf("workers=%d: no wave ever synced; the cross-check is vacuous", workers)
+				}
+				if cfg.FaultRate > 0 && st.Faults.DegradedGroups == 0 {
+					t.Fatal("no group was degraded; the faulty case is vacuous")
+				}
+				if tc.untouched != nil && st.Faults.CrashedGroups != 1 {
+					t.Fatalf("crashed groups = %d, want 1", st.Faults.CrashedGroups)
 				}
 			}
 		})
 	}
 }
 
-// TestDeltaSyncCrashedGroupFrozenUntouched is the fault-matrix case of
-// the delta sync: a crashed group's tournament is discarded upfront, so
-// none of its pairs is scheduled and the frozen view's entries for the
-// group's vertices must still hold their round-start values at every
-// wave barrier of the crashed round — the delta patch must not leak a
-// discarded pair's moves.
-func TestDeltaSyncCrashedGroupFrozenUntouched(t *testing.T) {
-	g := gen.RMAT(3000, 18000, 0.57, 0.19, 0.19, 31)
+func archAwareInput(t *testing.T) (*graph.Graph, *partition.Partitioning, [][]float64) {
+	g := gen.RMAT(2000, 12000, 0.57, 0.19, 0.19, 13)
 	g.UseDegreeWeights()
-	const k, drp = 24, 4
-	const seed = 9
-	p0 := stream.DG(g, k, stream.DefaultOptions())
-
-	// Reproduce Refine's round-0 grouping (the grouping rng is seeded
-	// with cfg.Seed and consumed first) to learn which partitions crash.
-	rng := rand.New(rand.NewSource(seed))
-	groups := randomGrouping(k, drp, rng)
-	const crashed = 2
-	inCrashed := make([]bool, k)
-	for _, pi := range groups[crashed] {
-		inCrashed[pi] = true
+	const k = 16
+	c, err := topology.PittCluster(2).PartitionCostMatrix(k, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return g, stream.DG(g, k, stream.DefaultOptions()), c
+}
 
-	for _, workers := range []int{1, 2, 8} {
-		var start []int32
-		checked := 0
-		testRoundStart = func(sc *scheduler) {
-			if sc.round == 0 {
-				start = append(start[:0], sc.frozen...)
+// checkBarrierInvariant compares every piece of scheduler state that is
+// patched from the move log against the same state built from scratch;
+// replay is the input assignment with every kept move so far applied.
+func checkBarrierInvariant(t *testing.T, sc *scheduler, replay []int32) {
+	t.Helper()
+	if !slices.Equal(sc.pm.Assign, replay) {
+		t.Fatalf("round %d: master differs from the full-copy replay of the kept moves", sc.round)
+	}
+	if err := sc.ix.Validate(); err != nil {
+		t.Fatalf("round %d: master index: %v", sc.round, err)
+	}
+	if !slices.Equal(sc.shadow.Partitioning().Assign, sc.pm.Assign) {
+		t.Fatalf("round %d: shadow view differs from the master", sc.round)
+	}
+	if !slices.Equal(sc.loads, sc.pm.Weights(sc.g)) {
+		t.Fatalf("round %d: loads %v, master weights %v", sc.round, sc.loads, sc.pm.Weights(sc.g))
+	}
+	want, err := partition.BuildNeighborProfile(sc.g, sc.pm.Assign, sc.pm.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := int32(0); v < sc.g.NumVertices(); v++ {
+		for q := int32(0); q < sc.pm.K; q++ {
+			if got, exp := sc.profile.Get(v, q), want.Get(v, q); got != exp {
+				t.Fatalf("round %d: profile(%d,%d)=%d, rebuild says %d", sc.round, v, q, got, exp)
 			}
-		}
-		testWaveSynced = func(sc *scheduler, wave int, lo, hi int32) {
-			if sc.round != 0 {
-				return
-			}
-			checked++
-			for v := range sc.frozen {
-				if inCrashed[start[v]] && sc.frozen[v] != start[v] {
-					t.Fatalf("workers=%d wave %d: frozen[%d] %d -> %d inside crashed group",
-						workers, wave, v, start[v], sc.frozen[v])
-				}
-				if !inCrashed[start[v]] && inCrashed[sc.frozen[v]] {
-					t.Fatalf("workers=%d wave %d: frozen[%d] entered crashed partition %d",
-						workers, wave, v, sc.frozen[v])
-				}
-			}
-		}
-		fab := faultsim.NewInjector(faultsim.Config{Script: []faultsim.Event{
-			{Kind: faultsim.KindCrash, Round: 0, Index: crashed}}})
-		p := p0.Clone()
-		st, err := Refine(g, p, topology.UniformMatrix(k), Config{DRP: drp, Shuffles: 0, Seed: seed, Workers: workers, Fabric: fab})
-		testRoundStart, testWaveSynced = nil, nil
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Faults.CrashedGroups != 1 {
-			t.Fatalf("crashed groups = %d, want 1", st.Faults.CrashedGroups)
-		}
-		if checked == 0 {
-			t.Fatalf("workers=%d: no wave of the crashed round was checked", workers)
 		}
 	}
 }

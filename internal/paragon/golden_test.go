@@ -29,7 +29,7 @@ func assignHash(p *partition.Partitioning) uint64 {
 // The hashes were re-pinned once when the per-group serial pair loop was
 // replaced by the tournament-wave scheduler (DESIGN.md §12): the wave
 // schedule visits the same pairs in a different order and reads foreign
-// vertices from the per-wave frozen view instead of the round-start
+// vertices at their wave-start owner instead of the round-start
 // snapshot, so the output is a different — equally valid, quality-checked
 // — fixed point. mesh-uniform-drp8 kept its original hash: with groups
 // of two the tournament degenerates to the old one-pair-per-group order.

@@ -120,9 +120,11 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's evaluation defaults: drp = 8, eight
-// shuffle rounds, k-hop 0, α = 10, 2% imbalance.
+// shuffle rounds, k-hop 0, and ARAGON's α = 10, 2% imbalance and bad-move
+// limit (aragon.Config.WithDefaults, the one place they are written).
 func DefaultConfig() Config {
-	return Config{DRP: 8, Shuffles: 8, Alpha: 10, MaxImbalance: 0.02, BadMoveLimit: 64}
+	a := aragon.Config{}.WithDefaults()
+	return Config{DRP: 8, Shuffles: 8, Alpha: a.Alpha, MaxImbalance: a.MaxImbalance, BadMoveLimit: a.BadMoveLimit}
 }
 
 // PortfolioConfig tunes the portfolio driver. It lives here (not in
@@ -168,15 +170,8 @@ func (c Config) WithDefaults(k int32) Config {
 	if c.Shuffles < 0 {
 		c.Shuffles = 0
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 10
-	}
-	if c.MaxImbalance == 0 {
-		c.MaxImbalance = 0.02
-	}
-	if c.BadMoveLimit == 0 {
-		c.BadMoveLimit = 64
-	}
+	a := c.AragonConfig().WithDefaults()
+	c.Alpha, c.MaxImbalance, c.BadMoveLimit = a.Alpha, a.MaxImbalance, a.BadMoveLimit
 	return c
 }
 
@@ -261,8 +256,8 @@ func Refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 // used (and kept consistent) instead. This is the streaming session's
 // epoch entry point — across epochs it pays only the O(Σ deg(dirty))
 // Index.Retarget for the churn since the last epoch, never a full
-// rebuild. ix must have been built over exactly this (g, p): the commit
-// loop replays every kept move through it, so on return ix again
+// rebuild. ix must have been built over exactly this (g, p): every wave
+// barrier replays the kept moves through it, so on return ix again
 // matches the refined p move for move.
 func RefineIndexed(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config, ix *partition.Index) (Stats, error) {
 	if ix == nil {
@@ -287,8 +282,8 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	if err := p.Validate(g); err != nil {
 		return Stats{}, fmt.Errorf("paragon: %w", err)
 	}
-	if int32(len(c)) < p.K {
-		return Stats{}, fmt.Errorf("paragon: cost matrix %d×· smaller than k=%d", len(c), p.K)
+	if err := partition.CheckCosts(c, p.K); err != nil {
+		return Stats{}, fmt.Errorf("paragon: %w", err)
 	}
 	if cfg.NodeOf != nil && int32(len(cfg.NodeOf)) < p.K {
 		return Stats{}, fmt.Errorf("paragon: NodeOf has %d entries for k=%d", len(cfg.NodeOf), p.K)
@@ -308,7 +303,6 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	orig := append([]int32(nil), p.Assign...)
-	loads := p.Weights(g)
 	maxLoad := partition.BalanceBound(g, k, cfg.MaxImbalance)
 
 	regionSize := cfg.RegionSize
@@ -340,18 +334,18 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	}
 
 	groups := randomGrouping(k, cfg.DRP, rng)
-	// One incrementally maintained index serves every round: the commit
-	// phase applies each kept move through it, so boundary counts, bucket
-	// membership, and incident-edge sums stay current without per-round
-	// full-graph rebuilds or per-pair full-graph scans. RefineIndexed
-	// callers supply a live index and skip the build entirely.
+	// One incrementally maintained index serves every round: each wave
+	// barrier applies the wave's kept moves through it, so boundary
+	// counts, bucket membership, and incident-edge sums stay current
+	// without per-round full-graph rebuilds or per-pair full-graph scans.
+	// RefineIndexed callers supply a live index and skip the build.
 	if ix == nil {
 		ix = partition.BuildIndex(g, p)
 	}
 	// The pair-level scheduler (schedule.go): one shared shadow of the
-	// master, a wave-constant frozen view, per-worker refiners and move
-	// arenas, and the sharded O(|V|) sweeps — all scratch allocated once
-	// here and reused by every round.
+	// master, the wave-start neighbor profile, the partition loads,
+	// per-worker refiners and move arenas, and the sharded O(|V|) sweeps —
+	// all scratch allocated once here and reused by every round.
 	sc, err := newScheduler(g, p, ix, c, orig, maxLoad, cfg)
 	if err != nil {
 		return st, fmt.Errorf("paragon: %w", err)
@@ -440,14 +434,12 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 
 		// Pair-parallel refinement of the surviving groups against the
 		// live shadow of the master (DESIGN.md §12, §14): tournament
-		// waves of disjoint pairs, frozen-view reads for foreign
-		// vertices, kept moves recorded per task. commitRound replays
-		// the kept moves into the master in task order (fixed-order
-		// float gain summation), restoring the delta round-sync
-		// invariant for the next round.
+		// waves of disjoint pairs, foreign vertices seen through the
+		// wave-start profile, kept moves recorded per task and replayed
+		// into the master at each wave barrier in task order (fixed-order
+		// float gain summation).
 		sc.buildSchedule(groups)
-		sc.runRound(int32(round), loads)
-		roundMoves, roundGain := sc.commitRound(loads, &st)
+		roundMoves, roundGain := sc.runRound(int32(round), &st)
 		clk.Advance(roundTicks)
 
 		st.RoundGains = append(st.RoundGains, roundGain)

@@ -43,7 +43,7 @@ func TestRefineIndexedMatchesRefine(t *testing.T) {
 			stA.Moves, stA.Gain, stB.Moves, stB.Gain)
 	}
 
-	// The commit loop must leave the caller's index consistent with the
+	// The barrier commits must leave the caller's index consistent with the
 	// refined decomposition — the property the session's epoch reuse
 	// depends on.
 	if err := ix.Validate(); err != nil {

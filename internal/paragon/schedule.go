@@ -14,10 +14,11 @@ package paragon
 //     candidate buckets, load entries, and moved vertices are disjoint —
 //     every shared write during a wave goes to memory owned by exactly
 //     one pair.
-//   - Reads of vertices OUTSIDE a pair go through the `frozen` view,
-//     which only the coordinator updates, between waves, in task order.
-//     A pair's computation therefore depends only on wave-start state,
-//     never on how concurrent pairs interleave.
+//   - What a pair learns about vertices OUTSIDE it comes from the
+//     wave-start neighbor profile, which only the coordinator patches,
+//     between waves, in task order. A pair's computation therefore
+//     depends only on wave-start state, never on how concurrent pairs
+//     interleave.
 //   - Per-pair results land in task-indexed slices and are reduced in
 //     task order; the sharded sweeps accumulate into a fixed number of
 //     shards (sweepShards, independent of Workers) reduced in shard
@@ -25,13 +26,12 @@ package paragon
 //     count.
 //
 // Scaling discipline (DESIGN.md §14): all per-round sequential work is
-// proportional to *moved/boundary* vertices, never to |V|. The frozen
-// view, the shared shadow, and the boundary bitset are initialized once
-// per Refine and thereafter patched only from the move log — the commit
-// loop leaves master, shadow, and frozen bit-identical at every round
-// boundary, so the per-round O(|V|) copies of the original design are
-// gone. The remaining full sweeps (ship accounting, migration sweep)
-// walk bit-packed masks at 64 vertices per word.
+// proportional to *moved/boundary* vertices, never to |V|. The shared
+// shadow, the profile, and the boundary bitset are initialized once per
+// Refine and thereafter patched only from the move log — the barrier
+// commit leaves master and shadow bit-identical after every wave, so
+// nothing is ever re-copied. The remaining full sweeps (ship accounting,
+// migration sweep) walk bit-packed masks at 64 vertices per word.
 //
 // The result is bit-identical to serial execution of the same schedule
 // for any Config.Workers, which TestSchedulerDeterminism asserts.
@@ -59,7 +59,8 @@ type pairTask struct {
 
 // taskSpan locates a task's kept moves inside its worker's arena, and —
 // when tracing — its staged trace events inside the worker's event buf.
-// Arenas and bufs grow by append, so the span stores indices, not slices.
+// Arenas and bufs grow by append, so the span stores indices, not slices;
+// both are emptied before every wave, the barrier having consumed them.
 type taskSpan struct {
 	worker int32
 	mstart int32
@@ -84,32 +85,31 @@ const (
 	kindShip
 )
 
-// Test hooks, consulted only when non-nil (set by scheduler tests, from
-// the coordinator goroutine, never concurrently with a running Refine).
-// testRoundStart fires before the first wave of a round; testWaveSynced
-// fires at each wave barrier after the frozen view absorbed the wave's
-// kept moves, with the wave's task range.
-var (
-	testRoundStart func(sc *scheduler)
-	testWaveSynced func(sc *scheduler, wave int, lo, hi int32)
-)
+// testWaveSynced, consulted only when non-nil (set by scheduler tests,
+// from the coordinator goroutine, never concurrently with a running
+// Refine), fires at each wave barrier after the master absorbed the
+// wave's kept moves, with the wave's task range.
+var testWaveSynced func(sc *scheduler, wave int, lo, hi int32)
 
 // scheduler owns the shared state of one Refine call's parallel
-// execution: the shadow view the waves refine, the wave-constant frozen
-// assignment, the per-worker refiners and move arenas, and the shard
-// accumulators of the sharded sweeps. It is created once per Refine and
-// its worker goroutines live until close.
+// execution: the shadow view the waves refine, the per-worker refiners
+// and move arenas, the partition loads, and the shard accumulators of
+// the sharded sweeps. It is created once per Refine and its worker
+// goroutines live until close.
 //
-// Delta round-sync invariant (DESIGN.md §14): outside runRound,
+// Barrier invariant (DESIGN.md §14): outside a wave,
 //
-//	cur.Assign == frozen == pm.Assign,
+//	shadow view == pm.Assign (bucket membership == the master index's),
+//	loads == pm.Weights(g),
+//	profile == BuildNeighborProfile(g, pm.Assign, k).
 //
-// and the shadow's buckets hold the same membership as the master
-// index's. newScheduler establishes the invariant with one O(|V|) init;
-// commitRound preserves it by replaying exactly the kept moves into the
-// master that the waves already applied to the shadow (rolled-back moves
-// were undone through the shadow before the wave barrier) and that the
-// barriers already patched into frozen.
+// newScheduler establishes it with one O(|V|) init; each wave barrier
+// restores it by replaying the wave's kept moves — which the refiners
+// already applied to the shadow and to loads (rolled-back moves were
+// undone through both before the barrier) — into the master index and
+// the profile. The master is therefore the wave-start view: every vertex
+// moves at most once per wave, so pm.Assign[v] at the barrier is still
+// the owner the wave started from.
 type scheduler struct {
 	g       *graph.Graph
 	pm      *partition.Partitioning // master (authoritative) partitioning
@@ -119,10 +119,9 @@ type scheduler struct {
 	maxLoad int64
 	workers int
 
-	cur     *partition.Partitioning // shared live view refined by the waves
-	frozen  []int32                 // wave-constant copy, synced at barriers
-	shadow  *partition.Shadow
-	profile *partition.NeighborProfile // wave-start neighbor weights, synced with frozen
+	shadow  *partition.Shadow          // shared live view refined by the waves
+	profile *partition.NeighborProfile // wave-start neighbor weights, patched at barriers
+	loads   []int64                    // per-partition weights, written by the refiners
 
 	refiners []*aragon.Refiner
 	arenas   [][]aragon.Move
@@ -143,8 +142,6 @@ type scheduler struct {
 	spans   []taskSpan
 	results []aragon.Result
 	live    []int32 // surviving group indices this round, ascending
-
-	roundLoads []int64
 
 	// Movable-vertex mask machinery (§5). bmask is the boundary bitset,
 	// filled by one sharded scan on the first round and thereafter
@@ -185,9 +182,9 @@ func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Inde
 		maxLoad: maxLoad,
 		workers: w,
 
-		cur:     &partition.Partitioning{K: pm.K, Assign: make([]int32, n)},
-		frozen:  make([]int32, n),
+		shadow:  ix.NewShadow(),
 		profile: profile,
+		loads:   pm.Weights(g),
 
 		refiners: make([]*aragon.Refiner, w),
 		arenas:   make([][]aragon.Move, w),
@@ -196,9 +193,8 @@ func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Inde
 		mx:    newRefineMetrics(cfg.Metrics),
 		ebufs: make([]obs.Buf, w),
 
-		roundLoads: make([]int64, pm.K),
-		bmask:      partition.NewBitset(n),
-		diff:       partition.NewBitset(n),
+		bmask: partition.NewBitset(n),
+		diff:  partition.NewBitset(n),
 
 		shipVerts: make([]int64, sweepShards),
 		shipEdges: make([]int64, sweepShards),
@@ -207,13 +203,6 @@ func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Inde
 		done:  make(chan struct{}, w),
 	}
 	sc.mask = sc.bmask
-	// The one O(|V|) sync of the whole Refine: seed the live view, the
-	// frozen view, and the shadow from the master. Every later round
-	// starts from the delta round-sync invariant instead of re-copying.
-	copy(sc.cur.Assign, pm.Assign)
-	copy(sc.frozen, pm.Assign)
-	sc.shadow = partition.NewShadow(sc.cur, n)
-	sc.shadow.Reset(ix)
 	acfg := cfg.AragonConfig()
 	for i := 0; i < w; i++ {
 		r := aragon.NewRefiner(g, sc.shadow, acfg)
@@ -342,56 +331,64 @@ func AppendTournamentRound(dst [][2]int32, group []int32, t int) [][2]int32 {
 	return dst
 }
 
-// runRound executes the current schedule against the live shadow: wave
-// by wave, with the coordinator syncing the frozen view in task order at
-// every barrier. The shadow, the live view, and the frozen view already
-// equal the master on entry (delta round-sync invariant) — no per-round
-// copies. Kept moves land in per-worker arenas; commitRound replays them
-// into the master in task order. Staged trace events are committed at
-// the same barrier, also in task order.
-func (sc *scheduler) runRound(round int32, loads []int64) {
-	copy(sc.roundLoads, loads)
+// runRound executes the current schedule against the live shadow, wave
+// by wave, and commits at every barrier: the coordinator replays each
+// task's kept moves, in task order, into the wave-start profile and the
+// master index — a delta patch over the move log, never a full copy —
+// and reduces the task's result into st, the fixed-order float summation
+// of the determinism contract. Each vertex is moved by at most one pair
+// per wave (disjoint partitions), so this is a plain replay and
+// pm.Assign[v] is still v's wave-start owner when its move is reached.
+// The move log also feeds the two delta structures of the sweeps: the
+// dirty list (moved vertices + neighbors, whose boundary status the next
+// mask refresh re-evaluates) and the diff bitset (vertices whose owner
+// differs from the original decomposition, walked by the final migration
+// sweep). Staged trace events are committed at the same barrier, also in
+// task order.
+func (sc *scheduler) runRound(round int32, st *Stats) (roundMoves int, roundGain float64) {
 	sc.round = round
-	for w := range sc.arenas {
-		sc.arenas[w] = sc.arenas[w][:0]
-		sc.ebufs[w].Reset()
-	}
-	if testRoundStart != nil {
-		testRoundStart(sc)
-	}
 	for t := 0; t+1 < len(sc.waves); t++ {
 		lo, hi := sc.waves[t], sc.waves[t+1]
 		if lo == hi {
 			continue
+		}
+		for w := range sc.arenas {
+			sc.arenas[w] = sc.arenas[w][:0]
+			sc.ebufs[w].Reset()
 		}
 		if sc.trace != nil {
 			sc.trace.Emit(obs.Event{Kind: obs.KindWaveScheduled, Round: round,
 				A: int32(t), N: int64(hi - lo)})
 		}
 		sc.dispatch(span{kind: kindPairs, lo: lo, hi: hi})
-		// Wave barrier: publish this wave's kept moves into the frozen
-		// view and the wave-start profile, in task order — a delta patch
-		// over the move log, never a full copy. Each vertex is moved by
-		// at most one pair per wave (disjoint partitions), so this is a
-		// plain replay.
 		waveMoves := 0
 		for ti := lo; ti < hi; ti++ {
+			res := sc.results[ti]
+			st.PairsRefined++
+			st.Moves += res.Moves
+			st.Gain += res.Gain
+			roundGain += res.Gain
+			waveMoves += res.Moves
+			sc.mx.pairMoves.Observe(int64(res.Moves))
 			for _, mv := range sc.taskMoves(ti) {
-				old := sc.frozen[mv.V]
+				old := sc.pm.Assign[mv.V]
 				adj := sc.g.Neighbors(mv.V)
 				ew := sc.g.EdgeWeights(mv.V)
 				ew = ew[:len(adj)]
 				for i, u := range adj {
 					sc.profile.MoveNeighbor(u, old, mv.To, int64(ew[i]))
 				}
-				sc.frozen[mv.V] = mv.To
+				sc.ix.Move(mv.V, mv.To)
+				sc.diff.SetTo(mv.V, mv.To != sc.orig[mv.V])
+				sc.dirty = append(sc.dirty, mv.V)
+				sc.dirty = append(sc.dirty, adj...)
 			}
-			waveMoves += sc.results[ti].Moves
 			if sc.trace != nil {
 				sp := sc.spans[ti]
 				sc.trace.CommitStaged(&sc.ebufs[sp.worker], int(sp.estart), int(sp.eend))
 			}
 		}
+		roundMoves += waveMoves
 		sc.mx.waves.Inc()
 		sc.mx.wavePairs.Observe(int64(hi - lo))
 		if sc.trace != nil {
@@ -400,40 +397,6 @@ func (sc *scheduler) runRound(round int32, loads []int64) {
 		}
 		if testWaveSynced != nil {
 			testWaveSynced(sc, t, lo, hi)
-		}
-	}
-}
-
-// commitRound replays the round's kept moves into the master
-// partitioning, in task order, restoring the delta round-sync invariant:
-// the shadow applied exactly these moves during the waves (rolled-back
-// suffixes were undone through it), and the wave barriers patched
-// exactly these moves into frozen, so after the replay
-// cur.Assign == frozen == pm.Assign without any copying. Per-task gains
-// are reduced into st in task order — the fixed-order float summation of
-// the determinism contract. The move log also feeds the two delta
-// structures of the sweeps: the dirty list (moved vertices + neighbors,
-// whose boundary status the next mask refresh re-evaluates) and the diff
-// bitset (vertices whose owner differs from the original decomposition,
-// walked by the final migration sweep).
-func (sc *scheduler) commitRound(loads []int64, st *Stats) (roundMoves int, roundGain float64) {
-	for ti := range sc.tasks {
-		res := sc.results[ti]
-		st.PairsRefined++
-		st.Moves += res.Moves
-		st.Gain += res.Gain
-		roundGain += res.Gain
-		roundMoves += res.Moves
-		sc.mx.pairMoves.Observe(int64(res.Moves))
-		for _, mv := range sc.taskMoves(int32(ti)) {
-			from := sc.pm.Assign[mv.V]
-			sc.ix.Move(mv.V, mv.To)
-			w := int64(sc.g.VertexWeight(mv.V))
-			loads[from] -= w
-			loads[mv.To] += w
-			sc.diff.SetTo(mv.V, mv.To != sc.orig[mv.V])
-			sc.dirty = append(sc.dirty, mv.V)
-			sc.dirty = append(sc.dirty, sc.g.Neighbors(mv.V)...)
 		}
 	}
 	return roundMoves, roundGain
@@ -453,7 +416,7 @@ func (sc *scheduler) runPairs(w int, lo, hi int32) {
 		t := sc.tasks[ti]
 		mstart := int32(len(sc.arenas[w]))
 		var res aragon.Result
-		sc.arenas[w], res = r.RefinePairScheduled(sc.arenas[w], sc.orig, t.pi, t.pj, sc.c, sc.roundLoads, sc.maxLoad, sc.mask)
+		sc.arenas[w], res = r.RefinePairScheduled(sc.arenas[w], sc.orig, t.pi, t.pj, sc.c, sc.loads, sc.maxLoad, sc.mask)
 		sc.results[ti] = res
 		estart := sc.ebufs[w].Mark()
 		if sc.trace != nil {

@@ -23,8 +23,8 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 	cases := []cse{
 		{
-			// Arch-aware cost matrix (general gain path, frozen sparse
-			// external degrees), k-hop 1 mask, even group sizes.
+			// Arch-aware cost matrix (g_topo seeded from the profile
+			// segment), k-hop 1 mask, even group sizes.
 			name: "arch-aware",
 			run: func(t *testing.T, workers int) (*partition.Partitioning, Stats) {
 				g := gen.RMAT(4000, 24000, 0.57, 0.19, 0.19, 13)
@@ -48,7 +48,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 			},
 		},
 		{
-			// Uniform matrix (frozen dual-view fast path), odd group
+			// Uniform matrix (two profile lookups per seed), odd group
 			// sizes so the tournament's bye slot is exercised, plus a
 			// stochastic fault schedule over the upfront fate resolution.
 			name: "uniform-odd-faulty",

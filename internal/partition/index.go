@@ -20,7 +20,8 @@ import (
 // PairIndexer is the minimal surface the pairwise refiner needs: candidate
 // enumeration for a partition pair and delta-maintained vertex moves.
 // Index (full boundary tracking) and Shadow (the scheduler's shared
-// bucket view of the master, which tracks no boundary) both implement it.
+// bucket view of the master, which tracks no boundary) both implement it,
+// over one bucket structure (vertexBuckets).
 type PairIndexer interface {
 	// Partitioning returns the decomposition the indexer maintains;
 	// Move must keep its Assign array in sync.
@@ -48,12 +49,45 @@ type PairIndexer interface {
 //
 // All queries are O(1) or output-sensitive; Move is O(deg(v)).
 type Index struct {
+	vertexBuckets
 	g        *graph.Graph
 	p        *Partitioning
-	ext      []int32   // per-vertex count of neighbors outside own partition
-	buckets  [][]int32 // per-partition vertex lists (unordered, swap-delete)
-	pos      []int32   // vertex -> position in its bucket
-	incident []int64   // per-partition Σ deg(v)
+	ext      []int32 // per-vertex count of neighbors outside own partition
+	incident []int64 // per-partition Σ deg(v)
+}
+
+// vertexBuckets is the partition-membership structure Index and Shadow
+// share: buckets[q] lists the vertices of partition q in no particular
+// order, each at pos[v], so a move is a swap-delete plus an append.
+type vertexBuckets struct {
+	buckets [][]int32 // per-partition vertex lists (unordered, swap-delete)
+	pos     []int32   // vertex -> position in its bucket
+}
+
+// move takes v out of bucket from and appends it to bucket to, in O(1).
+func (b *vertexBuckets) move(v, from, to int32) {
+	l := b.buckets[from]
+	i := b.pos[v]
+	last := int32(len(l)) - 1
+	w := l[last]
+	l[i] = w
+	b.pos[w] = i
+	b.buckets[from] = l[:last]
+	b.pos[v] = int32(len(b.buckets[to]))
+	b.buckets[to] = append(b.buckets[to], v)
+}
+
+// appendMasked appends the members of partitions pi and pj whose allowed
+// bit is set to dst, in bucket order — O(|P_i| + |P_j|).
+func (b *vertexBuckets) appendMasked(dst []int32, pi, pj int32, allowed *Bitset) []int32 {
+	for _, l := range [2][]int32{b.buckets[pi], b.buckets[pj]} {
+		for _, v := range l {
+			if allowed.Get(v) {
+				dst = append(dst, v)
+			}
+		}
+	}
+	return dst
 }
 
 // BuildIndex constructs the index for p over g in O(|V| + |E|). The index
@@ -62,12 +96,11 @@ type Index struct {
 func BuildIndex(g *graph.Graph, p *Partitioning) *Index {
 	n := g.NumVertices()
 	ix := &Index{
-		g:        g,
-		p:        p,
-		ext:      make([]int32, n),
-		buckets:  make([][]int32, p.K),
-		pos:      make([]int32, n),
-		incident: make([]int64, p.K),
+		vertexBuckets: vertexBuckets{buckets: make([][]int32, p.K), pos: make([]int32, n)},
+		g:             g,
+		p:             p,
+		ext:           make([]int32, n),
+		incident:      make([]int64, p.K),
 	}
 	// Exact-size bucket preallocation: a counting pass first, then one
 	// allocation per bucket with growth slack. Appending into nil
@@ -166,9 +199,7 @@ func (ix *Index) Move(v, to int32) {
 	if from == to {
 		return
 	}
-	ix.bucketRemove(v, from)
-	ix.pos[v] = int32(len(ix.buckets[to]))
-	ix.buckets[to] = append(ix.buckets[to], v)
+	ix.move(v, from, to)
 	deg := int64(ix.g.Degree(v))
 	ix.incident[from] -= deg
 	ix.incident[to] += deg
@@ -186,16 +217,6 @@ func (ix *Index) Move(v, to int32) {
 		}
 	}
 	ix.ext[v] = extV
-}
-
-func (ix *Index) bucketRemove(v, q int32) {
-	b := ix.buckets[q]
-	i := ix.pos[v]
-	last := int32(len(b)) - 1
-	w := b[last]
-	b[i] = w
-	ix.pos[w] = i
-	ix.buckets[q] = b[:last]
 }
 
 // IsBoundary reports whether v has a neighbor outside its own partition,
@@ -220,11 +241,6 @@ func (ix *Index) AppendBoundary(dst []int32) []int32 {
 	}
 	return dst
 }
-
-// PartitionVertices returns the vertices of partition q in bucket order
-// (unordered). The slice aliases internal storage: it must not be modified
-// and is invalidated by the next Move.
-func (ix *Index) PartitionVertices(q int32) []int32 { return ix.buckets[q] }
 
 // IncidentEdges returns a copy of the maintained per-partition
 // incident-edge sums — the ps[i] of Eq. 10, without the O(|V|) rescan of
@@ -259,13 +275,12 @@ func (ix *Index) AppendPairCandidates(dst []int32, pi, pj int32, allowed *Bitset
 // AppendPairUnsorted implements PairIndexer: candidates are gathered from
 // the two buckets — O(|P_i| + |P_j|) — instead of a full vertex scan.
 func (ix *Index) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *Bitset) []int32 {
+	if allowed != nil {
+		return ix.appendMasked(dst, pi, pj, allowed)
+	}
 	for _, b := range [2][]int32{ix.buckets[pi], ix.buckets[pj]} {
 		for _, v := range b {
-			if allowed != nil {
-				if allowed.Get(v) {
-					dst = append(dst, v)
-				}
-			} else if ix.ext[v] > 0 {
+			if ix.ext[v] > 0 {
 				dst = append(dst, v)
 			}
 		}
@@ -337,53 +352,36 @@ func (ix *Index) Validate() error {
 	return nil
 }
 
-// Shadow is the pair-level scheduler's copy-free round view: one mutable
-// bucket shadow of a master Index, shared by every group server of a
-// round. Groups own disjoint partitions and every tournament wave's
-// pairs are partition-disjoint, so concurrent pair refinements touch
-// disjoint buckets, disjoint pos entries, and disjoint Assign entries of
-// the shared view — no per-group copies, no synchronization beyond the
-// scheduler's wave barriers. It tracks no boundary counts — scheduled
-// refinement always runs under the round's k-hop allowed mask, which
-// subsumes the boundary test — so Move is O(1), not O(deg).
-//
-// Reset reseeds the shadow from the master index while reusing every
-// backing array, so steady-state rounds allocate nothing.
+// Shadow is the pair-level scheduler's live view: one mutable bucket
+// shadow of a master Index with its own copy of the assignment, shared by
+// every group server. Groups own disjoint partitions and every tournament
+// wave's pairs are partition-disjoint, so concurrent pair refinements
+// touch disjoint buckets, disjoint pos entries, and disjoint Assign
+// entries of the shared view — no per-group copies, no synchronization
+// beyond the scheduler's wave barriers. It tracks no boundary counts —
+// scheduled refinement always runs under the round's k-hop allowed mask,
+// which subsumes the boundary test — so Move is O(1), not O(deg).
 type Shadow struct {
-	p       *Partitioning
-	buckets [][]int32
-	pos     []int32
+	vertexBuckets
+	p *Partitioning
 }
 
-// NewShadow builds an empty shadow over view; view.Assign is the shared
-// live assignment array the round's pairs mutate. Call Reset before use.
-func NewShadow(view *Partitioning, n int32) *Shadow {
-	return &Shadow{
-		p:       view,
-		buckets: make([][]int32, view.K),
-		pos:     make([]int32, n),
+// NewShadow returns a shadow seeded from the index in O(|V|): its own
+// copy of the assignment, the buckets (sized with move headroom) and the
+// positions. Whoever applies to ix every move the shadow keeps leaves the
+// two in agreement without ever copying again (DESIGN.md §14).
+func (ix *Index) NewShadow() *Shadow {
+	s := &Shadow{
+		vertexBuckets: vertexBuckets{buckets: make([][]int32, len(ix.buckets)), pos: slices.Clone(ix.pos)},
+		p:             ix.p.Clone(),
 	}
-}
-
-// Reset reseeds the shadow's buckets and positions from the master index
-// in O(|V|), reusing (and exactly pre-sizing) the bucket backing arrays.
-// The caller must bring the view's Assign array in sync with the master
-// separately. Under the delta round-sync discipline (DESIGN.md §14) the
-// scheduler calls this once per Refine, not once per round: the commit
-// loop leaves the shadow and the master bit-identical, so later rounds
-// start from the live shadow state.
-func (s *Shadow) Reset(ix *Index) {
-	copy(s.pos, ix.pos)
-	for q := range s.buckets {
-		b := ix.buckets[q]
-		if cap(s.buckets[q]) < len(b) {
-			s.buckets[q] = make([]int32, 0, bucketCap(int32(len(b))))
-		}
-		s.buckets[q] = append(s.buckets[q][:0], b...)
+	for q, b := range ix.buckets {
+		s.buckets[q] = append(make([]int32, 0, bucketCap(int32(len(b)))), b...)
 	}
+	return s
 }
 
-// Partitioning returns the shared round view of the decomposition.
+// Partitioning returns the shadow's own view of the decomposition.
 func (s *Shadow) Partitioning() *Partitioning { return s.p }
 
 // Move implements PairIndexer in O(1). Concurrent calls are safe iff
@@ -394,15 +392,7 @@ func (s *Shadow) Move(v, to int32) {
 	if from == to {
 		return
 	}
-	b := s.buckets[from]
-	i := s.pos[v]
-	last := int32(len(b)) - 1
-	w := b[last]
-	b[i] = w
-	s.pos[w] = i
-	s.buckets[from] = b[:last]
-	s.pos[v] = int32(len(s.buckets[to]))
-	s.buckets[to] = append(s.buckets[to], v)
+	s.move(v, from, to)
 	s.p.Assign[v] = to
 }
 
@@ -413,14 +403,7 @@ func (s *Shadow) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *Bitset) 
 	if allowed == nil {
 		panic("partition: Shadow.AppendPairUnsorted requires an allowed mask (shadows keep no boundary counts)")
 	}
-	for _, b := range [2][]int32{s.buckets[pi], s.buckets[pj]} {
-		for _, v := range b {
-			if allowed.Get(v) {
-				dst = append(dst, v)
-			}
-		}
-	}
-	return dst
+	return s.appendMasked(dst, pi, pj, allowed)
 }
 
 // ExternalDegreesSparse is the sparse-reset form of ExternalDegreesInto:

@@ -136,9 +136,11 @@ func TestShadow(t *testing.T) {
 	const k = 6
 	p := randomPartitioning(g, k, rng)
 	ix := BuildIndex(g, p)
-	view := p.Clone()
-	s := NewShadow(view, g.NumVertices())
-	s.Reset(ix)
+	s := ix.NewShadow()
+	view := s.Partitioning()
+	if view == p || !slices.Equal(view.Assign, p.Assign) {
+		t.Fatal("shadow must start on its own copy of the master assignment")
+	}
 
 	// Candidate enumeration under a mask must match the scan over the view,
 	// before and after moves through the shadow.
@@ -172,13 +174,18 @@ func TestShadow(t *testing.T) {
 		t.Fatalf("base index corrupted by shadow moves: %v", err)
 	}
 
-	// Reset must discard the shadow's divergence and re-match the master,
-	// reusing the same shadow for a fresh round.
-	copy(view.Assign, p.Assign)
-	s.Reset(ix)
-	checkPairs()
+	// Replaying the shadow's net moves into the index brings the two back
+	// into agreement — how the scheduler keeps them in sync without ever
+	// re-copying. (Validate ties the index's buckets to p.Assign, as
+	// checkPairs tied the shadow's to the view.)
+	for v, q := range view.Assign {
+		ix.Move(int32(v), q)
+	}
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(p.Assign, view.Assign) {
+		t.Fatal("master and shadow view disagree after the replay")
 	}
 
 	// A nil mask is a programming error for shadows.

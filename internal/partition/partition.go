@@ -59,6 +59,22 @@ func (p *Partitioning) Validate(g *graph.Graph) error {
 	return nil
 }
 
+// CheckCosts reports whether c can serve as the relative cost matrix of a
+// k-way decomposition: at least k rows, each of the first k at least k
+// entries long. Every refinement entry point calls it on the caller's
+// matrix, so the kernels can index c[i][j] for i, j < k unchecked.
+func CheckCosts(c [][]float64, k int32) error {
+	if int32(len(c)) < k {
+		return fmt.Errorf("cost matrix has %d rows for k=%d", len(c), k)
+	}
+	for i, row := range c[:k] {
+		if int32(len(row)) < k {
+			return fmt.Errorf("cost matrix row %d has %d entries for k=%d", i, len(row), k)
+		}
+	}
+	return nil
+}
+
 // Weights returns w(Pi) for every partition: the sum of vertex weights,
 // i.e. the computational load (Eq. 4's numerator inputs).
 func (p *Partitioning) Weights(g *graph.Graph) []int64 {

@@ -335,3 +335,33 @@ func TestHopCut(t *testing.T) {
 		t.Fatalf("HopCut = %d, want 7", got)
 	}
 }
+
+func TestCheckCosts(t *testing.T) {
+	square := func(k int) [][]float64 { return topology.UniformMatrix(k) }
+	shortRow := square(4)
+	shortRow[2] = shortRow[2][:3]
+	nilRow := square(4)
+	nilRow[0] = nil
+	longTailShort := append(square(3), []float64{1}) // a short row past k is not read
+	cases := []struct {
+		name string
+		c    [][]float64
+		k    int32
+		ok   bool
+	}{
+		{"exact fit", square(4), 4, true},
+		{"larger than k", square(6), 4, true},
+		{"short row past k", longTailShort, 3, true},
+		{"k = 1", square(1), 1, true},
+		{"k = 1, empty row", [][]float64{{}}, 1, false},
+		{"too few rows", square(3), 4, false},
+		{"nil matrix", nil, 2, false},
+		{"short row", shortRow, 4, false},
+		{"nil row", nilRow, 4, false},
+	}
+	for _, tc := range cases {
+		if err := CheckCosts(tc.c, tc.k); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckCosts = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -14,16 +14,16 @@ import (
 // O(log t) lookups under a uniform cost matrix, one O(t) walk under a
 // general one (Eq. 8 needs every entry). On a tournament round every
 // boundary vertex is a candidate of m−1 pairs, so the scan repeats its
-// random-access walk of the frozen view m−1 times while the profile
+// random-access walk of the assignment m−1 times while the profile
 // answers from one contiguous, presorted segment. The weights are exact
 // integer sums, so a profile read returns bit-for-bit the value the scan
 // would.
 //
-// The reference assignment is the scheduler's wave-start frozen view:
-// after each wave barrier, MoveNeighbor replays the wave's kept moves
-// (cost proportional to the moved vertices' degrees, never |V|), keeping
-// the profile in lockstep with the frozen patches of the delta
-// round-sync discipline (DESIGN.md §14).
+// The reference assignment is the scheduler's master, which is the
+// wave-start view: at each wave barrier MoveNeighbor replays the wave's
+// kept moves (cost proportional to the moved vertices' degrees, never
+// |V|) in the same loop that applies them to the master index, so the
+// two never drift apart (DESIGN.md §14).
 //
 // Layout: one CSR-style segment per vertex, entries sorted by partition,
 // live entries exactly the partitions with nonzero weight. A vertex's

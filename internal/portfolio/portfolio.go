@@ -118,7 +118,7 @@ func (r *runner) worker(w int) {
 // splitmix64 mixer — pure arithmetic, no shared rng stream to order.
 // Sharing the seed does not make member 0 reproduce paragon.Refine: a
 // member deals its groups with rng.Shuffle (regroup) and refines serially
-// on its live index, without the scheduler's frozen view.
+// on its live index, without the scheduler's wave-start profile.
 func memberSeed(seed int64, m int) int64 {
 	if m == 0 {
 		return seed
@@ -136,8 +136,8 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 	if err := p.Validate(g); err != nil {
 		return Stats{}, fmt.Errorf("portfolio: %w", err)
 	}
-	if int32(len(c)) < p.K {
-		return Stats{}, fmt.Errorf("portfolio: cost matrix has %d rows for k=%d", len(c), p.K)
+	if err := partition.CheckCosts(c, p.K); err != nil {
+		return Stats{}, fmt.Errorf("portfolio: %w", err)
 	}
 	cfg = cfg.WithDefaults(p.K)
 	size := cfg.Portfolio.Size

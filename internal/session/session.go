@@ -242,8 +242,8 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 	if k < 2 {
 		return nil, fmt.Errorf("session: k = %d, need >= 2", k)
 	}
-	if int32(len(cfg.Costs)) < k {
-		return nil, fmt.Errorf("session: cost matrix %d×· smaller than k=%d", len(cfg.Costs), k)
+	if err := partition.CheckCosts(cfg.Costs, k); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
 	}
 	capN := cfg.Capacity
 	if capN == 0 {

@@ -126,5 +126,20 @@ if git grep -nE 'ExternalDegreesSparseFrozen|SetFrozen\(' -- '*.go' ||
     echo "ci: a gain-rescan path is back in the pair kernel; seed once, update by delta" >&2
     exit 1
 fi
+# Two views, one load vector (DESIGN.md §14): the master is the wave-start
+# view and commits at the wave barrier. The third assignment mirror, the
+# per-round load copy and the round-end replay must not come back.
+if git grep -nwE 'frozen|roundLoads|commitRound' -- 'internal/paragon/*.go' ':!internal/paragon/*_test.go'; then
+    echo "ci: a third scheduler view or a second move replay is back; commit at the wave barrier" >&2
+    exit 1
+fi
+# Formatting: every tracked Go file outside the lint fixtures (whose
+# columns the lint tests may pin) is gofmt-clean.
+unformatted="$(git ls-files '*.go' ':!internal/lint/testdata' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+    echo "ci: gofmt -l reports:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "ci: all green"
