@@ -32,7 +32,7 @@ func main() {
 	in := flag.String("in", "", "input graph (required)")
 	format := flag.String("format", "metis", "input format: metis, edgelist, or binary")
 	app := flag.String("app", "bfs", "application: bfs, sssp, wcc, pagerank, lpa, kcore, triangles")
-	clusterName := flag.String("cluster", "pitt", "cluster model: pitt or gordon")
+	clusterName := flag.String("cluster", "pitt", "cluster model: pitt, gordon, or uma")
 	nodes := flag.Int("nodes", 3, "compute nodes")
 	partitioner := flag.String("partitioner", "dg", "initial partitioner: hp, dg, ldg, fennel, metis, metis-kway")
 	refine := flag.String("refine", "none", "refinement: none, paragon, uniparagon, parmetis, aragonlb")
@@ -50,34 +50,14 @@ func main() {
 	if *in == "" {
 		fatal(fmt.Errorf("-in is required"))
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
-	}
-	var g *graph.Graph
-	switch *format {
-	case "metis":
-		g, err = graph.ReadMETIS(f)
-	case "edgelist":
-		g, err = graph.ReadEdgeList(f)
-	case "binary":
-		g, err = graph.ReadBinary(f)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	f.Close()
+	g, err := graph.ReadFile(*in, *format)
 	if err != nil {
 		fatal(err)
 	}
 
-	var cl *topology.Cluster
-	switch *clusterName {
-	case "pitt":
-		cl = topology.PittCluster(*nodes)
-	case "gordon":
-		cl = topology.GordonCluster(*nodes)
-	default:
-		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
+	cl, err := topology.ClusterByName(*clusterName, *nodes)
+	if err != nil {
+		fatal(err)
 	}
 	k := cl.TotalCores()
 

@@ -133,16 +133,9 @@ func main() {
 		}()
 	}
 
-	var cl *topology.Cluster
-	switch *clusterName {
-	case "pitt":
-		cl = topology.PittCluster(*nodes)
-	case "gordon":
-		cl = topology.GordonCluster(*nodes)
-	case "uma":
-		cl = topology.UMACluster(*nodes)
-	default:
-		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
+	cl, err := topology.ClusterByName(*clusterName, *nodes)
+	if err != nil {
+		fatal(err)
 	}
 	if *topo {
 		fmt.Print(cl.Describe())
@@ -152,22 +145,7 @@ func main() {
 	if *in == "" {
 		fatal(fmt.Errorf("-in is required"))
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
-	}
-	var g *graph.Graph
-	switch *format {
-	case "metis":
-		g, err = graph.ReadMETIS(f)
-	case "edgelist":
-		g, err = graph.ReadEdgeList(f)
-	case "binary":
-		g, err = graph.ReadBinary(f)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	f.Close()
+	g, err := graph.ReadFile(*in, *format)
 	if err != nil {
 		fatal(err)
 	}

@@ -31,6 +31,7 @@ func TestCLIErrors(t *testing.T) {
 		{"missing -in", nil, 1, "-in is required"},
 		{"unreadable -in", []string{"-in", "/nonexistent/graph"}, 1, "no such file"},
 		{"unknown cluster", []string{"-topo", "-cluster", "nope"}, 1, `unknown cluster "nope"`},
+		{"unknown format", []string{"-in", "/nonexistent/graph", "-format", "nope"}, 1, `unknown format "nope"`},
 		// Removed with the legacy bench estate; the flag package rejects it.
 		{"-dir-bench is gone", []string{"-dir-bench"}, 2, "flag provided but not defined: -dir-bench"},
 	} {

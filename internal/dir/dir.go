@@ -406,9 +406,7 @@ func (d *Directory) publishLocked(moves []migrate.Move) (int64, error) {
 		d.abort(epoch, 0, attempts)
 		return 0, err
 	}
-	if d.tr != nil {
-		d.tr.Emit(obs.Event{Kind: obs.KindEpochPrepare, Round: -1, N: epoch, M: int64(len(moves))})
-	}
+	d.tr.Emit(obs.Event{Kind: obs.KindEpochPrepare, Round: -1, N: epoch, M: int64(len(moves))})
 	// The window the whole design defends: prepare is durable, the flip
 	// has not happened. A crash here abandons the publish — the journal
 	// keeps the commit-less prepare, recovery and the live directory
@@ -433,9 +431,7 @@ func (d *Directory) publishLocked(moves []migrate.Move) (int64, error) {
 	d.cur.Store(next)
 	d.mx.flips.Inc()
 	d.mx.epoch.Set(float64(epoch))
-	if d.tr != nil {
-		d.tr.Emit(obs.Event{Kind: obs.KindEpochCommit, Round: -1, N: epoch, M: int64(len(moves))})
-	}
+	d.tr.Emit(obs.Event{Kind: obs.KindEpochCommit, Round: -1, N: epoch, M: int64(len(moves))})
 	return epoch, nil
 }
 
@@ -443,9 +439,7 @@ func (d *Directory) publishLocked(moves []migrate.Move) (int64, error) {
 // 2 = commit append).
 func (d *Directory) abort(epoch int64, phase int32, attempts int) {
 	d.mx.aborts.Inc()
-	if d.tr != nil {
-		d.tr.Emit(obs.Event{Kind: obs.KindEpochAbort, Round: -1, A: phase, B: int32(attempts), N: epoch})
-	}
+	d.tr.Emit(obs.Event{Kind: obs.KindEpochAbort, Round: -1, A: phase, B: int32(attempts), N: epoch})
 }
 
 // appendRecord journals one record under the fsync model: every attempt

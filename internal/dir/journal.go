@@ -234,8 +234,6 @@ func Recover(journal []byte, opts Options) (*Directory, error) {
 	d.mx.recoveries.Inc()
 	d.mx.tornBytes.Add(int64(torn))
 	d.mx.epoch.Set(float64(cur.epoch))
-	if d.tr != nil {
-		d.tr.Emit(obs.Event{Kind: obs.KindDirRecovered, Round: -1, N: cur.epoch, M: int64(torn)})
-	}
+	d.tr.Emit(obs.Event{Kind: obs.KindDirRecovered, Round: -1, N: cur.epoch, M: int64(torn)})
 	return d, nil
 }

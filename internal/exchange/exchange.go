@@ -415,16 +415,12 @@ func (r Region) Propagate(servers []*Server) (int64, error) {
 		mx.retries.Add(int64(retries))
 		if !ok {
 			mx.aborts.Inc()
-			if r.Trace != nil {
-				r.Trace.Emit(obs.Event{Kind: obs.KindRegionAbort, Round: int32(epoch),
-					A: int32(region), B: int32(retries + 1)})
-			}
+			r.Trace.Emit(obs.Event{Kind: obs.KindRegionAbort, Round: int32(epoch),
+				A: int32(region), B: int32(retries + 1)})
 			return volume, fmt.Errorf("exchange: region %d reduce dropped %d times: %w", region, retries+1, ErrExchangeFailed)
 		}
-		if r.Trace != nil {
-			r.Trace.Emit(obs.Event{Kind: obs.KindRegionSent, Round: int32(epoch),
-				A: int32(region), N: bytes, M: int64(retries)})
-		}
+		r.Trace.Emit(obs.Event{Kind: obs.KindRegionSent, Round: int32(epoch),
+			A: int32(region), N: bytes, M: int64(retries)})
 		// Broadcast: every server adopts the merged region.
 		var wg sync.WaitGroup
 		for _, s := range servers {

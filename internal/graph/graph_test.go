@@ -2,7 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -544,5 +549,39 @@ func TestComputeStats(t *testing.T) {
 	empty := ComputeStats(NewBuilder(0).Build())
 	if empty.Vertices != 0 || empty.Edges != 0 {
 		t.Fatalf("empty stats: %+v", empty)
+	}
+}
+
+func TestReadFile(t *testing.T) {
+	g := buildPaperGraph()
+	dir := t.TempDir()
+	for format, write := range map[string]func(io.Writer, *Graph) error{
+		"metis": WriteMETIS, "edgelist": WriteEdgeList, "binary": WriteBinary,
+	} {
+		path := filepath.Join(dir, format)
+		var buf bytes.Buffer
+		if err := write(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(path, format)
+		if err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		if got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() {
+			t.Errorf("%s: read %d vertices, %d edges; wrote %d, %d", format,
+				got.NumVertices(), got.NumEdges(), g.NumVertices(), g.NumEdges())
+		}
+	}
+	if _, err := ReadFile(filepath.Join(dir, "metis"), "nope"); err == nil || !strings.Contains(err.Error(), `unknown format "nope"`) {
+		t.Errorf("unknown format: err = %v", err)
+	}
+	if _, err := ReadFile(filepath.Join(dir, "absent"), "metis"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing file: err = %v", err)
+	}
+	if _, err := ReadFile(filepath.Join(dir, "edgelist"), "binary"); err == nil {
+		t.Error("an edge list parsed as binary")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -16,6 +17,28 @@ import (
 //     weights (the 10s digit) and edge weights (the 1s digit);
 //   - a simple whitespace-separated edge-list format ("u v [w]" per line),
 //     which is how SNAP distributes the paper's real-world datasets.
+
+// ReadFile reads the graph file at path in the named format: "metis",
+// "edgelist" or "binary" — the -format values of the command-line tools.
+func ReadFile(path, format string) (*Graph, error) {
+	var read func(io.Reader) (*Graph, error)
+	switch format {
+	case "metis":
+		read = ReadMETIS
+	case "edgelist":
+		read = ReadEdgeList
+	case "binary":
+		read = ReadBinary
+	default:
+		return nil, fmt.Errorf("unknown format %q", format)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return read(f)
+}
 
 // WriteMETIS writes g to w in METIS .graph format with vertex sizes,
 // vertex weights, and edge weights (fmt code 111).

@@ -304,9 +304,7 @@ func ExecuteOpts(stores []*Store, plan *Plan, ctx AppContext, opts ExecOptions) 
 	if err != nil {
 		return Stats{}, err
 	}
-	if tr != nil {
-		tr.Emit(obs.Event{Kind: obs.KindMigrationPlan, Round: -1, N: int64(len(plan.Moves))})
-	}
+	tr.Emit(obs.Event{Kind: obs.KindMigrationPlan, Round: -1, N: int64(len(plan.Moves))})
 	// The abort point is fixed up front from the schedule: the first plan
 	// index the fabric kills. Sends at or past it never happen — the
 	// "crashed" tail of the plan.
@@ -431,9 +429,7 @@ func ExecuteOpts(stores []*Store, plan *Plan, ctx AppContext, opts ExecOptions) 
 	}
 	mx.moved.Add(stats.MovedVertices)
 	mx.movedBytes.Add(stats.MovedBytes)
-	if tr != nil {
-		tr.Emit(obs.Event{Kind: obs.KindMigrationCommit, Round: -1, N: stats.MovedVertices, M: stats.MovedBytes})
-	}
+	tr.Emit(obs.Event{Kind: obs.KindMigrationCommit, Round: -1, N: stats.MovedVertices, M: stats.MovedBytes})
 	return stats, nil
 }
 

@@ -32,8 +32,10 @@
 //     reduction), never accumulated concurrently.
 //
 // Everything is stdlib-only and allocation-conscious: a nil *Tracer or
-// nil *Registry disables the layer entirely (every emission site is
-// nil-guarded), and an enabled tracer writes into a preallocated ring.
+// nil *Registry disables the layer entirely (Emit, SetClock, CommitStaged
+// and every metric operation are no-ops on a nil receiver, so emission
+// sites need no guard), and an enabled tracer writes into a preallocated
+// ring.
 package obs
 
 import (
@@ -241,6 +243,9 @@ func NewTracer(capacity int) *Tracer {
 // SetClock installs the virtual tick source (typically
 // (*faultsim.Clock).Now). A nil source stamps tick 0.
 func (t *Tracer) SetClock(now func() int64) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	t.clock = now
 	t.mu.Unlock()
@@ -248,8 +253,11 @@ func (t *Tracer) SetClock(now func() int64) {
 
 // Emit stamps e with the current tick and the next sequence number and
 // appends it to the ring. Coordinator call sites only; worker-pool code
-// stages into a Buf instead.
+// stages into a Buf instead. A nil tracer drops the event.
 func (t *Tracer) Emit(e Event) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	t.emitLocked(e)
 	t.mu.Unlock()
@@ -300,7 +308,7 @@ func (b *Buf) Reset() { b.ev = b.ev[:0] }
 // which is what makes the merged stream independent of which worker
 // staged which span.
 func (t *Tracer) CommitStaged(b *Buf, lo, hi int) {
-	if b == nil || lo >= hi {
+	if t == nil || b == nil || lo >= hi {
 		return
 	}
 	t.mu.Lock()

@@ -182,7 +182,13 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x", "").Inc()
 	r.Gauge("y", "").Set(1)
 	r.Histogram("z", "", []int64{1}).Observe(1)
+	// A nil tracer is the same: the emission calls need no guard.
 	var tr *Tracer
+	tr.SetClock(func() int64 { return 1 })
+	tr.Emit(Event{Kind: KindRoundStart})
+	var staged Buf
+	staged.Emit(Event{Kind: KindPairRefined})
+	tr.CommitStaged(&staged, 0, staged.Mark())
 	if err := WriteJSONL(&bytes.Buffer{}, tr); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package paragon
 
 import (
+	"slices"
 	"testing"
 
 	"paragon/internal/dir"
@@ -94,5 +95,47 @@ func TestRefineSurvivesDirectoryPublishFaults(t *testing.T) {
 	}
 	if r.Epoch() != d.Epoch() || r.Current().AssignHash() != d.Current().AssignHash() {
 		t.Fatal("directory diverged from its own journal under publish faults")
+	}
+}
+
+// A directory built for another decomposition is rejected up front, before
+// round 0 can commit moves into p: the caller gets an error, an untouched
+// p, and a directory still serving epoch 0.
+func TestMismatchedDirectoryRejectedBeforeRefining(t *testing.T) {
+	g := gen.RMAT(2000, 12000, 0.57, 0.19, 0.19, 5)
+	g.UseDegreeWeights()
+	base := stream.DG(g, 16, stream.DefaultOptions())
+	n := g.NumVertices()
+
+	fewerRanks := make([]int32, n)
+	for v := range fewerRanks {
+		fewerRanks[v] = base.Assign[v] % (base.K - 1)
+	}
+	for _, tc := range []struct {
+		name   string
+		assign []int32
+		k      int32
+	}{
+		{"n-1 vertices", base.Assign[:n-1], base.K},
+		{"k-1 ranks", fewerRanks, base.K - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := dir.New(tc.assign, tc.k, dir.Options{ShardBits: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := base.Clone()
+			st, err := RefineUniform(g, p, Config{DRP: 4, Shuffles: 3, Seed: 11, Directory: d})
+			if err == nil {
+				t.Fatal("mismatched directory accepted")
+			}
+			if !slices.Equal(p.Assign, base.Assign) {
+				t.Error("p was refined before the directory was rejected")
+			}
+			if d.Epoch() != 0 {
+				t.Errorf("directory moved to epoch %d", d.Epoch())
+			}
+			checkRoundsCounted(t, st)
+		})
 	}
 }

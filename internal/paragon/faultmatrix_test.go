@@ -157,6 +157,7 @@ func TestAllGroupsCrashedRoundCommitsEmpty(t *testing.T) {
 	if st.Faults.CrashedGroups != 4 {
 		t.Fatalf("crashed groups = %d, want 4", st.Faults.CrashedGroups)
 	}
+	checkRoundsCounted(t, st)
 	if st.RoundGains[0] != 0 {
 		t.Fatalf("round 0 realized gain %v with every group dead", st.RoundGains[0])
 	}
@@ -167,6 +168,16 @@ func TestAllGroupsCrashedRoundCommitsEmpty(t *testing.T) {
 	}
 	if later <= 0 {
 		t.Fatal("no gain recovered after the crashed round")
+	}
+}
+
+// checkRoundsCounted asserts Stats.Rounds is the count of rounds that ran,
+// not the plan: one gain entry and one server selection per round.
+func checkRoundsCounted(t *testing.T, st Stats) {
+	t.Helper()
+	if st.Rounds != len(st.RoundGains) || st.Rounds != len(st.GroupServers) {
+		t.Fatalf("Rounds = %d with %d round gains and %d server selections",
+			st.Rounds, len(st.RoundGains), len(st.GroupServers))
 	}
 }
 
@@ -194,6 +205,7 @@ func TestExchangeAbortEndsShufflingEarly(t *testing.T) {
 	if st.Rounds != 2 {
 		t.Fatalf("rounds = %d, want 2 (round-1 exchange died)", st.Rounds)
 	}
+	checkRoundsCounted(t, st)
 	if st.Faults.ExchangeRetries != pol.MaxRetries {
 		t.Fatalf("retries = %d, want %d", st.Faults.ExchangeRetries, pol.MaxRetries)
 	}

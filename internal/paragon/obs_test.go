@@ -60,47 +60,73 @@ func TestObsDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestObsMetricsAgreeWithStats cross-checks the registry against the
-// Stats the same run returned: the two accounting paths must agree.
+// TestObsMetricsAgreeWithStats pins the one accounting path: every metric
+// that mirrors a Stats field is published from the Stats the call returns.
+// The fault rate is high enough that the retry, abort, backoff, crash and
+// straggler rows are all non-zero, and a second Refine on the same registry
+// pins that counters add and gauges overwrite, as session epochs rely on.
 func TestObsMetricsAgreeWithStats(t *testing.T) {
 	g := gen.RMAT(2000, 12000, 0.57, 0.19, 0.19, 5)
 	g.UseDegreeWeights()
 	p := stream.DG(g, 16, stream.DefaultOptions())
 	reg := obs.NewRegistry()
-	st, err := RefineUniform(g, p, Config{DRP: 4, Shuffles: 3, Seed: 2, FaultRate: 0.05, FaultSeed: 7, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
+	refineOnce := func(seed int64) Stats {
+		st, err := RefineUniform(g, p, Config{DRP: 4, Shuffles: 6, Seed: seed, RegionSize: 100,
+			FaultRate: 0.45, FaultSeed: seed + 5, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	checks := []struct {
-		name string
-		want int64
+	rows := []struct {
+		name  string
+		gauge bool
+		of    func(st Stats) float64
 	}{
-		{"refine_rounds_total", int64(st.Rounds)},
-		{"refine_pairs_total", int64(st.PairsRefined)},
-		{"refine_moves_total", int64(st.Moves)},
-		{"ship_boundary_vertices_total", st.BoundaryShipped},
-		{"ship_half_edges_total", st.ShippedEdgeVolume},
-		{"exchange_bytes_total", st.LocationExchangeBytes},
-		{"exchange_retries_total", int64(st.Faults.ExchangeRetries)},
-		{"exchange_aborts_total", int64(st.Faults.ExchangeAborts)},
-		{"fault_crashed_groups_total", int64(st.Faults.CrashedGroups)},
-		{"fault_straggler_drops_total", int64(st.Faults.StragglerDrops)},
-		{"fault_backoff_ticks_total", st.Faults.BackoffTicks},
-		{"migrate_vertices_total", st.MigratedVertices},
+		{"refine_rounds_total", false, func(st Stats) float64 { return float64(st.Rounds) }},
+		{"refine_pairs_total", false, func(st Stats) float64 { return float64(st.PairsRefined) }},
+		{"refine_moves_total", false, func(st Stats) float64 { return float64(st.Moves) }},
+		{"refine_gain", true, func(st Stats) float64 { return st.Gain }},
+		{"ship_boundary_vertices_total", false, func(st Stats) float64 { return float64(st.BoundaryShipped) }},
+		{"ship_half_edges_total", false, func(st Stats) float64 { return float64(st.ShippedEdgeVolume) }},
+		{"exchange_bytes_total", false, func(st Stats) float64 { return float64(st.LocationExchangeBytes) }},
+		{"exchange_retries_total", false, func(st Stats) float64 { return float64(st.Faults.ExchangeRetries) }},
+		{"exchange_aborts_total", false, func(st Stats) float64 { return float64(st.Faults.ExchangeAborts) }},
+		{"fault_crashed_groups_total", false, func(st Stats) float64 { return float64(st.Faults.CrashedGroups) }},
+		{"fault_straggler_drops_total", false, func(st Stats) float64 { return float64(st.Faults.StragglerDrops) }},
+		{"fault_backoff_ticks_total", false, func(st Stats) float64 { return float64(st.Faults.BackoffTicks) }},
+		{"fault_virtual_ticks", true, func(st Stats) float64 { return float64(st.Faults.VirtualTicks) }},
+		{"migrate_vertices_total", false, func(st Stats) float64 { return float64(st.MigratedVertices) }},
+		{"migrate_cost", true, func(st Stats) float64 { return st.MigrationCost }},
 	}
-	for _, ck := range checks {
-		if got := reg.Counter(ck.name, "").Value(); got != ck.want {
-			t.Errorf("%s = %d, Stats says %d", ck.name, got, ck.want)
+	published := func(name string, gauge bool) float64 {
+		if gauge {
+			return reg.Gauge(name, "").Value()
+		}
+		return float64(reg.Counter(name, "").Value())
+	}
+
+	first := refineOnce(2)
+	for _, row := range rows {
+		want := row.of(first)
+		if want == 0 {
+			t.Errorf("%s: Stats says 0 — the run does not exercise this row", row.name)
+		}
+		if got := published(row.name, row.gauge); got != want {
+			t.Errorf("%s = %v, Stats says %v", row.name, got, want)
 		}
 	}
-	if got := reg.Gauge("refine_gain", "").Value(); got != st.Gain {
-		t.Errorf("refine_gain = %v, Stats says %v", got, st.Gain)
-	}
-	if got := reg.Gauge("migrate_cost", "").Value(); got != st.MigrationCost {
-		t.Errorf("migrate_cost = %v, Stats says %v", got, st.MigrationCost)
-	}
-	if got := reg.Gauge("fault_virtual_ticks", "").Value(); got != float64(st.Faults.VirtualTicks) {
-		t.Errorf("fault_virtual_ticks = %v, Stats says %d", got, st.Faults.VirtualTicks)
+	second := refineOnce(3)
+	for _, row := range rows {
+		want := row.of(second)
+		if !row.gauge {
+			want += row.of(first)
+		} else if want == row.of(first) {
+			t.Errorf("%s: both runs say %v — overwriting is not observable", row.name, want)
+		}
+		if got := published(row.name, row.gauge); got != want {
+			t.Errorf("%s after a second Refine = %v, want %v", row.name, got, want)
+		}
 	}
 }
 

@@ -115,7 +115,8 @@ type Config struct {
 	// mapping. A publish killed by the directory's own fault fabric is
 	// counted in Faults.PublishAborts and the previous epoch stays live —
 	// the next round's publish diffs against the directory's snapshot and
-	// catches it up. Nil skips the serving layer entirely.
+	// catches it up. It must serve g's vertex count over p.K ranks
+	// (checked on entry). Nil skips the serving layer entirely.
 	Directory *dir.Directory
 }
 
@@ -206,7 +207,7 @@ func (c Config) AragonConfig() aragon.Config {
 type Stats struct {
 	Master       int32     // server selected by Eq. 11
 	DRP          int       // effective degree of parallelism
-	Rounds       int       // refinement rounds (1 + shuffles)
+	Rounds       int       // refinement rounds executed (1 + shuffles unless an exchange abort ended shuffling)
 	GroupServers [][]int32 // per round, the server chosen for each group
 
 	PairsRefined int       // partition pairs refined across all rounds
@@ -272,11 +273,39 @@ func RefineIndexed(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg
 	return refine(g, p, c, cfg, ix)
 }
 
+// driver is one Refine call. Its methods are the rows of Algorithm 1 in
+// loop order — repairBoundary, selectServers, accountShipping,
+// resolveFates, refineWaves (with commitWave at every barrier),
+// publishEpoch, exchangeRegions, and sweepMigration after the last round —
+// each called from exactly one place, so a phase is timed by wrapping one
+// call. The phases that work the scheduler's shared state live beside it in
+// schedule.go. st is the one record of the run: phases write it, trace
+// events report it, and finish publishes the metrics from it.
+type driver struct {
+	g   *graph.Graph
+	p   *partition.Partitioning
+	ix  *partition.Index
+	sc  *scheduler
+	c   [][]float64
+	cfg Config // defaults applied
+	fab faultsim.Fabric
+	pol faultsim.Policy
+	clk *faultsim.Clock
+	tr  *obs.Tracer
+	mx  refineMetrics
+	rng *rand.Rand
+
+	groups     [][]int32 // the current grouping, reshuffled after every exchange
+	ps         []int64   // pooled incident-edge sums, reused per round
+	regionSize int64
+	st         Stats
+}
+
 func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config, ix *partition.Index) (Stats, error) {
 	// Refine is the driver boundary: it orchestrates the group servers
 	// and reports Stats.RefinementTime, but the clock never influences
-	// refinement decisions — the inner kernels (refineGroup,
-	// aragon.Refiner) are clock-free and paragonlint keeps them that way.
+	// refinement decisions — the inner kernels (aragon.Refiner) are
+	// clock-free and paragonlint keeps them that way.
 	//lint:ignore wallclock whole-run stopwatch for Stats.RefinementTime; never read by refinement decisions
 	start := time.Now()
 	if err := p.Validate(g); err != nil {
@@ -288,248 +317,204 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	if cfg.NodeOf != nil && int32(len(cfg.NodeOf)) < p.K {
 		return Stats{}, fmt.Errorf("paragon: NodeOf has %d entries for k=%d", len(cfg.NodeOf), p.K)
 	}
+	if cfg.Directory != nil {
+		// Checked here, not by the first publish: that one runs after round
+		// 0 has already committed its moves into p.
+		if s := cfg.Directory.Current(); s.NumVertices() != g.NumVertices() || s.K() != p.K {
+			return Stats{}, fmt.Errorf("paragon: Directory serves %d vertices over %d ranks, the decomposition has %d over %d",
+				s.NumVertices(), s.K(), g.NumVertices(), p.K)
+		}
+	}
 	cfg = cfg.WithDefaults(p.K)
-	k := p.K
-
-	var st Stats
-	st.DRP = cfg.DRP
-	st.Master = selectMaster(k, c)
-
-	if k < 2 {
+	st := Stats{DRP: cfg.DRP, Master: selectMaster(p.K, c)}
+	if p.K < 2 {
+		// Nothing to refine, so nothing to observe: no event, no metric.
 		//lint:ignore wallclock Stats.RefinementTime bookkeeping at the driver boundary
 		st.RefinementTime = time.Since(start)
 		return st, nil
 	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	orig := append([]int32(nil), p.Assign...)
-	maxLoad := partition.BalanceBound(g, k, cfg.MaxImbalance)
-
-	regionSize := cfg.RegionSize
-	if regionSize <= 0 {
-		regionSize = int64(1) << 26
+	d := &driver{g: g, p: p, ix: ix, c: c, cfg: cfg, tr: cfg.Trace, st: st}
+	if err := d.open(); err != nil {
+		return d.finish(start, fmt.Errorf("paragon: %w", err))
 	}
-	if n := int64(g.NumVertices()); regionSize > n && n > 0 {
-		regionSize = n
+	defer d.sc.close()
+	for round := int32(0); ; round++ {
+		d.tr.Emit(obs.Event{Kind: obs.KindRoundStart, Round: round, N: int64(len(d.groups))})
+		d.repairBoundary()
+		servers := d.selectServers()
+		d.accountShipping(round, servers)
+		roundTicks := d.resolveFates(round)
+		d.refineWaves(round, roundTicks)
+		if err := d.publishEpoch(round); err != nil {
+			return d.finish(start, err)
+		}
+		if int(round) == cfg.Shuffles || !d.exchangeRegions(round) {
+			break
+		}
+		ShuffleGroups(d.groups, d.rng, int(round))
 	}
-	st.ExchangeRegions = int((int64(g.NumVertices()) + regionSize - 1) / regionSize)
+	d.sweepMigration()
+	d.tr.Emit(obs.Event{Kind: obs.KindRefineEnd, Round: -1, N: int64(d.st.Moves), X: d.st.Gain})
+	return d.finish(start, nil)
+}
 
-	// The fault layer: nil fab is the fast path with zero overhead; an
-	// installed fabric is consulted at each fault point. Decisions are
-	// pure hashes of (seed, coordinates), so the parallel fan-out below
-	// can query it from any goroutine without losing determinism.
-	fab := cfg.FaultFabric()
-	pol := faultsim.DefaultPolicy()
-	clk := faultsim.NewClock()
-
-	// Observability (DESIGN.md §13): nil tracer/registry cost only these
-	// checks. Events below are emitted from this coordinator goroutine;
-	// the per-pair worker events are staged in per-worker bufs and
-	// committed in task order at each wave barrier (schedule.go).
-	tr := cfg.Trace
-	mx := newRefineMetrics(cfg.Metrics)
-	if tr != nil {
-		tr.SetClock(clk.Now)
-		tr.Emit(obs.Event{Kind: obs.KindRefineStart, Round: -1, A: st.Master, B: int32(cfg.DRP), N: int64(k)})
+// open builds what every round shares: the seeded grouping, the fault
+// fabric, and the scratch that is allocated once and reused by every
+// round — the index and the pair-level scheduler.
+func (d *driver) open() error {
+	g, p, cfg := d.g, d.p, d.cfg
+	d.rng = rand.New(rand.NewSource(cfg.Seed))
+	n := int64(g.NumVertices())
+	d.regionSize = cfg.RegionSize
+	if d.regionSize <= 0 {
+		d.regionSize = int64(1) << 26
 	}
+	if d.regionSize > n && n > 0 {
+		d.regionSize = n
+	}
+	d.st.ExchangeRegions = int((n + d.regionSize - 1) / d.regionSize)
 
-	groups := randomGrouping(k, cfg.DRP, rng)
+	// The fault layer: a nil fabric is the fast path with zero overhead; an
+	// installed one is consulted at each fault point. Decisions are pure
+	// hashes of (seed, coordinates), so no phase loses determinism by
+	// asking.
+	d.fab = cfg.FaultFabric()
+	d.pol = faultsim.DefaultPolicy()
+	d.clk = faultsim.NewClock()
+	// Observability (DESIGN.md §13): a nil tracer or registry is a no-op at
+	// every call. Phases emit from this coordinator goroutine; the per-pair
+	// worker events are staged per worker and committed in task order at
+	// each wave barrier (schedule.go).
+	d.mx = newRefineMetrics(cfg.Metrics)
+	d.tr.SetClock(d.clk.Now)
+	d.tr.Emit(obs.Event{Kind: obs.KindRefineStart, Round: -1, A: d.st.Master, B: int32(cfg.DRP), N: int64(p.K)})
+
+	d.groups = randomGrouping(p.K, cfg.DRP, d.rng)
 	// One incrementally maintained index serves every round: each wave
 	// barrier applies the wave's kept moves through it, so boundary
 	// counts, bucket membership, and incident-edge sums stay current
 	// without per-round full-graph rebuilds or per-pair full-graph scans.
 	// RefineIndexed callers supply a live index and skip the build.
-	if ix == nil {
-		ix = partition.BuildIndex(g, p)
+	if d.ix == nil {
+		d.ix = partition.BuildIndex(g, p)
 	}
-	// The pair-level scheduler (schedule.go): one shared shadow of the
-	// master, the wave-start neighbor profile, the partition loads,
-	// per-worker refiners and move arenas, and the sharded O(|V|) sweeps —
-	// all scratch allocated once here and reused by every round.
-	sc, err := newScheduler(g, p, ix, c, orig, maxLoad, cfg)
-	if err != nil {
-		return st, fmt.Errorf("paragon: %w", err)
-	}
-	defer sc.close()
-	serverOf := make([]int32, k) // partition -> its group's server this round
-	ps := make([]int64, 0, k)    // pooled incident-edge sums, reused per round
-	st.Rounds = 1 + cfg.Shuffles
-	for round := 0; round < st.Rounds; round++ {
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindRoundStart, Round: int32(round), N: int64(len(groups))})
-		}
-		// Group-server selection (Eq. 10) from the maintained
-		// incident-edge sums — no rescan.
-		ps = ix.AppendIncidentEdges(ps[:0])
-		servers := SelectGroupServers(groups, ps, c, cfg.NodeOf, cfg.DRP)
-		st.GroupServers = append(st.GroupServers, servers)
+	orig := append([]int32(nil), p.Assign...)
+	var err error
+	d.sc, err = newScheduler(g, p, d.ix, d.c, orig, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg)
+	return err
+}
 
-		// Volume accounting: every member partition ships its k-hop
-		// boundary set to the group server (the server's own partition
-		// stays put). Sharded over the worker pool with per-shard
-		// accumulators reduced in shard order.
-		sc.allowedMask(cfg.KHop)
-		for i := range serverOf {
-			serverOf[i] = -1
-		}
-		for gi, grp := range groups {
-			for _, pi := range grp {
-				serverOf[pi] = servers[gi]
-			}
-		}
-		shipped, edges := sc.shipAccounting(serverOf)
-		st.BoundaryShipped += shipped
-		st.ShippedEdgeVolume += edges
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindShipAccounted, Round: int32(round), N: shipped, M: edges})
-		}
-		mx.shipVerts.Add(shipped)
-		mx.shipEdges.Add(edges)
-
-		// Fault fates are resolved up front: the injector's decisions are
-		// pure hashes of (seed, round, group), so a crashed or dropped
-		// group is known before any pair runs and none of its pairs is
-		// ever scheduled — equivalent to the real system discarding a
-		// degraded server's entire round, wherever its pairs would have
-		// sat in the tournament.
-		var roundTicks int64
-		degraded := false
-		sc.live = sc.live[:0]
-		for gi := range groups {
-			if fab != nil {
-				if fab.CrashGroup(round, gi) {
-					// A crashed server never answers; the master burns
-					// the whole round timeout discovering that.
-					st.Faults.CrashedGroups++
-					st.Faults.DegradedGroups++
-					degraded = true
-					if tr != nil {
-						tr.Emit(obs.Event{Kind: obs.KindGroupCrashed, Round: int32(round), A: int32(gi)})
-					}
-					mx.crashedGroups.Inc()
-					continue
-				}
-				dur := 1 + fab.GroupDelay(round, gi)
-				if dur > pol.RoundTimeout {
-					// Straggler past the timeout: its moves arrive after
-					// the round committed and are discarded.
-					st.Faults.StragglerDrops++
-					st.Faults.DegradedGroups++
-					degraded = true
-					if tr != nil {
-						tr.Emit(obs.Event{Kind: obs.KindGroupStraggler, Round: int32(round), A: int32(gi), N: dur})
-					}
-					mx.stragglerDrops.Inc()
-					continue
-				}
-				if dur > roundTicks {
-					roundTicks = dur
-				}
-			}
-			sc.live = append(sc.live, int32(gi))
-		}
-		if degraded {
-			roundTicks = pol.RoundTimeout
-		}
-
-		// Pair-parallel refinement of the surviving groups against the
-		// live shadow of the master (DESIGN.md §12, §14): tournament
-		// waves of disjoint pairs, foreign vertices seen through the
-		// wave-start profile, kept moves recorded per task and replayed
-		// into the master at each wave barrier in task order (fixed-order
-		// float gain summation).
-		sc.buildSchedule(groups)
-		roundMoves, roundGain := sc.runRound(int32(round), &st)
-		clk.Advance(roundTicks)
-
-		st.RoundGains = append(st.RoundGains, roundGain)
-		mx.rounds.Inc()
-		mx.pairs.Add(int64(len(sc.tasks)))
-		mx.moves.Add(int64(roundMoves))
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindRoundEnd, Round: int32(round), N: int64(roundMoves), X: roundGain})
-		}
-
-		// Serving-layer publish: the committed round becomes one whole
-		// directory epoch. The directory runs its own fault fabric; an
-		// aborted flip leaves the previous epoch live, and the diff of
-		// the next round's publish resynchronizes it.
-		if cfg.Directory != nil {
-			switch _, err := cfg.Directory.PublishAssign(p.Assign); {
-			case err == nil:
-				st.DirectoryEpochs++
-			case errors.Is(err, dir.ErrPublishFailed):
-				st.Faults.PublishAborts++
-			default:
-				return st, fmt.Errorf("paragon: directory publish after round %d: %w", round, err)
-			}
-		}
-
-		if round+1 < st.Rounds {
-			// The chunked location exchange of §5: every group server
-			// learns the up-to-date location of all vertices, region by
-			// region — O(|V|) traffic per shuffle (4 bytes per entry).
-			// Under a fault fabric each region reduce may be dropped: it
-			// is retransmitted after a capped exponential backoff, and a
-			// region dropped beyond the retry budget ends shuffle
-			// refinement early — the rounds already committed stand.
-			nV := int64(g.NumVertices())
-			exchangeOK := true
-			for region := 0; region < st.ExchangeRegions && exchangeOK; region++ {
-				lo := int64(region) * regionSize
-				hi := lo + regionSize
-				if hi > nV {
-					hi = nV
-				}
-				bytes, retries, ok := faultsim.Deliver(fab, pol, clk, round, region, (hi-lo)*4,
-					func(attempt int, b int64) {
-						st.Faults.ExchangeRetries++
-						mx.exchangeRetries.Inc()
-						st.Faults.BackoffTicks += b
-						mx.backoffTicks.Add(b)
-						if tr != nil {
-							tr.Emit(obs.Event{Kind: obs.KindRegionRetry, Round: int32(round),
-								A: int32(region), B: int32(attempt), N: b})
-						}
-					})
-				st.LocationExchangeBytes += bytes // lost attempts spent theirs too
-				mx.exchangeBytes.Add(bytes)
-				if !ok {
-					st.Faults.ExchangeAborts++
-					mx.exchangeAborts.Inc()
-					if tr != nil {
-						tr.Emit(obs.Event{Kind: obs.KindRegionAbort, Round: int32(round),
-							A: int32(region), B: int32(retries + 1)})
-					}
-					exchangeOK = false
-				} else if tr != nil {
-					tr.Emit(obs.Event{Kind: obs.KindRegionSent, Round: int32(round),
-						A: int32(region), N: bytes, M: int64(retries)})
-				}
-			}
-			if !exchangeOK {
-				st.Rounds = round + 1
-				break
-			}
-			ShuffleGroups(groups, rng, round)
-		}
-	}
-	st.Faults.VirtualTicks = clk.Now()
-	mx.virtualTicks.Set(float64(st.Faults.VirtualTicks))
-
-	// Final bookkeeping: physical data migration plan vs. the input,
-	// sharded with the float partials reduced in shard order.
-	st.MigratedVertices, st.MigrationCost = sc.migrationSweep()
-	mx.migratedVerts.Add(st.MigratedVertices)
-	mx.migrationCost.Set(st.MigrationCost)
-	mx.gain.Set(st.Gain)
-	if tr != nil {
-		tr.Emit(obs.Event{Kind: obs.KindMigrationSweep, Round: -1, N: st.MigratedVertices, X: st.MigrationCost})
-		tr.Emit(obs.Event{Kind: obs.KindRefineEnd, Round: -1, N: int64(st.Moves), X: st.Gain})
-	}
+// finish is the way out of every Refine that got past validation with
+// something to refine: the Stats-mirroring metrics are written here, once,
+// from Stats (observe.go).
+func (d *driver) finish(start time.Time, err error) (Stats, error) {
+	d.st.Faults.VirtualTicks = d.clk.Now()
+	publishStats(d.cfg.Metrics, &d.st)
 	//lint:ignore wallclock Stats.RefinementTime bookkeeping at the driver boundary
-	st.RefinementTime = time.Since(start)
-	return st, nil
+	d.st.RefinementTime = time.Since(start)
+	return d.st, err
+}
+
+// selectServers picks each group's server (Eq. 10) from the maintained
+// incident-edge sums — no rescan.
+func (d *driver) selectServers() []int32 {
+	d.ps = d.ix.AppendIncidentEdges(d.ps[:0])
+	servers := SelectGroupServers(d.groups, d.ps, d.c, d.cfg.NodeOf, d.cfg.DRP)
+	d.st.GroupServers = append(d.st.GroupServers, servers)
+	return servers
+}
+
+// resolveFates fills sc.live with the groups that survive the round and
+// returns the round's length in virtual ticks. Fault fates are resolved up
+// front: the injector's decisions are pure hashes of (seed, round, group),
+// so a crashed or dropped group is known before any pair runs and none of
+// its pairs is ever scheduled — equivalent to the real system discarding a
+// degraded server's entire round, wherever its pairs would have sat in the
+// tournament.
+func (d *driver) resolveFates(round int32) (roundTicks int64) {
+	live := d.sc.live[:0]
+	for gi := range d.groups {
+		if d.fab != nil {
+			if d.fab.CrashGroup(int(round), gi) {
+				// A crashed server never answers; the master burns the
+				// whole round timeout discovering that.
+				d.st.Faults.CrashedGroups++
+				d.tr.Emit(obs.Event{Kind: obs.KindGroupCrashed, Round: round, A: int32(gi)})
+				continue
+			}
+			dur := 1 + d.fab.GroupDelay(int(round), gi)
+			if dur > d.pol.RoundTimeout {
+				// Straggler past the timeout: its moves arrive after the
+				// round committed and are discarded.
+				d.st.Faults.StragglerDrops++
+				d.tr.Emit(obs.Event{Kind: obs.KindGroupStraggler, Round: round, A: int32(gi), N: dur})
+				continue
+			}
+			if dur > roundTicks {
+				roundTicks = dur
+			}
+		}
+		live = append(live, int32(gi))
+	}
+	d.sc.live = live
+	if degraded := len(d.groups) - len(live); degraded > 0 {
+		d.st.Faults.DegradedGroups += degraded
+		roundTicks = d.pol.RoundTimeout
+	}
+	return roundTicks
+}
+
+// publishEpoch makes the committed round one whole epoch of the serving
+// layer. The directory runs its own fault fabric; an aborted flip leaves
+// the previous epoch live, and the diff of the next round's publish
+// resynchronizes it.
+func (d *driver) publishEpoch(round int32) error {
+	if d.cfg.Directory == nil {
+		return nil
+	}
+	switch _, err := d.cfg.Directory.PublishAssign(d.p.Assign); {
+	case err == nil:
+		d.st.DirectoryEpochs++
+	case errors.Is(err, dir.ErrPublishFailed):
+		d.st.Faults.PublishAborts++
+	default:
+		return fmt.Errorf("paragon: directory publish after round %d: %w", round, err)
+	}
+	return nil
+}
+
+// exchangeRegions is the chunked location exchange of §5: every group
+// server learns the up-to-date location of all vertices, region by region
+// — O(|V|) traffic per shuffle (4 bytes per entry). Under a fault fabric
+// each region reduce may be dropped: it is retransmitted after a capped
+// exponential backoff, and a region dropped beyond the retry budget ends
+// shuffle refinement early (false) — the rounds already committed stand.
+func (d *driver) exchangeRegions(round int32) bool {
+	nV := int64(d.g.NumVertices())
+	for region := 0; region < d.st.ExchangeRegions; region++ {
+		lo := int64(region) * d.regionSize
+		hi := lo + d.regionSize
+		if hi > nV {
+			hi = nV
+		}
+		bytes, retries, ok := faultsim.Deliver(d.fab, d.pol, d.clk, int(round), region, (hi-lo)*4,
+			func(attempt int, b int64) {
+				d.st.Faults.ExchangeRetries++
+				d.st.Faults.BackoffTicks += b
+				d.tr.Emit(obs.Event{Kind: obs.KindRegionRetry, Round: round,
+					A: int32(region), B: int32(attempt), N: b})
+			})
+		d.st.LocationExchangeBytes += bytes // lost attempts spent theirs too
+		if !ok {
+			d.st.Faults.ExchangeAborts++
+			d.tr.Emit(obs.Event{Kind: obs.KindRegionAbort, Round: round,
+				A: int32(region), B: int32(retries + 1)})
+			return false
+		}
+		d.tr.Emit(obs.Event{Kind: obs.KindRegionSent, Round: round,
+			A: int32(region), N: bytes, M: int64(retries)})
+	}
+	return true
 }
 
 // RefineUniform runs PARAGON with a uniform cost matrix — the

@@ -132,7 +132,6 @@ type scheduler struct {
 	// discipline as the move arenas, and the reason the trace is
 	// bit-identical across worker counts.
 	trace *obs.Tracer
-	mx    refineMetrics
 	round int32
 	ebufs []obs.Buf
 
@@ -157,7 +156,7 @@ type scheduler struct {
 	diff     *partition.Bitset // v set iff pm.Assign[v] != orig[v]
 	boundary []int32           // AppendSet scratch for the k-hop path
 	frontier []int32           // ExpandFrontier scratch for the k-hop path
-	serverOf []int32           // partition -> group server, set by the caller
+	serverOf []int32           // partition -> its group's server this round, -1 outside every group
 
 	shipVerts []int64
 	shipEdges []int64
@@ -190,11 +189,11 @@ func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Inde
 		arenas:   make([][]aragon.Move, w),
 
 		trace: cfg.Trace,
-		mx:    newRefineMetrics(cfg.Metrics),
 		ebufs: make([]obs.Buf, w),
 
-		bmask: partition.NewBitset(n),
-		diff:  partition.NewBitset(n),
+		bmask:    partition.NewBitset(n),
+		diff:     partition.NewBitset(n),
+		serverOf: make([]int32, pm.K),
 
 		shipVerts: make([]int64, sweepShards),
 		shipEdges: make([]int64, sweepShards),
@@ -331,22 +330,17 @@ func AppendTournamentRound(dst [][2]int32, group []int32, t int) [][2]int32 {
 	return dst
 }
 
-// runRound executes the current schedule against the live shadow, wave
-// by wave, and commits at every barrier: the coordinator replays each
-// task's kept moves, in task order, into the wave-start profile and the
-// master index — a delta patch over the move log, never a full copy —
-// and reduces the task's result into st, the fixed-order float summation
-// of the determinism contract. Each vertex is moved by at most one pair
-// per wave (disjoint partitions), so this is a plain replay and
-// pm.Assign[v] is still v's wave-start owner when its move is reached.
-// The move log also feeds the two delta structures of the sweeps: the
-// dirty list (moved vertices + neighbors, whose boundary status the next
-// mask refresh re-evaluates) and the diff bitset (vertices whose owner
-// differs from the original decomposition, walked by the final migration
-// sweep). Staged trace events are committed at the same barrier, also in
-// task order.
-func (sc *scheduler) runRound(round int32, st *Stats) (roundMoves int, roundGain float64) {
+// refineWaves is the pair-parallel refinement of the surviving groups
+// against the live shadow of the master (DESIGN.md §12, §14): tournament
+// waves of disjoint pairs, foreign vertices seen through the wave-start
+// profile, every wave committed at its barrier. The round then costs
+// roundTicks of virtual time and is counted in Stats.
+func (d *driver) refineWaves(round int32, roundTicks int64) {
+	sc := d.sc
 	sc.round = round
+	sc.buildSchedule(d.groups)
+	d.st.RoundGains = append(d.st.RoundGains, 0)
+	roundMoves := 0
 	for t := 0; t+1 < len(sc.waves); t++ {
 		lo, hi := sc.waves[t], sc.waves[t+1]
 		if lo == hi {
@@ -356,50 +350,61 @@ func (sc *scheduler) runRound(round int32, st *Stats) (roundMoves int, roundGain
 			sc.arenas[w] = sc.arenas[w][:0]
 			sc.ebufs[w].Reset()
 		}
-		if sc.trace != nil {
-			sc.trace.Emit(obs.Event{Kind: obs.KindWaveScheduled, Round: round,
-				A: int32(t), N: int64(hi - lo)})
-		}
+		d.tr.Emit(obs.Event{Kind: obs.KindWaveScheduled, Round: round, A: int32(t), N: int64(hi - lo)})
 		sc.dispatch(span{kind: kindPairs, lo: lo, hi: hi})
-		waveMoves := 0
-		for ti := lo; ti < hi; ti++ {
-			res := sc.results[ti]
-			st.PairsRefined++
-			st.Moves += res.Moves
-			st.Gain += res.Gain
-			roundGain += res.Gain
-			waveMoves += res.Moves
-			sc.mx.pairMoves.Observe(int64(res.Moves))
-			for _, mv := range sc.taskMoves(ti) {
-				old := sc.pm.Assign[mv.V]
-				adj := sc.g.Neighbors(mv.V)
-				ew := sc.g.EdgeWeights(mv.V)
-				ew = ew[:len(adj)]
-				for i, u := range adj {
-					sc.profile.MoveNeighbor(u, old, mv.To, int64(ew[i]))
-				}
-				sc.ix.Move(mv.V, mv.To)
-				sc.diff.SetTo(mv.V, mv.To != sc.orig[mv.V])
-				sc.dirty = append(sc.dirty, mv.V)
-				sc.dirty = append(sc.dirty, adj...)
-			}
-			if sc.trace != nil {
-				sp := sc.spans[ti]
-				sc.trace.CommitStaged(&sc.ebufs[sp.worker], int(sp.estart), int(sp.eend))
-			}
-		}
-		roundMoves += waveMoves
-		sc.mx.waves.Inc()
-		sc.mx.wavePairs.Observe(int64(hi - lo))
-		if sc.trace != nil {
-			sc.trace.Emit(obs.Event{Kind: obs.KindWaveCommitted, Round: round,
-				A: int32(t), N: int64(waveMoves)})
-		}
-		if testWaveSynced != nil {
-			testWaveSynced(sc, t, lo, hi)
-		}
+		roundMoves += d.commitWave(round, t, lo, hi)
 	}
-	return roundMoves, roundGain
+	d.clk.Advance(roundTicks)
+	d.st.Rounds++
+	d.tr.Emit(obs.Event{Kind: obs.KindRoundEnd, Round: round, N: int64(roundMoves), X: d.st.RoundGains[round]})
+}
+
+// commitWave is the wave barrier: the coordinator replays each task's
+// kept moves, in task order, into the wave-start profile and the master
+// index — a delta patch over the move log, never a full copy — and
+// reduces the task's result into Stats, the fixed-order float summation
+// of the determinism contract. Each vertex is moved by at most one pair
+// per wave (disjoint partitions), so this is a plain replay and
+// pm.Assign[v] is still v's wave-start owner when its move is reached.
+// The move log also feeds the two delta structures of the sweeps: the
+// dirty list (moved vertices + neighbors, whose boundary status the next
+// repairBoundary re-evaluates) and the diff bitset (vertices whose owner
+// differs from the original decomposition, walked by sweepMigration).
+// Staged trace events are committed at the same barrier, also in task
+// order. Returns the moves the wave put into the master.
+func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
+	sc := d.sc
+	for ti := lo; ti < hi; ti++ {
+		res := sc.results[ti]
+		d.st.PairsRefined++
+		d.st.Moves += res.Moves
+		d.st.Gain += res.Gain
+		d.st.RoundGains[round] += res.Gain
+		waveMoves += res.Moves
+		d.mx.pairMoves.Observe(int64(res.Moves))
+		for _, mv := range sc.taskMoves(ti) {
+			old := sc.pm.Assign[mv.V]
+			adj := sc.g.Neighbors(mv.V)
+			ew := sc.g.EdgeWeights(mv.V)
+			ew = ew[:len(adj)]
+			for i, u := range adj {
+				sc.profile.MoveNeighbor(u, old, mv.To, int64(ew[i]))
+			}
+			sc.ix.Move(mv.V, mv.To)
+			sc.diff.SetTo(mv.V, mv.To != sc.orig[mv.V])
+			sc.dirty = append(sc.dirty, mv.V)
+			sc.dirty = append(sc.dirty, adj...)
+		}
+		sp := sc.spans[ti]
+		d.tr.CommitStaged(&sc.ebufs[sp.worker], int(sp.estart), int(sp.eend))
+	}
+	d.mx.waves.Inc()
+	d.mx.wavePairs.Observe(int64(hi - lo))
+	d.tr.Emit(obs.Event{Kind: obs.KindWaveCommitted, Round: round, A: int32(t), N: int64(waveMoves)})
+	if testWaveSynced != nil {
+		testWaveSynced(sc, t, lo, hi)
+	}
+	return waveMoves
 }
 
 // runPairs refines this worker's share (static modulo assignment) of
@@ -434,15 +439,15 @@ func (sc *scheduler) taskMoves(ti int32) []aragon.Move {
 	return sc.arenas[sp.worker][sp.mstart:sp.mend]
 }
 
-// allowedMask refreshes and returns the movable-vertex mask of §5. The
-// boundary bitset is filled by one sharded full scan on the first call;
-// every later round only re-evaluates the commit log's dirty vertices —
-// a vertex's boundary status can change only when it or a neighbor
-// moves, so the refresh cost is proportional to the previous round's
-// moved volume, not |V|. The k-hop 0 default returns the boundary
-// bitset directly; a positive radius expands it with the BFS into the
-// separate kmask.
-func (sc *scheduler) allowedMask(kHop int) *partition.Bitset {
+// repairBoundary refreshes the movable-vertex mask of §5. The boundary
+// bitset is filled by one sharded full scan on the first round; every
+// later round only re-evaluates the commit log's dirty vertices — a
+// vertex's boundary status can change only when it or a neighbor moves,
+// so the refresh cost is proportional to the previous round's moved
+// volume, not |V|. The k-hop 0 default uses the boundary bitset directly;
+// a positive radius expands it with the BFS into the separate kmask.
+func (d *driver) repairBoundary() {
+	sc := d.sc
 	if !sc.maskInit {
 		sc.dispatch(span{kind: kindMask})
 		sc.maskInit = true
@@ -452,21 +457,20 @@ func (sc *scheduler) allowedMask(kHop int) *partition.Bitset {
 		}
 	}
 	sc.dirty = sc.dirty[:0]
-	if kHop <= 0 {
-		sc.mask = sc.bmask
-		return sc.mask
+	sc.mask = sc.bmask
+	if d.cfg.KHop <= 0 {
+		return
 	}
 	if sc.kmask == nil {
 		sc.kmask = partition.NewBitset(sc.g.NumVertices())
 	}
 	sc.boundary = sc.bmask.AppendSet(sc.boundary[:0])
-	sc.frontier = graph.ExpandFrontier(sc.g, sc.boundary, kHop, sc.frontier)
+	sc.frontier = graph.ExpandFrontier(sc.g, sc.boundary, d.cfg.KHop, sc.frontier)
 	sc.kmask.ClearAll()
 	for _, v := range sc.frontier {
 		sc.kmask.Set(v)
 	}
 	sc.mask = sc.kmask
-	return sc.mask
 }
 
 // runMaskShards fills this worker's word-aligned shards of the boundary
@@ -495,18 +499,29 @@ func (sc *scheduler) runMaskShards(w int) {
 	}
 }
 
-// shipAccounting runs the boundary-shipping volume sweep: every allowed
-// vertex whose partition's group server is a different partition is
-// shipped, with its half-edges. serverOf maps partition -> server (−1
-// for partitions outside every group).
-func (sc *scheduler) shipAccounting(serverOf []int32) (verts, edges int64) {
-	sc.serverOf = serverOf
+// accountShipping is the boundary-shipping volume sweep: every member
+// partition ships its k-hop boundary set, with its half-edges, to the
+// group server (the server's own partition stays put). Sharded over the
+// worker pool with per-shard accumulators reduced in shard order.
+func (d *driver) accountShipping(round int32, servers []int32) {
+	sc := d.sc
+	for i := range sc.serverOf {
+		sc.serverOf[i] = -1
+	}
+	for gi, grp := range d.groups {
+		for _, pi := range grp {
+			sc.serverOf[pi] = servers[gi]
+		}
+	}
 	sc.dispatch(span{kind: kindShip})
+	var verts, edges int64
 	for s := 0; s < sweepShards; s++ {
 		verts += sc.shipVerts[s]
 		edges += sc.shipEdges[s]
 	}
-	return verts, edges
+	d.st.BoundaryShipped += verts
+	d.st.ShippedEdgeVolume += edges
+	d.tr.Emit(obs.Event{Kind: obs.KindShipAccounted, Round: round, N: verts, M: edges})
 }
 
 // runShipShards walks only the set bits of the movable mask — 64
@@ -529,14 +544,15 @@ func (sc *scheduler) runShipShards(w int) {
 	}
 }
 
-// migrationSweep computes the final migration plan vs. the input
+// sweepMigration computes the physical data migration plan vs. the input
 // decomposition by walking the maintained diff bitset — cost
 // proportional to migrated vertices (plus the O(|V|/64) word scan),
 // not |V|. The float partials are still accumulated per fixed shard and
 // reduced in shard order, emulating the historical sharded sweep's
 // summation association exactly, so the result is bit-identical to the
 // full-scan implementation at every worker count.
-func (sc *scheduler) migrationSweep() (int64, float64) {
+func (d *driver) sweepMigration() {
+	sc := d.sc
 	n := sc.g.NumVertices()
 	assign := sc.pm.Assign
 	var mv int64
@@ -552,5 +568,6 @@ func (sc *scheduler) migrationSweep() (int64, float64) {
 		mv += shardVerts
 		mc += shardCost
 	}
-	return mv, mc
+	d.st.MigratedVertices, d.st.MigrationCost = mv, mc
+	d.tr.Emit(obs.Event{Kind: obs.KindMigrationSweep, Round: -1, N: mv, X: mc})
 }

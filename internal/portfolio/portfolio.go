@@ -30,7 +30,6 @@ import (
 	"paragon/internal/detrand"
 	"paragon/internal/faultsim"
 	"paragon/internal/graph"
-	"paragon/internal/obs"
 	"paragon/internal/paragon"
 	"paragon/internal/partition"
 )
@@ -271,49 +270,4 @@ func runnerParams(cfg paragon.Config, g *graph.Graph, k int32) memberParams {
 		alpha:    cfg.Alpha,
 		maxLoad:  partition.BalanceBound(g, k, cfg.MaxImbalance),
 	}
-}
-
-// emitObservability commits the run's trace events and metrics from the
-// coordinator, in member-id order — the portfolio analogue of the
-// scheduler's task-order commit discipline. Nothing emitted depends on
-// Workers or on any stopwatch, so trace and metrics files are
-// byte-identical across worker counts.
-func emitObservability(cfg paragon.Config, st *Stats) {
-	if tr := cfg.Trace; tr != nil {
-		tr.Emit(obs.Event{Kind: obs.KindPortfolioStart, Round: -1,
-			N: int64(st.Size), M: int64(cfg.Portfolio.CombineTop)})
-		for m, ms := range st.Members {
-			if ms.Forfeited {
-				tr.Emit(obs.Event{Kind: obs.KindMemberForfeit, Round: -1, A: int32(m)})
-				continue
-			}
-			tr.Emit(obs.Event{Kind: obs.KindMemberRefined, Round: -1, A: int32(m),
-				N: int64(ms.Moves), X: ms.Score.Cost()})
-		}
-		if st.CombineDiff > 0 || st.CombineMoves > 0 {
-			tr.Emit(obs.Event{Kind: obs.KindPortfolioCombine, Round: -1,
-				N: int64(st.CombineDiff), M: int64(st.CombineMoves), X: st.CombinedScore.Cost()})
-		}
-		applied := int32(0)
-		if st.CombineApplied {
-			applied = 1
-		}
-		tr.Emit(obs.Event{Kind: obs.KindPortfolioSelect, Round: -1,
-			A: int32(st.Winner), B: applied, X: st.SelectedScore.Cost()})
-	}
-	mx := newPortfolioMetrics(cfg.Metrics)
-	mx.members.Add(int64(st.Size))
-	mx.forfeits.Add(int64(st.Forfeits))
-	for _, ms := range st.Members {
-		if !ms.Forfeited {
-			mx.memberMoves.Observe(int64(ms.Moves))
-		}
-	}
-	mx.combineDiff.Add(int64(st.CombineDiff))
-	mx.combineMoves.Add(int64(st.CombineMoves))
-	if st.CombineApplied {
-		mx.combineApplied.Inc()
-	}
-	mx.winner.Set(float64(st.Winner))
-	mx.selectedCost.Set(st.SelectedScore.Cost())
 }

@@ -326,12 +326,10 @@ func (s *Session) launchEpoch(seq int64, d dyn.Decision) {
 		})
 	}
 
-	if s.tr != nil {
-		s.tr.Emit(obs.Event{Kind: obs.KindEpochTrigger, Round: int32(seq),
-			A: int32(d.Code), X: triggerValue(d)})
-		s.tr.Emit(obs.Event{Kind: obs.KindEpochLaunch, Round: int32(seq),
-			A: int32(launch), N: s.snap.NumEdges()})
-	}
+	s.tr.Emit(obs.Event{Kind: obs.KindEpochTrigger, Round: int32(seq),
+		A: int32(d.Code), X: triggerValue(d)})
+	s.tr.Emit(obs.Event{Kind: obs.KindEpochLaunch, Round: int32(seq),
+		A: int32(launch), N: s.snap.NumEdges()})
 
 	run := &epochRun{
 		launch:    launch,
@@ -392,10 +390,8 @@ func (s *Session) joinEpoch(seq int64) (committed bool, err error) {
 		}
 		s.aborts++
 		s.mx.aborts.Inc()
-		if s.tr != nil {
-			s.tr.Emit(obs.Event{Kind: obs.KindEpochMerge, Round: int32(seq),
-				A: 0, N: s.dirc.Epoch(), M: int64(len(diff))})
-		}
+		s.tr.Emit(obs.Event{Kind: obs.KindEpochMerge, Round: int32(seq),
+			A: 0, N: s.dirc.Epoch(), M: int64(len(diff))})
 	}
 
 	if res.err != nil {
@@ -437,9 +433,7 @@ func (s *Session) joinEpoch(seq int64) (committed bool, err error) {
 	s.epochMoves += int64(len(diff))
 	s.mx.commits.Inc()
 	s.mx.moves.Add(int64(len(diff)))
-	if s.tr != nil {
-		s.tr.Emit(obs.Event{Kind: obs.KindEpochMerge, Round: int32(seq),
-			A: 1, N: s.dirc.Epoch(), M: int64(len(diff)), X: s.alpha * s.comm})
-	}
+	s.tr.Emit(obs.Event{Kind: obs.KindEpochMerge, Round: int32(seq),
+		A: 1, N: s.dirc.Epoch(), M: int64(len(diff)), X: s.alpha * s.comm})
 	return true, nil
 }

@@ -312,9 +312,7 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 	s.recomputeLive()
 	s.baseComm = s.comm
 
-	if s.tr != nil {
-		s.tr.SetClock(s.clock.Now)
-	}
+	s.tr.SetClock(s.clock.Now)
 
 	// Epoch-side mirror: the persistent index over the padded snapshot.
 	s.pidx = &partition.Partitioning{K: k, Assign: append([]int32(nil), s.live...)}

@@ -36,7 +36,7 @@ func Fennel(g *graph.Graph, k int32, opt Options) *partition.Partitioning {
 	pl := NewPlacer(PlaceFennel, k)
 	load := make([]float64, k)
 
-	for _, v := range streamOrder(g, opt.order(), opt.Seed) {
+	for _, v := range streamOrder(g, opt.Order, opt.Seed) {
 		vw := float64(g.VertexWeight(v))
 		best := pl.Place(g.Neighbors(v), g.EdgeWeights(v), p.Assign, load, vw, hardCap, alpha)
 		p.Assign[v] = best

@@ -22,18 +22,8 @@ type Options struct {
 	// Order selects the arrival sequence (default OrderNatural). The
 	// paper notes DG and LDG quality depends on arrival order.
 	Order Order
-	// Shuffle is a deprecated alias for Order = OrderRandom.
-	Shuffle bool
 	// Seed drives OrderRandom/OrderBFS/OrderDFS starts.
 	Seed int64
-}
-
-// order resolves the effective arrival order.
-func (o Options) order() Order {
-	if o.Shuffle && o.Order == OrderNatural {
-		return OrderRandom
-	}
-	return o.Order
 }
 
 // DefaultOptions returns the paper's defaults (2% imbalance, natural
@@ -98,7 +88,7 @@ func greedy(g *graph.Graph, k int32, opt Options, linear bool) *partition.Partit
 	pl := NewPlacer(rule, k)
 	load := make([]float64, k)
 
-	for _, v := range streamOrder(g, opt.order(), opt.Seed) {
+	for _, v := range streamOrder(g, opt.Order, opt.Seed) {
 		vw := float64(g.VertexWeight(v))
 		best := pl.Place(g.Neighbors(v), g.EdgeWeights(v), p.Assign, load, vw, capacity, 0)
 		p.Assign[v] = best

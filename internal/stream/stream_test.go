@@ -108,7 +108,7 @@ func TestGreedyAssignsEveryVertex(t *testing.T) {
 func TestShuffleChangesResult(t *testing.T) {
 	g := gen.Mesh2D(30, 30)
 	nat := DG(g, 4, Options{Eps: 0.02})
-	shuf := DG(g, 4, Options{Eps: 0.02, Shuffle: true, Seed: 99})
+	shuf := DG(g, 4, Options{Eps: 0.02, Order: OrderRandom, Seed: 99})
 	diff := 0
 	for v := range nat.Assign {
 		if nat.Assign[v] != shuf.Assign[v] {

@@ -52,6 +52,20 @@ func UMACluster(nodes int) *Cluster {
 	return c
 }
 
+// ClusterByName returns the preset the command-line tools call name —
+// "pitt", "gordon" or "uma" — with the given node count.
+func ClusterByName(name string, nodes int) (*Cluster, error) {
+	switch name {
+	case "pitt":
+		return PittCluster(nodes), nil
+	case "gordon":
+		return GordonCluster(nodes), nil
+	case "uma":
+		return UMACluster(nodes), nil
+	}
+	return nil, fmt.Errorf("unknown cluster %q", name)
+}
+
 // UniformMatrix returns a k×k matrix with cost 1 between every pair of
 // distinct partitions and 0 on the diagonal — the architecture-agnostic
 // assumption of classic partitioners and the UNIPARAGON baseline.

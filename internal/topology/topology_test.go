@@ -384,3 +384,21 @@ func TestDescribe(t *testing.T) {
 		t.Fatalf("Gordon Describe:\n%s", g)
 	}
 }
+
+func TestClusterByName(t *testing.T) {
+	for name, preset := range map[string]func(int) *Cluster{
+		"pitt": PittCluster, "gordon": GordonCluster, "uma": UMACluster,
+	} {
+		got, err := ClusterByName(name, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := preset(3); got.Name != want.Name || got.TotalCores() != want.TotalCores() {
+			t.Errorf("%s: got %s with %d cores, want %s with %d", name,
+				got.Name, got.TotalCores(), want.Name, want.TotalCores())
+		}
+	}
+	if _, err := ClusterByName("nope", 3); err == nil || !strings.Contains(err.Error(), `unknown cluster "nope"`) {
+		t.Errorf("unknown name: err = %v", err)
+	}
+}

@@ -21,7 +21,6 @@ package paragon
 
 import (
 	"io"
-	"os"
 
 	"paragon/internal/apps"
 	"paragon/internal/aragon"
@@ -65,14 +64,7 @@ func NewOverlay(g *Graph) *Overlay { return graph.NewOverlay(g) }
 func ReadMETIS(r io.Reader) (*Graph, error) { return graph.ReadMETIS(r) }
 
 // ReadMETISFile parses a METIS .graph file.
-func ReadMETISFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return graph.ReadMETIS(f)
-}
+func ReadMETISFile(path string) (*Graph, error) { return graph.ReadFile(path, "metis") }
 
 // WriteMETIS writes a graph in METIS format.
 func WriteMETIS(w io.Writer, g *Graph) error { return graph.WriteMETIS(w, g) }

@@ -133,6 +133,15 @@ if git grep -nwE 'frozen|roundLoads|commitRound' -- 'internal/paragon/*.go' ':!i
     echo "ci: a third scheduler view or a second move replay is back; commit at the wave barrier" >&2
     exit 1
 fi
+# One accounting path (DESIGN.md §13): Stats is the record, and the metrics
+# that mirror it are published from it on return, in observe.go. Neither
+# per-site metric writes in the driver nor a portfolio handle struct may
+# come back.
+if git grep -nE 'mx\.[a-zA-Z]+\.(Inc|Add|Set)\(' -- internal/paragon/paragon.go ||
+    git grep -nw 'portfolioMetrics' -- 'internal/portfolio/*.go'; then
+    echo "ci: a second metrics accounting path is back; publish from Stats (observe.go)" >&2
+    exit 1
+fi
 # Formatting: every tracked Go file outside the lint fixtures (whose
 # columns the lint tests may pin) is gofmt-clean.
 unformatted="$(git ls-files '*.go' ':!internal/lint/testdata' | xargs gofmt -l)"
