@@ -52,7 +52,7 @@ func BenchmarkRefinePairHot(b *testing.B) {
 					maxLoad := partition.BalanceBound(g, k, 0.02)
 					var profile *partition.NeighborProfile
 					if seeding == "profile" {
-						if profile, err = partition.BuildNeighborProfile(g, p0.Assign, k); err != nil {
+						if profile, err = partition.BuildNeighborProfile(g, p0.Assign, k, 1); err != nil {
 							b.Fatal(err)
 						}
 					}

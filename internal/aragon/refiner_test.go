@@ -36,7 +36,7 @@ func checkSeededGains(t *testing.T, g *graph.Graph, p *partition.Partitioning, o
 	if r.cUniform != uniform {
 		t.Fatalf("cost matrix detected as uniform = %v, want %v", r.cUniform, uniform)
 	}
-	np, err := partition.BuildNeighborProfile(g, p.Assign, p.K)
+	np, err := partition.BuildNeighborProfile(g, p.Assign, p.K, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestDeltaGainMatchesOracle(t *testing.T) {
 			ix := partition.BuildIndex(g, p)
 			shadow := ix.NewShadow()
 			cur := shadow.Partitioning()
-			profile, err := partition.BuildNeighborProfile(g, p.Assign, k)
+			profile, err := partition.BuildNeighborProfile(g, p.Assign, k, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,41 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("parsed graph invalid: %v", err)
+		}
+	})
+}
+
+// Constructor fuzzing: bytes become an edge set (vertex count, then
+// (u, v, w) triples; self-loops and repeats skipped), the rows are
+// shuffled, and the direct fill must equal the Builder freeze of the same
+// edges at one worker and at several.
+func FuzzFromSymmetricRows(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1})
+	f.Add([]byte{4, 0, 1, 1, 1, 2, 2, 2, 3, 3})
+	f.Add([]byte{40, 0, 1, 5, 0, 2, 5, 0, 3, 5, 0, 1, 9, 7, 7, 7, 39, 0, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			in = []byte{0}
+		}
+		n := int32(in[0])
+		s := newSymRows(n)
+		seed := int64(n)
+		for e := in[1:]; len(e) >= 3 && n > 0; e = e[3:] {
+			u, v, w := int32(e[0])%n, int32(e[1])%n, 1+int32(e[2])
+			seed = seed*131 + int64(e[2])
+			if u != v && !s.has(u, v) {
+				s.add(u, v, w)
+			}
+		}
+		s.shuffle(rand.New(rand.NewSource(seed)))
+		want := s.viaBuilder()
+		for _, workers := range []int{1, 4} {
+			got := s.freeze(workers)
+			requireSameCSR(t, got, want)
+			if err := got.Validate(); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 )
 
@@ -159,20 +160,36 @@ func (o *Overlay) NumEdges() int64 {
 }
 
 // Materialize flattens the overlay into a fresh immutable CSR graph,
-// carrying the base vertex weights and sizes.
+// carrying the base vertex weights and sizes. A row is the base row minus
+// its masked edges plus the added ones — symmetric and duplicate-free by
+// AddEdge's and RemoveEdge's own bookkeeping — so it goes through the
+// same direct fill as every other freeze.
 func (o *Overlay) Materialize() *Graph {
-	n := o.base.NumVertices()
-	bld := NewBuilder(n)
-	for v := int32(0); v < n; v++ {
-		bld.SetVertexWeight(v, o.base.VertexWeight(v))
-		bld.SetVertexSize(v, o.base.VertexSize(v))
-		o.ForEachNeighbor(v, func(u int32, w int32) {
-			if v < u {
-				bld.AddWeightedEdge(v, u, w)
-			}
-		})
+	// Masked base edges per endpoint: the degrees need them before any row
+	// is filled, and rows without one skip the per-neighbor map probes.
+	masked := make([]int32, o.base.NumVertices())
+	for key := range o.removed {
+		masked[key.a]++
+		masked[key.b]++
 	}
-	return bld.Build()
+	return FromSymmetricRows(o.base.NumVertices(), o.base.vwgt, o.base.vsize,
+		func(v int32) int32 { return o.base.Degree(v) - masked[v] + int32(len(o.added[v])) },
+		func(v int32, to, w []int32) {
+			i := 0
+			if masked[v] > 0 {
+				o.ForEachNeighbor(v, func(u, ew int32) {
+					to[i], w[i] = u, ew
+					i++
+				})
+				return
+			}
+			i = copy(to, o.base.Neighbors(v))
+			copy(w, o.base.EdgeWeights(v))
+			for _, he := range o.added[v] {
+				to[i], w[i] = he.to, he.w
+				i++
+			}
+		}, runtime.GOMAXPROCS(0))
 }
 
 // PendingChanges returns the number of overlay operations (added half

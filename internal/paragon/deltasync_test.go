@@ -147,7 +147,7 @@ func checkBarrierInvariant(t *testing.T, sc *scheduler, replay []int32) {
 	if !slices.Equal(sc.loads, sc.pm.Weights(sc.g)) {
 		t.Fatalf("round %d: loads %v, master weights %v", sc.round, sc.loads, sc.pm.Weights(sc.g))
 	}
-	want, err := partition.BuildNeighborProfile(sc.g, sc.pm.Assign, sc.pm.K)
+	want, err := partition.BuildNeighborProfile(sc.g, sc.pm.Assign, sc.pm.K, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ type scheduler struct {
 }
 
 func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Index, c [][]float64, orig []int32, maxLoad int64, cfg Config) (*scheduler, error) {
-	profile, err := partition.BuildNeighborProfile(g, pm.Assign, pm.K)
+	profile, err := partition.BuildNeighborProfile(g, pm.Assign, pm.K, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

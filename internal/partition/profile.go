@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"paragon/internal/graph"
 )
@@ -56,21 +57,41 @@ func segmentOffsets(n, k int32, deg func(v int32) int32) ([]int32, error) {
 
 // BuildNeighborProfile constructs the profile of g under assign in
 // O(|V| + |E|), with k the partition count. It fails when the table would
-// outgrow its int32 offsets (see segmentOffsets).
-func BuildNeighborProfile(g *graph.Graph, assign []int32, k int32) (*NeighborProfile, error) {
+// outgrow its int32 offsets (see segmentOffsets). Once the offsets are
+// laid out the segments are disjoint, so `workers` goroutines fill them
+// over vertex ranges of near-equal half-edge count, each with its own
+// accumulators: the table is byte-identical for every worker count.
+func BuildNeighborProfile(g *graph.Graph, assign []int32, k int32, workers int) (*NeighborProfile, error) {
 	n := g.NumVertices()
 	off, err := segmentOffsets(n, k, g.Degree)
 	if err != nil {
 		return nil, err
 	}
-	np := &NeighborProfile{off: off, end: make([]int32, n)}
-	total := off[n]
-	np.parts = make([]int32, total)
-	np.ws = make([]int64, total)
+	np := &NeighborProfile{
+		off:   off,
+		end:   make([]int32, n),
+		parts: make([]int32, off[n]),
+		ws:    make([]int64, off[n]),
+	}
+	bounds := g.VertexRanges(workers)
+	var wg sync.WaitGroup
+	for i := 0; i+1 < len(bounds); i++ {
+		wg.Add(1)
+		go func(lo, hi int32) {
+			defer wg.Done()
+			np.fill(g, assign, k, lo, hi)
+		}(bounds[i], bounds[i+1])
+	}
+	wg.Wait()
+	return np, nil
+}
+
+// fill builds the segments of the vertices in [lo, hi).
+func (np *NeighborProfile) fill(g *graph.Graph, assign []int32, k, lo, hi int32) {
 	buf := make([]int64, k)
 	mask := make([]uint64, MaskWords(k))
 	var tl []int32
-	for v := int32(0); v < n; v++ {
+	for v := lo; v < hi; v++ {
 		adj := g.Neighbors(v)
 		w := g.EdgeWeights(v)
 		w = w[:len(adj)]
@@ -82,13 +103,12 @@ func BuildNeighborProfile(g *graph.Graph, assign []int32, k int32) (*NeighborPro
 		tl = drainMask(mask, tl[:0])
 		base := int(np.off[v])
 		for i, q := range tl {
-			np.parts[base+i] = q
-			np.ws[base+i] = buf[q]
+			//lint:ignore sharedwrite v's segment [off[v], off[v+1]) belongs to the one worker whose [lo, hi) holds v
+			np.parts[base+i], np.ws[base+i] = q, buf[q]
 			buf[q] = 0
 		}
 		np.end[v] = int32(base + len(tl))
 	}
-	return np, nil
 }
 
 // Segment returns v's live entries — partitions ascending, each with its

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -25,7 +27,7 @@ func bruteProfile(g *graph.Graph, assign []int32, v, q int32) int64 {
 
 func mustProfile(t *testing.T, g *graph.Graph, assign []int32, k int32) *NeighborProfile {
 	t.Helper()
-	np, err := BuildNeighborProfile(g, assign, k)
+	np, err := BuildNeighborProfile(g, assign, k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +88,32 @@ func TestNeighborProfileBuildMatchesBruteForce(t *testing.T) {
 				for q := int32(0); q < tc.k; q++ {
 					if got, want := np.Get(v, q), bruteProfile(tc.g, p.Assign, v, q); got != want {
 						t.Fatalf("profile(%d,%d) = %d, want %d", v, q, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestNeighborProfileWorkersAgree pins the parallel fill: segments are
+// disjoint and every worker owns its accumulators, so the table must not
+// depend on how [0, n) was split.
+func TestNeighborProfileWorkersAgree(t *testing.T) {
+	for _, tc := range profileGraphs() {
+		t.Run(tc.name, func(t *testing.T) {
+			p := randomPartitioning(tc.g, tc.k, rand.New(rand.NewSource(17)))
+			want := mustProfile(t, tc.g, p.Assign, tc.k)
+			for _, workers := range []int{2, 8} {
+				got, err := BuildNeighborProfile(tc.g, p.Assign, tc.k, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSegments(t, tc.g, got, tc.k)
+				for v := int32(0); v < tc.g.NumVertices(); v++ {
+					gp, gw := got.Segment(v)
+					wp, ww := want.Segment(v)
+					if !slices.Equal(gp, wp) || !slices.Equal(gw, ww) {
+						t.Fatalf("workers=%d: segment of %d = %v/%v, one worker says %v/%v", workers, v, gp, gw, wp, ww)
 					}
 				}
 			}
@@ -167,7 +195,9 @@ func TestNeighborProfileReadsAgree(t *testing.T) {
 
 // TestSegmentOffsetsOverflow feeds the layout a synthetic degree
 // sequence whose table would need 2³¹ entries: it must be refused with
-// an error, not wrapped into negative int32 offsets.
+// an error, not wrapped into negative int32 offsets. BuildNeighborProfile
+// lays the offsets out before it allocates the table or starts a worker,
+// so the refusal is still the first thing a too-large build does.
 func TestSegmentOffsetsOverflow(t *testing.T) {
 	const n, k = 1 << 12, 1 << 20
 	hub := func(int32) int32 { return 1 << 19 } // n·2¹⁹ = 2³¹, one past MaxInt32
@@ -187,5 +217,25 @@ func TestSegmentOffsetsOverflow(t *testing.T) {
 	}
 	if off[n] != n*8 {
 		t.Fatalf("k-capped layout: total %d, want %d", off[n], n*8)
+	}
+}
+
+// BenchmarkBuildNeighborProfile measures the rebuild every Refine call
+// and every session epoch pays in newScheduler, on a power-law graph at
+// the churn workload's shape (avg degree 12, k = 32), at one worker and at
+// GOMAXPROCS.
+func BenchmarkBuildNeighborProfile(b *testing.B) {
+	const k = 32
+	g := gen.RMAT(200_000, 1_200_000, 0.57, 0.19, 0.19, 1)
+	p := randomPartitioning(g, k, rand.New(rand.NewSource(1)))
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildNeighborProfile(g, p.Assign, k, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

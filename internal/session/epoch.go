@@ -221,9 +221,10 @@ func (s *Session) placeArrival(a dyn.Arrival) bool {
 	}
 	v := s.active
 
-	// Resolve the arrival's valid neighbors: active, distinct, not v.
-	nbrs := make([]int32, 0, len(a.Neighbors))
-	wts := make([]int32, 0, len(a.Neighbors))
+	// Resolve the arrival's valid neighbors: active, distinct, not v. The
+	// two lists live in session scratch: the placer reads them and returns,
+	// and the edges are copied into adj below.
+	nbrs, wts := s.nbrBuf[:0], s.wtBuf[:0]
 	for i, u := range a.Neighbors {
 		if u < 0 || u >= s.active || u == v {
 			continue
@@ -245,6 +246,7 @@ func (s *Session) placeArrival(a dyn.Arrival) bool {
 		nbrs = append(nbrs, u)
 		wts = append(wts, w)
 	}
+	s.nbrBuf, s.wtBuf = nbrs, wts // keep what the appends grew
 
 	// Streaming capacity from the live totals: (1+eps)·ceil(W/k) like
 	// the batch partitioners, except W grows with the stream.

@@ -209,6 +209,8 @@ type Session struct {
 	dirtyList []int32
 	placed    []int32 // vertices placed since the last launch
 
+	nbrBuf, wtBuf []int32 // placeArrival's resolved-neighbor scratch
+
 	batches       int64
 	cooldownUntil int64
 	launches      int64
@@ -343,23 +345,19 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 }
 
 // materialize freezes the live graph into an immutable CSR snapshot over
-// the full capacity id space (inactive vertices isolated, weight 0).
+// the full capacity id space (inactive vertices isolated, weight 0 — so
+// they are invisible to Eq. 3/4 and to the refiner's balance bound). The
+// live adjacency is symmetric and duplicate-free by applyOp's and
+// placeArrival's own checks, so its rows are copied straight into the
+// snapshot by the refinement workers, all idle at every call site.
 func (s *Session) materialize() *graph.Graph {
-	b := graph.NewBuilder(s.cap)
-	b.Reserve(s.edges)
-	for v := int32(0); v < s.cap; v++ {
-		// Builder defaults every weight to 1; inactive vertices must carry
-		// 0 so they are invisible to Eq. 3/4 and to the refiner's balance
-		// bound.
-		b.SetVertexWeight(v, s.weight[v])
-		b.SetVertexSize(v, s.vsize[v])
-		for _, h := range s.adj[v] {
-			if v < h.to {
-				b.AddWeightedEdge(v, h.to, h.w)
+	return graph.FromSymmetricRows(s.cap, s.weight, s.vsize,
+		func(v int32) int32 { return int32(len(s.adj[v])) },
+		func(v int32, to, w []int32) {
+			for i, h := range s.adj[v] {
+				to[i], w[i] = h.to, h.w
 			}
-		}
-	}
-	return b.Build()
+		}, s.cfg.Refine.Workers)
 }
 
 // recomputeLive re-derives the cut and raw comm sum from the live

@@ -54,13 +54,27 @@ go test -race -cpu=1,4 ./internal/portfolio/
 # the replay tests assert bit-identity at both extremes, with faults on.
 go test -race -cpu=1,4 ./internal/session/
 
+# The two row-parallel fills under the race detector at GOMAXPROCS 1 and
+# 4: graph.FromSymmetricRows (every CSR freeze) and
+# partition.BuildNeighborProfile write disjoint row/segment regions of
+# shared arrays from per-range goroutines (DESIGN.md §18); their tests
+# assert the output is byte-identical at every worker count.
+go test -race -cpu=1,4 ./internal/graph/ ./internal/partition/
+
+# The direct CSR fill against the Builder reference on fuzzed edge sets,
+# for a fixed short time (the seed corpus alone runs in every `go test`).
+go test -run='^$' -fuzz=FuzzFromSymmetricRows -fuzztime=5s ./internal/graph/
+
 # The directory, the portfolio, and the session must sit inside
 # paragonlint's computed kernel set (the facade re-exports pull them
 # in) — if any drops out, the wallclock/sharedwrite/reduceorder checkers
 # silently stop covering it.
-"$lintdir/paragonlint" -kernel | grep -q '^paragon/internal/dir$'
-"$lintdir/paragonlint" -kernel | grep -q '^paragon/internal/portfolio$'
-"$lintdir/paragonlint" -kernel | grep -q '^paragon/internal/session$'
+# (Listed once into a variable: under pipefail, `paragonlint | grep -q`
+# fails whenever grep exits on its match before the writer is done.)
+kernel="$("$lintdir/paragonlint" -kernel)"
+for pkg in dir portfolio session; do
+    grep -q "^paragon/internal/$pkg\$" <<< "$kernel"
+done
 
 # Obs determinism end to end: the same seeded faulty run at -workers 1
 # and 8 must serialize byte-identical trace and metrics files — the
@@ -140,6 +154,13 @@ fi
 if git grep -nE 'mx\.[a-zA-Z]+\.(Inc|Add|Set)\(' -- internal/paragon/paragon.go ||
     git grep -nw 'portfolioMetrics' -- 'internal/portfolio/*.go'; then
     echo "ci: a second metrics accounting path is back; publish from Stats (observe.go)" >&2
+    exit 1
+fi
+# One freeze path (DESIGN.md §18): the session snapshot and the overlay
+# are frozen by graph.FromSymmetricRows straight from their adjacency. A
+# Builder staging loop must not come back to either.
+if git grep -n 'NewBuilder' -- 'internal/session/*.go' internal/graph/overlay.go ':!*_test.go'; then
+    echo "ci: a graph.Builder freeze is back; use graph.FromSymmetricRows" >&2
     exit 1
 fi
 # Formatting: every tracked Go file outside the lint fixtures (whose
