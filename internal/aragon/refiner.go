@@ -51,6 +51,7 @@ type Refiner struct {
 	slot    []int32 // vertex -> candidate slot + 1; 0 = not in current pair
 	cands   []int32
 	order   []uint64 // ⌈|V|/64⌉-word candidate-ordering bitmap, all-zero between uses
+	osum    []uint64 // its summary, one bit per word of order, all-zero between uses
 	h       floatHeap
 	dext    []int64  // sparse K-length external-degree scratch, all-zero between uses
 	dmask   []uint64 // ⌈K/64⌉-word touched-partition bitmap, all-zero between uses
@@ -109,13 +110,15 @@ type moveRec struct {
 // pairs (and across the rollback of non-improving suffixes).
 func NewRefiner(g *graph.Graph, ix partition.PairIndexer, cfg Config) *Refiner {
 	p := ix.Partitioning()
+	orderWords := partition.MaskWords(g.NumVertices())
 	return &Refiner{
 		g:     g,
 		p:     p,
 		ix:    ix,
 		cfg:   cfg.WithDefaults(),
 		slot:  make([]int32, g.NumVertices()),
-		order: scratchWords[uint64](partition.MaskWords(g.NumVertices())),
+		order: scratchWords[uint64](orderWords),
+		osum:  scratchWords[uint64](partition.MaskWords(int32(orderWords))),
 		h:     newFloatHeap(64),
 		dext:  scratchWords[int64](int(p.K)),
 		dmask: scratchWords[uint64](partition.MaskWords(p.K)),
@@ -168,7 +171,7 @@ func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []
 		r.cUniform = uniformOffDiag(c)
 	}
 	r.cands = r.ix.AppendPairUnsorted(r.cands[:0], pi, pj, allowed)
-	partition.SortCandidates(r.cands, r.order)
+	partition.SortCandidates(r.cands, r.order, r.osum)
 	n := len(r.cands)
 	if n == 0 {
 		return Result{PairsSeen: 1}

@@ -197,6 +197,7 @@ func TestDeltaGainMatchesOracle(t *testing.T) {
 			for v := int32(0); v < n; v++ {
 				all.Set(v)
 			}
+			shadow.Sync(all, all.AppendSet(nil))
 			loads := p.Weights(g)
 			testMoveApplied = oracle(t, func(u, pi, pj int32) int32 {
 				if a := p.Assign[u]; a != pi && a != pj {

@@ -9,8 +9,10 @@ import (
 	"paragon/internal/faultsim"
 	"paragon/internal/gen"
 	"paragon/internal/graph"
+	"paragon/internal/metis"
 	"paragon/internal/obs"
 	"paragon/internal/stream"
+	"paragon/internal/topology"
 )
 
 // The refinement benchmarks run on a 100k-vertex power-law graph, the
@@ -81,6 +83,35 @@ func benchParagonRound(b *testing.B, faultLayer, observed bool) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkParagonRoundMesh is the other end of the input space: a
+// 160k-vertex mesh METIS already partitioned well, so 2 % of the vertices
+// are boundary, few pairs move anything, and what a Refine costs is what
+// it does per vertex and per bucket member rather than per candidate —
+// the shape of bench/'s mesh1m_metis_k32 at a size a unit run affords.
+// B/op and ns/op here are the in-tree reading of "pay for the boundary,
+// not the graph" (DESIGN.md §14): BuildIndex, the shadow and the mask
+// still scale with |V|, the profile and the candidate gather must not.
+func BenchmarkParagonRoundMesh(b *testing.B) {
+	const k = 32
+	g := gen.Mesh2D(400, 400)
+	p0 := metis.Partition(g, k, metis.Options{Seed: 1})
+	c, err := topology.GordonCluster(2).PartitionCostMatrix(k, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := p0.Clone()
+		b.StartTimer()
+		if _, err := Refine(g, p, c, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

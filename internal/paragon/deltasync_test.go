@@ -18,8 +18,11 @@ import (
 // scratch: the master — patched only from the move log — equals a full
 // copy of the input with the waves' kept moves replayed in task order,
 // its index validates against a rebuild, the shadow's view equals the
-// master, the scheduler's loads equal the master's partition weights, and
-// the wave-start neighbor profile equals one built over the master.
+// master and its bucket prefixes are the movable members, the scheduler's
+// loads equal the master's partition weights, every movable vertex has a
+// profile segment, and every segment equals the one a table built over
+// the master for all vertices holds. The state repairBoundary leaves
+// before a round's first wave is held to the same.
 // Asserted at Workers 1, 2 and 8, over both profile seedings (two lookups
 // under a uniform matrix, the segment walk under an arch-aware one), with
 // a quarter of the groups degraded by the fault layer, and with one
@@ -88,7 +91,9 @@ func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
 				replay := slices.Clone(p.Assign)
 				waves := 0
 				testWaveSynced = func(sc *scheduler, wave int, lo, hi int32) {
-					waves++
+					if wave >= 0 {
+						waves++
+					}
 					for ti := lo; ti < hi; ti++ {
 						for _, mv := range sc.taskMoves(ti) {
 							if sc.round == 0 && (inUntouched[replay[mv.V]] || inUntouched[mv.To]) {
@@ -116,6 +121,79 @@ func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPairCandidatesMatchScan holds the fast candidate path of a real
+// Refine to a scan that shares nothing with it. At the start of every
+// round the oracle derives the movable mask on its own — the O(|V|·deg)
+// boundary definition, expanded by graph.ExpandFrontier — and demands the
+// scheduler's mask be that set; at that point and at every wave barrier
+// it enumerates, for each pair of the wave about to run, every vertex of
+// the two partitions under the master assignment whose oracle bit is set,
+// and demands exactly that list from the shadow's prefix copy ordered by
+// SortCandidates. Index, Shadow, NeighborProfile and the mask repair
+// appear on one side only. K-hop 0 and 1, Workers 1/2/8, with a third of
+// the groups degraded so schedules with holes are covered.
+func TestPairCandidatesMatchScan(t *testing.T) {
+	defer func() { testWaveSynced = nil }()
+	for _, khop := range []int{0, 1} {
+		for _, workers := range []int{1, 2, 8} {
+			g, p, c := archAwareInput(t)
+			n := g.NumVertices()
+			movable := make([]bool, n) // the oracle's mask for the current round
+			words := make([]uint64, partition.MaskWords(n))
+			summary := make([]uint64, partition.MaskWords(int32(len(words))))
+			pairs, candidates := 0, 0
+			testWaveSynced = func(sc *scheduler, wave int, _, _ int32) {
+				if wave < 0 {
+					var boundary []int32
+					for v := int32(0); v < n; v++ {
+						if partition.IsBoundary(g, sc.pm, v) {
+							boundary = append(boundary, v)
+						}
+					}
+					clear(movable)
+					for _, v := range graph.ExpandFrontier(g, boundary, khop, nil) {
+						movable[v] = true
+					}
+					for v := int32(0); v < n; v++ {
+						if sc.mask.Get(v) != movable[v] {
+							t.Fatalf("khop=%d workers=%d round %d: mask bit of %d is %v, the scan says %v",
+								khop, workers, sc.round, v, sc.mask.Get(v), movable[v])
+						}
+					}
+				}
+				if wave+2 >= len(sc.waves) {
+					return // the round's last barrier: no wave left to enumerate for
+				}
+				for _, task := range sc.tasks[sc.waves[wave+1]:sc.waves[wave+2]] {
+					var want []int32
+					for v := int32(0); v < n; v++ {
+						if a := sc.pm.Assign[v]; (a == task.pi || a == task.pj) && movable[v] {
+							want = append(want, v)
+						}
+					}
+					got := sc.shadow.AppendPairUnsorted(nil, task.pi, task.pj, sc.mask)
+					partition.SortCandidates(got, words, summary)
+					if !slices.Equal(got, want) {
+						t.Fatalf("khop=%d workers=%d round %d, before wave %d, pair (%d,%d): shadow lists %d candidates, the scan %d",
+							khop, workers, sc.round, wave+1, task.pi, task.pj, len(got), len(want))
+					}
+					pairs++
+					candidates += len(want)
+				}
+			}
+			st, err := Refine(g, p, c, Config{DRP: 4, Shuffles: 2, Seed: 5, KHop: khop, Workers: workers, FaultRate: 0.3, FaultSeed: 2})
+			testWaveSynced = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pairs != st.PairsRefined || candidates == 0 || st.Faults.DegradedGroups == 0 {
+				t.Fatalf("khop=%d workers=%d: %d pairs checked of %d refined, %d candidates, %d degraded groups; the oracle missed some",
+					khop, workers, pairs, st.PairsRefined, candidates, st.Faults.DegradedGroups)
+			}
+		}
 	}
 }
 
@@ -147,15 +225,29 @@ func checkBarrierInvariant(t *testing.T, sc *scheduler, replay []int32) {
 	if !slices.Equal(sc.loads, sc.pm.Weights(sc.g)) {
 		t.Fatalf("round %d: loads %v, master weights %v", sc.round, sc.loads, sc.pm.Weights(sc.g))
 	}
+	if err := sc.shadow.Validate(); err != nil {
+		t.Fatalf("round %d: %v", sc.round, err)
+	}
 	want, err := partition.BuildNeighborProfile(sc.g, sc.pm.Assign, sc.pm.K, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	materialized := 0
 	for v := int32(0); v < sc.g.NumVertices(); v++ {
-		for q := int32(0); q < sc.pm.K; q++ {
-			if got, exp := sc.profile.Get(v, q), want.Get(v, q); got != exp {
-				t.Fatalf("round %d: profile(%d,%d)=%d, rebuild says %d", sc.round, v, q, got, exp)
+		if !sc.profile.Materialized(v) {
+			if sc.mask.Get(v) {
+				t.Fatalf("round %d: movable vertex %d has no profile segment", sc.round, v)
 			}
+			continue
 		}
+		materialized++
+		gp, gw := sc.profile.Segment(v)
+		wp, ww := want.Segment(v)
+		if !slices.Equal(gp, wp) || !slices.Equal(gw, ww) {
+			t.Fatalf("round %d: segment of %d = %v/%v, the full table says %v/%v", sc.round, v, gp, gw, wp, ww)
+		}
+	}
+	if materialized == 0 {
+		t.Fatalf("round %d: no vertex is materialized; the profile check is vacuous", sc.round)
 	}
 }

@@ -27,11 +27,14 @@ package paragon
 //
 // Scaling discipline (DESIGN.md §14): all per-round sequential work is
 // proportional to *moved/boundary* vertices, never to |V|. The shared
-// shadow, the profile, and the boundary bitset are initialized once per
-// Refine and thereafter patched only from the move log — the barrier
-// commit leaves master and shadow bit-identical after every wave, so
-// nothing is ever re-copied. The remaining full sweeps (ship accounting,
-// migration sweep) walk bit-packed masks at 64 vertices per word.
+// shadow and the boundary bitset are initialized once per Refine and
+// thereafter patched only from the move log — the barrier commit leaves
+// master and shadow bit-identical after every wave, so nothing is ever
+// re-copied. What the pair kernel reads holds the movable vertices only:
+// the profile has a segment per vertex the mask ever admitted, and the
+// shadow keeps each bucket's movable members as a prefix. The remaining
+// full sweeps (ship accounting, migration sweep) walk bit-packed masks at
+// 64 vertices per word.
 //
 // The result is bit-identical to serial execution of the same schedule
 // for any Config.Workers, which TestSchedulerDeterminism asserts.
@@ -88,7 +91,9 @@ const (
 // testWaveSynced, consulted only when non-nil (set by scheduler tests,
 // from the coordinator goroutine, never concurrently with a running
 // Refine), fires at each wave barrier after the master absorbed the
-// wave's kept moves, with the wave's task range.
+// wave's kept moves, with the wave's task range — and once per round
+// before its first wave, as wave −1 with an empty range: the state
+// repairBoundary left is a barrier state too.
 var testWaveSynced func(sc *scheduler, wave int, lo, hi int32)
 
 // scheduler owns the shared state of one Refine call's parallel
@@ -101,15 +106,18 @@ var testWaveSynced func(sc *scheduler, wave int, lo, hi int32)
 //
 //	shadow view == pm.Assign (bucket membership == the master index's),
 //	loads == pm.Weights(g),
-//	profile == BuildNeighborProfile(g, pm.Assign, k).
+//	profile segment of v == that of a full table over pm.Assign, for
+//	    every materialized v — and every mask-set v is materialized,
+//	shadow bucket prefix of q == {v ∈ P_q : mask bit set}.
 //
-// newScheduler establishes it with one O(|V|) init; each wave barrier
-// restores it by replaying the wave's kept moves — which the refiners
-// already applied to the shadow and to loads (rolled-back moves were
-// undone through both before the barrier) — into the master index and
-// the profile. The master is therefore the wave-start view: every vertex
-// moves at most once per wave, so pm.Assign[v] at the barrier is still
-// the owner the wave started from.
+// newScheduler establishes the first two with one O(|V|) init and
+// repairBoundary the last two for the round's mask; each wave barrier
+// restores all four by replaying the wave's kept moves — which the
+// refiners already applied to the shadow and to loads (rolled-back moves
+// were undone through both before the barrier) — into the master index
+// and the profile. The master is therefore the wave-start view: every
+// vertex moves at most once per wave, so pm.Assign[v] at the barrier is
+// still the owner the wave started from.
 type scheduler struct {
 	g       *graph.Graph
 	pm      *partition.Partitioning // master (authoritative) partitioning
@@ -154,8 +162,8 @@ type scheduler struct {
 	maskInit bool
 	dirty    []int32           // moved vertices + neighbors since the last mask refresh
 	diff     *partition.Bitset // v set iff pm.Assign[v] != orig[v]
-	boundary []int32           // AppendSet scratch for the k-hop path
-	frontier []int32           // ExpandFrontier scratch for the k-hop path
+	frontier []int32           // k-hop > 0: the set bits of kmask, in discovery order
+	previous []int32           // k-hop > 0: last round's frontier, whose kmask bits this round's expansion cleared
 	serverOf []int32           // partition -> its group's server this round, -1 outside every group
 
 	shipVerts []int64
@@ -166,7 +174,9 @@ type scheduler struct {
 }
 
 func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Index, c [][]float64, orig []int32, maxLoad int64, cfg Config) (*scheduler, error) {
-	profile, err := partition.BuildNeighborProfile(g, pm.Assign, pm.K, cfg.Workers)
+	// Empty: repairBoundary materializes the movable vertices, round by
+	// round. A table too large for its offsets is still refused here.
+	profile, err := partition.NewNeighborProfile(g, pm.K)
 	if err != nil {
 		return nil, err
 	}
@@ -339,6 +349,9 @@ func (d *driver) refineWaves(round int32, roundTicks int64) {
 	sc := d.sc
 	sc.round = round
 	sc.buildSchedule(d.groups)
+	if testWaveSynced != nil {
+		testWaveSynced(sc, -1, 0, 0)
+	}
 	d.st.RoundGains = append(d.st.RoundGains, 0)
 	roundMoves := 0
 	for t := 0; t+1 < len(sc.waves); t++ {
@@ -439,38 +452,81 @@ func (sc *scheduler) taskMoves(ti int32) []aragon.Move {
 	return sc.arenas[sp.worker][sp.mstart:sp.mend]
 }
 
-// repairBoundary refreshes the movable-vertex mask of §5. The boundary
-// bitset is filled by one sharded full scan on the first round; every
-// later round only re-evaluates the commit log's dirty vertices — a
-// vertex's boundary status can change only when it or a neighbor moves,
-// so the refresh cost is proportional to the previous round's moved
-// volume, not |V|. The k-hop 0 default uses the boundary bitset directly;
-// a positive radius expands it with the BFS into the separate kmask.
+// repairBoundary refreshes the movable-vertex mask of §5 and brings what
+// the pair kernel reads in line with it. The boundary bitset is filled by
+// one sharded full scan on the first round; every later round only
+// re-evaluates the commit log's dirty vertices — a vertex's boundary
+// status can change only when it or a neighbor moves, so the refresh cost
+// is proportional to the previous round's moved volume, not |V|. The
+// k-hop 0 default uses the boundary bitset directly; a positive radius
+// expands it into the separate kmask. The vertices whose mask bit changed
+// are then handed to the shadow, which re-sorts them into or out of their
+// bucket's movable prefix, and to the profile, which gives those the mask
+// admits for the first time their segment, filled from the master.
 func (d *driver) repairBoundary() {
 	sc := d.sc
+	// dirty becomes the vertices whose boundary bit changed: every boundary
+	// vertex on the first round, afterwards what is left of the commit log
+	// once the vertices that kept their status are dropped from it.
 	if !sc.maskInit {
 		sc.dispatch(span{kind: kindMask})
 		sc.maskInit = true
+		sc.dirty = sc.bmask.AppendSet(sc.dirty[:0])
 	} else {
+		flipped := sc.dirty[:0]
 		for _, v := range sc.dirty {
-			sc.bmask.SetTo(v, sc.ix.IsBoundary(v))
+			if on := sc.ix.IsBoundary(v); on != sc.bmask.Get(v) {
+				sc.bmask.SetTo(v, on)
+				flipped = append(flipped, v)
+			}
 		}
+		sc.dirty = flipped
 	}
+	changed := sc.dirty
+	if d.cfg.KHop > 0 {
+		// kmask lost members of its old frontier only and gained members
+		// of its new one only.
+		sc.expandBoundary(d.cfg.KHop)
+		sc.shadow.Sync(sc.mask, sc.previous)
+		changed = sc.frontier
+	}
+	sc.shadow.Sync(sc.mask, changed)
+	sc.profile.Materialize(sc.g, sc.pm.Assign, sc.mask, changed, sc.workers)
 	sc.dirty = sc.dirty[:0]
-	sc.mask = sc.bmask
-	if d.cfg.KHop <= 0 {
-		return
-	}
+}
+
+// expandBoundary makes kmask the set of vertices within khop hops of a
+// boundary vertex, and mask point at it: a breadth-first search from the
+// boundary bitset with kmask itself as the visited set, after clearing
+// the bits of the last round's frontier — O(Σ deg over the frontier), no
+// per-round allocation. frontier lists the new set (in discovery order),
+// previous the one it replaced.
+func (sc *scheduler) expandBoundary(khop int) {
 	if sc.kmask == nil {
 		sc.kmask = partition.NewBitset(sc.g.NumVertices())
+		sc.mask = sc.kmask
 	}
-	sc.boundary = sc.bmask.AppendSet(sc.boundary[:0])
-	sc.frontier = graph.ExpandFrontier(sc.g, sc.boundary, d.cfg.KHop, sc.frontier)
-	sc.kmask.ClearAll()
+	sc.previous, sc.frontier = sc.frontier, sc.previous
+	for _, v := range sc.previous {
+		sc.kmask.Unset(v)
+	}
+	sc.frontier = sc.bmask.AppendSet(sc.frontier[:0])
 	for _, v := range sc.frontier {
 		sc.kmask.Set(v)
 	}
-	sc.mask = sc.kmask
+	level := 0
+	for hop := 0; hop < khop && level < len(sc.frontier); hop++ {
+		next := len(sc.frontier)
+		for _, v := range sc.frontier[level:next] {
+			for _, u := range sc.g.Neighbors(v) {
+				if !sc.kmask.Get(u) {
+					sc.kmask.Set(u)
+					sc.frontier = append(sc.frontier, u)
+				}
+			}
+		}
+		level = next
+	}
 }
 
 // runMaskShards fills this worker's word-aligned shards of the boundary

@@ -20,8 +20,8 @@ import (
 // PairIndexer is the minimal surface the pairwise refiner needs: candidate
 // enumeration for a partition pair and delta-maintained vertex moves.
 // Index (full boundary tracking) and Shadow (the scheduler's shared
-// bucket view of the master, which tracks no boundary) both implement it,
-// over one bucket structure (vertexBuckets).
+// bucket view of the master, which tracks no boundary and keeps the
+// movable members of every bucket as a prefix) both implement it.
 type PairIndexer interface {
 	// Partitioning returns the decomposition the indexer maintains;
 	// Move must keep its Assign array in sync.
@@ -49,38 +49,20 @@ type PairIndexer interface {
 //
 // All queries are O(1) or output-sensitive; Move is O(deg(v)).
 type Index struct {
-	vertexBuckets
 	g        *graph.Graph
 	p        *Partitioning
-	ext      []int32 // per-vertex count of neighbors outside own partition
-	incident []int64 // per-partition Σ deg(v)
-}
-
-// vertexBuckets is the partition-membership structure Index and Shadow
-// share: buckets[q] lists the vertices of partition q in no particular
-// order, each at pos[v], so a move is a swap-delete plus an append.
-type vertexBuckets struct {
-	buckets [][]int32 // per-partition vertex lists (unordered, swap-delete)
-	pos     []int32   // vertex -> position in its bucket
-}
-
-// move takes v out of bucket from and appends it to bucket to, in O(1).
-func (b *vertexBuckets) move(v, from, to int32) {
-	l := b.buckets[from]
-	i := b.pos[v]
-	last := int32(len(l)) - 1
-	w := l[last]
-	l[i] = w
-	b.pos[w] = i
-	b.buckets[from] = l[:last]
-	b.pos[v] = int32(len(b.buckets[to]))
-	b.buckets[to] = append(b.buckets[to], v)
+	buckets  [][]int32 // per-partition vertex lists (unordered, swap-delete)
+	pos      []int32   // vertex -> position in its bucket
+	ext      []int32   // per-vertex count of neighbors outside own partition
+	incident []int64   // per-partition Σ deg(v)
 }
 
 // appendMasked appends the members of partitions pi and pj whose allowed
-// bit is set to dst, in bucket order — O(|P_i| + |P_j|).
-func (b *vertexBuckets) appendMasked(dst []int32, pi, pj int32, allowed *Bitset) []int32 {
-	for _, l := range [2][]int32{b.buckets[pi], b.buckets[pj]} {
+// bit is set to dst, in bucket order — O(|P_i| + |P_j|): the index serves
+// any mask a caller brings, so it cannot keep the masked members apart
+// the way a Shadow does for the one mask it is synced to.
+func (ix *Index) appendMasked(dst []int32, pi, pj int32, allowed *Bitset) []int32 {
+	for _, l := range [2][]int32{ix.buckets[pi], ix.buckets[pj]} {
 		for _, v := range l {
 			if allowed.Get(v) {
 				dst = append(dst, v)
@@ -96,11 +78,12 @@ func (b *vertexBuckets) appendMasked(dst []int32, pi, pj int32, allowed *Bitset)
 func BuildIndex(g *graph.Graph, p *Partitioning) *Index {
 	n := g.NumVertices()
 	ix := &Index{
-		vertexBuckets: vertexBuckets{buckets: make([][]int32, p.K), pos: make([]int32, n)},
-		g:             g,
-		p:             p,
-		ext:           make([]int32, n),
-		incident:      make([]int64, p.K),
+		g:        g,
+		p:        p,
+		buckets:  make([][]int32, p.K),
+		pos:      make([]int32, n),
+		ext:      make([]int32, n),
+		incident: make([]int64, p.K),
 	}
 	// Exact-size bucket preallocation: a counting pass first, then one
 	// allocation per bucket with growth slack. Appending into nil
@@ -199,7 +182,13 @@ func (ix *Index) Move(v, to int32) {
 	if from == to {
 		return
 	}
-	ix.move(v, from, to)
+	l := ix.buckets[from]
+	i, last := ix.pos[v], int32(len(l))-1
+	l[i] = l[last]
+	ix.pos[l[i]] = i
+	ix.buckets[from] = l[:last]
+	ix.pos[v] = int32(len(ix.buckets[to]))
+	ix.buckets[to] = append(ix.buckets[to], v)
 	deg := int64(ix.g.Degree(v))
 	ix.incident[from] -= deg
 	ix.incident[to] += deg
@@ -288,39 +277,45 @@ func (ix *Index) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *Bitset) 
 	return dst
 }
 
-// sortSpanFactor bounds the bitmap path of SortCandidates to spans of at
-// most this many words per element. Measured on uniformly scattered ids
-// (64 to 1024 of them), a drained word costs about a quarter of one
-// element's share of the comparison sort; the bitmap is 3× faster at one
-// word per element and level with the sort at four.
-const sortSpanFactor = 4
-
 // SortCandidates sorts the distinct vertex ids vs ascending in place —
-// the order the refiner's heap tie-breaking depends on. scratch is a
-// caller-owned bitmap covering the vertex-id space (⌈|V|/64⌉ words),
-// all-zero on entry and restored to all-zero on return: the ids are set
-// as bits and the [min, max] word span drained low bit first, O(c +
-// span/64) with no comparisons. When the span is much wider than the set
-// the comparison sort is cheaper and runs instead — a choice made from vs
-// alone, with the same result either way.
-func SortCandidates(vs []int32, scratch []uint64) {
+// the order the refiner's heap tie-breaking depends on — without a
+// comparison. words and summary are caller-owned bitmaps, all-zero on
+// entry and restored to all-zero on return: words covers the vertex-id
+// space (MaskWords(|V|)), summary has one bit per word of it
+// (MaskWords(len(words))). The ids are set as bits of words, the words
+// they touch as bits of summary, and the summary's [min, max] span is
+// drained low bit first, each set bit naming the next non-empty word:
+// O(c + span/4096) for c ids, so a pair whose few boundary vertices lie
+// scattered over two far-apart id ranges pays for the vertices, not for
+// the empty words between them.
+func SortCandidates(vs []int32, words, summary []uint64) {
 	if len(vs) < 2 {
 		return
 	}
-	lo, hi := vs[0], vs[0]
-	for _, v := range vs[1:] {
-		lo = min(lo, v)
-		hi = max(hi, v)
-	}
-	wlo, whi := int(lo>>6), int(hi>>6)+1
-	if whi-wlo > sortSpanFactor*len(vs) {
-		slices.Sort(vs)
-		return
-	}
+	lo, hi := vs[0]>>6, vs[0]>>6
 	for _, v := range vs {
-		scratch[v>>6] |= 1 << (uint32(v) & 63)
+		w := v >> 6
+		words[w] |= 1 << (uint32(v) & 63)
+		summary[w>>6] |= 1 << (uint32(w) & 63)
+		lo, hi = min(lo, w), max(hi, w)
 	}
-	drainSpan(scratch, wlo, whi, vs[:0])
+	n := 0
+	for si := int(lo >> 6); si <= int(hi>>6); si++ {
+		sb := summary[si]
+		if sb == 0 {
+			continue
+		}
+		summary[si] = 0
+		for ; sb != 0; sb &= sb - 1 {
+			wi := si<<6 + bits.TrailingZeros64(sb)
+			b := words[wi]
+			words[wi] = 0
+			for base := int32(wi << 6); b != 0; b &= b - 1 {
+				vs[n] = base + int32(bits.TrailingZeros64(b))
+				n++
+			}
+		}
+	}
 }
 
 // Validate checks every maintained invariant against a from-scratch
@@ -359,24 +354,50 @@ func (ix *Index) Validate() error {
 // touch disjoint buckets, disjoint pos entries, and disjoint Assign
 // entries of the shared view — no per-group copies, no synchronization
 // beyond the scheduler's wave barriers. It tracks no boundary counts —
-// scheduled refinement always runs under the round's k-hop allowed mask,
-// which subsumes the boundary test — so Move is O(1), not O(deg).
+// scheduled refinement always runs under the round's movable mask, which
+// subsumes the boundary test — so Move is O(1), not O(deg).
+//
+// The shadow is synced to that one mask (Sync): every bucket keeps its
+// mask-set members as a prefix,
+//
+//	buckets[q].vs[:front] == {v : Assign[v] == q, mask bit of v set},
+//
+// which Move preserves, so a pair's candidates are two prefix copies —
+// O(|B_i| + |B_j|), not a mask test per member of both partitions.
 type Shadow struct {
-	vertexBuckets
-	p *Partitioning
+	p       *Partitioning
+	buckets []shadowBucket
+	pos     []int32 // vertex -> position in its bucket
+	mask    *Bitset // the mask the prefixes are synced to; nil before the first Sync
 }
+
+// shadowBucket is one partition's vertex list with its masked prefix.
+// Both the slice header and front are rewritten on every move into or out
+// of the partition, by whichever worker refines it this wave, so each
+// bucket fills a cache line pair of its own (the adjacent-line prefetcher
+// pulls the neighbor line along): side by side, two workers' moves would
+// keep stealing one line from each other (DESIGN.md §9).
+type shadowBucket struct {
+	vs    []int32
+	front int32
+	_     [shadowBucketStride - 28]byte
+}
+
+const shadowBucketStride = 128
 
 // NewShadow returns a shadow seeded from the index in O(|V|): its own
 // copy of the assignment, the buckets (sized with move headroom) and the
-// positions. Whoever applies to ix every move the shadow keeps leaves the
-// two in agreement without ever copying again (DESIGN.md §14).
+// positions, synced to no mask yet. Whoever applies to ix every move the
+// shadow keeps leaves the two in agreement without ever copying again
+// (DESIGN.md §14).
 func (ix *Index) NewShadow() *Shadow {
 	s := &Shadow{
-		vertexBuckets: vertexBuckets{buckets: make([][]int32, len(ix.buckets)), pos: slices.Clone(ix.pos)},
-		p:             ix.p.Clone(),
+		p:       ix.p.Clone(),
+		buckets: make([]shadowBucket, len(ix.buckets)),
+		pos:     slices.Clone(ix.pos),
 	}
 	for q, b := range ix.buckets {
-		s.buckets[q] = append(make([]int32, 0, bucketCap(int32(len(b)))), b...)
+		s.buckets[q].vs = append(make([]int32, 0, bucketCap(int32(len(b)))), b...)
 	}
 	return s
 }
@@ -384,26 +405,125 @@ func (ix *Index) NewShadow() *Shadow {
 // Partitioning returns the shadow's own view of the decomposition.
 func (s *Shadow) Partitioning() *Partitioning { return s.p }
 
-// Move implements PairIndexer in O(1). Concurrent calls are safe iff
-// they move vertices of disjoint partition pairs, which the tournament
+// Sync makes mask the mask the prefixes follow. changed must list every
+// vertex whose bit differs from what the shadow last saw of it — in any
+// order, repeats and unchanged vertices allowed — which for a mask the
+// shadow was not synced to before means every set bit: the prefixes
+// start over from empty. O(len(changed)), plus O(K) on a change of mask.
+func (s *Shadow) Sync(mask *Bitset, changed []int32) {
+	if mask != s.mask {
+		for q := range s.buckets {
+			s.buckets[q].front = 0
+		}
+		s.mask = mask
+	}
+	for _, v := range changed {
+		b := &s.buckets[s.p.Assign[v]]
+		switch i, on := s.pos[v], mask.Get(v); {
+		case on && i >= b.front:
+			s.swap(b, i, b.front)
+			b.front++
+		case !on && i < b.front:
+			b.front--
+			s.swap(b, i, b.front)
+		}
+	}
+}
+
+// swap exchanges the vertices at positions i and j of bucket b.
+func (s *Shadow) swap(b *shadowBucket, i, j int32) {
+	v, w := b.vs[i], b.vs[j]
+	b.vs[i], b.vs[j] = w, v
+	s.pos[v], s.pos[w] = j, i
+}
+
+// Move implements PairIndexer in O(1): v's slot is refilled from the end
+// of its bucket and v appended to the other, each through the prefix
+// boundary when v is masked — the last masked member takes v's slot and
+// the last member that one's; on arrival the first unmasked member steps
+// to the end and v takes its slot. Concurrent calls are safe iff they
+// move vertices of disjoint partition pairs, which the tournament
 // schedule guarantees within a wave.
 func (s *Shadow) Move(v, to int32) {
 	from := s.p.Assign[v]
 	if from == to {
 		return
 	}
-	s.move(v, from, to)
+	b := &s.buckets[from]
+	i, last := s.pos[v], int32(len(b.vs))-1
+	masked := i < b.front
+	if masked {
+		b.front--
+		w := b.vs[b.front]
+		b.vs[i], s.pos[w] = w, i
+		i = b.front
+	}
+	if i != last {
+		w := b.vs[last]
+		b.vs[i], s.pos[w] = w, i
+	}
+	b.vs = b.vs[:last]
+
+	b = &s.buckets[to]
+	i = int32(len(b.vs))
+	b.vs = append(b.vs, v)
+	if masked {
+		w := b.vs[b.front]
+		b.vs[i], s.pos[w] = w, i
+		i = b.front
+		b.vs[i] = v
+		b.front++
+	}
+	s.pos[v] = i
 	s.p.Assign[v] = to
 }
 
-// AppendPairUnsorted implements PairIndexer. A Shadow tracks no boundary
-// counts, so the mask is mandatory; it also carries no ordering scratch —
-// it is shared by every worker, so each refiner sorts with its own.
+// AppendPairUnsorted implements PairIndexer: the two masked prefixes. A
+// Shadow tracks no boundary counts, so the mask is mandatory, and it must
+// be the one the shadow is synced to — any other would silently get that
+// one's candidates. The shadow carries no ordering scratch — it is shared
+// by every worker, so each refiner sorts with its own.
 func (s *Shadow) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *Bitset) []int32 {
 	if allowed == nil {
 		panic("partition: Shadow.AppendPairUnsorted requires an allowed mask (shadows keep no boundary counts)")
 	}
-	return s.appendMasked(dst, pi, pj, allowed)
+	if allowed != s.mask {
+		panic("partition: Shadow.AppendPairUnsorted with a mask the shadow is not synced to (Sync first)")
+	}
+	bi, bj := &s.buckets[pi], &s.buckets[pj]
+	dst = append(dst, bi.vs[:bi.front]...)
+	return append(dst, bj.vs[:bj.front]...)
+}
+
+// Validate checks the shadow's invariants against a scan of its view:
+// every bucket holds exactly its partition's vertices, each at pos[v],
+// and — once synced — the mask-set ones are exactly its prefix. O(|V|);
+// intended for tests.
+func (s *Shadow) Validate() error {
+	sizes := make([]int32, len(s.buckets))
+	masked := make([]int32, len(s.buckets))
+	for v, q := range s.p.Assign {
+		b := &s.buckets[q]
+		i := s.pos[v]
+		if i < 0 || int(i) >= len(b.vs) || b.vs[i] != int32(v) {
+			return fmt.Errorf("shadow: pos[%d] = %d is not where bucket %d holds it", v, i, q)
+		}
+		sizes[q]++
+		on := s.mask != nil && s.mask.Get(int32(v))
+		if on {
+			masked[q]++
+		}
+		if on != (i < b.front) {
+			return fmt.Errorf("shadow: vertex %d (mask bit %v) at %d of bucket %d, whose prefix is %d long", v, on, i, q, b.front)
+		}
+	}
+	for q := range s.buckets {
+		if b := &s.buckets[q]; int32(len(b.vs)) != sizes[q] || b.front != masked[q] {
+			return fmt.Errorf("shadow: bucket %d has %d members and a prefix of %d, its partition %d members, %d of them masked",
+				q, len(b.vs), b.front, sizes[q], masked[q])
+		}
+	}
+	return nil
 }
 
 // ExternalDegreesSparse is the sparse-reset form of ExternalDegreesInto:
@@ -433,14 +553,7 @@ func ExternalDegreesSparse(g *graph.Graph, p *Partitioning, v int32, buf []int64
 // clears them — the sort-free path that keeps gain summation in
 // ascending partition order.
 func drainMask(mask []uint64, tlist []int32) []int32 {
-	return drainSpan(mask, 0, len(mask), tlist)
-}
-
-// drainSpan is drainMask over the words [wlo, whi) only; bit positions
-// stay relative to word 0.
-func drainSpan(mask []uint64, wlo, whi int, tlist []int32) []int32 {
-	for wi := wlo; wi < whi; wi++ {
-		b := mask[wi]
+	for wi, b := range mask {
 		if b == 0 {
 			continue
 		}
@@ -456,5 +569,5 @@ func drainSpan(mask []uint64, wlo, whi int, tlist []int32) []int32 {
 
 // MaskWords returns the bitmap length covering k ids: what
 // ExternalDegreesSparse needs for k partitions, SortCandidates for k
-// vertices.
+// vertices and, one level up, for that many words.
 func MaskWords(k int32) int { return (int(k) + 63) / 64 }

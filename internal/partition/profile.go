@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"paragon/internal/graph"
@@ -20,78 +21,173 @@ import (
 // integer sums, so a profile read returns bit-for-bit the value the scan
 // would.
 //
+// The table is sparse: a vertex has a segment only once Materialize was
+// handed a mask with its bit set — the scheduler's movable mask, so the
+// table holds the round's candidates (2 % of a well-partitioned mesh)
+// and what it costs to build and to keep is proportional to them, not to
+// |V|. Only a materialized vertex may be read.
+//
 // The reference assignment is the scheduler's master, which is the
 // wave-start view: at each wave barrier MoveNeighbor replays the wave's
 // kept moves (cost proportional to the moved vertices' degrees, never
-// |V|) in the same loop that applies them to the master index, so the
-// two never drift apart (DESIGN.md §14).
+// |V|) in the same loop that applies them to the master index. A segment
+// is filled from the master when it is materialized and patched at every
+// barrier from then on, so it holds the entries a table built over the
+// master for every vertex would (DESIGN.md §14).
 //
-// Layout: one CSR-style segment per vertex, entries sorted by partition,
-// live entries exactly the partitions with nonzero weight. A vertex's
-// segment capacity is min(deg(v), k) — the most distinct nonzero
-// partitions its neighbors can occupy — so updates never spill.
+// Layout: one segment per materialized vertex, at consecutive offsets of
+// one arena in materialization order (ascending vertex id within one
+// Materialize, so a pair's ascending candidates read ascending addresses),
+// entries sorted by partition, live entries exactly the partitions with
+// nonzero weight. A segment's capacity is min(deg(v), k) — the most
+// distinct nonzero partitions its neighbors can occupy — so updates never
+// spill. The arena is a list of chunks rather than one slice, so that
+// growing it never copies (and never holds the old and the new table at
+// once): chunk c owns the segments that start in [c·2^s, (c+1)·2^s), and
+// is k entries longer than 2^s so the last of them fits.
 type NeighborProfile struct {
-	off   []int32 // v -> start of v's segment (capacity ends at off[v+1])
-	end   []int32 // v -> one past the live entries of v's segment
+	k      int32
+	off    []int32 // v -> arena offset of v's segment, -1 while v has none
+	live   []int32 // v -> live entries of v's segment
+	chunks []profileChunk
+	tail   int64   // arena offset the next segment starts at
+	fresh  []int32 // Materialize scratch: the vertices it is adding
+}
+
+// profileChunk is 2^profileChunkShift offsets of the arena.
+type profileChunk struct {
 	parts []int32 // partition per entry, ascending within a segment
 	ws    []int64 // summed edge weight per entry, always > 0
 }
 
-// segmentOffsets lays out one segment of capacity min(deg(v), k) per
-// vertex and returns the n+1 segment starts. Offsets are int32 — half the
-// footprint of the per-vertex arrays — so a table of 2³¹ or more entries
-// is refused instead of silently wrapping.
-func segmentOffsets(n, k int32, deg func(v int32) int32) ([]int32, error) {
-	off := make([]int32, int(n)+1)
+// profileChunkShift: 16 Ki entries, 192 KiB a chunk. The unused end of
+// the last chunk is all the table ever over-allocates.
+const profileChunkShift = 14
+
+// segmentEntries returns Σ min(deg(v), k), the entries of a table that
+// holds every vertex. Offsets are int32 — half the footprint of the
+// per-vertex arrays — so a table of 2³¹ or more entries is refused
+// instead of silently wrapping.
+func segmentEntries(n, k int32, deg func(v int32) int32) (int64, error) {
 	var total int64
 	for v := int32(0); v < n; v++ {
-		off[v] = int32(total)
 		total += int64(min(deg(v), k))
 		if total > math.MaxInt32 {
-			return nil, fmt.Errorf("partition: neighbor profile needs more than 2^31-1 entries (Σ min(deg, k=%d) passes it at vertex %d of %d); refine with fewer partitions or a smaller graph", k, v, n)
+			return 0, fmt.Errorf("partition: neighbor profile needs more than 2^31-1 entries (Σ min(deg, k=%d) passes it at vertex %d of %d); refine with fewer partitions or a smaller graph", k, v, n)
 		}
 	}
-	off[n] = int32(total)
-	return off, nil
+	return total, nil
 }
 
-// BuildNeighborProfile constructs the profile of g under assign in
-// O(|V| + |E|), with k the partition count. It fails when the table would
-// outgrow its int32 offsets (see segmentOffsets). Once the offsets are
-// laid out the segments are disjoint, so `workers` goroutines fill them
-// over vertex ranges of near-equal half-edge count, each with its own
-// accumulators: the table is byte-identical for every worker count.
-func BuildNeighborProfile(g *graph.Graph, assign []int32, k int32, workers int) (*NeighborProfile, error) {
+// NewNeighborProfile returns the empty profile of g for k partitions: no
+// vertex has a segment yet. It fails when the table of every vertex would
+// outgrow its int32 offsets (see segmentEntries) — checked here, before
+// anything is allocated, so whatever subset is materialized later fits.
+// Σ min(deg, k) is at most both the half-edge count and n·k, so the
+// per-vertex sum only runs for a graph that passes 2³¹ on both.
+func NewNeighborProfile(g *graph.Graph, k int32) (*NeighborProfile, error) {
 	n := g.NumVertices()
-	off, err := segmentOffsets(n, k, g.Degree)
-	if err != nil {
-		return nil, err
+	if min(g.NumHalfEdges(), int64(n)*int64(k)) > math.MaxInt32 {
+		if _, err := segmentEntries(n, k, g.Degree); err != nil {
+			return nil, err
+		}
 	}
-	np := &NeighborProfile{
-		off:   off,
-		end:   make([]int32, n),
-		parts: make([]int32, off[n]),
-		ws:    make([]int64, off[n]),
+	np := &NeighborProfile{k: k, off: make([]int32, n), live: make([]int32, n)}
+	for v := range np.off {
+		np.off[v] = -1
 	}
-	bounds := g.VertexRanges(workers)
-	var wg sync.WaitGroup
-	for i := 0; i+1 < len(bounds); i++ {
-		wg.Add(1)
-		go func(lo, hi int32) {
-			defer wg.Done()
-			np.fill(g, assign, k, lo, hi)
-		}(bounds[i], bounds[i+1])
-	}
-	wg.Wait()
 	return np, nil
 }
 
-// fill builds the segments of the vertices in [lo, hi).
-func (np *NeighborProfile) fill(g *graph.Graph, assign []int32, k, lo, hi int32) {
-	buf := make([]int64, k)
-	mask := make([]uint64, MaskWords(k))
+// BuildNeighborProfile constructs the profile of g under assign with
+// every vertex materialized, in O(|V| + |E|): the reference the sparse
+// table is tested against, and what tests and benchmarks of the pair
+// kernel seed from.
+func BuildNeighborProfile(g *graph.Graph, assign []int32, k int32, workers int) (*NeighborProfile, error) {
+	np, err := NewNeighborProfile(g, k)
+	if err != nil {
+		return nil, err
+	}
+	all := make([]int32, g.NumVertices())
+	for v := range all {
+		all[v] = int32(v)
+	}
+	np.Materialize(g, assign, nil, all, workers)
+	return np, nil
+}
+
+// Materialized reports whether v has a segment.
+func (np *NeighborProfile) Materialized(v int32) bool { return np.off[v] >= 0 }
+
+// Materialize gives every vertex of vs whose mask bit is set (a nil mask
+// admits all) and that has no segment yet one, filled from assign; vs
+// lists distinct vertices in any order. Cost O(len(vs)) to find the new
+// ones plus O(Σ deg) over them to fill. Offsets are laid out serially, in
+// ascending vertex order at the arena's tail, and the chunks they reach
+// are allocated. The new segments are disjoint, so `workers` goroutines
+// fill them over runs of near-equal half-edge count, each with its own
+// accumulators: the table is byte-identical for every worker count. Must
+// not run concurrently with any other use of the profile.
+func (np *NeighborProfile) Materialize(g *graph.Graph, assign []int32, mask *Bitset, vs []int32, workers int) {
+	fresh := np.fresh[:0]
+	for _, v := range vs {
+		if np.off[v] < 0 && (mask == nil || mask.Get(v)) {
+			fresh = append(fresh, v)
+		}
+	}
+	np.fresh = fresh
+	if len(fresh) == 0 {
+		return
+	}
+	if !slices.IsSorted(fresh) {
+		slices.Sort(fresh)
+	}
+	var halfEdges int64
+	for _, v := range fresh {
+		np.off[v] = int32(np.tail)
+		np.tail += int64(min(g.Degree(v), np.k))
+		halfEdges += int64(g.Degree(v))
+	}
+	// The chunks the new offsets reach, cut from one allocation per call.
+	if need := int(np.off[fresh[len(fresh)-1]]>>profileChunkShift) + 1 - len(np.chunks); need > 0 {
+		size := 1<<profileChunkShift + int(np.k)
+		parts, ws := make([]int32, need*size), make([]int64, need*size)
+		for lo := 0; lo < need*size; lo += size {
+			np.chunks = append(np.chunks, profileChunk{parts[lo : lo+size : lo+size], ws[lo : lo+size : lo+size]})
+		}
+	}
+	// Cut fresh into at most `workers` runs at the half-edge quantiles;
+	// the last run takes whatever is left.
+	workers = max(workers, 1)
+	var wg sync.WaitGroup
+	var seen int64
+	lo := 0
+	for part := 1; part <= workers; part++ {
+		target := halfEdges * int64(part) / int64(workers)
+		hi := lo
+		for hi < len(fresh) && (seen < target || part == workers) {
+			seen += int64(g.Degree(fresh[hi]))
+			hi++
+		}
+		if hi == lo {
+			continue
+		}
+		wg.Add(1)
+		go func(vs []int32) {
+			defer wg.Done()
+			np.fill(g, assign, vs)
+		}(fresh[lo:hi])
+		lo = hi
+	}
+	wg.Wait()
+}
+
+// fill builds the (laid out, empty) segments of the vertices vs.
+func (np *NeighborProfile) fill(g *graph.Graph, assign []int32, vs []int32) {
+	buf := make([]int64, np.k)
+	mask := make([]uint64, MaskWords(np.k))
 	var tl []int32
-	for v := lo; v < hi; v++ {
+	for _, v := range vs {
 		adj := g.Neighbors(v)
 		w := g.EdgeWeights(v)
 		w = w[:len(adj)]
@@ -101,38 +197,39 @@ func (np *NeighborProfile) fill(g *graph.Graph, assign []int32, k, lo, hi int32)
 			mask[q>>6] |= 1 << (q & 63)
 		}
 		tl = drainMask(mask, tl[:0])
-		base := int(np.off[v])
+		parts, ws, base, _ := np.segment(v)
 		for i, q := range tl {
-			//lint:ignore sharedwrite v's segment [off[v], off[v+1]) belongs to the one worker whose [lo, hi) holds v
-			np.parts[base+i], np.ws[base+i] = q, buf[q]
+			parts[base+i], ws[base+i] = q, buf[q]
 			buf[q] = 0
 		}
-		np.end[v] = int32(base + len(tl))
+		//lint:ignore sharedwrite v, like its segment above, belongs to the one worker whose run of fresh vertices holds it
+		np.live[v] = int32(len(tl))
 	}
+}
+
+// segment locates v's segment: the chunk it lives in and the bounds
+// [lo, hi) of its live entries there.
+func (np *NeighborProfile) segment(v int32) (parts []int32, ws []int64, lo, hi int) {
+	off := np.off[v]
+	c := &np.chunks[off>>profileChunkShift]
+	lo = int(off & (1<<profileChunkShift - 1))
+	return c.parts, c.ws, lo, lo + int(np.live[v])
 }
 
 // Segment returns v's live entries — partitions ascending, each with its
 // nonzero summed weight. The slices alias the table: read-only, valid
 // until the next MoveNeighbor on v.
 func (np *NeighborProfile) Segment(v int32) (parts []int32, ws []int64) {
-	base, end := np.off[v], np.end[v]
-	return np.parts[base:end], np.ws[base:end]
+	parts, ws, lo, hi := np.segment(v)
+	return parts[lo:hi], ws[lo:hi]
 }
 
 // Get returns Σ w(v,u) over neighbors u owned by partition q — zero when
 // no neighbor is. Binary search over v's sorted segment.
 func (np *NeighborProfile) Get(v, q int32) int64 {
-	lo, hi := int(np.off[v]), int(np.end[v])
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if np.parts[mid] < q {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < int(np.end[v]) && np.parts[lo] == q {
-		return np.ws[lo]
+	parts, ws := np.Segment(v)
+	if i := lowerBound(parts, q); i < len(parts) && parts[i] == q {
+		return ws[i]
 	}
 	return 0
 }
@@ -142,57 +239,59 @@ func (np *NeighborProfile) Get(v, q int32) int64 {
 // Small segments scan linearly (one or two cache lines, hardware
 // prefetched); large ones fall back to two binary searches.
 func (np *NeighborProfile) GetPair(v, a, b int32) (wa, wb int64) {
-	base, end := int(np.off[v]), int(np.end[v])
-	if end-base <= 32 {
-		parts := np.parts[base:end]
-		ws := np.ws[base:end]
-		for i, q := range parts {
-			if q == a {
-				wa = ws[i]
-			} else if q == b {
-				wb = ws[i]
-			}
-		}
-		return wa, wb
+	parts, ws := np.Segment(v)
+	if len(parts) > 32 {
+		return np.Get(v, a), np.Get(v, b)
 	}
-	return np.Get(v, a), np.Get(v, b)
+	for i, q := range parts {
+		if q == a {
+			wa = ws[i]
+		} else if q == b {
+			wb = ws[i]
+		}
+	}
+	return wa, wb
 }
 
 // MoveNeighbor records that v's neighbor moved from partition `from` to
 // `to`, shifting the connecting edge weight w between the two entries of
 // v's segment. O(t) worst case for the entry insert/remove shift, with
-// t = live entries of v.
+// t = live entries of v. A vertex without a segment has nothing to patch:
+// if it is ever materialized, it is filled from the assignment of then.
 func (np *NeighborProfile) MoveNeighbor(v, from, to int32, w int64) {
-	if from == to || w == 0 {
+	if from == to || w == 0 || np.off[v] < 0 {
 		return
 	}
-	base, end := int(np.off[v]), int(np.end[v])
+	parts, ws, base, end := np.segment(v)
 	// Decrement (and possibly remove) the `from` entry; it must exist.
-	i := np.lowerBound(base, end, from)
-	np.ws[i] -= w
-	if np.ws[i] == 0 {
-		copy(np.parts[i:end-1], np.parts[i+1:end])
-		copy(np.ws[i:end-1], np.ws[i+1:end])
+	i := base + lowerBound(parts[base:end], from)
+	ws[i] -= w
+	if ws[i] == 0 {
+		copy(parts[i:end-1], parts[i+1:end])
+		copy(ws[i:end-1], ws[i+1:end])
 		end--
-		np.end[v] = int32(end)
+		np.live[v]--
 	}
 	// Increment (or insert) the `to` entry.
-	j := np.lowerBound(base, end, to)
-	if j < end && np.parts[j] == to {
-		np.ws[j] += w
+	j := base + lowerBound(parts[base:end], to)
+	if j < end && parts[j] == to {
+		ws[j] += w
 		return
 	}
-	copy(np.parts[j+1:end+1], np.parts[j:end])
-	copy(np.ws[j+1:end+1], np.ws[j:end])
-	np.parts[j] = to
-	np.ws[j] = w
-	np.end[v] = int32(end + 1)
+	copy(parts[j+1:end+1], parts[j:end])
+	copy(ws[j+1:end+1], ws[j:end])
+	parts[j] = to
+	ws[j] = w
+	np.live[v]++
 }
 
-func (np *NeighborProfile) lowerBound(lo, hi int, q int32) int {
+// lowerBound returns the first index of the ascending parts whose entry
+// is at least q.
+func lowerBound(parts []int32, q int32) int {
+	lo, hi := 0, len(parts)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if np.parts[mid] < q {
+		if parts[mid] < q {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -34,16 +34,20 @@ func mustProfile(t *testing.T, g *graph.Graph, assign []int32, k int32) *Neighbo
 	return np
 }
 
-// checkSegments asserts the layout invariants of every segment: within
-// capacity min(deg, k), partitions strictly ascending, weights positive.
+// checkSegments asserts the layout invariants of every materialized
+// segment: live entries within capacity min(deg, k), no two capacities
+// overlapping, inside the chunk the offset names, partitions strictly
+// ascending, weights positive.
 func checkSegments(t *testing.T, g *graph.Graph, np *NeighborProfile, k int32) {
 	t.Helper()
+	var vs []int32
 	for v := int32(0); v < g.NumVertices(); v++ {
-		if c := np.off[v+1] - np.off[v]; c != min(g.Degree(v), k) {
-			t.Fatalf("v=%d: segment capacity %d, want min(deg=%d, k=%d)", v, c, g.Degree(v), k)
+		if !np.Materialized(v) {
+			continue
 		}
-		if np.end[v] < np.off[v] || np.end[v] > np.off[v+1] {
-			t.Fatalf("v=%d: live end %d outside segment [%d, %d]", v, np.end[v], np.off[v], np.off[v+1])
+		vs = append(vs, v)
+		if c := min(g.Degree(v), k); np.live[v] < 0 || np.live[v] > c {
+			t.Fatalf("v=%d: %d live entries in a segment of capacity %d", v, np.live[v], c)
 		}
 		parts, ws := np.Segment(v)
 		for i := range parts {
@@ -54,6 +58,21 @@ func checkSegments(t *testing.T, g *graph.Graph, np *NeighborProfile, k int32) {
 				t.Fatalf("v=%d: entry for partition %d has weight %d", v, parts[i], ws[i])
 			}
 		}
+	}
+	slices.SortFunc(vs, func(a, b int32) int { return int(np.off[a]) - int(np.off[b]) })
+	tail := int64(0)
+	for _, v := range vs {
+		if int64(np.off[v]) != tail {
+			t.Fatalf("v=%d: segment starts at %d, the one before it ends at %d", v, np.off[v], tail)
+		}
+		tail += int64(min(g.Degree(v), k))
+		chunk, _, lo, _ := np.segment(v)
+		if int(np.off[v]>>profileChunkShift) >= len(np.chunks) || lo+int(min(g.Degree(v), k)) > len(chunk) {
+			t.Fatalf("v=%d: segment [%d, +%d) reaches past its chunk", v, np.off[v], min(g.Degree(v), k))
+		}
+	}
+	if tail != np.tail {
+		t.Fatalf("arena tail %d, segments end at %d", np.tail, tail)
 	}
 }
 
@@ -154,6 +173,89 @@ func TestNeighborProfileMoveWalk(t *testing.T) {
 	}
 }
 
+// TestNeighborProfileInstalments is the sparse table's contract: a
+// profile materialized in three random instalments — the movable mask of
+// three rounds — with MoveNeighbor walks before, between and after them
+// holds, for every materialized vertex, exactly the segment of a table
+// built for all vertices over the final assignment, at every worker
+// count; a vertex no instalment named has none. The last graph is large
+// enough for the arena to span several chunks, with segments lying across
+// the 2^s offsets between them.
+func TestNeighborProfileInstalments(t *testing.T) {
+	big := gen.RMAT(20000, 150000, 0.57, 0.19, 0.19, 23)
+	big.UseDegreeWeights()
+	graphs := append(profileGraphs(), struct {
+		name string
+		g    *graph.Graph
+		k    int32
+	}{"rmat-chunks-k40", big, 40})
+	for _, tc := range graphs {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.g.NumVertices()
+			for _, workers := range []int{1, 2, 8} {
+				rng := rand.New(rand.NewSource(29))
+				p := randomPartitioning(tc.g, tc.k, rng)
+				np, err := NewNeighborProfile(tc.g, tc.k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				walk := func() {
+					for step := 0; step < 60; step++ {
+						x := rng.Int31n(n)
+						old, to := p.Assign[x], rng.Int31n(tc.k)
+						w := tc.g.EdgeWeights(x)
+						for i, u := range tc.g.Neighbors(x) {
+							np.MoveNeighbor(u, old, to, int64(w[i]))
+						}
+						p.Assign[x] = to
+					}
+				}
+				named := make([]bool, n)
+				walk()
+				for inst := 0; inst < 3; inst++ {
+					// A third of the vertices each time, in random order,
+					// half of them masked out.
+					mask := NewBitset(n)
+					vs := make([]int32, n/3)
+					for i, x := range rng.Perm(int(n))[:n/3] {
+						vs[i] = int32(x)
+						if rng.Intn(2) == 0 {
+							mask.Set(vs[i])
+						}
+					}
+					for _, v := range vs {
+						named[v] = named[v] || mask.Get(v)
+					}
+					np.Materialize(tc.g, p.Assign, mask, vs, workers)
+					walk()
+				}
+				checkSegments(t, tc.g, np, tc.k)
+				want := mustProfile(t, tc.g, p.Assign, tc.k)
+				straddles := 0
+				for v := int32(0); v < n; v++ {
+					if np.Materialized(v) != named[v] {
+						t.Fatalf("workers=%d: vertex %d materialized = %v, named under a set mask bit = %v", workers, v, np.Materialized(v), named[v])
+					}
+					if !named[v] {
+						continue
+					}
+					gp, gw := np.Segment(v)
+					wp, ww := want.Segment(v)
+					if !slices.Equal(gp, wp) || !slices.Equal(gw, ww) {
+						t.Fatalf("workers=%d: segment of %d = %v/%v, the full table says %v/%v", workers, v, gp, gw, wp, ww)
+					}
+					if lo := np.off[v] & (1<<profileChunkShift - 1); int(lo)+len(gp) > 1<<profileChunkShift {
+						straddles++
+					}
+				}
+				if tc.g == big && (len(np.chunks) < 3 || straddles == 0) {
+					t.Fatalf("workers=%d: %d chunks, %d segments across a chunk offset; the chunked arena is not exercised", workers, len(np.chunks), straddles)
+				}
+			}
+		})
+	}
+}
+
 // TestNeighborProfileReadsAgree checks the three read paths against each
 // other — Get, GetPair (both its linear and its binary-search leg) and
 // the Segment walk the general-cost seeding uses.
@@ -193,35 +295,43 @@ func TestNeighborProfileReadsAgree(t *testing.T) {
 	}
 }
 
-// TestSegmentOffsetsOverflow feeds the layout a synthetic degree
-// sequence whose table would need 2³¹ entries: it must be refused with
-// an error, not wrapped into negative int32 offsets. BuildNeighborProfile
-// lays the offsets out before it allocates the table or starts a worker,
-// so the refusal is still the first thing a too-large build does.
+// TestSegmentOffsetsOverflow feeds the size check a synthetic degree
+// sequence whose full table would need 2³¹ entries: it must be refused
+// with an error, not wrapped into negative int32 offsets.
+// NewNeighborProfile runs the check before it allocates anything, and no
+// chunk of parts/ws is allocated before the first Materialize, so the
+// refusal is still the first thing a too-large Refine does.
 func TestSegmentOffsetsOverflow(t *testing.T) {
 	const n, k = 1 << 12, 1 << 20
 	hub := func(int32) int32 { return 1 << 19 } // n·2¹⁹ = 2³¹, one past MaxInt32
-	if _, err := segmentOffsets(n, k, hub); err == nil || !strings.Contains(err.Error(), "2^31") {
+	if _, err := segmentEntries(n, k, hub); err == nil || !strings.Contains(err.Error(), "2^31") {
 		t.Fatalf("2^31-entry table: err = %v, want the overflow error", err)
 	}
 	// One vertex fewer fits, and k caps each segment.
-	off, err := segmentOffsets(n-1, k, hub)
+	total, err := segmentEntries(n-1, k, hub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := int64(off[n-1]), int64(n-1)<<19; got != want {
-		t.Fatalf("total = %d, want %d", got, want)
+	if want := int64(n-1) << 19; total != want {
+		t.Fatalf("total = %d, want %d", total, want)
 	}
-	if off, err = segmentOffsets(n, 8, hub); err != nil {
+	if total, err = segmentEntries(n, 8, hub); err != nil {
 		t.Fatal(err)
 	}
-	if off[n] != n*8 {
-		t.Fatalf("k-capped layout: total %d, want %d", off[n], n*8)
+	if total != n*8 {
+		t.Fatalf("k-capped layout: total %d, want %d", total, n*8)
+	}
+	np, err := NewNeighborProfile(gen.Mesh2D(4, 4), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(np.chunks) != 0 {
+		t.Fatal("the entry arena is allocated before anything was materialized")
 	}
 }
 
-// BenchmarkBuildNeighborProfile measures the rebuild every Refine call
-// and every session epoch pays in newScheduler, on a power-law graph at
+// BenchmarkBuildNeighborProfile measures the all-vertices build (what a
+// Refine pays when its mask admits every vertex), on a power-law graph at
 // the churn workload's shape (avg degree 12, k = 32), at one worker and at
 // GOMAXPROCS.
 func BenchmarkBuildNeighborProfile(b *testing.B) {

@@ -56,9 +56,9 @@ go test -race -cpu=1,4 ./internal/session/
 
 # The two row-parallel fills under the race detector at GOMAXPROCS 1 and
 # 4: graph.FromSymmetricRows (every CSR freeze) and
-# partition.BuildNeighborProfile write disjoint row/segment regions of
-# shared arrays from per-range goroutines (DESIGN.md §18); their tests
-# assert the output is byte-identical at every worker count.
+# partition.(*NeighborProfile).Materialize write disjoint row/segment
+# regions of shared arrays from per-range goroutines (DESIGN.md §18);
+# their tests assert the output is byte-identical at every worker count.
 go test -race -cpu=1,4 ./internal/graph/ ./internal/partition/
 
 # The direct CSR fill against the Builder reference on fuzzed edge sets,
@@ -161,6 +161,16 @@ fi
 # Builder staging loop must not come back to either.
 if git grep -n 'NewBuilder' -- 'internal/session/*.go' internal/graph/overlay.go ':!*_test.go'; then
     echo "ci: a graph.Builder freeze is back; use graph.FromSymmetricRows" >&2
+    exit 1
+fi
+# Pay for the boundary, not the graph (DESIGN.md §14): the scheduler's
+# profile starts empty and is materialized for movable vertices only, and
+# the shadow gathers a pair from two masked prefixes. Neither the
+# all-vertices build in the scheduler nor a mask test per bucket member in
+# Shadow's methods (appendMasked is Index's) may come back.
+if git grep -n 'BuildNeighborProfile(' -- 'internal/paragon/*.go' ':!internal/paragon/*_test.go' ||
+    git grep -nE '\bs\.appendMasked\(|func \(s \*Shadow\) appendMasked' -- 'internal/partition/*.go'; then
+    echo "ci: the full-table profile build or the per-member mask test is back on the scheduler's path" >&2
     exit 1
 fi
 # Formatting: every tracked Go file outside the lint fixtures (whose
