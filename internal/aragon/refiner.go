@@ -77,6 +77,11 @@ type Refiner struct {
 	// patches the table at wave barriers only.
 	profile *partition.NeighborProfile
 
+	// The Eq. 8 factors of the running pair (beginPair; general matrix with
+	// a profile only): dfwd[q] = c[pi][q] − c[pj][q] for a candidate leaving
+	// pi, drev[q] = c[pj][q] − c[pi][q] for one leaving pj, +0.0 at pi, pj.
+	dfwd, drev []float64
+
 	// Cached off-diagonal-uniformity of the last cost matrix seen (keyed
 	// by its first row). Cost matrices are treated as immutable.
 	cRow0    *[]float64
@@ -91,7 +96,7 @@ const cacheLinePad = 128
 
 // scratchWords returns an all-zero n-word scratch whose backing array
 // fills whole cache lines, so it shares none with the next allocation.
-func scratchWords[T int64 | uint64](n int) []T {
+func scratchWords[T int64 | uint64 | float64](n int) []T {
 	return make([]T, n, (n+7)&^7)
 }
 
@@ -122,6 +127,8 @@ func NewRefiner(g *graph.Graph, ix partition.PairIndexer, cfg Config) *Refiner {
 		h:     newFloatHeap(64),
 		dext:  scratchWords[int64](int(p.K)),
 		dmask: scratchWords[uint64](partition.MaskWords(p.K)),
+		dfwd:  scratchWords[float64](int(p.K)),
+		drev:  scratchWords[float64](int(p.K)),
 	}
 }
 
@@ -166,10 +173,7 @@ func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []
 	if pi == pj {
 		return Result{}
 	}
-	if len(c) > 0 && &c[0] != r.cRow0 {
-		r.cRow0 = &c[0]
-		r.cUniform = uniformOffDiag(c)
-	}
+	r.beginPair(pi, pj, c)
 	r.cands = r.ix.AppendPairUnsorted(r.cands[:0], pi, pj, allowed)
 	partition.SortCandidates(r.cands, r.order, r.osum)
 	n := len(r.cands)
@@ -270,6 +274,25 @@ func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []
 	return Result{Moves: bestLen, Gain: best, PairsSeen: 1}
 }
 
+// beginPair readies what seeding the candidates of (pi, pj) under c reads:
+// the cached uniformity of c and, for the general-matrix profile walk, the
+// pair's two difference rows.
+func (r *Refiner) beginPair(pi, pj int32, c [][]float64) {
+	if len(c) > 0 && &c[0] != r.cRow0 {
+		r.cRow0 = &c[0]
+		r.cUniform = uniformOffDiag(c)
+	}
+	if r.cUniform || r.profile == nil {
+		return
+	}
+	ci, cj := c[pi], c[pj]
+	for q := range r.dfwd {
+		r.dfwd[q] = ci[q] - cj[q]
+		r.drev[q] = cj[q] - ci[q]
+	}
+	r.dfwd[pi], r.dfwd[pj], r.drev[pi], r.drev[pj] = 0, 0, 0, 0
+}
+
 // grow sizes the per-candidate slices for n candidates and clears moved.
 // A pair larger than any before reallocates all of them once, with
 // headroom, so a run of slowly growing pairs does not reallocate per pair.
@@ -300,18 +323,27 @@ func (r *Refiner) grow(n int) {
 // scan. Either source lists the same (partition, weight) entries in
 // ascending partition order — the dense evaluation's summation order — so
 // the two loops form the same float sum term for term.
+//
+// The profile walk has no branch on the partition: it adds every entry's
+// product with the pair's difference row (beginPair), +0.0 at `from` and
+// `to` — the sum that skips those two entries, bit for bit, because a
+// running sum that starts at +0.0 is never −0.0 and x + (+0.0) = x for
+// every other x (DESIGN.md §9). The segment header carries v's data size.
+// Every product that feeds an addition is converted to float64 first, so
+// that no compiler fuses the two roundings into one (DESIGN.md §10).
 func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 	v := r.cands[idx]
-	from := r.p.Assign[v]
-	to := pi
+	from, k0 := r.p.Assign[v], orig[v]
+	to, d := pi, r.drev
 	if from == pi {
-		to = pj
+		to, d = pj, r.dfwd
 	}
-	var dfrom, dto int64
+	var dfrom, dto, size int64
 	gtopo := 0.0
 	switch {
 	case r.cUniform && r.profile != nil:
 		dfrom, dto = r.profile.GetPair(v, from, to)
+		size = int64(r.g.VertexSize(v))
 	case r.cUniform:
 		adj := r.g.Neighbors(v)
 		w := r.g.EdgeWeights(v)
@@ -325,18 +357,18 @@ func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 				dto += int64(w[i])
 			}
 		}
+		size = int64(r.g.VertexSize(v))
 	case r.profile != nil:
-		parts, ws := r.profile.Segment(v)
-		ws = ws[:len(parts)]
-		cf, ct := c[from], c[to]
+		parts, ws, hdr := r.profile.Segment(v)
+		ws, size = ws[:len(parts)], hdr
 		for i, k := range parts {
-			switch k {
-			case from:
-				dfrom = ws[i]
-			case to:
-				dto = ws[i]
-			default:
-				gtopo += float64(ws[i]) * (cf[k] - ct[k])
+			w := ws[i]
+			gtopo += float64(float64(w) * d[k])
+			if k == from {
+				dfrom = w
+			}
+			if k == to {
+				dto = w
 			}
 		}
 		gtopo *= r.cfg.Alpha
@@ -352,16 +384,16 @@ func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 			case to:
 				dto = d
 			default:
-				gtopo += float64(d) * (cf[k] - ct[k])
+				gtopo += float64(float64(d) * (cf[k] - ct[k]))
 			}
 		}
 		gtopo *= r.cfg.Alpha
+		size = int64(r.g.VertexSize(v))
 	}
 	r.dfrom[idx] = dfrom
 	r.dto[idx] = dto
 	r.gtopo[idx] = gtopo
-	k0 := orig[v]
-	r.gmig[idx] = float64(r.g.VertexSize(v)) * (c[from][k0] - c[to][k0])
+	r.gmig[idx] = float64(size) * (c[from][k0] - c[to][k0])
 	r.gains[idx] = r.pairGain(idx, from, to, c)
 }
 
@@ -372,7 +404,7 @@ func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 // recompute. Under a uniform matrix gtopo is the literal +0.0: every
 // Eq. 8 factor c[from][k]−c[to][k] is exactly zero for k ∉ {from, to}.
 func (r *Refiner) pairGain(idx int, from, to int32, c [][]float64) float64 {
-	gStd := r.cfg.Alpha * float64(r.dto[idx]-r.dfrom[idx]) * c[from][to]
+	gStd := float64(r.cfg.Alpha * float64(r.dto[idx]-r.dfrom[idx]) * c[from][to])
 	return gStd + r.gtopo[idx] + r.gmig[idx]
 }
 

@@ -13,29 +13,25 @@ import (
 	"paragon/internal/topology"
 )
 
-// seededGain seeds v as the only candidate of the pair (from, to), the
-// way RefinePair seeds every candidate, and returns its gain.
-func seededGain(r *Refiner, v, from, to int32, orig []int32, c [][]float64) float64 {
+// seededGain seeds v as the only candidate of the pair (pi, pj), the way
+// RefinePair seeds every candidate, and returns its gain.
+func seededGain(r *Refiner, v, pi, pj int32, orig []int32, c [][]float64) float64 {
+	r.beginPair(pi, pj, c)
 	r.cands = append(r.cands[:0], v)
 	r.grow(1)
-	r.seed(0, from, to, orig, c)
+	r.seed(0, pi, pj, orig, c)
 	return r.gains[0]
 }
 
 // checkSeededGains compares the refiner's seeded gain with the dense
-// Eq. 5 evaluation for every vertex against every target partition, once
-// seeding from adjacency scans and once from a neighbor profile. Bitwise
-// equality matters: the FM heap breaks ties by insertion order, so any FP
-// drift changes move sequences.
+// Eq. 5 evaluation for every vertex against every target partition, in
+// both orientations of the pair, once seeding from adjacency scans and
+// once from a neighbor profile. Bitwise equality matters: the FM heap
+// breaks ties by insertion order, so any FP drift changes move sequences.
 func checkSeededGains(t *testing.T, g *graph.Graph, p *partition.Partitioning, orig []int32, c [][]float64, uniform bool) {
 	t.Helper()
 	cfg := Config{}.WithDefaults()
 	r := NewRefiner(g, partition.BuildIndex(g, p), cfg)
-	// Prime the uniformity cache the way RefinePair does.
-	r.cRow0, r.cUniform = &c[0], uniformOffDiag(c)
-	if r.cUniform != uniform {
-		t.Fatalf("cost matrix detected as uniform = %v, want %v", r.cUniform, uniform)
-	}
 	np, err := partition.BuildNeighborProfile(g, p.Assign, p.K, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -50,12 +46,17 @@ func checkSeededGains(t *testing.T, g *graph.Graph, p *partition.Partitioning, o
 					continue
 				}
 				want := gainFromDegrees(g, dense, orig, v, from, to, c, cfg.Alpha)
-				got := seededGain(r, v, from, to, orig, c)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("profile=%v: gain(v=%d, %d->%d) = %v, want %v (not bit-identical)", profile != nil, v, from, to, got, want)
+				for _, pair := range [][2]int32{{from, to}, {to, from}} {
+					got := seededGain(r, v, pair[0], pair[1], orig, c)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("profile=%v pair %v: gain(v=%d, %d->%d) = %v, want %v (not bit-identical)", profile != nil, pair, v, from, to, got, want)
+					}
 				}
 			}
 		}
+	}
+	if r.cUniform != uniform {
+		t.Fatalf("cost matrix detected as uniform = %v, want %v", r.cUniform, uniform)
 	}
 }
 
@@ -98,6 +99,102 @@ func TestSparseGainMatchesDense(t *testing.T) {
 	const k = 11
 	p, orig := perturbed(g, k, 200, rand.New(rand.NewSource(23)))
 	checkSeededGains(t, g, p, orig, mixedCostMatrix(k), false)
+}
+
+// switchWalk is the general-matrix profile walk as it was before the
+// difference rows: a three-way branch per entry that skips `from` and
+// `to`. Kept as the reference the branch-free walk of seed is pinned to.
+func switchWalk(parts []int32, ws []int64, from, to int32, c [][]float64, alpha float64) (gtopo float64, dfrom, dto int64) {
+	cf, ct := c[from], c[to]
+	for i, k := range parts {
+		switch k {
+		case from:
+			dfrom = ws[i]
+		case to:
+			dto = ws[i]
+		default:
+			gtopo += float64(float64(ws[i]) * (cf[k] - ct[k]))
+		}
+	}
+	return gtopo * alpha, dfrom, dto
+}
+
+// TestBranchFreeWalkMatchesSwitchWalk seeds the hub of random stars — so
+// the hub's profile segment is whatever (partition, weight) list the trial
+// drew — under matrices built to stress the +0.0 identity the branch-free
+// walk rests on: asymmetric rows with differences of either sign, rows
+// that agree outside {from, to} (every product, and the sum, exactly
+// zero), and segments that hold nothing but `from` and `to`. Both
+// orientations of each pair; g_topo must match the reference to the bit
+// (sign of zero included) and the two pair-local degrees exactly.
+func TestBranchFreeWalkMatchesSwitchWalk(t *testing.T) {
+	const k = 9
+	rng := rand.New(rand.NewSource(53))
+	cfg := Config{}.WithDefaults()
+	zeroSums, pairOnly, negative := 0, 0, 0
+	for trial := 0; trial < 400; trial++ {
+		from, to := rng.Int31n(k), rng.Int31n(k-1)
+		if to >= from {
+			to++
+		}
+		c := make([][]float64, k)
+		for i := range c {
+			c[i] = make([]float64, k)
+			for j := range c[i] {
+				if i != j {
+					c[i][j] = float64(rng.Intn(40))/7 + 0.1 // c[i][j] != c[j][i] in general
+				}
+			}
+		}
+		if trial%4 == 1 {
+			for q := int32(0); q < k; q++ {
+				if q != from && q != to {
+					c[to][q] = c[from][q]
+				}
+			}
+		}
+		leaves := 1 + rng.Int31n(14)
+		b := graph.NewBuilder(1 + leaves)
+		p := partition.New(k, 1+leaves)
+		p.Assign[0] = from
+		for u := int32(1); u <= leaves; u++ {
+			b.AddWeightedEdge(0, u, 1+rng.Int31n(1000))
+			p.Assign[u] = rng.Int31n(k)
+			if trial%4 == 2 {
+				p.Assign[u] = []int32{from, to}[rng.Intn(2)]
+			}
+		}
+		g := b.Build()
+		np, err := partition.BuildNeighborProfile(g, p.Assign, k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRefiner(g, partition.BuildIndex(g, p), cfg)
+		r.SetProfile(np)
+		parts, ws, _ := np.Segment(0)
+		wantTopo, wantFrom, wantTo := switchWalk(parts, ws, from, to, c, cfg.Alpha)
+		for _, pair := range [][2]int32{{from, to}, {to, from}} {
+			seededGain(r, 0, pair[0], pair[1], p.Assign, c)
+			if r.cUniform {
+				t.Fatalf("trial %d: matrix detected as uniform; the general walk did not run", trial)
+			}
+			if math.Float64bits(r.gtopo[0]) != math.Float64bits(wantTopo) || r.dfrom[0] != wantFrom || r.dto[0] != wantTo {
+				t.Fatalf("trial %d pair %v, segment %v/%v moving %d->%d: walk gives gtopo %v (%#x) dfrom %d dto %d, reference %v (%#x) %d %d",
+					trial, pair, parts, ws, from, to, r.gtopo[0], math.Float64bits(r.gtopo[0]), r.dfrom[0], r.dto[0], wantTopo, math.Float64bits(wantTopo), wantFrom, wantTo)
+			}
+		}
+		switch {
+		case trial%4 == 2:
+			pairOnly++
+		case trial%4 == 1 && len(parts) > 2:
+			zeroSums++
+		case wantTopo < 0:
+			negative++
+		}
+	}
+	if zeroSums < 50 || pairOnly < 50 || negative < 50 {
+		t.Fatalf("%d zero-sum, %d pair-only, %d negative-sum trials: a case the identity rests on is near-absent", zeroSums, pairOnly, negative)
+	}
 }
 
 // TestUniformGainMatchesDense pins the uniform-cost seeding (g_topo the

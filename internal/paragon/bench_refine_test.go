@@ -86,6 +86,40 @@ func benchParagonRound(b *testing.B, faultLayer, observed bool) {
 	}
 }
 
+// BenchmarkParagonRoundRMAT is the paper's case, and the in-tree mirror of
+// bench/'s rmat100k_dg_k128 (same graph, decomposition, matrix and
+// config; bench/ is where a change is judged, this is where it is
+// profiled): a degree-weighted power-law graph partitioned by stream.DG
+// into k = 128 and refined against the non-uniform PittCluster(7) matrix
+// at λ = 1 — the only benchmark here whose seeds walk whole profile
+// segments for Eq. 8 (the others run RefineUniform). DESIGN.md §9's
+// "where an rmat Refine goes" table is this benchmark under -cpuprofile.
+func BenchmarkParagonRoundRMAT(b *testing.B) {
+	const k = 128
+	g := benchGraph100k()
+	p0 := stream.DG(g, k, stream.DefaultOptions())
+	cl := topology.PittCluster(7)
+	c, err := cl.PartitionCostMatrix(k, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	if cfg.NodeOf, err = cl.NodeOf(k); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := p0.Clone()
+		b.StartTimer()
+		if _, err := Refine(g, p, c, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkParagonRoundMesh is the other end of the input space: a
 // 160k-vertex mesh METIS already partitioned well, so 2 % of the vertices
 // are boundary, few pairs move anything, and what a Refine costs is what

@@ -241,10 +241,10 @@ func checkBarrierInvariant(t *testing.T, sc *scheduler, replay []int32) {
 			continue
 		}
 		materialized++
-		gp, gw := sc.profile.Segment(v)
-		wp, ww := want.Segment(v)
-		if !slices.Equal(gp, wp) || !slices.Equal(gw, ww) {
-			t.Fatalf("round %d: segment of %d = %v/%v, the full table says %v/%v", sc.round, v, gp, gw, wp, ww)
+		gp, gw, gs := sc.profile.Segment(v)
+		wp, ww, ws := want.Segment(v)
+		if !slices.Equal(gp, wp) || !slices.Equal(gw, ww) || gs != ws {
+			t.Fatalf("round %d: segment of %d = %v/%v size %d, the full table says %v/%v size %d", sc.round, v, gp, gw, gs, wp, ww, ws)
 		}
 	}
 	if materialized == 0 {

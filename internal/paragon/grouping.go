@@ -89,7 +89,7 @@ func SelectGroupServers(groups [][]int32, ps []int64, c [][]float64, nodeOf []in
 			penalty := 1 + sigma/float64(drp)
 			var cost float64
 			for _, pi := range grp {
-				cost += float64(ps[pi]) * c[pi][s] * penalty
+				cost += float64(float64(ps[pi]) * c[pi][s] * penalty)
 			}
 			// Strict improvement wins; an exact tie only displaces the
 			// incumbent when it upgrades an out-of-group server to an

@@ -619,7 +619,7 @@ func (d *driver) sweepMigration() {
 		var shardCost float64
 		sc.diff.Range(lo, hi, func(v int32) {
 			shardVerts++
-			shardCost += float64(sc.g.VertexSize(v)) * sc.c[sc.orig[v]][assign[v]]
+			shardCost += float64(float64(sc.g.VertexSize(v)) * sc.c[sc.orig[v]][assign[v]])
 		})
 		mv += shardVerts
 		mc += shardCost

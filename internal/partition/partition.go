@@ -143,7 +143,7 @@ func CommCost(g *graph.Graph, p *Partitioning, c [][]float64, alpha float64) flo
 		for i, u := range adj {
 			if v < u {
 				if pu := p.Assign[u]; pu != pv {
-					total += float64(w[i]) * c[pv][pu]
+					total += float64(float64(w[i]) * c[pv][pu])
 				}
 			}
 		}
@@ -181,7 +181,7 @@ func MigrationCost(g *graph.Graph, old, now *Partitioning, c [][]float64) float6
 	for v := int32(0); v < g.NumVertices(); v++ {
 		from, to := old.Assign[v], now.Assign[v]
 		if from != to {
-			total += float64(g.VertexSize(v)) * c[from][to]
+			total += float64(float64(g.VertexSize(v)) * c[from][to])
 		}
 	}
 	return total

@@ -36,44 +36,52 @@ import (
 // master for every vertex would (DESIGN.md §14).
 //
 // Layout: one segment per materialized vertex, at consecutive offsets of
-// one arena in materialization order (ascending vertex id within one
-// Materialize, so a pair's ascending candidates read ascending addresses),
-// entries sorted by partition, live entries exactly the partitions with
-// nonzero weight. A segment's capacity is min(deg(v), k) — the most
-// distinct nonzero partitions its neighbors can occupy — so updates never
-// spill. The arena is a list of chunks rather than one slice, so that
-// growing it never copies (and never holds the old and the new table at
-// once): chunk c owns the segments that start in [c·2^s, (c+1)·2^s), and
-// is k entries longer than 2^s so the last of them fits.
+// one arena in materialization order — within one Materialize by (owner
+// under assign, vertex id), the order the pair kernel reads in: the
+// ascending candidates of a pair (Pi, Pj) are two ascending runs of two
+// dense regions, not one line each out of all segments. A segment is one
+// header entry (parts slot: live entry count, ws slot: the vertex's data
+// size, so a seed needs no second id-indexed load) followed by its
+// entries, sorted by partition, live entries exactly the partitions with
+// nonzero weight. Its entry capacity is min(deg(v), k) — the most distinct
+// nonzero partitions its neighbors can occupy — so updates never spill.
+// The arena is a list of chunks rather than one slice, so that growing it
+// never copies (and never holds the old and the new table at once): chunk
+// c owns the segments whose header lies in [c·2^s, (c+1)·2^s), and is k+1
+// entries longer than 2^s so the last of them fits.
 type NeighborProfile struct {
 	k      int32
-	off    []int32 // v -> arena offset of v's segment, -1 while v has none
-	live   []int32 // v -> live entries of v's segment
+	off    []int32 // v -> arena offset of v's header, -1 while v has no segment
 	chunks []profileChunk
 	tail   int64   // arena offset the next segment starts at
 	fresh  []int32 // Materialize scratch: the vertices it is adding
+	start  []int32 // Materialize scratch: where each owner's next segment goes
 }
 
 // profileChunk is 2^profileChunkShift offsets of the arena.
 type profileChunk struct {
-	parts []int32 // partition per entry, ascending within a segment
-	ws    []int64 // summed edge weight per entry, always > 0
+	parts []int32 // header: live entries; entry: its partition, ascending within a segment
+	ws    []int64 // header: vertex data size; entry: summed edge weight, always > 0
 }
 
 // profileChunkShift: 16 Ki entries, 192 KiB a chunk. The unused end of
 // the last chunk is all the table ever over-allocates.
 const profileChunkShift = 14
 
-// segmentEntries returns Σ min(deg(v), k), the entries of a table that
-// holds every vertex. Offsets are int32 — half the footprint of the
-// per-vertex arrays — so a table of 2³¹ or more entries is refused
-// instead of silently wrapping.
+// maxProfileEntries is the largest arena int32 offsets address; tests
+// lower it to reach the refusal with a graph they can hold.
+var maxProfileEntries int64 = math.MaxInt32
+
+// segmentEntries returns Σ (min(deg(v), k) + 1), the entries of a table
+// that holds every vertex, headers included. Offsets are int32 — half the
+// footprint of the per-vertex array — so a table of 2³¹ or more entries is
+// refused instead of silently wrapping.
 func segmentEntries(n, k int32, deg func(v int32) int32) (int64, error) {
 	var total int64
 	for v := int32(0); v < n; v++ {
-		total += int64(min(deg(v), k))
-		if total > math.MaxInt32 {
-			return 0, fmt.Errorf("partition: neighbor profile needs more than 2^31-1 entries (Σ min(deg, k=%d) passes it at vertex %d of %d); refine with fewer partitions or a smaller graph", k, v, n)
+		total += int64(min(deg(v), k)) + 1
+		if total > maxProfileEntries {
+			return 0, fmt.Errorf("partition: neighbor profile needs more than 2^31-1 entries (Σ (min(deg, k=%d) + 1) passes it at vertex %d of %d); refine with fewer partitions or a smaller graph", k, v, n)
 		}
 	}
 	return total, nil
@@ -83,16 +91,16 @@ func segmentEntries(n, k int32, deg func(v int32) int32) (int64, error) {
 // vertex has a segment yet. It fails when the table of every vertex would
 // outgrow its int32 offsets (see segmentEntries) — checked here, before
 // anything is allocated, so whatever subset is materialized later fits.
-// Σ min(deg, k) is at most both the half-edge count and n·k, so the
-// per-vertex sum only runs for a graph that passes 2³¹ on both.
+// The sum is at most both n + the half-edge count and n·(k+1), so the
+// per-vertex sum only runs for a graph that passes the limit on both.
 func NewNeighborProfile(g *graph.Graph, k int32) (*NeighborProfile, error) {
 	n := g.NumVertices()
-	if min(g.NumHalfEdges(), int64(n)*int64(k)) > math.MaxInt32 {
+	if int64(n)+min(g.NumHalfEdges(), int64(n)*int64(k)) > maxProfileEntries {
 		if _, err := segmentEntries(n, k, g.Degree); err != nil {
 			return nil, err
 		}
 	}
-	np := &NeighborProfile{k: k, off: make([]int32, n), live: make([]int32, n)}
+	np := &NeighborProfile{k: k, off: make([]int32, n), start: make([]int32, k+1)}
 	for v := range np.off {
 		np.off[v] = -1
 	}
@@ -122,12 +130,13 @@ func (np *NeighborProfile) Materialized(v int32) bool { return np.off[v] >= 0 }
 // Materialize gives every vertex of vs whose mask bit is set (a nil mask
 // admits all) and that has no segment yet one, filled from assign; vs
 // lists distinct vertices in any order. Cost O(len(vs)) to find the new
-// ones plus O(Σ deg) over them to fill. Offsets are laid out serially, in
-// ascending vertex order at the arena's tail, and the chunks they reach
-// are allocated. The new segments are disjoint, so `workers` goroutines
-// fill them over runs of near-equal half-edge count, each with its own
-// accumulators: the table is byte-identical for every worker count. Must
-// not run concurrently with any other use of the profile.
+// ones, O(new + k) to lay them out at the arena's tail by (owner, id) — a
+// serial counting sort of their slots in two ascending-id passes — plus
+// O(Σ deg) over them to fill; the chunks the offsets reach are allocated.
+// The new segments are disjoint, so `workers` goroutines fill them over
+// runs of near-equal half-edge count, each with its own accumulators: the
+// table is byte-identical for every worker count. Must not run
+// concurrently with any other use of the profile.
 func (np *NeighborProfile) Materialize(g *graph.Graph, assign []int32, mask *Bitset, vs []int32, workers int) {
 	fresh := np.fresh[:0]
 	for _, v := range vs {
@@ -142,19 +151,33 @@ func (np *NeighborProfile) Materialize(g *graph.Graph, assign []int32, mask *Bit
 	if !slices.IsSorted(fresh) {
 		slices.Sort(fresh)
 	}
+	// start[q+1] counts owner q's slots, then start[q] is where its region
+	// begins (inside int32 by the constructor's check).
+	start := np.start
+	clear(start)
 	var halfEdges int64
 	for _, v := range fresh {
-		np.off[v] = int32(np.tail)
-		np.tail += int64(min(g.Degree(v), np.k))
+		start[assign[v]+1] += min(g.Degree(v), np.k) + 1
 		halfEdges += int64(g.Degree(v))
 	}
-	// The chunks the new offsets reach, cut from one allocation per call.
-	if need := int(np.off[fresh[len(fresh)-1]]>>profileChunkShift) + 1 - len(np.chunks); need > 0 {
-		size := 1<<profileChunkShift + int(np.k)
-		parts, ws := make([]int32, need*size), make([]int64, need*size)
-		for lo := 0; lo < need*size; lo += size {
-			np.chunks = append(np.chunks, profileChunk{parts[lo : lo+size : lo+size], ws[lo : lo+size : lo+size]})
-		}
+	start[0] = int32(np.tail)
+	for q := int32(1); q <= np.k; q++ {
+		start[q] += start[q-1]
+	}
+	np.tail = int64(start[np.k])
+	var last int32
+	for _, v := range fresh {
+		q := assign[v]
+		np.off[v] = start[q]
+		last = max(last, start[q])
+		start[q] += min(g.Degree(v), np.k) + 1
+	}
+	// The chunks the new headers reach, one allocation each: a single one
+	// for a round's whole arena (15 MB on rmat100k at k = 128), when it
+	// falls inside a GC cycle, is all fresh memory — the last call's garbage
+	// is not swept yet — and peak RSS read 45 or 54 MB by that race.
+	for size := 1<<profileChunkShift + int(np.k) + 1; len(np.chunks) <= int(last>>profileChunkShift); {
+		np.chunks = append(np.chunks, profileChunk{make([]int32, size), make([]int64, size)})
 	}
 	// Cut fresh into at most `workers` runs at the half-edge quantiles;
 	// the last run takes whatever is left.
@@ -197,37 +220,37 @@ func (np *NeighborProfile) fill(g *graph.Graph, assign []int32, vs []int32) {
 			mask[q>>6] |= 1 << (q & 63)
 		}
 		tl = drainMask(mask, tl[:0])
-		parts, ws, base, _ := np.segment(v)
+		c, h := np.header(v)
+		c.parts[h], c.ws[h] = int32(len(tl)), int64(g.VertexSize(v))
+		parts, ws := c.parts[h+1:], c.ws[h+1:]
 		for i, q := range tl {
-			parts[base+i], ws[base+i] = q, buf[q]
+			parts[i], ws[i] = q, buf[q]
 			buf[q] = 0
 		}
-		//lint:ignore sharedwrite v, like its segment above, belongs to the one worker whose run of fresh vertices holds it
-		np.live[v] = int32(len(tl))
 	}
 }
 
-// segment locates v's segment: the chunk it lives in and the bounds
-// [lo, hi) of its live entries there.
-func (np *NeighborProfile) segment(v int32) (parts []int32, ws []int64, lo, hi int) {
+// header locates v's header entry: the chunk it lives in and its index
+// there. v's entries follow it.
+func (np *NeighborProfile) header(v int32) (c *profileChunk, h int) {
 	off := np.off[v]
-	c := &np.chunks[off>>profileChunkShift]
-	lo = int(off & (1<<profileChunkShift - 1))
-	return c.parts, c.ws, lo, lo + int(np.live[v])
+	return &np.chunks[off>>profileChunkShift], int(off & (1<<profileChunkShift - 1))
 }
 
 // Segment returns v's live entries — partitions ascending, each with its
-// nonzero summed weight. The slices alias the table: read-only, valid
-// until the next MoveNeighbor on v.
-func (np *NeighborProfile) Segment(v int32) (parts []int32, ws []int64) {
-	parts, ws, lo, hi := np.segment(v)
-	return parts[lo:hi], ws[lo:hi]
+// nonzero summed weight — and v's data size, all from the one offset
+// lookup. The slices alias the table: read-only, valid until the next
+// MoveNeighbor on v.
+func (np *NeighborProfile) Segment(v int32) (parts []int32, ws []int64, size int64) {
+	c, h := np.header(v)
+	lo, hi := h+1, h+1+int(c.parts[h])
+	return c.parts[lo:hi], c.ws[lo:hi], c.ws[h]
 }
 
 // Get returns Σ w(v,u) over neighbors u owned by partition q — zero when
 // no neighbor is. Binary search over v's sorted segment.
 func (np *NeighborProfile) Get(v, q int32) int64 {
-	parts, ws := np.Segment(v)
+	parts, ws, _ := np.Segment(v)
 	if i := lowerBound(parts, q); i < len(parts) && parts[i] == q {
 		return ws[i]
 	}
@@ -239,7 +262,7 @@ func (np *NeighborProfile) Get(v, q int32) int64 {
 // Small segments scan linearly (one or two cache lines, hardware
 // prefetched); large ones fall back to two binary searches.
 func (np *NeighborProfile) GetPair(v, a, b int32) (wa, wb int64) {
-	parts, ws := np.Segment(v)
+	parts, ws, _ := np.Segment(v)
 	if len(parts) > 32 {
 		return np.Get(v, a), np.Get(v, b)
 	}
@@ -262,7 +285,9 @@ func (np *NeighborProfile) MoveNeighbor(v, from, to int32, w int64) {
 	if from == to || w == 0 || np.off[v] < 0 {
 		return
 	}
-	parts, ws, base, end := np.segment(v)
+	c, h := np.header(v)
+	parts, ws := c.parts, c.ws
+	base, end := h+1, h+1+int(parts[h])
 	// Decrement (and possibly remove) the `from` entry; it must exist.
 	i := base + lowerBound(parts[base:end], from)
 	ws[i] -= w
@@ -270,7 +295,7 @@ func (np *NeighborProfile) MoveNeighbor(v, from, to int32, w int64) {
 		copy(parts[i:end-1], parts[i+1:end])
 		copy(ws[i:end-1], ws[i+1:end])
 		end--
-		np.live[v]--
+		parts[h]--
 	}
 	// Increment (or insert) the `to` entry.
 	j := base + lowerBound(parts[base:end], to)
@@ -282,7 +307,7 @@ func (np *NeighborProfile) MoveNeighbor(v, from, to int32, w int64) {
 	copy(ws[j+1:end+1], ws[j:end])
 	parts[j] = to
 	ws[j] = w
-	np.live[v]++
+	parts[h]++
 }
 
 // lowerBound returns the first index of the ascending parts whose entry

@@ -67,7 +67,7 @@ func ComputeScoreInto(g *graph.Graph, p *Partitioning, orig []int32, c [][]float
 		w[pv] += int64(g.VertexWeight(v))
 		if orig != nil {
 			if from := orig[v]; from != pv {
-				mig += float64(g.VertexSize(v)) * c[from][pv]
+				mig += float64(float64(g.VertexSize(v)) * c[from][pv])
 			}
 		}
 		adj := g.Neighbors(v)
@@ -76,7 +76,7 @@ func ComputeScoreInto(g *graph.Graph, p *Partitioning, orig []int32, c [][]float
 			if v < u {
 				if pu := p.Assign[u]; pu != pv {
 					cut += int64(ew[i])
-					comm += float64(ew[i]) * c[pv][pu]
+					comm += float64(float64(ew[i]) * c[pv][pu])
 				}
 			}
 		}

@@ -158,7 +158,7 @@ func (s *Session) scoreEdge(u, v, w int32, sign int) {
 	if hi < lo {
 		lo, hi = hi, lo
 	}
-	d := float64(w) * s.cfg.Costs[s.live[lo]][s.live[hi]]
+	d := float64(float64(w) * s.cfg.Costs[s.live[lo]][s.live[hi]])
 	if sign < 0 {
 		s.cut -= int64(w)
 		s.comm -= d

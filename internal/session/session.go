@@ -376,7 +376,7 @@ func (s *Session) recomputeLive() {
 			}
 			if pu := s.live[h.to]; pu != pv {
 				cut += int64(h.w)
-				comm += float64(h.w) * c[pv][pu]
+				comm += float64(float64(h.w) * c[pv][pu])
 			}
 		}
 	}

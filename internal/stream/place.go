@@ -119,7 +119,7 @@ func (pl *Placer) Place(adj, wts, assign []int32, load []float64, vw, capacity, 
 			if load[pi]+vw > capacity {
 				continue
 			}
-			score := aff[pi] - alpha*fennelGamma*math.Pow(load[pi], fennelGamma-1)
+			score := aff[pi] - float64(alpha*fennelGamma*math.Pow(load[pi], fennelGamma-1))
 			if best < 0 || score > bestScore || (score == bestScore && load[pi] < load[best]) {
 				best, bestScore = pi, score
 			}

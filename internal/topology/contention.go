@@ -41,10 +41,10 @@ func (c *Cluster) ApplyContention(matrix [][]float64, lambda float64) [][]float6
 			switch c.Class(i, j) {
 			case SharedL2, IntraSocket:
 				// Same socket: both penalties apply.
-				out[i][j] += lambda * (s1 + c.MaxInterSocketCost())
+				out[i][j] += float64(lambda * (s1 + c.MaxInterSocketCost()))
 			case InterSocket:
 				// Same node, different sockets: s2 = 0.
-				out[i][j] += lambda * s1
+				out[i][j] += float64(lambda * s1)
 			}
 		}
 	}

@@ -316,7 +316,7 @@ func (c *Cluster) Cost(r1, r2 int) float64 {
 		return c.Latency.InterSocket
 	default:
 		hops := c.Net.Hops(c.Loc(r1).Node, c.Loc(r2).Node)
-		return c.Latency.InterNodeBase + c.Latency.PerHop*float64(hops)
+		return c.Latency.InterNodeBase + float64(c.Latency.PerHop*float64(hops))
 	}
 }
 
@@ -337,7 +337,7 @@ func (c *Cluster) CostMatrix() [][]float64 {
 // the cluster.
 func (c *Cluster) MaxInterNodeCost() float64 {
 	maxHops := c.Net.MaxHops()
-	return c.Latency.InterNodeBase + c.Latency.PerHop*float64(maxHops)
+	return c.Latency.InterNodeBase + float64(c.Latency.PerHop*float64(maxHops))
 }
 
 // MaxInterSocketCost returns the paper's s2 basis: the maximal

@@ -173,6 +173,29 @@ if git grep -n 'BuildNeighborProfile(' -- 'internal/paragon/*.go' ':!internal/pa
     echo "ci: the full-table profile build or the per-member mask test is back on the scheduler's path" >&2
     exit 1
 fi
+# Seed where the data is (DESIGN.md §14): a profile segment's live count
+# and the vertex's data size sit in its header entry, behind the one
+# offset lookup. The per-vertex live array must not come back.
+if git grep -nE 'np\.live\b|\blive[[:space:]]+\[\]int32' -- internal/partition/profile.go; then
+    echo "ci: a per-vertex live array is back in the neighbor profile; the segment header holds the count" >&2
+    exit 1
+fi
+# One rounding per product on every architecture (DESIGN.md §10): the
+# goldens pin gains and scores to the bit, and a compiler may fuse
+# x*y + z into one rounding unless the product goes through an explicit
+# float64 conversion — arm64 does, amd64 does not. Cross-compile the two
+# binaries that link the refinement stack (cmd/paragond for the session;
+# the standard library builds from the local GOROOT, no network) and
+# demand that no fused multiply-add survives in the packages whose
+# floats are pinned.
+for cmd in paragon paragond; do
+    GOARCH=arm64 go build -o "$lintdir/$cmd.arm64" "./cmd/$cmd"
+    asm="$(go tool objdump -s 'paragon/internal/(aragon|partition|paragon|portfolio|session|topology|stream)\.' "$lintdir/$cmd.arm64")"
+    if grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' <<< "$asm"; then
+        echo "ci: cmd/$cmd fuses a multiply-add on arm64; wrap the product in float64(...)" >&2
+        exit 1
+    fi
+done
 # Formatting: every tracked Go file outside the lint fixtures (whose
 # columns the lint tests may pin) is gofmt-clean.
 unformatted="$(git ls-files '*.go' ':!internal/lint/testdata' | xargs gofmt -l)"
