@@ -234,8 +234,8 @@ func main() {
 				m, mark, ms.Seed, ms.Score.Cost(), ms.Score.EdgeCut, ms.Score.Skewness, ms.Moves)
 		}
 		if pst.RunnerUp >= 0 {
-			fmt.Printf("combine:    members %d+%d, diff %d vertices, %d moves, gain %.0f, applied=%v\n",
-				pst.Winner, pst.RunnerUp, pst.CombineDiff, pst.CombineMoves, pst.CombineGain, pst.CombineApplied)
+			fmt.Printf("combine:    members %d+%d, diff %d vertices, %d pairs in %d waves, %d moves, gain %.0f, applied=%v\n",
+				pst.Winner, pst.RunnerUp, pst.CombineDiff, pst.CombinePairs, pst.CombineWaves, pst.CombineMoves, pst.CombineGain, pst.CombineApplied)
 		}
 		fmt.Printf("selected:   cost %.0f (input %.0f)\n", pst.SelectedScore.Cost(), pst.InputScore.Cost())
 		// The portfolio commits no per-round epochs — members race on

@@ -76,6 +76,9 @@ type Refiner struct {
 	// foreign neighbors at their wave-start owner would sum. The scheduler
 	// patches the table at wave barriers only.
 	profile *partition.NeighborProfile
+	// master is ix.Master(), the assignment seeds read: p's own on an Index,
+	// the wave-constant master under a Shadow (DESIGN.md §9).
+	master *partition.Partitioning
 
 	// The Eq. 8 factors of the running pair (beginPair; general matrix with
 	// a profile only): dfwd[q] = c[pi][q] − c[pj][q] for a candidate leaving
@@ -114,28 +117,35 @@ type moveRec struct {
 // every move flows through ix.Move so the index invariants hold across
 // pairs (and across the rollback of non-improving suffixes).
 func NewRefiner(g *graph.Graph, ix partition.PairIndexer, cfg Config) *Refiner {
-	p := ix.Partitioning()
+	k := ix.Partitioning().K
 	orderWords := partition.MaskWords(g.NumVertices())
-	return &Refiner{
+	r := &Refiner{
 		g:     g,
-		p:     p,
-		ix:    ix,
 		cfg:   cfg.WithDefaults(),
 		slot:  make([]int32, g.NumVertices()),
 		order: scratchWords[uint64](orderWords),
 		osum:  scratchWords[uint64](partition.MaskWords(int32(orderWords))),
 		h:     newFloatHeap(64),
-		dext:  scratchWords[int64](int(p.K)),
-		dmask: scratchWords[uint64](partition.MaskWords(p.K)),
-		dfwd:  scratchWords[float64](int(p.K)),
-		drev:  scratchWords[float64](int(p.K)),
+		dext:  scratchWords[int64](int(k)),
+		dmask: scratchWords[uint64](partition.MaskWords(k)),
+		dfwd:  scratchWords[float64](int(k)),
+		drev:  scratchWords[float64](int(k)),
 	}
+	r.Bind(ix)
+	return r
+}
+
+// Bind points the refiner at another indexer over the same graph and
+// partition count: its scratch is sized by those two and clean between
+// pairs (the portfolio lends its members' refiners to the combine's engine).
+func (r *Refiner) Bind(ix partition.PairIndexer) {
+	r.ix, r.p, r.master = ix, ix.Partitioning(), ix.Master()
 }
 
 // SetProfile installs (or clears, with nil) the neighbor-partition
 // weight table candidates are seeded from. The caller owns keeping it
 // equal to the assignment the refiner sees at the start of every pair;
-// with a nil profile each candidate is seeded from one adjacency scan.
+// with a nil profile each candidate is seeded from one scan over ix.Master().
 func (r *Refiner) SetProfile(np *partition.NeighborProfile) {
 	r.profile = np
 }
@@ -333,7 +343,13 @@ func (r *Refiner) grow(n int) {
 // that no compiler fuses the two roundings into one (DESIGN.md §10).
 func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 	v := r.cands[idx]
-	from, k0 := r.p.Assign[v], orig[v]
+	// Seeds precede the pair's first move, so both views agree on v's owner:
+	// a scan reads it where it reads the neighbors', a profile seed where moves keep it hot.
+	assign := r.p.Assign
+	if r.profile == nil {
+		assign = r.master.Assign
+	}
+	from, k0 := assign[v], orig[v]
 	to, d := pi, r.drev
 	if from == pi {
 		to, d = pj, r.dfwd
@@ -348,7 +364,6 @@ func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 		adj := r.g.Neighbors(v)
 		w := r.g.EdgeWeights(v)
 		w = w[:len(adj)]
-		assign := r.p.Assign
 		for i, u := range adj {
 			switch assign[u] {
 			case from:
@@ -373,7 +388,7 @@ func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 		}
 		gtopo *= r.cfg.Alpha
 	default:
-		r.touched = partition.ExternalDegreesSparse(r.g, r.p, v, r.dext, r.dmask, r.touched[:0])
+		r.touched = partition.ExternalDegreesSparse(r.g, r.master, v, r.dext, r.dmask, r.touched[:0])
 		cf, ct := c[from], c[to]
 		for _, k := range r.touched {
 			d := r.dext[k]

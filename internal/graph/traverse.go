@@ -150,6 +150,10 @@ func ConnectedComponents(g *Graph) ([]int32, int32) {
 // reduce communication volume in §5 of the paper. The result is sorted
 // and deduplicated; pass a retained dst to amortize the output
 // allocation across calls (the per-call BFS bookkeeping is internal).
+//
+// The refinement stack expands its masks with partition.Bitset.Expand (the
+// mask is the visited set: no map, no sort). This one stays as the oracle
+// that shares nothing with it: TestPairCandidatesMatchScan, portfolio tests.
 func ExpandFrontier(g *Graph, seeds []int32, k int, dst []int32) []int32 {
 	n := g.NumVertices()
 	seen := make(map[int32]struct{}, len(seeds)*2)

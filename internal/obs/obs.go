@@ -124,7 +124,8 @@ const (
 	KindMemberRefined
 	// KindPortfolioCombine reports the combine operator's overlay pass:
 	// N = disagreement vertices between the two best members, M = moves
-	// kept by the boundary-restricted rounds, X = the combined cost.
+	// kept by the boundary-restricted rounds, A = pair refinements they
+	// ran, B = the wave barriers they ran in, X = the combined cost.
 	KindPortfolioCombine
 	// KindPortfolioSelect closes a portfolio refinement: A = winning
 	// member id (-1 if every member forfeited), B = 1 if the combined

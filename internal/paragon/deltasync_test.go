@@ -90,12 +90,12 @@ func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
 				}
 				replay := slices.Clone(p.Assign)
 				waves := 0
-				testWaveSynced = func(sc *scheduler, wave int, lo, hi int32) {
+				testWaveSynced = func(sc *WaveEngine, wave int, lo, hi int32) {
 					if wave >= 0 {
 						waves++
 					}
 					for ti := lo; ti < hi; ti++ {
-						for _, mv := range sc.taskMoves(ti) {
+						for _, mv := range sc.TaskMoves(ti) {
 							if sc.round == 0 && (inUntouched[replay[mv.V]] || inUntouched[mv.To]) {
 								t.Fatalf("workers=%d wave %d: vertex %d moved %d -> %d through a crashed group",
 									workers, wave, mv.V, replay[mv.V], mv.To)
@@ -145,7 +145,7 @@ func TestPairCandidatesMatchScan(t *testing.T) {
 			words := make([]uint64, partition.MaskWords(n))
 			summary := make([]uint64, partition.MaskWords(int32(len(words))))
 			pairs, candidates := 0, 0
-			testWaveSynced = func(sc *scheduler, wave int, _, _ int32) {
+			testWaveSynced = func(sc *WaveEngine, wave int, _, _ int32) {
 				if wave < 0 {
 					var boundary []int32
 					for v := int32(0); v < n; v++ {
@@ -164,21 +164,21 @@ func TestPairCandidatesMatchScan(t *testing.T) {
 						}
 					}
 				}
-				if wave+2 >= len(sc.waves) {
+				if wave+2 >= len(sc.Waves) {
 					return // the round's last barrier: no wave left to enumerate for
 				}
-				for _, task := range sc.tasks[sc.waves[wave+1]:sc.waves[wave+2]] {
+				for _, task := range sc.Tasks[sc.Waves[wave+1]:sc.Waves[wave+2]] {
 					var want []int32
 					for v := int32(0); v < n; v++ {
-						if a := sc.pm.Assign[v]; (a == task.pi || a == task.pj) && movable[v] {
+						if a := sc.pm.Assign[v]; (a == task[0] || a == task[1]) && movable[v] {
 							want = append(want, v)
 						}
 					}
-					got := sc.shadow.AppendPairUnsorted(nil, task.pi, task.pj, sc.mask)
+					got := sc.shadow.AppendPairUnsorted(nil, task[0], task[1], sc.mask)
 					partition.SortCandidates(got, words, summary)
 					if !slices.Equal(got, want) {
 						t.Fatalf("khop=%d workers=%d round %d, before wave %d, pair (%d,%d): shadow lists %d candidates, the scan %d",
-							khop, workers, sc.round, wave+1, task.pi, task.pj, len(got), len(want))
+							khop, workers, sc.round, wave+1, task[0], task[1], len(got), len(want))
 					}
 					pairs++
 					candidates += len(want)
@@ -208,10 +208,11 @@ func archAwareInput(t *testing.T) (*graph.Graph, *partition.Partitioning, [][]fl
 	return g, stream.DG(g, k, stream.DefaultOptions()), c
 }
 
-// checkBarrierInvariant compares every piece of scheduler state that is
+// checkBarrierInvariant compares every piece of engine state that is
 // patched from the move log against the same state built from scratch;
-// replay is the input assignment with every kept move so far applied.
-func checkBarrierInvariant(t *testing.T, sc *scheduler, replay []int32) {
+// replay is the input assignment with every kept move so far applied. An
+// engine without a profile has no segments to compare.
+func checkBarrierInvariant(t *testing.T, sc *WaveEngine, replay []int32) {
 	t.Helper()
 	if !slices.Equal(sc.pm.Assign, replay) {
 		t.Fatalf("round %d: master differs from the full-copy replay of the kept moves", sc.round)
@@ -227,6 +228,9 @@ func checkBarrierInvariant(t *testing.T, sc *scheduler, replay []int32) {
 	}
 	if err := sc.shadow.Validate(); err != nil {
 		t.Fatalf("round %d: %v", sc.round, err)
+	}
+	if sc.profile == nil {
+		return
 	}
 	want, err := partition.BuildNeighborProfile(sc.g, sc.pm.Assign, sc.pm.K, 1)
 	if err != nil {

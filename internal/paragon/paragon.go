@@ -337,7 +337,7 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	if err := d.open(); err != nil {
 		return d.finish(start, fmt.Errorf("paragon: %w", err))
 	}
-	defer d.sc.close()
+	defer d.sc.Close()
 	for round := int32(0); ; round++ {
 		d.tr.Emit(obs.Event{Kind: obs.KindRoundStart, Round: round, N: int64(len(d.groups))})
 		d.repairBoundary()
@@ -400,7 +400,7 @@ func (d *driver) open() error {
 	}
 	orig := append([]int32(nil), p.Assign...)
 	var err error
-	d.sc, err = newScheduler(g, p, d.ix, d.c, orig, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg)
+	d.sc, err = newScheduler(g, d.ix, d.c, orig, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg)
 	return err
 }
 

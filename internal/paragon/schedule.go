@@ -8,22 +8,10 @@ package paragon
 // all groups' same-round pairs form one global wave executed concurrently
 // on a bounded worker pool.
 //
-// Determinism is structural, not incidental:
-//
-//   - Pairs within a wave touch pairwise-disjoint partitions, so their
-//     candidate buckets, load entries, and moved vertices are disjoint —
-//     every shared write during a wave goes to memory owned by exactly
-//     one pair.
-//   - What a pair learns about vertices OUTSIDE it comes from the
-//     wave-start neighbor profile, which only the coordinator patches,
-//     between waves, in task order. A pair's computation therefore
-//     depends only on wave-start state, never on how concurrent pairs
-//     interleave.
-//   - Per-pair results land in task-indexed slices and are reduced in
-//     task order; the sharded sweeps accumulate into a fixed number of
-//     shards (sweepShards, independent of Workers) reduced in shard
-//     order, so every float sum associates identically at any worker
-//     count.
+// What makes a wave deterministic is the wave engine's (engine.go); the
+// sharded sweeps accumulate into a fixed number of shards (sweepShards,
+// independent of Workers) reduced in shard order, so every float sum
+// associates identically at any worker count.
 //
 // Scaling discipline (DESIGN.md §14): all per-round sequential work is
 // proportional to *moved/boundary* vertices, never to |V|. The shared
@@ -40,7 +28,6 @@ package paragon
 // for any Config.Workers, which TestSchedulerDeterminism asserts.
 
 import (
-	"paragon/internal/aragon"
 	"paragon/internal/graph"
 	"paragon/internal/obs"
 	"paragon/internal/partition"
@@ -55,100 +42,19 @@ import (
 // association exactly.
 const sweepShards = 64
 
-// pairTask is one scheduled refinement pair.
-type pairTask struct {
-	pi, pj int32
-}
-
-// taskSpan locates a task's kept moves inside its worker's arena, and —
-// when tracing — its staged trace events inside the worker's event buf.
-// Arenas and bufs grow by append, so the span stores indices, not slices;
-// both are emptied before every wave, the barrier having consumed them.
-type taskSpan struct {
-	worker int32
-	mstart int32
-	mend   int32
-	estart int32
-	eend   int32
-}
-
-// span is the work order sent to every worker: a task kind plus, for
-// pair waves, the wave's task range. Workers pick the indices congruent
-// to their id modulo Workers — a static assignment, so allocation counts
-// are deterministic for a fixed worker count (no work stealing).
-type span struct {
-	kind int32
-	lo   int32
-	hi   int32
-}
-
 const (
-	kindPairs int32 = iota
-	kindMask
+	kindMask int32 = kindPairs + 1 + iota
 	kindShip
 )
 
-// testWaveSynced, consulted only when non-nil (set by scheduler tests,
-// from the coordinator goroutine, never concurrently with a running
-// Refine), fires at each wave barrier after the master absorbed the
-// wave's kept moves, with the wave's task range — and once per round
-// before its first wave, as wave −1 with an empty range: the state
-// repairBoundary left is a barrier state too.
-var testWaveSynced func(sc *scheduler, wave int, lo, hi int32)
-
-// scheduler owns the shared state of one Refine call's parallel
-// execution: the shadow view the waves refine, the per-worker refiners
-// and move arenas, the partition loads, and the shard accumulators of
-// the sharded sweeps. It is created once per Refine and its worker
-// goroutines live until close.
-//
-// Barrier invariant (DESIGN.md §14): outside a wave,
-//
-//	shadow view == pm.Assign (bucket membership == the master index's),
-//	loads == pm.Weights(g),
-//	profile segment of v == that of a full table over pm.Assign, for
-//	    every materialized v — and every mask-set v is materialized,
-//	shadow bucket prefix of q == {v ∈ P_q : mask bit set}.
-//
-// newScheduler establishes the first two with one O(|V|) init and
-// repairBoundary the last two for the round's mask; each wave barrier
-// restores all four by replaying the wave's kept moves — which the
-// refiners already applied to the shadow and to loads (rolled-back moves
-// were undone through both before the barrier) — into the master index
-// and the profile. The master is therefore the wave-start view: every
-// vertex moves at most once per wave, so pm.Assign[v] at the barrier is
-// still the owner the wave started from.
+// scheduler is one Refine call's use of the wave engine (engine.go): the
+// tournament schedule it feeds it, the movable-vertex mask it hands it
+// every round, and the shard accumulators of the sharded sweeps, which run
+// on the engine's workers. It is created once per Refine and its worker
+// goroutines live until Close.
 type scheduler struct {
-	g       *graph.Graph
-	pm      *partition.Partitioning // master (authoritative) partitioning
-	ix      *partition.Index
-	c       [][]float64
-	orig    []int32
-	maxLoad int64
-	workers int
-
-	shadow  *partition.Shadow          // shared live view refined by the waves
-	profile *partition.NeighborProfile // wave-start neighbor weights, patched at barriers
-	loads   []int64                    // per-partition weights, written by the refiners
-
-	refiners []*aragon.Refiner
-	arenas   [][]aragon.Move
-
-	// Observability: workers stage KindPairRefined events in their ebuf
-	// (never touching the tracer directly); the coordinator commits each
-	// task's staged span at the wave barrier, in task order — the same
-	// discipline as the move arenas, and the reason the trace is
-	// bit-identical across worker counts.
-	trace *obs.Tracer
-	round int32
-	ebufs []obs.Buf
-
-	tasks   []pairTask
-	pairbuf [][2]int32 // scratch for AppendTournamentRound
-	waves   []int32    // wave t = tasks[waves[t]:waves[t+1]]
-	spans   []taskSpan
-	results []aragon.Result
-	live    []int32 // surviving group indices this round, ascending
+	*WaveEngine
+	live []int32 // surviving group indices this round, ascending
 
 	// Movable-vertex mask machinery (§5). bmask is the boundary bitset,
 	// filled by one sharded scan on the first round and thereafter
@@ -156,7 +62,6 @@ type scheduler struct {
 	// boundary status can change only when it or a neighbor moves).
 	// mask is what refiners and the ship sweep consume: bmask itself at
 	// k-hop 0, or the k-hop expansion kmask otherwise.
-	mask     *partition.Bitset
 	bmask    *partition.Bitset
 	kmask    *partition.Bitset // lazily allocated, k-hop > 0 only
 	maskInit bool
@@ -168,95 +73,30 @@ type scheduler struct {
 
 	shipVerts []int64
 	shipEdges []int64
-
-	start []chan span
-	done  chan struct{}
 }
 
-func newScheduler(g *graph.Graph, pm *partition.Partitioning, ix *partition.Index, c [][]float64, orig []int32, maxLoad int64, cfg Config) (*scheduler, error) {
+func newScheduler(g *graph.Graph, ix *partition.Index, c [][]float64, orig []int32, maxLoad int64, cfg Config) (*scheduler, error) {
 	// Empty: repairBoundary materializes the movable vertices, round by
 	// round. A table too large for its offsets is still refused here.
-	profile, err := partition.NewNeighborProfile(g, pm.K)
+	k := ix.Partitioning().K
+	profile, err := partition.NewNeighborProfile(g, k)
 	if err != nil {
 		return nil, err
 	}
 	n := g.NumVertices()
-	w := cfg.Workers
 	sc := &scheduler{
-		g:       g,
-		pm:      pm,
-		ix:      ix,
-		c:       c,
-		orig:    orig,
-		maxLoad: maxLoad,
-		workers: w,
-
-		shadow:  ix.NewShadow(),
-		profile: profile,
-		loads:   pm.Weights(g),
-
-		refiners: make([]*aragon.Refiner, w),
-		arenas:   make([][]aragon.Move, w),
-
-		trace: cfg.Trace,
-		ebufs: make([]obs.Buf, w),
+		WaveEngine: new(WaveEngine),
 
 		bmask:    partition.NewBitset(n),
 		diff:     partition.NewBitset(n),
-		serverOf: make([]int32, pm.K),
+		serverOf: make([]int32, k),
 
 		shipVerts: make([]int64, sweepShards),
 		shipEdges: make([]int64, sweepShards),
-
-		start: make([]chan span, w),
-		done:  make(chan struct{}, w),
 	}
-	sc.mask = sc.bmask
-	acfg := cfg.AragonConfig()
-	for i := 0; i < w; i++ {
-		r := aragon.NewRefiner(g, sc.shadow, acfg)
-		r.SetProfile(sc.profile)
-		sc.refiners[i] = r
-		sc.start[i] = make(chan span, 1)
-		go sc.worker(i)
-	}
+	sc.Open(g, ix, c, orig, maxLoad, cfg, profile)
+	sc.sweeps = []func(w int){kindMask: sc.runMaskShards, kindShip: sc.runShipShards}
 	return sc, nil
-}
-
-// close shuts the worker pool down. Workers drain their channel and
-// exit; the buffered done channel needs no further synchronization
-// because close is only called after every dispatched span completed.
-func (sc *scheduler) close() {
-	for _, ch := range sc.start {
-		close(ch)
-	}
-}
-
-func (sc *scheduler) worker(w int) {
-	for sp := range sc.start[w] {
-		switch sp.kind {
-		case kindPairs:
-			sc.runPairs(w, sp.lo, sp.hi)
-		case kindMask:
-			sc.runMaskShards(w)
-		case kindShip:
-			sc.runShipShards(w)
-		}
-		sc.done <- struct{}{}
-	}
-}
-
-// dispatch hands one span to every worker and waits for all of them —
-// the wave barrier. Channel send/receive pairs give the coordinator's
-// preceding writes happens-before visibility in the workers and vice
-// versa on completion.
-func (sc *scheduler) dispatch(sp span) {
-	for _, ch := range sc.start {
-		ch <- sp
-	}
-	for range sc.start {
-		<-sc.done
-	}
 }
 
 // shardRange returns shard s of [0, n) under the fixed sweepShards
@@ -272,8 +112,8 @@ func shardRange(n int32, s int) (int32, int32) {
 // of uneven size finish early; their slots simply stop contributing to
 // later waves.
 func (sc *scheduler) buildSchedule(groups [][]int32) {
-	sc.tasks = sc.tasks[:0]
-	sc.waves = sc.waves[:0]
+	sc.Tasks = sc.Tasks[:0]
+	sc.Waves = sc.Waves[:0]
 	maxR := 0
 	for _, gi := range sc.live {
 		m := len(groups[gi])
@@ -281,30 +121,12 @@ func (sc *scheduler) buildSchedule(groups [][]int32) {
 			maxR = r
 		}
 	}
-	sc.waves = append(sc.waves, 0)
+	sc.Waves = append(sc.Waves, 0)
 	for t := 0; t < maxR; t++ {
 		for _, gi := range sc.live {
-			sc.appendWavePairs(groups[gi], t)
+			sc.Tasks = AppendTournamentRound(sc.Tasks, groups[gi], t)
 		}
-		sc.waves = append(sc.waves, int32(len(sc.tasks)))
-	}
-	nt := len(sc.tasks)
-	if cap(sc.results) < nt {
-		sc.results = make([]aragon.Result, nt)
-		sc.spans = make([]taskSpan, nt)
-	} else {
-		sc.results = sc.results[:nt]
-		sc.spans = sc.spans[:nt]
-	}
-}
-
-// appendWavePairs appends tournament round t of one group to the task
-// list, via the shared circle-schedule generator and a reused pair
-// scratch.
-func (sc *scheduler) appendWavePairs(group []int32, t int) {
-	sc.pairbuf = AppendTournamentRound(sc.pairbuf[:0], group, t)
-	for _, pr := range sc.pairbuf {
-		sc.tasks = append(sc.tasks, pairTask{pr[0], pr[1]})
+		sc.Waves = append(sc.Waves, int32(len(sc.Tasks)))
 	}
 }
 
@@ -350,63 +172,41 @@ func (d *driver) refineWaves(round int32, roundTicks int64) {
 	sc.round = round
 	sc.buildSchedule(d.groups)
 	if testWaveSynced != nil {
-		testWaveSynced(sc, -1, 0, 0)
+		testWaveSynced(sc.WaveEngine, -1, 0, 0)
 	}
 	d.st.RoundGains = append(d.st.RoundGains, 0)
 	roundMoves := 0
-	for t := 0; t+1 < len(sc.waves); t++ {
-		lo, hi := sc.waves[t], sc.waves[t+1]
-		if lo == hi {
-			continue
-		}
-		for w := range sc.arenas {
-			sc.arenas[w] = sc.arenas[w][:0]
-			sc.ebufs[w].Reset()
-		}
-		d.tr.Emit(obs.Event{Kind: obs.KindWaveScheduled, Round: round, A: int32(t), N: int64(hi - lo)})
-		sc.dispatch(span{kind: kindPairs, lo: lo, hi: hi})
-		roundMoves += d.commitWave(round, t, lo, hi)
-	}
+	sc.Run(func(t int, lo, hi int32) { roundMoves += d.commitWave(round, t, lo, hi) })
 	d.clk.Advance(roundTicks)
 	d.st.Rounds++
 	d.tr.Emit(obs.Event{Kind: obs.KindRoundEnd, Round: round, N: int64(roundMoves), X: d.st.RoundGains[round]})
 }
 
-// commitWave is the wave barrier: the coordinator replays each task's
-// kept moves, in task order, into the wave-start profile and the master
-// index — a delta patch over the move log, never a full copy — and
-// reduces the task's result into Stats, the fixed-order float summation
-// of the determinism contract. Each vertex is moved by at most one pair
-// per wave (disjoint partitions), so this is a plain replay and
-// pm.Assign[v] is still v's wave-start owner when its move is reached.
-// The move log also feeds the two delta structures of the sweeps: the
-// dirty list (moved vertices + neighbors, whose boundary status the next
-// repairBoundary re-evaluates) and the diff bitset (vertices whose owner
-// differs from the original decomposition, walked by sweepMigration).
-// Staged trace events are committed at the same barrier, also in task
-// order. Returns the moves the wave put into the master.
+// commitWave is the driver's half of the wave barrier, after the engine
+// put the wave's kept moves into the master: each task's result is
+// reduced into Stats in task order — the fixed-order float summation of
+// the determinism contract — and its move log feeds the two delta
+// structures of the sweeps: the dirty list (moved vertices + neighbors,
+// whose boundary status the next repairBoundary re-evaluates) and the
+// diff bitset (vertices whose owner differs from the original
+// decomposition, walked by sweepMigration). Staged trace events are
+// committed in task order between the wave's two events; no worker
+// touches the tracer, so the first reads as emitted before the dispatch.
 func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
 	sc := d.sc
+	d.tr.Emit(obs.Event{Kind: obs.KindWaveScheduled, Round: round, A: int32(t), N: int64(hi - lo)})
 	for ti := lo; ti < hi; ti++ {
-		res := sc.results[ti]
+		res := sc.Results[ti]
 		d.st.PairsRefined++
 		d.st.Moves += res.Moves
 		d.st.Gain += res.Gain
 		d.st.RoundGains[round] += res.Gain
 		waveMoves += res.Moves
 		d.mx.pairMoves.Observe(int64(res.Moves))
-		for _, mv := range sc.taskMoves(ti) {
-			old := sc.pm.Assign[mv.V]
-			adj := sc.g.Neighbors(mv.V)
-			ew := sc.g.EdgeWeights(mv.V)
-			ew = ew[:len(adj)]
-			for i, u := range adj {
-				sc.profile.MoveNeighbor(u, old, mv.To, int64(ew[i]))
-			}
-			sc.ix.Move(mv.V, mv.To)
+		for _, mv := range sc.TaskMoves(ti) {
 			sc.diff.SetTo(mv.V, mv.To != sc.orig[mv.V])
 			sc.dirty = append(sc.dirty, mv.V)
-			sc.dirty = append(sc.dirty, adj...)
+			sc.dirty = append(sc.dirty, sc.g.Neighbors(mv.V)...)
 		}
 		sp := sc.spans[ti]
 		d.tr.CommitStaged(&sc.ebufs[sp.worker], int(sp.estart), int(sp.eend))
@@ -414,42 +214,7 @@ func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
 	d.mx.waves.Inc()
 	d.mx.wavePairs.Observe(int64(hi - lo))
 	d.tr.Emit(obs.Event{Kind: obs.KindWaveCommitted, Round: round, A: int32(t), N: int64(waveMoves)})
-	if testWaveSynced != nil {
-		testWaveSynced(sc, t, lo, hi)
-	}
 	return waveMoves
-}
-
-// runPairs refines this worker's share (static modulo assignment) of
-// one wave's tasks. When tracing, each task's KindPairRefined event is
-// staged in this worker's ebuf — the coordinator commits it at the
-// barrier — so workers never contend on the tracer and the stream stays
-// independent of Workers.
-func (sc *scheduler) runPairs(w int, lo, hi int32) {
-	r := sc.refiners[w]
-	for ti := lo; ti < hi; ti++ {
-		if int(ti)%sc.workers != w {
-			continue
-		}
-		t := sc.tasks[ti]
-		mstart := int32(len(sc.arenas[w]))
-		var res aragon.Result
-		sc.arenas[w], res = r.RefinePairScheduled(sc.arenas[w], sc.orig, t.pi, t.pj, sc.c, sc.loads, sc.maxLoad, sc.mask)
-		sc.results[ti] = res
-		estart := sc.ebufs[w].Mark()
-		if sc.trace != nil {
-			sc.ebufs[w].Emit(obs.Event{Kind: obs.KindPairRefined, Round: sc.round,
-				A: t.pi, B: t.pj, N: int64(res.Moves), X: res.Gain})
-		}
-		sc.spans[ti] = taskSpan{worker: int32(w), mstart: mstart, mend: int32(len(sc.arenas[w])),
-			estart: int32(estart), eend: int32(sc.ebufs[w].Mark())}
-	}
-}
-
-// taskMoves returns task ti's kept moves, in execution order.
-func (sc *scheduler) taskMoves(ti int32) []aragon.Move {
-	sp := sc.spans[ti]
-	return sc.arenas[sp.worker][sp.mstart:sp.mend]
 }
 
 // repairBoundary refreshes the movable-vertex mask of §5 and brings what
@@ -460,9 +225,7 @@ func (sc *scheduler) taskMoves(ti int32) []aragon.Move {
 // is proportional to the previous round's moved volume, not |V|. The
 // k-hop 0 default uses the boundary bitset directly; a positive radius
 // expands it into the separate kmask. The vertices whose mask bit changed
-// are then handed to the shadow, which re-sorts them into or out of their
-// bucket's movable prefix, and to the profile, which gives those the mask
-// admits for the first time their segment, filled from the master.
+// are then handed to the engine (SetMask).
 func (d *driver) repairBoundary() {
 	sc := d.sc
 	// dirty becomes the vertices whose boundary bit changed: every boundary
@@ -482,51 +245,33 @@ func (d *driver) repairBoundary() {
 		}
 		sc.dirty = flipped
 	}
-	changed := sc.dirty
+	mask, changed := sc.bmask, sc.dirty
 	if d.cfg.KHop > 0 {
 		// kmask lost members of its old frontier only and gained members
 		// of its new one only.
 		sc.expandBoundary(d.cfg.KHop)
-		sc.shadow.Sync(sc.mask, sc.previous)
-		changed = sc.frontier
+		sc.SetMask(sc.kmask, sc.previous) // all of them materialized a round ago
+		mask, changed = sc.kmask, sc.frontier
 	}
-	sc.shadow.Sync(sc.mask, changed)
-	sc.profile.Materialize(sc.g, sc.pm.Assign, sc.mask, changed, sc.workers)
+	sc.SetMask(mask, changed)
 	sc.dirty = sc.dirty[:0]
 }
 
 // expandBoundary makes kmask the set of vertices within khop hops of a
-// boundary vertex, and mask point at it: a breadth-first search from the
-// boundary bitset with kmask itself as the visited set, after clearing
-// the bits of the last round's frontier — O(Σ deg over the frontier), no
-// per-round allocation. frontier lists the new set (in discovery order),
-// previous the one it replaced.
+// boundary vertex: a breadth-first search from the boundary bitset with
+// kmask itself as the visited set (partition.Bitset.Expand), after
+// clearing the bits of the last round's frontier — no per-round
+// allocation. frontier lists the new set (in discovery order), previous
+// the one it replaced.
 func (sc *scheduler) expandBoundary(khop int) {
 	if sc.kmask == nil {
 		sc.kmask = partition.NewBitset(sc.g.NumVertices())
-		sc.mask = sc.kmask
 	}
 	sc.previous, sc.frontier = sc.frontier, sc.previous
 	for _, v := range sc.previous {
 		sc.kmask.Unset(v)
 	}
-	sc.frontier = sc.bmask.AppendSet(sc.frontier[:0])
-	for _, v := range sc.frontier {
-		sc.kmask.Set(v)
-	}
-	level := 0
-	for hop := 0; hop < khop && level < len(sc.frontier); hop++ {
-		next := len(sc.frontier)
-		for _, v := range sc.frontier[level:next] {
-			for _, u := range sc.g.Neighbors(v) {
-				if !sc.kmask.Get(u) {
-					sc.kmask.Set(u)
-					sc.frontier = append(sc.frontier, u)
-				}
-			}
-		}
-		level = next
-	}
+	sc.frontier = sc.kmask.Expand(sc.g, sc.bmask.AppendSet(sc.frontier[:0]), khop)
 }
 
 // runMaskShards fills this worker's word-aligned shards of the boundary

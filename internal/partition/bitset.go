@@ -1,6 +1,10 @@
 package partition
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"paragon/internal/graph"
+)
 
 // Bitset is a fixed-length bit-packed vertex mask: the boundary/allowed
 // masks of the refinement pipeline, 64 vertices per word instead of one
@@ -52,6 +56,30 @@ func (b *Bitset) SetTo(v int32, on bool) {
 // ClearAll zeroes the whole set in O(n/64).
 func (b *Bitset) ClearAll() {
 	clear(b.words)
+}
+
+// Expand is the k-hop expansion of §5 as a breadth-first search with b as
+// the visited set: it sets the bits of the distinct, unset vertices of list
+// and of every unset vertex within hops hops of them, appends those to list
+// in discovery order and returns it — O(Σ deg over all but the last level).
+func (b *Bitset) Expand(g *graph.Graph, list []int32, hops int) []int32 {
+	for _, v := range list {
+		b.Set(v)
+	}
+	level := 0
+	for hop := 0; hop < hops && level < len(list); hop++ {
+		next := len(list)
+		for _, v := range list[level:next] {
+			for _, u := range g.Neighbors(v) {
+				if !b.Get(u) {
+					b.Set(u)
+					list = append(list, u)
+				}
+			}
+		}
+		level = next
+	}
+	return list
 }
 
 // Words exposes the backing words. Callers writing through it must

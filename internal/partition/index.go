@@ -26,6 +26,10 @@ type PairIndexer interface {
 	// Partitioning returns the decomposition the indexer maintains;
 	// Move must keep its Assign array in sync.
 	Partitioning() *Partitioning
+	// Master returns the decomposition a candidate seeded without a profile
+	// reads its neighbors' owners from; on the two partitions of a pair it
+	// agrees with Partitioning until that pair's first move.
+	Master() *Partitioning
 	// AppendPairUnsorted appends the movable candidates of the pair
 	// (pi, pj) to dst in bucket (unspecified) order and returns dst; the
 	// caller orders them (SortCandidates). With a non-nil mask, the
@@ -133,6 +137,9 @@ func bucketCap(n int32) int32 { return n + n/8 + 8 }
 
 // Partitioning returns the decomposition this index maintains.
 func (ix *Index) Partitioning() *Partitioning { return ix.p }
+
+// Master implements PairIndexer: refined serially, an index is its own.
+func (ix *Index) Master() *Partitioning { return ix.p }
 
 // Graph returns the graph snapshot this index currently targets.
 func (ix *Index) Graph() *graph.Graph { return ix.g }
@@ -366,6 +373,7 @@ func (ix *Index) Validate() error {
 // O(|B_i| + |B_j|), not a mask test per member of both partitions.
 type Shadow struct {
 	p       *Partitioning
+	master  *Partitioning // the index's: written at wave barriers only
 	buckets []shadowBucket
 	pos     []int32 // vertex -> position in its bucket
 	mask    *Bitset // the mask the prefixes are synced to; nil before the first Sync
@@ -392,18 +400,37 @@ const shadowBucketStride = 128
 // (DESIGN.md §14).
 func (ix *Index) NewShadow() *Shadow {
 	s := &Shadow{
-		p:       ix.p.Clone(),
+		p:       &Partitioning{K: ix.p.K, Assign: make([]int32, len(ix.pos))},
+		master:  ix.p,
 		buckets: make([]shadowBucket, len(ix.buckets)),
-		pos:     slices.Clone(ix.pos),
+		pos:     make([]int32, len(ix.pos)),
 	}
-	for q, b := range ix.buckets {
-		s.buckets[q].vs = append(make([]int32, 0, bucketCap(int32(len(b)))), b...)
-	}
+	s.Resync(ix)
 	return s
+}
+
+// Resync re-seeds the shadow from ix — the index it was made from, after
+// moves the shadow did not see — reusing every backing array: a pooled
+// shadow starts its next call the way a new one would, synced to no mask.
+func (s *Shadow) Resync(ix *Index) {
+	copy(s.p.Assign, ix.p.Assign)
+	copy(s.pos, ix.pos)
+	for q, b := range ix.buckets {
+		vs := s.buckets[q].vs
+		if cap(vs) < len(b) {
+			vs = make([]int32, 0, bucketCap(int32(len(b))))
+		}
+		s.buckets[q].vs, s.buckets[q].front = append(vs[:0], b...), 0
+	}
+	s.mask = nil
 }
 
 // Partitioning returns the shadow's own view of the decomposition.
 func (s *Shadow) Partitioning() *Partitioning { return s.p }
+
+// Master implements PairIndexer: the index's decomposition, which no
+// worker writes during a wave — the wave-start view of every partition.
+func (s *Shadow) Master() *Partitioning { return s.master }
 
 // Sync makes mask the mask the prefixes follow. changed must list every
 // vertex whose bit differs from what the shadow last saw of it — in any

@@ -1,7 +1,7 @@
 package portfolio
 
 import (
-	"paragon/internal/graph"
+	"paragon/internal/paragon"
 	"paragon/internal/partition"
 )
 
@@ -9,27 +9,30 @@ import (
 // they disagree. Starting from the better member a, the disagreement set
 // D = {v : a[v] != b[v]} is expanded one hop (the frontier machinery of
 // §5 — b's dissenting moves are only worth re-judging together with
-// their immediate neighborhoods) into a movable-vertex mask, and the
-// partitions touched by D are re-refined pairwise, ascending, for at
-// most combineRounds boundary-restricted rounds with early exit once no
-// move is kept.
+// their immediate neighborhoods) into a movable-vertex mask, and every
+// pair of the partitions touched by D is re-refined, for at most rounds
+// (combineRounds) mask-restricted rounds with early exit once no move is
+// kept — on the scheduler's wave engine, with cfg.Workers workers that
+// live for this call only. A round is paragon.AppendAntiDiagonalWaves:
+// under an off-diagonal-uniform matrix, move for move the ascending
+// `for i < j` sweep (DESIGN.md §17). No profile: the mask holds about
+// every vertex of the touched partitions, so candidates are seeded from
+// the master's assignment.
 //
 // Every kept prefix has strictly positive Eq. 5 gain, so the overlay
 // never scores worse than a under the partition.Score total order up to
 // float re-association; the caller compares the recomputed scores and
-// keeps a when the overlay fails to strictly improve. Deterministic
-// because it is serial: a fixed traversal of a fixed schedule on the
-// coordinator.
+// keeps a when the overlay fails to strictly improve. Deterministic at
+// every worker count because the engine is. The result is left in
+// scratch[0]'s partitioning (idle after the join), the accounting in st.
 const combineRounds = 2
 
-func (scr *memberScratch) combine(a, b, base []int32, c [][]float64, par memberParams) (score partition.Score, diff, moves int, gain float64) {
+func (pl *Pool) combine(st *Stats, a, b, base []int32, c [][]float64, cfg paragon.Config, rounds int) {
+	scr := pl.scratch[0]
 	copy(scr.p.Assign, a)
 	scr.ix.Rebuild()
-	scr.reloadWeights()
 
-	for i := range scr.inPart {
-		scr.inPart[i] = false
-	}
+	clear(scr.inPart)
 	scr.boundary = scr.boundary[:0]
 	for v := int32(0); v < scr.g.NumVertices(); v++ {
 		if a[v] != b[v] {
@@ -38,17 +41,14 @@ func (scr *memberScratch) combine(a, b, base []int32, c [][]float64, par memberP
 			scr.inPart[b[v]] = true
 		}
 	}
-	diff = len(scr.boundary)
-	score = partition.ComputeScoreInto(scr.g, scr.p, base, c, par.alpha, scr.wbuf)
-	if diff == 0 {
-		return score, diff, 0, 0
+	st.CombineDiff = len(scr.boundary)
+	st.CombinedScore = partition.ComputeScoreInto(scr.g, scr.p, base, c, cfg.Alpha, scr.wbuf)
+	if st.CombineDiff == 0 {
+		return
 	}
 
-	scr.frontier = graph.ExpandFrontier(scr.g, scr.boundary, 1, scr.frontier[:0])
 	scr.mask.ClearAll()
-	for _, v := range scr.frontier {
-		scr.mask.Set(v)
-	}
+	scr.boundary = scr.mask.Expand(scr.g, scr.boundary, 1)
 	scr.parts = scr.parts[:0]
 	for q := int32(0); q < scr.p.K; q++ {
 		if scr.inPart[q] {
@@ -56,22 +56,27 @@ func (scr *memberScratch) combine(a, b, base []int32, c [][]float64, par memberP
 		}
 	}
 
-	for r := 0; r < combineRounds; r++ {
+	e := &pl.eng
+	cfg.Trace = nil // the combine reports through Stats; pair events are Refine's
+	e.Open(scr.g, scr.ix, c, base, partition.BalanceBound(scr.g, scr.p.K, cfg.MaxImbalance), cfg, nil)
+	defer e.Close()
+	e.SetMask(scr.mask, scr.boundary)
+	e.Tasks, e.Waves = paragon.AppendAntiDiagonalWaves(e.Tasks[:0], e.Waves[:0], scr.parts)
+	for r := 0; r < rounds; r++ {
+		e.Run(nil)
+		st.CombinePairs += len(e.Tasks)
+		st.CombineWaves += len(e.Waves) - 1
 		roundMoves := 0
-		for i := 0; i < len(scr.parts); i++ {
-			for j := i + 1; j < len(scr.parts); j++ {
-				res := scr.ref.RefinePair(base, scr.parts[i], scr.parts[j], c, scr.loads, par.maxLoad, scr.mask)
-				roundMoves += res.Moves
-				gain += res.Gain
-			}
+		for _, res := range e.Results {
+			roundMoves += res.Moves
+			st.CombineGain += res.Gain
 		}
-		moves += roundMoves
+		st.CombineMoves += roundMoves
 		if roundMoves == 0 {
 			break
 		}
 	}
-	if moves > 0 {
-		score = partition.ComputeScoreInto(scr.g, scr.p, base, c, par.alpha, scr.wbuf)
+	if st.CombineMoves > 0 {
+		st.CombinedScore = partition.ComputeScoreInto(scr.g, scr.p, base, c, cfg.Alpha, scr.wbuf)
 	}
-	return score, diff, moves, gain
 }

@@ -29,7 +29,7 @@ func emitObservability(cfg paragon.Config, st *Stats) {
 		}
 		if st.CombineDiff > 0 || st.CombineMoves > 0 {
 			tr.Emit(obs.Event{Kind: obs.KindPortfolioCombine, Round: -1,
-				N: int64(st.CombineDiff), M: int64(st.CombineMoves), X: st.CombinedScore.Cost()})
+				A: int32(st.CombinePairs), B: int32(st.CombineWaves), N: int64(st.CombineDiff), M: int64(st.CombineMoves), X: st.CombinedScore.Cost()})
 		}
 		tr.Emit(obs.Event{Kind: obs.KindPortfolioSelect, Round: -1,
 			A: int32(st.Winner), B: applied, X: st.SelectedScore.Cost()})
@@ -44,6 +44,8 @@ func emitObservability(cfg paragon.Config, st *Stats) {
 		}
 	}
 	r.Counter("portfolio_combine_diff_vertices_total", "vertices the two best members disagreed on").Add(int64(st.CombineDiff))
+	r.Counter("portfolio_combine_pairs_total", "pair refinements the combine operator's rounds ran").Add(int64(st.CombinePairs))
+	r.Counter("portfolio_combine_waves_total", "wave barriers the combine operator's rounds ran").Add(int64(st.CombineWaves))
 	r.Counter("portfolio_combine_moves_total", "moves kept by the combine operator's restricted rounds").Add(int64(st.CombineMoves))
 	r.Counter("portfolio_combine_applied_total", "combine overlays that beat the best member and were selected").Add(int64(applied))
 	r.Gauge("portfolio_winner", "selected member id of the last run (-1 if all forfeited)").Set(float64(st.Winner))

@@ -32,8 +32,7 @@ type memberScratch struct {
 	shuffle  []int     // ShuffleGroupsScratch permutation buffer
 	pairs    [][2]int32
 	mask     *partition.Bitset
-	boundary []int32
-	frontier []int32
+	boundary []int32 // the boundary (combine: the disagreement), then its k-hop expansion
 	inPart   []bool  // combine: partitions touched by the disagreement
 	parts    []int32 // combine: those partitions, ascending
 	wbuf     []int64 // ComputeScoreInto weight buffer
@@ -117,6 +116,7 @@ func (scr *memberScratch) regroup(drp int) [][]int32 {
 func (scr *memberScratch) run(base []int32, c [][]float64, par memberParams) (moves int, gain float64) {
 	copy(scr.p.Assign, base)
 	scr.ix.Rebuild()
+	scr.ref.Bind(scr.ix) // the last call's combine had it on its shadow
 	scr.src.Seed(par.seed)
 	scr.reloadWeights()
 	groups := scr.regroup(par.drp)
@@ -170,12 +170,8 @@ func (scr *memberScratch) allowedMask(khop int) *partition.Bitset {
 	if khop <= 0 {
 		return nil
 	}
-	scr.boundary = scr.ix.AppendBoundary(scr.boundary[:0])
-	scr.frontier = graph.ExpandFrontier(scr.g, scr.boundary, khop, scr.frontier[:0])
 	scr.mask.ClearAll()
-	for _, v := range scr.frontier {
-		scr.mask.Set(v)
-	}
+	scr.boundary = scr.mask.Expand(scr.g, scr.ix.AppendBoundary(scr.boundary[:0]), khop)
 	return scr.mask
 }
 
@@ -189,6 +185,7 @@ type Pool struct {
 	k       int32
 	acfg    aragon.Config
 	scratch []*memberScratch
+	eng     paragon.WaveEngine // the combine's: shadow, arenas and schedule, refilled per call; its refiners are the scratches'
 
 	// Per-member result buffers, indexed by member id: each is written
 	// by exactly the worker that ran the member, then read only by the
@@ -211,9 +208,11 @@ func (pl *Pool) ensure(g *graph.Graph, base []int32, k int32, workers, size int,
 		pl.g, pl.k, pl.acfg = g, k, acfg
 		pl.scratch = pl.scratch[:0]
 		pl.assigns = pl.assigns[:0]
+		pl.eng = paragon.WaveEngine{}
 	}
 	for len(pl.scratch) < workers {
 		pl.scratch = append(pl.scratch, newMemberScratch(g, base, k, acfg))
+		pl.eng.Spare = append(pl.eng.Spare, pl.scratch[len(pl.scratch)-1].ref)
 	}
 	for len(pl.assigns) < size {
 		pl.assigns = append(pl.assigns, make([]int32, len(base)))

@@ -16,7 +16,9 @@
 // Config.Workers value, which TestPortfolioDeterminism asserts.
 //
 // The combine operator (combine.go) overlays the two best members and
-// re-refines only where they disagree; faults (Config.Fabric /
+// re-refines only where they disagree — the one phase that does use wave
+// barriers: every pair of the touched partitions, on the scheduler's wave
+// engine with all cfg.Workers workers; faults (Config.Fabric /
 // FaultRate) resolve per member, up front, on the coordinator — a
 // crashed member forfeits and is excluded from scoring, never silently
 // substituted.
@@ -57,6 +59,8 @@ type Stats struct {
 
 	// Combine operator accounting (zero values when it did not run).
 	CombineDiff    int             // vertices on which the two best members disagree
+	CombinePairs   int             // pair refinements its rounds ran (every pair of the touched partitions, per round)
+	CombineWaves   int             // wave barriers they ran in
 	CombineMoves   int             // moves kept by the boundary-restricted rounds
 	CombineGain    float64         // realized Eq. 5 gain of those rounds
 	CombinedScore  partition.Score // score of the overlay after re-refinement
@@ -223,18 +227,11 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 	}
 
 	if cfg.Portfolio.CombineTop >= 2 && st.RunnerUp >= 0 {
-		scr := pool.scratch[0] // idle after the join; combine is coordinator-only
-		cs, diff, mv, gn := scr.combine(
-			pool.assigns[st.Winner], pool.assigns[st.RunnerUp], p.Assign, c,
-			runnerParams(cfg, g, p.K))
-		st.CombineDiff = diff
-		st.CombineMoves = mv
-		st.CombineGain = gn
-		st.CombinedScore = cs
-		if cs.Better(st.SelectedScore) {
+		pool.combine(&st, pool.assigns[st.Winner], pool.assigns[st.RunnerUp], p.Assign, c, cfg, combineRounds)
+		if st.CombinedScore.Better(st.SelectedScore) {
 			st.CombineApplied = true
-			selected = scr.p.Assign
-			st.SelectedScore = cs
+			selected = pool.scratch[0].p.Assign
+			st.SelectedScore = st.CombinedScore
 		}
 	}
 
@@ -261,7 +258,7 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 }
 
 // runnerParams projects the effective member parameters out of a
-// defaulted config (the combine operator refines under the same rules).
+// defaulted config.
 func runnerParams(cfg paragon.Config, g *graph.Graph, k int32) memberParams {
 	return memberParams{
 		drp:      cfg.DRP,

@@ -2,9 +2,13 @@ package portfolio
 
 import (
 	"hash/fnv"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"paragon/internal/aragon"
 	"paragon/internal/faultsim"
 	"paragon/internal/gen"
 	"paragon/internal/graph"
@@ -59,6 +63,7 @@ func statsEqual(a, b Stats) bool {
 	if a.Size != b.Size || a.Forfeits != b.Forfeits ||
 		a.Winner != b.Winner || a.RunnerUp != b.RunnerUp ||
 		a.CombineDiff != b.CombineDiff || a.CombineMoves != b.CombineMoves ||
+		a.CombinePairs != b.CombinePairs || a.CombineWaves != b.CombineWaves ||
 		a.CombineGain != b.CombineGain || a.CombinedScore != b.CombinedScore ||
 		a.CombineApplied != b.CombineApplied ||
 		a.InputScore != b.InputScore || a.SelectedScore != b.SelectedScore ||
@@ -79,19 +84,28 @@ func statsEqual(a, b Stats) bool {
 // trace and metrics serializations match byte for byte too.
 func TestPortfolioDeterminism(t *testing.T) {
 	g, p0, c := testInput(t, 4000, 24000, 32)
-	for _, faulty := range []bool{false, true} {
-		name := "clean"
-		if faulty {
-			name = "faulty"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faulty bool
+		c      [][]float64
+		khop   int
+	}{
+		{name: "clean", c: c},
+		{name: "faulty", faulty: true, c: c},
+		// The combine's other seeding (two degrees off the master, no
+		// g_topo) and the mask path of members and combine.
+		{name: "uniform", c: topology.UniformMatrix(32)},
+		{name: "khop1", c: c, khop: 1},
+	} {
+		faulty, c := tc.faulty, tc.c
+		t.Run(tc.name, func(t *testing.T) {
 			var wantHash uint64
 			var wantStats Stats
 			var wantTrace, wantProm string
 			for i, workers := range []int{1, 2, 8} {
 				p := p0.Clone()
 				cfg := paragon.Config{
-					DRP: 4, Shuffles: 2, Seed: 7, Workers: workers,
+					DRP: 4, Shuffles: 2, Seed: 7, Workers: workers, KHop: tc.khop,
 					Portfolio: paragon.PortfolioConfig{Size: 5, CombineTop: 2},
 					Trace:     obs.NewTracer(0),
 					Metrics:   obs.NewRegistry(),
@@ -119,6 +133,9 @@ func TestPortfolioDeterminism(t *testing.T) {
 						if st.Winner < 0 {
 							t.Fatalf("all members forfeited — fixture too strong")
 						}
+					}
+					if st.CombineMoves == 0 || st.CombineWaves < 2 {
+						t.Fatalf("the combine kept %d moves over %d waves — fixture too weak", st.CombineMoves, st.CombineWaves)
 					}
 					continue
 				}
@@ -302,34 +319,42 @@ func TestPortfolioCombineNeverWorse(t *testing.T) {
 // buffers).
 func TestPortfolioPoolAllocsFlat(t *testing.T) {
 	g, p0, c := testInput(t, 2000, 10000, 16)
-	measure := func(size int, pool *Pool) float64 {
-		cfg := paragon.Config{
-			DRP: 4, Shuffles: 1, Seed: 3, Workers: 2,
-			Portfolio: paragon.PortfolioConfig{Size: size, CombineTop: 2},
-		}
-		p := p0.Clone()
-		// Warm the pool (first run sizes every buffer).
-		if _, err := RefineWithPool(g, p, c, cfg, pool); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(3, func() {
-			pp := p0.Clone()
-			if _, err := RefineWithPool(g, pp, c, cfg, pool); err != nil {
+	for _, khop := range []int{0, 1} {
+		measure := func(size int, pool *Pool) float64 {
+			cfg := paragon.Config{
+				DRP: 4, Shuffles: 1, Seed: 3, Workers: 2, KHop: khop,
+				Portfolio: paragon.PortfolioConfig{Size: size, CombineTop: 2},
+			}
+			p := p0.Clone()
+			// Warm the pool (first run sizes every buffer).
+			st, err := RefineWithPool(g, p, c, cfg, pool)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
+			if st.CombinePairs == 0 {
+				t.Fatalf("khop=%d size=%d: the combine refined no pair; its engine is not covered", khop, size)
+			}
+			return testing.AllocsPerRun(3, func() {
+				pp := p0.Clone()
+				if _, err := RefineWithPool(g, pp, c, cfg, pool); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		var pool Pool
+		small := measure(2, &pool)
+		large := measure(8, &pool)
+		// The fixed overhead (Stats.Members, runner, waitgroup, the combine's
+		// worker goroutines and channels, clone in the closure) is allowed;
+		// what must NOT happen is per-member index or refiner construction,
+		// a fresh combine engine (thousands of allocs each) or, at k-hop 1, a
+		// mask expansion that allocates per round. Six extra members get a
+		// generous budget of 8 allocs each.
+		if large > small+48 || small > 64 {
+			t.Fatalf("khop=%d: allocs/op size=2 → %.0f, size=8 → %.0f", khop, small, large)
+		}
+		t.Logf("khop=%d allocs/op: size=2 %.0f, size=8 %.0f", khop, small, large)
 	}
-	var pool Pool
-	small := measure(2, &pool)
-	large := measure(8, &pool)
-	// The fixed overhead (Stats.Members, runner, waitgroup, clone in the
-	// closure) is allowed; what must NOT happen is per-member index or
-	// refiner construction (thousands of allocs each). Six extra members
-	// get a generous budget of 8 allocs each.
-	if large > small+48 {
-		t.Fatalf("allocs/op grew with member count: size=2 → %.0f, size=8 → %.0f", small, large)
-	}
-	t.Logf("allocs/op: size=2 %.0f, size=8 %.0f", small, large)
 }
 
 // TestPortfolioSelectedBeatsInput sanity-checks that the ensemble is
@@ -358,5 +383,207 @@ func TestPortfolioSelectedBeatsInput(t *testing.T) {
 	}
 	if sum != st.CPUTime {
 		t.Fatalf("CPUTime %v != Σ member CPU %v", st.CPUTime, sum)
+	}
+}
+
+// serialSweep is the combine operator as it was before it ran on the wave
+// engine, kept as the reference: one Index, one Refiner, and every pair of
+// the touched partitions in ascending `for i < j` order on the calling
+// goroutine. The mask comes from graph.ExpandFrontier, which shares
+// nothing with Bitset.Expand.
+func serialSweep(g *graph.Graph, a, b, base []int32, k int32, c [][]float64, cfg paragon.Config, rounds int) (assign []int32, loads []int64, moves int, gain float64) {
+	p := &partition.Partitioning{K: k, Assign: slices.Clone(a)}
+	ix := partition.BuildIndex(g, p)
+	ref := aragon.NewRefiner(g, ix, cfg.AragonConfig())
+	loads = p.Weights(g)
+	inPart := make([]bool, k)
+	var d []int32
+	for v := range a {
+		if a[v] != b[v] {
+			d = append(d, int32(v))
+			inPart[a[v]], inPart[b[v]] = true, true
+		}
+	}
+	mask := partition.NewBitset(g.NumVertices())
+	for _, v := range graph.ExpandFrontier(g, d, 1, nil) {
+		mask.Set(v)
+	}
+	var parts []int32
+	for q := int32(0); q < k; q++ {
+		if inPart[q] {
+			parts = append(parts, q)
+		}
+	}
+	maxLoad := partition.BalanceBound(g, k, cfg.MaxImbalance)
+	for r := 0; r < rounds && len(d) > 0; r++ {
+		roundMoves := 0
+		for i := 0; i < len(parts); i++ {
+			for j := i + 1; j < len(parts); j++ {
+				res := ref.RefinePair(base, parts[i], parts[j], c, loads, maxLoad, mask)
+				roundMoves += res.Moves
+				gain += res.Gain
+			}
+		}
+		moves += roundMoves
+		if roundMoves == 0 {
+			break
+		}
+	}
+	return p.Assign, loads, moves, gain
+}
+
+// TestCombineWavesMatchSerialSweep holds the combine's anti-diagonal waves
+// to the serial sweep they replaced: under an off-diagonal-uniform matrix
+// a pair reads and writes nothing outside its two partitions, the waves
+// keep every two pairs that share a partition in lexicographic order, and
+// so assignment, loads, kept moves and gain (to the bit) are the sweep's —
+// at every worker count, for few and many touched partitions, for one
+// round and two, when a round keeps nothing and when nothing disagrees.
+func TestCombineWavesMatchSerialSweep(t *testing.T) {
+	const k = 40
+	g := gen.RMAT(4000, 24000, 0.57, 0.19, 0.19, 5)
+	g.UseDegreeWeights()
+	a := stream.HP(g, k).Assign
+	// b: a, with every fifth vertex of the first m partitions handed to the
+	// next of them, so that exactly those m are touched.
+	dissent := func(m int32) []int32 {
+		b := slices.Clone(a)
+		for v := range b {
+			if a[v] < m && v%5 == 0 {
+				b[v] = (a[v] + 1) % m
+			}
+		}
+		return b
+	}
+	uniform := func(cost float64) [][]float64 {
+		c := topology.UniformMatrix(k)
+		for i := range c {
+			for j := range c[i] {
+				c[i][j] *= cost
+			}
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name      string
+		m         int32
+		cost      float64
+		rounds    int
+		alpha     float64 // 0: the default
+		wantPairs int     // per round that ran
+		rounds0   int     // rounds expected to run
+	}{
+		{name: "m2", m: 2, cost: 1, rounds: 2, wantPairs: 1, rounds0: 2},
+		{name: "m3", m: 3, cost: 2.5, rounds: 2, wantPairs: 3, rounds0: 2},
+		{name: "m7", m: 7, cost: 1, rounds: 2, wantPairs: 21, rounds0: 2},
+		{name: "m33", m: 33, cost: 2.5, rounds: 2, wantPairs: 528, rounds0: 2},
+		{name: "m33-one-round", m: 33, cost: 1, rounds: 1, wantPairs: 528, rounds0: 1},
+		// Communication weighs nothing against migration, so no prefix has a
+		// positive gain: the first round keeps nothing and ends the combine.
+		{name: "m7-keeps-nothing", m: 7, cost: 1, rounds: 2, alpha: 1e-9, wantPairs: 21, rounds0: 1},
+		{name: "empty-D", m: 0, cost: 1, rounds: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, c := dissent(tc.m), uniform(tc.cost)
+			cfg := paragon.Config{Alpha: tc.alpha}.WithDefaults(k)
+			wantAssign, wantLoads, wantMoves, wantGain := serialSweep(g, a, b, a, k, c, cfg, tc.rounds)
+			if keeps := tc.alpha == 0 && tc.m > 0; keeps != (wantMoves > 0) {
+				t.Fatalf("the serial sweep kept %d moves; the case does not test what it names", wantMoves)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				cfg.Workers = workers
+				var pl Pool
+				pl.ensure(g, a, k, 1, 2, cfg.AragonConfig())
+				for call := 0; call < 2; call++ { // the second on the pooled engine
+					var st Stats
+					pl.combine(&st, a, b, a, c, cfg, tc.rounds)
+					got := pl.scratch[0].p
+					if !slices.Equal(got.Assign, wantAssign) {
+						t.Fatalf("workers=%d call %d: assignment differs from the serial sweep's", workers, call)
+					}
+					if !slices.Equal(got.Weights(g), wantLoads) {
+						t.Fatalf("workers=%d call %d: loads %v, the serial sweep's %v", workers, call, got.Weights(g), wantLoads)
+					}
+					if st.CombineMoves != wantMoves || math.Float64bits(st.CombineGain) != math.Float64bits(wantGain) {
+						t.Fatalf("workers=%d call %d: %d moves, gain %v; the serial sweep kept %d, gain %v",
+							workers, call, st.CombineMoves, st.CombineGain, wantMoves, wantGain)
+					}
+					if st.CombinePairs != tc.rounds0*tc.wantPairs || st.CombineWaves != tc.rounds0*max(0, 2*int(tc.m)-3) {
+						t.Fatalf("workers=%d call %d: %d pairs in %d waves, want %d rounds of %d pairs in %d waves",
+							workers, call, st.CombinePairs, st.CombineWaves, tc.rounds0, tc.wantPairs, 2*int(tc.m)-3)
+					}
+					if err := pl.scratch[0].ix.Validate(); err != nil {
+						t.Fatalf("workers=%d call %d: %v", workers, call, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPortfolioLeavesNoGoroutine: member workers and the combine's wave
+// workers all end with the call, pooled state or not.
+func TestPortfolioLeavesNoGoroutine(t *testing.T) {
+	g, p0, c := testInput(t, 2000, 10000, 16)
+	var pool Pool
+	before := runtime.NumGoroutine()
+	for call := 0; call < 3; call++ {
+		st, err := RefineWithPool(g, p0.Clone(), c, paragon.Config{
+			DRP: 4, Shuffles: 1, Seed: 3, Workers: 8,
+			Portfolio: paragon.PortfolioConfig{Size: 4, CombineTop: 2},
+		}, &pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CombinePairs == 0 {
+			t.Fatal("the combine refined no pair; its workers never started")
+		}
+		// A goroutine that has signalled its exit may still be on its way
+		// out: yield to it, never sleep.
+		for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("call %d: %d goroutines before RefineWithPool, %d after", call, before, n)
+		}
+	}
+}
+
+// TestObsCombineCountersAgreeWithStats: the combine's counters and trace
+// event are views of the Stats the call returns.
+func TestObsCombineCountersAgreeWithStats(t *testing.T) {
+	g, p, c := testInput(t, 3000, 18000, 24)
+	cfg := paragon.Config{
+		DRP: 4, Shuffles: 1, Seed: 1, Trace: obs.NewTracer(0), Metrics: obs.NewRegistry(),
+		Portfolio: paragon.PortfolioConfig{Size: 4, CombineTop: 2},
+	}
+	st, err := Refine(g, p, c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CombinePairs == 0 || st.CombineWaves == 0 || st.CombinePairs < st.CombineWaves {
+		t.Fatalf("%d pairs in %d waves: the combine did not run", st.CombinePairs, st.CombineWaves)
+	}
+	for name, want := range map[string]int{
+		"portfolio_combine_pairs_total":         st.CombinePairs,
+		"portfolio_combine_waves_total":         st.CombineWaves,
+		"portfolio_combine_moves_total":         st.CombineMoves,
+		"portfolio_combine_diff_vertices_total": st.CombineDiff,
+	} {
+		if got := cfg.Metrics.Counter(name, "").Value(); got != int64(want) {
+			t.Errorf("%s = %d, Stats says %d", name, got, want)
+		}
+	}
+	seen := false
+	for _, e := range cfg.Trace.Events() {
+		if e.Kind == obs.KindPortfolioCombine {
+			seen = true
+			if int(e.A) != st.CombinePairs || int(e.B) != st.CombineWaves || int(e.N) != st.CombineDiff || int(e.M) != st.CombineMoves {
+				t.Errorf("portfolio_combine event %+v, Stats %+v", e, zeroTimes(st))
+			}
+		}
+	}
+	if !seen {
+		t.Error("no portfolio_combine event")
 	}
 }

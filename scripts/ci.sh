@@ -44,8 +44,9 @@ go test -race -cpu=1,4 ./internal/dir/
 
 # Portfolio ensembles under the race detector at GOMAXPROCS 1 and 4:
 # members race on the shared frozen graph with member-id-owned result
-# slots (DESIGN.md §17); -cpu also changes the Config.Workers default,
-# so the determinism tests cover serialized and interleaved members.
+# slots, and the combine's waves on one shadow (DESIGN.md §17); -cpu also
+# changes the Config.Workers default, so the determinism tests cover
+# serialized and interleaved members and waves.
 go test -race -cpu=1,4 ./internal/portfolio/
 
 # Streaming sessions under the race detector at GOMAXPROCS 1 and 4: the
@@ -107,6 +108,24 @@ cmp "$obsdir/d1.txt" "$obsdir/d8.txt"
 cmp "$obsdir/dt1.jsonl" "$obsdir/dt8.jsonl"
 cmp "$obsdir/dm1.prom" "$obsdir/dm8.prom"
 
+# Combine determinism end to end: the portfolio door, whose combine runs
+# every pair of the touched partitions as anti-diagonal waves on the wave
+# engine with all -workers (DESIGN.md §17), at -workers 1 and 8 — once
+# under a uniform matrix (uma: move for move the serial sweep) and once
+# under an architecture-aware one (pitt: foreign partitions seen as of the
+# wave's start). Assignment, trace and metrics must be byte-identical.
+for cl in uma pitt; do
+    for w in 1 8; do
+        "$obsdir/paragon" -in "$obsdir/g.metis" -k 16 -cluster "$cl" -workers "$w" -seed 9 \
+            -shuffles 2 -portfolio 4 -portfolio-combine 2 -out "$obsdir/pa-$cl$w.txt" \
+            -trace "$obsdir/pt-$cl$w.jsonl" -metrics "$obsdir/pm-$cl$w.prom" > /dev/null
+    done
+    cmp "$obsdir/pa-${cl}1.txt" "$obsdir/pa-${cl}8.txt"
+    cmp "$obsdir/pt-${cl}1.jsonl" "$obsdir/pt-${cl}8.jsonl"
+    cmp "$obsdir/pm-${cl}1.prom" "$obsdir/pm-${cl}8.prom"
+    grep -q '"kind":"portfolio_combine"' "$obsdir/pt-${cl}1.jsonl"
+done
+
 # Bench bitrot smoke: compile and run every benchmark once so benchmark
 # code can't silently rot between perf-measurement sessions.
 go test -bench=. -benchtime=1x -run='^$' ./... > /dev/null
@@ -145,6 +164,15 @@ fi
 # per-round load copy and the round-end replay must not come back.
 if git grep -nwE 'frozen|roundLoads|commitRound' -- 'internal/paragon/*.go' ':!internal/paragon/*_test.go'; then
     echo "ci: a third scheduler view or a second move replay is back; commit at the wave barrier" >&2
+    exit 1
+fi
+# One wave loop (DESIGN.md §12, §17): the combine's pairs run on
+# paragon.WaveEngine, and the portfolio expands its masks with the
+# scheduler's bitset search. Neither the coordinator's serial pair loop
+# nor the map-and-sort expansion may come back.
+if git grep -n 'RefinePair(' -- internal/portfolio/combine.go ||
+    git grep -n 'ExpandFrontier' -- 'internal/portfolio/*.go' ':!internal/portfolio/*_test.go'; then
+    echo "ci: the combine refines pairs off the wave engine, or the portfolio expands a mask through graph.ExpandFrontier" >&2
     exit 1
 fi
 # One accounting path (DESIGN.md §13): Stats is the record, and the metrics
