@@ -137,7 +137,7 @@ func NewRefiner(g *graph.Graph, ix partition.PairIndexer, cfg Config) *Refiner {
 
 // Bind points the refiner at another indexer over the same graph and
 // partition count: its scratch is sized by those two and clean between
-// pairs (the portfolio lends its members' refiners to the combine's engine).
+// pairs (a wave engine binds every refiner it runs, lent ones included).
 func (r *Refiner) Bind(ix partition.PairIndexer) {
 	r.ix, r.p, r.master = ix, ix.Partitioning(), ix.Master()
 }
@@ -177,8 +177,9 @@ func (r *Refiner) RefinePairScheduled(dst []Move, orig []int32, pi, pj int32, c 
 // per-partition weights (updated in place, rollback included). Only
 // vertices with a set bit in allowed may move: PARAGON uses the mask to
 // model the k-hop boundary shipping of §5 — a group server only holds the
-// vertices its group members shipped. A nil mask admits every boundary
-// vertex of the pair (full ARAGON behavior).
+// vertices its group members shipped. The mask is the indexer's kind
+// (partition.PairIndexer): nil on an Index, which admits every boundary
+// vertex of the pair (full ARAGON behavior), the synced one on a Shadow.
 func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []int64, maxLoad int64, allowed *partition.Bitset) Result {
 	if pi == pj {
 		return Result{}

@@ -1,6 +1,7 @@
 package paragon
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -133,36 +134,22 @@ func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
 // the two partitions under the master assignment whose oracle bit is set,
 // and demands exactly that list from the shadow's prefix copy ordered by
 // SortCandidates. Index, Shadow, NeighborProfile and the mask repair
-// appear on one side only. K-hop 0 and 1, Workers 1/2/8, with a third of
-// the groups degraded so schedules with holes are covered.
+// appear on one side only. K-hop 0, 1 and 2, Workers 1/2/8, with a third
+// of the groups degraded so schedules with holes are covered.
 func TestPairCandidatesMatchScan(t *testing.T) {
 	defer func() { testWaveSynced = nil }()
-	for _, khop := range []int{0, 1} {
+	for _, khop := range []int{0, 1, 2} {
 		for _, workers := range []int{1, 2, 8} {
 			g, p, c := archAwareInput(t)
 			n := g.NumVertices()
-			movable := make([]bool, n) // the oracle's mask for the current round
+			var movable []bool // the oracle's mask for the current round
 			words := make([]uint64, partition.MaskWords(n))
 			summary := make([]uint64, partition.MaskWords(int32(len(words))))
 			pairs, candidates := 0, 0
 			testWaveSynced = func(sc *WaveEngine, wave int, _, _ int32) {
 				if wave < 0 {
-					var boundary []int32
-					for v := int32(0); v < n; v++ {
-						if partition.IsBoundary(g, sc.pm, v) {
-							boundary = append(boundary, v)
-						}
-					}
-					clear(movable)
-					for _, v := range graph.ExpandFrontier(g, boundary, khop, nil) {
-						movable[v] = true
-					}
-					for v := int32(0); v < n; v++ {
-						if sc.mask.Get(v) != movable[v] {
-							t.Fatalf("khop=%d workers=%d round %d: mask bit of %d is %v, the scan says %v",
-								khop, workers, sc.round, v, sc.mask.Get(v), movable[v])
-						}
-					}
+					movable = movableScan(g, sc.pm, khop)
+					checkMask(t, fmt.Sprintf("khop=%d workers=%d round %d", khop, workers, sc.round), sc, khop)
 				}
 				if wave+2 >= len(sc.Waves) {
 					return // the round's last barrier: no wave left to enumerate for

@@ -21,17 +21,14 @@ type taskSpan struct {
 	eend   int32
 }
 
-// span is the work order sent to every worker: a task kind plus, for
-// pair waves, the wave's task range. Workers pick the indices congruent
-// to their id modulo Workers — a static assignment, so allocation counts
-// are deterministic for a fixed worker count (no work stealing).
+// span is the work order sent to every worker: one wave's task range.
+// Workers pick the indices congruent to their id modulo Workers — a static
+// assignment, so allocation counts are deterministic for a fixed worker
+// count (no work stealing).
 type span struct {
-	kind int32
-	lo   int32
-	hi   int32
+	lo int32
+	hi int32
 }
-
-const kindPairs int32 = 0 // the engine's own span kind; any other indexes sweeps
 
 // testWaveSynced, consulted only when non-nil (set by tests, from the
 // coordinator goroutine, never while an engine runs), fires at the end of
@@ -44,11 +41,13 @@ var testWaveSynced func(e *WaveEngine, wave int, lo, hi int32)
 // pairs on a bounded worker pool (DESIGN.md §12): the shadow view the
 // waves refine, the per-worker refiners and move arenas, the partition
 // loads, and the barrier that replays each wave's kept moves into the
-// master index. Refine's scheduler feeds it tournament waves, with a
-// profile; the portfolio's combine anti-diagonal waves, without. The zero
-// value is ready for Open, and one engine serves any number of Open …
-// Close calls, keeping its state while (graph, index, workers, refiner
-// config) stay the same.
+// master index. It runs pairs and nothing else. Refine's scheduler feeds
+// it tournament waves, with a profile; the portfolio's combine
+// anti-diagonal waves and its members one pair per wave, without. The
+// zero value is ready for Open, and one engine serves any number of Open
+// … Close calls, keeping its state while (graph, index, refiner config)
+// stay the same — a new worker count only starts other workers. One
+// worker runs every wave inline, on the caller's goroutine.
 //
 // Determinism is structural, not incidental:
 //
@@ -93,11 +92,12 @@ type WaveEngine struct {
 	loads   []int64                    // per-partition weights, written by the refiners
 	mask    *partition.Bitset          // the movable vertices (SetMask)
 
+	// refiners[w] is worker w's, for every worker count the engine has been
+	// opened with: Spare[w] where the caller lends one, else built here once.
 	refiners []*aragon.Refiner
 	arenas   [][]aragon.Move
-	// Spare, filled before Open, lends the engine refiners over the same
-	// graph, k and config that are idle from Open to Close: it builds only
-	// the ones Workers needs beyond them. The lender binds them back.
+	// Spare lends the engine refiners over the same graph, k and config that
+	// are idle from every Open to its Close; slot w goes to worker w.
 	Spare []*aragon.Refiner
 
 	// Observability: workers stage KindPairRefined events in their ebuf
@@ -116,40 +116,51 @@ type WaveEngine struct {
 	Results []aragon.Result
 	spans   []taskSpan
 
-	sweeps []func(w int) // by span kind: the owner's sharded sweeps, run on the same workers
-	start  []chan span
-	done   chan struct{}
+	start []chan span // nil with one worker: the waves run inline
+	done  chan struct{}
 }
 
 // Open readies the engine for waves over the master ix indexes: shadow and
-// loads are refilled from it and cfg.Workers workers started, to live until
-// Close. orig is the migration reference, profile (empty, or nil) the table
-// candidates are seeded from.
+// loads are refilled from it and, beyond the first, cfg.Workers workers
+// started, to live until Close. orig is the migration reference, profile
+// (empty, or nil) the table candidates are seeded from.
 func (e *WaveEngine) Open(g *graph.Graph, ix *partition.Index, c [][]float64, orig []int32, maxLoad int64, cfg Config, profile *partition.NeighborProfile) {
 	w, acfg := cfg.Workers, cfg.AragonConfig()
-	if e.g != g || e.ix != ix || e.workers != w || e.acfg != acfg || e.profile != profile {
-		*e = WaveEngine{g: g, pm: ix.Partitioning(), ix: ix, workers: w, acfg: acfg,
-			shadow: ix.NewShadow(), profile: profile,
-			refiners: make([]*aragon.Refiner, w), arenas: make([][]aragon.Move, w), ebufs: make([]obs.Buf, w),
+	if e.g != g || e.ix != ix || e.acfg != acfg {
+		*e = WaveEngine{g: g, pm: ix.Partitioning(), ix: ix, acfg: acfg, shadow: ix.NewShadow(),
 			Spare: e.Spare, Tasks: e.Tasks, Waves: e.Waves}
-		n := copy(e.refiners, e.Spare)
-		for i := n; i < w; i++ {
-			e.refiners[i] = aragon.NewRefiner(g, e.shadow, acfg)
-		}
 	} else {
 		e.shadow.Resync(ix)
 	}
-	for _, r := range e.refiners {
+	for i := len(e.refiners); i < w; i++ {
+		var r *aragon.Refiner
+		if i < len(e.Spare) {
+			r = e.Spare[i]
+		} else {
+			r = aragon.NewRefiner(g, e.shadow, acfg)
+		}
+		e.refiners = append(e.refiners, r)
+		e.arenas = append(e.arenas, nil)
+		e.ebufs = append(e.ebufs, obs.Buf{})
+	}
+	for _, r := range e.refiners[:w] {
 		r.Bind(e.shadow)
 		r.SetProfile(profile)
 	}
+	e.workers, e.profile, e.mask = w, profile, nil
 	e.c, e.orig, e.maxLoad, e.trace = c, orig, maxLoad, cfg.Trace
-	e.loads = e.pm.Weights(g)
-	e.start = make([]chan span, w)
-	e.done = make(chan struct{}, w)
-	for i := range e.start {
-		e.start[i] = make(chan span, 1)
-		go e.worker(i)
+	e.loads = slices.Grow(e.loads[:0], int(e.pm.K))[:e.pm.K]
+	clear(e.loads)
+	for v, q := range e.pm.Assign {
+		e.loads[q] += int64(g.VertexWeight(int32(v)))
+	}
+	if w > 1 {
+		e.start = make([]chan span, w)
+		e.done = make(chan struct{}, w)
+		for i := range e.start {
+			e.start[i] = make(chan span, 1)
+			go e.worker(i)
+		}
 	}
 }
 
@@ -161,25 +172,28 @@ func (e *WaveEngine) Close() {
 	for range e.start {
 		<-e.done
 	}
+	e.start = nil
 	e.c, e.orig, e.trace = nil, nil, nil
 }
 
 func (e *WaveEngine) worker(w int) {
 	for sp := range e.start[w] {
-		if sp.kind == kindPairs {
-			e.runPairs(w, sp.lo, sp.hi)
-		} else {
-			e.sweeps[sp.kind](w)
-		}
+		e.runPairs(w, sp.lo, sp.hi)
 		e.done <- struct{}{}
 	}
 	e.done <- struct{}{}
 }
 
-// dispatch hands one span to every worker and waits for all of them — the
-// wave barrier. The channel operations order the coordinator's preceding
-// writes before the workers' reads, and theirs before its next ones.
+// dispatch runs one wave and returns when all of it is done — the wave
+// barrier. With one worker it runs on the calling goroutine; otherwise it
+// hands the span to every worker and waits for all of them, the channel
+// operations ordering the coordinator's preceding writes before the
+// workers' reads, and theirs before its next ones.
 func (e *WaveEngine) dispatch(sp span) {
+	if e.workers == 1 {
+		e.runPairs(0, sp.lo, sp.hi)
+		return
+	}
 	for _, ch := range e.start {
 		ch <- sp
 	}
@@ -189,16 +203,22 @@ func (e *WaveEngine) dispatch(sp span) {
 }
 
 // SetMask makes mask the movable set of the waves to come. changed lists
-// every vertex whose bit differs from what the engine last saw of it (every
-// set bit, for a mask new to it since Open): the shadow re-sorts those into
-// or out of their bucket's movable prefix, and the profile gives the ones
-// admitted for the first time their segment, filled from the master.
+// every vertex whose bit differs from what the engine last saw of it: the
+// shadow re-sorts those into or out of their bucket's movable prefix, and
+// the profile gives the ones admitted for the first time their segment,
+// filled from the master. A mask new to the engine since Open is taken
+// whole, whatever changed says — so no caller has to list every set bit.
 func (e *WaveEngine) SetMask(mask *partition.Bitset, changed []int32) {
+	fresh := mask != e.mask
 	e.mask = mask
 	e.shadow.Sync(mask, changed)
-	if e.profile != nil {
-		e.profile.Materialize(e.g, e.pm.Assign, mask, changed, e.workers)
+	if e.profile == nil {
+		return
 	}
+	if fresh {
+		changed = mask.AppendSet(nil)
+	}
+	e.profile.Materialize(e.g, e.pm.Assign, mask, changed, e.workers)
 }
 
 // Run executes the schedule wave by wave. At each wave's barrier the
@@ -221,7 +241,7 @@ func (e *WaveEngine) Run(barrier func(t int, lo, hi int32)) {
 			e.arenas[w] = e.arenas[w][:0]
 			e.ebufs[w].Reset()
 		}
-		e.dispatch(span{kind: kindPairs, lo: lo, hi: hi})
+		e.dispatch(span{lo: lo, hi: hi})
 		for ti := lo; ti < hi; ti++ {
 			for _, mv := range e.TaskMoves(ti) {
 				if e.profile != nil {

@@ -107,21 +107,16 @@ func SelectGroupServers(groups [][]int32, ps []int64, c [][]float64, nodeOf []in
 	return servers
 }
 
-// ShuffleGroups performs one shuffle-refinement swap: each group hands a
-// random partition to a randomly paired partner group and receives one
-// back, expanding the set of partition pairs the next round can refine.
+// ShuffleGroupsScratch performs one shuffle-refinement swap: each group
+// hands a random partition to a randomly paired partner group and receives
+// one back, expanding the set of partition pairs the next round can refine.
 // Groups of size ≤ 2 still swap (sizes are preserved by the exchange).
-// Exported because portfolio members run the same shuffle discipline over
-// their own groupings.
-func ShuffleGroups(groups [][]int32, rng *rand.Rand, round int) {
-	ShuffleGroupsScratch(groups, rng, round, nil)
-}
-
-// ShuffleGroupsScratch is ShuffleGroups with a caller-owned permutation
-// scratch (grown as needed and returned), so per-round callers — the
-// portfolio members in particular, whose allocs/op must stay flat in the
-// member count — allocate nothing in steady state. The draw sequence is
-// identical to ShuffleGroups for any scratch.
+// scratch is a caller-owned permutation buffer (grown as needed and
+// returned), so per-round callers — the driver and the portfolio members,
+// whose allocs/op must stay flat in the member count — allocate nothing in
+// steady state; the draw sequence is the same for any scratch. Exported
+// because portfolio members run the same shuffle discipline over their own
+// groupings.
 func ShuffleGroupsScratch(groups [][]int32, rng *rand.Rand, round int, scratch []int) []int {
 	m := len(groups)
 	if m < 2 {
@@ -149,8 +144,8 @@ func ShuffleGroupsScratch(groups [][]int32, rng *rand.Rand, round int, scratch [
 // permInto reproduces rand.Perm's exact draw sequence (inside-out
 // Fisher-Yates, one Intn(i+1) per i in [0, n) — the i = 0 draw is a
 // no-op swap but still consumes from the source) into a reused buffer,
-// so ShuffleGroupsScratch emits the same permutation stream as the
-// allocating form — pinned by TestShuffleGroupsScratchMatchesPerm.
+// so ShuffleGroupsScratch emits the permutation stream rand.Perm
+// would — pinned by TestShuffleGroupsScratchMatchesPerm.
 func permInto(rng *rand.Rand, n int, dst []int) []int {
 	if cap(dst) < n {
 		dst = make([]int, n)

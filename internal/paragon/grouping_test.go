@@ -104,7 +104,7 @@ func TestSelectGroupServersStrictImprovementStillWins(t *testing.T) {
 }
 
 func TestShuffleGroupsProperties(t *testing.T) {
-	// ShuffleGroups must permute partitions between groups without ever
+	// ShuffleGroupsScratch must permute partitions between groups without ever
 	// duplicating or dropping one, and without changing any group's size —
 	// for even and odd group counts (the odd path has an extra rotation).
 	for _, m := range []int{2, 3, 4, 5, 7} {
@@ -117,7 +117,7 @@ func TestShuffleGroupsProperties(t *testing.T) {
 				sizes[gi] = len(grp)
 			}
 			for round := 0; round < 8; round++ {
-				ShuffleGroups(groups, rng, round)
+				ShuffleGroupsScratch(groups, rng, round, nil)
 				var flat []int32
 				for gi, grp := range groups {
 					if len(grp) != sizes[gi] {
@@ -142,8 +142,8 @@ func TestShuffleGroupsProperties(t *testing.T) {
 }
 
 // TestShuffleGroupsScratchMatchesPerm pins the draw-sequence equivalence
-// of permInto and rand.Perm: the scratch form of ShuffleGroups must
-// consume the rng stream identically to the allocating form, or every
+// of permInto and rand.Perm: ShuffleGroupsScratch must consume the rng
+// stream identically whether its scratch is fresh or reused, or every
 // seeded run downstream of a shuffle (golden hashes included) drifts.
 func TestShuffleGroupsScratchMatchesPerm(t *testing.T) {
 	for n := 0; n <= 17; n++ {
@@ -164,7 +164,7 @@ func TestShuffleGroupsScratchMatchesPerm(t *testing.T) {
 			t.Fatalf("n=%d: permInto consumed a different number of draws than rand.Perm", n)
 		}
 	}
-	// And the two shuffle entry points must transform groups identically.
+	// And a fresh and a reused scratch must transform groups identically.
 	mk := func() [][]int32 {
 		return [][]int32{{0, 5}, {1, 6, 9}, {2, 7}, {3, 8}, {4}}
 	}
@@ -173,7 +173,7 @@ func TestShuffleGroupsScratchMatchesPerm(t *testing.T) {
 	r2 := rand.New(rand.NewSource(42))
 	var scratch []int
 	for round := 0; round < 6; round++ {
-		ShuffleGroups(g1, r1, round)
+		ShuffleGroupsScratch(g1, r1, round, nil)
 		scratch = ShuffleGroupsScratch(g2, r2, round, scratch)
 		for gi := range g1 {
 			for i := range g1[gi] {

@@ -296,6 +296,7 @@ type driver struct {
 	rng *rand.Rand
 
 	groups     [][]int32 // the current grouping, reshuffled after every exchange
+	shuffle    []int     // ShuffleGroupsScratch's permutation buffer
 	ps         []int64   // pooled incident-edge sums, reused per round
 	regionSize int64
 	st         Stats
@@ -351,7 +352,7 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 		if int(round) == cfg.Shuffles || !d.exchangeRegions(round) {
 			break
 		}
-		ShuffleGroups(d.groups, d.rng, int(round))
+		d.shuffle = ShuffleGroupsScratch(d.groups, d.rng, int(round), d.shuffle)
 	}
 	d.sweepMigration()
 	d.tr.Emit(obs.Event{Kind: obs.KindRefineEnd, Round: -1, N: int64(d.st.Moves), X: d.st.Gain})

@@ -112,7 +112,7 @@ func TestShuffleGroupsPreservesPartitions(t *testing.T) {
 		sizes[i] = len(g)
 	}
 	for round := 0; round < 5; round++ {
-		ShuffleGroups(groups, rng, round)
+		ShuffleGroupsScratch(groups, rng, round, nil)
 	}
 	seen := map[int32]bool{}
 	for i, g := range groups {

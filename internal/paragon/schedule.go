@@ -8,10 +8,11 @@ package paragon
 // all groups' same-round pairs form one global wave executed concurrently
 // on a bounded worker pool.
 //
-// What makes a wave deterministic is the wave engine's (engine.go); the
-// sharded sweeps accumulate into a fixed number of shards (sweepShards,
-// independent of Workers) reduced in shard order, so every float sum
-// associates identically at any worker count.
+// What makes a wave deterministic is the wave engine's (engine.go). The
+// per-round passes outside the waves run on the coordinator: the boundary
+// scan and the ship accounting are integer, order-free sums, and the
+// migration sweep accumulates into a fixed number of shards (sweepShards)
+// reduced in shard order, the association its float sum has always had.
 //
 // Scaling discipline (DESIGN.md §14): all per-round sequential work is
 // proportional to *moved/boundary* vertices, never to |V|. The shared
@@ -20,9 +21,9 @@ package paragon
 // master and shadow bit-identical after every wave, so nothing is ever
 // re-copied. What the pair kernel reads holds the movable vertices only:
 // the profile has a segment per vertex the mask ever admitted, and the
-// shadow keeps each bucket's movable members as a prefix. The remaining
-// full sweeps (ship accounting, migration sweep) walk bit-packed masks at
-// 64 vertices per word.
+// shadow keeps each bucket's movable members as a prefix, which the ship
+// accounting walks too. The migration sweep walks a bit-packed mask at 64
+// vertices per word.
 //
 // The result is bit-identical to serial execution of the same schedule
 // for any Config.Workers, which TestSchedulerDeterminism asserts.
@@ -33,69 +34,33 @@ import (
 	"paragon/internal/partition"
 )
 
-// sweepShards is the fixed shard count for the per-round sweeps (allowed
-// mask, boundary-shipping accounting, final migration sweep). It is
-// deliberately independent of Config.Workers: per-shard accumulators
-// always cover identical vertex ranges, so the shard-order reduction
-// sums over the same boundaries no matter how many workers executed the
-// shards — and the serial migration sweep emulates the same shard
-// association exactly.
+// sweepShards is the fixed shard count of the migration sweep's float
+// reduction: per-shard partials over identical vertex ranges, summed in
+// shard order — the association the sum had when the sweep ran sharded
+// over the workers, kept so its bits never move.
 const sweepShards = 64
-
-const (
-	kindMask int32 = kindPairs + 1 + iota
-	kindShip
-)
 
 // scheduler is one Refine call's use of the wave engine (engine.go): the
 // tournament schedule it feeds it, the movable-vertex mask it hands it
-// every round, and the shard accumulators of the sharded sweeps, which run
-// on the engine's workers. It is created once per Refine and its worker
-// goroutines live until Close.
+// every round, and the diff bitset of the migration sweep. It is created
+// once per Refine and its worker goroutines live until Close.
 type scheduler struct {
 	*WaveEngine
 	live []int32 // surviving group indices this round, ascending
-
-	// Movable-vertex mask machinery (§5). bmask is the boundary bitset,
-	// filled by one sharded scan on the first round and thereafter
-	// delta-maintained from the commit log's dirty list (a vertex's
-	// boundary status can change only when it or a neighbor moves).
-	// mask is what refiners and the ship sweep consume: bmask itself at
-	// k-hop 0, or the k-hop expansion kmask otherwise.
-	bmask    *partition.Bitset
-	kmask    *partition.Bitset // lazily allocated, k-hop > 0 only
-	maskInit bool
-	dirty    []int32           // moved vertices + neighbors since the last mask refresh
-	diff     *partition.Bitset // v set iff pm.Assign[v] != orig[v]
-	frontier []int32           // k-hop > 0: the set bits of kmask, in discovery order
-	previous []int32           // k-hop > 0: last round's frontier, whose kmask bits this round's expansion cleared
-	serverOf []int32           // partition -> its group's server this round, -1 outside every group
-
-	shipVerts []int64
-	shipEdges []int64
+	mov  Movable
+	diff *partition.Bitset // v set iff pm.Assign[v] != orig[v]
 }
 
 func newScheduler(g *graph.Graph, ix *partition.Index, c [][]float64, orig []int32, maxLoad int64, cfg Config) (*scheduler, error) {
 	// Empty: repairBoundary materializes the movable vertices, round by
 	// round. A table too large for its offsets is still refused here.
-	k := ix.Partitioning().K
-	profile, err := partition.NewNeighborProfile(g, k)
+	profile, err := partition.NewNeighborProfile(g, ix.Partitioning().K)
 	if err != nil {
 		return nil, err
 	}
-	n := g.NumVertices()
-	sc := &scheduler{
-		WaveEngine: new(WaveEngine),
-
-		bmask:    partition.NewBitset(n),
-		diff:     partition.NewBitset(n),
-		serverOf: make([]int32, k),
-
-		shipVerts: make([]int64, sweepShards),
-		shipEdges: make([]int64, sweepShards),
-	}
+	sc := &scheduler{WaveEngine: new(WaveEngine), diff: partition.NewBitset(g.NumVertices())}
 	sc.Open(g, ix, c, orig, maxLoad, cfg, profile)
-	sc.sweeps = []func(w int){kindMask: sc.runMaskShards, kindShip: sc.runShipShards}
+	sc.mov.Reset(ix, cfg.KHop)
 	return sc, nil
 }
 
@@ -137,7 +102,8 @@ func (sc *scheduler) buildSchedule(groups [][]int32) {
 // disjoint — the disjointness the scheduler's wave barrier relies on —
 // and each pair is emitted ascending (pi < pj). Rounds t in
 // [0, m + (m&1) − 1) cover every pair of the group exactly once.
-// Exported because portfolio members replay the same schedule serially.
+// Exported because portfolio members run the same schedule, one pair per
+// wave.
 func AppendTournamentRound(dst [][2]int32, group []int32, t int) [][2]int32 {
 	m := len(group)
 	mm := m + (m & 1)
@@ -186,12 +152,12 @@ func (d *driver) refineWaves(round int32, roundTicks int64) {
 // put the wave's kept moves into the master: each task's result is
 // reduced into Stats in task order — the fixed-order float summation of
 // the determinism contract — and its move log feeds the two delta
-// structures of the sweeps: the dirty list (moved vertices + neighbors,
-// whose boundary status the next repairBoundary re-evaluates) and the
-// diff bitset (vertices whose owner differs from the original
-// decomposition, walked by sweepMigration). Staged trace events are
-// committed in task order between the wave's two events; no worker
-// touches the tracer, so the first reads as emitted before the dispatch.
+// structures: the movable mask (whose next repair re-evaluates the moved
+// vertices and their neighbors) and the diff bitset (vertices whose owner
+// differs from the original decomposition, walked by sweepMigration).
+// Staged trace events are committed in task order between the wave's two
+// events; no worker touches the tracer, so the first reads as emitted
+// before the dispatch.
 func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
 	sc := d.sc
 	d.tr.Emit(obs.Event{Kind: obs.KindWaveScheduled, Round: round, A: int32(t), N: int64(hi - lo)})
@@ -203,11 +169,11 @@ func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
 		d.st.RoundGains[round] += res.Gain
 		waveMoves += res.Moves
 		d.mx.pairMoves.Observe(int64(res.Moves))
-		for _, mv := range sc.TaskMoves(ti) {
+		moves := sc.TaskMoves(ti)
+		for _, mv := range moves {
 			sc.diff.SetTo(mv.V, mv.To != sc.orig[mv.V])
-			sc.dirty = append(sc.dirty, mv.V)
-			sc.dirty = append(sc.dirty, sc.g.Neighbors(mv.V)...)
 		}
+		sc.mov.Moved(moves)
 		sp := sc.spans[ti]
 		d.tr.CommitStaged(&sc.ebufs[sp.worker], int(sp.estart), int(sp.eend))
 	}
@@ -217,141 +183,45 @@ func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
 	return waveMoves
 }
 
-// repairBoundary refreshes the movable-vertex mask of §5 and brings what
-// the pair kernel reads in line with it. The boundary bitset is filled by
-// one sharded full scan on the first round; every later round only
-// re-evaluates the commit log's dirty vertices — a vertex's boundary
-// status can change only when it or a neighbor moves, so the refresh cost
-// is proportional to the previous round's moved volume, not |V|. The
-// k-hop 0 default uses the boundary bitset directly; a positive radius
-// expands it into the separate kmask. The vertices whose mask bit changed
-// are then handed to the engine (SetMask).
+// repairBoundary refreshes the movable-vertex mask of §5 (Movable: one
+// full boundary scan on the first round, afterwards the last round's moved
+// vertices and their neighbors, expanded at a positive k-hop radius) and
+// brings what the pair kernel reads in line with it (SetMask).
 func (d *driver) repairBoundary() {
-	sc := d.sc
-	// dirty becomes the vertices whose boundary bit changed: every boundary
-	// vertex on the first round, afterwards what is left of the commit log
-	// once the vertices that kept their status are dropped from it.
-	if !sc.maskInit {
-		sc.dispatch(span{kind: kindMask})
-		sc.maskInit = true
-		sc.dirty = sc.bmask.AppendSet(sc.dirty[:0])
-	} else {
-		flipped := sc.dirty[:0]
-		for _, v := range sc.dirty {
-			if on := sc.ix.IsBoundary(v); on != sc.bmask.Get(v) {
-				sc.bmask.SetTo(v, on)
-				flipped = append(flipped, v)
-			}
-		}
-		sc.dirty = flipped
-	}
-	mask, changed := sc.bmask, sc.dirty
-	if d.cfg.KHop > 0 {
-		// kmask lost members of its old frontier only and gained members
-		// of its new one only.
-		sc.expandBoundary(d.cfg.KHop)
-		sc.SetMask(sc.kmask, sc.previous) // all of them materialized a round ago
-		mask, changed = sc.kmask, sc.frontier
-	}
-	sc.SetMask(mask, changed)
-	sc.dirty = sc.dirty[:0]
+	d.sc.mov.Repair(d.sc.WaveEngine)
 }
 
-// expandBoundary makes kmask the set of vertices within khop hops of a
-// boundary vertex: a breadth-first search from the boundary bitset with
-// kmask itself as the visited set (partition.Bitset.Expand), after
-// clearing the bits of the last round's frontier — no per-round
-// allocation. frontier lists the new set (in discovery order), previous
-// the one it replaced.
-func (sc *scheduler) expandBoundary(khop int) {
-	if sc.kmask == nil {
-		sc.kmask = partition.NewBitset(sc.g.NumVertices())
-	}
-	sc.previous, sc.frontier = sc.frontier, sc.previous
-	for _, v := range sc.previous {
-		sc.kmask.Unset(v)
-	}
-	sc.frontier = sc.kmask.Expand(sc.g, sc.bmask.AppendSet(sc.frontier[:0]), khop)
-}
-
-// runMaskShards fills this worker's word-aligned shards of the boundary
-// bitset from the index's maintained counts — the one full boundary
-// scan of a Refine. Shard boundaries are word-aligned (WordShard), so
-// concurrent workers never write the same word.
-func (sc *scheduler) runMaskShards(w int) {
-	n := sc.g.NumVertices()
-	words := sc.bmask.Words()
-	for s := w; s < sweepShards; s += sc.workers {
-		wLo, wHi := partition.WordShard(n, s, sweepShards)
-		for wi := wLo; wi < wHi; wi++ {
-			lo := int32(wi) << 6
-			hi := lo + 64
-			if hi > n {
-				hi = n
-			}
-			var word uint64
-			for v := lo; v < hi; v++ {
-				if sc.ix.IsBoundary(v) {
-					word |= 1 << (uint32(v) & 63)
-				}
-			}
-			words[wi] = word
-		}
-	}
-}
-
-// accountShipping is the boundary-shipping volume sweep: every member
+// accountShipping is the boundary-shipping volume pass: every member
 // partition ships its k-hop boundary set, with its half-edges, to the
-// group server (the server's own partition stays put). Sharded over the
-// worker pool with per-shard accumulators reduced in shard order.
+// group server (the server's own partition stays put). It walks only the
+// shipping partitions' movable members, which repairBoundary left as the
+// shadow's bucket prefixes, and its two sums are integers, so their order
+// is immaterial.
 func (d *driver) accountShipping(round int32, servers []int32) {
 	sc := d.sc
-	for i := range sc.serverOf {
-		sc.serverOf[i] = -1
-	}
-	for gi, grp := range d.groups {
-		for _, pi := range grp {
-			sc.serverOf[pi] = servers[gi]
-		}
-	}
-	sc.dispatch(span{kind: kindShip})
 	var verts, edges int64
-	for s := 0; s < sweepShards; s++ {
-		verts += sc.shipVerts[s]
-		edges += sc.shipEdges[s]
+	for gi, grp := range d.groups {
+		for _, q := range grp {
+			if q == servers[gi] {
+				continue
+			}
+			for _, v := range sc.shadow.Masked(q) {
+				verts++
+				edges += int64(sc.g.Degree(v))
+			}
+		}
 	}
 	d.st.BoundaryShipped += verts
 	d.st.ShippedEdgeVolume += edges
 	d.tr.Emit(obs.Event{Kind: obs.KindShipAccounted, Round: round, N: verts, M: edges})
 }
 
-// runShipShards walks only the set bits of the movable mask — 64
-// vertices per word skipped when none is movable — instead of testing
-// every vertex. Shard partials are integers, summed in shard order.
-func (sc *scheduler) runShipShards(w int) {
-	n := sc.g.NumVertices()
-	assign := sc.pm.Assign
-	for s := w; s < sweepShards; s += sc.workers {
-		lo, hi := shardRange(n, s)
-		var verts, edges int64
-		sc.mask.Range(lo, hi, func(v int32) {
-			if sv := sc.serverOf[assign[v]]; sv >= 0 && sv != assign[v] {
-				verts++
-				edges += int64(sc.g.Degree(v))
-			}
-		})
-		sc.shipVerts[s] = verts
-		sc.shipEdges[s] = edges
-	}
-}
-
 // sweepMigration computes the physical data migration plan vs. the input
 // decomposition by walking the maintained diff bitset — cost
 // proportional to migrated vertices (plus the O(|V|/64) word scan),
-// not |V|. The float partials are still accumulated per fixed shard and
-// reduced in shard order, emulating the historical sharded sweep's
-// summation association exactly, so the result is bit-identical to the
-// full-scan implementation at every worker count.
+// not |V|. The float partials are accumulated per fixed shard and reduced
+// in shard order (sweepShards), so the result is bit-identical to the
+// sharded full scan it replaced, at every worker count.
 func (d *driver) sweepMigration() {
 	sc := d.sc
 	n := sc.g.NumVertices()

@@ -10,12 +10,8 @@ import (
 // masks of the refinement pipeline, 64 vertices per word instead of one
 // byte each. At the 10M-vertex scale the []bool form of the movable
 // mask alone is 10 MB of scratch touched once per round; the packed
-// form is 1.25 MB and lets sweeps skip 64 vertices per zero word.
-//
-// Bit v lives in Words()[v>>6] at position v&63, so contiguous 64-aligned
-// vertex ranges map to disjoint word ranges — the property the sharded
-// sweeps rely on to fill a shared mask from several workers without
-// write overlap (see WordShard).
+// form is 1.25 MB and lets a walk over the set bits (Range, AppendSet)
+// skip 64 vertices per zero word.
 type Bitset struct {
 	words []uint64
 	n     int32
@@ -82,10 +78,6 @@ func (b *Bitset) Expand(g *graph.Graph, list []int32, hops int) []int32 {
 	return list
 }
 
-// Words exposes the backing words. Callers writing through it must
-// respect the 64-vertex word granularity (see WordShard).
-func (b *Bitset) Words() []uint64 { return b.words }
-
 // Count returns the number of set bits.
 func (b *Bitset) Count() int {
 	c := 0
@@ -131,16 +123,4 @@ func (b *Bitset) Range(lo, hi int32, fn func(v int32)) {
 			w &= w - 1
 		}
 	}
-}
-
-// WordShard splits the word array of a length-n bitset into nshards
-// contiguous word ranges and returns the word range of shard s. Shard
-// boundaries are word-aligned, so concurrent writers of distinct shards
-// never share a word. The vertex range of the shard is
-// [64·wordLo, min(64·wordHi, n)).
-func WordShard(n int32, s, nshards int) (wordLo, wordHi int) {
-	nw := (int64(n) + 63) / 64
-	wordLo = int(nw * int64(s) / int64(nshards))
-	wordHi = int(nw * int64(s+1) / int64(nshards))
-	return wordLo, wordHi
 }

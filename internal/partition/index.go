@@ -19,9 +19,11 @@ import (
 
 // PairIndexer is the minimal surface the pairwise refiner needs: candidate
 // enumeration for a partition pair and delta-maintained vertex moves.
-// Index (full boundary tracking) and Shadow (the scheduler's shared
+// Index (full boundary tracking) and Shadow (the wave engine's shared
 // bucket view of the master, which tracks no boundary and keeps the
-// movable members of every bucket as a prefix) both implement it.
+// movable members of every bucket as a prefix) both implement it, and
+// each takes one kind of mask: an Index only nil (its live boundary), a
+// Shadow only the mask it is synced to. Either panics on the other.
 type PairIndexer interface {
 	// Partitioning returns the decomposition the indexer maintains;
 	// Move must keep its Assign array in sync.
@@ -32,9 +34,9 @@ type PairIndexer interface {
 	Master() *Partitioning
 	// AppendPairUnsorted appends the movable candidates of the pair
 	// (pi, pj) to dst in bucket (unspecified) order and returns dst; the
-	// caller orders them (SortCandidates). With a non-nil mask, the
-	// candidates are exactly the members of the two partitions whose mask
-	// bit is set; with a nil mask they are the pair's boundary vertices.
+	// caller orders them (SortCandidates). With a mask, the candidates are
+	// exactly the members of the two partitions whose mask bit is set;
+	// without one they are the pair's boundary vertices.
 	AppendPairUnsorted(dst []int32, pi, pj int32, allowed *Bitset) []int32
 	// Move reassigns v, updating the underlying partitioning and every
 	// incrementally maintained structure.
@@ -59,21 +61,6 @@ type Index struct {
 	pos      []int32   // vertex -> position in its bucket
 	ext      []int32   // per-vertex count of neighbors outside own partition
 	incident []int64   // per-partition Σ deg(v)
-}
-
-// appendMasked appends the members of partitions pi and pj whose allowed
-// bit is set to dst, in bucket order — O(|P_i| + |P_j|): the index serves
-// any mask a caller brings, so it cannot keep the masked members apart
-// the way a Shadow does for the one mask it is synced to.
-func (ix *Index) appendMasked(dst []int32, pi, pj int32, allowed *Bitset) []int32 {
-	for _, l := range [2][]int32{ix.buckets[pi], ix.buckets[pj]} {
-		for _, v := range l {
-			if allowed.Get(v) {
-				dst = append(dst, v)
-			}
-		}
-	}
-	return dst
 }
 
 // BuildIndex constructs the index for p over g in O(|V| + |E|). The index
@@ -225,11 +212,7 @@ func (ix *Index) ExternalNeighbors(v int32) int32 { return ix.ext[v] }
 
 // Boundary returns every boundary vertex in ascending order — one O(|V|)
 // sweep over the maintained counts, with no edge traversal.
-func (ix *Index) Boundary() []int32 { return ix.AppendBoundary(nil) }
-
-// AppendBoundary appends every boundary vertex to dst in ascending order
-// and returns dst, so per-round callers can reuse one backing array.
-func (ix *Index) AppendBoundary(dst []int32) []int32 {
+func (ix *Index) Boundary() (dst []int32) {
 	for v := int32(0); v < int32(len(ix.ext)); v++ {
 		if ix.ext[v] > 0 {
 			dst = append(dst, v)
@@ -252,12 +235,6 @@ func (ix *Index) AppendIncidentEdges(dst []int64) []int64 {
 	return append(dst, ix.incident...)
 }
 
-// PairCandidates returns the boundary vertices of the pair (pi, pj) in
-// ascending order.
-func (ix *Index) PairCandidates(pi, pj int32) []int32 {
-	return ix.AppendPairCandidates(nil, pi, pj, nil)
-}
-
 // AppendPairCandidates is AppendPairUnsorted followed by a comparison
 // sort: the candidates in ascending vertex order (the order the scan-based
 // enumeration produced), for callers without an ordering scratch.
@@ -268,11 +245,12 @@ func (ix *Index) AppendPairCandidates(dst []int32, pi, pj int32, allowed *Bitset
 	return dst
 }
 
-// AppendPairUnsorted implements PairIndexer: candidates are gathered from
-// the two buckets — O(|P_i| + |P_j|) — instead of a full vertex scan.
+// AppendPairUnsorted implements PairIndexer: the pair's boundary vertices,
+// gathered from the two buckets — O(|P_i| + |P_j|) — instead of a full
+// vertex scan. An Index takes no mask; a masked gather is a Shadow's.
 func (ix *Index) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *Bitset) []int32 {
 	if allowed != nil {
-		return ix.appendMasked(dst, pi, pj, allowed)
+		panic("partition: Index.AppendPairUnsorted takes no mask (a masked gather is a Shadow's)")
 	}
 	for _, b := range [2][]int32{ix.buckets[pi], ix.buckets[pj]} {
 		for _, v := range b {
@@ -434,26 +412,35 @@ func (s *Shadow) Master() *Partitioning { return s.master }
 
 // Sync makes mask the mask the prefixes follow. changed must list every
 // vertex whose bit differs from what the shadow last saw of it — in any
-// order, repeats and unchanged vertices allowed — which for a mask the
-// shadow was not synced to before means every set bit: the prefixes
-// start over from empty. O(len(changed)), plus O(K) on a change of mask.
+// order, repeats and unchanged vertices allowed. A mask the shadow was not
+// synced to before is taken whole instead, whatever changed says: the
+// prefixes start over from its set bits. O(len(changed)), or O(K + |V|/64
+// + set bits) on a change of mask.
 func (s *Shadow) Sync(mask *Bitset, changed []int32) {
 	if mask != s.mask {
 		for q := range s.buckets {
 			s.buckets[q].front = 0
 		}
 		s.mask = mask
+		mask.Range(0, mask.Len(), s.resort)
+		return
 	}
 	for _, v := range changed {
-		b := &s.buckets[s.p.Assign[v]]
-		switch i, on := s.pos[v], mask.Get(v); {
-		case on && i >= b.front:
-			s.swap(b, i, b.front)
-			b.front++
-		case !on && i < b.front:
-			b.front--
-			s.swap(b, i, b.front)
-		}
+		s.resort(v)
+	}
+}
+
+// resort moves v across its bucket's prefix boundary if it sits on the
+// side its mask bit does not say.
+func (s *Shadow) resort(v int32) {
+	b := &s.buckets[s.p.Assign[v]]
+	switch i, on := s.pos[v], s.mask.Get(v); {
+	case on && i >= b.front:
+		s.swap(b, i, b.front)
+		b.front++
+	case !on && i < b.front:
+		b.front--
+		s.swap(b, i, b.front)
 	}
 }
 
@@ -517,10 +504,13 @@ func (s *Shadow) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *Bitset) 
 	if allowed != s.mask {
 		panic("partition: Shadow.AppendPairUnsorted with a mask the shadow is not synced to (Sync first)")
 	}
-	bi, bj := &s.buckets[pi], &s.buckets[pj]
-	dst = append(dst, bi.vs[:bi.front]...)
-	return append(dst, bj.vs[:bj.front]...)
+	return append(append(dst, s.Masked(pi)...), s.Masked(pj)...)
 }
+
+// Masked returns the members of partition q whose bit is set in the
+// synced mask — its bucket's prefix, in bucket order — valid until the
+// next Move or Sync.
+func (s *Shadow) Masked(q int32) []int32 { return s.buckets[q].vs[:s.buckets[q].front] }
 
 // Validate checks the shadow's invariants against a scan of its view:
 // every bucket holds exactly its partition's vertices, each at pos[v],

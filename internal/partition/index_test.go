@@ -57,10 +57,6 @@ func TestIndexMatchesScanOnRandomGraphs(t *testing.T) {
 			const k = 7
 			p := randomPartitioning(tc.g, k, rng)
 			ix := BuildIndex(tc.g, p)
-			allowed := NewBitset(tc.g.NumVertices())
-			for v := int32(0); v < allowed.Len(); v++ {
-				allowed.SetTo(v, rng.Intn(3) != 0)
-			}
 			check := func() {
 				t.Helper()
 				for pi := int32(0); pi < k; pi++ {
@@ -68,17 +64,14 @@ func TestIndexMatchesScanOnRandomGraphs(t *testing.T) {
 						want := scanPairCandidates(tc.g, p, pi, pj, nil)
 						got := ix.AppendPairCandidates(nil, pi, pj, nil)
 						if !slices.Equal(got, want) {
-							t.Fatalf("pair (%d,%d) nil-mask candidates: got %v want %v", pi, pj, got, want)
-						}
-						want = scanPairCandidates(tc.g, p, pi, pj, allowed)
-						got = ix.AppendPairCandidates(nil, pi, pj, allowed)
-						if !slices.Equal(got, want) {
-							t.Fatalf("pair (%d,%d) masked candidates: got %v want %v", pi, pj, got, want)
+							t.Fatalf("pair (%d,%d) candidates: got %v want %v", pi, pj, got, want)
 						}
 					}
 				}
 			}
 			check()
+			// A masked gather is a Shadow's (TestShadow); an Index refuses one.
+			mustPanic(t, "a masked gather on an Index", func() { ix.AppendPairCandidates(nil, 0, 1, NewBitset(tc.g.NumVertices())) })
 			// Fuzz a move sequence and re-check equivalence plus every
 			// maintained invariant after each batch.
 			for batch := 0; batch < 10; batch++ {
@@ -163,6 +156,10 @@ func TestShadow(t *testing.T) {
 		{"ba", gen.BarabasiAlbert(150, 3, 9), 9, 2},
 		{"ba-all-masked", gen.BarabasiAlbert(150, 3, 9), 9, 1},
 		{"er-few-masked", gen.ErdosRenyi(200, 800, 5), 6, 10},
+		// TestIndexMatchesScanOnRandomGraphs' graphs, masked.
+		{"index-er", gen.ErdosRenyi(400, 1600, 1), 7, 2},
+		{"index-ba", gen.BarabasiAlbert(300, 3, 2), 7, 2},
+		{"index-mesh", gen.Mesh2D(15, 15), 7, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, k := tc.g, tc.k

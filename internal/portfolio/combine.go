@@ -12,8 +12,8 @@ import (
 // their immediate neighborhoods) into a movable-vertex mask, and every
 // pair of the partitions touched by D is re-refined, for at most rounds
 // (combineRounds) mask-restricted rounds with early exit once no move is
-// kept — on the scheduler's wave engine, with cfg.Workers workers that
-// live for this call only. A round is paragon.AppendAntiDiagonalWaves:
+// kept — on scratch 0's wave engine, reopened with cfg.Workers workers
+// that live for this call only. A round is paragon.AppendAntiDiagonalWaves:
 // under an off-diagonal-uniform matrix, move for move the ascending
 // `for i < j` sweep (DESIGN.md §17). No profile: the mask holds about
 // every vertex of the touched partitions, so candidates are seeded from
@@ -56,11 +56,11 @@ func (pl *Pool) combine(st *Stats, a, b, base []int32, c [][]float64, cfg parago
 		}
 	}
 
-	e := &pl.eng
+	e := &scr.eng
 	cfg.Trace = nil // the combine reports through Stats; pair events are Refine's
 	e.Open(scr.g, scr.ix, c, base, partition.BalanceBound(scr.g, scr.p.K, cfg.MaxImbalance), cfg, nil)
 	defer e.Close()
-	e.SetMask(scr.mask, scr.boundary)
+	e.SetMask(scr.mask, nil) // new to the engine: taken whole
 	e.Tasks, e.Waves = paragon.AppendAntiDiagonalWaves(e.Tasks[:0], e.Waves[:0], scr.parts)
 	for r := 0; r < rounds; r++ {
 		e.Run(nil)

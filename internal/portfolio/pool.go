@@ -10,60 +10,56 @@ import (
 )
 
 // memberScratch is everything one portfolio member needs to refine: a
-// private Partitioning + Index + Refiner over the shared frozen graph,
-// a seeded rng, and every per-round buffer, all reused across members.
-// A scratch carries no member identity — run fully re-seeds it from the
-// (assignment, seed) of whichever member it executes — which is what
-// makes the member-id-keyed free list (member m runs on slot m mod
-// workers) a pure scheduling choice with no effect on any member's
-// output.
+// private Partitioning + Index over the shared frozen graph, the wave
+// engine and movable mask its rounds run on, a seeded rng, and every
+// per-round buffer, all reused across members. A scratch carries no member
+// identity — run fully re-seeds it from the (assignment, seed) of
+// whichever member it executes — which is what makes the member-id-keyed
+// free list (member m runs on slot m mod workers) a pure scheduling choice
+// with no effect on any member's output.
 type memberScratch struct {
 	g   *graph.Graph
 	p   *partition.Partitioning
 	ix  *partition.Index
-	ref *aragon.Refiner
+	eng paragon.WaveEngine // one worker for the member; scratch 0's also runs the combine
+	mov paragon.Movable
 	src rand.Source
 	rng *rand.Rand
 
-	loads    []int64   // live per-partition weights during refinement
 	perm     []int32   // grouping permutation scratch
 	flat     []int32   // backing array for the grouping's member lists
 	groups   [][]int32 // group headers over flat
 	shuffle  []int     // ShuffleGroupsScratch permutation buffer
-	pairs    [][2]int32
 	mask     *partition.Bitset
-	boundary []int32 // the boundary (combine: the disagreement), then its k-hop expansion
+	boundary []int32 // combine: the disagreement, then its expansion
 	inPart   []bool  // combine: partitions touched by the disagreement
 	parts    []int32 // combine: those partitions, ascending
 	wbuf     []int64 // ComputeScoreInto weight buffer
 }
 
 // memberParams is the per-run parameter block handed to a scratch: the
-// effective (defaulted) driver settings every member refines under, plus
-// the member's own grouping seed.
+// effective (defaulted) driver settings every member refines under — one
+// worker, no tracer — plus the member's own grouping seed.
 type memberParams struct {
-	seed     int64
-	drp      int
-	shuffles int
-	khop     int
-	alpha    float64
-	maxLoad  int64
+	seed    int64
+	cfg     paragon.Config
+	maxLoad int64
 }
 
+// newMemberScratch builds a scratch whose engine has its own refiner, lent
+// to it through Spare so the pool can lend the same one to scratch 0's.
 func newMemberScratch(g *graph.Graph, base []int32, k int32, acfg aragon.Config) *memberScratch {
 	n := g.NumVertices()
 	p := &partition.Partitioning{K: k, Assign: make([]int32, n)}
 	copy(p.Assign, base) // realistic bucket sizes for the index prealloc
 	ix := partition.BuildIndex(g, p)
 	src := rand.NewSource(0)
-	return &memberScratch{
+	scr := &memberScratch{
 		g:      g,
 		p:      p,
 		ix:     ix,
-		ref:    aragon.NewRefiner(g, ix, acfg),
 		src:    src,
 		rng:    rand.New(src),
-		loads:  make([]int64, k),
 		perm:   make([]int32, k),
 		flat:   make([]int32, k),
 		groups: make([][]int32, 0, k/2+1),
@@ -71,6 +67,8 @@ func newMemberScratch(g *graph.Graph, base []int32, k int32, acfg aragon.Config)
 		inPart: make([]bool, k),
 		wbuf:   make([]int64, k),
 	}
+	scr.eng.Spare = []*aragon.Refiner{aragon.NewRefiner(g, ix, acfg)}
+	return scr
 }
 
 // regroup deals the partitions into at most drp groups of >= 2, from a
@@ -112,17 +110,43 @@ func (scr *memberScratch) regroup(drp int) [][]int32 {
 // rounds of circle-tournament pairs, shuffling the grouping between
 // rounds — Algorithm 1's inner loop without the group-server selection
 // and shipping accounting, which only feed Stats. base doubles as the
-// Eq. 3 migration reference.
+// Eq. 3 migration reference. Groups ascending, tournament rounds in order,
+// pairs in the schedule's emission order, each pair its own wave: at k-hop
+// 0 the mask is repaired at every barrier, so a pair's candidates are the
+// live boundary of its two partitions; at a positive radius it is the
+// expansion of the round-start boundary.
 func (scr *memberScratch) run(base []int32, c [][]float64, par memberParams) (moves int, gain float64) {
 	copy(scr.p.Assign, base)
 	scr.ix.Rebuild()
-	scr.ref.Bind(scr.ix) // the last call's combine had it on its shadow
 	scr.src.Seed(par.seed)
-	scr.reloadWeights()
-	groups := scr.regroup(par.drp)
-	rounds := 1 + par.shuffles
+	groups := scr.regroup(par.cfg.DRP)
+	e := &scr.eng
+	e.Open(scr.g, scr.ix, c, base, par.maxLoad, par.cfg, nil)
+	defer e.Close()
+	scr.mov.Reset(scr.ix, par.cfg.KHop)
+	rounds := 1 + par.cfg.Shuffles
 	for round := 0; round < rounds; round++ {
-		mv, gn := scr.refineRound(base, c, groups, par)
+		scr.mov.Repair(e)
+		e.Tasks, e.Waves = e.Tasks[:0], append(e.Waves[:0], 0)
+		for _, grp := range groups {
+			m := len(grp)
+			for t := 0; t < m+(m&1)-1; t++ {
+				e.Tasks = paragon.AppendTournamentRound(e.Tasks, grp, t)
+			}
+		}
+		for ti := range e.Tasks {
+			e.Waves = append(e.Waves, int32(ti+1))
+		}
+		var mv int
+		var gn float64
+		e.Run(func(_ int, ti, _ int32) {
+			mv += e.Results[ti].Moves
+			gn += e.Results[ti].Gain
+			scr.mov.Moved(e.TaskMoves(ti))
+			if par.cfg.KHop == 0 {
+				scr.mov.Repair(e)
+			}
+		})
 		moves += mv
 		gain += gn
 		if round+1 < rounds {
@@ -130,49 +154,6 @@ func (scr *memberScratch) run(base []int32, c [][]float64, par memberParams) (mo
 		}
 	}
 	return moves, gain
-}
-
-func (scr *memberScratch) reloadWeights() {
-	for i := range scr.loads {
-		scr.loads[i] = 0
-	}
-	for v := int32(0); v < scr.g.NumVertices(); v++ {
-		scr.loads[scr.p.Assign[v]] += int64(scr.g.VertexWeight(v))
-	}
-}
-
-// refineRound plays every group's circle tournament serially: groups
-// ascending, rounds in schedule order, pairs in the schedule's emission
-// order — a fixed traversal, so a member's output depends only on its
-// (base, seed, params).
-func (scr *memberScratch) refineRound(base []int32, c [][]float64, groups [][]int32, par memberParams) (moves int, gain float64) {
-	allowed := scr.allowedMask(par.khop)
-	for _, grp := range groups {
-		m := len(grp)
-		waves := m + (m & 1) - 1
-		for t := 0; t < waves; t++ {
-			scr.pairs = paragon.AppendTournamentRound(scr.pairs[:0], grp, t)
-			for _, pr := range scr.pairs {
-				res := scr.ref.RefinePair(base, pr[0], pr[1], c, scr.loads, par.maxLoad, allowed)
-				moves += res.Moves
-				gain += res.Gain
-			}
-		}
-	}
-	return moves, gain
-}
-
-// allowedMask builds the round's §5 movable-vertex mask: the k-hop
-// expansion of the current boundary. At k-hop 0 it returns nil — the
-// refiner then consults the index's live boundary counts directly, which
-// is both cheaper and self-updating within the round.
-func (scr *memberScratch) allowedMask(khop int) *partition.Bitset {
-	if khop <= 0 {
-		return nil
-	}
-	scr.mask.ClearAll()
-	scr.boundary = scr.mask.Expand(scr.g, scr.ix.AppendBoundary(scr.boundary[:0]), khop)
-	return scr.mask
 }
 
 // Pool owns the reusable state of portfolio refinement: one
@@ -185,7 +166,6 @@ type Pool struct {
 	k       int32
 	acfg    aragon.Config
 	scratch []*memberScratch
-	eng     paragon.WaveEngine // the combine's: shadow, arenas and schedule, refilled per call; its refiners are the scratches'
 
 	// Per-member result buffers, indexed by member id: each is written
 	// by exactly the worker that ran the member, then read only by the
@@ -208,11 +188,16 @@ func (pl *Pool) ensure(g *graph.Graph, base []int32, k int32, workers, size int,
 		pl.g, pl.k, pl.acfg = g, k, acfg
 		pl.scratch = pl.scratch[:0]
 		pl.assigns = pl.assigns[:0]
-		pl.eng = paragon.WaveEngine{}
 	}
 	for len(pl.scratch) < workers {
-		pl.scratch = append(pl.scratch, newMemberScratch(g, base, k, acfg))
-		pl.eng.Spare = append(pl.eng.Spare, pl.scratch[len(pl.scratch)-1].ref)
+		scr := newMemberScratch(g, base, k, acfg)
+		if len(pl.scratch) > 0 {
+			// The combine runs on scratch 0's engine after the join, when every
+			// member's refiner is idle: its worker w borrows scratch w's.
+			s0 := &pl.scratch[0].eng
+			s0.Spare = append(s0.Spare, scr.eng.Spare[0])
+		}
+		pl.scratch = append(pl.scratch, scr)
 	}
 	for len(pl.assigns) < size {
 		pl.assigns = append(pl.assigns, make([]int32, len(base)))

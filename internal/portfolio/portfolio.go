@@ -3,9 +3,10 @@
 // KaFFPaE-style ensemble layer over the PARAGON refinement.
 //
 // Members are embarrassingly parallel: each owns a private
-// partition.Index and Refiner scratch over the shared read-only graph,
-// runs its shuffle-refinement tournament serially to completion, and
-// never synchronizes with other members (no wave barriers — the
+// partition.Index and a one-worker paragon.WaveEngine over the shared
+// read-only graph, runs its shuffle-refinement tournament to completion —
+// one pair per wave, so the barriers are its own and a pair sees every
+// move before it — and never synchronizes with other members (the
 // coarse-grained parallelism the pair-level scheduler cannot extract
 // from these graphs). Determinism is therefore trivial rather than
 // subtle: a member's output is a pure function of (input assignment,
@@ -16,12 +17,12 @@
 // Config.Workers value, which TestPortfolioDeterminism asserts.
 //
 // The combine operator (combine.go) overlays the two best members and
-// re-refines only where they disagree — the one phase that does use wave
-// barriers: every pair of the touched partitions, on the scheduler's wave
-// engine with all cfg.Workers workers; faults (Config.Fabric /
-// FaultRate) resolve per member, up front, on the coordinator — a
-// crashed member forfeits and is excluded from scoring, never silently
-// substituted.
+// re-refines only where they disagree — the one phase whose waves hold
+// several pairs: every pair of the touched partitions, on member scratch
+// 0's wave engine reopened with all cfg.Workers workers. Faults
+// (Config.Fabric / FaultRate) resolve per member, up front, on the
+// coordinator — a crashed member forfeits and is excluded from scoring,
+// never silently substituted.
 package portfolio
 
 import (
@@ -108,7 +109,7 @@ func (r *runner) worker(w int) {
 		par.seed = pl.seeds[m]
 		mv, gn := scr.run(r.base, r.c, par)
 		copy(pl.assigns[m], scr.p.Assign)
-		pl.scores[m] = partition.ComputeScoreInto(pl.g, scr.p, r.base, r.c, par.alpha, scr.wbuf)
+		pl.scores[m] = partition.ComputeScoreInto(pl.g, scr.p, r.base, r.c, par.cfg.Alpha, scr.wbuf)
 		pl.moves[m] = mv
 		pl.gains[m] = gn
 		//lint:ignore wallclock per-member CPU stopwatch for MemberStats.CPUTime; never read by refinement decisions
@@ -120,8 +121,9 @@ func (r *runner) worker(w int) {
 // configured seed unchanged, members beyond it decorrelate via the
 // splitmix64 mixer — pure arithmetic, no shared rng stream to order.
 // Sharing the seed does not make member 0 reproduce paragon.Refine: a
-// member deals its groups with rng.Shuffle (regroup) and refines serially
-// on its live index, without the scheduler's wave-start profile.
+// member deals its groups with rng.Shuffle (regroup) and runs its pairs on
+// the wave engine one per wave, each seeing every move before it, without
+// the scheduler's wave-start profile.
 func memberSeed(seed int64, m int) int64 {
 	if m == 0 {
 		return seed
@@ -258,13 +260,9 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 }
 
 // runnerParams projects the effective member parameters out of a
-// defaulted config.
+// defaulted config: a member refines on one worker and reports through
+// Stats, never the tracer.
 func runnerParams(cfg paragon.Config, g *graph.Graph, k int32) memberParams {
-	return memberParams{
-		drp:      cfg.DRP,
-		shuffles: cfg.Shuffles,
-		khop:     cfg.KHop,
-		alpha:    cfg.Alpha,
-		maxLoad:  partition.BalanceBound(g, k, cfg.MaxImbalance),
-	}
+	cfg.Workers, cfg.Trace = 1, nil
+	return memberParams{cfg: cfg, maxLoad: partition.BalanceBound(g, k, cfg.MaxImbalance)}
 }

@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -386,6 +387,24 @@ func TestPortfolioSelectedBeatsInput(t *testing.T) {
 	}
 }
 
+// maskedIndex is the masked gather an Index had before only a Shadow took
+// a mask, for the serial references below: with a mask, the members of the
+// pair's two partitions whose bit is set, found by a scan of the live
+// assignment; without one, the Index's own boundary gather.
+type maskedIndex struct{ *partition.Index }
+
+func (m maskedIndex) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *partition.Bitset) []int32 {
+	if allowed == nil {
+		return m.Index.AppendPairUnsorted(dst, pi, pj, nil)
+	}
+	for v, q := range m.Partitioning().Assign {
+		if (q == pi || q == pj) && allowed.Get(int32(v)) {
+			dst = append(dst, int32(v))
+		}
+	}
+	return dst
+}
+
 // serialSweep is the combine operator as it was before it ran on the wave
 // engine, kept as the reference: one Index, one Refiner, and every pair of
 // the touched partitions in ascending `for i < j` order on the calling
@@ -394,7 +413,7 @@ func TestPortfolioSelectedBeatsInput(t *testing.T) {
 func serialSweep(g *graph.Graph, a, b, base []int32, k int32, c [][]float64, cfg paragon.Config, rounds int) (assign []int32, loads []int64, moves int, gain float64) {
 	p := &partition.Partitioning{K: k, Assign: slices.Clone(a)}
 	ix := partition.BuildIndex(g, p)
-	ref := aragon.NewRefiner(g, ix, cfg.AragonConfig())
+	ref := aragon.NewRefiner(g, maskedIndex{ix}, cfg.AragonConfig())
 	loads = p.Weights(g)
 	inPart := make([]bool, k)
 	var d []int32
@@ -518,6 +537,117 @@ func TestCombineWavesMatchSerialSweep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// serialMember is a member as it ran before it ran on the wave engine —
+// refineRound, allowedMask and reloadWeights over one Index, kept as the
+// reference: the live boundary of the pair's two partitions at k-hop 0
+// (the Index's own gather), the round-start boundary expanded by
+// graph.ExpandFrontier otherwise. The grouping is the member's own.
+func serialMember(g *graph.Graph, base []int32, k int32, c [][]float64, cfg paragon.Config, seed int64) (assign []int32, loads []int64, moves int, gain float64) {
+	scr := newMemberScratch(g, base, k, cfg.AragonConfig())
+	scr.src.Seed(seed)
+	groups := scr.regroup(cfg.DRP)
+	p := &partition.Partitioning{K: k, Assign: slices.Clone(base)}
+	ix := partition.BuildIndex(g, p)
+	ref := aragon.NewRefiner(g, maskedIndex{ix}, cfg.AragonConfig())
+	loads = make([]int64, k)
+	for v := int32(0); v < g.NumVertices(); v++ {
+		loads[p.Assign[v]] += int64(g.VertexWeight(v))
+	}
+	maxLoad := partition.BalanceBound(g, k, cfg.MaxImbalance)
+	mask := partition.NewBitset(g.NumVertices())
+	var shuffle []int
+	for round := 0; round <= cfg.Shuffles; round++ {
+		var allowed *partition.Bitset
+		if cfg.KHop > 0 {
+			mask.ClearAll()
+			for _, v := range graph.ExpandFrontier(g, ix.Boundary(), cfg.KHop, nil) {
+				mask.Set(v)
+			}
+			allowed = mask
+		}
+		var mv int
+		var gn float64
+		for _, grp := range groups {
+			m := len(grp)
+			for t := 0; t < m+(m&1)-1; t++ {
+				for _, pr := range paragon.AppendTournamentRound(nil, grp, t) {
+					res := ref.RefinePair(base, pr[0], pr[1], c, loads, maxLoad, allowed)
+					mv += res.Moves
+					gn += res.Gain
+				}
+			}
+		}
+		moves += mv
+		gain += gn
+		if round < cfg.Shuffles {
+			shuffle = paragon.ShuffleGroupsScratch(groups, scr.rng, round, shuffle)
+		}
+	}
+	return p.Assign, loads, moves, gain
+}
+
+// TestMembersOnEngineMatchSerialLoop holds the members' one-pair waves to
+// the serial loop they replaced: with the mask repaired at every barrier
+// (k-hop 0) or every round start, a pair's candidates and seeds are what
+// the serial Index showed it, so each member's assignment, loads, kept
+// moves and gain (to the bit) are the loop's — at k-hop 0/1/2, under a
+// uniform and an architecture-aware matrix, odd and even groups, with and
+// without shuffles, at Workers 1/2/8 and on a second call of one Pool,
+// whose scratch 0 engine ran the combine at all the workers in between.
+func TestMembersOnEngineMatchSerialLoop(t *testing.T) {
+	for _, k := range []int32{16, 40} {
+		g, p0, pitt := testInput(t, 2000, 12000, k)
+		for _, cm := range []struct {
+			name string
+			c    [][]float64
+		}{{"uniform", topology.UniformMatrix(int(k))}, {"pitt", pitt}} {
+			for _, khop := range []int{0, 1, 2} {
+				for _, shuffles := range []int{0, 2} {
+					// DRP 3 of 16 and 8 of 40: groups of 5 and 6, odd ones included.
+					drp := 3
+					if k == 40 {
+						drp = 8
+					}
+					name := fmt.Sprintf("k%d-%s-khop%d-shuffles%d", k, cm.name, khop, shuffles)
+					cfg := paragon.Config{DRP: drp, Shuffles: shuffles, KHop: khop, Seed: 5,
+						Portfolio: paragon.PortfolioConfig{Size: 3, CombineTop: 2}}.WithDefaults(k)
+					type ref struct {
+						assign []int32
+						loads  []int64
+						moves  int
+						gain   float64
+					}
+					want := make([]ref, cfg.Portfolio.Size)
+					for m := range want {
+						w := &want[m]
+						w.assign, w.loads, w.moves, w.gain = serialMember(g, p0.Assign, k, cm.c, cfg, memberSeed(cfg.Seed, m))
+					}
+					if want[0].moves == 0 {
+						t.Fatalf("%s: member 0 kept no move; the comparison is vacuous", name)
+					}
+					var pool Pool
+					for call, workers := range []int{1, 2, 8, 2} {
+						cfg.Workers = workers
+						st, err := RefineWithPool(g, p0.Clone(), cm.c, cfg, &pool)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for m, w := range want {
+							got := &partition.Partitioning{K: k, Assign: pool.assigns[m]}
+							ms := st.Members[m]
+							if !slices.Equal(got.Assign, w.assign) || !slices.Equal(got.Weights(g), w.loads) ||
+								ms.Moves != w.moves || math.Float64bits(ms.Gain) != math.Float64bits(w.gain) {
+								t.Fatalf("%s workers=%d call %d member %d: %d moves, gain %v; the serial loop kept %d, gain %v (assignment equal: %v)",
+									name, workers, call, m, ms.Moves, ms.Gain, w.moves, w.gain, slices.Equal(got.Assign, w.assign))
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

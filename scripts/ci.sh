@@ -125,6 +125,16 @@ for cl in uma pitt; do
     cmp "$obsdir/pm-${cl}1.prom" "$obsdir/pm-${cl}8.prom"
     grep -q '"kind":"portfolio_combine"' "$obsdir/pt-${cl}1.jsonl"
 done
+# The same door at k-hop 1: members repair their mask once per round
+# instead of at every barrier (DESIGN.md §17).
+for w in 1 8; do
+    "$obsdir/paragon" -in "$obsdir/g.metis" -k 16 -cluster pitt -khop 1 -workers "$w" -seed 9 \
+        -shuffles 2 -portfolio 4 -portfolio-combine 2 -out "$obsdir/pk$w.txt" \
+        -trace "$obsdir/pkt$w.jsonl" -metrics "$obsdir/pkm$w.prom" > /dev/null
+done
+cmp "$obsdir/pk1.txt" "$obsdir/pk8.txt"
+cmp "$obsdir/pkt1.jsonl" "$obsdir/pkt8.jsonl"
+cmp "$obsdir/pkm1.prom" "$obsdir/pkm8.prom"
 
 # Bench bitrot smoke: compile and run every benchmark once so benchmark
 # code can't silently rot between perf-measurement sessions.
@@ -166,13 +176,17 @@ if git grep -nwE 'frozen|roundLoads|commitRound' -- 'internal/paragon/*.go' ':!i
     echo "ci: a third scheduler view or a second move replay is back; commit at the wave barrier" >&2
     exit 1
 fi
-# One wave loop (DESIGN.md §12, §17): the combine's pairs run on
-# paragon.WaveEngine, and the portfolio expands its masks with the
-# scheduler's bitset search. Neither the coordinator's serial pair loop
-# nor the map-and-sort expansion may come back.
-if git grep -n 'RefinePair(' -- internal/portfolio/combine.go ||
+# One pair loop (DESIGN.md §12, §17): members and combine run their pairs
+# on paragon.WaveEngine, which runs pairs only, and the mask comes from
+# paragon.Movable or the bitset search. Neither a serial pair loop in the
+# portfolio (members' or combine's), the map-and-sort expansion, the
+# engine's sharded sweeps nor a masked gather on an Index may come back.
+if git grep -n 'RefinePair(' -- 'internal/portfolio/*.go' ':!internal/portfolio/*_test.go' ||
+    git grep -nE 'refineRound|allowedMask|reloadWeights' -- '*.go' ':!*_test.go' ||
+    git grep -nwE 'runMaskShards|runShipShards|WordShard|sweeps' -- 'internal/paragon/*.go' 'internal/partition/*.go' ':!*_test.go' ||
+    git grep -n 'appendMasked' -- '*.go' ':!*_test.go' ||
     git grep -n 'ExpandFrontier' -- 'internal/portfolio/*.go' ':!internal/portfolio/*_test.go'; then
-    echo "ci: the combine refines pairs off the wave engine, or the portfolio expands a mask through graph.ExpandFrontier" >&2
+    echo "ci: a second pair loop, a sweep on the wave engine, a masked Index gather or graph.ExpandFrontier in the portfolio is back" >&2
     exit 1
 fi
 # One accounting path (DESIGN.md §13): Stats is the record, and the metrics
@@ -192,13 +206,11 @@ if git grep -n 'NewBuilder' -- 'internal/session/*.go' internal/graph/overlay.go
     exit 1
 fi
 # Pay for the boundary, not the graph (DESIGN.md §14): the scheduler's
-# profile starts empty and is materialized for movable vertices only, and
-# the shadow gathers a pair from two masked prefixes. Neither the
-# all-vertices build in the scheduler nor a mask test per bucket member in
-# Shadow's methods (appendMasked is Index's) may come back.
-if git grep -n 'BuildNeighborProfile(' -- 'internal/paragon/*.go' ':!internal/paragon/*_test.go' ||
-    git grep -nE '\bs\.appendMasked\(|func \(s \*Shadow\) appendMasked' -- 'internal/partition/*.go'; then
-    echo "ci: the full-table profile build or the per-member mask test is back on the scheduler's path" >&2
+# profile starts empty and is materialized for movable vertices only (the
+# shadow gathers a pair from two masked prefixes; appendMasked is guarded
+# above). The all-vertices build in the scheduler must not come back.
+if git grep -n 'BuildNeighborProfile(' -- 'internal/paragon/*.go' ':!internal/paragon/*_test.go'; then
+    echo "ci: the full-table profile build is back on the scheduler's path" >&2
     exit 1
 fi
 # Seed where the data is (DESIGN.md §14): a profile segment's live count
