@@ -1,20 +1,20 @@
 // Command paragonlint runs the repo-specific static-analysis suite of
 // internal/lint over the tree. It enforces the determinism contract of
 // DESIGN.md: seeded runs must be bit-identical, so map-iteration order,
-// ambient randomness, kernel clock reads, unsynchronized fan-out,
-// reorder-sensitive float accumulation, goroutine writes outside the
-// arena/barrier commit protocol, and stale suppressions are
-// machine-checked instead of hoped for.
+// ambient randomness, kernel clock reads, goroutine writes outside the
+// arena/barrier commit protocol, completion-order float folds, and stale
+// suppressions are machine-checked instead of hoped for.
 //
 // Usage:
 //
-//	paragonlint [-list] [-checkers a,b] [-kernel] [-json file] [-sarif file] [packages]
+//	paragonlint [-kernel] [packages]
 //
 // Package patterns follow the go tool's directory forms ("./...",
 // "./internal/...", plain directories). With no pattern, ./... is
-// assumed. The exit status is 1 when any diagnostic is reported, so the
-// command slots directly into scripts/ci.sh between `go vet` and the
-// tests. Findings are suppressed site by site with
+// assumed. Findings print as `file:line:col: checker: message`. The exit
+// status is 1 when any diagnostic is reported and 2 on a usage or load
+// error, so the command slots directly into scripts/ci.sh between
+// `go vet` and the tests. Findings are suppressed site by site with
 // `//lint:ignore <checker> <reason>`; the staleignore checker fails the
 // gate when a suppression no longer matches a live diagnostic.
 //
@@ -55,19 +55,8 @@ var rootSurfaces = []string{
 }
 
 func main() {
-	list := flag.Bool("list", false, "list the checkers and exit")
-	sel := flag.String("checkers", "", "comma-separated subset of checkers to run (default all)")
 	kernel := flag.Bool("kernel", false, "print the computed wallclock kernel package set and exit")
-	jsonOut := flag.String("json", "", "also write diagnostics as JSON to this file (\"-\" for stdout)")
-	sarifOut := flag.String("sarif", "", "also write diagnostics as SARIF 2.1.0 to this file")
 	flag.Parse()
-
-	if *list {
-		for _, c := range suite(nil, nil) {
-			fmt.Printf("%-11s %s\n", c.Name(), c.Doc())
-		}
-		return
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -113,72 +102,24 @@ func main() {
 		return
 	}
 
-	checkers := suite(lint.NewTaint(graph, roots, pkgs, analysis), kernelSet)
-	if *sel != "" {
-		want := map[string]bool{}
-		for _, name := range strings.Split(*sel, ",") {
-			want[strings.TrimSpace(name)] = true
+	diags := lint.Run(pkgs, []lint.Checker{
+		lint.MapRange{},
+		lint.GlobalRand{},
+		lint.WallClock{Kernel: func(path string) bool { return kernelSet[path] }},
+		lint.SharedWrite{},
+		lint.ReduceOrder{},
+		lint.NewTaint(graph, roots, pkgs, analysis),
+	})
+	for _, d := range diags {
+		pos := d.Pos
+		if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			pos.Filename = rel
 		}
-		var subset []lint.Checker
-		for _, c := range checkers {
-			if want[c.Name()] {
-				subset = append(subset, c)
-			}
-		}
-		if len(subset) == 0 {
-			fmt.Fprintf(os.Stderr, "paragonlint: no checker matches %q\n", *sel)
-			os.Exit(2)
-		}
-		checkers = subset
-	}
-
-	diags := lint.Run(pkgs, checkers)
-	if *jsonOut != "" {
-		if err := writeArtifact(*jsonOut, func(w *os.File) error {
-			return lint.WriteJSON(w, cwd, diags)
-		}); err != nil {
-			fatal(err)
-		}
-	}
-	if *sarifOut != "" {
-		if err := writeArtifact(*sarifOut, func(w *os.File) error {
-			return lint.WriteSARIF(w, cwd, checkers, diags)
-		}); err != nil {
-			fatal(err)
-		}
-	}
-	if *jsonOut != "-" {
-		for _, d := range diags {
-			pos := d.Pos
-			if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-				pos.Filename = rel
-			}
-			fmt.Printf("%s: %s: %s\n", pos, d.Checker, d.Message)
-		}
+		fmt.Printf("%s: %s: %s\n", pos, d.Checker, d.Message)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "paragonlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
-	}
-}
-
-// suite assembles the full checker list. taint may be a zero-value
-// placeholder (for -list) and kernelSet nil (wallclock then reports
-// nothing — there is no kernel without a call graph).
-func suite(taint *lint.Taint, kernelSet map[string]bool) []lint.Checker {
-	if taint == nil {
-		taint = &lint.Taint{}
-	}
-	return []lint.Checker{
-		lint.MapRange{},
-		lint.GlobalRand{},
-		lint.WallClock{Kernel: func(path string) bool { return kernelSet[path] }},
-		lint.LoopRace{},
-		lint.FloatSum{},
-		lint.SharedWrite{},
-		lint.ReduceOrder{},
-		taint,
-		lint.StaleIgnore{},
 	}
 }
 
@@ -188,7 +129,7 @@ func suite(taint *lint.Taint, kernelSet map[string]bool) []lint.Checker {
 func loadRootSurfaces(loader *lint.Loader) []string {
 	var paths []string
 	for _, rel := range rootSurfaces {
-		if _, err := loader.LoadDir(filepath.Join(moduleRootOf(loader), filepath.FromSlash(rel))); err != nil {
+		if _, err := loader.LoadDir(filepath.Join(loader.Root(), filepath.FromSlash(rel))); err != nil {
 			continue
 		}
 		if rel == "" {
@@ -198,41 +139,6 @@ func loadRootSurfaces(loader *lint.Loader) []string {
 		}
 	}
 	return paths
-}
-
-// moduleRootOf recovers the module root directory from the loader. The
-// loader resolves any directory through the module root, so walking up
-// from the working directory repeats NewLoader's search.
-func moduleRootOf(loader *lint.Loader) string {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "."
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "."
-		}
-		dir = parent
-	}
-}
-
-func writeArtifact(path string, write func(*os.File) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

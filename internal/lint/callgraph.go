@@ -85,13 +85,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	return g
 }
 
-// Nodes returns the graph's nodes in deterministic load order.
-func (g *CallGraph) Nodes() []*CallNode { return g.nodes }
-
-// NodeOf returns the node of fn, or nil when fn has no body in the
-// analysis set.
-func (g *CallGraph) NodeOf(fn *types.Func) *CallNode { return g.byFunc[fn] }
-
 // methodImpl pairs a concrete named type with one of its methods, for
 // CHA interface-call expansion.
 type methodImpl struct {

@@ -24,7 +24,7 @@ func TestCallGraphCHA(t *testing.T) {
 	if !ok {
 		t.Fatal("lint.Run not found")
 	}
-	n := g.NodeOf(runFn)
+	n := g.byFunc[runFn]
 	if n == nil {
 		t.Fatal("no call-graph node for lint.Run")
 	}
@@ -69,7 +69,7 @@ func TestCallGraphReach(t *testing.T) {
 
 	reached, parent := g.Reach(roots)
 	var tick *CallNode
-	for _, n := range g.Nodes() {
+	for _, n := range g.nodes {
 		if n.Fn.Name() == "tick" {
 			tick = n
 		}

@@ -16,9 +16,6 @@ import (
 type GlobalRand struct{}
 
 func (GlobalRand) Name() string { return "globalrand" }
-func (GlobalRand) Doc() string {
-	return "randomness must flow from an injected seeded *rand.Rand, not the global source"
-}
 
 var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true}
 

@@ -21,7 +21,7 @@ type ignoreEntry struct {
 	checkers []string // lower-case checker names, or ["all"]
 	pos      token.Position
 	// used flips when the directive actually suppresses a finding; the
-	// staleignore checker reports directives that never do.
+	// staleignore sweep reports directives that never do.
 	used bool
 }
 
@@ -115,24 +115,15 @@ func (ig *ignoreSet) suppresses(checker string, pos token.Position) bool {
 	return false
 }
 
-// StaleIgnore keeps the suppression inventory honest: every
-// //lint:ignore directive must still silence a live diagnostic. A
-// directive that matches nothing is dead weight — the code it excused
-// was fixed or deleted, and leaving it in place would silently swallow
-// the next real finding on that line. The runner performs the sweep
-// itself (Check is empty) because staleness is only known after every
-// other checker has run against the package's suppression state.
-type StaleIgnore struct{}
-
-func (StaleIgnore) Name() string { return "staleignore" }
-func (StaleIgnore) Doc() string {
-	return "every //lint:ignore directive must match a live diagnostic"
-}
-func (StaleIgnore) Check(*Package) []Diagnostic { return nil }
-
-// stale reports the directives never consulted by a suppression match.
-// collectIgnores already rejected directives naming inactive checkers,
-// so every surviving entry was judgeable by the active suite.
+// stale is the staleignore sweep, which keeps the suppression inventory
+// honest: every //lint:ignore directive must still silence a live
+// diagnostic. A directive that matches nothing is dead weight — the code
+// it excused was fixed or deleted, and leaving it in place would
+// silently swallow the next real finding on that line. Run performs the
+// sweep after every checker has consulted the package's suppression
+// state, since staleness is only known then. collectIgnores already
+// rejected directives naming inactive checkers, so every surviving entry
+// was judgeable by the active suite.
 func (ig *ignoreSet) stale() []Diagnostic {
 	var out []Diagnostic
 	for _, e := range ig.entries {

@@ -57,18 +57,17 @@ type Checker interface {
 	// Name is the short identifier used in output and in
 	// //lint:ignore directives.
 	Name() string
-	// Doc is a one-line description for -list output.
-	Doc() string
 	// Check reports diagnostics for pkg. Suppression filtering happens in
 	// the runner; checkers report every finding.
 	Check(pkg *Package) []Diagnostic
 }
 
 // Run applies every checker to every package, drops suppressed findings,
-// appends framework diagnostics for malformed //lint:ignore directives,
-// and returns the result sorted by position.
+// appends framework diagnostics for malformed //lint:ignore directives
+// and staleignore diagnostics for directives that silenced nothing, and
+// returns the result sorted by position.
 func Run(pkgs []*Package, checkers []Checker) []Diagnostic {
-	known := make(map[string]bool, len(checkers))
+	known := map[string]bool{"staleignore": true}
 	for _, c := range checkers {
 		known[c.Name()] = true
 	}
@@ -86,13 +85,11 @@ func Run(pkgs []*Package, checkers []Checker) []Diagnostic {
 		}
 		// The staleness sweep runs last: only after every checker has
 		// consulted the suppression state is "never used" meaningful.
-		if known["staleignore"] {
-			for _, d := range ig.stale() {
-				if ig.suppresses("staleignore", d.Pos) {
-					continue
-				}
-				out = append(out, d)
+		for _, d := range ig.stale() {
+			if ig.suppresses("staleignore", d.Pos) {
+				continue
 			}
+			out = append(out, d)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -30,19 +30,23 @@ func fixtureCheckers(loader *Loader, pkg *Package) []Checker {
 		roots := graph.ExportedRoots(pkg.Path)
 		taint = NewTaint(graph, roots, []*Package{pkg}, analysis)
 	}
-	return []Checker{
-		MapRange{}, GlobalRand{}, WallClock{}, LoopRace{}, FloatSum{},
-		SharedWrite{}, ReduceOrder{}, taint, StaleIgnore{},
-	}
+	return []Checker{MapRange{}, GlobalRand{}, WallClock{}, SharedWrite{}, ReduceOrder{}, taint}
 }
+
+// goldenAll names the fixture roots whose goldens hold every finding,
+// not one checker's: suppress, whose lint-malformed diagnostics come
+// from the framework itself, and floatsum and looprace, the cases of two
+// deleted checkers, which pin what the remaining suite reports on them.
+var goldenAll = map[string]bool{"suppress": true, "floatsum": true, "looprace": true}
 
 // TestFixtures loads every fixture package under testdata and compares
 // the diagnostics against the expect.txt golden next to it. Layout is
-// testdata/<checker>/<case>/ (only that checker's findings are golden)
-// or testdata/<name>/ directly (all findings are golden — used by the
-// suppress fixture, whose lint-malformed diagnostics come from the
-// framework itself). Golden lines are "file.go:line:col: checker:
-// message", so a drifting position fails the test. Regenerate with
+// testdata/<checker>/<case>/ (only that checker's findings are golden;
+// besides hits and clean, a checker's cases re-create the bugs it
+// caught in the tree, as they stood before the fix) or testdata/<name>/
+// directly; a goldenAll root goldens every finding.
+// Golden lines are "file.go:line:col: checker: message", so a drifting
+// position fails the test. Regenerate with
 // go test ./internal/lint -run TestFixtures -update.
 func TestFixtures(t *testing.T) {
 	loader, err := NewLoader(".")
@@ -91,11 +95,9 @@ func TestFixtures(t *testing.T) {
 				diags := Run([]*Package{pkg}, fixtureCheckers(loader, pkg))
 				var lines []string
 				for _, d := range diags {
-					// The suppress fixture goldens everything (framework
-					// "lint" diagnostics included); checker fixtures golden
-					// only their own checker so cross-checker noise does not
-					// couple the files.
-					if name != "suppress" && d.Checker != name {
+					// Checker fixtures golden only their own checker so
+					// cross-checker noise does not couple the files.
+					if !goldenAll[name] && d.Checker != name {
 						continue
 					}
 					lines = append(lines, fmt.Sprintf("%s:%d:%d: %s: %s",
@@ -122,25 +124,32 @@ func TestFixtures(t *testing.T) {
 			})
 		}
 	}
-	if ran < 19 {
+	if ran < 26 {
 		t.Fatalf("only %d fixture cases ran; expected the full testdata tree", ran)
 	}
 }
 
 // TestHitFixturesReport guards against a silently pass-everything
-// checker: every hits fixture must produce at least one finding of its
-// own checker, and every clean fixture none.
+// checker: every case of a checker's fixtures — hits and the re-created
+// historical bugs alike — must produce at least one finding of its own
+// checker, and its clean case none.
 func TestHitFixturesReport(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	names := []string{
-		"maprange", "globalrand", "wallclock", "looprace", "floatsum",
-		"sharedwrite", "reduceorder", "taint", "staleignore",
+		"maprange", "globalrand", "wallclock", "sharedwrite", "reduceorder", "taint", "staleignore",
 	}
 	for _, name := range names {
-		for _, kind := range []string{"hits", "clean"} {
+		cases, err := os.ReadDir(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[string]bool{}
+		for _, c := range cases {
+			kind := c.Name()
+			kinds[kind] = true
 			dir := filepath.Join("testdata", name, kind)
 			pkg, err := loader.LoadDir(dir)
 			if err != nil {
@@ -154,12 +163,15 @@ func TestHitFixturesReport(t *testing.T) {
 					count++
 				}
 			}
-			if kind == "hits" && count == 0 {
-				t.Errorf("%s: checker %s found nothing in its hits fixture", dir, name)
+			if kind != "clean" && count == 0 {
+				t.Errorf("%s: checker %s found nothing in its %s fixture", dir, name, kind)
 			}
 			if kind == "clean" && count != 0 {
 				t.Errorf("%s: checker %s reported %d findings in its clean fixture", dir, name, count)
 			}
+		}
+		if !kinds["hits"] || !kinds["clean"] {
+			t.Errorf("testdata/%s: want both a hits and a clean case, have %v", name, kinds)
 		}
 	}
 }

@@ -74,6 +74,9 @@ func NewLoader(dir string) (*Loader, error) {
 // Module returns the module path of the loaded tree.
 func (l *Loader) Module() string { return l.module }
 
+// Root returns the module root directory (absolute).
+func (l *Loader) Root() string { return l.root }
+
 // AllLoaded returns every package the loader has parsed so far — the
 // requested packages plus the module-internal dependencies pulled in to
 // type-check them — sorted by import path. Interprocedural checkers

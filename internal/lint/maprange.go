@@ -13,8 +13,8 @@ import (
 // the bug class that silently breaks PARAGON's seeded-run reproducibility
 // (gen.BarabasiAlbert shipped with exactly this defect before PR 1).
 //
-// A map range inside a deterministic package is accepted only when the
-// body is provably order-insensitive, meaning every statement is one of:
+// A map range is accepted only when the body is provably
+// order-insensitive, meaning every statement is one of:
 //
 //   - writes to map entries or slice/array elements indexed by the loop
 //     variables (each iteration touches its own key's state);
@@ -31,21 +31,11 @@ import (
 // order-sensitive and reported. Loops that genuinely do not care (e.g.
 // error paths that fire only on invariant violations) document that with
 // a //lint:ignore maprange <reason> directive.
-type MapRange struct {
-	// Deterministic reports whether a package's import path is covered by
-	// the determinism contract. Nil covers every package.
-	Deterministic func(path string) bool
-}
+type MapRange struct{}
 
 func (MapRange) Name() string { return "maprange" }
-func (MapRange) Doc() string {
-	return "map iteration order must not leak into deterministic code paths"
-}
 
 func (c MapRange) Check(pkg *Package) []Diagnostic {
-	if c.Deterministic != nil && !c.Deterministic(pkg.Path) {
-		return nil
-	}
 	var out []Diagnostic
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -165,7 +155,9 @@ type loopAnalysis struct {
 }
 
 // collectSortedAfter finds `x = append(x, ...)` targets in the loop and
-// checks whether any following sibling statement passes x to a sort.
+// checks whether any following sibling statement passes x to a sort. A
+// call whose name says "sort" counts; one that says "sorted" only tests
+// the order (slices.IsSorted, sort.IntsAreSorted) and does not.
 func (a *loopAnalysis) collectSortedAfter(loop *ast.RangeStmt, rest []ast.Stmt) {
 	a.sortedAfter = map[types.Object]bool{}
 	var targets []types.Object
@@ -206,7 +198,8 @@ func (a *loopAnalysis) collectSortedAfter(loop *ast.RangeStmt, rest []ast.Stmt) 
 					name = x.Name + "." + name
 				}
 			}
-			if !strings.Contains(strings.ToLower(name), "sort") {
+			name = strings.ToLower(name)
+			if !strings.Contains(name, "sort") || strings.Contains(name, "sorted") {
 				return true
 			}
 			for _, t := range targets {

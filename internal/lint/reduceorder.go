@@ -27,15 +27,12 @@ import (
 // as is receiving all partials into an indexed slice and folding it
 // afterwards — that is the fix this checker points at.
 //
-// ReduceOrder deliberately complements floatsum, which flags float
-// accumulation *inside* goroutine bodies and map-range loops; this
-// checker covers the collection side, where the partials come home.
+// ReduceOrder covers the collection side, where the partials come home;
+// float accumulation inside map-range loops is maprange's, and a worker
+// accumulating into captured state is sharedwrite's.
 type ReduceOrder struct{}
 
 func (ReduceOrder) Name() string { return "reduceorder" }
-func (ReduceOrder) Doc() string {
-	return "float reductions over goroutine results must fold in shard order, not completion order"
-}
 
 func (c ReduceOrder) Check(pkg *Package) []Diagnostic {
 	var out []Diagnostic

@@ -20,11 +20,11 @@ import (
 // one level into same-package helpers with parameter roles mapped.
 // Objects are classified as
 //
-//   - task ids: the spawn body's parameters (loop fan-out passes its
-//     variables as arguments — the looprace contract), values received
-//     from or ranged over a channel (work-queue items are delivered to
-//     exactly one worker), and for-loop variables seeded from task ids
-//     (the static modulo-stride idiom);
+//   - task ids: the spawn body's parameters (a fan-out hands each
+//     goroutine its own iteration's values as arguments), values
+//     received from or ranged over a channel (work-queue items are
+//     delivered to exactly one worker), and for-loop variables seeded
+//     from task ids (the static modulo-stride idiom);
 //   - arena aliases: locals bound to a shared container indexed by a
 //     task id (st := stores[r]) — the worker owns the slot, so writes
 //     anywhere under it are private;
@@ -38,12 +38,14 @@ import (
 // reported. Disjointness the checker cannot see — partition-disjoint
 // wave tasks, rank-owned vertex ranges — is documented site by site with
 // //lint:ignore sharedwrite <reason>.
+//
+// Even an accepted slot write needs a barrier before anyone reads the
+// slots: a goroutine literal that writes an indexed element of captured
+// state is reported when its enclosing function has no synchronization
+// point at all (WaitGroup, mutex, or channel).
 type SharedWrite struct{}
 
 func (SharedWrite) Name() string { return "sharedwrite" }
-func (SharedWrite) Doc() string {
-	return "goroutine writes must target per-worker arena slots or be committed at a barrier"
-}
 
 func (c SharedWrite) Check(pkg *Package) []Diagnostic {
 	var out []Diagnostic
@@ -51,23 +53,99 @@ func (c SharedWrite) Check(pkg *Package) []Diagnostic {
 	// write once per caller; identical findings are deduplicated.
 	seen := map[string]bool{}
 	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			for _, d := range c.checkSpawn(pkg, gs) {
-				key := d.Pos.String() + "\x00" + d.Message
-				if seen[key] {
-					continue
+		for _, decl := range f.Decls {
+			fd, _ := decl.(*ast.FuncDecl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				gs, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
 				}
-				seen[key] = true
-				out = append(out, d)
-			}
-			return true
-		})
+				diags := c.checkSpawn(pkg, gs)
+				if fd != nil && !bodyHasSyncPoint(pkg, fd.Body) {
+					diags = append(diags, unsyncedSlotWrite(pkg, gs)...)
+				}
+				for _, d := range diags {
+					key := d.Pos.String() + "\x00" + d.Message
+					if seen[key] {
+						continue
+					}
+					seen[key] = true
+					out = append(out, d)
+				}
+				return true
+			})
+		}
 	}
 	return out
+}
+
+// unsyncedSlotWrite reports a goroutine literal's first indexed write
+// whose base is declared outside the literal ("results[i] = ..."); the
+// caller has established that nothing in the enclosing function waits
+// for it.
+func unsyncedSlotWrite(pkg *Package, gs *ast.GoStmt) []Diagnostic {
+	fl, ok := gs.Call.Fun.(*ast.FuncLit)
+	if !ok {
+		return nil
+	}
+	target := ""
+	ast.Inspect(fl.Body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok {
+			for _, lhs := range as.Lhs {
+				ix, ok := lhs.(*ast.IndexExpr)
+				if !ok {
+					continue
+				}
+				base, ok := ix.X.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				if obj := pkg.Info.Uses[base]; obj != nil && (obj.Pos() < fl.Pos() || obj.Pos() > fl.End()) {
+					target = base.Name
+				}
+			}
+		}
+		return target == ""
+	})
+	if target == "" {
+		return nil
+	}
+	return []Diagnostic{diag(pkg, fl.Pos(), "sharedwrite",
+		"goroutine writes shared %s but the enclosing function has no synchronization point (WaitGroup, mutex, or channel)", target)}
+}
+
+// bodyHasSyncPoint scans for any evidence of synchronization in the
+// function: WaitGroup/mutex method calls, channel sends/receives, or
+// close().
+func bodyHasSyncPoint(pkg *Package, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.SendStmt:
+			found = true
+		case *ast.UnaryExpr:
+			found = n.Op == token.ARROW
+		case *ast.CallExpr:
+			if isBuiltin(pkg, n.Fun, "close") {
+				found = true
+			}
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				switch sel.Sel.Name {
+				case "Wait", "Done", "Lock", "Unlock", "RLock", "RUnlock":
+					found = true
+				}
+			}
+		case *ast.RangeStmt:
+			if t := typeOf(pkg, n.X); t != nil {
+				_, found = t.Underlying().(*types.Chan)
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // checkSpawn analyzes one go statement.
@@ -92,9 +170,9 @@ func (c SharedWrite) checkSpawn(pkg *Package, gs *ast.GoStmt) []Diagnostic {
 			return nil
 		}
 		sw := newSpawnWalker(pkg, decl.Body)
-		// Spawn arguments are loop-iteration values (looprace enforces
-		// pass-as-arg), so every parameter is a task id; the receiver is
-		// shared worker-pool state.
+		// Spawn arguments are the values this goroutine was handed, so
+		// every parameter is a task id; the receiver is shared
+		// worker-pool state.
 		for _, obj := range paramObjs(pkg, decl.Type) {
 			sw.taskIDs[obj] = true
 		}

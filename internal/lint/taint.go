@@ -23,7 +23,7 @@ import (
 // maprange) or for taint itself is an escape the repo has already
 // justified — e.g. the Stats.Elapsed stopwatches at the driver boundary
 // — and propagating it would force a cascade of suppressions up the call
-// chain. The staleignore checker keeps those directives honest.
+// chain. The staleignore sweep keeps those directives honest.
 //
 // Findings are positioned where they are fixable: at the source site
 // when the source's package is part of the checked set, otherwise at the
@@ -38,9 +38,6 @@ type Taint struct {
 }
 
 func (*Taint) Name() string { return "taint" }
-func (*Taint) Doc() string {
-	return "nondeterminism sources must not be reachable from kernel entry points (interprocedural)"
-}
 
 // taintSource is one direct nondeterminism site inside a function body.
 type taintSource struct {
@@ -125,11 +122,9 @@ func frontierSite(parent map[*CallNode]*CallEdge, src *CallNode, checked map[str
 			break
 		}
 		if checked[e.Caller.Pkg.Path] {
+			// The walk runs src→root, so the first checked edge it meets
+			// is the one nearest the source: the frontier.
 			pkg, pos, callee = e.Caller.Pkg, e.Pos, e.Callee
-			// Keep walking toward the root: we want the LAST checked-
-			// package edge, i.e. the first one found walking rootward is
-			// the innermost... the walk goes src→root, so the first
-			// checked edge seen is the innermost frontier — stop here.
 			break
 		}
 		cur = e.Caller

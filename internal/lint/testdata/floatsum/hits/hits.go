@@ -1,5 +1,6 @@
-// Package fixture accumulates floats in nondeterministic order; every
-// accumulation below must be reported.
+// Package fixture accumulates floats in nondeterministic order, the hits
+// case of the deleted floatsum checker; maprange and sharedwrite must
+// still report every accumulation below.
 package fixture
 
 // Map iteration order varies per run, and float addition is not

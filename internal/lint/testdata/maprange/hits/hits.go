@@ -2,6 +2,11 @@
 // randomized map iteration order; every loop below must be reported.
 package fixture
 
+import (
+	"slices"
+	"sort"
+)
+
 // argmax over a map: ties resolve by whichever key the runtime yields
 // first, so the winner changes between runs.
 func argmax(aff map[int32]int64) int32 {
@@ -43,4 +48,29 @@ func floatAccum(m map[int]float64) float64 {
 		sum += v
 	}
 	return sum
+}
+
+// Collect-then-check: the keys are tested for order, never put in
+// order, so they still escape in map order.
+func keysChecked(m map[int]int) []int {
+	var keys []int
+	for k := range m {
+		keys = append(keys, k)
+	}
+	if !slices.IsSorted(keys) {
+		return nil
+	}
+	return keys
+}
+
+// The same check through the sort package.
+func keysAreSorted(m map[int]int) []int {
+	var keys []int
+	for k := range m {
+		keys = append(keys, k)
+	}
+	if !sort.IntsAreSorted(keys) {
+		return nil
+	}
+	return keys
 }

@@ -62,3 +62,21 @@ func Run(workers int) *pool {
 	close(p.start)
 	return p
 }
+
+// Signalled has a channel as its synchronization point: every goroutine
+// writes its own slot and signals, and the caller receives once per
+// goroutine before it reads the slots.
+func Signalled(items []int) []int {
+	results := make([]int, len(items))
+	done := make(chan struct{})
+	for i, it := range items {
+		go func(i, it int) {
+			results[i] = it * 2
+			done <- struct{}{}
+		}(i, it)
+	}
+	for range items {
+		<-done
+	}
+	return results
+}

@@ -21,9 +21,6 @@ type WallClock struct {
 }
 
 func (WallClock) Name() string { return "wallclock" }
-func (WallClock) Doc() string {
-	return "refinement kernels must not read the wall clock; timing belongs to the driver layer"
-}
 
 func (c WallClock) Check(pkg *Package) []Diagnostic {
 	if c.Kernel != nil && !c.Kernel(pkg.Path) {

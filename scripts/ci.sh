@@ -12,14 +12,14 @@ cd "$(dirname "$0")/.."
 
 go vet ./...
 
-# Determinism linter: built into a temp dir (never the repo root), run
-# with the SARIF artifact for CI consumers. The gate fails on any
-# non-suppressed diagnostic, stale suppressions included — staleignore
-# reports every //lint:ignore that no longer matches a live finding.
+# Determinism linter: built into a temp dir (never the repo root). The
+# gate fails on any non-suppressed diagnostic, stale suppressions
+# included — staleignore reports every //lint:ignore that no longer
+# matches a live finding.
 lintdir="$(mktemp -d)"
 trap 'rm -rf "$lintdir"' EXIT
 go build -o "$lintdir/paragonlint" ./cmd/paragonlint
-"$lintdir/paragonlint" -sarif paragonlint.sarif -json paragonlint.json ./...
+"$lintdir/paragonlint" ./...
 
 go build ./...
 go test -shuffle=on ./...
@@ -65,17 +65,6 @@ go test -race -cpu=1,4 ./internal/graph/ ./internal/partition/
 # The direct CSR fill against the Builder reference on fuzzed edge sets,
 # for a fixed short time (the seed corpus alone runs in every `go test`).
 go test -run='^$' -fuzz=FuzzFromSymmetricRows -fuzztime=5s ./internal/graph/
-
-# The directory, the portfolio, and the session must sit inside
-# paragonlint's computed kernel set (the facade re-exports pull them
-# in) — if any drops out, the wallclock/sharedwrite/reduceorder checkers
-# silently stop covering it.
-# (Listed once into a variable: under pipefail, `paragonlint | grep -q`
-# fails whenever grep exits on its match before the writer is done.)
-kernel="$("$lintdir/paragonlint" -kernel)"
-for pkg in dir portfolio session; do
-    grep -q "^paragon/internal/$pkg\$" <<< "$kernel"
-done
 
 # Obs determinism end to end: the same seeded faulty run at -workers 1
 # and 8 must serialize byte-identical trace and metrics files — the
