@@ -1,7 +1,10 @@
 package paragon_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 
 	paragonlib "paragon"
@@ -14,6 +17,7 @@ import (
 	"paragon/internal/gen"
 	"paragon/internal/graph"
 	"paragon/internal/migrate"
+	"paragon/internal/obs"
 	"paragon/internal/paragon"
 	"paragon/internal/partition"
 	"paragon/internal/portfolio"
@@ -211,42 +215,112 @@ func TestChurnTriggerRefineLoop(t *testing.T) {
 }
 
 // TestJaggedCostMatrixRejected: a cost matrix with enough rows but one
-// short row must come back as an error from every refinement entry
-// point, not as an index panic inside a kernel.
+// short row, or one row holding a NaN, an infinite or a negative cost,
+// must come back as an error from every refinement entry point, not as an
+// index panic inside a kernel or a value the objective grid cannot hold.
 func TestJaggedCostMatrixRejected(t *testing.T) {
 	g := gen.RMAT(400, 2400, 0.57, 0.19, 0.19, 3)
 	g.UseDegreeWeights()
 	const k = 4
-	c := topology.UniformMatrix(k)
-	c[2] = c[2][:3]
 	entries := []struct {
 		name string
-		run  func(p *partition.Partitioning) error
+		run  func(p *partition.Partitioning, c [][]float64) error
 	}{
-		{"paragon.Refine", func(p *partition.Partitioning) error {
+		{"paragon.Refine", func(p *partition.Partitioning, c [][]float64) error {
 			_, err := paragon.Refine(g, p, c, paragon.Config{Seed: 1})
 			return err
 		}},
-		{"aragon.Refine", func(p *partition.Partitioning) error {
+		{"aragon.Refine", func(p *partition.Partitioning, c [][]float64) error {
 			_, err := aragon.Refine(g, p, c, aragon.Config{})
 			return err
 		}},
-		{"portfolio.RefineWithPool", func(p *partition.Partitioning) error {
+		{"portfolio.RefineWithPool", func(p *partition.Partitioning, c [][]float64) error {
 			_, err := portfolio.RefineWithPool(g, p, c, paragon.Config{Seed: 1}, &portfolio.Pool{})
 			return err
 		}},
-		{"session.New", func(p *partition.Partitioning) error {
+		{"session.New", func(p *partition.Partitioning, c [][]float64) error {
 			_, err := session.New(g, p, session.Config{Costs: c})
 			return err
 		}},
-		{"aragonlb.Repartition", func(p *partition.Partitioning) error {
+		{"aragonlb.Repartition", func(p *partition.Partitioning, c [][]float64) error {
 			_, err := aragonlb.Repartition(g, p, c, aragonlb.Config{})
 			return err
 		}},
 	}
-	for _, e := range entries {
-		if err := e.run(stream.DG(g, k, stream.DefaultOptions())); err == nil {
-			t.Errorf("%s accepted a cost matrix whose row 2 has 3 of %d entries", e.name, k)
+	for _, bad := range []struct {
+		name string
+		row  []float64
+	}{
+		{"a row of 3 entries", []float64{1, 1, 0}},
+		{"a NaN", []float64{1, 1, 0, math.NaN()}},
+		{"+Inf", []float64{1, 1, 0, math.Inf(1)}},
+		{"a negative cost", []float64{1, -1, 0, 1}},
+	} {
+		c := topology.UniformMatrix(k)
+		c[2] = bad.row
+		for _, e := range entries {
+			p := stream.DG(g, k, stream.DefaultOptions())
+			before := slices.Clone(p.Assign)
+			if err := e.run(p, c); err == nil {
+				t.Errorf("%s accepted a cost matrix whose row 2 holds %s", e.name, bad.name)
+			}
+			if !slices.Equal(p.Assign, before) {
+				t.Errorf("%s changed the decomposition before refusing %s", e.name, bad.name)
+			}
 		}
+	}
+}
+
+// TestSinglePartitionObservesNothing: with k = 1 there is nothing to
+// refine. Refine and the portfolio leave the decomposition alone and
+// score it zero, and neither emits an event or registers a metric;
+// session.New refuses k = 1 before it does either.
+func TestSinglePartitionObservesNothing(t *testing.T) {
+	g := gen.RMAT(400, 2400, 0.57, 0.19, 0.19, 3)
+	g.UseDegreeWeights()
+	c := topology.UniformMatrix(1)
+	observed := func(name string, tr *obs.Tracer, mr *obs.Registry) {
+		t.Helper()
+		var prom bytes.Buffer
+		if err := obs.WriteProm(&prom, mr); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != 0 || prom.Len() != 0 {
+			t.Errorf("%s at k = 1: %d events, metrics %q", name, tr.Len(), prom.String())
+		}
+	}
+	zero := partition.Score{Skewness: 1}
+
+	p := partition.New(1, g.NumVertices())
+	tr, mr := obs.NewTracer(64), obs.NewRegistry()
+	st, err := paragon.Refine(g, p, c, paragon.Config{Seed: 1, Trace: tr, Metrics: mr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Moves != 0 || st.Gain != 0 || st.Rounds != 0 || st.MigrationCost != 0 {
+		t.Errorf("paragon.Refine at k = 1: %+v", st)
+	}
+	if s := partition.ComputeScore(g, p, make([]int32, g.NumVertices()), c, 10); s != zero {
+		t.Errorf("paragon.Refine at k = 1 left a score of %+v", s)
+	}
+	observed("paragon.Refine", tr, mr)
+
+	tr, mr = obs.NewTracer(64), obs.NewRegistry()
+	pst, err := portfolio.Refine(g, p, c, paragon.Config{Seed: 1, Trace: tr, Metrics: mr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pst.InputScore != zero || pst.SelectedScore != zero || pst.Winner != -1 || pst.CombineMoves != 0 || len(pst.Members) != 0 {
+		t.Errorf("portfolio.Refine at k = 1: %+v", pst)
+	}
+	observed("portfolio.Refine", tr, mr)
+
+	tr, mr = obs.NewTracer(64), obs.NewRegistry()
+	if _, err := session.New(g, p, session.Config{Costs: c, Trace: tr, Metrics: mr}); err == nil {
+		t.Error("session.New accepted k = 1")
+	}
+	observed("session.New", tr, mr)
+	if slices.ContainsFunc(p.Assign, func(q int32) bool { return q != 0 }) {
+		t.Error("a k = 1 call moved a vertex")
 	}
 }

@@ -53,44 +53,48 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Result summarizes one refinement.
+// Result summarizes one refinement. Gain is in objective units
+// (partition.Costs.Real converts it, DESIGN.md §10).
 type Result struct {
-	Moves     int     // vertices whose partition changed
-	Gain      float64 // total gain realized (cost reduction, Eq. 5 sum)
-	PairsSeen int     // partition pairs refined
+	Moves     int   // vertices whose partition changed
+	Gain      int64 // total gain realized (cost reduction, Eq. 5 sum)
+	PairsSeen int   // partition pairs refined
 }
 
 // Gain computes Eq. 5 for moving v from its current partition to
 // partition j, given the original decomposition orig (for the migration
-// term) and the cost matrix c. Exposed for tests and for PARAGON's group
-// refinement.
+// term) and the cost matrix c — the dense reference evaluation, exposed
+// for tests. c must pass partition.CheckCosts.
 func Gain(g *graph.Graph, p *partition.Partitioning, orig []int32, v, j int32, c [][]float64, alpha float64) float64 {
+	cs, err := partition.CheckCosts(c, p.K)
+	if err != nil {
+		panic("aragon: " + err.Error())
+	}
 	i := p.Assign[v]
 	if i == j {
 		return 0
 	}
 	dext := partition.ExternalDegrees(g, p, v)
-	return gainFromDegrees(g, dext, orig, v, i, j, c, alpha)
+	return cs.Real(gainFromDegrees(g, dext, orig, v, i, j, cs, partition.Alpha(alpha)))
 }
 
-// gainFromDegrees computes Eq. 5 given precomputed per-partition external
-// degrees for v.
-func gainFromDegrees(g *graph.Graph, dext []int64, orig []int32, v, i, j int32, c [][]float64, alpha float64) float64 {
+// gainFromDegrees computes Eq. 5 on the objective grid given precomputed
+// per-partition external degrees for v.
+func gainFromDegrees(g *graph.Graph, dext []int64, orig []int32, v, i, j int32, cs *partition.Costs, alpha int64) int64 {
+	ci, cj := cs.Row(i), cs.Row(j)
 	// Eq. 6: impact on the (Pi, Pj) cut.
-	gStd := alpha * float64(dext[j]-dext[i]) * c[i][j]
+	gStd := alpha * (dext[j] - dext[i]) * ci[j]
 	// Eq. 8: impact on v's communication with every other partition.
-	var gTopo float64
-	for k := int32(0); k < int32(len(dext)); k++ {
-		if k == i || k == j || dext[k] == 0 {
-			continue
+	var gTopo int64
+	for k := range dext {
+		if int32(k) != i && int32(k) != j {
+			gTopo += dext[k] * (ci[k] - cj[k])
 		}
-		gTopo += float64(dext[k]) * (c[i][k] - c[j][k])
 	}
-	gTopo *= alpha
 	// Eq. 9: impact on migration cost relative to the original owner.
 	k0 := orig[v]
-	gMig := float64(g.VertexSize(v)) * (c[i][k0] - c[j][k0])
-	return gStd + gTopo + gMig
+	gMig := (int64(g.VertexSize(v)) * (ci[k0] - cj[k0])) << partition.AlphaBits
+	return gStd + alpha*gTopo + gMig
 }
 
 // Refine runs full ARAGON: it applies RefinePair to every pair of the
@@ -101,10 +105,14 @@ func Refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	if err := p.Validate(g); err != nil {
 		return Result{}, fmt.Errorf("aragon: %w", err)
 	}
-	if err := partition.CheckCosts(c, p.K); err != nil {
+	cs, err := partition.CheckCosts(c, p.K)
+	if err != nil {
 		return Result{}, fmt.Errorf("aragon: %w", err)
 	}
 	cfg = cfg.WithDefaults()
+	if err := partition.CheckObjective(g, cs, cfg.Alpha); err != nil {
+		return Result{}, fmt.Errorf("aragon: %w", err)
+	}
 	orig := append([]int32(nil), p.Assign...)
 	loads := p.Weights(g)
 	maxLoad := partition.BalanceBound(g, p.K, cfg.MaxImbalance)
@@ -115,7 +123,7 @@ func Refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	var total Result
 	for i := int32(0); i < p.K; i++ {
 		for j := i + 1; j < p.K; j++ {
-			r := ref.RefinePair(orig, i, j, c, loads, maxLoad, nil)
+			r := ref.refinePair(orig, i, j, cs, loads, maxLoad, nil)
 			total.Moves += r.Moves
 			total.Gain += r.Gain
 			total.PairsSeen += r.PairsSeen
@@ -124,26 +132,26 @@ func Refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	return total, nil
 }
 
-// floatHeap is a lazy max-heap over candidate indices keyed by float
-// gain, with stale-entry invalidation like the metis gain heap.
-type floatHeap struct {
+// gainHeap is a lazy max-heap over candidate indices keyed by gain,
+// with stale-entry invalidation like the metis gain heap.
+type gainHeap struct {
 	idx []int32
-	g   []float64
+	g   []int64
 }
 
-func newFloatHeap(capHint int) floatHeap {
-	return floatHeap{idx: make([]int32, 0, capHint), g: make([]float64, 0, capHint)}
+func newGainHeap(capHint int) gainHeap {
+	return gainHeap{idx: make([]int32, 0, capHint), g: make([]int64, 0, capHint)}
 }
 
-func (h *floatHeap) len() int { return len(h.idx) }
+func (h *gainHeap) len() int { return len(h.idx) }
 
 // reset empties the heap, keeping its backing storage for reuse.
-func (h *floatHeap) reset() {
+func (h *gainHeap) reset() {
 	h.idx = h.idx[:0]
 	h.g = h.g[:0]
 }
 
-func (h *floatHeap) push(i int32, gain float64) {
+func (h *gainHeap) push(i int32, gain int64) {
 	h.idx = append(h.idx, i)
 	h.g = append(h.g, gain)
 	c := len(h.idx) - 1
@@ -157,7 +165,7 @@ func (h *floatHeap) push(i int32, gain float64) {
 	}
 }
 
-func (h *floatHeap) pop() (int32, float64) {
+func (h *gainHeap) pop() (int32, int64) {
 	i, g := h.idx[0], h.g[0]
 	last := len(h.idx) - 1
 	h.idx[0], h.g[0] = h.idx[last], h.g[last]
@@ -180,7 +188,7 @@ func (h *floatHeap) pop() (int32, float64) {
 	return i, g
 }
 
-func (h *floatHeap) popValid(gains []float64, moved []bool) (int32, float64, bool) {
+func (h *gainHeap) popValid(gains []int64, moved []bool) (int32, int64, bool) {
 	for h.len() > 0 {
 		i, g := h.pop()
 		if moved[i] || gains[i] != g {
@@ -191,7 +199,7 @@ func (h *floatHeap) popValid(gains []float64, moved []bool) (int32, float64, boo
 	return 0, 0, false
 }
 
-func (h *floatHeap) swap(i, j int) {
+func (h *gainHeap) swap(i, j int) {
 	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
 	h.g[i], h.g[j] = h.g[j], h.g[i]
 }

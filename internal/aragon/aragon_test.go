@@ -287,14 +287,14 @@ func TestRefineKeepsBalanceBound(t *testing.T) {
 	}
 }
 
-func TestFloatHeap(t *testing.T) {
-	h := newFloatHeap(4)
-	gains := []float64{1.5, -3, 8, 0}
+func TestGainHeap(t *testing.T) {
+	h := newGainHeap(4)
+	gains := []int64{15, -3, 80, 0}
 	for i, g := range gains {
 		h.push(int32(i), g)
 	}
 	moved := make([]bool, 4)
-	var out []float64
+	var out []int64
 	for {
 		_, g, ok := h.popValid(gains, moved)
 		if !ok {
@@ -302,7 +302,7 @@ func TestFloatHeap(t *testing.T) {
 		}
 		out = append(out, g)
 	}
-	want := []float64{8, 1.5, 0, -3}
+	want := []int64{80, 15, 0, -3}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("heap order %v, want %v", out, want)

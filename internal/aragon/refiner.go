@@ -7,31 +7,28 @@ import (
 
 // Refiner bundles the reusable scratch state of the pairwise FM hot path:
 // the dense candidate slot array, the per-candidate gain state, the gain
-// heap, the candidate-ordering bitmap and the sparse external-degree
-// buffer. Construct one per refinement sweep (per worker in PARAGON) and
-// call RefinePair for every pair of the sweep — candidate enumeration
-// comes from the supplied partition.PairIndexer instead of a full-graph
-// scan, and all per-pair allocations are amortized across the k(k−1)/2
-// pair loop.
+// heap and the candidate-ordering bitmap. Construct one per refinement
+// sweep (per worker in PARAGON) and call RefinePair for every pair of the
+// sweep — candidate enumeration comes from the supplied
+// partition.PairIndexer instead of a full-graph scan, and all per-pair
+// allocations are amortized across the k(k−1)/2 pair loop.
 //
 // The refiner produces bit-identical results to the historical scan-based
-// implementation: candidates are ordered ascending, gains are accumulated
-// over partitions in ascending order, and the heap receives pushes in the
-// same sequence, so tie-breaking is unchanged.
+// implementation: candidates are ordered ascending and the heap receives
+// pushes in the same sequence, so tie-breaking is unchanged.
 //
-// Gains are kept in delta mode for every cost matrix. While a pair
-// (Pi, Pj) is refined only its own vertices move, and only between Pi and
-// Pj, so of an unmoved candidate's Eq. 5 terms the migration term g_mig
-// and the topology term g_topo = α·Σ_{k∉{i,j}} d_ext(v,Pk)·(c[i][k]−c[j][k])
-// are constants; only the two integers d_ext(v,Pi), d_ext(v,Pj) change.
-// Each candidate is therefore seeded once — from its wave-start profile
-// segment under the scheduler, from one adjacency scan otherwise — and
-// every re-evaluation after an incident move is an O(1) update of the two
-// integer accumulators. Because the float gain is recomputed from the
-// same integer state and the same constants a rescan would produce, the
-// result is bit-identical to rescanning — it only removes the repeated
-// adjacency walks that dominate refinement on power-law graphs (hub
-// candidates are re-evaluated once per neighboring move).
+// Gains are int64 on the objective grid (DESIGN.md §10), kept in delta
+// mode for every cost matrix. While a pair (Pi, Pj) is refined only its
+// own vertices move, and only between Pi and Pj, so of an unmoved
+// candidate's Eq. 5 terms the migration term g_mig and the topology term
+// g_topo = α·Σ_{k∉{i,j}} d_ext(v,Pk)·(c[i][k]−c[j][k]) are constants; only
+// the two integers d_ext(v,Pi), d_ext(v,Pj) change. Each candidate is
+// therefore seeded once — from its wave-start profile segment under the
+// scheduler, from one adjacency scan otherwise — and every re-evaluation
+// after an incident move is an O(1) update of the two integer
+// accumulators, exactly what a rescan would give. That removes the
+// repeated adjacency walks that dominate refinement on power-law graphs
+// (hub candidates are re-evaluated once per neighboring move).
 //
 // PARAGON builds one refiner per worker back to back, so the allocator
 // lays them (and their small scratch) out adjacently. The slice headers
@@ -43,31 +40,29 @@ import (
 type Refiner struct {
 	_ [cacheLinePad]byte
 
-	g   *graph.Graph
-	p   *partition.Partitioning
-	ix  partition.PairIndexer
-	cfg Config
+	g     *graph.Graph
+	p     *partition.Partitioning
+	ix    partition.PairIndexer
+	cfg   Config
+	alpha int64 // cfg.Alpha on the objective grid
 
 	slot    []int32 // vertex -> candidate slot + 1; 0 = not in current pair
 	cands   []int32
 	order   []uint64 // ⌈|V|/64⌉-word candidate-ordering bitmap, all-zero between uses
 	osum    []uint64 // its summary, one bit per word of order, all-zero between uses
-	h       floatHeap
-	dext    []int64  // sparse K-length external-degree scratch, all-zero between uses
-	dmask   []uint64 // ⌈K/64⌉-word touched-partition bitmap, all-zero between uses
-	touched []int32  // partitions touched by the last dext fill
+	h       gainHeap
 	history []moveRec
 
 	// Per-candidate state, grown together (grow): dfrom/dto are the
 	// candidate's edge weight toward its own/the other partition of the
 	// pair; gtopo and gmig its Eq. 8 and Eq. 9 terms, constant while the
 	// pair is refined; gains the current Eq. 5 value.
-	gains []float64
+	gains []int64
 	moved []bool
 	dfrom []int64
 	dto   []int64
-	gtopo []float64
-	gmig  []float64
+	gtopo []int64
+	gmig  []int64
 
 	// profile, when non-nil, is the scheduler's wave-start
 	// neighbor-partition weight table. Seeding runs before any of the
@@ -80,15 +75,15 @@ type Refiner struct {
 	// the wave-constant master under a Shadow (DESIGN.md §9).
 	master *partition.Partitioning
 
-	// The Eq. 8 factors of the running pair (beginPair; general matrix with
-	// a profile only): dfwd[q] = c[pi][q] − c[pj][q] for a candidate leaving
-	// pi, drev[q] = c[pj][q] − c[pi][q] for one leaving pj, +0.0 at pi, pj.
-	dfwd, drev []float64
+	// The Eq. 8 factors of the running pair (beginPair; general matrix
+	// only): dfwd[q] = c[pi][q] − c[pj][q] for a candidate leaving pi,
+	// drev[q] = c[pj][q] − c[pi][q] for one leaving pj, 0 at pi and pj.
+	dfwd, drev []int64
 
-	// Cached off-diagonal-uniformity of the last cost matrix seen (keyed
-	// by its first row). Cost matrices are treated as immutable.
-	cRow0    *[]float64
-	cUniform bool
+	// The quantisation of the last matrix RefinePair was given, keyed by
+	// its first row. Cost matrices are treated as immutable.
+	cRow0 *[]float64
+	costs *partition.Costs
 
 	_ [cacheLinePad]byte
 }
@@ -99,7 +94,7 @@ const cacheLinePad = 128
 
 // scratchWords returns an all-zero n-word scratch whose backing array
 // fills whole cache lines, so it shares none with the next allocation.
-func scratchWords[T int64 | uint64 | float64](n int) []T {
+func scratchWords[T int64 | uint64](n int) []T {
 	return make([]T, n, (n+7)&^7)
 }
 
@@ -119,17 +114,17 @@ type moveRec struct {
 func NewRefiner(g *graph.Graph, ix partition.PairIndexer, cfg Config) *Refiner {
 	k := ix.Partitioning().K
 	orderWords := partition.MaskWords(g.NumVertices())
+	cfg = cfg.WithDefaults()
 	r := &Refiner{
 		g:     g,
-		cfg:   cfg.WithDefaults(),
+		cfg:   cfg,
+		alpha: partition.Alpha(cfg.Alpha),
 		slot:  make([]int32, g.NumVertices()),
 		order: scratchWords[uint64](orderWords),
 		osum:  scratchWords[uint64](partition.MaskWords(int32(orderWords))),
-		h:     newFloatHeap(64),
-		dext:  scratchWords[int64](int(k)),
-		dmask: scratchWords[uint64](partition.MaskWords(k)),
-		dfwd:  scratchWords[float64](int(k)),
-		drev:  scratchWords[float64](int(k)),
+		h:     newGainHeap(64),
+		dfwd:  scratchWords[int64](int(k)),
+		drev:  scratchWords[int64](int(k)),
 	}
 	r.Bind(ix)
 	return r
@@ -157,13 +152,13 @@ type Move struct {
 	V, To int32
 }
 
-// RefinePairScheduled is RefinePair plus a record of the kept moves: the
-// best-prefix relocations that survived rollback, appended to dst in
-// execution order. The scheduler applies them to the authoritative index
-// at commit time; the refiner itself has already applied them to its own
-// shadow view.
-func (r *Refiner) RefinePairScheduled(dst []Move, orig []int32, pi, pj int32, c [][]float64, loads []int64, maxLoad int64, allowed *partition.Bitset) ([]Move, Result) {
-	res := r.RefinePair(orig, pi, pj, c, loads, maxLoad, allowed)
+// RefinePairScheduled is RefinePair on a quantised matrix plus a record of
+// the kept moves: the best-prefix relocations that survived rollback,
+// appended to dst in execution order. The scheduler applies them to the
+// authoritative index at commit time; the refiner itself has already
+// applied them to its own shadow view.
+func (r *Refiner) RefinePairScheduled(dst []Move, orig []int32, pi, pj int32, cs *partition.Costs, loads []int64, maxLoad int64, allowed *partition.Bitset) ([]Move, Result) {
+	res := r.refinePair(orig, pi, pj, cs, loads, maxLoad, allowed)
 	for _, m := range r.history[:res.Moves] {
 		dst = append(dst, Move{V: m.v, To: m.to})
 	}
@@ -180,11 +175,23 @@ func (r *Refiner) RefinePairScheduled(dst []Move, orig []int32, pi, pj int32, c 
 // vertices its group members shipped. The mask is the indexer's kind
 // (partition.PairIndexer): nil on an Index, which admits every boundary
 // vertex of the pair (full ARAGON behavior), the synced one on a Shadow.
+// c is quantised on first sight (partition.CheckCosts) and must pass it.
 func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []int64, maxLoad int64, allowed *partition.Bitset) Result {
+	if r.costs == nil || &c[0] != r.cRow0 {
+		cs, err := partition.CheckCosts(c, r.p.K)
+		if err != nil {
+			panic("aragon: " + err.Error())
+		}
+		r.cRow0, r.costs = &c[0], cs
+	}
+	return r.refinePair(orig, pi, pj, r.costs, loads, maxLoad, allowed)
+}
+
+func (r *Refiner) refinePair(orig []int32, pi, pj int32, cs *partition.Costs, loads []int64, maxLoad int64, allowed *partition.Bitset) Result {
 	if pi == pj {
 		return Result{}
 	}
-	r.beginPair(pi, pj, c)
+	r.beginPair(pi, pj, cs)
 	r.cands = r.ix.AppendPairUnsorted(r.cands[:0], pi, pj, allowed)
 	partition.SortCandidates(r.cands, r.order, r.osum)
 	n := len(r.cands)
@@ -197,12 +204,12 @@ func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []
 	r.grow(n)
 	r.h.reset()
 	for idx := 0; idx < n; idx++ {
-		r.seed(idx, pi, pj, orig, c)
+		r.seed(idx, pi, pj, orig, cs)
 		r.h.push(int32(idx), r.gains[idx])
 	}
 
 	r.history = r.history[:0]
-	var prefix, best float64
+	var prefix, best int64
 	bestLen := 0
 	bad := 0
 
@@ -264,7 +271,7 @@ func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []
 			if fromU == pi {
 				toU = pj
 			}
-			r.gains[ui] = r.pairGain(ui, fromU, toU, c)
+			r.gains[ui] = r.pairGain(ui, cs.At(fromU, toU))
 			r.h.push(s-1, r.gains[ui])
 		}
 		if testMoveApplied != nil {
@@ -285,21 +292,16 @@ func (r *Refiner) RefinePair(orig []int32, pi, pj int32, c [][]float64, loads []
 	return Result{Moves: bestLen, Gain: best, PairsSeen: 1}
 }
 
-// beginPair readies what seeding the candidates of (pi, pj) under c reads:
-// the cached uniformity of c and, for the general-matrix profile walk, the
-// pair's two difference rows.
-func (r *Refiner) beginPair(pi, pj int32, c [][]float64) {
-	if len(c) > 0 && &c[0] != r.cRow0 {
-		r.cRow0 = &c[0]
-		r.cUniform = uniformOffDiag(c)
-	}
-	if r.cUniform || r.profile == nil {
+// beginPair readies what seeding the candidates of (pi, pj) under cs
+// reads: for a general matrix, the pair's two difference rows.
+func (r *Refiner) beginPair(pi, pj int32, cs *partition.Costs) {
+	if cs.Uniform {
 		return
 	}
-	ci, cj := c[pi], c[pj]
+	ci, cj := cs.Row(pi), cs.Row(pj)
 	for q := range r.dfwd {
 		r.dfwd[q] = ci[q] - cj[q]
-		r.drev[q] = cj[q] - ci[q]
+		r.drev[q] = -r.dfwd[q]
 	}
 	r.dfwd[pi], r.dfwd[pj], r.drev[pi], r.drev[pj] = 0, 0, 0, 0
 }
@@ -310,12 +312,12 @@ func (r *Refiner) beginPair(pi, pj int32, c [][]float64) {
 func (r *Refiner) grow(n int) {
 	if cap(r.gains) < n {
 		c := n + n/8 + 8
-		r.gains = make([]float64, c)
+		r.gains = make([]int64, c)
 		r.moved = make([]bool, c)
 		r.dfrom = make([]int64, c)
 		r.dto = make([]int64, c)
-		r.gtopo = make([]float64, c)
-		r.gmig = make([]float64, c)
+		r.gtopo = make([]int64, c)
+		r.gmig = make([]int64, c)
 	}
 	r.gains = r.gains[:n]
 	r.moved = r.moved[:n]
@@ -330,19 +332,11 @@ func (r *Refiner) grow(n int) {
 // uniform cost matrix only the pair-local degrees are needed (g_topo is
 // identically zero): two profile lookups, or a two-accumulator adjacency
 // pass. Under a general matrix every partition v touches contributes to
-// g_topo: one walk of v's profile segment, or one sparse external-degree
-// scan. Either source lists the same (partition, weight) entries in
-// ascending partition order — the dense evaluation's summation order — so
-// the two loops form the same float sum term for term.
-//
-// The profile walk has no branch on the partition: it adds every entry's
-// product with the pair's difference row (beginPair), +0.0 at `from` and
-// `to` — the sum that skips those two entries, bit for bit, because a
-// running sum that starts at +0.0 is never −0.0 and x + (+0.0) = x for
-// every other x (DESIGN.md §9). The segment header carries v's data size.
-// Every product that feeds an addition is converted to float64 first, so
-// that no compiler fuses the two roundings into one (DESIGN.md §10).
-func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
+// g_topo: one walk of v's profile segment, or one adjacency scan, each
+// adding its weights times the pair's difference row (beginPair), which
+// is 0 at `from` and `to`, so neither walk branches on the partition for
+// the sum. The segment header carries v's data size.
+func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, cs *partition.Costs) {
 	v := r.cands[idx]
 	// Seeds precede the pair's first move, so both views agree on v's owner:
 	// a scan reads it where it reads the neighbors', a profile seed where moves keep it hot.
@@ -355,13 +349,12 @@ func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 	if from == pi {
 		to, d = pj, r.dfwd
 	}
-	var dfrom, dto, size int64
-	gtopo := 0.0
+	var dfrom, dto, size, gtopo int64
 	switch {
-	case r.cUniform && r.profile != nil:
+	case cs.Uniform && r.profile != nil:
 		dfrom, dto = r.profile.GetPair(v, from, to)
 		size = int64(r.g.VertexSize(v))
-	case r.cUniform:
+	case cs.Uniform:
 		adj := r.g.Neighbors(v)
 		w := r.g.EdgeWeights(v)
 		w = w[:len(adj)]
@@ -379,7 +372,7 @@ func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 		ws, size = ws[:len(parts)], hdr
 		for i, k := range parts {
 			w := ws[i]
-			gtopo += float64(float64(w) * d[k])
+			gtopo += w * d[k]
 			if k == from {
 				dfrom = w
 			}
@@ -387,56 +380,32 @@ func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, c [][]float64) {
 				dto = w
 			}
 		}
-		gtopo *= r.cfg.Alpha
 	default:
-		r.touched = partition.ExternalDegreesSparse(r.g, r.master, v, r.dext, r.dmask, r.touched[:0])
-		cf, ct := c[from], c[to]
-		for _, k := range r.touched {
-			d := r.dext[k]
-			r.dext[k] = 0 // sparse reset: only the touched entries
-			switch k {
-			case from:
-				dfrom = d
-			case to:
-				dto = d
-			default:
-				gtopo += float64(float64(d) * (cf[k] - ct[k]))
+		adj := r.g.Neighbors(v)
+		w := r.g.EdgeWeights(v)
+		w = w[:len(adj)]
+		for i, u := range adj {
+			k, wi := assign[u], int64(w[i])
+			gtopo += wi * d[k]
+			if k == from {
+				dfrom += wi
+			}
+			if k == to {
+				dto += wi
 			}
 		}
-		gtopo *= r.cfg.Alpha
 		size = int64(r.g.VertexSize(v))
 	}
 	r.dfrom[idx] = dfrom
 	r.dto[idx] = dto
-	r.gtopo[idx] = gtopo
-	r.gmig[idx] = float64(size) * (c[from][k0] - c[to][k0])
-	r.gains[idx] = r.pairGain(idx, from, to, c)
+	r.gtopo[idx] = r.alpha * gtopo
+	r.gmig[idx] = (size * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
+	r.gains[idx] = r.pairGain(idx, cs.At(from, to))
 }
 
 // pairGain is Eq. 5 from candidate idx's maintained state: Eq. 6 from the
-// two pair-local degrees plus the constant Eq. 8 and Eq. 9 terms. The
-// expression tree matches the dense evaluation's (gStd+gTopo)+gMig term
-// for term, so a delta re-evaluation is bit-identical to a full
-// recompute. Under a uniform matrix gtopo is the literal +0.0: every
-// Eq. 8 factor c[from][k]−c[to][k] is exactly zero for k ∉ {from, to}.
-func (r *Refiner) pairGain(idx int, from, to int32, c [][]float64) float64 {
-	gStd := float64(r.cfg.Alpha * float64(r.dto[idx]-r.dfrom[idx]) * c[from][to])
-	return gStd + r.gtopo[idx] + r.gmig[idx]
-}
-
-// uniformOffDiag reports whether every off-diagonal entry of c is equal —
-// the uniform-cost topologies of standard FM refinement.
-func uniformOffDiag(c [][]float64) bool {
-	if len(c) < 2 {
-		return true
-	}
-	u := c[0][1]
-	for i := range c {
-		for j := range c[i] {
-			if i != j && c[i][j] != u {
-				return false
-			}
-		}
-	}
-	return true
+// two pair-local degrees and c(from, to), plus the constant Eq. 8 and
+// Eq. 9 terms.
+func (r *Refiner) pairGain(idx int, cft int64) int64 {
+	return r.alpha*(r.dto[idx]-r.dfrom[idx])*cft + r.gtopo[idx] + r.gmig[idx]
 }

@@ -45,10 +45,14 @@ func Repartition(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg C
 	if err := p.Validate(g); err != nil {
 		return Stats{}, fmt.Errorf("aragonlb: %w", err)
 	}
-	if err := partition.CheckCosts(c, p.K); err != nil {
+	cs, err := partition.CheckCosts(c, p.K)
+	if err != nil {
 		return Stats{}, fmt.Errorf("aragonlb: %w", err)
 	}
 	cfg = cfg.WithDefaults()
+	if err := partition.CheckObjective(g, cs, cfg.Alpha); err != nil {
+		return Stats{}, fmt.Errorf("aragonlb: %w", err)
+	}
 	var st Stats
 
 	// The single-server model: every partition's vertices and edge lists
@@ -68,7 +72,7 @@ func Repartition(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg C
 		return st, fmt.Errorf("aragonlb: %w", err)
 	}
 	st.RefineMoves = res.Moves
-	st.Gain = res.Gain
+	st.Gain = cs.Real(res.Gain)
 	//lint:ignore wallclock Stats.Elapsed bookkeeping at the driver boundary
 	st.Elapsed = time.Since(start)
 	return st, nil

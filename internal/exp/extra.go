@@ -142,6 +142,10 @@ func AblationServerPenalty(scale float64) *Table {
 			}
 		}
 	}
+	cs, err := partition.CheckCosts(c, k)
+	if err != nil {
+		panic(err)
+	}
 	ps := make([]int64, k)
 	for i := range ps {
 		ps[i] = 1000
@@ -161,7 +165,7 @@ func AblationServerPenalty(scale float64) *Table {
 		if !useNodes {
 			no = nil
 		}
-		servers := paragon.SelectGroupServers(groups, ps, c, no, drp)
+		servers := paragon.SelectGroupServers(groups, ps, cs, no, drp)
 		nodes := map[int]bool{}
 		for _, s := range servers {
 			if nodeOf[s] == 0 {

@@ -12,8 +12,7 @@ import (
 // rmatShards is the fixed logical shard count of RMATSharded. The edge
 // stream is cut into this many chunks regardless of how many workers run
 // them, so the output depends only on (n, m, a, b, c, seed) — never on
-// the parallelism. 64 matches the scheduler's sweepShards convention and
-// divides any realistic worker count.
+// the parallelism. 64 divides any realistic worker count.
 const rmatShards = 64
 
 // RMATSharded generates the same structural class as RMAT — a

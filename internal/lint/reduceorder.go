@@ -10,9 +10,13 @@ import (
 // completion order. Floating-point addition is not associative, so a
 // reduction over values produced by concurrent workers is bit-identical
 // across runs only when the fold happens in a fixed order — the repo's
-// convention is shard-order: workers deposit partials into slots indexed
-// by a static shard id and the coordinator folds the slice front to
-// back (partialSums in the scheduler, sweepShards everywhere else).
+// convention is rank order: workers deposit partials into slots indexed
+// by a static worker or shard id and the coordinator folds the slice
+// front to back. No parallel float fold is left to follow it today: the
+// refinement objective is integer (DESIGN.md §10), and the float sums
+// that remain — the stream placers, the topology cost model and the
+// session's Fennel placer — run on one goroutine. The checker keeps a
+// new one from folding in completion order.
 //
 // The checker reports two shapes that violate the convention:
 //

@@ -81,7 +81,7 @@ type WaveEngine struct {
 	g       *graph.Graph
 	pm      *partition.Partitioning // master (authoritative) partitioning
 	ix      *partition.Index
-	c       [][]float64
+	c       *partition.Costs
 	orig    []int32
 	maxLoad int64
 	workers int
@@ -122,9 +122,9 @@ type WaveEngine struct {
 
 // Open readies the engine for waves over the master ix indexes: shadow and
 // loads are refilled from it and, beyond the first, cfg.Workers workers
-// started, to live until Close. orig is the migration reference, profile
-// (empty, or nil) the table candidates are seeded from.
-func (e *WaveEngine) Open(g *graph.Graph, ix *partition.Index, c [][]float64, orig []int32, maxLoad int64, cfg Config, profile *partition.NeighborProfile) {
+// started, to live until Close. c is the quantised matrix, orig the
+// migration reference, profile (empty, or nil) what candidates seed from.
+func (e *WaveEngine) Open(g *graph.Graph, ix *partition.Index, c *partition.Costs, orig []int32, maxLoad int64, cfg Config, profile *partition.NeighborProfile) {
 	w, acfg := cfg.Workers, cfg.AragonConfig()
 	if e.g != g || e.ix != ix || e.acfg != acfg {
 		*e = WaveEngine{g: g, pm: ix.Partitioning(), ix: ix, acfg: acfg, shadow: ix.NewShadow(),
@@ -284,7 +284,7 @@ func (e *WaveEngine) runPairs(w int, lo, hi int32) {
 		estart := e.ebufs[w].Mark()
 		if e.trace != nil {
 			e.ebufs[w].Emit(obs.Event{Kind: obs.KindPairRefined, Round: e.round,
-				A: t[0], B: t[1], N: int64(res.Moves), X: res.Gain})
+				A: t[0], B: t[1], N: int64(res.Moves), X: e.c.Real(res.Gain)})
 		}
 		e.spans[ti] = taskSpan{worker: int32(w), mstart: mstart, mend: int32(len(e.arenas[w])),
 			estart: int32(estart), eend: int32(e.ebufs[w].Mark())}

@@ -102,7 +102,7 @@ func TestWaveEngineExplicitSchedule(t *testing.T) {
 				checkBarrierInvariant(t, sc, replay)
 			}
 			for call := 0; call < 2; call++ {
-				e.Open(g, ix, c, p0.Assign, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg, nil)
+				e.Open(g, ix, quantised(t, c), p0.Assign, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg, nil)
 				e.SetMask(mask, members)
 				e.Tasks, e.Waves = AppendAntiDiagonalWaves(e.Tasks[:0], e.Waves[:0], []int32{0, 2, 3, 5, 8, 9, 13, 14, 15})
 				e.Run(nil)
@@ -166,7 +166,7 @@ func TestMovableMatchesScan(t *testing.T) {
 			cfg := Config{Workers: 1, KHop: khop}.WithDefaults(p.K)
 			var e WaveEngine
 			var mov Movable
-			e.Open(g, ix, c, p0.Assign, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg, nil)
+			e.Open(g, ix, quantised(t, c), p0.Assign, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg, nil)
 			defer e.Close()
 			mov.Reset(ix, khop)
 			rng := rand.New(rand.NewSource(3))
@@ -214,7 +214,7 @@ func TestMovableMatchesScan(t *testing.T) {
 func TestShipAccountingMatchesScan(t *testing.T) {
 	for _, khop := range []int{0, 1, 2} {
 		g, p, c := archAwareInput(t)
-		d := &driver{g: g, p: p, c: c, cfg: Config{Workers: 2, KHop: khop, DRP: 3, Shuffles: 3, Seed: 5}.WithDefaults(p.K)}
+		d := &driver{g: g, p: p, c: quantised(t, c), cfg: Config{Workers: 2, KHop: khop, DRP: 3, Shuffles: 3, Seed: 5}.WithDefaults(p.K)}
 		if err := d.open(); err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestOneWorkerEngineRunsInline(t *testing.T) {
 		ix.Rebuild()
 		cfg := Config{Workers: workers}.WithDefaults(p.K)
 		before := runtime.NumGoroutine()
-		e.Open(g, ix, c, p0.Assign, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg, nil)
+		e.Open(g, ix, quantised(t, c), p0.Assign, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg, nil)
 		if started := runtime.NumGoroutine() - before; (workers == 1) != (started == 0) {
 			t.Fatalf("workers=%d: Open started %d goroutines", workers, started)
 		}
@@ -306,4 +306,14 @@ func TestOneWorkerEngineRunsInline(t *testing.T) {
 	if r := run(&e, ix1, 2); !slices.Equal(r, r1) || !slices.Equal(ix1.Partitioning().Assign, a1) || e.shadow != shadow {
 		t.Fatal("the one-worker engine reopened with two workers rebuilt its shadow or refined differently")
 	}
+}
+
+// quantised is c on the objective grid, for the internals that take one.
+func quantised(t testing.TB, c [][]float64) *partition.Costs {
+	t.Helper()
+	cs, err := partition.CheckCosts(c, int32(len(c)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
 }

@@ -47,7 +47,7 @@ func TestKHopRefinementStaysValid(t *testing.T) {
 func TestMasterSelectionTieBreaksLow(t *testing.T) {
 	// Uniform matrix: all masters cost the same; the lowest id must win
 	// (determinism without synchronization, §5).
-	if m := selectMaster(5, topology.UniformMatrix(5)); m != 0 {
+	if m := selectMaster(quantised(t, topology.UniformMatrix(5))); m != 0 {
 		t.Fatalf("master = %d, want 0 on ties", m)
 	}
 }
@@ -67,7 +67,7 @@ func TestSelectGroupServersPrefersOwnPartition(t *testing.T) {
 	}
 	ps := []int64{100, 100, 100, 100, 100, 100, 100, 100}
 	groups := [][]int32{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	servers := SelectGroupServers(groups, ps, c, nil, 2)
+	servers := SelectGroupServers(groups, ps, quantised(t, c), nil, 2)
 	inGroup := func(s int32, grp []int32) bool {
 		for _, p := range grp {
 			if p == s {

@@ -94,8 +94,8 @@ func TestGoldenRefineHashes(t *testing.T) {
 		},
 		{
 			// The regime the benchmark's rmat workload runs: non-uniform
-			// costs with NodeOf, k = 128 (two touched-partition mask
-			// words), boundary-only candidates (KHop 0), several shuffles.
+			// costs with NodeOf, k = 128, boundary-only candidates
+			// (KHop 0), several shuffles.
 			// Pinned before the general-cost gain path went delta-mode, so
 			// it is the scan-based kernel's output.
 			name:    "rmat-arch-aware-k128-khop0",

@@ -2,6 +2,8 @@ package paragon
 
 import (
 	"math/rand"
+
+	"paragon/internal/partition"
 )
 
 // selectMaster implements Eq. 11: pick the server m minimizing the total
@@ -11,22 +13,22 @@ import (
 // both directions of an asymmetric cost matrix count. Every server
 // computes this locally without synchronization, so determinism matters:
 // ties break to the lowest id.
-func selectMaster(k int32, c [][]float64) int32 {
+func selectMaster(c *partition.Costs) int32 {
 	best := int32(0)
-	bestCost := masterCost(0, k, c)
-	for m := int32(1); m < k; m++ {
-		if cost := masterCost(m, k, c); cost < bestCost {
+	bestCost := masterCost(0, c)
+	for m := int32(1); m < c.K; m++ {
+		if cost := masterCost(m, c); cost < bestCost {
 			best, bestCost = m, cost
 		}
 	}
 	return best
 }
 
-func masterCost(m, k int32, c [][]float64) float64 {
-	var total float64
-	for i := int32(0); i < k; i++ {
+func masterCost(m int32, c *partition.Costs) int64 {
+	var total int64
+	for i := int32(0); i < c.K; i++ {
 		if i != m {
-			total += c[i][m] + c[m][i]
+			total += c.At(i, m) + c.At(m, i)
 		}
 	}
 	return total
@@ -59,6 +61,8 @@ func randomGrouping(k int32, drp int, rng *rand.Rand) [][]int32 {
 // is the number of group servers already placed on s's compute node —
 // the penalty that avoids concentrating group servers (and their memory
 // footprint) on one node. nodeOf may be nil (each server its own node).
+// drp is fixed for the call, so the cost compared is the integer
+// (drp + σ(s)) · Σ ps[i] · C(Pi, Ps): drp times Eq. 10 on the grid.
 //
 // Ties break deterministically toward the lowest-id member of the group:
 // a group whose candidate costs are all equal (e.g. every member has
@@ -66,7 +70,7 @@ func randomGrouping(k int32, drp int, rng *rand.Rand) [][]int32 {
 // than ship to an arbitrary foreign server — server 0 was the old
 // accidental winner, paying needless boundary shipping for every group
 // that didn't contain it.
-func SelectGroupServers(groups [][]int32, ps []int64, c [][]float64, nodeOf []int, drp int) []int32 {
+func SelectGroupServers(groups [][]int32, ps []int64, c *partition.Costs, nodeOf []int, drp int) []int32 {
 	k := len(ps)
 	servers := make([]int32, len(groups))
 	member := make([]bool, k)
@@ -82,15 +86,14 @@ func SelectGroupServers(groups [][]int32, ps []int64, c [][]float64, nodeOf []in
 			member[pi] = true
 		}
 		best := int32(-1)
-		bestCost := 0.0
+		var bestCost int64
 		bestIn := false
 		for s := 0; s < k; s++ {
-			sigma := float64(nodeServerCount[node(s)])
-			penalty := 1 + sigma/float64(drp)
-			var cost float64
+			var cost int64
 			for _, pi := range grp {
-				cost += float64(float64(ps[pi]) * c[pi][s] * penalty)
+				cost += ps[pi] * c.At(pi, int32(s))
 			}
+			cost *= int64(drp + nodeServerCount[node(s)])
 			// Strict improvement wins; an exact tie only displaces the
 			// incumbent when it upgrades an out-of-group server to an
 			// in-group one. Ascending s makes both rules favor low ids.

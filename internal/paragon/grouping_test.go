@@ -28,7 +28,7 @@ func TestSelectMasterAsymmetricMatrix(t *testing.T) {
 	if !(inbound[2] < inbound[0] && inbound[2] < inbound[1]) {
 		t.Fatal("test matrix no longer exercises the inbound-only bug")
 	}
-	if m := selectMaster(3, c); m != 0 {
+	if m := selectMaster(quantised(t, c)); m != 0 {
 		t.Fatalf("master = %d, want 0 (bidirectional cost); inbound-only would pick 2", m)
 	}
 }
@@ -55,7 +55,7 @@ func TestSelectMasterSymmetricUnchangedByDirectionFix(t *testing.T) {
 			bestIn, bestInCost = m, cost
 		}
 	}
-	if m := selectMaster(4, c); int(m) != bestIn {
+	if m := selectMaster(quantised(t, c)); int(m) != bestIn {
 		t.Fatalf("master = %d on a symmetric matrix, inbound argmin = %d; direction fix must not move it", m, bestIn)
 	}
 }
@@ -77,7 +77,7 @@ func TestSelectGroupServersZeroWeightTieBreak(t *testing.T) {
 	}
 	ps := make([]int64, k) // no partition ships anything
 	groups := [][]int32{{5, 3}, {2, 4}, {0, 1}}
-	servers := SelectGroupServers(groups, ps, c, nil, len(groups))
+	servers := SelectGroupServers(groups, ps, quantised(t, c), nil, len(groups))
 	want := []int32{3, 2, 0}
 	for gi := range groups {
 		if servers[gi] != want[gi] {
@@ -97,7 +97,7 @@ func TestSelectGroupServersStrictImprovementStillWins(t *testing.T) {
 		{0, 1, 0},
 	}
 	ps := []int64{10, 10, 10}
-	servers := SelectGroupServers([][]int32{{1, 2}}, ps, c, nil, 1)
+	servers := SelectGroupServers([][]int32{{1, 2}}, ps, quantised(t, c), nil, 1)
 	if servers[0] != 0 {
 		t.Fatalf("server = %d, want the strictly cheaper foreign server 0", servers[0])
 	}

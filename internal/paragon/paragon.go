@@ -286,7 +286,7 @@ type driver struct {
 	p   *partition.Partitioning
 	ix  *partition.Index
 	sc  *scheduler
-	c   [][]float64
+	c   *partition.Costs
 	cfg Config // defaults applied
 	fab faultsim.Fabric
 	pol faultsim.Policy
@@ -299,6 +299,7 @@ type driver struct {
 	shuffle    []int     // ShuffleGroupsScratch's permutation buffer
 	ps         []int64   // pooled incident-edge sums, reused per round
 	regionSize int64
+	gain       int64 // Stats.Gain on the objective grid
 	st         Stats
 }
 
@@ -312,7 +313,8 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	if err := p.Validate(g); err != nil {
 		return Stats{}, fmt.Errorf("paragon: %w", err)
 	}
-	if err := partition.CheckCosts(c, p.K); err != nil {
+	cs, err := partition.CheckCosts(c, p.K)
+	if err != nil {
 		return Stats{}, fmt.Errorf("paragon: %w", err)
 	}
 	if cfg.NodeOf != nil && int32(len(cfg.NodeOf)) < p.K {
@@ -327,14 +329,17 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 		}
 	}
 	cfg = cfg.WithDefaults(p.K)
-	st := Stats{DRP: cfg.DRP, Master: selectMaster(p.K, c)}
+	if err := partition.CheckObjective(g, cs, cfg.Alpha); err != nil {
+		return Stats{}, fmt.Errorf("paragon: %w", err)
+	}
+	st := Stats{DRP: cfg.DRP, Master: selectMaster(cs)}
 	if p.K < 2 {
 		// Nothing to refine, so nothing to observe: no event, no metric.
 		//lint:ignore wallclock Stats.RefinementTime bookkeeping at the driver boundary
 		st.RefinementTime = time.Since(start)
 		return st, nil
 	}
-	d := &driver{g: g, p: p, ix: ix, c: c, cfg: cfg, tr: cfg.Trace, st: st}
+	d := &driver{g: g, p: p, ix: ix, c: cs, cfg: cfg, tr: cfg.Trace, st: st}
 	if err := d.open(); err != nil {
 		return d.finish(start, fmt.Errorf("paragon: %w", err))
 	}

@@ -37,7 +37,7 @@ func TestSelectMasterPaperExample(t *testing.T) {
 	// §5 Master Node Selection: "in case of Figure 4, we should select
 	// server M[2] as the master node" — index 1 in 0-based terms.
 	c := topology.PaperExampleMatrix()
-	if m := selectMaster(3, c); m != 1 {
+	if m := selectMaster(quantised(t, c)); m != 1 {
 		t.Fatalf("master = %d, want 1 (the paper's M[2])", m)
 	}
 }
@@ -47,7 +47,7 @@ func TestSelectGroupServersPaperExample(t *testing.T) {
 	// Figure 6 costs, M[2] (index 1) is optimal.
 	c := topology.PaperExampleMatrix()
 	ps := []int64{10, 10, 10} // equal shipping mass
-	servers := SelectGroupServers([][]int32{{0, 1, 2}}, ps, c, nil, 1)
+	servers := SelectGroupServers([][]int32{{0, 1, 2}}, ps, quantised(t, c), nil, 1)
 	if servers[0] != 1 {
 		t.Fatalf("group server = %d, want 1", servers[0])
 	}
@@ -70,7 +70,7 @@ func TestSelectGroupServersPenaltySpreads(t *testing.T) {
 	ps := []int64{100, 100, 100, 100}
 	nodeOf := []int{0, 0, 0, 1}
 	groups := [][]int32{{0, 1}, {2, 3}}
-	servers := SelectGroupServers(groups, ps, c, nodeOf, 2)
+	servers := SelectGroupServers(groups, ps, quantised(t, c), nodeOf, 2)
 	if nodeOf[servers[0]] == nodeOf[servers[1]] {
 		t.Fatalf("both group servers on node %d: %v", nodeOf[servers[0]], servers)
 	}

@@ -10,9 +10,8 @@ package paragon
 //
 // What makes a wave deterministic is the wave engine's (engine.go). The
 // per-round passes outside the waves run on the coordinator: the boundary
-// scan and the ship accounting are integer, order-free sums, and the
-// migration sweep accumulates into a fixed number of shards (sweepShards)
-// reduced in shard order, the association its float sum has always had.
+// scan, the ship accounting and the migration sweep are integer,
+// order-free sums.
 //
 // Scaling discipline (DESIGN.md §14): all per-round sequential work is
 // proportional to *moved/boundary* vertices, never to |V|. The shared
@@ -34,12 +33,6 @@ import (
 	"paragon/internal/partition"
 )
 
-// sweepShards is the fixed shard count of the migration sweep's float
-// reduction: per-shard partials over identical vertex ranges, summed in
-// shard order — the association the sum had when the sweep ran sharded
-// over the workers, kept so its bits never move.
-const sweepShards = 64
-
 // scheduler is one Refine call's use of the wave engine (engine.go): the
 // tournament schedule it feeds it, the movable-vertex mask it hands it
 // every round, and the diff bitset of the migration sweep. It is created
@@ -51,7 +44,7 @@ type scheduler struct {
 	diff *partition.Bitset // v set iff pm.Assign[v] != orig[v]
 }
 
-func newScheduler(g *graph.Graph, ix *partition.Index, c [][]float64, orig []int32, maxLoad int64, cfg Config) (*scheduler, error) {
+func newScheduler(g *graph.Graph, ix *partition.Index, c *partition.Costs, orig []int32, maxLoad int64, cfg Config) (*scheduler, error) {
 	// Empty: repairBoundary materializes the movable vertices, round by
 	// round. A table too large for its offsets is still refused here.
 	profile, err := partition.NewNeighborProfile(g, ix.Partitioning().K)
@@ -62,14 +55,6 @@ func newScheduler(g *graph.Graph, ix *partition.Index, c [][]float64, orig []int
 	sc.Open(g, ix, c, orig, maxLoad, cfg, profile)
 	sc.mov.Reset(ix, cfg.KHop)
 	return sc, nil
-}
-
-// shardRange returns shard s of [0, n) under the fixed sweepShards
-// split. 64-bit intermediate math: n·s can exceed int32.
-func shardRange(n int32, s int) (int32, int32) {
-	lo := int32(int64(n) * int64(s) / sweepShards)
-	hi := int32(int64(n) * int64(s+1) / sweepShards)
-	return lo, hi
 }
 
 // buildSchedule lays out the round's tasks: wave t holds, in ascending
@@ -140,9 +125,10 @@ func (d *driver) refineWaves(round int32, roundTicks int64) {
 	if testWaveSynced != nil {
 		testWaveSynced(sc.WaveEngine, -1, 0, 0)
 	}
-	d.st.RoundGains = append(d.st.RoundGains, 0)
-	roundMoves := 0
+	before, roundMoves := d.gain, 0
 	sc.Run(func(t int, lo, hi int32) { roundMoves += d.commitWave(round, t, lo, hi) })
+	d.st.Gain = d.c.Real(d.gain)
+	d.st.RoundGains = append(d.st.RoundGains, d.c.Real(d.gain-before))
 	d.clk.Advance(roundTicks)
 	d.st.Rounds++
 	d.tr.Emit(obs.Event{Kind: obs.KindRoundEnd, Round: round, N: int64(roundMoves), X: d.st.RoundGains[round]})
@@ -150,14 +136,13 @@ func (d *driver) refineWaves(round int32, roundTicks int64) {
 
 // commitWave is the driver's half of the wave barrier, after the engine
 // put the wave's kept moves into the master: each task's result is
-// reduced into Stats in task order — the fixed-order float summation of
-// the determinism contract — and its move log feeds the two delta
-// structures: the movable mask (whose next repair re-evaluates the moved
-// vertices and their neighbors) and the diff bitset (vertices whose owner
-// differs from the original decomposition, walked by sweepMigration).
-// Staged trace events are committed in task order between the wave's two
-// events; no worker touches the tracer, so the first reads as emitted
-// before the dispatch.
+// reduced into Stats (its gain into the driver's exact total) in task
+// order, and its move log feeds the two delta structures: the movable
+// mask (whose next repair re-evaluates the moved vertices and their
+// neighbors) and the diff bitset (vertices whose owner differs from the
+// original decomposition, walked by sweepMigration). Staged trace events
+// are committed in task order between the wave's two events; no worker
+// touches the tracer, so the first reads as emitted before the dispatch.
 func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
 	sc := d.sc
 	d.tr.Emit(obs.Event{Kind: obs.KindWaveScheduled, Round: round, A: int32(t), N: int64(hi - lo)})
@@ -165,8 +150,7 @@ func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
 		res := sc.Results[ti]
 		d.st.PairsRefined++
 		d.st.Moves += res.Moves
-		d.st.Gain += res.Gain
-		d.st.RoundGains[round] += res.Gain
+		d.gain += res.Gain
 		waveMoves += res.Moves
 		d.mx.pairMoves.Observe(int64(res.Moves))
 		moves := sc.TaskMoves(ti)
@@ -219,26 +203,15 @@ func (d *driver) accountShipping(round int32, servers []int32) {
 // sweepMigration computes the physical data migration plan vs. the input
 // decomposition by walking the maintained diff bitset — cost
 // proportional to migrated vertices (plus the O(|V|/64) word scan),
-// not |V|. The float partials are accumulated per fixed shard and reduced
-// in shard order (sweepShards), so the result is bit-identical to the
-// sharded full scan it replaced, at every worker count.
+// not |V|.
 func (d *driver) sweepMigration() {
 	sc := d.sc
-	n := sc.g.NumVertices()
 	assign := sc.pm.Assign
-	var mv int64
-	var mc float64
-	for s := 0; s < sweepShards; s++ {
-		lo, hi := shardRange(n, s)
-		var shardVerts int64
-		var shardCost float64
-		sc.diff.Range(lo, hi, func(v int32) {
-			shardVerts++
-			shardCost += float64(float64(sc.g.VertexSize(v)) * sc.c[sc.orig[v]][assign[v]])
-		})
-		mv += shardVerts
-		mc += shardCost
-	}
-	d.st.MigratedVertices, d.st.MigrationCost = mv, mc
-	d.tr.Emit(obs.Event{Kind: obs.KindMigrationSweep, Round: -1, N: mv, X: mc})
+	var mv, mc int64
+	sc.diff.Range(func(v int32) {
+		mv++
+		mc += int64(sc.g.VertexSize(v)) * d.c.At(sc.orig[v], assign[v])
+	})
+	d.st.MigratedVertices, d.st.MigrationCost = mv, d.c.Real(mc<<partition.AlphaBits)
+	d.tr.Emit(obs.Event{Kind: obs.KindMigrationSweep, Round: -1, N: mv, X: d.st.MigrationCost})
 }

@@ -1,7 +1,6 @@
 package paragon
 
 import (
-	"math"
 	"testing"
 
 	"paragon/internal/gen"
@@ -12,12 +11,10 @@ import (
 
 // TestScoreMatchesRefineStats regression-tests the shared scorer against
 // the values Refine reports: the Eq. 3 migration cost of the refined
-// decomposition must agree with Stats.MigrationCost. Refine's migration
-// sweep reduces in fixed shard order (DESIGN.md §12) while ComputeScore
-// folds flat in vertex order — both are deterministic, but they
-// associate float additions differently, so the comparison allows
-// relative rounding slack (not behavioral slack: 1e-9, far below any
-// real divergence).
+// decomposition must equal Stats.MigrationCost. Refine's migration sweep
+// walks the diff bitset while ComputeScore folds every vertex; both are
+// integer sums on the objective grid (DESIGN.md §10), so they agree
+// exactly.
 func TestScoreMatchesRefineStats(t *testing.T) {
 	g := gen.RMAT(4000, 24000, 0.57, 0.19, 0.19, 3)
 	g.UseDegreeWeights()
@@ -41,8 +38,8 @@ func TestScoreMatchesRefineStats(t *testing.T) {
 	if s.MigrationCost == 0 {
 		t.Fatal("scorer saw no migration despite kept moves")
 	}
-	if rel := math.Abs(s.MigrationCost-st.MigrationCost) / st.MigrationCost; rel > 1e-9 {
-		t.Fatalf("scorer MigrationCost %v vs Stats.MigrationCost %v (rel %g)", s.MigrationCost, st.MigrationCost, rel)
+	if s.MigrationCost != st.MigrationCost {
+		t.Fatalf("scorer MigrationCost %v vs Stats.MigrationCost %v", s.MigrationCost, st.MigrationCost)
 	}
 	// The quality triple must be exactly what Evaluate reports — both
 	// route through the same one-pass scorer.

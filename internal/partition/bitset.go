@@ -100,23 +100,9 @@ func (b *Bitset) AppendSet(dst []int32) []int32 {
 	return dst
 }
 
-// Range calls fn for every set bit in [lo, hi), ascending. The bounds
-// need not be word-aligned; partial edge words are masked. Used by the
-// migration sweep to reproduce the fixed shard-order float reduction
-// over only the set bits.
-func (b *Bitset) Range(lo, hi int32, fn func(v int32)) {
-	if lo >= hi {
-		return
-	}
-	loW, hiW := int(lo>>6), int((hi-1)>>6)
-	for wi := loW; wi <= hiW; wi++ {
-		w := b.words[wi]
-		if wi == loW {
-			w &= ^uint64(0) << (uint32(lo) & 63)
-		}
-		if wi == hiW && hi&63 != 0 {
-			w &= (1 << (uint32(hi) & 63)) - 1
-		}
+// Range calls fn for every set bit, ascending.
+func (b *Bitset) Range(fn func(v int32)) {
+	for wi, w := range b.words {
 		base := int32(wi << 6)
 		for w != 0 {
 			fn(base + int32(bits.TrailingZeros64(w)))

@@ -9,3 +9,12 @@ func SetMaxProfileEntries(n int64) (restore func()) {
 	maxProfileEntries = n
 	return func() { maxProfileEntries = old }
 }
+
+// SetMaxObjective changes the bound CheckObjective refuses at, so tests
+// reach the refusal with a graph they can hold. It returns the call that
+// restores the old bound.
+func SetMaxObjective(n int64) (restore func()) {
+	old := maxObjective
+	maxObjective = n
+	return func() { maxObjective = old }
+}

@@ -422,7 +422,7 @@ func (s *Shadow) Sync(mask *Bitset, changed []int32) {
 			s.buckets[q].front = 0
 		}
 		s.mask = mask
-		mask.Range(0, mask.Len(), s.resort)
+		mask.Range(s.resort)
 		return
 	}
 	for _, v := range changed {
@@ -543,32 +543,8 @@ func (s *Shadow) Validate() error {
 	return nil
 }
 
-// ExternalDegreesSparse is the sparse-reset form of ExternalDegreesInto:
-// buf (length >= K) must be all-zero on entry; d_ext(v, ·) is accumulated
-// into it and the distinct partitions touched are appended to tlist,
-// ascending, and returned. mask is a caller-owned bitmap of at least
-// ⌈K/64⌉ words, all-zero on entry and restored to all-zero on return — it
-// is how the touched set comes out sorted without a per-call sort, which
-// profiles as the dominant cost of gain evaluation otherwise. The caller
-// reads buf at the returned indices and must re-zero exactly those
-// entries before the next call. One gain evaluation over the result is
-// O(deg(v) + K/64 + t) with t <= min(deg, K), instead of the
-// O(deg(v) + K) of a dense zero-and-refill.
-func ExternalDegreesSparse(g *graph.Graph, p *Partitioning, v int32, buf []int64, mask []uint64, tlist []int32) []int32 {
-	adj := g.Neighbors(v)
-	w := g.EdgeWeights(v)
-	w = w[:len(adj)]
-	for i, u := range adj {
-		pu := p.Assign[u]
-		buf[pu] += int64(w[i])
-		mask[pu>>6] |= 1 << (pu & 63)
-	}
-	return drainMask(mask, tlist)
-}
-
 // drainMask appends the set bits of mask to tlist in ascending order and
-// clears them — the sort-free path that keeps gain summation in
-// ascending partition order.
+// clears them, without a sort.
 func drainMask(mask []uint64, tlist []int32) []int32 {
 	for wi, b := range mask {
 		if b == 0 {
@@ -584,7 +560,7 @@ func drainMask(mask []uint64, tlist []int32) []int32 {
 	return tlist
 }
 
-// MaskWords returns the bitmap length covering k ids: what
-// ExternalDegreesSparse needs for k partitions, SortCandidates for k
-// vertices and, one level up, for that many words.
+// MaskWords returns the bitmap length covering k ids: what the profile
+// fill needs for k partitions, SortCandidates for k vertices and, one
+// level up, for that many words.
 func MaskWords(k int32) int { return (int(k) + 63) / 64 }

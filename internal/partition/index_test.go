@@ -354,43 +354,3 @@ func TestSortCandidates(t *testing.T) {
 		}
 	}
 }
-
-func TestExternalDegreesSparse(t *testing.T) {
-	g := gen.BarabasiAlbert(500, 4, 17)
-	rng := rand.New(rand.NewSource(19))
-	const k = 9
-	p := randomPartitioning(g, k, rng)
-	buf := make([]int64, k)
-	mask := make([]uint64, MaskWords(k))
-	var tlist []int32
-	for v := int32(0); v < g.NumVertices(); v++ {
-		dense := ExternalDegrees(g, p, v)
-		tlist = ExternalDegreesSparse(g, p, v, buf, mask, tlist[:0])
-		if !slices.IsSorted(tlist) {
-			t.Fatalf("v=%d: touched list not sorted: %v", v, tlist)
-		}
-		for q := int32(0); q < k; q++ {
-			if buf[q] != dense[q] {
-				t.Fatalf("v=%d: sparse d_ext[%d] = %d, want %d", v, q, buf[q], dense[q])
-			}
-			if buf[q] != 0 && !slices.Contains(tlist, q) {
-				t.Fatalf("v=%d: partition %d has weight %d but is not in touched list", v, q, buf[q])
-			}
-		}
-		for _, q := range tlist {
-			buf[q] = 0
-		}
-		// The sparse reset must leave buf all-zero, and ExternalDegreesSparse
-		// itself must leave the bitmap all-zero, for the next call.
-		for q, d := range buf {
-			if d != 0 {
-				t.Fatalf("v=%d: buf[%d] = %d after sparse reset", v, q, d)
-			}
-		}
-		for w, b := range mask {
-			if b != 0 {
-				t.Fatalf("v=%d: mask[%d] = %#x on return", v, w, b)
-			}
-		}
-	}
-}

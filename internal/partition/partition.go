@@ -59,22 +59,6 @@ func (p *Partitioning) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// CheckCosts reports whether c can serve as the relative cost matrix of a
-// k-way decomposition: at least k rows, each of the first k at least k
-// entries long. Every refinement entry point calls it on the caller's
-// matrix, so the kernels can index c[i][j] for i, j < k unchecked.
-func CheckCosts(c [][]float64, k int32) error {
-	if int32(len(c)) < k {
-		return fmt.Errorf("cost matrix has %d rows for k=%d", len(c), k)
-	}
-	for i, row := range c[:k] {
-		if int32(len(row)) < k {
-			return fmt.Errorf("cost matrix row %d has %d entries for k=%d", i, len(row), k)
-		}
-	}
-	return nil
-}
-
 // Weights returns w(Pi) for every partition: the sum of vertex weights,
 // i.e. the computational load (Eq. 4's numerator inputs).
 func (p *Partitioning) Weights(g *graph.Graph) []int64 {
@@ -135,20 +119,7 @@ func EdgeCut(g *graph.Graph, p *Partitioning) int64 {
 // matrix c must be at least K×K; with a uniform matrix this reduces to
 // α·EdgeCut.
 func CommCost(g *graph.Graph, p *Partitioning, c [][]float64, alpha float64) float64 {
-	var total float64
-	for v := int32(0); v < g.NumVertices(); v++ {
-		pv := p.Assign[v]
-		adj := g.Neighbors(v)
-		w := g.EdgeWeights(v)
-		for i, u := range adj {
-			if v < u {
-				if pu := p.Assign[u]; pu != pv {
-					total += float64(float64(w[i]) * c[pv][pu])
-				}
-			}
-		}
-	}
-	return alpha * total
+	return ComputeScore(g, p, nil, c, alpha).CommCost
 }
 
 // HopCut computes the hop-weighted edge cut of §2.1's take-away: the
@@ -177,20 +148,16 @@ func HopCut(g *graph.Graph, p *Partitioning, hops func(i, j int32) int) int64 {
 // cost of physically migrating every vertex whose owner changed between
 // the old and new decompositions.
 func MigrationCost(g *graph.Graph, old, now *Partitioning, c [][]float64) float64 {
-	var total float64
-	for v := int32(0); v < g.NumVertices(); v++ {
-		from, to := old.Assign[v], now.Assign[v]
-		if from != to {
-			total += float64(float64(g.VertexSize(v)) * c[from][to])
-		}
-	}
-	return total
+	return ComputeScore(g, now, old.Assign, c, 0).MigrationCost
 }
 
 // Skewness computes Eq. 4: max w(Pi) / (Σ w(Pi) / n). A perfectly
 // balanced decomposition has skewness 1.
-func Skewness(g *graph.Graph, p *Partitioning) float64 {
-	w := p.Weights(g)
+func Skewness(g *graph.Graph, p *Partitioning) float64 { return skewness(p.Weights(g)) }
+
+// skewness is Eq. 4 over the per-partition weights w: the one division at
+// the end of the integer sums.
+func skewness(w []int64) float64 {
 	var sum, max int64
 	for _, wi := range w {
 		sum += wi
@@ -201,7 +168,7 @@ func Skewness(g *graph.Graph, p *Partitioning) float64 {
 	if sum == 0 {
 		return 1
 	}
-	return float64(max) / (float64(sum) / float64(p.K))
+	return float64(max) / (float64(sum) / float64(len(w)))
 }
 
 // ExternalDegrees returns d_ext(v, Pk) of Eq. 7 for a single vertex: the
@@ -268,8 +235,7 @@ type Quality struct {
 }
 
 // Evaluate computes all quality metrics in one sweep via the shared
-// scorer; the values are bitwise identical to the standalone metric
-// functions (see ComputeScore).
+// scorer.
 func Evaluate(g *graph.Graph, p *Partitioning, c [][]float64, alpha float64) Quality {
 	s := ComputeScore(g, p, nil, c, alpha)
 	return Quality{

@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -358,10 +359,103 @@ func TestCheckCosts(t *testing.T) {
 		{"nil matrix", nil, 2, false},
 		{"short row", shortRow, 4, false},
 		{"nil row", nilRow, 4, false},
+		{"NaN entry", with(square(4), 1, 2, math.NaN()), 4, false},
+		{"+Inf entry", with(square(4), 3, 0, math.Inf(1)), 4, false},
+		{"-Inf entry", with(square(4), 0, 3, math.Inf(-1)), 4, false},
+		{"negative entry", with(square(4), 2, 1, -1), 4, false},
+		{"negative diagonal", with(square(4), 2, 2, -0.5), 4, false},
+		{"NaN past k", with(square(5), 4, 4, math.NaN()), 4, true},
+		{"range past the grid", with(square(3), 0, 2, math.Ldexp(1, 62-CostBits)), 3, false},
 	}
 	for _, tc := range cases {
-		if err := CheckCosts(tc.c, tc.k); (err == nil) != tc.ok {
+		if _, err := CheckCosts(tc.c, tc.k); (err == nil) != tc.ok {
 			t.Errorf("%s: CheckCosts = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+}
+
+// with sets c[i][j] = x and returns c.
+func with(c [][]float64, i, j int, x float64) [][]float64 {
+	c[i][j] = x
+	return c
+}
+
+// TestCheckCostsQuantises pins the grid: the unit is the power of two
+// 2^(⌊log₂ c_min⌋ − CostBits), integer and dyadic entries land on it
+// exactly (so Real gives them back bit for bit), any other entry is
+// rounded to the nearest step, and the uniformity flag looks at the
+// off-diagonal only.
+func TestCheckCostsQuantises(t *testing.T) {
+	cases := []struct {
+		name    string
+		c       [][]float64
+		exp     int
+		uniform bool
+		exact   bool
+	}{
+		{"uniform", topology.UniformMatrix(4), -CostBits, true, true},
+		{"Pitt off-diagonals", [][]float64{{0, 2, 15}, {2, 0, 4}, {15, 4, 0}}, 1 - CostBits, false, true},
+		{"Pitt at λ = 1", [][]float64{{3, 15, 21}, {15, 3, 19}, {21, 19, 3}}, 3 - CostBits, false, true},
+		{"dyadic fractions", [][]float64{{0, 0.375, 6.5}, {0.375, 0, 0.375}, {6.5, 0.375, 0}}, -2 - CostBits, false, true},
+		{"uniform off-diagonal, non-zero diagonal", [][]float64{{7, 1}, {1, 0.5}}, -CostBits, true, true},
+		{"all zero", [][]float64{{0, 0}, {0, 0}}, -CostBits, true, true},
+		{"not dyadic", [][]float64{{0, 15, 19}, {15, 0, 1.0 / 3}, {19, 1.0 / 3, 0}}, -2 - CostBits, false, false},
+	}
+	for _, tc := range cases {
+		k := int32(len(tc.c))
+		cs, err := CheckCosts(tc.c, k)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if cs.Exp != tc.exp || cs.Uniform != tc.uniform {
+			t.Errorf("%s: Exp %d Uniform %v, want %d %v", tc.name, cs.Exp, cs.Uniform, tc.exp, tc.uniform)
+		}
+		for i := int32(0); i < k; i++ {
+			for j := int32(0); j < k; j++ {
+				c, back := tc.c[i][j], math.Ldexp(float64(cs.At(i, j)), cs.Exp)
+				if tc.exact && back != c {
+					t.Errorf("%s: c[%d][%d] = %v comes back as %v", tc.name, i, j, c, back)
+				}
+				if math.Abs(back-c) > math.Ldexp(1, cs.Exp-1) {
+					t.Errorf("%s: c[%d][%d] = %v is %v on the grid, more than half a step off", tc.name, i, j, c, back)
+				}
+			}
+		}
+		if x := int64(12345) << AlphaBits; cs.Real(x) != math.Ldexp(12345, cs.Exp) {
+			t.Errorf("%s: Real(%d) = %v", tc.name, x, cs.Real(x))
+		}
+	}
+	if a := Alpha(10); a != 10<<AlphaBits {
+		t.Errorf("Alpha(10) = %d, want %d", a, 10<<AlphaBits)
+	}
+}
+
+// TestCheckObjectiveBound refuses α it cannot put on the grid, and a
+// graph whose largest possible score reaches the limit: exactly at the
+// bound is refused, one unit below passes.
+func TestCheckObjectiveBound(t *testing.T) {
+	g := gen.Mesh2D(8, 8)
+	cs, err := CheckCosts([][]float64{{0, 2, 15}, {2, 0, 4}, {15, 4, 0}}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), -1} {
+		if err := CheckObjective(g, cs, alpha); err == nil {
+			t.Errorf("α = %v accepted", alpha)
+		}
+	}
+	// Unit edge weights and vertex sizes: the score bound is
+	// max C·(Alpha(α)·|E| + |V|·2^AlphaBits); Eq. 10's is below it here.
+	bound := cs.At(0, 2) * (Alpha(10)*g.TotalEdgeWeight() + int64(g.NumVertices())<<AlphaBits)
+	if servers := cs.At(0, 2) * 3 * g.NumHalfEdges(); servers >= bound {
+		t.Fatalf("Eq. 10's bound %d is not below the score's %d; the test reaches the wrong one", servers, bound)
+	}
+	defer SetMaxObjective(bound)()
+	if err := CheckObjective(g, cs, 10); err == nil || !strings.Contains(err.Error(), "int64") {
+		t.Errorf("bound %d at the limit: err = %v, want the overflow refusal", bound, err)
+	}
+	SetMaxObjective(bound + 1)
+	if err := CheckObjective(g, cs, 10); err != nil {
+		t.Errorf("bound %d below the limit: %v", bound, err)
 	}
 }

@@ -24,9 +24,9 @@ func nonUniformCost(k int32, rng *rand.Rand) [][]float64 {
 }
 
 // TestScoreMatchesMetrics pins the shared-scorer contract: every field of
-// ComputeScore is bitwise identical to the standalone metric function it
-// replaced, on several graph families and random decompositions. Evaluate
-// is checked through the same lens since it now routes through the scorer.
+// ComputeScore equals the standalone metric function, on several graph
+// families and random decompositions. Evaluate is checked through the
+// same lens since it routes through the scorer.
 func TestScoreMatchesMetrics(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -65,8 +65,12 @@ func TestScoreMatchesMetrics(t *testing.T) {
 				if q.EdgeCut != s.EdgeCut || q.CommCost != s.CommCost || q.Skewness != s.Skewness {
 					t.Fatalf("trial %d: Evaluate %+v diverges from ComputeScore %+v", trial, q, s)
 				}
+				cs, err := CheckCosts(c, k)
+				if err != nil {
+					t.Fatal(err)
+				}
 				wbuf := make([]int64, k)
-				if into := ComputeScoreInto(tc.g, p, orig.Assign, c, alpha, wbuf); into != s {
+				if into := ComputeScoreInto(tc.g, p, orig.Assign, cs, Alpha(alpha), wbuf); into != s {
 					t.Fatalf("trial %d: ComputeScoreInto %+v diverges from ComputeScore %+v", trial, into, s)
 				}
 			}
@@ -75,17 +79,18 @@ func TestScoreMatchesMetrics(t *testing.T) {
 }
 
 func TestScoreBetterTotalOrder(t *testing.T) {
-	base := Score{EdgeCut: 10, CommCost: 5, MigrationCost: 2, Skewness: 1.1}
+	base := Score{EdgeCut: 10, Comm: 5, Mig: 2, Skewness: 1.1}
 	cases := []struct {
 		name string
 		a, b Score
 		want bool
 	}{
-		{"lower cost wins", Score{CommCost: 4}, Score{CommCost: 5}, true},
-		{"higher cost loses", Score{CommCost: 6}, Score{CommCost: 5}, false},
-		{"migration counts toward cost", Score{CommCost: 3, MigrationCost: 3}, Score{CommCost: 5}, false},
-		{"cost tie, lower cut wins", Score{CommCost: 5, EdgeCut: 9}, Score{CommCost: 5, EdgeCut: 10}, true},
-		{"cost+cut tie, lower skew wins", Score{CommCost: 5, EdgeCut: 10, Skewness: 1.0}, Score{CommCost: 5, EdgeCut: 10, Skewness: 1.1}, true},
+		{"lower cost wins", Score{Comm: 4}, Score{Comm: 5}, true},
+		{"higher cost loses", Score{Comm: 6}, Score{Comm: 5}, false},
+		{"migration counts toward cost", Score{Comm: 3, Mig: 3}, Score{Comm: 5}, false},
+		{"cost tie, lower cut wins", Score{Comm: 5, EdgeCut: 9}, Score{Comm: 5, EdgeCut: 10}, true},
+		{"cost+cut tie, lower skew wins", Score{Comm: 5, EdgeCut: 10, Skewness: 1.0}, Score{Comm: 5, EdgeCut: 10, Skewness: 1.1}, true},
+		{"only the exact cost decides", Score{Comm: 4, CommCost: 9}, Score{Comm: 5, CommCost: 1}, true},
 		{"full tie is not better", base, base, false},
 	}
 	for _, tc := range cases {

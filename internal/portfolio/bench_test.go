@@ -53,10 +53,14 @@ func BenchmarkPortfolioScorer(b *testing.B) {
 			}
 		}
 	}
+	cs, err := partition.CheckCosts(c, k)
+	if err != nil {
+		b.Fatal(err)
+	}
 	wbuf := make([]int64, k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = partition.ComputeScoreInto(g, p, orig.Assign, c, 10, wbuf)
+		_ = partition.ComputeScoreInto(g, p, orig.Assign, cs, partition.Alpha(10), wbuf)
 	}
 }

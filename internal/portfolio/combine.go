@@ -20,14 +20,14 @@ import (
 // the master's assignment.
 //
 // Every kept prefix has strictly positive Eq. 5 gain, so the overlay
-// never scores worse than a under the partition.Score total order up to
-// float re-association; the caller compares the recomputed scores and
-// keeps a when the overlay fails to strictly improve. Deterministic at
+// never scores worse than a under the partition.Score total order; the
+// caller compares the recomputed scores and keeps a when the overlay
+// fails to strictly improve. Deterministic at
 // every worker count because the engine is. The result is left in
 // scratch[0]'s partitioning (idle after the join), the accounting in st.
 const combineRounds = 2
 
-func (pl *Pool) combine(st *Stats, a, b, base []int32, c [][]float64, cfg paragon.Config, rounds int) {
+func (pl *Pool) combine(st *Stats, a, b, base []int32, c *partition.Costs, cfg paragon.Config, rounds int) {
 	scr := pl.scratch[0]
 	copy(scr.p.Assign, a)
 	scr.ix.Rebuild()
@@ -42,7 +42,8 @@ func (pl *Pool) combine(st *Stats, a, b, base []int32, c [][]float64, cfg parago
 		}
 	}
 	st.CombineDiff = len(scr.boundary)
-	st.CombinedScore = partition.ComputeScoreInto(scr.g, scr.p, base, c, cfg.Alpha, scr.wbuf)
+	alpha := partition.Alpha(cfg.Alpha)
+	st.CombinedScore = partition.ComputeScoreInto(scr.g, scr.p, base, c, alpha, scr.wbuf)
 	if st.CombineDiff == 0 {
 		return
 	}
@@ -62,6 +63,7 @@ func (pl *Pool) combine(st *Stats, a, b, base []int32, c [][]float64, cfg parago
 	defer e.Close()
 	e.SetMask(scr.mask, nil) // new to the engine: taken whole
 	e.Tasks, e.Waves = paragon.AppendAntiDiagonalWaves(e.Tasks[:0], e.Waves[:0], scr.parts)
+	var gain int64
 	for r := 0; r < rounds; r++ {
 		e.Run(nil)
 		st.CombinePairs += len(e.Tasks)
@@ -69,14 +71,15 @@ func (pl *Pool) combine(st *Stats, a, b, base []int32, c [][]float64, cfg parago
 		roundMoves := 0
 		for _, res := range e.Results {
 			roundMoves += res.Moves
-			st.CombineGain += res.Gain
+			gain += res.Gain
 		}
 		st.CombineMoves += roundMoves
 		if roundMoves == 0 {
 			break
 		}
 	}
+	st.CombineGain = c.Real(gain)
 	if st.CombineMoves > 0 {
-		st.CombinedScore = partition.ComputeScoreInto(scr.g, scr.p, base, c, cfg.Alpha, scr.wbuf)
+		st.CombinedScore = partition.ComputeScoreInto(scr.g, scr.p, base, c, alpha, scr.wbuf)
 	}
 }

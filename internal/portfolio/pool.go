@@ -115,7 +115,7 @@ func (scr *memberScratch) regroup(drp int) [][]int32 {
 // 0 the mask is repaired at every barrier, so a pair's candidates are the
 // live boundary of its two partitions; at a positive radius it is the
 // expansion of the round-start boundary.
-func (scr *memberScratch) run(base []int32, c [][]float64, par memberParams) (moves int, gain float64) {
+func (scr *memberScratch) run(base []int32, c *partition.Costs, par memberParams) (moves int, gain int64) {
 	copy(scr.p.Assign, base)
 	scr.ix.Rebuild()
 	scr.src.Seed(par.seed)
@@ -138,7 +138,7 @@ func (scr *memberScratch) run(base []int32, c [][]float64, par memberParams) (mo
 			e.Waves = append(e.Waves, int32(ti+1))
 		}
 		var mv int
-		var gn float64
+		var gn int64
 		e.Run(func(_ int, ti, _ int32) {
 			mv += e.Results[ti].Moves
 			gn += e.Results[ti].Gain

@@ -55,7 +55,7 @@ type Stats struct {
 	Forfeits int           // members excluded by the fault fabric
 	Members  []MemberStats // per member, ascending member id
 
-	Winner   int // best surviving member id; -1 if all forfeited
+	Winner   int // best surviving member id; -1 if all forfeited or k < 2
 	RunnerUp int // second best; -1 if fewer than two survivors
 
 	// Combine operator accounting (zero values when it did not run).
@@ -88,7 +88,7 @@ func Refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg parago
 type runner struct {
 	pool    *Pool
 	base    []int32
-	c       [][]float64
+	c       *partition.Costs
 	par     memberParams
 	size    int
 	workers int
@@ -109,9 +109,9 @@ func (r *runner) worker(w int) {
 		par.seed = pl.seeds[m]
 		mv, gn := scr.run(r.base, r.c, par)
 		copy(pl.assigns[m], scr.p.Assign)
-		pl.scores[m] = partition.ComputeScoreInto(pl.g, scr.p, r.base, r.c, par.cfg.Alpha, scr.wbuf)
+		pl.scores[m] = partition.ComputeScoreInto(pl.g, scr.p, r.base, r.c, partition.Alpha(par.cfg.Alpha), scr.wbuf)
 		pl.moves[m] = mv
-		pl.gains[m] = gn
+		pl.gains[m] = r.c.Real(gn)
 		//lint:ignore wallclock per-member CPU stopwatch for MemberStats.CPUTime; never read by refinement decisions
 		pl.cpu[m] = int64(time.Since(t0))
 	}
@@ -141,14 +141,33 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 	if err := p.Validate(g); err != nil {
 		return Stats{}, fmt.Errorf("portfolio: %w", err)
 	}
-	if err := partition.CheckCosts(c, p.K); err != nil {
+	cs, err := partition.CheckCosts(c, p.K)
+	if err != nil {
 		return Stats{}, fmt.Errorf("portfolio: %w", err)
 	}
 	cfg = cfg.WithDefaults(p.K)
-	size := cfg.Portfolio.Size
-	st := Stats{Size: size, Winner: -1, RunnerUp: -1}
-	st.InputScore = partition.ComputeScore(g, p, nil, c, cfg.Alpha)
+	if err := partition.CheckObjective(g, cs, cfg.Alpha); err != nil {
+		return Stats{}, fmt.Errorf("portfolio: %w", err)
+	}
+	st := Stats{Size: cfg.Portfolio.Size, Winner: -1, RunnerUp: -1}
+	st.InputScore = partition.ComputeScoreInto(g, p, nil, cs, partition.Alpha(cfg.Alpha), make([]int64, p.K))
+	st.SelectedScore = st.InputScore
+	// k < 2: nothing to refine, so nothing to observe — no member runs, no
+	// event, no metric.
+	if p.K >= 2 {
+		pool.race(&st, g, p, cs, cfg)
+		emitObservability(cfg, &st)
+	}
+	//lint:ignore wallclock whole-run stopwatch for Stats.WallTime; never read by refinement decisions
+	st.WallTime = time.Since(start)
+	return st, nil
+}
 
+// race runs the members on the worker pool, selects the best, combines
+// the two best and leaves the selected decomposition in p, recording all
+// of it in st (whose InputScore and SelectedScore hold the input's).
+func (pool *Pool) race(st *Stats, g *graph.Graph, p *partition.Partitioning, cs *partition.Costs, cfg paragon.Config) {
+	size := st.Size
 	workers := cfg.Workers
 	if workers > size {
 		workers = size
@@ -176,29 +195,19 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 		}
 	}
 
-	if p.K >= 2 {
-		r := &runner{
-			pool:    pool,
-			base:    p.Assign,
-			c:       c,
-			size:    size,
-			workers: workers,
-			par:     runnerParams(cfg, g, p.K),
-		}
-		r.wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go r.worker(w)
-		}
-		r.wg.Wait()
-	} else {
-		// k < 2: nothing to refine; members trivially reproduce the input.
-		for m := 0; m < size; m++ {
-			if !pool.forfeit[m] {
-				copy(pool.assigns[m], p.Assign)
-				pool.scores[m] = st.InputScore
-			}
-		}
+	r := &runner{
+		pool:    pool,
+		base:    p.Assign,
+		c:       cs,
+		size:    size,
+		workers: workers,
+		par:     runnerParams(cfg, g, p.K),
 	}
+	r.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go r.worker(w)
+	}
+	r.wg.Wait()
 
 	// Selection: ascending member id with the strict Better order — the
 	// lowest id wins full ties, and the fold is independent of which
@@ -224,12 +233,10 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 	if st.Winner >= 0 {
 		selected = pool.assigns[st.Winner]
 		st.SelectedScore = pool.scores[st.Winner]
-	} else {
-		st.SelectedScore = st.InputScore
 	}
 
 	if cfg.Portfolio.CombineTop >= 2 && st.RunnerUp >= 0 {
-		pool.combine(&st, pool.assigns[st.Winner], pool.assigns[st.RunnerUp], p.Assign, c, cfg, combineRounds)
+		pool.combine(st, pool.assigns[st.Winner], pool.assigns[st.RunnerUp], p.Assign, cs, cfg, combineRounds)
 		if st.CombinedScore.Better(st.SelectedScore) {
 			st.CombineApplied = true
 			selected = pool.scratch[0].p.Assign
@@ -253,10 +260,6 @@ func RefineWithPool(g *graph.Graph, p *partition.Partitioning, c [][]float64, cf
 	if selected != nil {
 		copy(p.Assign, selected)
 	}
-	emitObservability(cfg, &st)
-	//lint:ignore wallclock whole-run stopwatch for Stats.WallTime; never read by refinement decisions
-	st.WallTime = time.Since(start)
-	return st, nil
 }
 
 // runnerParams projects the effective member parameters out of a

@@ -3,7 +3,6 @@ package portfolio
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -410,7 +409,7 @@ func (m maskedIndex) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *part
 // the touched partitions in ascending `for i < j` order on the calling
 // goroutine. The mask comes from graph.ExpandFrontier, which shares
 // nothing with Bitset.Expand.
-func serialSweep(g *graph.Graph, a, b, base []int32, k int32, c [][]float64, cfg paragon.Config, rounds int) (assign []int32, loads []int64, moves int, gain float64) {
+func serialSweep(g *graph.Graph, a, b, base []int32, k int32, c [][]float64, cfg paragon.Config, rounds int) (assign []int32, loads []int64, moves int, gain int64) {
 	p := &partition.Partitioning{K: k, Assign: slices.Clone(a)}
 	ix := partition.BuildIndex(g, p)
 	ref := aragon.NewRefiner(g, maskedIndex{ix}, cfg.AragonConfig())
@@ -504,6 +503,10 @@ func TestCombineWavesMatchSerialSweep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, c := dissent(tc.m), uniform(tc.cost)
+			cs, err := partition.CheckCosts(c, k)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg := paragon.Config{Alpha: tc.alpha}.WithDefaults(k)
 			wantAssign, wantLoads, wantMoves, wantGain := serialSweep(g, a, b, a, k, c, cfg, tc.rounds)
 			if keeps := tc.alpha == 0 && tc.m > 0; keeps != (wantMoves > 0) {
@@ -515,7 +518,7 @@ func TestCombineWavesMatchSerialSweep(t *testing.T) {
 				pl.ensure(g, a, k, 1, 2, cfg.AragonConfig())
 				for call := 0; call < 2; call++ { // the second on the pooled engine
 					var st Stats
-					pl.combine(&st, a, b, a, c, cfg, tc.rounds)
+					pl.combine(&st, a, b, a, cs, cfg, tc.rounds)
 					got := pl.scratch[0].p
 					if !slices.Equal(got.Assign, wantAssign) {
 						t.Fatalf("workers=%d call %d: assignment differs from the serial sweep's", workers, call)
@@ -523,7 +526,7 @@ func TestCombineWavesMatchSerialSweep(t *testing.T) {
 					if !slices.Equal(got.Weights(g), wantLoads) {
 						t.Fatalf("workers=%d call %d: loads %v, the serial sweep's %v", workers, call, got.Weights(g), wantLoads)
 					}
-					if st.CombineMoves != wantMoves || math.Float64bits(st.CombineGain) != math.Float64bits(wantGain) {
+					if st.CombineMoves != wantMoves || st.CombineGain != cs.Real(wantGain) {
 						t.Fatalf("workers=%d call %d: %d moves, gain %v; the serial sweep kept %d, gain %v",
 							workers, call, st.CombineMoves, st.CombineGain, wantMoves, wantGain)
 					}
@@ -545,7 +548,7 @@ func TestCombineWavesMatchSerialSweep(t *testing.T) {
 // reference: the live boundary of the pair's two partitions at k-hop 0
 // (the Index's own gather), the round-start boundary expanded by
 // graph.ExpandFrontier otherwise. The grouping is the member's own.
-func serialMember(g *graph.Graph, base []int32, k int32, c [][]float64, cfg paragon.Config, seed int64) (assign []int32, loads []int64, moves int, gain float64) {
+func serialMember(g *graph.Graph, base []int32, k int32, c [][]float64, cfg paragon.Config, seed int64) (assign []int32, loads []int64, moves int, gain int64) {
 	scr := newMemberScratch(g, base, k, cfg.AragonConfig())
 	scr.src.Seed(seed)
 	groups := scr.regroup(cfg.DRP)
@@ -569,7 +572,7 @@ func serialMember(g *graph.Graph, base []int32, k int32, c [][]float64, cfg para
 			allowed = mask
 		}
 		var mv int
-		var gn float64
+		var gn int64
 		for _, grp := range groups {
 			m := len(grp)
 			for t := 0; t < m+(m&1)-1; t++ {
@@ -618,7 +621,7 @@ func TestMembersOnEngineMatchSerialLoop(t *testing.T) {
 						assign []int32
 						loads  []int64
 						moves  int
-						gain   float64
+						gain   int64
 					}
 					want := make([]ref, cfg.Portfolio.Size)
 					for m := range want {
@@ -627,6 +630,10 @@ func TestMembersOnEngineMatchSerialLoop(t *testing.T) {
 					}
 					if want[0].moves == 0 {
 						t.Fatalf("%s: member 0 kept no move; the comparison is vacuous", name)
+					}
+					cs, err := partition.CheckCosts(cm.c, k)
+					if err != nil {
+						t.Fatal(err)
 					}
 					var pool Pool
 					for call, workers := range []int{1, 2, 8, 2} {
@@ -639,7 +646,7 @@ func TestMembersOnEngineMatchSerialLoop(t *testing.T) {
 							got := &partition.Partitioning{K: k, Assign: pool.assigns[m]}
 							ms := st.Members[m]
 							if !slices.Equal(got.Assign, w.assign) || !slices.Equal(got.Weights(g), w.loads) ||
-								ms.Moves != w.moves || math.Float64bits(ms.Gain) != math.Float64bits(w.gain) {
+								ms.Moves != w.moves || ms.Gain != cs.Real(w.gain) {
 								t.Fatalf("%s workers=%d call %d member %d: %d moves, gain %v; the serial loop kept %d, gain %v (assignment equal: %v)",
 									name, workers, call, m, ms.Moves, ms.Gain, w.moves, w.gain, slices.Equal(got.Assign, w.assign))
 							}

@@ -86,7 +86,7 @@ func (s *Session) Ingest(b dyn.Batch) (BatchStats, error) {
 	}
 
 	if s.run == nil && seq >= s.cooldownUntil {
-		d := s.cfg.Trigger.EvaluateScore(s.LiveScore(), s.alpha*s.baseComm, s.edges, s.churned)
+		d := s.cfg.Trigger.EvaluateScore(s.LiveScore(), s.costs.Real(s.alpha*s.baseComm), s.edges, s.churned)
 		st.Trigger = d
 		if d.Refine {
 			s.launchEpoch(seq, d)
@@ -148,7 +148,7 @@ func (s *Session) applyOp(op dyn.EdgeOp) (added, removed bool) {
 // scoreEdge folds one edge's cut/comm contribution in (sign +1) or out
 // (sign -1) of the maintained score, using ComputeScore's ordered
 // convention c[p(min)][p(max)] so the incremental sum matches a full
-// recompute bit for bit.
+// recompute.
 func (s *Session) scoreEdge(u, v, w int32, sign int) {
 	pu, pv := s.live[u], s.live[v]
 	if pu == pv {
@@ -158,14 +158,9 @@ func (s *Session) scoreEdge(u, v, w int32, sign int) {
 	if hi < lo {
 		lo, hi = hi, lo
 	}
-	d := float64(float64(w) * s.cfg.Costs[s.live[lo]][s.live[hi]])
-	if sign < 0 {
-		s.cut -= int64(w)
-		s.comm -= d
-	} else {
-		s.cut += int64(w)
-		s.comm += d
-	}
+	sw := int64(sign) * int64(w)
+	s.cut += sw
+	s.comm += sw * s.costs.At(s.live[lo], s.live[hi])
 }
 
 func (s *Session) hasEdge(u, v int32) bool {
@@ -436,6 +431,6 @@ func (s *Session) joinEpoch(seq int64) (committed bool, err error) {
 	s.mx.commits.Inc()
 	s.mx.moves.Add(int64(len(diff)))
 	s.tr.Emit(obs.Event{Kind: obs.KindEpochMerge, Round: int32(seq),
-		A: 1, N: s.dirc.Epoch(), M: int64(len(diff)), X: s.alpha * s.comm})
+		A: 1, N: s.dirc.Epoch(), M: int64(len(diff)), X: s.costs.Real(s.alpha * s.comm)})
 	return true, nil
 }

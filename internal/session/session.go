@@ -171,7 +171,8 @@ type Session struct {
 	k     int32
 	n0    int32
 	cap   int32
-	alpha float64
+	costs *partition.Costs // cfg.Costs on the objective grid
+	alpha int64            // cfg.Refine.Alpha on it
 
 	// Live graph (ingest-side truth). adj/weight/vsize are indexed by
 	// vertex id over [0, cap); ids >= active are inactive: weight 0, no
@@ -190,11 +191,11 @@ type Session struct {
 	edges   int64
 	ewTotal int64
 	cut     int64
-	comm    float64 // raw Σ w·c (CommCost = alpha·comm)
+	comm    int64 // raw Σ w·C on the grid (Score.Comm = alpha·comm)
 
 	// Trigger state.
-	baseComm float64 // comm reference of the last committed epoch
-	churned  int64   // churned edges since the last committed epoch
+	baseComm int64 // comm reference of the last committed epoch
+	churned  int64 // churned edges since the last committed epoch
 
 	// Epoch-side state: owned by the ingest goroutine while run == nil,
 	// owned exclusively by the epoch goroutine between launch and join.
@@ -244,7 +245,8 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 	if k < 2 {
 		return nil, fmt.Errorf("session: k = %d, need >= 2", k)
 	}
-	if err := partition.CheckCosts(cfg.Costs, k); err != nil {
+	costs, err := partition.CheckCosts(cfg.Costs, k)
+	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
 	capN := cfg.Capacity
@@ -267,13 +269,17 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 		cfg.Refine.Shuffles = 2
 	}
 	cfg.Refine = cfg.Refine.WithDefaults(k)
+	if err := partition.CheckObjective(g0, costs, cfg.Refine.Alpha); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
+	}
 
 	s := &Session{
 		cfg:    cfg,
 		k:      k,
 		n0:     n0,
 		cap:    capN,
-		alpha:  cfg.Refine.Alpha,
+		costs:  costs,
+		alpha:  partition.Alpha(cfg.Refine.Alpha),
 		active: n0,
 		adj:    make([][]half, capN),
 		weight: make([]int32, capN),
@@ -365,18 +371,17 @@ func (s *Session) materialize() *graph.Graph {
 // construction and after each committed epoch (the incremental deltas
 // carry the score between those points).
 func (s *Session) recomputeLive() {
-	var cut int64
-	var comm float64
-	c := s.cfg.Costs
+	var cut, comm int64
 	for v := int32(0); v < s.active; v++ {
 		pv := s.live[v]
+		row := s.costs.Row(pv)
 		for _, h := range s.adj[v] {
 			if h.to <= v {
 				continue
 			}
 			if pu := s.live[h.to]; pu != pv {
 				cut += int64(h.w)
-				comm += float64(float64(h.w) * c[pv][pu])
+				comm += int64(h.w) * row[pu]
 			}
 		}
 	}
@@ -388,7 +393,8 @@ func (s *Session) recomputeLive() {
 // live decomposition (migration cost 0 by definition — the live state is
 // its own reference).
 func (s *Session) LiveScore() partition.Score {
-	return partition.Score{EdgeCut: s.cut, CommCost: s.alpha * s.comm, Skewness: s.skewness()}
+	comm := s.alpha * s.comm
+	return partition.Score{EdgeCut: s.cut, Comm: comm, CommCost: s.costs.Real(comm), Skewness: s.skewness()}
 }
 
 func (s *Session) skewness() float64 {

@@ -259,13 +259,13 @@ func TestSessionLiveStateConsistency(t *testing.T) {
 	}
 
 	live := &partition.Partitioning{K: tK, Assign: s.live}
-	ref := partition.ComputeScore(s.materialize(), live, s.live, s.cfg.Costs, s.alpha)
+	ref := partition.ComputeScore(s.materialize(), live, s.live, s.cfg.Costs, s.cfg.Refine.Alpha)
 	got := s.LiveScore()
 	if got.EdgeCut != ref.EdgeCut {
 		t.Fatalf("incremental cut %d != recomputed %d", got.EdgeCut, ref.EdgeCut)
 	}
-	if math.Abs(got.CommCost-ref.CommCost) > 1e-6*(1+math.Abs(ref.CommCost)) {
-		t.Fatalf("incremental comm %v != recomputed %v", got.CommCost, ref.CommCost)
+	if got.Comm != ref.Comm || got.CommCost != ref.CommCost {
+		t.Fatalf("incremental comm %d (%v) != recomputed %d (%v)", got.Comm, got.CommCost, ref.Comm, ref.CommCost)
 	}
 	if math.Abs(got.Skewness-ref.Skewness) > 1e-12 {
 		t.Fatalf("incremental skew %v != recomputed %v", got.Skewness, ref.Skewness)

@@ -209,17 +209,26 @@ if git grep -nE 'np\.live\b|\blive[[:space:]]+\[\]int32' -- internal/partition/p
     echo "ci: a per-vertex live array is back in the neighbor profile; the segment header holds the count" >&2
     exit 1
 fi
+# One objective grid (DESIGN.md §10): every gain and score of the
+# refinement is an int64. The float-association scaffolding — the
+# migration sweep's fixed shards and the float64(x*y) rounding guards —
+# must not come back to the packages that compute them.
+if git grep -nE 'sweepShards|shardRange|float64\(float64\(' -- 'internal/aragon/*.go' 'internal/partition/*.go' 'internal/paragon/*.go' 'internal/portfolio/*.go'; then
+    echo "ci: float-order scaffolding is back in the refinement; keep its objective on the integer grid" >&2
+    exit 1
+fi
 # One rounding per product on every architecture (DESIGN.md §10): the
-# goldens pin gains and scores to the bit, and a compiler may fuse
-# x*y + z into one rounding unless the product goes through an explicit
-# float64 conversion — arm64 does, amd64 does not. Cross-compile the two
-# binaries that link the refinement stack (cmd/paragond for the session;
-# the standard library builds from the local GOROOT, no network) and
-# demand that no fused multiply-add survives in the packages whose
-# floats are pinned.
+# floats that still decide something — the stream placers' scores, the
+# topology cost model and the session's Fennel placer — are pinned by
+# goldens to the bit, and a compiler may fuse x*y + z into one rounding
+# unless the product goes through an explicit float64 conversion; arm64
+# does, amd64 does not. Cross-compile the two binaries that link them
+# (cmd/paragond for the session; the standard library builds from the
+# local GOROOT, no network) and demand that no fused multiply-add
+# survives in those packages.
 for cmd in paragon paragond; do
     GOARCH=arm64 go build -o "$lintdir/$cmd.arm64" "./cmd/$cmd"
-    asm="$(go tool objdump -s 'paragon/internal/(aragon|partition|paragon|portfolio|session|topology|stream)\.' "$lintdir/$cmd.arm64")"
+    asm="$(go tool objdump -s 'paragon/internal/(session|topology|stream)\.' "$lintdir/$cmd.arm64")"
     if grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' <<< "$asm"; then
         echo "ci: cmd/$cmd fuses a multiply-add on arm64; wrap the product in float64(...)" >&2
         exit 1
