@@ -53,12 +53,17 @@ type Refiner struct {
 	h       gainHeap
 	history []moveRec
 
-	// Per-candidate state, grown together (grow): dfrom/dto are the
-	// candidate's edge weight toward its own/the other partition of the
-	// pair; gtopo and gmig its Eq. 8 and Eq. 9 terms, constant while the
-	// pair is refined; gains the current Eq. 5 value.
+	// Per-candidate state, grown together (grow): own/org are the
+	// candidate's owner at seed time (where it stays until it moves) and its
+	// original owner, off its profile header offset; dfrom/dto its edge
+	// weight toward its own/the other partition of the pair; gtopo and gmig
+	// its Eq. 8 and Eq. 9 terms, constant while the pair is refined; gains
+	// the current Eq. 5 value.
 	gains []int64
 	moved []bool
+	own   []int32
+	org   []int32
+	off   []int32
 	dfrom []int64
 	dto   []int64
 	gtopo []int64
@@ -202,10 +207,10 @@ func (r *Refiner) refinePair(orig []int32, pi, pj int32, cs *partition.Costs, lo
 		r.slot[v] = int32(idx) + 1
 	}
 	r.grow(n)
+	r.seed(pi, pj, orig, cs)
 	r.h.reset()
-	for idx := 0; idx < n; idx++ {
-		r.seed(idx, pi, pj, orig, cs)
-		r.h.push(int32(idx), r.gains[idx])
+	for idx, gain := range r.gains {
+		r.h.push(int32(idx), gain)
 	}
 
 	r.history = r.history[:0]
@@ -219,11 +224,7 @@ func (r *Refiner) refinePair(orig []int32, pi, pj int32, cs *partition.Costs, lo
 			break
 		}
 		v := r.cands[idx]
-		from := r.p.Assign[v]
-		to := pi
-		if from == pi {
-			to = pj
-		}
+		from, to, _ := r.orient(int(idx), pi, pj)
 		if loads[to]+int64(r.g.VertexWeight(v)) > maxLoad {
 			r.moved[idx] = true // inadmissible for this pass
 			continue
@@ -253,10 +254,10 @@ func (r *Refiner) refinePair(orig []int32, pi, pj int32, cs *partition.Costs, lo
 				continue
 			}
 			ui := int(s - 1)
-			// u is unmoved, so its orientation (fromU → toU) is
-			// unchanged; v carried weight w toward `from`, now
-			// toward `to`.
-			fromU := r.p.Assign[u]
+			// u is unmoved, so it is still where it was seeded and its
+			// orientation (fromU → toU) is unchanged; v carried weight w
+			// toward `from`, now toward `to`.
+			fromU, toU, _ := r.orient(ui, pi, pj)
 			if from == fromU {
 				r.dfrom[ui] -= int64(w[i])
 			} else {
@@ -266,10 +267,6 @@ func (r *Refiner) refinePair(orig []int32, pi, pj int32, cs *partition.Costs, lo
 				r.dfrom[ui] += int64(w[i])
 			} else {
 				r.dto[ui] += int64(w[i])
-			}
-			toU := pi
-			if fromU == pi {
-				toU = pj
 			}
 			r.gains[ui] = r.pairGain(ui, cs.At(fromU, toU))
 			r.h.push(s-1, r.gains[ui])
@@ -310,97 +307,135 @@ func (r *Refiner) beginPair(pi, pj int32, cs *partition.Costs) {
 // A pair larger than any before reallocates all of them once, with
 // headroom, so a run of slowly growing pairs does not reallocate per pair.
 func (r *Refiner) grow(n int) {
-	if cap(r.gains) < n {
-		c := n + n/8 + 8
-		r.gains = make([]int64, c)
-		r.moved = make([]bool, c)
-		r.dfrom = make([]int64, c)
-		r.dto = make([]int64, c)
-		r.gtopo = make([]int64, c)
-		r.gmig = make([]int64, c)
-	}
-	r.gains = r.gains[:n]
-	r.moved = r.moved[:n]
-	r.dfrom = r.dfrom[:n]
-	r.dto = r.dto[:n]
-	r.gtopo = r.gtopo[:n]
-	r.gmig = r.gmig[:n]
+	c := n + n/8 + 8
+	r.gains, r.moved = sized(r.gains, n, c), sized(r.moved, n, c)
+	r.own, r.org, r.off = sized(r.own, n, c), sized(r.org, n, c), sized(r.off, n, c)
+	r.dfrom, r.dto = sized(r.dfrom, n, c), sized(r.dto, n, c)
+	r.gtopo, r.gmig = sized(r.gtopo, n, c), sized(r.gmig, n, c)
 	clear(r.moved)
 }
 
-// seed initializes candidate idx's gain state and its gain. Under a
-// uniform cost matrix only the pair-local degrees are needed (g_topo is
-// identically zero): two profile lookups, or a two-accumulator adjacency
-// pass. Under a general matrix every partition v touches contributes to
-// g_topo: one walk of v's profile segment, or one adjacency scan, each
-// adding its weights times the pair's difference row (beginPair), which
-// is 0 at `from` and `to`, so neither walk branches on the partition for
-// the sum. The segment header carries v's data size.
-func (r *Refiner) seed(idx int, pi, pj int32, orig []int32, cs *partition.Costs) {
-	v := r.cands[idx]
-	// Seeds precede the pair's first move, so both views agree on v's owner:
-	// a scan reads it where it reads the neighbors', a profile seed where moves keep it hot.
-	assign := r.p.Assign
-	if r.profile == nil {
+// sized returns s resliced to length n, reallocated with capacity c when
+// it holds fewer than n.
+func sized[T any](s []T, n, c int) []T {
+	if cap(s) < n {
+		return make([]T, n, c)
+	}
+	return s[:n]
+}
+
+// seed initializes every candidate's gain state and gain. A first pass
+// gathers each candidate's owner, original owner and (with a profile)
+// segment offset: independent id-indexed loads in a loop short enough for
+// the core to keep many in flight. Then one loop per path walks the
+// segments or adjacency lists. Under a uniform cost matrix only the
+// pair-local degrees are needed (g_topo is identically zero); under a
+// general one every partition v touches adds its weight times the pair's
+// difference row (beginPair), 0 at `from` and `to`, so no walk branches on
+// the partition for the sum. The walks leave v's data size in gmig for the
+// last loop, which forms the Eq. 5 terms.
+func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
+	// Seeds precede the pair's first move, so both views agree on a
+	// candidate's owner: a scan reads it where it reads the neighbors', a
+	// profile seed where moves keep it hot.
+	np, assign := r.profile, r.p.Assign
+	if np == nil {
 		assign = r.master.Assign
 	}
-	from, k0 := assign[v], orig[v]
-	to, d := pi, r.drev
-	if from == pi {
-		to, d = pj, r.dfwd
+	for i, v := range r.cands {
+		r.own[i], r.org[i] = assign[v], orig[v]
 	}
-	var dfrom, dto, size, gtopo int64
-	switch {
-	case cs.Uniform && r.profile != nil:
-		dfrom, dto = r.profile.GetPair(v, from, to)
-		size = int64(r.g.VertexSize(v))
-	case cs.Uniform:
-		adj := r.g.Neighbors(v)
-		w := r.g.EdgeWeights(v)
-		w = w[:len(adj)]
-		for i, u := range adj {
-			switch assign[u] {
-			case from:
-				dfrom += int64(w[i])
-			case to:
-				dto += int64(w[i])
-			}
+	if np != nil {
+		for i, v := range r.cands {
+			r.off[i] = np.Offset(v)
 		}
-		size = int64(r.g.VertexSize(v))
-	case r.profile != nil:
-		parts, ws, hdr := r.profile.Segment(v)
-		ws, size = ws[:len(parts)], hdr
-		for i, k := range parts {
-			w := ws[i]
-			gtopo += w * d[k]
-			if k == from {
-				dfrom = w
+	}
+	switch {
+	case np != nil && cs.Uniform:
+		for idx, off := range r.off {
+			from, to, _ := r.orient(idx, pi, pj)
+			parts, ws, size := np.SegmentAt(off)
+			var dfrom, dto int64
+			for i, k := range parts {
+				if k == from {
+					dfrom = ws[i]
+				} else if k == to {
+					dto = ws[i]
+				}
 			}
-			if k == to {
-				dto = w
+			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, 0, size
+		}
+	case cs.Uniform:
+		for idx, v := range r.cands {
+			from, to, _ := r.orient(idx, pi, pj)
+			adj := r.g.Neighbors(v)
+			w := r.g.EdgeWeights(v)
+			w = w[:len(adj)]
+			var dfrom, dto int64
+			for i, u := range adj {
+				switch assign[u] {
+				case from:
+					dfrom += int64(w[i])
+				case to:
+					dto += int64(w[i])
+				}
 			}
+			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, 0, int64(r.g.VertexSize(v))
+		}
+	case np != nil:
+		for idx, off := range r.off {
+			from, to, d := r.orient(idx, pi, pj)
+			parts, ws, size := np.SegmentAt(off)
+			ws = ws[:len(parts)]
+			var dfrom, dto, gtopo int64
+			for i, k := range parts {
+				w := ws[i]
+				gtopo += w * d[k]
+				if k == from {
+					dfrom = w
+				}
+				if k == to {
+					dto = w
+				}
+			}
+			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, gtopo, size
 		}
 	default:
-		adj := r.g.Neighbors(v)
-		w := r.g.EdgeWeights(v)
-		w = w[:len(adj)]
-		for i, u := range adj {
-			k, wi := assign[u], int64(w[i])
-			gtopo += wi * d[k]
-			if k == from {
-				dfrom += wi
+		for idx, v := range r.cands {
+			from, to, d := r.orient(idx, pi, pj)
+			adj := r.g.Neighbors(v)
+			w := r.g.EdgeWeights(v)
+			w = w[:len(adj)]
+			var dfrom, dto, gtopo int64
+			for i, u := range adj {
+				k, wi := assign[u], int64(w[i])
+				gtopo += wi * d[k]
+				if k == from {
+					dfrom += wi
+				}
+				if k == to {
+					dto += wi
+				}
 			}
-			if k == to {
-				dto += wi
-			}
+			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, gtopo, int64(r.g.VertexSize(v))
 		}
-		size = int64(r.g.VertexSize(v))
 	}
-	r.dfrom[idx] = dfrom
-	r.dto[idx] = dto
-	r.gtopo[idx] = r.alpha * gtopo
-	r.gmig[idx] = (size * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
-	r.gains[idx] = r.pairGain(idx, cs.At(from, to))
+	for idx, k0 := range r.org {
+		from, to, _ := r.orient(idx, pi, pj)
+		r.gtopo[idx] *= r.alpha
+		r.gmig[idx] = (r.gmig[idx] * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
+		r.gains[idx] = r.pairGain(idx, cs.At(from, to))
+	}
+}
+
+// orient returns candidate idx's side of the pair: the partition it
+// leaves, the one it would enter, and the Eq. 8 difference row of that
+// direction (beginPair).
+func (r *Refiner) orient(idx int, pi, pj int32) (from, to int32, d []int64) {
+	if from = r.own[idx]; from == pi {
+		return pi, pj, r.dfwd
+	}
+	return from, pi, r.drev
 }
 
 // pairGain is Eq. 5 from candidate idx's maintained state: Eq. 6 from the

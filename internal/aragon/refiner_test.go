@@ -1,6 +1,7 @@
 package aragon
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -13,14 +14,20 @@ import (
 	"paragon/internal/topology"
 )
 
-// seededGain seeds v as the only candidate of the pair (pi, pj), the way
-// RefinePair seeds every candidate, and returns its gain.
-func seededGain(r *Refiner, v, pi, pj int32, orig []int32, cs *partition.Costs) int64 {
+// seededGains seeds every vertex of pi and pj, ascending, as the
+// candidates of the pair (pi, pj) through the passes RefinePair runs, and
+// returns them with their gains.
+func seededGains(r *Refiner, pi, pj int32, orig []int32, cs *partition.Costs) ([]int32, []int64) {
 	r.beginPair(pi, pj, cs)
-	r.cands = append(r.cands[:0], v)
-	r.grow(1)
-	r.seed(0, pi, pj, orig, cs)
-	return r.gains[0]
+	r.cands = r.cands[:0]
+	for v, q := range r.master.Assign {
+		if q == pi || q == pj {
+			r.cands = append(r.cands, int32(v))
+		}
+	}
+	r.grow(len(r.cands))
+	r.seed(pi, pj, orig, cs)
+	return r.cands, r.gains
 }
 
 // quantised is c on the objective grid.
@@ -37,8 +44,9 @@ func quantised(t testing.TB, c [][]float64) *partition.Costs {
 // Eq. 5 evaluation for every vertex against every target partition, in
 // both orientations of the pair, once seeding from adjacency scans and
 // once from a neighbor profile — the branch-free walk over the pair's
-// difference rows included.
-func checkSeededGains(t *testing.T, g *graph.Graph, p *partition.Partitioning, orig []int32, c [][]float64, uniform bool) {
+// difference rows included. It returns the entry count of the longest
+// profile segment.
+func checkSeededGains(t *testing.T, g *graph.Graph, p *partition.Partitioning, orig []int32, c [][]float64, uniform bool) (longest int) {
 	t.Helper()
 	cfg := Config{}.WithDefaults()
 	cs := quantised(t, c)
@@ -50,24 +58,32 @@ func checkSeededGains(t *testing.T, g *graph.Graph, p *partition.Partitioning, o
 	if err != nil {
 		t.Fatal(err)
 	}
+	for v := int32(0); v < g.NumVertices(); v++ {
+		parts, _, _ := np.Segment(v)
+		longest = max(longest, len(parts))
+	}
 	for _, profile := range []*partition.NeighborProfile{nil, np} {
 		r.SetProfile(profile)
-		for v := int32(0); v < g.NumVertices(); v++ {
-			from := p.Assign[v]
-			dense := partition.ExternalDegrees(g, p, v)
-			for to := int32(0); to < p.K; to++ {
-				if to == from {
+		for pi := int32(0); pi < p.K; pi++ {
+			for pj := int32(0); pj < p.K; pj++ {
+				if pi == pj {
 					continue
 				}
-				want := gainFromDegrees(g, dense, orig, v, from, to, cs, r.alpha)
-				for _, pair := range [][2]int32{{from, to}, {to, from}} {
-					if got := seededGain(r, v, pair[0], pair[1], orig, cs); got != want {
-						t.Fatalf("profile=%v pair %v: gain(v=%d, %d->%d) = %d, want %d", profile != nil, pair, v, from, to, got, want)
+				cands, gains := seededGains(r, pi, pj, orig, cs)
+				for idx, v := range cands {
+					from, to := p.Assign[v], pi
+					if from == pi {
+						to = pj
+					}
+					want := gainFromDegrees(g, partition.ExternalDegrees(g, p, v), orig, v, from, to, cs, r.alpha)
+					if gains[idx] != want {
+						t.Fatalf("profile=%v pair (%d,%d): gain(v=%d, %d->%d) = %d, want %d", profile != nil, pi, pj, v, from, to, gains[idx], want)
 					}
 				}
 			}
 		}
 	}
+	return longest
 }
 
 // mixedCostMatrix is a symmetric non-uniform cost matrix whose entries
@@ -111,13 +127,21 @@ func TestSparseGainMatchesDense(t *testing.T) {
 }
 
 // TestUniformGainMatchesDense pins the uniform-cost seeding (g_topo
-// identically 0) to the dense Eq. 5 evaluation.
+// identically 0) to the dense Eq. 5 evaluation. At k = 40 the hubs'
+// segments hold more than 32 entries, the length from which profile reads
+// used to switch to binary search.
 func TestUniformGainMatchesDense(t *testing.T) {
 	g := gen.BarabasiAlbert(700, 4, 29)
 	g.UseDegreeWeights()
-	const k = 8
-	p, orig := perturbed(g, k, 150, rand.New(rand.NewSource(37)))
-	checkSeededGains(t, g, p, orig, topology.UniformMatrix(k), true)
+	for _, k := range []int32{8, 40} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			p, orig := perturbed(g, k, 150, rand.New(rand.NewSource(37)))
+			longest := checkSeededGains(t, g, p, orig, topology.UniformMatrix(int(k)), true)
+			if k == 40 && longest <= 32 {
+				t.Fatalf("longest segment has %d entries; no segment past 32 was seeded", longest)
+			}
+		})
+	}
 }
 
 // TestDeltaGainMatchesOracle is the differential test of the delta-mode

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"paragon/internal/aragon"
 	"paragon/internal/graph"
@@ -283,7 +284,9 @@ func TestOneWorkerEngineRunsInline(t *testing.T) {
 			mov.Repair(e)
 		})
 		e.Close()
-		for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		// A worker that has signalled its exit may still be on its way out,
+		// for long on a loaded box under -race: yield to it, never sleep.
+		for end := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
 			runtime.Gosched()
 		}
 		if n := runtime.NumGoroutine(); n > before {

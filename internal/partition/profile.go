@@ -12,9 +12,8 @@ import (
 // NeighborProfile is a per-vertex partition-weight table: entry (v, q)
 // holds Σ w(v,u) over neighbors u owned by partition q under a reference
 // assignment. The scheduled refiner seeds each candidate's gain state
-// from v's segment instead of an O(deg) adjacency scan per pair — two
-// O(log t) lookups under a uniform cost matrix, one O(t) walk under a
-// general one (Eq. 8 needs every entry). On a tournament round every
+// from v's segment instead of an O(deg) adjacency scan per pair — one
+// O(t) walk of t ≤ min(deg(v), k) entries. On a tournament round every
 // boundary vertex is a candidate of m−1 pairs, so the scan repeats its
 // random-access walk of the assignment m−1 times while the profile
 // answers from one contiguous, presorted segment. The weights are exact
@@ -220,7 +219,7 @@ func (np *NeighborProfile) fill(g *graph.Graph, assign []int32, vs []int32) {
 			mask[q>>6] |= 1 << (q & 63)
 		}
 		tl = drainMask(mask, tl[:0])
-		c, h := np.header(v)
+		c, h := np.header(np.off[v])
 		c.parts[h], c.ws[h] = int32(len(tl)), int64(g.VertexSize(v))
 		parts, ws := c.parts[h+1:], c.ws[h+1:]
 		for i, q := range tl {
@@ -230,50 +229,30 @@ func (np *NeighborProfile) fill(g *graph.Graph, assign []int32, vs []int32) {
 	}
 }
 
-// header locates v's header entry: the chunk it lives in and its index
-// there. v's entries follow it.
-func (np *NeighborProfile) header(v int32) (c *profileChunk, h int) {
-	off := np.off[v]
+// header locates the header entry at arena offset off: the chunk it
+// lives in and its index there. The segment's entries follow it.
+func (np *NeighborProfile) header(off int32) (c *profileChunk, h int) {
 	return &np.chunks[off>>profileChunkShift], int(off & (1<<profileChunkShift - 1))
 }
 
-// Segment returns v's live entries — partitions ascending, each with its
-// nonzero summed weight — and v's data size, all from the one offset
-// lookup. The slices alias the table: read-only, valid until the next
-// MoveNeighbor on v.
-func (np *NeighborProfile) Segment(v int32) (parts []int32, ws []int64, size int64) {
-	c, h := np.header(v)
+// Offset returns the arena offset of v's header, the key SegmentAt reads
+// by. The pair kernel gathers its candidates' offsets in one pass before
+// it walks any segment.
+func (np *NeighborProfile) Offset(v int32) int32 { return np.off[v] }
+
+// SegmentAt returns the live entries of the segment whose header lies at
+// off — partitions ascending, each with its nonzero summed weight — and
+// its vertex's data size. The slices alias the table: read-only, valid
+// until the next MoveNeighbor on that vertex.
+func (np *NeighborProfile) SegmentAt(off int32) (parts []int32, ws []int64, size int64) {
+	c, h := np.header(off)
 	lo, hi := h+1, h+1+int(c.parts[h])
 	return c.parts[lo:hi], c.ws[lo:hi], c.ws[h]
 }
 
-// Get returns Σ w(v,u) over neighbors u owned by partition q — zero when
-// no neighbor is. Binary search over v's sorted segment.
-func (np *NeighborProfile) Get(v, q int32) int64 {
-	parts, ws, _ := np.Segment(v)
-	if i := lowerBound(parts, q); i < len(parts) && parts[i] == q {
-		return ws[i]
-	}
-	return 0
-}
-
-// GetPair returns (Get(v, a), Get(v, b)) from one walk of v's segment —
-// the delta-mode seeding path, which always needs both sides of a pair.
-// Small segments scan linearly (one or two cache lines, hardware
-// prefetched); large ones fall back to two binary searches.
-func (np *NeighborProfile) GetPair(v, a, b int32) (wa, wb int64) {
-	parts, ws, _ := np.Segment(v)
-	if len(parts) > 32 {
-		return np.Get(v, a), np.Get(v, b)
-	}
-	for i, q := range parts {
-		if q == a {
-			wa = ws[i]
-		} else if q == b {
-			wb = ws[i]
-		}
-	}
-	return wa, wb
+// Segment is SegmentAt(Offset(v)).
+func (np *NeighborProfile) Segment(v int32) (parts []int32, ws []int64, size int64) {
+	return np.SegmentAt(np.off[v])
 }
 
 // MoveNeighbor records that v's neighbor moved from partition `from` to
@@ -285,7 +264,7 @@ func (np *NeighborProfile) MoveNeighbor(v, from, to int32, w int64) {
 	if from == to || w == 0 || np.off[v] < 0 {
 		return
 	}
-	c, h := np.header(v)
+	c, h := np.header(np.off[v])
 	parts, ws := c.parts, c.ws
 	base, end := h+1, h+1+int(parts[h])
 	// Decrement (and possibly remove) the `from` entry; it must exist.

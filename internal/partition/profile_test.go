@@ -25,6 +25,17 @@ func bruteProfile(g *graph.Graph, assign []int32, v, q int32) int64 {
 	return sum
 }
 
+// segmentDense is v's segment spread over all k partitions, zero where
+// the segment has no entry.
+func segmentDense(np *NeighborProfile, v, k int32) []int64 {
+	dense := make([]int64, k)
+	parts, ws, _ := np.Segment(v)
+	for i, q := range parts {
+		dense[q] = ws[i]
+	}
+	return dense
+}
+
 func mustProfile(t *testing.T, g *graph.Graph, assign []int32, k int32) *NeighborProfile {
 	t.Helper()
 	np, err := BuildNeighborProfile(g, assign, k, 1)
@@ -48,7 +59,7 @@ func checkSegments(t *testing.T, g *graph.Graph, np *NeighborProfile, assign []i
 			continue
 		}
 		vs = append(vs, v)
-		c, h := np.header(v)
+		c, h := np.header(np.off[v])
 		touched := map[int32]bool{}
 		for _, u := range g.Neighbors(v) {
 			touched[assign[u]] = true
@@ -80,7 +91,7 @@ func checkSegments(t *testing.T, g *graph.Graph, np *NeighborProfile, assign []i
 		}
 		slots := 1 + int(min(g.Degree(v), k))
 		tail += int64(slots)
-		c, h := np.header(v)
+		c, h := np.header(np.off[v])
 		if int(np.off[v]>>profileChunkShift) >= len(np.chunks) || h+slots > len(c.parts) || h+slots > len(c.ws) {
 			t.Fatalf("v=%d: segment [%d, +%d) reaches past its chunk", v, np.off[v], slots)
 		}
@@ -149,9 +160,10 @@ func TestNeighborProfileBuildMatchesBruteForce(t *testing.T) {
 			checkSegments(t, tc.g, np, p.Assign, tc.k)
 			checkBatchOrder(t, np, p.Assign, 0)
 			for v := int32(0); v < tc.g.NumVertices(); v++ {
+				dense := segmentDense(np, v, tc.k)
 				for q := int32(0); q < tc.k; q++ {
-					if got, want := np.Get(v, q), bruteProfile(tc.g, p.Assign, v, q); got != want {
-						t.Fatalf("profile(%d,%d) = %d, want %d", v, q, got, want)
+					if want := bruteProfile(tc.g, p.Assign, v, q); dense[q] != want {
+						t.Fatalf("profile(%d,%d) = %d, want %d", v, q, dense[q], want)
 					}
 				}
 			}
@@ -288,7 +300,7 @@ func TestNeighborProfileInstalments(t *testing.T) {
 						continue
 					}
 					checkSameSegment(t, np, want, v, fmt.Sprintf("workers=%d", workers))
-					if _, h := np.header(v); h+1+int(min(tc.g.Degree(v), tc.k)) > 1<<profileChunkShift {
+					if _, h := np.header(np.off[v]); h+1+int(min(tc.g.Degree(v), tc.k)) > 1<<profileChunkShift {
 						straddles++
 					}
 				}
@@ -300,40 +312,42 @@ func TestNeighborProfileInstalments(t *testing.T) {
 	}
 }
 
-// TestNeighborProfileReadsAgree checks the three read paths against each
-// other — Get, GetPair (both its linear and its binary-search leg) and
-// the Segment walk the general-cost seeding uses.
+// TestNeighborProfileReadsAgree checks the two read paths against each
+// other and against the definition: Segment(v), and SegmentAt over offsets
+// gathered for every vertex up front, the way the pair kernel reads them.
+// The offsets are gathered before a walk of MoveNeighbor patches, which
+// insert and remove entries in place and so must leave every offset valid.
 func TestNeighborProfileReadsAgree(t *testing.T) {
 	for _, tc := range profileGraphs() {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(13))
 			p := randomPartitioning(tc.g, tc.k, rng)
 			np := mustProfile(t, tc.g, p.Assign, tc.k)
-			longest := 0
-			for v := int32(0); v < tc.g.NumVertices(); v++ {
-				parts, ws, _ := np.Segment(v)
-				longest = max(longest, len(parts))
-				dense := make([]int64, tc.k)
-				for i, q := range parts {
-					dense[q] = ws[i]
-				}
-				for q := int32(0); q < tc.k; q++ {
-					if got := np.Get(v, q); got != dense[q] {
-						t.Fatalf("Get(%d,%d) = %d, segment walk says %d", v, q, got, dense[q])
-					}
-				}
-				for i := 0; i < 8; i++ {
-					a, b := rng.Int31n(tc.k), rng.Int31n(tc.k)
-					if a == b {
-						continue
-					}
-					if wa, wb := np.GetPair(v, a, b); wa != dense[a] || wb != dense[b] {
-						t.Fatalf("GetPair(%d,%d,%d) = (%d,%d), want (%d,%d)", v, a, b, wa, wb, dense[a], dense[b])
-					}
-				}
+			n := tc.g.NumVertices()
+			offs := make([]int32, n)
+			for v := range offs {
+				offs[v] = np.Offset(int32(v))
 			}
-			if tc.k > 32 && longest <= 32 {
-				t.Fatalf("longest segment has %d entries; GetPair's binary-search leg never ran", longest)
+			for i := 0; i < int(n)/4; i++ {
+				x, to := rng.Int31n(n), rng.Int31n(tc.k)
+				w := tc.g.EdgeWeights(x)
+				for j, u := range tc.g.Neighbors(x) {
+					np.MoveNeighbor(u, p.Assign[x], to, int64(w[j]))
+				}
+				p.Assign[x] = to
+			}
+			for v := int32(0); v < n; v++ {
+				parts, ws, size := np.SegmentAt(offs[v])
+				sp, sw, ss := np.Segment(v)
+				if !slices.Equal(parts, sp) || !slices.Equal(ws, sw) || size != ss {
+					t.Fatalf("v=%d: SegmentAt(gathered offset) = %v/%v size %d, Segment = %v/%v size %d", v, parts, ws, size, sp, sw, ss)
+				}
+				dense := segmentDense(np, v, tc.k)
+				for q := int32(0); q < tc.k; q++ {
+					if want := bruteProfile(tc.g, p.Assign, v, q); dense[q] != want {
+						t.Fatalf("v=%d: segment holds %d for partition %d, want %d", v, dense[q], q, want)
+					}
+				}
 			}
 		})
 	}

@@ -413,7 +413,7 @@ func (s *Session) joinEpoch(seq int64) (committed bool, err error) {
 		return false, fmt.Errorf("session: epoch %d publish: %w", run.launch, perr)
 	}
 
-	// Commit: fold the refined moves into the live side.
+	// Commit: fold the refined moves into the live side, the score edge by edge.
 	for _, v := range diff {
 		w := int64(s.weight[v])
 		from, to := s.live[v], s.pidx.Assign[v]
@@ -421,9 +421,14 @@ func (s *Session) joinEpoch(seq int64) (committed bool, err error) {
 		s.loads[to] += w
 		s.floads[from] -= float64(w)
 		s.floads[to] += float64(w)
+		for _, h := range s.adj[v] {
+			s.scoreEdge(v, h.to, h.w, -1)
+		}
 		s.live[v] = to
+		for _, h := range s.adj[v] {
+			s.scoreEdge(v, h.to, h.w, +1)
+		}
 	}
-	s.recomputeLive()
 	s.baseComm = s.comm
 	s.churned = 0
 	s.commits++

@@ -366,10 +366,10 @@ func (s *Session) materialize() *graph.Graph {
 		}, s.cfg.Refine.Workers)
 }
 
-// recomputeLive re-derives the cut and raw comm sum from the live
-// adjacency in one deterministic ascending-vertex sweep — O(|E|), run at
-// construction and after each committed epoch (the incremental deltas
-// carry the score between those points).
+// recomputeLive derives the cut and raw comm sum from the live adjacency
+// in one ascending-vertex sweep — O(|E|), run at construction only; from
+// then on every edge op, arrival and committed move folds its own delta
+// in (scoreEdge).
 func (s *Session) recomputeLive() {
 	var cut, comm int64
 	for v := int32(0); v < s.active; v++ {

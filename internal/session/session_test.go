@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -231,54 +232,102 @@ func TestSessionDirectoryFollowsCommit(t *testing.T) {
 	}
 }
 
-// The incrementally maintained score must match a from-scratch Eq. 2–4
-// computation over the materialized live graph, and the reused index
-// must stay bit-consistent across commit/abort cycles.
-func TestSessionLiveStateConsistency(t *testing.T) {
-	g0, p0 := testBase(t)
-	s, err := New(g0, p0, testConfig(2, 0.3, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := dyn.NewWorkload(13, dyn.WorkloadConfig{Adds: 50, Removes: 20, Arrivals: 6})
-	for i := 0; i < 30; i++ {
-		if _, err := s.Ingest(w.Next(s.Source())); err != nil {
-			t.Fatal(err)
+// asymmetricCosts is a non-uniform integer cost matrix with c[i][j] ≠
+// c[j][i] for most pairs, so a score that read an edge's cost in the
+// other order than ComputeScore's c[p(min)][p(max)] would drift from it.
+func asymmetricCosts(k int) [][]float64 {
+	c := make([][]float64, k)
+	for i := range c {
+		c[i] = make([]float64, k)
+		for j := range c[i] {
+			if i != j {
+				c[i][j] = float64(1 + (3*i+j)%5)
+			}
 		}
 	}
-	if _, err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.EpochsLaunched == 0 {
-		t.Fatal("schedule never launched an epoch")
-	}
+	return c
+}
 
-	if err := s.ix.Validate(); err != nil {
-		t.Fatalf("live index invalid: %v", err)
-	}
+// The incrementally maintained score must equal a from-scratch Eq. 2–4
+// computation over the materialized live graph after every batch and at
+// every join: a committed epoch folds its moves in edge by edge, an
+// aborted one must leave the score untouched. Under a uniform and an
+// asymmetric matrix, fault-free and at fault rate 0.3; the reused index
+// must stay bit-consistent across the commit/abort cycles.
+func TestSessionLiveStateConsistency(t *testing.T) {
+	for _, m := range []struct {
+		name  string
+		costs [][]float64
+	}{{"uniform", topology.UniformMatrix(tK)}, {"asymmetric", asymmetricCosts(tK)}} {
+		for _, rate := range []float64{0, 0.3} {
+			t.Run(fmt.Sprintf("%s/faults=%v", m.name, rate), func(t *testing.T) {
+				g0, p0 := testBase(t)
+				cfg := testConfig(2, rate, nil, nil)
+				cfg.Costs, cfg.FaultSeed = m.costs, 4 // a seed whose schedule aborts some epochs
+				s, err := New(g0, p0, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := func(when string) {
+					t.Helper()
+					live := &partition.Partitioning{K: tK, Assign: s.live}
+					ref := partition.ComputeScore(s.materialize(), live, s.live, s.cfg.Costs, s.cfg.Refine.Alpha)
+					got := s.LiveScore()
+					if got.EdgeCut != ref.EdgeCut || got.Comm != ref.Comm || got.CommCost != ref.CommCost {
+						t.Fatalf("%s: incremental cut %d comm %d (%v) != recomputed %d, %d (%v)", when, got.EdgeCut, got.Comm, got.CommCost, ref.EdgeCut, ref.Comm, ref.CommCost)
+					}
+					if math.Abs(got.Skewness-ref.Skewness) > 1e-12 {
+						t.Fatalf("%s: incremental skew %v != recomputed %v", when, got.Skewness, ref.Skewness)
+					}
+				}
+				// join merges the in-flight epoch apart from any batch's ops,
+				// so what the join alone did to the score is checked.
+				commits, aborts := 0, 0
+				join := func(when string) {
+					t.Helper()
+					before := s.LiveScore()
+					committed, err := s.Drain()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if committed {
+						commits++
+					} else if aborts++; s.LiveScore() != before {
+						t.Fatalf("%s: aborted epoch changed the live score %+v -> %+v", when, before, s.LiveScore())
+					}
+					check(when)
+				}
+				w := dyn.NewWorkload(13, dyn.WorkloadConfig{Adds: 50, Removes: 20, Arrivals: 6})
+				for i := 0; i < 40; i++ {
+					if s.run != nil && s.batches >= s.run.joinBatch {
+						join(fmt.Sprintf("join before batch %d", i))
+					}
+					if _, err := s.Ingest(w.Next(s.Source())); err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("batch %d", i))
+				}
+				if s.run != nil {
+					join("drain")
+				}
+				if commits == 0 || (rate > 0 && aborts == 0) {
+					t.Fatalf("%d epochs committed, %d aborted: the schedule does not reach both outcomes", commits, aborts)
+				}
 
-	live := &partition.Partitioning{K: tK, Assign: s.live}
-	ref := partition.ComputeScore(s.materialize(), live, s.live, s.cfg.Costs, s.cfg.Refine.Alpha)
-	got := s.LiveScore()
-	if got.EdgeCut != ref.EdgeCut {
-		t.Fatalf("incremental cut %d != recomputed %d", got.EdgeCut, ref.EdgeCut)
-	}
-	if got.Comm != ref.Comm || got.CommCost != ref.CommCost {
-		t.Fatalf("incremental comm %d (%v) != recomputed %d (%v)", got.Comm, got.CommCost, ref.Comm, ref.CommCost)
-	}
-	if math.Abs(got.Skewness-ref.Skewness) > 1e-12 {
-		t.Fatalf("incremental skew %v != recomputed %v", got.Skewness, ref.Skewness)
-	}
-
-	// Loads must agree with a fresh per-partition weight sum.
-	var loads [tK]int64
-	for v := int32(0); v < s.cap; v++ {
-		loads[s.live[v]] += int64(s.weight[v])
-	}
-	for q := 0; q < tK; q++ {
-		if loads[q] != s.loads[q] {
-			t.Fatalf("partition %d: maintained load %d != recomputed %d", q, s.loads[q], loads[q])
+				if err := s.ix.Validate(); err != nil {
+					t.Fatalf("live index invalid: %v", err)
+				}
+				// Loads must agree with a fresh per-partition weight sum.
+				var loads [tK]int64
+				for v := int32(0); v < s.cap; v++ {
+					loads[s.live[v]] += int64(s.weight[v])
+				}
+				for q := 0; q < tK; q++ {
+					if loads[q] != s.loads[q] {
+						t.Fatalf("partition %d: maintained load %d != recomputed %d", q, s.loads[q], loads[q])
+					}
+				}
+			})
 		}
 	}
 }

@@ -194,6 +194,12 @@ if git grep -n 'NewBuilder' -- 'internal/session/*.go' internal/graph/overlay.go
     echo "ci: a graph.Builder freeze is back; use graph.FromSymmetricRows" >&2
     exit 1
 fi
+# An O(moved) join (DESIGN.md §18): a committed epoch folds its moves into
+# the live score edge by edge. The O(|E|) re-sweep serves New only.
+if git grep -n 'recomputeLive' -- internal/session/epoch.go; then
+    echo "ci: the join re-sweeps the live score again; fold the moves in with scoreEdge" >&2
+    exit 1
+fi
 # Pay for the boundary, not the graph (DESIGN.md §14): the scheduler's
 # profile starts empty and is materialized for movable vertices only (the
 # shadow gathers a pair from two masked prefixes; appendMasked is guarded
