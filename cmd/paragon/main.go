@@ -54,6 +54,7 @@ import (
 	"runtime/pprof"
 
 	"paragon/internal/dir"
+	"paragon/internal/faultsim"
 	"paragon/internal/graph"
 	"paragon/internal/metis"
 	"paragon/internal/obs"
@@ -82,7 +83,6 @@ func main() {
 	faultRate := flag.Float64("fault-rate", 0, "per-fault-point probability of injected faults (0 disables)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed of the deterministic fault injector")
 	portfolioSize := flag.Int("portfolio", 0, "portfolio members: race this many seeded refinements on the worker pool and keep the best (0 = plain refinement)")
-	portfolioCombine := flag.Int("portfolio-combine", 2, "overlay the top members with the combine operator (< 2 disables)")
 	out := flag.String("out", "", "write the final vertex->partition assignment here")
 	topo := flag.Bool("topo", false, "print the modeled cluster topology and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile here (pprof format)")
@@ -193,6 +193,12 @@ func main() {
 	if *metricsOut != "" || *summary {
 		registry = obs.NewRegistry()
 	}
+	// The fault layer stays a nil fabric at rate 0: even a zero-rate
+	// injector advances the virtual clock per group.
+	var fabric faultsim.Fabric
+	if *faultRate > 0 {
+		fabric = faultsim.NewInjector(faultsim.Config{Seed: *faultSeed, Rate: *faultRate})
+	}
 
 	// The serving layer: every committed round becomes one directory
 	// epoch; the journal written at the end replays to the final state.
@@ -210,10 +216,9 @@ func main() {
 	if *portfolioSize > 0 {
 		pst, err := portfolio.Refine(g, p, c, paragon.Config{
 			DRP: *drp, Workers: *workers, Shuffles: *shuffles, KHop: *khop,
-			Alpha: *alpha, MaxImbalance: *eps, Seed: *seed,
-			FaultRate: *faultRate, FaultSeed: *faultSeed,
+			Alpha: *alpha, MaxImbalance: *eps, Seed: *seed, Fabric: fabric,
 			Trace: tracer, Metrics: registry,
-			Portfolio: paragon.PortfolioConfig{Size: *portfolioSize, CombineTop: *portfolioCombine},
+			Portfolio: paragon.PortfolioConfig{Size: *portfolioSize},
 		})
 		if err != nil {
 			fatal(err)
@@ -249,8 +254,7 @@ func main() {
 	} else {
 		st, err := paragon.Refine(g, p, c, paragon.Config{
 			DRP: *drp, Workers: *workers, Shuffles: *shuffles, KHop: *khop,
-			Alpha: *alpha, MaxImbalance: *eps, Seed: *seed, NodeOf: nodeOf,
-			FaultRate: *faultRate, FaultSeed: *faultSeed,
+			Alpha: *alpha, MaxImbalance: *eps, Seed: *seed, NodeOf: nodeOf, Fabric: fabric,
 			Trace: tracer, Metrics: registry, Directory: directory,
 		})
 		if err != nil {

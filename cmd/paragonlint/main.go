@@ -21,7 +21,7 @@
 // The wallclock kernel set is not a hand-maintained list: the suite
 // builds a CHA call graph over the loaded packages and computes the set
 // as everything reachable from the kernel entry surface — the module
-// facade plus the baseline partitioner and exchange APIs (-kernel prints
+// facade, which is the stack a downstream user links (-kernel prints
 // it). The taint checker walks the same graph to flag nondeterminism
 // sources hiding in helpers.
 package main
@@ -41,18 +41,12 @@ import (
 // ("" is the facade package at the module root). Exported functions of
 // these packages are the reachability roots: everything they can call is
 // kernel code and must be clock-free, ambient-rand-free, and
-// map-order-clean. The facade covers the refinement/partition/stream/
-// trace APIs; aragonlb, zoltan, and mizan are the baseline partitioners
-// driven directly by the experiment layer; exchange is the location
-// service driven by the same layer. Driver code (cmd/*, internal/exp)
-// stays outside the surface, so its wall-clock use never enters the set.
-var rootSurfaces = []string{
-	"",
-	"internal/aragonlb",
-	"internal/exchange",
-	"internal/mizan",
-	"internal/zoltan",
-}
+// map-order-clean. The facade is the stack: refinement, partitioning,
+// streaming, serving, trace. The reproduction's baselines and models
+// (aragonlb, zoltan, mizan, exchange) are reached only from the
+// experiment layer and cmd/bspsim, so they stay outside it with the rest
+// of the driver code, whose wall-clock use never enters the set.
+var rootSurfaces = []string{""}
 
 func main() {
 	kernel := flag.Bool("kernel", false, "print the computed wallclock kernel package set and exit")

@@ -95,7 +95,8 @@ func TestRemovedFlagsRejected(t *testing.T) {
 
 // The directory, the portfolio and the session sit inside the computed
 // kernel set (the facade re-exports pull them in); if one dropped out,
-// wallclock would silently stop covering it.
+// wallclock would silently stop covering it. The reproduction's baselines
+// and exchange models stay outside: the facade reaches none of them.
 func TestKernelSetCoversServingLayers(t *testing.T) {
 	stdout, stderr, code := run(t, moduleRoot, "-kernel")
 	if code != 0 {
@@ -108,6 +109,11 @@ func TestKernelSetCoversServingLayers(t *testing.T) {
 	for _, pkg := range []string{"dir", "portfolio", "session"} {
 		if !kernel["paragon/internal/"+pkg] {
 			t.Errorf("paragon/internal/%s missing from -kernel output:\n%s", pkg, stdout)
+		}
+	}
+	for _, pkg := range []string{"aragonlb", "exchange", "mizan", "zoltan"} {
+		if kernel["paragon/internal/"+pkg] {
+			t.Errorf("paragon/internal/%s in -kernel output, but the facade does not reach it:\n%s", pkg, stdout)
 		}
 	}
 }

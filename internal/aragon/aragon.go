@@ -34,10 +34,11 @@ type Config struct {
 	Alpha float64
 	// MaxImbalance is the allowed load imbalance eps (default 0.02).
 	MaxImbalance float64
-	// BadMoveLimit stops a pair refinement after this many consecutive
-	// non-improving moves (default 64).
-	BadMoveLimit int
 }
+
+// badMoveLimit stops a pair refinement after this many consecutive
+// non-improving moves.
+const badMoveLimit = 64
 
 // WithDefaults fills in the paper's default parameters.
 func (c Config) WithDefaults() Config {
@@ -46,9 +47,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MaxImbalance == 0 {
 		c.MaxImbalance = 0.02
-	}
-	if c.BadMoveLimit == 0 {
-		c.BadMoveLimit = 64
 	}
 	return c
 }

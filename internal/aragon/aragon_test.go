@@ -111,7 +111,7 @@ func TestRefinePairProducesFigure5(t *testing.T) {
 	orig := fig3().Assign
 	c := topology.PaperExampleMatrix()
 	loads := p.Weights(g)
-	cfg := Config{Alpha: 1, MaxImbalance: 0.3, BadMoveLimit: 8}
+	cfg := Config{Alpha: 1, MaxImbalance: 0.3}
 	maxLoad := partition.BalanceBound(g, 3, 0.3) // ceil(10/3)·1.3 = 5
 	res := NewRefiner(g, partition.BuildIndex(g, p), cfg).RefinePair(orig, 0, 1, c, loads, maxLoad, nil)
 	if res.Moves < 1 {

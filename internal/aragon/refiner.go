@@ -43,8 +43,7 @@ type Refiner struct {
 	g     *graph.Graph
 	p     *partition.Partitioning
 	ix    partition.PairIndexer
-	cfg   Config
-	alpha int64 // cfg.Alpha on the objective grid
+	alpha int64 // Config.Alpha on the objective grid
 
 	slot    []int32 // vertex -> candidate slot + 1; 0 = not in current pair
 	cands   []int32
@@ -119,11 +118,9 @@ type moveRec struct {
 func NewRefiner(g *graph.Graph, ix partition.PairIndexer, cfg Config) *Refiner {
 	k := ix.Partitioning().K
 	orderWords := partition.MaskWords(g.NumVertices())
-	cfg = cfg.WithDefaults()
 	r := &Refiner{
 		g:     g,
-		cfg:   cfg,
-		alpha: partition.Alpha(cfg.Alpha),
+		alpha: partition.Alpha(cfg.WithDefaults().Alpha),
 		slot:  make([]int32, g.NumVertices()),
 		order: scratchWords[uint64](orderWords),
 		osum:  scratchWords[uint64](partition.MaskWords(int32(orderWords))),
@@ -218,7 +215,7 @@ func (r *Refiner) refinePair(orig []int32, pi, pj int32, cs *partition.Costs, lo
 	bestLen := 0
 	bad := 0
 
-	for r.h.len() > 0 && bad < r.cfg.BadMoveLimit {
+	for r.h.len() > 0 && bad < badMoveLimit {
 		idx, gv, ok := r.h.popValid(r.gains, r.moved)
 		if !ok {
 			break

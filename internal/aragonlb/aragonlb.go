@@ -40,7 +40,6 @@ type Stats struct {
 // Repartition rebalances and then refines the decomposition p of g in
 // place against the relative cost matrix c.
 func Repartition(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config) (Stats, error) {
-	//lint:ignore wallclock whole-run stopwatch for Stats.Elapsed; never read by repartitioning decisions
 	start := time.Now()
 	if err := p.Validate(g); err != nil {
 		return Stats{}, fmt.Errorf("aragonlb: %w", err)
@@ -73,7 +72,6 @@ func Repartition(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg C
 	}
 	st.RefineMoves = res.Moves
 	st.Gain = cs.Real(res.Gain)
-	//lint:ignore wallclock Stats.Elapsed bookkeeping at the driver boundary
 	st.Elapsed = time.Since(start)
 	return st, nil
 }

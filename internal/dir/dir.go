@@ -76,19 +76,14 @@ type Options struct {
 	// cheaper (less copy-on-write) at slightly more pointer chasing.
 	ShardBits int
 	// Fabric optionally injects publish-phase faults: prepare/commit
-	// journal appends may be dropped (retried with capped backoff), the
-	// publisher may crash between prepare and flip, and a straggler
-	// delay may stretch the window. Nil runs fault-free.
+	// journal appends may be dropped (retried under
+	// faultsim.DefaultPolicy's capped backoff), the publisher may crash
+	// between prepare and flip, and a straggler delay may stretch the
+	// window. Nil runs fault-free.
 	Fabric faultsim.Fabric
-	// Policy bounds journal-append retries; the zero value is
-	// faultsim.DefaultPolicy.
-	Policy faultsim.Policy
-	// Clock, when set, absorbs the virtual ticks of modeled fsyncs,
-	// backoffs, and straggler delays.
+	// Clock, when set, absorbs the virtual ticks of modeled fsyncs
+	// (fsyncTicks each), backoffs, and straggler delays.
 	Clock *faultsim.Clock
-	// FsyncTicks is the virtual-clock cost of one modeled journal fsync
-	// (default 2).
-	FsyncTicks int64
 	// Trace, when set, receives epoch_prepare / epoch_commit /
 	// epoch_abort / dir_recovered events from the (serialized) publish
 	// and recovery paths.
@@ -108,12 +103,11 @@ func (o Options) withDefaults() Options {
 	if o.ShardBits > 24 {
 		o.ShardBits = 24
 	}
-	if o.FsyncTicks <= 0 {
-		o.FsyncTicks = 2
-	}
-	o.Policy = o.Policy.Normalized()
 	return o
 }
+
+// fsyncTicks is the virtual-clock cost of one modeled journal fsync.
+const fsyncTicks = 2
 
 // Snapshot is one immutable committed epoch: bit-packed assignment
 // vectors sharded by vertex-id range. Snapshots are never mutated after
@@ -280,12 +274,11 @@ func newDirMetrics(r *obs.Registry) dirMetrics {
 // number of goroutines and never block; publishes are serialized
 // internally (last caller wins the next epoch number).
 type Directory struct {
-	opts  Options
-	fab   faultsim.Fabric
-	clk   *faultsim.Clock
-	tr    *obs.Tracer
-	mx    dirMetrics
-	fsync int64
+	opts Options
+	fab  faultsim.Fabric
+	clk  *faultsim.Clock
+	tr   *obs.Tracer
+	mx   dirMetrics
 
 	cur atomic.Pointer[Snapshot]
 
@@ -310,12 +303,12 @@ func New(assign []int32, k int32, opts Options) (*Directory, error) {
 	opts = opts.withDefaults()
 	d := &Directory{
 		opts: opts, fab: opts.Fabric, clk: opts.Clock, tr: opts.Trace,
-		mx: newDirMetrics(opts.Metrics), fsync: opts.FsyncTicks,
+		mx: newDirMetrics(opts.Metrics),
 	}
 	s0 := buildSnapshot(assign, k, uint(opts.ShardBits), 0)
 	d.j = appendBaseRecord(d.j, assign, k, uint(opts.ShardBits))
 	d.mx.journalBytes.Add(int64(len(d.j)))
-	d.advance(d.fsync)
+	d.advance(fsyncTicks)
 	d.cur.Store(s0)
 	d.mx.epoch.Set(0)
 	return d, nil
@@ -443,7 +436,7 @@ func (d *Directory) abort(epoch int64, phase int32, attempts int) {
 }
 
 // appendRecord journals one record under the fsync model: every attempt
-// costs FsyncTicks of virtual time; under the fabric the write may be
+// costs fsyncTicks of virtual time; under the fabric the write may be
 // dropped and is retried after a capped backoff; beyond the retry budget
 // the append fails with ErrPublishFailed and the journal is unchanged
 // (the writer repairs its tail — torn tails only ever exist at a crash
@@ -455,18 +448,19 @@ func (d *Directory) abort(epoch int64, phase int32, attempts int) {
 // loop branch on which caller it serves.
 func (d *Directory) appendRecord(typ byte, epoch int64, payload []byte, fe, op int) (attempts int, err error) {
 	rec := appendRecordBytes(nil, typ, epoch, payload)
+	pol := faultsim.DefaultPolicy()
 	for attempt := 0; ; attempt++ {
-		d.advance(d.fsync)
+		d.advance(fsyncTicks)
 		if d.fab == nil || !d.fab.Drop(fe, op, attempt) {
 			d.j = append(d.j, rec...)
 			d.mx.journalBytes.Add(int64(len(rec)))
 			return attempt + 1, nil
 		}
-		if attempt >= d.opts.Policy.MaxRetries {
+		if attempt >= pol.MaxRetries {
 			return attempt + 1, fmt.Errorf("dir: journal append for epoch %d dropped %d times: %w", epoch, attempt+1, ErrPublishFailed)
 		}
 		d.mx.fsyncRetries.Inc()
-		d.advance(d.opts.Policy.Backoff(attempt))
+		d.advance(pol.Backoff(attempt))
 	}
 }
 

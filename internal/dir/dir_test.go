@@ -217,14 +217,14 @@ func TestPublishDropRetriesOnVirtualClock(t *testing.T) {
 		{Kind: faultsim.KindDrop, Round: 0, Index: opPrepare, Attempt: 0},
 	}})
 	clk := faultsim.NewClock()
-	d := mustNew(t, assign, 3, Options{Fabric: fab, Clock: clk, FsyncTicks: 2})
+	d := mustNew(t, assign, 3, Options{Fabric: fab, Clock: clk})
 	base := clk.Now() // the base-record fsync
 	if _, err := d.Publish(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Prepare fsync'd twice (drop + retry), commit once, plus one base
 	// backoff between the prepare attempts.
-	want := base + 3*2 + faultsim.DefaultPolicy().Backoff(0)
+	want := base + 3*fsyncTicks + faultsim.DefaultPolicy().Backoff(0)
 	if clk.Now() != want {
 		t.Fatalf("clock = %d ticks, want %d", clk.Now(), want)
 	}

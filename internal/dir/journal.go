@@ -227,7 +227,7 @@ func Recover(journal []byte, opts Options) (*Directory, error) {
 	torn := len(journal) - off
 	d := &Directory{
 		opts: opts, fab: opts.Fabric, clk: opts.Clock, tr: opts.Trace,
-		mx: newDirMetrics(opts.Metrics), fsync: opts.FsyncTicks,
+		mx: newDirMetrics(opts.Metrics),
 	}
 	d.j = append([]byte(nil), journal[:off]...)
 	d.cur.Store(cur)

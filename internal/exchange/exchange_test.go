@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +86,58 @@ func TestRegionConflictDetection(t *testing.T) {
 	servers[1].Updates[7] = 1
 	if _, err := (Region{}).Propagate(servers); err == nil {
 		t.Fatal("expected conflict error")
+	}
+}
+
+// Directory must surface conflicting shard updates as an error (like
+// Region), not silently keep the last writer.
+func TestDirectoryConflictDetection(t *testing.T) {
+	servers, _ := buildScenario(100, 2, 0, 3)
+	servers[0].Updates[7] = 0
+	servers[1].Updates[7] = 1
+	_, err := (Directory{}).Propagate(servers)
+	if err == nil {
+		t.Fatal("expected conflict error")
+	}
+	if !strings.Contains(err.Error(), "conflicting updates for vertex 7") {
+		t.Fatalf("conflict error %q does not name vertex 7", err)
+	}
+}
+
+// Multiple conflicts must report a deterministic representative (the
+// lowest vertex id), whatever order the goroutines pushed in.
+func TestDirectoryConflictDeterministicReport(t *testing.T) {
+	var msgs []string
+	for i := 0; i < 20; i++ {
+		servers, _ := buildScenario(100, 4, 0, 3)
+		for _, v := range []int32{90, 12, 55} {
+			servers[1].Updates[v] = 1
+			servers[3].Updates[v] = 2
+		}
+		_, err := (Directory{}).Propagate(servers)
+		if err == nil {
+			t.Fatal("expected conflict error")
+		}
+		msgs = append(msgs, err.Error())
+	}
+	for _, m := range msgs {
+		if m != msgs[0] {
+			t.Fatalf("conflict report unstable: %q vs %q", m, msgs[0])
+		}
+		if !strings.Contains(m, "vertex 12") {
+			t.Fatalf("conflict report %q does not pick the lowest vertex", m)
+		}
+	}
+}
+
+// Agreeing duplicate updates (same vertex, same location) are not a
+// conflict — retransmissions and echoes stay legal.
+func TestDirectoryAgreeingDuplicatesOK(t *testing.T) {
+	servers, _ := buildScenario(100, 2, 0, 3)
+	servers[0].Updates[7] = 1
+	servers[1].Updates[7] = 1
+	if _, err := (Directory{}).Propagate(servers); err != nil {
+		t.Fatalf("agreeing duplicates rejected: %v", err)
 	}
 }
 

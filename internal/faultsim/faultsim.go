@@ -2,8 +2,8 @@
 // degraded-mode recovery. Distributed refiners in the wild must survive
 // worker loss, dropped reduces, and half-applied migrations; this package
 // makes those failures *seeded and replayable* so the recovery semantics
-// of internal/paragon, internal/exchange, and internal/migrate can be
-// swept and pinned by tests instead of hoped for.
+// of internal/paragon, internal/dir, and internal/migrate can be swept
+// and pinned by tests instead of hoped for.
 //
 // Three properties shape the design:
 //
@@ -42,8 +42,8 @@ const (
 	// KindStraggler delays a group server by Delay virtual ticks; a delay
 	// past the round timeout drops the group's outcome like a crash.
 	KindStraggler
-	// KindDrop loses one exchange message (a region reduce, or a
-	// directory push/pull batch); the sender retries with capped backoff.
+	// KindDrop loses one message (a region reduce, or a directory
+	// journal append); the sender retries with capped backoff.
 	KindDrop
 	// KindAbort kills a migration mid-plan; every rank rolls back to its
 	// pre-plan state.
@@ -71,7 +71,7 @@ func (k Kind) String() string {
 //
 //	KindCrash:     Round = refinement round, Index = group
 //	KindStraggler: Round = refinement round, Index = group, Delay = ticks
-//	KindDrop:      Round = round (or exchange epoch), Index = region/op,
+//	KindDrop:      Round = round (or publish epoch), Index = region/op,
 //	               Attempt = which delivery attempt is lost
 //	KindAbort:     Round = migration epoch, Index = plan move index
 type Event struct {
@@ -104,8 +104,8 @@ type Config struct {
 // answer deterministically from a seed or a script. All methods must be
 // safe for concurrent use and independent of call order.
 type Fabric interface {
-	// NextEpoch returns a fresh epoch for a standalone operation (an
-	// exchange Propagate, a migration Execute) so repeated operations
+	// NextEpoch returns a fresh epoch for a standalone operation (a
+	// directory publish, a migration Execute) so repeated operations
 	// under one fabric see distinct schedules.
 	NextEpoch() int
 	// CrashGroup reports whether group's server crashes in round.
@@ -388,29 +388,9 @@ func DefaultPolicy() Policy {
 	return Policy{MaxRetries: 4, BackoffBase: 1, BackoffCap: 16, RoundTimeout: 16}
 }
 
-// Normalized fills zero fields so a zero Policy behaves like
-// DefaultPolicy — what consumers call once up front.
-func (p Policy) Normalized() Policy {
-	d := DefaultPolicy()
-	if p.MaxRetries == 0 {
-		p.MaxRetries = d.MaxRetries
-	}
-	if p.BackoffBase == 0 {
-		p.BackoffBase = d.BackoffBase
-	}
-	if p.BackoffCap == 0 {
-		p.BackoffCap = d.BackoffCap
-	}
-	if p.RoundTimeout == 0 {
-		p.RoundTimeout = d.RoundTimeout
-	}
-	return p
-}
-
 // Backoff returns the capped exponential backoff, in virtual ticks,
 // before retry attempt (0-based: the wait after the attempt-th loss).
 func (p Policy) Backoff(attempt int) int64 {
-	p = p.Normalized()
 	b := p.BackoffBase
 	for i := 0; i < attempt; i++ {
 		b <<= 1

@@ -192,11 +192,6 @@ func TestPolicyBackoffCapped(t *testing.T) {
 			t.Fatalf("backoff(%d) = %d, want %d", i, got, w)
 		}
 	}
-	// Zero value behaves like the default.
-	var zero Policy
-	if zero.Backoff(3) != 8 || zero.Normalized() != DefaultPolicy() {
-		t.Fatal("zero Policy does not default")
-	}
 }
 
 // The stochastic layer's empirical rate should be in the neighborhood of

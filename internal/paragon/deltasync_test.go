@@ -57,7 +57,7 @@ func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
 			name: "fault-rate",
 			input: func(t *testing.T) (*graph.Graph, *partition.Partitioning, [][]float64, Config) {
 				g, p, c := archAwareInput(t)
-				return g, p, c, Config{DRP: 4, Shuffles: 3, Seed: 5, FaultRate: 0.3, FaultSeed: 2}
+				return g, p, c, Config{DRP: 4, Shuffles: 3, Seed: 5, Fabric: faultsim.NewInjector(faultsim.Config{Seed: 2, Rate: 0.3})}
 			},
 		},
 		{
@@ -114,7 +114,7 @@ func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
 				if waves == 0 {
 					t.Fatalf("workers=%d: no wave ever synced; the cross-check is vacuous", workers)
 				}
-				if cfg.FaultRate > 0 && st.Faults.DegradedGroups == 0 {
+				if cfg.Fabric != nil && st.Faults.DegradedGroups == 0 {
 					t.Fatal("no group was degraded; the faulty case is vacuous")
 				}
 				if tc.untouched != nil && st.Faults.CrashedGroups != 1 {
@@ -171,7 +171,8 @@ func TestPairCandidatesMatchScan(t *testing.T) {
 					candidates += len(want)
 				}
 			}
-			st, err := Refine(g, p, c, Config{DRP: 4, Shuffles: 2, Seed: 5, KHop: khop, Workers: workers, FaultRate: 0.3, FaultSeed: 2})
+			st, err := Refine(g, p, c, Config{DRP: 4, Shuffles: 2, Seed: 5, KHop: khop, Workers: workers,
+				Fabric: faultsim.NewInjector(faultsim.Config{Seed: 2, Rate: 0.3})})
 			testWaveSynced = nil
 			if err != nil {
 				t.Fatal(err)

@@ -116,20 +116,34 @@ func TestRefineWithContentionMatrixShiftsCut(t *testing.T) {
 	}
 }
 
+// setRegionSize lowers the location-exchange region for the rest of the
+// test. It writes a package variable, so its callers must not run in
+// parallel.
+func setRegionSize(t *testing.T, size int64) {
+	old := maxRegionSize
+	maxRegionSize = size
+	t.Cleanup(func() { maxRegionSize = old })
+}
+
 func TestRegionSizeDoesNotChangeResult(t *testing.T) {
-	// RegionSize only affects exchange accounting, never the refinement.
+	// The region size only affects exchange accounting, never the refinement.
 	g := gen.Mesh2D(16, 16)
 	p1 := stream.DG(g, 6, stream.DefaultOptions())
 	p2 := p1.Clone()
 	if _, err := RefineUniform(g, p1, Config{DRP: 3, Shuffles: 2, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RefineUniform(g, p2, Config{DRP: 3, Shuffles: 2, Seed: 4, RegionSize: 17}); err != nil {
+	setRegionSize(t, 17)
+	st, err := RefineUniform(g, p2, Config{DRP: 3, Shuffles: 2, Seed: 4})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if st.ExchangeRegions < 2 {
+		t.Fatalf("regions = %d, want several at region size 17", st.ExchangeRegions)
 	}
 	for v := range p1.Assign {
 		if p1.Assign[v] != p2.Assign[v] {
-			t.Fatal("RegionSize changed the refinement result")
+			t.Fatal("the region size changed the refinement result")
 		}
 	}
 }

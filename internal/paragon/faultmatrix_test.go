@@ -26,10 +26,10 @@ func TestFaultMatrix(t *testing.T) {
 	var totalFaultActivity int64
 	for _, rate := range rates {
 		for _, fseed := range seeds {
-			cfg := Config{DRP: 6, Shuffles: 4, Seed: 9, FaultRate: rate, FaultSeed: fseed}
 			run := func() (*partition.Partitioning, Stats) {
 				p := p0.Clone()
-				st, err := RefineUniform(g, p, cfg)
+				st, err := RefineUniform(g, p, Config{DRP: 6, Shuffles: 4, Seed: 9,
+					Fabric: faultsim.NewInjector(faultsim.Config{Seed: fseed, Rate: rate})})
 				if err != nil {
 					t.Fatalf("rate %v seed %d: Refine failed: %v", rate, fseed, err)
 				}

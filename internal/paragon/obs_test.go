@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"testing"
 
+	"paragon/internal/faultsim"
 	"paragon/internal/gen"
 	"paragon/internal/obs"
 	"paragon/internal/stream"
 )
 
 // TestObsDeterminismAcrossWorkers pins the observability half of the
-// determinism contract (DESIGN.md §10, §13): for a fixed (Seed,
-// FaultSeed, FaultRate), the serialized trace and metrics must be
+// determinism contract (DESIGN.md §10, §13): for a fixed Seed and fault
+// schedule, the serialized trace and metrics must be
 // byte-identical at every Workers value — worker count may change wall
 // clock and memory placement, never what the run observes about itself.
 // Fault injection is on so the fault/retry/backoff event paths are
@@ -26,8 +27,8 @@ func TestObsDeterminismAcrossWorkers(t *testing.T) {
 		reg := obs.NewRegistry()
 		st, err := RefineUniform(g, p, Config{
 			DRP: 4, Shuffles: 4, Seed: 9, Workers: workers,
-			FaultRate: 0.05, FaultSeed: 3,
-			Trace: tr, Metrics: reg,
+			Fabric: faultsim.NewInjector(faultsim.Config{Seed: 3, Rate: 0.05}),
+			Trace:  tr, Metrics: reg,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -70,9 +71,10 @@ func TestObsMetricsAgreeWithStats(t *testing.T) {
 	g.UseDegreeWeights()
 	p := stream.DG(g, 16, stream.DefaultOptions())
 	reg := obs.NewRegistry()
+	setRegionSize(t, 100)
 	refineOnce := func(seed int64) Stats {
-		st, err := RefineUniform(g, p, Config{DRP: 4, Shuffles: 6, Seed: seed, RegionSize: 100,
-			FaultRate: 0.45, FaultSeed: seed + 5, Metrics: reg})
+		st, err := RefineUniform(g, p, Config{DRP: 4, Shuffles: 6, Seed: seed,
+			Fabric: faultsim.NewInjector(faultsim.Config{Seed: seed + 5, Rate: 0.45}), Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,30 +65,18 @@ type Config struct {
 	// Seed drives grouping and shuffling; a fixed seed makes the whole
 	// refinement deterministic.
 	Seed int64
-	// BadMoveLimit bounds non-improving moves per pair (default 64).
-	BadMoveLimit int
 	// NodeOf optionally maps each server (partition index) to its
 	// compute node, enabling Eq. 10's σ(s) group-server spreading
 	// penalty and the region-exchange accounting. Nil treats every
 	// server as its own node.
 	NodeOf []int
-	// RegionSize overrides the location-exchange region size of §5
-	// (default min(2^26, |V|)).
-	RegionSize int64
-	// FaultRate, together with FaultSeed, installs the deterministic
-	// fault injector of internal/faultsim: every fault point (group
-	// crash, straggler delay, exchange-reduce drop) fires independently
-	// with this probability, hashed from FaultSeed so identical
-	// (FaultSeed, FaultRate) runs see identical fault schedules. Zero
-	// disables the fault layer entirely.
-	FaultRate float64
-	// FaultSeed seeds the fault schedule (independent of Seed, so the
-	// same refinement can be swept across fault schedules).
-	FaultSeed int64
-	// Fabric overrides FaultRate/FaultSeed with an explicit fault
-	// fabric — a scripted schedule being replayed, or a zero-fault
-	// injector when measuring instrumentation overhead. With a nil
-	// Fabric and FaultRate 0 the fault layer is a true no-op.
+	// Fabric installs a deterministic fault fabric (internal/faultsim):
+	// group crashes, straggler delays and exchange-reduce drops fire at
+	// its fault points — a seeded faultsim.Injector, or a scripted
+	// schedule being replayed. An Injector keeps counters and a realized
+	// log, so give each Refine call its own. Nil makes the fault layer a
+	// true no-op; a zero-rate injector is not one — the driver still
+	// advances the virtual clock per group.
 	Fabric faultsim.Fabric
 	// Trace, when non-nil, receives the structured refinement event
 	// stream (round/wave/pair/fault/exchange events, DESIGN.md §13).
@@ -104,9 +92,9 @@ type Config struct {
 	Metrics *obs.Registry
 	// Portfolio sizes the seeded-ensemble layer (internal/portfolio):
 	// Size independent refinements raced on the worker pool, the best
-	// selected by partition.Score's total order, the top CombineTop
-	// overlaid by the combine operator. Consumed only by the portfolio
-	// driver — plain Refine ignores it.
+	// selected by partition.Score's total order, the two best overlaid by
+	// the combine operator. Consumed only by the portfolio driver — plain
+	// Refine ignores it.
 	Portfolio PortfolioConfig
 	// Directory, when non-nil, is the epoch-versioned serving layer
 	// (internal/dir): after each committed refinement round the driver
@@ -121,11 +109,11 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's evaluation defaults: drp = 8, eight
-// shuffle rounds, k-hop 0, and ARAGON's α = 10, 2% imbalance and bad-move
-// limit (aragon.Config.WithDefaults, the one place they are written).
+// shuffle rounds, k-hop 0, and ARAGON's α = 10 and 2% imbalance
+// (aragon.Config.WithDefaults, the one place they are written).
 func DefaultConfig() Config {
 	a := aragon.Config{}.WithDefaults()
-	return Config{DRP: 8, Shuffles: 8, Alpha: a.Alpha, MaxImbalance: a.MaxImbalance, BadMoveLimit: a.BadMoveLimit}
+	return Config{DRP: 8, Shuffles: 8, Alpha: a.Alpha, MaxImbalance: a.MaxImbalance}
 }
 
 // PortfolioConfig tunes the portfolio driver. It lives here (not in
@@ -135,10 +123,6 @@ type PortfolioConfig struct {
 	// refinements of the same input, raced to completion with no
 	// cross-member barriers. 0 or negative picks 4.
 	Size int
-	// CombineTop is how many of the best members the combine operator
-	// overlays; the overlay is currently pairwise, so any value >= 2
-	// combines the top two and values < 2 disable combining. Default 2.
-	CombineTop int
 }
 
 // WithDefaults returns the config with the paper's defaults filled in
@@ -148,9 +132,6 @@ type PortfolioConfig struct {
 func (c Config) WithDefaults(k int32) Config {
 	if c.Portfolio.Size <= 0 {
 		c.Portfolio.Size = 4
-	}
-	if c.Portfolio.CombineTop == 0 {
-		c.Portfolio.CombineTop = 2
 	}
 	if c.DRP == 0 {
 		c.DRP = 8
@@ -172,34 +153,24 @@ func (c Config) WithDefaults(k int32) Config {
 		c.Shuffles = 0
 	}
 	a := c.AragonConfig().WithDefaults()
-	c.Alpha, c.MaxImbalance, c.BadMoveLimit = a.Alpha, a.MaxImbalance, a.BadMoveLimit
+	c.Alpha, c.MaxImbalance = a.Alpha, a.MaxImbalance
 	return c
 }
 
-// FaultFabric resolves the fault fabric a run under this config
-// consults: an explicit Fabric wins, FaultRate > 0 builds the seeded
-// injector, otherwise nil — the fault layer is a true no-op. An injector,
-// either way, reports its fired-fault counters to Metrics.
+// FaultFabric returns the fabric a run under this config consults,
+// Fabric, after pointing an Injector's fired-fault counters at Metrics.
 func (c Config) FaultFabric() faultsim.Fabric {
-	fab := c.Fabric
-	if fab == nil && c.FaultRate > 0 {
-		fab = faultsim.NewInjector(faultsim.Config{Seed: c.FaultSeed, Rate: c.FaultRate})
-	}
-	if in, ok := fab.(*faultsim.Injector); ok && c.Metrics != nil {
+	if in, ok := c.Fabric.(*faultsim.Injector); ok && c.Metrics != nil {
 		in.Observe(c.Metrics)
 	}
-	return fab
+	return c.Fabric
 }
 
 // AragonConfig projects the pairwise-refiner settings out of the driver
 // config — shared by the scheduler's workers and the portfolio members,
 // so both refine under identical Eq. 5 gain rules.
 func (c Config) AragonConfig() aragon.Config {
-	return aragon.Config{
-		Alpha:        c.Alpha,
-		MaxImbalance: c.MaxImbalance,
-		BadMoveLimit: c.BadMoveLimit,
-	}
+	return aragon.Config{Alpha: c.Alpha, MaxImbalance: c.MaxImbalance}
 }
 
 // Stats reports what one Refine call did, including the simulated
@@ -303,6 +274,11 @@ type driver struct {
 	st         Stats
 }
 
+// maxRegionSize is the location-exchange region of §5, 2^26 vertex ids; a
+// smaller graph exchanges in one region of |V|. Tests lower it to reach
+// multi-region exchanges on graphs they can hold.
+var maxRegionSize int64 = 1 << 26
+
 func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config, ix *partition.Index) (Stats, error) {
 	// Refine is the driver boundary: it orchestrates the group servers
 	// and reports Stats.RefinementTime, but the clock never influences
@@ -371,10 +347,7 @@ func (d *driver) open() error {
 	g, p, cfg := d.g, d.p, d.cfg
 	d.rng = rand.New(rand.NewSource(cfg.Seed))
 	n := int64(g.NumVertices())
-	d.regionSize = cfg.RegionSize
-	if d.regionSize <= 0 {
-		d.regionSize = int64(1) << 26
-	}
+	d.regionSize = maxRegionSize
 	if d.regionSize > n && n > 0 {
 		d.regionSize = n
 	}

@@ -378,7 +378,8 @@ func TestStatsVolumeAccounting(t *testing.T) {
 func TestRegionChunking(t *testing.T) {
 	g := gen.ErdosRenyi(1000, 3000, 9)
 	p := stream.HP(g, 4)
-	st, err := RefineUniform(g, p, Config{DRP: 2, Shuffles: 2, Seed: 5, RegionSize: 300})
+	setRegionSize(t, 300)
+	st, err := RefineUniform(g, p, Config{DRP: 2, Shuffles: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

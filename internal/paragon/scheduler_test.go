@@ -56,7 +56,8 @@ func TestSchedulerDeterminism(t *testing.T) {
 				g := gen.BarabasiAlbert(3000, 4, 7)
 				g.UseDegreeWeights()
 				p := stream.LDG(g, 30, stream.DefaultOptions())
-				st, err := RefineUniform(g, p, Config{DRP: 4, Shuffles: 3, Seed: 11, Workers: workers, FaultRate: 0.15, FaultSeed: 6})
+				st, err := RefineUniform(g, p, Config{DRP: 4, Shuffles: 3, Seed: 11, Workers: workers,
+					Fabric: faultsim.NewInjector(faultsim.Config{Seed: 6, Rate: 0.15})})
 				if err != nil {
 					t.Fatal(err)
 				}

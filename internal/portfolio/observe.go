@@ -18,7 +18,7 @@ func emitObservability(cfg paragon.Config, st *Stats) {
 	}
 	if tr := cfg.Trace; tr != nil {
 		tr.Emit(obs.Event{Kind: obs.KindPortfolioStart, Round: -1,
-			N: int64(st.Size), M: int64(cfg.Portfolio.CombineTop)})
+			N: int64(st.Size), M: 2}) // the combine overlays the two best
 		for m, ms := range st.Members {
 			if ms.Forfeited {
 				tr.Emit(obs.Event{Kind: obs.KindMemberForfeit, Round: -1, A: int32(m)})

@@ -20,9 +20,9 @@
 // re-refines only where they disagree — the one phase whose waves hold
 // several pairs: every pair of the touched partitions, on member scratch
 // 0's wave engine reopened with all cfg.Workers workers. Faults
-// (Config.Fabric / FaultRate) resolve per member, up front, on the
-// coordinator — a crashed member forfeits and is excluded from scoring,
-// never silently substituted.
+// (Config.Fabric) resolve per member, up front, on the coordinator — a
+// crashed member forfeits and is excluded from scoring, never silently
+// substituted.
 package portfolio
 
 import (
@@ -235,7 +235,7 @@ func (pool *Pool) race(st *Stats, g *graph.Graph, p *partition.Partitioning, cs 
 		st.SelectedScore = pool.scores[st.Winner]
 	}
 
-	if cfg.Portfolio.CombineTop >= 2 && st.RunnerUp >= 0 {
+	if st.RunnerUp >= 0 {
 		pool.combine(st, pool.assigns[st.Winner], pool.assigns[st.RunnerUp], p.Assign, cs, cfg, combineRounds)
 		if st.CombinedScore.Better(st.SelectedScore) {
 			st.CombineApplied = true

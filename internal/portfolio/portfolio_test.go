@@ -106,13 +106,12 @@ func TestPortfolioDeterminism(t *testing.T) {
 				p := p0.Clone()
 				cfg := paragon.Config{
 					DRP: 4, Shuffles: 2, Seed: 7, Workers: workers, KHop: tc.khop,
-					Portfolio: paragon.PortfolioConfig{Size: 5, CombineTop: 2},
+					Portfolio: paragon.PortfolioConfig{Size: 5},
 					Trace:     obs.NewTracer(0),
 					Metrics:   obs.NewRegistry(),
 				}
 				if faulty {
-					cfg.FaultRate = 0.3
-					cfg.FaultSeed = 3
+					cfg.Fabric = faultsim.NewInjector(faultsim.Config{Seed: 3, Rate: 0.3})
 				}
 				st, err := Refine(g, p, c, cfg)
 				if err != nil {
@@ -192,7 +191,7 @@ func TestPortfolioCrashedMemberExclusion(t *testing.T) {
 	g, p0, c := testInput(t, 3000, 18000, 24)
 	cfg := paragon.Config{
 		DRP: 4, Shuffles: 1, Seed: 13,
-		Portfolio: paragon.PortfolioConfig{Size: 4, CombineTop: 0},
+		Portfolio: paragon.PortfolioConfig{Size: 4},
 	}
 	p := p0.Clone()
 	clean, err := Refine(g, p, c, cfg)
@@ -277,7 +276,7 @@ func TestPortfolioCombineNeverWorse(t *testing.T) {
 		p := p0.Clone()
 		cfg := paragon.Config{
 			DRP: 4, Shuffles: 1, Seed: seed,
-			Portfolio: paragon.PortfolioConfig{Size: 4, CombineTop: 2},
+			Portfolio: paragon.PortfolioConfig{Size: 4},
 		}
 		st, err := Refine(g, p, c, cfg)
 		if err != nil {
@@ -323,7 +322,7 @@ func TestPortfolioPoolAllocsFlat(t *testing.T) {
 		measure := func(size int, pool *Pool) float64 {
 			cfg := paragon.Config{
 				DRP: 4, Shuffles: 1, Seed: 3, Workers: 2, KHop: khop,
-				Portfolio: paragon.PortfolioConfig{Size: size, CombineTop: 2},
+				Portfolio: paragon.PortfolioConfig{Size: size},
 			}
 			p := p0.Clone()
 			// Warm the pool (first run sizes every buffer).
@@ -365,7 +364,7 @@ func TestPortfolioSelectedBeatsInput(t *testing.T) {
 	p := p0.Clone()
 	st, err := Refine(g, p, c, paragon.Config{
 		DRP: 4, Shuffles: 1, Seed: 1,
-		Portfolio: paragon.PortfolioConfig{Size: 4, CombineTop: 2},
+		Portfolio: paragon.PortfolioConfig{Size: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -616,7 +615,7 @@ func TestMembersOnEngineMatchSerialLoop(t *testing.T) {
 					}
 					name := fmt.Sprintf("k%d-%s-khop%d-shuffles%d", k, cm.name, khop, shuffles)
 					cfg := paragon.Config{DRP: drp, Shuffles: shuffles, KHop: khop, Seed: 5,
-						Portfolio: paragon.PortfolioConfig{Size: 3, CombineTop: 2}}.WithDefaults(k)
+						Portfolio: paragon.PortfolioConfig{Size: 3}}.WithDefaults(k)
 					type ref struct {
 						assign []int32
 						loads  []int64
@@ -667,7 +666,7 @@ func TestPortfolioLeavesNoGoroutine(t *testing.T) {
 	for call := 0; call < 3; call++ {
 		st, err := RefineWithPool(g, p0.Clone(), c, paragon.Config{
 			DRP: 4, Shuffles: 1, Seed: 3, Workers: 8,
-			Portfolio: paragon.PortfolioConfig{Size: 4, CombineTop: 2},
+			Portfolio: paragon.PortfolioConfig{Size: 4},
 		}, &pool)
 		if err != nil {
 			t.Fatal(err)
@@ -692,7 +691,7 @@ func TestObsCombineCountersAgreeWithStats(t *testing.T) {
 	g, p, c := testInput(t, 3000, 18000, 24)
 	cfg := paragon.Config{
 		DRP: 4, Shuffles: 1, Seed: 1, Trace: obs.NewTracer(0), Metrics: obs.NewRegistry(),
-		Portfolio: paragon.PortfolioConfig{Size: 4, CombineTop: 2},
+		Portfolio: paragon.PortfolioConfig{Size: 4},
 	}
 	st, err := Refine(g, p, c, cfg)
 	if err != nil {

@@ -315,7 +315,6 @@ func (s *Session) launchEpoch(seq int64, d dyn.Decision) {
 	refCfg.Directory = nil // the session publishes at the merge, not per round
 	refCfg.Metrics = s.cfg.Metrics
 	refCfg.Fabric = nil
-	refCfg.FaultRate = 0
 	if s.cfg.FaultRate > 0 {
 		refCfg.Fabric = faultsim.NewInjector(faultsim.Config{
 			Seed: int64(detrand.Fin64(uint64(s.cfg.FaultSeed) ^ detrand.Fin64(uint64(launch)+0xe7))),

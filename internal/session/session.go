@@ -65,13 +65,13 @@ type Config struct {
 	CooldownBatches int
 	// Refine configures the per-epoch refinement. The session overrides
 	// the ownership fields — Trace and Directory are forced nil (the
-	// session emits its own events and owns publishing), Fabric/
-	// FaultRate/FaultSeed are replaced by the session's per-epoch
-	// injectors, and Seed is folded with the epoch launch index so each
-	// epoch draws a fresh deterministic schedule. Zero fields get the
-	// paper's defaults (paragon.Config.WithDefaults), except Shuffles,
-	// where 0 means 2 — epochs run often; nine rounds each would starve
-	// ingest — and a negative value means none.
+	// session emits its own events and owns publishing), Fabric is
+	// replaced by the session's per-epoch injector, and Seed is folded
+	// with the epoch launch index so each epoch draws a fresh
+	// deterministic schedule. Zero fields get the paper's defaults
+	// (paragon.Config.WithDefaults), except Shuffles, where 0 means 2 —
+	// epochs run often; nine rounds each would starve ingest — and a
+	// negative value means none.
 	Refine paragon.Config
 	// Costs is the k×k relative communication cost matrix (required).
 	Costs [][]float64

@@ -248,6 +248,21 @@ func asymmetricCosts(k int) [][]float64 {
 	return c
 }
 
+// checkLiveScore holds the incrementally maintained score to a
+// from-scratch Eq. 2–4 computation over the materialized live graph.
+func checkLiveScore(t *testing.T, s *Session, when string) {
+	t.Helper()
+	live := &partition.Partitioning{K: tK, Assign: s.live}
+	ref := partition.ComputeScore(s.materialize(), live, s.live, s.cfg.Costs, s.cfg.Refine.Alpha)
+	got := s.LiveScore()
+	if got.EdgeCut != ref.EdgeCut || got.Comm != ref.Comm || got.CommCost != ref.CommCost {
+		t.Fatalf("%s: incremental cut %d comm %d (%v) != recomputed %d, %d (%v)", when, got.EdgeCut, got.Comm, got.CommCost, ref.EdgeCut, ref.Comm, ref.CommCost)
+	}
+	if math.Abs(got.Skewness-ref.Skewness) > 1e-12 {
+		t.Fatalf("%s: incremental skew %v != recomputed %v", when, got.Skewness, ref.Skewness)
+	}
+}
+
 // The incrementally maintained score must equal a from-scratch Eq. 2–4
 // computation over the materialized live graph after every batch and at
 // every join: a committed epoch folds its moves in edge by edge, an
@@ -268,18 +283,6 @@ func TestSessionLiveStateConsistency(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check := func(when string) {
-					t.Helper()
-					live := &partition.Partitioning{K: tK, Assign: s.live}
-					ref := partition.ComputeScore(s.materialize(), live, s.live, s.cfg.Costs, s.cfg.Refine.Alpha)
-					got := s.LiveScore()
-					if got.EdgeCut != ref.EdgeCut || got.Comm != ref.Comm || got.CommCost != ref.CommCost {
-						t.Fatalf("%s: incremental cut %d comm %d (%v) != recomputed %d, %d (%v)", when, got.EdgeCut, got.Comm, got.CommCost, ref.EdgeCut, ref.Comm, ref.CommCost)
-					}
-					if math.Abs(got.Skewness-ref.Skewness) > 1e-12 {
-						t.Fatalf("%s: incremental skew %v != recomputed %v", when, got.Skewness, ref.Skewness)
-					}
-				}
 				// join merges the in-flight epoch apart from any batch's ops,
 				// so what the join alone did to the score is checked.
 				commits, aborts := 0, 0
@@ -295,7 +298,7 @@ func TestSessionLiveStateConsistency(t *testing.T) {
 					} else if aborts++; s.LiveScore() != before {
 						t.Fatalf("%s: aborted epoch changed the live score %+v -> %+v", when, before, s.LiveScore())
 					}
-					check(when)
+					checkLiveScore(t, s, when)
 				}
 				w := dyn.NewWorkload(13, dyn.WorkloadConfig{Adds: 50, Removes: 20, Arrivals: 6})
 				for i := 0; i < 40; i++ {
@@ -305,7 +308,7 @@ func TestSessionLiveStateConsistency(t *testing.T) {
 					if _, err := s.Ingest(w.Next(s.Source())); err != nil {
 						t.Fatal(err)
 					}
-					check(fmt.Sprintf("batch %d", i))
+					checkLiveScore(t, s, fmt.Sprintf("batch %d", i))
 				}
 				if s.run != nil {
 					join("drain")
@@ -329,6 +332,54 @@ func TestSessionLiveStateConsistency(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A session whose every fault point fires, fed nothing but empty batches,
+// can never commit: every joined epoch aborts and the directory stays at
+// epoch 0. The trigger, which the aborts never clear, must back off — a
+// launch, its join EpochLagBatches later, then CooldownBatches of rest —
+// instead of relaunching every batch, and the live score must stay the
+// from-scratch one throughout.
+func TestSessionCertainFaultsBackOffOnEmptyBatches(t *testing.T) {
+	g0, p0 := testBase(t)
+	cfg := testConfig(2, 1.0, nil, nil)
+	cfg.Trigger = dyn.TriggerPolicy{MaxSkew: 0.5} // skewness is >= 1: always fires
+	s, err := New(g0, p0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gap := int64(s.cfg.EpochLagBatches + s.cfg.CooldownBatches)
+	lastLaunch := int64(-1)
+	launches, joins := 0, 0
+	for i := 0; i < 40; i++ {
+		st, err := s.Ingest(dyn.Batch{})
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if st.Joined {
+			joins++
+			if st.Committed {
+				t.Fatalf("batch %d: an epoch committed under a certain-fault fabric", i)
+			}
+		}
+		if got := s.Directory().Epoch(); got != 0 {
+			t.Fatalf("batch %d: directory advanced to epoch %d", i, got)
+		}
+		if st.Launched {
+			if lastLaunch >= 0 && st.Seq-lastLaunch < gap {
+				t.Fatalf("batch %d: relaunched %d batches after the last launch, want >= %d", i, st.Seq-lastLaunch, gap)
+			}
+			lastLaunch = st.Seq
+			launches++
+		}
+		checkLiveScore(t, s, fmt.Sprintf("batch %d", i))
+	}
+	if launches < 3 || joins < 2 {
+		t.Fatalf("%d launches, %d joins in 40 batches: the back-off is not exercised", launches, joins)
+	}
+	if st := s.Stats(); st.EpochsAborted != int64(joins) || st.EpochsCommitted != 0 {
+		t.Fatalf("%d joins, but %d aborted and %d committed", joins, st.EpochsAborted, st.EpochsCommitted)
 	}
 }
 

@@ -87,7 +87,6 @@ func ConnectivityCut(g *graph.Graph, p *partition.Partitioning) float64 {
 // connectivity-1 plus migration while restoring balance. It returns the
 // new decomposition and statistics.
 func Repartition(g *graph.Graph, old *partition.Partitioning, opt Options) (*partition.Partitioning, Stats, error) {
-	//lint:ignore wallclock whole-run stopwatch for Stats.Elapsed; never read by repartitioning decisions
 	start := time.Now()
 	if err := old.Validate(g); err != nil {
 		return nil, Stats{}, fmt.Errorf("zoltan: %w", err)
@@ -150,7 +149,6 @@ func Repartition(g *graph.Graph, old *partition.Partitioning, opt Options) (*par
 		}
 	}
 	st.ConnectivityAfter = ConnectivityCut(g, p)
-	//lint:ignore wallclock Stats.Elapsed bookkeeping at the driver boundary
 	st.Elapsed = time.Since(start)
 	return p, st, nil
 }

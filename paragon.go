@@ -284,9 +284,9 @@ type FaultConfig = faultsim.Config
 // FaultInjector generates replayable fault schedules: group-server
 // crashes, straggler delays, exchange message drops, and migration
 // aborts, each a pure hash of (seed, coordinates). Install one via
-// Config.Fabric, or set Config.FaultRate/FaultSeed to have Refine build
-// its own. Its Realized method returns the schedule that fired, which
-// replays bit-identically as FaultConfig.Script.
+// Config.Fabric, a fresh one per Refine call: an injector keeps counters
+// and the log of what fired. Its Realized method returns that schedule,
+// which replays bit-identically as FaultConfig.Script.
 type FaultInjector = faultsim.Injector
 
 // FaultEvent is one scripted (or realized) fault.

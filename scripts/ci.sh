@@ -106,7 +106,7 @@ cmp "$obsdir/dm1.prom" "$obsdir/dm8.prom"
 for cl in uma pitt; do
     for w in 1 8; do
         "$obsdir/paragon" -in "$obsdir/g.metis" -k 16 -cluster "$cl" -workers "$w" -seed 9 \
-            -shuffles 2 -portfolio 4 -portfolio-combine 2 -out "$obsdir/pa-$cl$w.txt" \
+            -shuffles 2 -portfolio 4 -out "$obsdir/pa-$cl$w.txt" \
             -trace "$obsdir/pt-$cl$w.jsonl" -metrics "$obsdir/pm-$cl$w.prom" > /dev/null
     done
     cmp "$obsdir/pa-${cl}1.txt" "$obsdir/pa-${cl}8.txt"
@@ -118,7 +118,7 @@ done
 # instead of at every barrier (DESIGN.md §17).
 for w in 1 8; do
     "$obsdir/paragon" -in "$obsdir/g.metis" -k 16 -cluster pitt -khop 1 -workers "$w" -seed 9 \
-        -shuffles 2 -portfolio 4 -portfolio-combine 2 -out "$obsdir/pk$w.txt" \
+        -shuffles 2 -portfolio 4 -out "$obsdir/pk$w.txt" \
         -trace "$obsdir/pkt$w.jsonl" -metrics "$obsdir/pkm$w.prom" > /dev/null
 done
 cmp "$obsdir/pk1.txt" "$obsdir/pk8.txt"
@@ -137,12 +137,19 @@ go test -bench=. -benchtime=1x -run='^$' ./... > /dev/null
 (cd bench && go vet ./... && go test ./...)
 
 # Layering guards: the serving layer must not depend on the exchange
-# strategies, and the splitmix64/FNV-1a primitives stay defined once, in
-# internal/detrand (its pinned vectors are what keep seeds and journal
-# checksums stable). Plain `! cmd` would be exempt from errexit.
+# strategies, the exchange models stay a fault-free, unobserved model
+# (the driver's region exchange is the one that runs under faults), and
+# the splitmix64/FNV-1a primitives stay defined once, in internal/detrand
+# (its pinned vectors are what keep seeds and journal checksums stable).
+# Plain `! cmd` would be exempt from errexit.
 dirdeps="$(go list -deps ./internal/dir)"
 if grep -q internal/exchange <<< "$dirdeps"; then
     echo "ci: internal/dir depends on internal/exchange" >&2
+    exit 1
+fi
+exchangedeps="$(go list -deps ./internal/exchange)"
+if grep -qE 'internal/(faultsim|obs)$' <<< "$exchangedeps"; then
+    echo "ci: internal/exchange grew a fault or observability layer again; the driver's exchangeRegions is the faulty exchange" >&2
     exit 1
 fi
 if git grep -nE 'func (mix64|sessionMix|splitmixFin|fnvFold|fnvMix)\(' -- '*.go' ':!internal/detrand'; then
@@ -240,6 +247,15 @@ for cmd in paragon paragond; do
         exit 1
     fi
 done
+# Every setting earns a caller (DESIGN.md §19): the settings no production
+# caller set must not come back, and a refinement's fault layer is spelled
+# one way, Config.Fabric — the (FaultSeed, FaultRate) pair lives in the
+# session and the CLIs, which build the injectors.
+if git grep -nwE 'BadMoveLimit|RegionSize|CombineTop|FsyncTicks' -- '*.go' ||
+    git grep -nE 'FaultRate|FaultSeed' -- 'internal/paragon/*.go' 'internal/portfolio/*.go' ':!*_test.go'; then
+    echo "ci: a deleted setting is back; make it a constant or give it a production caller" >&2
+    exit 1
+fi
 # Formatting: every tracked Go file outside the lint fixtures (whose
 # columns the lint tests may pin) is gofmt-clean.
 unformatted="$(git ls-files '*.go' ':!internal/lint/testdata' | xargs gofmt -l)"
