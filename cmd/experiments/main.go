@@ -7,9 +7,10 @@
 //	experiments [-scale 0.3] [-sources 5] [-only fig7,table4]
 //
 // Experiment ids: fig7, fig8, fig9 (also produces fig10/fig11), table4,
-// table5, fig12, fig13, fig14, fig15 (also fig16), table1, lambda, ablations, and the
-// extension studies vertexcut, exchange, and streamorder. The default
-// runs everything.
+// table5, fig12, fig13, fig14, fig15 (also fig16), table1, lambda,
+// ablations, the extension studies vertexcut, exchange, streamorder and
+// cutmodels, and landscape (the Figure 1 repartitioner classification).
+// The default runs everything.
 package main
 
 import (

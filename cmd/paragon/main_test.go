@@ -22,6 +22,10 @@ func buildCLI(t *testing.T) string {
 
 func TestCLIErrors(t *testing.T) {
 	bin := buildCLI(t)
+	path := filepath.Join(t.TempDir(), "path.txt")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -32,6 +36,9 @@ func TestCLIErrors(t *testing.T) {
 		{"unreadable -in", []string{"-in", "/nonexistent/graph"}, 1, "no such file"},
 		{"unknown cluster", []string{"-topo", "-cluster", "nope"}, 1, `unknown cluster "nope"`},
 		{"unknown format", []string{"-in", "/nonexistent/graph", "-format", "nope"}, 1, `unknown format "nope"`},
+		// One partition per core: uma with one node has 8 cores.
+		{"k above the core count", []string{"-in", path, "-format", "edgelist", "-cluster", "uma", "-nodes", "1", "-k", "9"},
+			1, "topology: k = 9 outside [1,8]"},
 		// Removed with the legacy bench estate; the flag package rejects it.
 		{"-dir-bench is gone", []string{"-dir-bench"}, 2, "flag provided but not defined: -dir-bench"},
 	} {

@@ -170,61 +170,3 @@ func TestQuickKCoreEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPageRankConvergedStopsEarly(t *testing.T) {
-	g := gen.ErdosRenyi(400, 1600, 9)
-	e := engineFor(t, g, 4)
-	// Loose tolerance: must stop well before the iteration cap.
-	ranks, res, err := PageRankConverged(e, g, PageRankScale/100, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Supersteps >= 200 {
-		t.Fatalf("did not converge early: %d supersteps", res.Supersteps)
-	}
-	if res.Supersteps < 3 {
-		t.Fatalf("converged implausibly fast: %d supersteps", res.Supersteps)
-	}
-	if len(res.Aggregates) != res.Supersteps {
-		t.Fatalf("aggregates recorded for %d of %d steps", len(res.Aggregates), res.Supersteps)
-	}
-	// Deltas must shrink monotonically-ish; final delta below tolerance.
-	last := res.Aggregates[len(res.Aggregates)-1]
-	if last > PageRankScale/100 {
-		t.Fatalf("final delta %d above tolerance", last)
-	}
-	var sum int64
-	for _, r := range ranks {
-		sum += r
-	}
-	if sum < PageRankScale*80/100 || sum > PageRankScale*105/100 {
-		t.Fatalf("mass %d", sum)
-	}
-}
-
-func TestPageRankConvergedErrors(t *testing.T) {
-	g := gen.ErdosRenyi(10, 20, 1)
-	e := engineFor(t, g, 2)
-	if _, _, err := PageRankConverged(e, g, 0, 0); err == nil {
-		t.Fatal("expected maxIters error")
-	}
-	if _, _, err := PageRankConverged(e, g, -1, 5); err == nil {
-		t.Fatal("expected tolerance error")
-	}
-}
-
-func TestPageRankConvergedTightToleranceRunsLonger(t *testing.T) {
-	g := gen.BarabasiAlbert(500, 3, 7)
-	e := engineFor(t, g, 4)
-	_, loose, err := PageRankConverged(e, g, PageRankScale/10, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, tight, err := PageRankConverged(e, g, PageRankScale/100000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Supersteps <= loose.Supersteps {
-		t.Fatalf("tight tolerance (%d steps) not longer than loose (%d)", tight.Supersteps, loose.Supersteps)
-	}
-}

@@ -40,17 +40,6 @@ type Program struct {
 	// Combine optionally merges two messages bound for the same vertex
 	// (e.g. min for BFS/SSSP). Nil delivers all messages individually.
 	Combine func(a, b int64) int64
-
-	// Contribute, AggCombine and OnAggregate implement Pregel-style
-	// aggregators: Contribute maps each computed vertex's new value to a
-	// contribution, AggCombine folds contributions, and OnAggregate
-	// receives the folded value at the superstep barrier (it may safely
-	// update state read by the next superstep's Compute calls — the
-	// barrier orders the accesses). All three are optional but must be
-	// set together with at least Contribute+AggCombine.
-	Contribute  func(v int32, value int64) int64
-	AggCombine  func(a, b int64) int64
-	OnAggregate func(superstep int, agg int64)
 }
 
 // Options tunes the cost model.
@@ -133,21 +122,6 @@ type Result struct {
 	// across the run (only when Options.TrackVertexTraffic is set) — the
 	// runtime signal Mizan-style dynamic repartitioners migrate on.
 	VertexTraffic []int64
-	// Aggregates holds, per superstep, the folded aggregator value (only
-	// when the program defines Contribute/AggCombine).
-	Aggregates []int64
-}
-
-// AvgSkew returns the mean superstep skew, or 1 when nothing ran.
-func (r *Result) AvgSkew() float64 {
-	if len(r.StepSkew) == 0 {
-		return 1
-	}
-	var sum float64
-	for _, s := range r.StepSkew {
-		sum += s
-	}
-	return sum / float64(len(r.StepSkew))
 }
 
 // Engine binds a graph, a decomposition, and a cluster.
@@ -205,8 +179,6 @@ type rankOutcome struct {
 	computed int64   // vertices processed
 	scanned  int64   // edges scanned (sends attempted)
 	active   []int32 // vertices voting to stay active
-	agg      int64   // folded aggregator contributions
-	aggSet   bool
 	panicked interface{}
 }
 
@@ -259,26 +231,6 @@ func (e *Engine) Run(prog Program) (Result, error) {
 		for r := 0; r < e.ranks; r++ {
 			if p := outcomes[r].panicked; p != nil {
 				return res, fmt.Errorf("bsp: rank %d panicked in superstep %d: %v", r, res.Supersteps, p)
-			}
-		}
-
-		// Aggregator fold (deterministic rank order), then the barrier
-		// callback.
-		if prog.Contribute != nil && prog.AggCombine != nil {
-			var agg int64
-			set := false
-			for r := 0; r < e.ranks; r++ {
-				if outcomes[r].aggSet {
-					if set {
-						agg = prog.AggCombine(agg, outcomes[r].agg)
-					} else {
-						agg, set = outcomes[r].agg, true
-					}
-				}
-			}
-			res.Aggregates = append(res.Aggregates, agg)
-			if prog.OnAggregate != nil {
-				prog.OnAggregate(res.Supersteps, agg)
 			}
 		}
 
@@ -383,14 +335,6 @@ func (e *Engine) runRank(r int, prog Program, values []int64, activeNow []bool, 
 		newVal, stayActive := prog.Compute(v, values[v], msgs, send)
 		//lint:ignore sharedwrite rank r owns every v in rankVerts[r]; concurrent ranks write disjoint vertex slots
 		values[v] = newVal
-		if prog.Contribute != nil {
-			c := prog.Contribute(v, newVal)
-			if oc.aggSet {
-				oc.agg = prog.AggCombine(oc.agg, c)
-			} else {
-				oc.agg, oc.aggSet = c, true
-			}
-		}
 		if traffic != nil {
 			// Sent messages attributed to the computing vertex; receives
 			// are attributed at delivery (post-combining).

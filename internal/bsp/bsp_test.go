@@ -346,11 +346,4 @@ func TestStepSkewTracked(t *testing.T) {
 			t.Fatalf("step %d skew %v below 1", i, s)
 		}
 	}
-	if res.AvgSkew() < 1 {
-		t.Fatalf("avg skew %v below 1", res.AvgSkew())
-	}
-	var empty Result
-	if empty.AvgSkew() != 1 {
-		t.Fatal("empty result skew should be 1")
-	}
 }

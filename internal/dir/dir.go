@@ -40,7 +40,6 @@ package dir
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -486,24 +485,6 @@ func (d *Directory) PublishAssign(assign []int32) (int64, error) {
 	return d.publishLocked(moves)
 }
 
-// PublishPlan runs the physical migration through migrate's journaled
-// two-phase executor and, only if every rank committed, flips the
-// directory to the new epoch. A rolled-back migration (fault abort or
-// protocol violation) publishes nothing — stores and directory both
-// stay on the old decomposition. A committed migration whose directory
-// flip is then killed by the fault layer leaves the directory one epoch
-// behind the stores; the next PublishAssign resynchronizes it.
-func (d *Directory) PublishPlan(stores []*migrate.Store, plan *migrate.Plan, ctx migrate.AppContext) (int64, migrate.Stats, error) {
-	st, err := migrate.ExecuteOpts(stores, plan, ctx, migrate.ExecOptions{
-		Fabric: d.fab, Trace: d.tr, Metrics: d.opts.Metrics,
-	})
-	if err != nil {
-		return 0, st, err
-	}
-	epoch, err := d.Publish(plan.Moves)
-	return epoch, st, err
-}
-
 // JournalBytes returns a copy of the journal: the base record plus
 // every prepare/commit appended since, including commit-less prepares
 // of crashed publishes. Feeding any prefix of it to Recover rebuilds
@@ -512,12 +493,4 @@ func (d *Directory) JournalBytes() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([]byte(nil), d.j...)
-}
-
-// WriteJournal streams the journal to w.
-func (d *Directory) WriteJournal(w io.Writer) (int, error) {
-	d.mu.Lock()
-	j := append([]byte(nil), d.j...)
-	d.mu.Unlock()
-	return w.Write(j)
 }

@@ -266,55 +266,6 @@ func TestPublishRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
-func TestPublishPlanCommitAndAbort(t *testing.T) {
-	// Two ranks, four vertices, stores built by hand.
-	assign := []int32{0, 0, 1, 1}
-	newStores := func() []*migrate.Store {
-		stores := []*migrate.Store{
-			{Rank: 0, Vertices: map[int32]*migrate.VertexData{}},
-			{Rank: 1, Vertices: map[int32]*migrate.VertexData{}},
-		}
-		for v, r := range assign {
-			stores[r].Vertices[int32(v)] = &migrate.VertexData{VWeight: 1, VSize: 1}
-		}
-		return stores
-	}
-	plan := &migrate.Plan{K: 2, Moves: []migrate.Move{{Vertex: 1, From: 0, To: 1}}}
-
-	d := mustNew(t, assign, 2, Options{})
-	stores := newStores()
-	epoch, st, err := d.PublishPlan(stores, plan, migrate.AppContext{})
-	if err != nil || epoch != 1 {
-		t.Fatalf("PublishPlan = (%d, %v), want (1, nil)", epoch, err)
-	}
-	if st.MovedVertices != 1 {
-		t.Fatalf("moved = %d, want 1", st.MovedVertices)
-	}
-	if rank, _ := d.Lookup(1); rank != 1 {
-		t.Fatalf("directory did not follow the migration: vertex 1 = %d", rank)
-	}
-	if _, ok := stores[1].Vertices[1]; !ok {
-		t.Fatal("vertex 1 did not arrive at rank 1")
-	}
-
-	// An aborted migration rolls back and publishes nothing.
-	fab := faultsim.NewInjector(faultsim.Config{Script: []faultsim.Event{
-		{Kind: faultsim.KindAbort, Round: 0, Index: 0},
-	}})
-	d2 := mustNew(t, assign, 2, Options{Fabric: fab})
-	stores2 := newStores()
-	_, _, err = d2.PublishPlan(stores2, plan, migrate.AppContext{})
-	if !errors.Is(err, migrate.ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted", err)
-	}
-	if d2.Epoch() != 0 {
-		t.Fatalf("aborted migration flipped the directory to epoch %d", d2.Epoch())
-	}
-	if _, ok := stores2[0].Vertices[1]; !ok {
-		t.Fatal("rollback did not restore vertex 1 to rank 0")
-	}
-}
-
 func TestCopyOnWriteSharesUntouchedShards(t *testing.T) {
 	assign := testAssign(1<<10, 4, 10)
 	d := mustNew(t, assign, 4, Options{ShardBits: 6}) // 16 shards of 64

@@ -158,7 +158,7 @@ type TriggerPolicy struct {
 	MaxChurn float64
 	// MaxStaleness triggers when the live Eq. 2 communication cost has
 	// grown past (1+MaxStaleness)× the reference recorded at the last
-	// committed refinement (0 disables; only EvaluateScore consults it).
+	// committed refinement (0 disables).
 	MaxStaleness float64
 }
 
@@ -174,20 +174,14 @@ type Decision struct {
 	Code      int // firing rule: 0 skew, 1 churn, 2 staleness, -1 none
 	Skew      float64
 	Churn     float64
-	Staleness float64 // live comm cost / reference comm cost (EvaluateScore only)
+	Staleness float64 // live comm cost / reference comm cost
 }
 
-// Evaluate inspects the current graph state and decomposition plus the
-// churned-edge count since the last refinement.
-func (tp TriggerPolicy) Evaluate(g *graph.Graph, p *partition.Partitioning, churnedEdges int64) Decision {
-	sc := partition.Score{Skewness: partition.Skewness(g, p)}
-	return tp.EvaluateScore(sc, 0, g.NumEdges(), churnedEdges)
-}
-
-// EvaluateScore is the incremental form the streaming daemon drives: the
-// caller maintains the Eq. 2–4 Score of the live decomposition itself
+// EvaluateScore decides from a Score the caller maintains: the streaming
+// daemon keeps the Eq. 2–4 Score of the live decomposition itself
 // (delta-updated per churn event, no graph rescan) and feeds it here
-// together with the comm-cost reference of the last committed epoch.
+// together with the comm-cost reference of the last committed epoch and
+// the live edge count.
 // refCost <= 0 disables the staleness check, as does MaxStaleness == 0.
 func (tp TriggerPolicy) EvaluateScore(sc partition.Score, refCost float64, edges, churnedEdges int64) Decision {
 	if tp.MaxSkew == 0 {

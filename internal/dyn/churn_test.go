@@ -44,7 +44,7 @@ func TestRandomChurnShape(t *testing.T) {
 func TestApplyChurn(t *testing.T) {
 	g := gen.Mesh2D(10, 10)
 	o := graph.NewOverlay(g)
-	before := o.NumEdges()
+	before := g.NumEdges()
 	ops := RandomChurn(g, 40, 20, 3)
 	applied := ApplyChurn(o, ops)
 	if applied == 0 {
@@ -71,7 +71,8 @@ func TestApplyChurn(t *testing.T) {
 func TestTriggerPolicySkew(t *testing.T) {
 	g := gen.Mesh2D(12, 12)
 	p := partition.New(4, g.NumVertices()) // everything in partition 0
-	d := DefaultTrigger().Evaluate(g, p, 0)
+	sc := partition.Score{Skewness: partition.Skewness(g, p)}
+	d := DefaultTrigger().EvaluateScore(sc, 0, g.NumEdges(), 0)
 	if !d.Refine {
 		t.Fatalf("collapsed decomposition not flagged: %+v", d)
 	}
@@ -84,11 +85,12 @@ func TestTriggerPolicyChurn(t *testing.T) {
 	g := gen.Mesh2D(12, 12)
 	p := stream.DG(g, 4, stream.DefaultOptions())
 	tp := DefaultTrigger()
-	healthy := tp.Evaluate(g, p, 0)
+	sc := partition.Score{Skewness: partition.Skewness(g, p)}
+	healthy := tp.EvaluateScore(sc, 0, g.NumEdges(), 0)
 	if healthy.Refine {
 		t.Fatalf("healthy decomposition flagged: %+v", healthy)
 	}
-	churned := tp.Evaluate(g, p, g.NumEdges()/10) // 10% churn
+	churned := tp.EvaluateScore(sc, 0, g.NumEdges(), g.NumEdges()/10) // 10% churn
 	if !churned.Refine {
 		t.Fatalf("10%% churn not flagged: %+v", churned)
 	}
@@ -100,8 +102,9 @@ func TestTriggerPolicyChurn(t *testing.T) {
 func TestTriggerZeroValueDefaults(t *testing.T) {
 	g := gen.Mesh2D(8, 8)
 	p := stream.DG(g, 4, stream.DefaultOptions())
-	var tp TriggerPolicy // zero value: defaults apply inside Evaluate
-	d := tp.Evaluate(g, p, 0)
+	var tp TriggerPolicy // zero value: defaults apply inside EvaluateScore
+	sc := partition.Score{Skewness: partition.Skewness(g, p)}
+	d := tp.EvaluateScore(sc, 0, g.NumEdges(), 0)
 	if d.Refine {
 		t.Fatalf("zero-value policy misfired: %+v", d)
 	}
@@ -117,7 +120,8 @@ func TestChurnThenRefineLoop(t *testing.T) {
 	applied := ApplyChurn(o, RandomChurn(g, 1500, 200, 9))
 	cur := o.Materialize()
 	cur.UseDegreeWeights()
-	d := DefaultTrigger().Evaluate(cur, p, int64(applied))
+	sc := partition.Score{Skewness: partition.Skewness(cur, p)}
+	d := DefaultTrigger().EvaluateScore(sc, 0, cur.NumEdges(), int64(applied))
 	if !d.Refine {
 		t.Fatalf("heavy churn not flagged: %+v", d)
 	}

@@ -27,7 +27,8 @@ func Example() {
 			fmt.Println(err)
 			return
 		}
-		d := policy.Evaluate(snap.Graph, p, 0)
+		sc := partition.Score{Skewness: partition.Skewness(snap.Graph, p)}
+		d := policy.EvaluateScore(sc, 0, snap.Graph.NumEdges(), 0)
 		fmt.Printf("S%d: %d vertices, refine=%v\n", i+1, snap.Graph.NumVertices(), d.Refine)
 	}
 	// Output:

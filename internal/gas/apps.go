@@ -1,10 +1,6 @@
 package gas
 
-import (
-	"fmt"
-
-	"paragon/internal/graph"
-)
+import "paragon/internal/graph"
 
 // Reference GAS applications.
 
@@ -25,46 +21,6 @@ func Components(e *Engine, g *graph.Graph) (Result, error) {
 				return sum, true
 			}
 			return old, false
-		},
-	}
-	return e.Run(prog)
-}
-
-// PageRankScale is the fixed-point scale shared with the bsp apps.
-const PageRankScale = int64(1_000_000_000)
-
-// PageRank runs iters damped PageRank rounds (d = 0.85) over the
-// vertex-cut assignment.
-func PageRank(e *Engine, g *graph.Graph, iters int) (Result, error) {
-	if iters < 1 {
-		return Result{}, fmt.Errorf("gas: PageRank needs >= 1 iteration")
-	}
-	n := int64(g.NumVertices())
-	if n == 0 {
-		return Result{}, nil
-	}
-	base := PageRankScale * 15 / (100 * n)
-	remaining := iters
-	prog := Program{
-		Init: func(v int32) int64 { return PageRankScale / n },
-		Gather: func(v, u int32, uVal int64, w int32) int64 {
-			if d := int64(g.Degree(u)); d > 0 {
-				return uVal / d
-			}
-			return 0
-		},
-		Sum: func(a, b int64) int64 { return a + b },
-		Apply: func(v int32, old, sum int64, hasSum bool) (int64, bool) {
-			nv := old
-			if hasSum {
-				nv = base + sum*85/100
-			}
-			// The iteration budget is global: Apply for vertex 0 (called
-			// once per iteration, first) decrements it.
-			if v == 0 {
-				remaining--
-			}
-			return nv, remaining > 0
 		},
 	}
 	return e.Run(prog)

@@ -4,11 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"paragon/internal/apps"
-	"paragon/internal/bsp"
 	"paragon/internal/gen"
 	"paragon/internal/graph"
-	"paragon/internal/stream"
 	"paragon/internal/topology"
 	"paragon/internal/vertexcut"
 )
@@ -89,55 +86,6 @@ func TestComponentsLargeGraph(t *testing.T) {
 			}
 		} else {
 			repr[c] = res.Values[v]
-		}
-	}
-}
-
-func TestPageRankGASMass(t *testing.T) {
-	g := gen.BarabasiAlbert(800, 3, 4)
-	e := testEngine(t, g, 8)
-	res, err := PageRank(e, g, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 12 {
-		t.Fatalf("iterations = %d, want 12", res.Iterations)
-	}
-	var sum int64
-	for _, r := range res.Values {
-		sum += r
-	}
-	if sum < PageRankScale*80/100 || sum > PageRankScale*105/100 {
-		t.Fatalf("mass = %d, want ≈ %d", sum, PageRankScale)
-	}
-}
-
-func TestPageRankGASMatchesBSP(t *testing.T) {
-	// The same fixed-point PageRank over the two execution models must
-	// agree closely (identical update rule, different partitioning).
-	g := gen.ErdosRenyi(400, 1600, 6)
-	e := testEngine(t, g, 8)
-	resGAS, err := PageRank(e, g, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := stream.HP(g, 8)
-	be, err := bsp.NewEngine(g, p, topology.PittCluster(1), bsp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bspRanks, _, err := apps.PageRank(be, g, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range bspRanks {
-		diff := bspRanks[v] - resGAS.Values[v]
-		if diff < 0 {
-			diff = -diff
-		}
-		// Integer division orders differ slightly; tolerate 1% of scale/n.
-		if diff > PageRankScale/int64(g.NumVertices())/10+5 {
-			t.Fatalf("vertex %d: BSP %d vs GAS %d", v, bspRanks[v], resGAS.Values[v])
 		}
 	}
 }

@@ -131,80 +131,6 @@ func BarabasiAlbert(n int32, k int, seed int64) *graph.Graph {
 	return bld.Build()
 }
 
-// HolmeKim generates a power-law graph with tunable clustering
-// (Holme & Kim, 2002): preferential attachment like Barabási–Albert,
-// but after each preferential link the next link closes a triangle with
-// probability pt. High pt produces the clustered hub structure of
-// internet topologies.
-func HolmeKim(n int32, k int, pt float64, seed int64) *graph.Graph {
-	if n < int32(k)+1 || k < 1 {
-		panic("gen: HolmeKim needs n > k >= 1")
-	}
-	if pt < 0 || pt > 1 {
-		panic("gen: HolmeKim needs 0 <= pt <= 1")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	bld := graph.NewBuilder(n)
-	targets := make([]int32, 0, int64(n)*int64(k)*2)
-	for u := int32(0); u <= int32(k); u++ {
-		for v := u + 1; v <= int32(k); v++ {
-			bld.AddEdge(u, v)
-			targets = append(targets, u, v)
-		}
-	}
-	adjacency := make(map[int32][]int32, n) // incremental adjacency for triad closure
-	for u := int32(0); u <= int32(k); u++ {
-		for v := int32(0); v <= int32(k); v++ {
-			if u != v {
-				adjacency[u] = append(adjacency[u], v)
-			}
-		}
-	}
-	chosen := make(map[int32]struct{}, k)
-	picks := make([]int32, 0, k)
-	for v := int32(k) + 1; v < n; v++ {
-		for id := range chosen {
-			delete(chosen, id)
-		}
-		picks = picks[:0]
-		var last int32 = -1
-		for len(chosen) < k {
-			var pick int32
-			if last >= 0 && rng.Float64() < pt && len(adjacency[last]) > 0 {
-				// Triad formation: connect to a neighbor of the last
-				// preferential target.
-				pick = adjacency[last][rng.Intn(len(adjacency[last]))]
-			} else {
-				pick = targets[rng.Intn(len(targets))]
-			}
-			if pick == v {
-				continue
-			}
-			if _, dup := chosen[pick]; dup {
-				// Fall back to preferential attachment to make progress.
-				pick = targets[rng.Intn(len(targets))]
-				if pick == v {
-					continue
-				}
-				if _, dup := chosen[pick]; dup {
-					continue
-				}
-			}
-			chosen[pick] = struct{}{}
-			picks = append(picks, pick)
-			last = pick
-		}
-		// Selection order, not map order — see BarabasiAlbert.
-		for _, u := range picks {
-			bld.AddEdge(v, u)
-			targets = append(targets, v, u)
-			adjacency[v] = append(adjacency[v], u)
-			adjacency[u] = append(adjacency[u], v)
-		}
-	}
-	return bld.Build()
-}
-
 // ErdosRenyi generates G(n, m): m distinct uniform random edges.
 func ErdosRenyi(n int32, m int64, seed int64) *graph.Graph {
 	maxM := int64(n) * int64(n-1) / 2

@@ -284,66 +284,3 @@ func TestQuickGeneratorsValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// clusteringCoefficient estimates the global clustering coefficient by
-// sampling triangles around up to 500 vertices.
-func clusteringCoefficient(g *graph.Graph) float64 {
-	var tri, wedges int64
-	step := g.NumVertices()/500 + 1
-	for v := int32(0); v < g.NumVertices(); v += step {
-		adj := g.Neighbors(v)
-		d := len(adj)
-		if d < 2 {
-			continue
-		}
-		wedges += int64(d) * int64(d-1) / 2
-		for i := 0; i < d; i++ {
-			for j := i + 1; j < d; j++ {
-				if g.HasEdge(adj[i], adj[j]) {
-					tri++
-				}
-			}
-		}
-	}
-	if wedges == 0 {
-		return 0
-	}
-	return float64(tri) / float64(wedges)
-}
-
-func TestHolmeKim(t *testing.T) {
-	g := HolmeKim(3000, 4, 0.8, 11)
-	if g.NumVertices() != 3000 {
-		t.Fatalf("vertices = %d", g.NumVertices())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	// Power-law hubs, like BA.
-	if g.MaxDegree() < 3*int32(g.AvgDegree()) {
-		t.Fatalf("no hubs: max %d avg %.1f", g.MaxDegree(), g.AvgDegree())
-	}
-	// Triad formation must raise clustering well above plain BA.
-	ba := BarabasiAlbert(3000, 4, 11)
-	ccHK := clusteringCoefficient(g)
-	ccBA := clusteringCoefficient(ba)
-	if ccHK <= ccBA {
-		t.Fatalf("Holme-Kim clustering %.4f not above BA %.4f", ccHK, ccBA)
-	}
-}
-
-func TestHolmeKimPanics(t *testing.T) {
-	for i, f := range []func(){
-		func() { HolmeKim(3, 4, 0.5, 1) },
-		func() { HolmeKim(100, 3, 1.5, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}

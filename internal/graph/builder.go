@@ -169,20 +169,3 @@ func (b *Builder) Build() *Graph {
 	}
 	return g
 }
-
-// FromCSR constructs a Graph directly from raw CSR arrays. The arrays are
-// copied. It validates the result and is intended for tests and loaders
-// that already hold symmetric CSR data.
-func FromCSR(xadj []int64, adj, ewgt, vwgt, vsize []int32) (*Graph, error) {
-	g := &Graph{
-		xadj:  append([]int64(nil), xadj...),
-		adj:   append([]int32(nil), adj...),
-		ewgt:  append([]int32(nil), ewgt...),
-		vwgt:  append([]int32(nil), vwgt...),
-		vsize: append([]int32(nil), vsize...),
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}

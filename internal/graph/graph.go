@@ -17,7 +17,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 )
 
 // Graph is an immutable undirected graph in CSR form. Use a Builder to
@@ -215,24 +214,6 @@ func (g *Graph) Clone() *Graph {
 	return cp
 }
 
-// SetVertexWeights replaces all vertex weights. The slice is copied.
-func (g *Graph) SetVertexWeights(w []int32) error {
-	if int32(len(w)) != g.NumVertices() {
-		return fmt.Errorf("graph: SetVertexWeights: length %d != n %d", len(w), g.NumVertices())
-	}
-	copy(g.vwgt, w)
-	return nil
-}
-
-// SetVertexSizes replaces all vertex sizes. The slice is copied.
-func (g *Graph) SetVertexSizes(s []int32) error {
-	if int32(len(s)) != g.NumVertices() {
-		return fmt.Errorf("graph: SetVertexSizes: length %d != n %d", len(s), g.NumVertices())
-	}
-	copy(g.vsize, s)
-	return nil
-}
-
 // UseDegreeWeights sets, as the paper's evaluation does, both the vertex
 // weight and the vertex size of every vertex to its degree (minimum 1), and
 // leaves edge weights untouched.
@@ -245,22 +226,4 @@ func (g *Graph) UseDegreeWeights() {
 		g.vwgt[v] = d
 		g.vsize[v] = d
 	}
-}
-
-// DegreeHistogram returns counts of vertices per degree bucket where bucket
-// i covers degrees [2^i, 2^(i+1)). Bucket 0 covers degrees 0 and 1.
-func (g *Graph) DegreeHistogram() []int64 {
-	var hist []int64
-	for v := int32(0); v < g.NumVertices(); v++ {
-		d := g.Degree(v)
-		b := 0
-		if d > 1 {
-			b = int(math.Log2(float64(d)))
-		}
-		for len(hist) <= b {
-			hist = append(hist, 0)
-		}
-		hist[b]++
-	}
-	return hist
 }

@@ -192,25 +192,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestSetVertexAttrs(t *testing.T) {
-	g := buildPath(3)
-	if err := g.SetVertexWeights([]int32{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetVertexSizes([]int32{4, 5, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if g.VertexWeight(1) != 2 || g.VertexSize(2) != 6 {
-		t.Fatal("attribute setters did not apply")
-	}
-	if err := g.SetVertexWeights([]int32{1}); err == nil {
-		t.Fatal("expected length error")
-	}
-	if err := g.SetVertexSizes([]int32{1}); err == nil {
-		t.Fatal("expected length error")
-	}
-}
-
 func TestMETISRoundTrip(t *testing.T) {
 	g := buildPaperGraph()
 	g.UseDegreeWeights()
@@ -427,14 +408,6 @@ func TestExpandFrontier(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := buildPath(4) // degrees 1,2,2,1
-	h := g.DegreeHistogram()
-	if h[0] != 2 || h[1] != 2 {
-		t.Fatalf("histogram = %v, want [2 2]", h)
-	}
-}
-
 func TestMaxAvgDegree(t *testing.T) {
 	g := buildPaperGraph()
 	if g.MaxDegree() != 3 {
@@ -443,21 +416,6 @@ func TestMaxAvgDegree(t *testing.T) {
 	want := float64(2*g.NumEdges()) / float64(g.NumVertices())
 	if g.AvgDegree() != want {
 		t.Fatalf("AvgDegree = %f, want %f", g.AvgDegree(), want)
-	}
-}
-
-func TestFromCSR(t *testing.T) {
-	// A single edge 0-1.
-	g, err := FromCSR([]int64{0, 1, 2}, []int32{1, 0}, []int32{1, 1}, []int32{1, 1}, []int32{1, 1})
-	if err != nil {
-		t.Fatalf("FromCSR: %v", err)
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d", g.NumEdges())
-	}
-	// Asymmetric weight must fail validation.
-	if _, err := FromCSR([]int64{0, 1, 2}, []int32{1, 0}, []int32{1, 2}, []int32{1, 1}, []int32{1, 1}); err == nil {
-		t.Fatal("expected asymmetry error")
 	}
 }
 

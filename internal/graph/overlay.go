@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"runtime"
-	"sort"
 )
 
 // Overlay is a mutable view over an immutable CSR graph: edges can be
@@ -44,9 +43,6 @@ func NewOverlay(g *Graph) *Overlay {
 		removed: make(map[edgeKey]bool),
 	}
 }
-
-// NumVertices returns the (fixed) vertex count.
-func (o *Overlay) NumVertices() int32 { return o.base.NumVertices() }
 
 // AddEdge inserts the undirected edge {u,v} with weight w. Adding an
 // edge that already exists replaces its weight.
@@ -111,30 +107,6 @@ func (o *Overlay) HasEdge(u, v int32) bool {
 	return o.base.HasEdge(u, v)
 }
 
-// EdgeWeightBetween returns the weight of {u,v}, or 0 if absent.
-func (o *Overlay) EdgeWeightBetween(u, v int32) int32 {
-	for _, he := range o.added[u] {
-		if he.to == v {
-			return he.w
-		}
-	}
-	if o.removed[canonKey(u, v)] {
-		return 0
-	}
-	return o.base.EdgeWeightBetween(u, v)
-}
-
-// Degree returns the current degree of v.
-func (o *Overlay) Degree(v int32) int32 {
-	d := int32(len(o.added[v]))
-	for _, u := range o.base.Neighbors(v) {
-		if !o.removed[canonKey(v, u)] {
-			d++
-		}
-	}
-	return d
-}
-
 // ForEachNeighbor visits every current neighbor of v with its weight.
 func (o *Overlay) ForEachNeighbor(v int32, fn func(u int32, w int32)) {
 	adj := o.base.Neighbors(v)
@@ -147,16 +119,6 @@ func (o *Overlay) ForEachNeighbor(v int32, fn func(u int32, w int32)) {
 	for _, he := range o.added[v] {
 		fn(he.to, he.w)
 	}
-}
-
-// NumEdges returns the current undirected edge count.
-func (o *Overlay) NumEdges() int64 {
-	m := o.base.NumEdges() - int64(len(o.removed))
-	var addedCount int64
-	for _, list := range o.added {
-		addedCount += int64(len(list))
-	}
-	return m + addedCount/2
 }
 
 // Materialize flattens the overlay into a fresh immutable CSR graph,
@@ -190,35 +152,4 @@ func (o *Overlay) Materialize() *Graph {
 				i++
 			}
 		}, runtime.GOMAXPROCS(0))
-}
-
-// PendingChanges returns the number of overlay operations (added half
-// edge lists + masked edges) — a cheap drift signal for repartitioning
-// trigger policies.
-func (o *Overlay) PendingChanges() int {
-	c := len(o.removed)
-	for _, list := range o.added {
-		c += len(list)
-	}
-	return c
-}
-
-// AddedEdges returns the overlay's added undirected edges, sorted, for
-// inspection and tests.
-func (o *Overlay) AddedEdges() [][2]int32 {
-	var out [][2]int32
-	for u, list := range o.added {
-		for _, he := range list {
-			if u < he.to {
-				out = append(out, [2]int32{u, he.to})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }

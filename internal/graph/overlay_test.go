@@ -9,27 +9,29 @@ import (
 func TestOverlayAddRemove(t *testing.T) {
 	g := buildPath(4) // 0-1-2-3
 	o := NewOverlay(g)
-	if o.NumEdges() != 3 {
-		t.Fatalf("initial edges = %d", o.NumEdges())
+	if m := o.Materialize(); m.NumEdges() != 3 {
+		t.Fatalf("initial edges = %d", m.NumEdges())
 	}
 	if err := o.AddEdge(0, 3, 5); err != nil {
 		t.Fatal(err)
 	}
-	if !o.HasEdge(0, 3) || o.EdgeWeightBetween(3, 0) != 5 {
+	m := o.Materialize()
+	if !o.HasEdge(0, 3) || m.EdgeWeightBetween(3, 0) != 5 {
 		t.Fatal("added edge missing")
 	}
-	if o.NumEdges() != 4 {
-		t.Fatalf("edges = %d, want 4", o.NumEdges())
+	if m.NumEdges() != 4 {
+		t.Fatalf("edges = %d, want 4", m.NumEdges())
 	}
-	if o.Degree(0) != 2 || o.Degree(3) != 2 {
-		t.Fatalf("degrees %d %d", o.Degree(0), o.Degree(3))
+	if m.Degree(0) != 2 || m.Degree(3) != 2 {
+		t.Fatalf("degrees %d %d", m.Degree(0), m.Degree(3))
 	}
 	o.RemoveEdge(1, 2) // base edge
-	if o.HasEdge(1, 2) || o.EdgeWeightBetween(1, 2) != 0 {
+	m = o.Materialize()
+	if o.HasEdge(1, 2) || m.EdgeWeightBetween(1, 2) != 0 {
 		t.Fatal("removed base edge still visible")
 	}
-	if o.NumEdges() != 3 {
-		t.Fatalf("edges = %d, want 3", o.NumEdges())
+	if m.NumEdges() != 3 {
+		t.Fatalf("edges = %d, want 3", m.NumEdges())
 	}
 	o.RemoveEdge(0, 3) // added edge
 	if o.HasEdge(0, 3) {
@@ -37,8 +39,8 @@ func TestOverlayAddRemove(t *testing.T) {
 	}
 	// Removing a non-edge is a no-op.
 	o.RemoveEdge(0, 2)
-	if o.NumEdges() != 2 {
-		t.Fatalf("edges = %d, want 2", o.NumEdges())
+	if m := o.Materialize(); m.NumEdges() != 2 {
+		t.Fatalf("edges = %d, want 2", m.NumEdges())
 	}
 }
 
@@ -49,26 +51,27 @@ func TestOverlayReAddBaseEdge(t *testing.T) {
 	if err := o.AddEdge(0, 1, 7); err != nil {
 		t.Fatal(err)
 	}
-	if o.EdgeWeightBetween(0, 1) != 7 {
-		t.Fatalf("re-added weight = %d", o.EdgeWeightBetween(0, 1))
+	if w := o.Materialize().EdgeWeightBetween(0, 1); w != 7 {
+		t.Fatalf("re-added weight = %d", w)
 	}
 	// Overwriting a base edge's weight shadows it.
 	if err := o.AddEdge(1, 2, 9); err != nil {
 		t.Fatal(err)
 	}
-	if o.EdgeWeightBetween(1, 2) != 9 {
+	m := o.Materialize()
+	if m.EdgeWeightBetween(1, 2) != 9 {
 		t.Fatal("weight overwrite failed")
 	}
-	if o.NumEdges() != 2 {
-		t.Fatalf("edges = %d, want 2", o.NumEdges())
+	if m.NumEdges() != 2 {
+		t.Fatalf("edges = %d, want 2", m.NumEdges())
 	}
 	// Adding with the identical base weight is a no-op overlay-wise.
 	o2 := NewOverlay(g)
 	if err := o2.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if o2.PendingChanges() != 0 {
-		t.Fatalf("identical re-add left %d pending changes", o2.PendingChanges())
+	if len(o2.removed) != 0 || len(o2.added[0])+len(o2.added[1]) != 0 {
+		t.Fatalf("identical re-add left overlay state: removed %v, added %v", o2.removed, o2.added)
 	}
 }
 
@@ -122,20 +125,6 @@ func TestOverlayMaterialize(t *testing.T) {
 		if m.VertexWeight(v) != g.VertexWeight(v) || m.VertexSize(v) != g.VertexSize(v) {
 			t.Fatalf("vertex %d attrs lost", v)
 		}
-	}
-}
-
-func TestOverlayAddedEdgesAndPending(t *testing.T) {
-	g := buildPath(5)
-	o := NewOverlay(g)
-	o.AddEdge(0, 4, 1)
-	o.AddEdge(1, 3, 1)
-	added := o.AddedEdges()
-	if len(added) != 2 || added[0] != [2]int32{0, 4} || added[1] != [2]int32{1, 3} {
-		t.Fatalf("added = %v", added)
-	}
-	if o.PendingChanges() != 4 { // two half-edge entries per added edge
-		t.Fatalf("pending = %d", o.PendingChanges())
 	}
 }
 

@@ -26,17 +26,6 @@ const (
 	KWay
 )
 
-func (m Method) String() string {
-	switch m {
-	case RecursiveBisection:
-		return "recursive-bisection"
-	case KWay:
-		return "direct-kway"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
 // PartitionKWay computes a k-way decomposition with the direct k-way
 // multilevel strategy.
 func PartitionKWay(g *graph.Graph, k int32, opt Options) *partition.Partitioning {

@@ -14,7 +14,7 @@ func Example() {
 	g := gen.Mesh2D(8, 8)
 	old := stream.DG(g, 4, stream.DefaultOptions())
 	now := old.Clone()
-	now.Move(0, (old.Of(0)+1)%4) // one vertex changes owner
+	now.Move(0, (old.Assign[0]+1)%4) // one vertex changes owner
 
 	stores := migrate.BuildStores(g, old)
 	plan, _ := migrate.NewPlan(old, now)

@@ -133,36 +133,6 @@ func (p *Plan) SendsFrom(rank int32) []Move {
 	return out
 }
 
-// ReceivesAt returns the moves arriving at a rank.
-func (p *Plan) ReceivesAt(rank int32) []Move {
-	var out []Move
-	for _, m := range p.Moves {
-		if m.To == rank {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// Volume returns the total vertex size (application data mass, Eq. 3's
-// vs(v)) moved by the plan.
-func (p *Plan) Volume(g *graph.Graph) int64 {
-	var total int64
-	for _, m := range p.Moves {
-		total += int64(g.VertexSize(m.Vertex))
-	}
-	return total
-}
-
-// Cost returns the Eq. 3 migration cost of the plan under a cost matrix.
-func (p *Plan) Cost(g *graph.Graph, c [][]float64) float64 {
-	var total float64
-	for _, m := range p.Moves {
-		total += float64(g.VertexSize(m.Vertex)) * c[m.From][m.To]
-	}
-	return total
-}
-
 // VertexData is the graph payload of one vertex held by a rank store.
 type VertexData struct {
 	Adj     []int32

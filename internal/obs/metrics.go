@@ -24,7 +24,6 @@ type Registry struct {
 
 // metric is the exposition surface every concrete type implements.
 type metric interface {
-	metricName() string
 	metricHelp() string
 	metricType() string // "counter", "gauge", "histogram"
 }
@@ -38,8 +37,8 @@ func NewRegistry() *Registry {
 // operation: integer addition is associative, so concurrent increments
 // from worker goroutines reach the same total in any interleaving.
 type Counter struct {
-	name, help string
-	v          atomic.Int64
+	help string
+	v    atomic.Int64
 }
 
 // Add increments the counter by n (negative n is ignored — counters are
@@ -62,7 +61,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-func (c *Counter) metricName() string { return c.name }
 func (c *Counter) metricHelp() string { return c.help }
 func (c *Counter) metricType() string { return "counter" }
 
@@ -71,8 +69,8 @@ func (c *Counter) metricType() string { return "counter" }
 // deterministically computed values: float stores are not accumulative,
 // so there is no order-free concurrent update discipline for gauges.
 type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
+	help string
+	bits atomic.Uint64
 }
 
 // Set stores v.
@@ -91,7 +89,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-func (g *Gauge) metricName() string { return g.name }
 func (g *Gauge) metricHelp() string { return g.help }
 func (g *Gauge) metricType() string { return "gauge" }
 
@@ -102,11 +99,11 @@ func (g *Gauge) metricType() string { return "gauge" }
 // exposition. The sum is an int64 for the same reason: float
 // accumulation would make the total depend on observation order.
 type Histogram struct {
-	name, help string
-	bounds     []int64 // ascending; implicit +Inf bucket at the end
-	buckets    []atomic.Int64
-	count      atomic.Int64
-	sum        atomic.Int64
+	help    string
+	bounds  []int64 // ascending; implicit +Inf bucket at the end
+	buckets []atomic.Int64
+	count   atomic.Int64
+	sum     atomic.Int64
 }
 
 // Observe records one value.
@@ -136,7 +133,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-func (h *Histogram) metricName() string { return h.name }
 func (h *Histogram) metricHelp() string { return h.help }
 func (h *Histogram) metricType() string { return "histogram" }
 
@@ -156,7 +152,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 		}
 		return c
 	}
-	c := &Counter{name: name, help: help}
+	c := &Counter{help: help}
 	r.byName[name] = c
 	return c
 }
@@ -176,7 +172,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		}
 		return g
 	}
-	g := &Gauge{name: name, help: help}
+	g := &Gauge{help: help}
 	r.byName[name] = g
 	return g
 }
@@ -207,7 +203,6 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 		}
 	}
 	h := &Histogram{
-		name:    name,
 		help:    help,
 		bounds:  append([]int64(nil), bounds...),
 		buckets: make([]atomic.Int64, len(bounds)+1),

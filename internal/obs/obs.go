@@ -343,13 +343,3 @@ func (t *Tracer) Dropped() uint64 {
 	defer t.mu.Unlock()
 	return t.dropped
 }
-
-// Reset discards all retained events and restarts sequence numbering,
-// keeping the ring storage and the clock.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.ring = t.ring[:0]
-	t.head, t.n = 0, 0
-	t.seq, t.dropped = 0, 0
-	t.mu.Unlock()
-}

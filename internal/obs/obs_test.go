@@ -64,21 +64,6 @@ func TestCommitStagedMergesInCallOrder(t *testing.T) {
 	}
 }
 
-func TestTracerReset(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 6; i++ {
-		tr.Emit(Event{Kind: KindRoundStart})
-	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Fatalf("reset left %d events, %d dropped", tr.Len(), tr.Dropped())
-	}
-	tr.Emit(Event{Kind: KindRoundEnd})
-	if ev := tr.Events(); len(ev) != 1 || ev[0].Seq != 0 {
-		t.Fatalf("post-reset events = %+v, want one event with seq 0", ev)
-	}
-}
-
 func TestRegistryIdempotentAndTyped(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("refine_moves_total", "kept moves")

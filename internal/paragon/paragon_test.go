@@ -2,6 +2,8 @@ package paragon
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -301,11 +303,19 @@ func TestRefineErrors(t *testing.T) {
 		t.Fatal("expected validation error")
 	}
 	p := stream.HP(g, 4)
+	want := p.Clone()
 	if _, err := Refine(g, p, topology.UniformMatrix(2), Config{}); err == nil {
 		t.Fatal("expected matrix-size error")
 	}
-	if _, err := Refine(g, p, topology.UniformMatrix(4), Config{NodeOf: []int{0}}); err == nil {
-		t.Fatal("expected NodeOf-size error")
+	// Eq. 10 places every group server through NodeOf: one entry short of
+	// k is refused like none at all.
+	for _, nodeOf := range [][]int{{0}, {0, 0, 1}} {
+		if _, err := Refine(g, p, topology.UniformMatrix(4), Config{NodeOf: nodeOf}); err == nil || !strings.Contains(err.Error(), "NodeOf has") {
+			t.Fatalf("NodeOf %v for k=4: err = %v, want the NodeOf-size error", nodeOf, err)
+		}
+	}
+	if !slices.Equal(p.Assign, want.Assign) {
+		t.Fatal("a refused call moved vertices")
 	}
 }
 

@@ -78,15 +78,6 @@ func (b *Bitset) Expand(g *graph.Graph, list []int32, hops int) []int32 {
 	return list
 }
 
-// Count returns the number of set bits.
-func (b *Bitset) Count() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // AppendSet appends every set bit to dst in ascending order and returns
 // dst.
 func (b *Bitset) AppendSet(dst []int32) []int32 {

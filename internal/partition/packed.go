@@ -57,12 +57,6 @@ func PackAssign(assign []int32, k int32) *Packed {
 	return p
 }
 
-// Len returns the number of entries.
-func (p *Packed) Len() int32 { return p.n }
-
-// K returns the assignment range bound.
-func (p *Packed) K() int32 { return p.k }
-
 // Get returns entry v.
 func (p *Packed) Get(v int32) int32 {
 	if v < 0 || v >= p.n {

@@ -34,9 +34,6 @@ func (p *Partitioning) Clone() *Partitioning {
 	return &Partitioning{K: p.K, Assign: append([]int32(nil), p.Assign...)}
 }
 
-// Of returns the partition of vertex v.
-func (p *Partitioning) Of(v int32) int32 { return p.Assign[v] }
-
 // Move reassigns vertex v to partition to.
 func (p *Partitioning) Move(v, to int32) {
 	if to < 0 || to >= p.K {
@@ -67,15 +64,6 @@ func (p *Partitioning) Weights(g *graph.Graph) []int64 {
 		w[p.Assign[v]] += int64(g.VertexWeight(v))
 	}
 	return w
-}
-
-// Sizes returns the total vertex size per partition (migration mass).
-func (p *Partitioning) Sizes(g *graph.Graph) []int64 {
-	s := make([]int64, p.K)
-	for v := int32(0); v < g.NumVertices(); v++ {
-		s[p.Assign[v]] += int64(g.VertexSize(v))
-	}
-	return s
 }
 
 // Counts returns the number of vertices per partition.

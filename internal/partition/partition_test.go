@@ -79,12 +79,18 @@ func TestWeightsCountsSizes(t *testing.T) {
 	if cnt[0] != 4 || cnt[1] != 3 || cnt[2] != 3 {
 		t.Fatalf("counts = %v", cnt)
 	}
+	// Degree weighting sets weight and size to the degree, so both
+	// per-partition sums equal the partition's incident-edge count.
 	g.UseDegreeWeights()
 	w2 := p.Weights(g)
-	s2 := p.Sizes(g)
+	s2 := make([]int64, p.K)
+	for v, part := range p.Assign {
+		s2[part] += int64(g.VertexSize(int32(v)))
+	}
+	ie := p.IncidentEdges(g)
 	for i := range w2 {
-		if w2[i] != s2[i] {
-			t.Fatal("degree weights and sizes must agree")
+		if w2[i] != ie[i] || s2[i] != ie[i] {
+			t.Fatalf("degree weights %v, sizes %v, incident edges %v must agree", w2, s2, ie)
 		}
 	}
 }
@@ -174,8 +180,9 @@ func TestSkewness(t *testing.T) {
 func TestSkewnessZeroWeights(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1)
+	b.SetVertexWeight(0, 0)
+	b.SetVertexWeight(1, 0)
 	g := b.Build()
-	g.SetVertexWeights([]int32{0, 0})
 	p := New(2, 2)
 	p.Assign[1] = 1
 	if s := Skewness(g, p); s != 1 {

@@ -414,12 +414,6 @@ func (s *Session) skewness() float64 {
 // safe for concurrent use from any goroutine.
 func (s *Session) Directory() *dir.Directory { return s.dirc }
 
-// Active returns the number of active (arrived) vertices.
-func (s *Session) Active() int32 { return s.active }
-
-// Edges returns the live undirected edge count.
-func (s *Session) Edges() int64 { return s.edges }
-
 // Stats snapshots the session counters.
 func (s *Session) Stats() Stats {
 	return Stats{

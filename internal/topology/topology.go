@@ -193,23 +193,6 @@ const (
 	InterNode
 )
 
-func (c CommClass) String() string {
-	switch c {
-	case SameCore:
-		return "same-core"
-	case SharedL2:
-		return "shared-L2"
-	case IntraSocket:
-		return "intra-socket"
-	case InterSocket:
-		return "inter-socket"
-	case InterNode:
-		return "inter-node"
-	default:
-		return fmt.Sprintf("CommClass(%d)", int(c))
-	}
-}
-
 // CoreLoc locates a global core rank within the cluster.
 type CoreLoc struct {
 	Node    int // compute node index

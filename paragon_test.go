@@ -41,14 +41,20 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Fatal("no moves recorded")
 	}
 
-	// Plan the migration and verify its cost matches the metric.
+	// Plan the migration: one move per vertex whose owner changed.
 	old := paragonlib.DG(g, int32(k))
 	plan, err := paragonlib.NewMigrationPlan(old, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := plan.Cost(g, costs), paragonlib.MigrationCost(g, old, p, costs); got != want {
-		t.Fatalf("plan cost %v != metric %v", got, want)
+	changed := 0
+	for v := range p.Assign {
+		if old.Assign[v] != p.Assign[v] {
+			changed++
+		}
+	}
+	if len(plan.Moves) != changed || changed == 0 {
+		t.Fatalf("plan has %d moves for %d changed owners", len(plan.Moves), changed)
 	}
 
 	// Run BFS on the refined placement.

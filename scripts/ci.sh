@@ -256,6 +256,13 @@ if git grep -nwE 'BadMoveLimit|RegionSize|CombineTop|FsyncTicks' -- '*.go' ||
     echo "ci: a deleted setting is back; make it a constant or give it a production caller" >&2
     exit 1
 fi
+# Every function earns a caller (DESIGN.md §19): what no binary linked and
+# no test held other code against was deleted. Its names must not come
+# back in non-test Go; the audit there lists what may stay unlinked.
+if git grep -nwE 'FatTreeCluster|DragonflyCluster|PageRankConverged|HolmeKim|PublishPlan|WriteJournal|DegreeHistogram|FromCSR|PendingChanges|AddedEdges|ReceivesAt|AvgSkew' -- '*.go' ':!*_test.go'; then
+    echo "ci: a deleted unlinked function is back; give it a binary that links it or leave it out" >&2
+    exit 1
+fi
 # Formatting: every tracked Go file outside the lint fixtures (whose
 # columns the lint tests may pin) is gofmt-clean.
 unformatted="$(git ls-files '*.go' ':!internal/lint/testdata' | xargs gofmt -l)"
