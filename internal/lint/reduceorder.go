@@ -12,11 +12,12 @@ import (
 // across runs only when the fold happens in a fixed order — the repo's
 // convention is rank order: workers deposit partials into slots indexed
 // by a static worker or shard id and the coordinator folds the slice
-// front to back. No parallel float fold is left to follow it today: the
-// refinement objective is integer (DESIGN.md §10), and the float sums
-// that remain — the stream placers, the topology cost model and the
-// session's Fennel placer — run on one goroutine. The checker keeps a
-// new one from folding in completion order.
+// front to back. The refinement objective and the stream placers are
+// integer (DESIGN.md §10). The float sums that remain are the topology
+// cost model, on one goroutine, and the bsp and gas execution models,
+// whose per-rank float outcomes of a superstep are folded in rank order;
+// bsp is reachable from the facade through NewEngine. The checker keeps
+// that fold, and any new one, out of completion order.
 //
 // The checker reports two shapes that violate the convention:
 //

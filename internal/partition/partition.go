@@ -207,12 +207,17 @@ func BoundaryVertices(g *graph.Graph, p *Partitioning) [][]int32 {
 }
 
 // BalanceBound returns the maximum allowed partition weight for a given
-// imbalance tolerance eps (the paper permits eps = 0.02, i.e. 2%):
-// (1+eps) · ceil(totalWeight / K).
+// imbalance tolerance eps (the paper permits eps = 0.02, i.e. 2%).
 func BalanceBound(g *graph.Graph, k int32, eps float64) int64 {
-	total := g.TotalVertexWeight()
+	return LoadBound(g.TotalVertexWeight(), k, eps)
+}
+
+// LoadBound is BalanceBound for a total weight, ⌊(1+eps)·⌈total/k⌉⌋, which
+// the streaming session grows with its arrivals. It saturates at 2^62, so
+// twice the bound fits an int64.
+func LoadBound(total int64, k int32, eps float64) int64 {
 	avg := (total + int64(k) - 1) / int64(k)
-	return int64(float64(avg) * (1 + eps))
+	return int64(min(float64(avg)*(1+eps), 1<<62))
 }
 
 // Quality bundles the §3 metrics for reporting.

@@ -3,7 +3,6 @@ package session
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"paragon/internal/detrand"
 	"paragon/internal/dir"
@@ -11,6 +10,7 @@ import (
 	"paragon/internal/faultsim"
 	"paragon/internal/obs"
 	"paragon/internal/paragon"
+	"paragon/internal/partition"
 	"paragon/internal/stream"
 )
 
@@ -243,26 +243,18 @@ func (s *Session) placeArrival(a dyn.Arrival) bool {
 	}
 	s.nbrBuf, s.wtBuf = nbrs, wts // keep what the appends grew
 
-	// Streaming capacity from the live totals: (1+eps)·ceil(W/k) like
-	// the batch partitioners, except W grows with the stream.
+	// Streaming capacity from the live totals: the batch partitioners'
+	// ⌊(1+eps)·⌈W/k⌉⌋, except W grows with the stream.
 	const vw = 1
-	capF := (1 + s.cfg.Eps) * math.Ceil(float64(s.totalW+vw)/float64(s.k))
-	if capF < 1 {
-		capF = 1
-	}
-	alpha := 0.0
-	if s.cfg.Placement == stream.PlaceFennel {
-		capF *= 2 // Fennel's hard backstop is 2× the balance bound
-		alpha = stream.FennelAlpha(s.k, float64(s.ewTotal), float64(s.totalW+vw))
-	}
-	best := s.placer.Place(nbrs, wts, s.live, s.floads, vw, capF, alpha)
+	capacity := max(partition.LoadBound(s.totalW+vw, s.k, s.cfg.Eps), 1)
+	penalty := stream.FennelPenalty(s.k, s.ewTotal, s.totalW+vw)
+	best := s.placer.Place(nbrs, wts, s.live, s.loads, vw, capacity, penalty)
 
 	s.active++
 	s.weight[v] = vw
 	s.vsize[v] = 1
 	s.live[v] = best
 	s.loads[best] += vw
-	s.floads[best] += vw
 	s.totalW += vw
 	s.placed = append(s.placed, v)
 	s.markDirty(v)
@@ -418,8 +410,6 @@ func (s *Session) joinEpoch(seq int64) (committed bool, err error) {
 		from, to := s.live[v], s.pidx.Assign[v]
 		s.loads[from] -= w
 		s.loads[to] += w
-		s.floads[from] -= float64(w)
-		s.floads[to] += float64(w)
 		for _, h := range s.adj[v] {
 			s.scoreEdge(v, h.to, h.w, -1)
 		}

@@ -49,7 +49,8 @@ type Config struct {
 	// Eps is the placement imbalance tolerance for arriving vertices
 	// (default 0.02, the paper's setting).
 	Eps float64
-	// Placement selects the arrival placement rule (default PlaceLDG).
+	// Placement selects the arrival placement rule (default PlaceDG;
+	// cmd/paragond's -placement flag defaults to ldg).
 	Placement stream.PlaceRule
 	// Trigger decides when to launch a refinement epoch; the zero value
 	// uses dyn's defaults (skew 1.1, churn 5%, staleness off).
@@ -186,7 +187,6 @@ type Session struct {
 	// Live decomposition and its incrementally maintained score.
 	live    []int32
 	loads   []int64
-	floads  []float64 // float mirror for the placer
 	totalW  int64
 	edges   int64
 	ewTotal int64
@@ -286,7 +286,6 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 		vsize:  make([]int32, capN),
 		live:   make([]int32, capN),
 		loads:  make([]int64, k),
-		floads: make([]float64, k),
 		pre:    make([]int32, capN),
 		merged: make([]int32, capN),
 		dirty:  partition.NewBitset(capN),
@@ -311,9 +310,6 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 	}
 	for v := n0; v < capN; v++ {
 		s.live[v] = v % k // placeholder rank for not-yet-arrived ids
-	}
-	for q := int32(0); q < k; q++ {
-		s.floads[q] = float64(s.loads[q])
 	}
 	s.edges = g0.NumEdges()
 	s.ewTotal = g0.TotalEdgeWeight()

@@ -1,6 +1,9 @@
 package stream
 
 import (
+	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 
 	"paragon/internal/gen"
@@ -121,5 +124,85 @@ func TestDGOrderVariants(t *testing.T) {
 	pb := DG(g, 4, Options{Eps: 0.02, Order: OrderBFS, Seed: 5})
 	if partition.EdgeCut(g, pb) >= partition.EdgeCut(g, HP(g, 4)) {
 		t.Fatal("BFS-ordered DG lost to hashing")
+	}
+}
+
+// isqrt128 is exact over the whole domain Place uses (x < 2^124),
+// including the squares, their neighbors and the ends of the range.
+func TestIsqrt128(t *testing.T) {
+	xs := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(3), big.NewInt(4)}
+	top := new(big.Int).Lsh(big.NewInt(1), 124)
+	xs = append(xs, new(big.Int).Sub(top, big.NewInt(1)))
+	rng := rand.New(rand.NewSource(1))
+	for range 2000 {
+		r := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 62))
+		sq := new(big.Int).Mul(r, r)
+		xs = append(xs, sq, new(big.Int).Sub(sq, big.NewInt(1)), new(big.Int).Add(sq, big.NewInt(1)))
+		xs = append(xs, new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(rng.Intn(125)))))
+	}
+	mask := new(big.Int).SetUint64(math.MaxUint64)
+	for _, x := range xs {
+		if x.Sign() < 0 || x.Cmp(top) >= 0 {
+			continue
+		}
+		hi := new(big.Int).Rsh(x, 64).Uint64()
+		lo := new(big.Int).And(x, mask).Uint64()
+		if got, want := isqrt128(hi, lo), new(big.Int).Sqrt(x).Uint64(); got != want {
+			t.Fatalf("isqrt128(%v) = %d, want %d", x, got, want)
+		}
+	}
+}
+
+// The penalty coefficient saturates instead of overflowing: a graph whose
+// edge weight dwarfs its vertex weight gets p = 2^31 − 1. At that p, with
+// loads near 2^62 and affinities past 2^43, Place still picks what the
+// exact scores computed in math/big pick, on both sides of the point
+// where the winner flips.
+func TestFennelPenaltySaturates(t *testing.T) {
+	const p = 1<<31 - 1
+	if got := FennelPenalty(8, 1<<61, 1); got != p {
+		t.Fatalf("FennelPenalty = %d, want the 2^31 − 1 ceiling", got)
+	}
+	if got := FennelPenalty(8, 0, 0); got != 0 {
+		t.Fatalf("FennelPenalty of an edgeless graph = %d, want 0", got)
+	}
+	const bound = 1<<62 - 1 // LDG's C, and Fennel's backstop 2C
+	load := []int64{1 << 60, 1 << 61}
+	score := func(rule PlaceRule, aff, l int64) *big.Int {
+		a := big.NewInt(aff)
+		if rule == PlaceLDG {
+			return a.Mul(a, big.NewInt(bound-l))
+		}
+		pen := new(big.Int).Mul(big.NewInt(p*p), big.NewInt(l))
+		return a.Lsh(a, 16).Sub(a, pen.Sqrt(pen))
+	}
+	for _, c := range []struct {
+		rule      PlaceRule
+		capacity  int64
+		neighbors []int // of the second, heavier partition
+	}{
+		{PlaceFennel, bound / 2, []int{6600, 6700, 6800, 6900, 7000}},
+		{PlaceLDG, bound, []int{1, 2, 3}},
+	} {
+		won := map[int32]bool{}
+		for _, n := range c.neighbors {
+			// One neighbor in partition 0, n in partition 1, each of the
+			// largest edge weight.
+			adj, wts, assign := make([]int32, n+1), make([]int32, n+1), make([]int32, n+1)
+			for i := range adj {
+				adj[i], wts[i], assign[i] = int32(i), 1<<31-1, min(int32(i), 1)
+			}
+			want := int32(0)
+			if score(c.rule, int64(n)*(1<<31-1), load[1]).Cmp(score(c.rule, 1<<31-1, load[0])) > 0 {
+				want = 1
+			}
+			if got := NewPlacer(c.rule, 2).Place(adj, wts, assign, load, 1, c.capacity, p); got != want {
+				t.Fatalf("%v with %d neighbors in partition 1: placed on %d, want %d", c.rule, n, got, want)
+			}
+			won[want] = true
+		}
+		if !won[0] || !won[1] {
+			t.Fatalf("%v: the sweep never flips the winner", c.rule)
+		}
 	}
 }

@@ -58,39 +58,35 @@ func hash32(x uint32) int32 {
 // the partition has remaining capacity; ties and the no-neighbor case go
 // to the least-loaded candidate.
 func DG(g *graph.Graph, k int32, opt Options) *partition.Partitioning {
-	return greedy(g, k, opt, false)
+	return run(g, k, opt, PlaceDG)
 }
 
 // LDG runs the linear deterministic greedy heuristic: like DG but the
 // neighbor affinity of partition i is damped by its remaining capacity,
-// score = affinity(i) · (1 − w(Pi)/C).
+// score = affinity(i) · (1 − w(Pi)/C), compared exactly as
+// affinity(i) · (C − w(Pi)).
 func LDG(g *graph.Graph, k int32, opt Options) *partition.Partitioning {
-	return greedy(g, k, opt, true)
+	return run(g, k, opt, PlaceLDG)
 }
 
-func greedy(g *graph.Graph, k int32, opt Options, linear bool) *partition.Partitioning {
+// run streams g's vertices in opt.Order through one Placer of the rule,
+// against capacity ⌊(1+Eps)·⌈W/k⌉⌋ (at least 1) and Fennel's penalty for
+// g's totals.
+func run(g *graph.Graph, k int32, opt Options, rule PlaceRule) *partition.Partitioning {
 	if k < 1 {
-		panic(fmt.Sprintf("stream: greedy k = %d", k))
+		panic(fmt.Sprintf("stream: %v k = %d", rule, k))
 	}
-	n := g.NumVertices()
-	p := partition.New(k, n)
+	p := partition.New(k, g.NumVertices())
 	for i := range p.Assign {
 		p.Assign[i] = -1 // unassigned marker, fixed up as the stream runs
 	}
-	capacity := float64(partition.BalanceBound(g, k, opt.Eps))
-	if capacity < 1 {
-		capacity = 1
-	}
-	rule := PlaceDG
-	if linear {
-		rule = PlaceLDG
-	}
+	capacity := max(partition.BalanceBound(g, k, opt.Eps), 1)
+	penalty := FennelPenalty(k, g.TotalEdgeWeight(), g.TotalVertexWeight())
 	pl := NewPlacer(rule, k)
-	load := make([]float64, k)
-
+	load := make([]int64, k)
 	for _, v := range streamOrder(g, opt.Order, opt.Seed) {
-		vw := float64(g.VertexWeight(v))
-		best := pl.Place(g.Neighbors(v), g.EdgeWeights(v), p.Assign, load, vw, capacity, 0)
+		vw := int64(g.VertexWeight(v))
+		best := pl.Place(g.Neighbors(v), g.EdgeWeights(v), p.Assign, load, vw, capacity, penalty)
 		p.Assign[v] = best
 		load[best] += vw
 	}

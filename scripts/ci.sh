@@ -230,23 +230,27 @@ if git grep -nE 'sweepShards|shardRange|float64\(float64\(' -- 'internal/aragon/
     echo "ci: float-order scaffolding is back in the refinement; keep its objective on the integer grid" >&2
     exit 1
 fi
-# One rounding per product on every architecture (DESIGN.md §10): the
-# floats that still decide something — the stream placers' scores, the
-# topology cost model and the session's Fennel placer — are pinned by
-# goldens to the bit, and a compiler may fuse x*y + z into one rounding
-# unless the product goes through an explicit float64 conversion; arm64
-# does, amd64 does not. Cross-compile the two binaries that link them
-# (cmd/paragond for the session; the standard library builds from the
-# local GOROOT, no network) and demand that no fused multiply-add
-# survives in those packages.
-for cmd in paragon paragond; do
-    GOARCH=arm64 go build -o "$lintdir/$cmd.arm64" "./cmd/$cmd"
-    asm="$(go tool objdump -s 'paragon/internal/(session|topology|stream)\.' "$lintdir/$cmd.arm64")"
-    if grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' <<< "$asm"; then
-        echo "ci: cmd/$cmd fuses a multiply-add on arm64; wrap the product in float64(...)" >&2
-        exit 1
-    fi
-done
+# One rounding per product on every architecture (DESIGN.md §10): the one
+# float computation that still decides something is the topology cost
+# model, pinned by goldens to the bit, and a compiler may fuse x*y + z
+# into one rounding unless the product goes through an explicit float64
+# conversion; arm64 does, amd64 does not. Cross-compile cmd/paragon, the
+# binary that links topology (cmd/paragond links none of it; the standard
+# library builds from the local GOROOT, no network), and demand that no
+# fused multiply-add survives there.
+GOARCH=arm64 go build -o "$lintdir/paragon.arm64" ./cmd/paragon
+asm="$(go tool objdump -s 'paragon/internal/topology\.' "$lintdir/paragon.arm64")"
+if grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' <<< "$asm"; then
+    echo "ci: cmd/paragon fuses a multiply-add on arm64; wrap the product in float64(...)" >&2
+    exit 1
+fi
+# Integer placers (DESIGN.md §10): DG, LDG and Fennel score on int64 loads
+# and exact integer products. The session's float load mirror and the
+# math.Pow penalty must not come back to the placers or the session.
+if git grep -nE '\b(floads|FennelAlpha)\b|math\.Pow\(' -- 'internal/stream/*.go' 'internal/session/*.go'; then
+    echo "ci: a float load, FennelAlpha or math.Pow is back in the placers; keep their scores on int64" >&2
+    exit 1
+fi
 # Every setting earns a caller (DESIGN.md §19): the settings no production
 # caller set must not come back, and a refinement's fault layer is spelled
 # one way, Config.Fabric — the (FaultSeed, FaultRate) pair lives in the
