@@ -195,7 +195,7 @@ func main() {
 	}
 	// The fault layer stays a nil fabric at rate 0: even a zero-rate
 	// injector advances the virtual clock per group.
-	var fabric faultsim.Fabric
+	var fabric *faultsim.Injector
 	if *faultRate > 0 {
 		fabric = faultsim.NewInjector(faultsim.Config{Seed: *faultSeed, Rate: *faultRate})
 	}

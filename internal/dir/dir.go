@@ -38,6 +38,7 @@
 package dir
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -79,7 +80,7 @@ type Options struct {
 	// faultsim.DefaultPolicy's capped backoff), the publisher may crash
 	// between prepare and flip, and a straggler delay may stretch the
 	// window. Nil runs fault-free.
-	Fabric faultsim.Fabric
+	Fabric *faultsim.Injector
 	// Clock, when set, absorbs the virtual ticks of modeled fsyncs
 	// (fsyncTicks each), backoffs, and straggler delays.
 	Clock *faultsim.Clock
@@ -274,7 +275,7 @@ func newDirMetrics(r *obs.Registry) dirMetrics {
 // internally (last caller wins the next epoch number).
 type Directory struct {
 	opts Options
-	fab  faultsim.Fabric
+	fab  *faultsim.Injector
 	clk  *faultsim.Clock
 	tr   *obs.Tracer
 	mx   dirMetrics
@@ -413,7 +414,7 @@ func (d *Directory) publishLocked(moves []migrate.Move) (int64, error) {
 		}
 		d.advance(d.fab.GroupDelay(fe, opPublish))
 	}
-	attempts, err = d.appendRecord(recCommit, epoch, appendUint64(nil, next.AssignHash()), fe, opCommit)
+	attempts, err = d.appendRecord(recCommit, epoch, binary.LittleEndian.AppendUint64(nil, next.AssignHash()), fe, opCommit)
 	if err != nil {
 		d.abort(epoch, 2, attempts)
 		return 0, err

@@ -25,7 +25,7 @@ type sweepOutcome struct {
 // sequence under fab, asserting the torn-read invariant at every step:
 // a committed publish serves exactly its target assignment, a failed
 // publish serves exactly the previous committed one — never a mixture.
-func runPublishSweep(t *testing.T, fab faultsim.Fabric) sweepOutcome {
+func runPublishSweep(t *testing.T, fab *faultsim.Injector) sweepOutcome {
 	t.Helper()
 	const n, k, pubs = 512, 6, 24
 	assign := testAssign(n, k, 1234)
@@ -77,7 +77,7 @@ func runPublishSweep(t *testing.T, fab faultsim.Fabric) sweepOutcome {
 		finalEpoch: d.Epoch(),
 		finalHash:  d.Current().AssignHash(),
 		ticks:      clk.Now(),
-		faults:     fab.(*faultsim.Injector).Counters(),
+		faults:     fab.Counters(),
 		aborts:     reg.Counter("dir_publish_aborts_total", "").Value(),
 		journalLen: len(d.JournalBytes()),
 		pattern:    string(pattern),

@@ -1,6 +1,7 @@
 package dir
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -56,31 +57,14 @@ func fnvSum(b []byte) uint64 {
 	return h.Sum64()
 }
 
-func appendUint32(dst []byte, x uint32) []byte {
-	return append(dst, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
-}
-
-func appendUint64(dst []byte, x uint64) []byte {
-	dst = appendUint32(dst, uint32(x))
-	return appendUint32(dst, uint32(x>>32))
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func le64(b []byte) uint64 {
-	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
-}
-
 // appendRecordBytes frames one journal record around payload.
 func appendRecordBytes(dst []byte, typ byte, epoch int64, payload []byte) []byte {
 	start := len(dst)
 	dst = append(dst, recMagic, typ)
-	dst = appendUint64(dst, uint64(epoch))
-	dst = appendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(epoch))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
-	return appendUint64(dst, fnvSum(dst[start:]))
+	return binary.LittleEndian.AppendUint64(dst, fnvSum(dst[start:]))
 }
 
 // appendBaseRecord frames the epoch-0 record: full assignment in packed
@@ -89,11 +73,11 @@ func appendRecordBytes(dst []byte, typ byte, epoch int64, payload []byte) []byte
 func appendBaseRecord(dst []byte, assign []int32, k int32, shardBits uint) []byte {
 	p := partition.PackAssign(assign, k)
 	payload := make([]byte, 0, 12+8*len(p.Words()))
-	payload = appendUint32(payload, uint32(k))
-	payload = appendUint32(payload, uint32(len(assign)))
-	payload = appendUint32(payload, uint32(shardBits))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(k))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(assign)))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(shardBits))
 	for _, w := range p.Words() {
-		payload = appendUint64(payload, w)
+		payload = binary.LittleEndian.AppendUint64(payload, w)
 	}
 	return appendRecordBytes(dst, recBase, 0, payload)
 }
@@ -113,7 +97,7 @@ func parseRecord(data []byte) (typ byte, epoch int64, payload []byte, size int, 
 	if typ < recBase || typ > recCommit {
 		return 0, 0, nil, 0, false
 	}
-	plen := int(le32(data[10:14]))
+	plen := int(binary.LittleEndian.Uint32(data[10:14]))
 	if plen < 0 || plen > recMaxPayload {
 		return 0, 0, nil, 0, false
 	}
@@ -121,10 +105,10 @@ func parseRecord(data []byte) (typ byte, epoch int64, payload []byte, size int, 
 	if len(data) < size {
 		return 0, 0, nil, 0, false
 	}
-	if fnvSum(data[:recHeaderLen+plen]) != le64(data[recHeaderLen+plen:size]) {
+	if fnvSum(data[:recHeaderLen+plen]) != binary.LittleEndian.Uint64(data[recHeaderLen+plen:size]) {
 		return 0, 0, nil, 0, false
 	}
-	epoch = int64(le64(data[2:10]))
+	epoch = int64(binary.LittleEndian.Uint64(data[2:10]))
 	payload = data[recHeaderLen : recHeaderLen+plen]
 	return typ, epoch, payload, size, true
 }
@@ -134,9 +118,9 @@ func decodeBasePayload(payload []byte) (assign []int32, k int32, shardBits uint,
 	if len(payload) < 12 {
 		return nil, 0, 0, fmt.Errorf("dir: base payload %d bytes, want >= 12: %w", len(payload), ErrJournalCorrupt)
 	}
-	k = int32(le32(payload))
-	n := int32(le32(payload[4:]))
-	shardBits = uint(le32(payload[8:]))
+	k = int32(binary.LittleEndian.Uint32(payload))
+	n := int32(binary.LittleEndian.Uint32(payload[4:]))
+	shardBits = uint(binary.LittleEndian.Uint32(payload[8:]))
 	if k < 1 || n < 0 || shardBits < 6 || shardBits > 24 {
 		return nil, 0, 0, fmt.Errorf("dir: base geometry k=%d n=%d shardBits=%d: %w", k, n, shardBits, ErrJournalCorrupt)
 	}
@@ -146,7 +130,7 @@ func decodeBasePayload(payload []byte) (assign []int32, k int32, shardBits uint,
 	}
 	words := make([]uint64, len(wordBytes)/8)
 	for i := range words {
-		words[i] = le64(wordBytes[8*i:])
+		words[i] = binary.LittleEndian.Uint64(wordBytes[8*i:])
 	}
 	p, perr := partition.PackedFromWords(n, k, words)
 	if perr != nil {
@@ -213,7 +197,7 @@ func Recover(journal []byte, opts Options) (*Directory, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dir: replaying epoch %d: %v: %w", epoch, err, ErrJournalCorrupt)
 			}
-			if got, want := next.AssignHash(), le64(payload); got != want {
+			if got, want := next.AssignHash(), binary.LittleEndian.Uint64(payload); got != want {
 				return nil, fmt.Errorf("dir: epoch %d replay hash %#x != journaled %#x: %w", epoch, got, want, ErrJournalCorrupt)
 			}
 			cur = next

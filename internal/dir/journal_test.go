@@ -2,6 +2,7 @@ package dir
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -189,7 +190,7 @@ func TestRecoverRejectsStructuralViolations(t *testing.T) {
 	plan := &migrate.Plan{K: 2, Moves: []migrate.Move{{Vertex: 0, From: assign[0], To: 1 - assign[0]}}}
 
 	// Commit without its prepare.
-	j := appendRecordBytes(append([]byte(nil), base...), recCommit, 1, appendUint64(nil, 0))
+	j := appendRecordBytes(append([]byte(nil), base...), recCommit, 1, binary.LittleEndian.AppendUint64(nil, 0))
 	if _, err := Recover(j, Options{}); !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("orphan commit: err = %v, want ErrJournalCorrupt", err)
 	}
@@ -208,7 +209,7 @@ func TestRecoverRejectsStructuralViolations(t *testing.T) {
 
 	// Commit whose hash does not match the replayed delta.
 	j = appendRecordBytes(append([]byte(nil), base...), recPrepare, 1, plan.AppendBinary(nil))
-	j = appendRecordBytes(j, recCommit, 1, appendUint64(nil, 0xdeadbeef))
+	j = appendRecordBytes(j, recCommit, 1, binary.LittleEndian.AppendUint64(nil, 0xdeadbeef))
 	if _, err := Recover(j, Options{}); !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("hash mismatch: err = %v, want ErrJournalCorrupt", err)
 	}

@@ -82,43 +82,22 @@ type Event struct {
 	Delay   int64
 }
 
+// maxDelay bounds stochastic straggler delays in virtual ticks: with the
+// default Policy.RoundTimeout of 16, roughly half the stragglers that
+// fire are slow enough to be dropped.
+const maxDelay = 32
+
 // Config tunes an Injector.
 type Config struct {
 	// Seed drives the stochastic schedule; two injectors with the same
-	// (Seed, Rate, MaxDelay) produce identical schedules.
+	// (Seed, Rate) produce identical schedules.
 	Seed int64
 	// Rate is the per-fault-point firing probability in [0, 1]. Zero
 	// means the stochastic layer never fires (scripted events still do).
 	Rate float64
-	// MaxDelay bounds straggler delays in virtual ticks (default 32, so
-	// with the default Policy.RoundTimeout of 16 roughly half the
-	// stragglers that fire are slow enough to be dropped).
-	MaxDelay int64
 	// Script is an explicit fault schedule applied on top of the
 	// stochastic layer — typically a Realized() log being replayed.
 	Script []Event
-}
-
-// Fabric is the fault-point surface the pipeline consults. A nil Fabric
-// everywhere means a fault-free run; the implementations in this package
-// answer deterministically from a seed or a script. All methods must be
-// safe for concurrent use and independent of call order.
-type Fabric interface {
-	// NextEpoch returns a fresh epoch for a standalone operation (a
-	// directory publish, a migration Execute) so repeated operations
-	// under one fabric see distinct schedules.
-	NextEpoch() int
-	// CrashGroup reports whether group's server crashes in round.
-	CrashGroup(round, group int) bool
-	// GroupDelay returns the straggler delay, in virtual ticks, injected
-	// into group's server in round (0 = on time).
-	GroupDelay(round, group int) int64
-	// Drop reports whether delivery attempt of message op in round (or
-	// epoch) is lost.
-	Drop(round, op, attempt int) bool
-	// AbortMigration reports whether the migration of epoch aborts at
-	// plan move index move.
-	AbortMigration(epoch, move int) bool
 }
 
 // Counters is a snapshot of the faults an Injector has fired.
@@ -132,12 +111,14 @@ type Counters struct {
 // Total is the number of fault events fired across all classes.
 func (c Counters) Total() int64 { return c.Crashes + c.Stragglers + c.Drops + c.Aborts }
 
-// Injector is the concrete Fabric: stochastic decisions hashed from a
-// seed, plus an optional scripted schedule, with a realized-event log.
+// Injector is the fault-point surface the pipeline consults: stochastic
+// decisions hashed from a seed, plus an optional scripted schedule, with a
+// realized-event log. A nil *Injector everywhere means a fault-free run —
+// every consumer checks for nil before asking. The fault-point methods
+// are safe for concurrent use and independent of call order.
 type Injector struct {
-	seed     int64
-	rate     float64
-	maxDelay int64
+	seed int64
+	rate float64
 
 	script map[scriptKey]Event
 
@@ -158,13 +139,9 @@ type scriptKey struct {
 	attempt      int
 }
 
-// NewInjector builds an injector from cfg, applying defaults
-// (MaxDelay 32).
+// NewInjector builds an injector from cfg.
 func NewInjector(cfg Config) *Injector {
-	in := &Injector{seed: cfg.Seed, rate: cfg.Rate, maxDelay: cfg.MaxDelay}
-	if in.maxDelay <= 0 {
-		in.maxDelay = 32
-	}
+	in := &Injector{seed: cfg.Seed, rate: cfg.Rate}
 	if len(cfg.Script) > 0 {
 		in.script = make(map[scriptKey]Event, len(cfg.Script))
 		for _, ev := range cfg.Script {
@@ -217,9 +194,10 @@ func (in *Injector) scripted(kind Kind, round, index, attempt int) (Event, bool)
 // Observe registers this injector's fired-fault counters
 // (fault_injected_*_total) with r and increments them on every fault
 // that fires from then on. Counter totals are order-free, so concurrent
-// fault-point queries keep the registry deterministic.
+// fault-point queries keep the registry deterministic. A nil injector or
+// registry makes it a no-op.
 func (in *Injector) Observe(r *obs.Registry) {
-	if r == nil {
+	if in == nil || r == nil {
 		return
 	}
 	in.mu.Lock()
@@ -241,7 +219,9 @@ func (in *Injector) record(ev Event, count *int64) {
 	fired.Inc()
 }
 
-// NextEpoch implements Fabric.
+// NextEpoch returns a fresh epoch for a standalone operation (a
+// directory publish, a migration Execute) so repeated operations under
+// one injector see distinct schedules.
 func (in *Injector) NextEpoch() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -250,7 +230,7 @@ func (in *Injector) NextEpoch() int {
 	return e
 }
 
-// CrashGroup implements Fabric.
+// CrashGroup reports whether group's server crashes in round.
 func (in *Injector) CrashGroup(round, group int) bool {
 	if _, ok := in.scripted(KindCrash, round, group, 0); !ok {
 		if !in.fires(in.hash(KindCrash, round, group, 0)) {
@@ -261,7 +241,8 @@ func (in *Injector) CrashGroup(round, group int) bool {
 	return true
 }
 
-// GroupDelay implements Fabric.
+// GroupDelay returns the straggler delay, in virtual ticks, injected
+// into group's server in round (0 = on time).
 func (in *Injector) GroupDelay(round, group int) int64 {
 	var delay int64
 	if ev, ok := in.scripted(KindStraggler, round, group, 0); ok {
@@ -273,7 +254,7 @@ func (in *Injector) GroupDelay(round, group int) int64 {
 		}
 		// Reuse the untested low bits for the magnitude so the firing
 		// draw and the delay draw stay independent-ish but replayable.
-		delay = 1 + int64(detrand.Mix64(h)%uint64(in.maxDelay))
+		delay = 1 + int64(detrand.Mix64(h)%maxDelay)
 	}
 	if delay <= 0 {
 		return 0
@@ -282,7 +263,8 @@ func (in *Injector) GroupDelay(round, group int) int64 {
 	return delay
 }
 
-// Drop implements Fabric.
+// Drop reports whether delivery attempt of message op in round (or
+// epoch) is lost.
 func (in *Injector) Drop(round, op, attempt int) bool {
 	if _, ok := in.scripted(KindDrop, round, op, attempt); !ok {
 		if !in.fires(in.hash(KindDrop, round, op, attempt)) {
@@ -293,7 +275,8 @@ func (in *Injector) Drop(round, op, attempt int) bool {
 	return true
 }
 
-// AbortMigration implements Fabric.
+// AbortMigration reports whether the migration of epoch aborts at plan
+// move index move.
 func (in *Injector) AbortMigration(epoch, move int) bool {
 	if _, ok := in.scripted(KindAbort, epoch, move, 0); !ok {
 		if !in.fires(in.hash(KindAbort, epoch, move, 0)) {
@@ -405,7 +388,7 @@ func (p Policy) Backoff(attempt int) int64 {
 }
 
 // Deliver is the one retry/backoff loop for a droppable message: it
-// attempts to send message op of round (or epoch) under the fabric,
+// attempts to send message op of round (or epoch) under the injector f,
 // retrying with the policy's capped backoff until the message is
 // delivered or the retry budget is exhausted. Each attempt (including
 // lost ones — the bytes went out) costs size bytes; each backoff advances
@@ -415,7 +398,7 @@ func (p Policy) Backoff(attempt int) int64 {
 // the caller's goroutine after each backoff with the lost attempt's
 // index and the ticks waited: the hook callers hang their own
 // accounting and trace events on.
-func Deliver(f Fabric, pol Policy, clk *Clock, round, op int, size int64, onRetry func(attempt int, backoff int64)) (bytes int64, retries int, delivered bool) {
+func Deliver(f *Injector, pol Policy, clk *Clock, round, op int, size int64, onRetry func(attempt int, backoff int64)) (bytes int64, retries int, delivered bool) {
 	for attempt := 0; ; attempt++ {
 		bytes += size
 		if f == nil || !f.Drop(round, op, attempt) {

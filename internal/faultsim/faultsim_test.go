@@ -36,8 +36,8 @@ func TestRateOneAlwaysFires(t *testing.T) {
 	if !in.CrashGroup(0, 0) || !in.Drop(3, 1, 2) || !in.AbortMigration(0, 5) {
 		t.Fatal("rate-1 decision did not fire")
 	}
-	if d := in.GroupDelay(1, 2); d < 1 || d > 32 {
-		t.Fatalf("rate-1 delay %d outside [1, MaxDelay]", d)
+	if d := in.GroupDelay(1, 2); d < 1 || d > maxDelay {
+		t.Fatalf("rate-1 delay %d outside [1, maxDelay]", d)
 	}
 }
 

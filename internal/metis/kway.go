@@ -39,22 +39,13 @@ func PartitionKWay(g *graph.Graph, k int32, opt Options) *partition.Partitioning
 	rng := rand.New(rand.NewSource(opt.Seed))
 	// Coarsen once, to a size proportional to k so the coarsest graph
 	// still has enough vertices per part.
-	target := int32(opt.InitTries) * 30 * k
-	if target < opt.CoarsenTo {
-		target = opt.CoarsenTo
-	}
+	target := max(initTries*30*k, coarsenTo)
 	levels := coarsen(g, target, rng)
 	coarsest := levels[len(levels)-1].g
 
 	// Initial k-way partition of the coarsest graph via recursive
 	// bisection (cheap at this size).
-	cp := Partition(coarsest, k, Options{
-		Eps:          opt.Eps,
-		Seed:         opt.Seed + 1,
-		CoarsenTo:    opt.CoarsenTo,
-		InitTries:    opt.InitTries,
-		RefinePasses: opt.RefinePasses,
-	})
+	cp := Partition(coarsest, k, Options{Eps: opt.Eps, Seed: opt.Seed + 1})
 
 	// Project back, refining k-way at every level.
 	assign := cp.Assign
@@ -68,7 +59,7 @@ func PartitionKWay(g *graph.Graph, k int32, opt Options) *partition.Partitioning
 		assign = fineAssign
 		p := &partition.Partitioning{K: k, Assign: assign}
 		bound := partition.BalanceBound(fine, k, opt.Eps)
-		kwayRefine(fine, p, bound, opt.RefinePasses)
+		kwayRefine(fine, p, bound, refinePasses)
 	}
 	out := &partition.Partitioning{K: k, Assign: assign}
 	// The input graph itself is levels[0]; if no coarsening happened the

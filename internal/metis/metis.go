@@ -15,27 +15,17 @@ type Options struct {
 	Eps float64
 	// Seed drives matching and initial-bisection randomness.
 	Seed int64
-	// CoarsenTo is the coarsest-graph size per bisection (default 100).
-	CoarsenTo int32
-	// InitTries is the number of greedy-growing attempts per bisection
-	// (default 4).
-	InitTries int
-	// RefinePasses bounds FM passes per level (default 4).
-	RefinePasses int
 }
+
+const (
+	coarsenTo    = 100 // coarsest-graph size per bisection
+	initTries    = 4   // greedy-growing attempts per bisection
+	refinePasses = 4   // FM (or k-way) refinement passes per level
+)
 
 func (o Options) withDefaults() Options {
 	if o.Eps == 0 {
 		o.Eps = 0.02
-	}
-	if o.CoarsenTo == 0 {
-		o.CoarsenTo = 100
-	}
-	if o.InitTries == 0 {
-		o.InitTries = 4
-	}
-	if o.RefinePasses == 0 {
-		o.RefinePasses = 4
 	}
 	return o
 }
@@ -89,9 +79,9 @@ func recursiveBisect(g *graph.Graph, verts []int32, lo, k int32, p *partition.Pa
 // multilevelBisect coarsens, bisects the coarsest graph, and projects the
 // split back while FM-refining at every level.
 func multilevelBisect(g *graph.Graph, target0 float64, opt Options, rng *rand.Rand) []int8 {
-	levels := coarsen(g, opt.CoarsenTo, rng)
+	levels := coarsen(g, coarsenTo, rng)
 	coarsest := levels[len(levels)-1].g
-	side := initialBisection(coarsest, target0, rng, opt.InitTries)
+	side := initialBisection(coarsest, target0, rng, initTries)
 	total := g.TotalVertexWeight()
 	maxW := [2]int64{
 		int64(float64(total) * target0 * (1 + opt.Eps)),
@@ -99,7 +89,7 @@ func multilevelBisect(g *graph.Graph, target0 float64, opt Options, rng *rand.Ra
 	}
 	// Weight is conserved by contraction, so the same bounds apply at
 	// every level.
-	fmRefine(coarsest, side, maxW, opt.RefinePasses)
+	fmRefine(coarsest, side, maxW, refinePasses)
 	for li := len(levels) - 1; li >= 1; li-- {
 		fine := levels[li-1].g
 		cmap := levels[li].map_
@@ -108,7 +98,7 @@ func multilevelBisect(g *graph.Graph, target0 float64, opt Options, rng *rand.Ra
 			fineSide[v] = side[cmap[v]]
 		}
 		side = fineSide
-		fmRefine(fine, side, maxW, opt.RefinePasses)
+		fmRefine(fine, side, maxW, refinePasses)
 	}
 	return side
 }

@@ -9,6 +9,7 @@
 package migrate
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -16,7 +17,6 @@ import (
 
 	"paragon/internal/faultsim"
 	"paragon/internal/graph"
-	"paragon/internal/obs"
 	"paragon/internal/partition"
 )
 
@@ -73,12 +73,12 @@ func NewPlan(old, now *partition.Partitioning) (*Plan, error) {
 // directory (internal/dir), whose crash recovery replays these records;
 // DecodePlan is its exact inverse.
 func (p *Plan) AppendBinary(dst []byte) []byte {
-	dst = appendInt32(dst, p.K)
-	dst = appendInt32(dst, int32(len(p.Moves)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.K))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.Moves)))
 	for _, m := range p.Moves {
-		dst = appendInt32(dst, m.Vertex)
-		dst = appendInt32(dst, m.From)
-		dst = appendInt32(dst, m.To)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Vertex))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.From))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.To))
 	}
 	return dst
 }
@@ -90,8 +90,8 @@ func DecodePlan(data []byte) (*Plan, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("migrate: plan record truncated: %d bytes", len(data))
 	}
-	k := readInt32(data[0:])
-	n := readInt32(data[4:])
+	k := int32(binary.LittleEndian.Uint32(data[0:]))
+	n := int32(binary.LittleEndian.Uint32(data[4:]))
 	if k < 1 || n < 0 {
 		return nil, fmt.Errorf("migrate: plan record corrupt: k=%d moves=%d", k, n)
 	}
@@ -105,21 +105,12 @@ func DecodePlan(data []byte) (*Plan, error) {
 	for i := int32(0); i < n; i++ {
 		off := 8 + int(i)*12
 		p.Moves[i] = Move{
-			Vertex: readInt32(data[off:]),
-			From:   readInt32(data[off+4:]),
-			To:     readInt32(data[off+8:]),
+			Vertex: int32(binary.LittleEndian.Uint32(data[off:])),
+			From:   int32(binary.LittleEndian.Uint32(data[off+4:])),
+			To:     int32(binary.LittleEndian.Uint32(data[off+8:])),
 		}
 	}
 	return p, nil
-}
-
-func appendInt32(dst []byte, v int32) []byte {
-	u := uint32(v)
-	return append(dst, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
-}
-
-func readInt32(b []byte) int32 {
-	return int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
 }
 
 // SendsFrom returns the moves departing a rank.
@@ -213,59 +204,16 @@ func validatePlan(plan *Plan, k int32) (map[int32]int, error) {
 	return index, nil
 }
 
-// ExecOptions extends Execute with the fault fabric and the
-// observability layer. All fields are optional.
-type ExecOptions struct {
-	// Fabric optionally injects migration-abort faults (nil = fault-free).
-	Fabric faultsim.Fabric
-	// Trace, when set, receives migration_plan / migration_commit /
-	// migration_rollback events, emitted from the coordinator after the
-	// per-rank goroutines have joined.
-	Trace *obs.Tracer
-	// Metrics, when set, accumulates migrate_* counters.
-	Metrics *obs.Registry
-}
-
-// ExecuteWith is Execute under a fault fabric; see ExecuteOpts for the
-// full option surface.
-func ExecuteWith(stores []*Store, plan *Plan, ctx AppContext, fab faultsim.Fabric) (Stats, error) {
-	return ExecuteOpts(stores, plan, ctx, ExecOptions{Fabric: fab})
-}
-
-// migrateMetrics resolves the registry handles ExecuteOpts touches; the
-// zero value (nil registry) makes every operation a no-op.
-type migrateMetrics struct {
-	moved      *obs.Counter
-	movedBytes *obs.Counter
-	rolledBack *obs.Counter
-	rollbacks  *obs.Counter
-}
-
-func newMigrateMetrics(r *obs.Registry) migrateMetrics {
-	if r == nil {
-		return migrateMetrics{}
-	}
-	return migrateMetrics{
-		moved:      r.Counter("migrate_moved_vertices_total", "vertices committed to a new rank"),
-		movedBytes: r.Counter("migrate_moved_bytes_total", "serialized payload bytes committed"),
-		rolledBack: r.Counter("migrate_rolled_back_total", "departed vertices restored to their senders"),
-		rollbacks:  r.Counter("migrate_rollbacks_total", "migrations that ended in a rollback"),
-	}
-}
-
-// ExecuteOpts is Execute under a fault fabric and the observability
-// layer. The migration is a transaction: senders journal every departing
-// vertex, receivers stage arrivals without applying them, and only a
+// ExecuteWith is Execute under a fault fabric (nil = fault-free). The
+// migration is a transaction: senders journal every departing vertex,
+// receivers stage arrivals without applying them, and only a
 // fully-staged plan commits. If the fabric aborts the migration mid-plan
 // (or a sender finds a vertex missing), every journaled departure is
 // restored to its sender — application context included, via the Restore
-// hook — and ExecuteOpts returns ErrAborted (or the protocol error).
+// hook — and ExecuteWith returns ErrAborted (or the protocol error).
 // Either way Verify holds afterwards: against the new decomposition on
 // commit, against the old one on rollback.
-func ExecuteOpts(stores []*Store, plan *Plan, ctx AppContext, opts ExecOptions) (Stats, error) {
-	fab := opts.Fabric
-	tr := opts.Trace
-	mx := newMigrateMetrics(opts.Metrics)
+func ExecuteWith(stores []*Store, plan *Plan, ctx AppContext, fab *faultsim.Injector) (Stats, error) {
 	k := int32(len(stores))
 	if plan.K != k {
 		return Stats{}, fmt.Errorf("migrate: plan for %d ranks, %d stores", plan.K, k)
@@ -274,7 +222,6 @@ func ExecuteOpts(stores []*Store, plan *Plan, ctx AppContext, opts ExecOptions) 
 	if err != nil {
 		return Stats{}, err
 	}
-	tr.Emit(obs.Event{Kind: obs.KindMigrationPlan, Round: -1, N: int64(len(plan.Moves))})
 	// The abort point is fixed up front from the schedule: the first plan
 	// index the fabric kills. Sends at or past it never happen — the
 	// "crashed" tail of the plan.
@@ -365,15 +312,6 @@ func ExecuteOpts(stores []*Store, plan *Plan, ctx AppContext, opts ExecOptions) 
 		}
 		stats.Aborted = true
 		stats.PerRankSent = make([]int64, k) // nothing moved
-		mx.rollbacks.Inc()
-		mx.rolledBack.Add(stats.RolledBack)
-		if tr != nil {
-			at := int32(-1) // protocol violation
-			if len(missingAll) == 0 {
-				at = int32(abortAt)
-			}
-			tr.Emit(obs.Event{Kind: obs.KindMigrationRollback, Round: -1, A: at, N: stats.RolledBack})
-		}
 		return stats, verdict
 	}
 
@@ -397,9 +335,6 @@ func ExecuteOpts(stores []*Store, plan *Plan, ctx AppContext, opts ExecOptions) 
 		stats.MovedBytes += perRankBytes[r]
 		stats.MovedVertices += stats.PerRankSent[r]
 	}
-	mx.moved.Add(stats.MovedVertices)
-	mx.movedBytes.Add(stats.MovedBytes)
-	tr.Emit(obs.Event{Kind: obs.KindMigrationCommit, Round: -1, N: stats.MovedVertices, M: stats.MovedBytes})
 	return stats, nil
 }
 

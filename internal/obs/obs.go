@@ -1,9 +1,9 @@
 // Package obs is the determinism-safe observability layer of the
 // pipeline: a structured event tracer and a metrics registry that the
-// refinement driver (internal/paragon), the exchange strategies
-// (internal/exchange), the migration service (internal/migrate), and the
-// fault injector (internal/faultsim) thread their per-round, per-wave,
-// and per-message telemetry through, plus sinks (JSONL trace files,
+// refinement driver (internal/paragon), the portfolio, the streaming
+// session, the partition directory and the fault injector
+// (internal/faultsim) thread their per-round, per-wave, and per-message
+// telemetry through, plus sinks (JSONL trace files,
 // Prometheus-style text exposition, a human per-phase summary table).
 //
 // The design constraint that shapes everything here is the determinism
@@ -17,12 +17,11 @@
 //     outside the serialized stream, or the Workers=1 and Workers=8
 //     trace files stop comparing equal.
 //
-//   - Worker emission is staged, not direct. Code running on a worker
-//     pool appends events to a per-worker Buf and the coordinator
-//     commits the staged spans in task order at the next barrier —
-//     the same discipline as the move arenas of
-//     internal/paragon/schedule.go. Direct Tracer.Emit is reserved for
-//     coordinator (single-goroutine) call sites.
+//   - Only coordinators emit. Code running on a worker pool never
+//     touches the tracer: it reports through task-indexed results, and
+//     the coordinator emits from them in task order at the next barrier
+//     (internal/paragon/schedule.go's commitWave). Tracer.Emit is for
+//     coordinator (single-goroutine) call sites only.
 //
 //   - Metrics are order-free. Counters and histograms accumulate int64
 //     quantities with atomic adds — associative, so any interleaving of
@@ -32,8 +31,8 @@
 //     reduction), never accumulated concurrently.
 //
 // Everything is stdlib-only and allocation-conscious: a nil *Tracer or
-// nil *Registry disables the layer entirely (Emit, SetClock, CommitStaged
-// and every metric operation are no-ops on a nil receiver, so emission
+// nil *Registry disables the layer entirely (Emit, SetClock and every
+// metric operation are no-ops on a nil receiver, so emission
 // sites need no guard), and an enabled tracer writes into a preallocated
 // ring.
 package obs
@@ -63,8 +62,8 @@ const (
 	// partition-disjoint pairs about to execute.
 	KindWaveScheduled
 	// KindPairRefined reports one refined partition pair (A, B): N kept
-	// moves, X realized Eq. 5 gain. Emitted from worker goroutines via
-	// per-worker Bufs, committed in task order at the wave barrier.
+	// moves, X realized Eq. 5 gain. Emitted by the coordinator at the
+	// wave barrier, in task order, from the pair's task-indexed result.
 	KindPairRefined
 	// KindWaveCommitted closes wave A of Round: N moves entered the
 	// master at the barrier.
@@ -84,15 +83,6 @@ const (
 	// KindRegionAbort reports region A of Round dropped beyond the retry
 	// budget after B attempts; shuffle refinement ends early.
 	KindRegionAbort
-	// KindMigrationPlan opens a migration: N planned moves.
-	KindMigrationPlan
-	// KindMigrationCommit closes a committed migration: N moved
-	// vertices, M payload bytes.
-	KindMigrationCommit
-	// KindMigrationRollback closes an aborted migration: N vertices
-	// restored to their senders, A the plan index of the abort (-1 for a
-	// protocol violation).
-	KindMigrationRollback
 	// KindMigrationSweep reports the final migration bookkeeping of a
 	// Refine call: N vertices whose owner changed, X Eq. 3 cost.
 	KindMigrationSweep
@@ -152,36 +142,33 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KindRefineStart:       "refine_start",
-	KindRoundStart:        "round_start",
-	KindGroupCrashed:      "group_crashed",
-	KindGroupStraggler:    "group_straggler",
-	KindWaveScheduled:     "wave_scheduled",
-	KindPairRefined:       "pair_refined",
-	KindWaveCommitted:     "wave_committed",
-	KindShipAccounted:     "ship_accounted",
-	KindRoundEnd:          "round_end",
-	KindRegionSent:        "region_sent",
-	KindRegionRetry:       "region_retry",
-	KindRegionAbort:       "region_abort",
-	KindMigrationPlan:     "migration_plan",
-	KindMigrationCommit:   "migration_commit",
-	KindMigrationRollback: "migration_rollback",
-	KindMigrationSweep:    "migration_sweep",
-	KindRefineEnd:         "refine_end",
-	KindEpochPrepare:      "epoch_prepare",
-	KindEpochCommit:       "epoch_commit",
-	KindEpochAbort:        "epoch_abort",
-	KindDirRecovered:      "dir_recovered",
-	KindPortfolioStart:    "portfolio_start",
-	KindMemberForfeit:     "member_forfeit",
-	KindMemberRefined:     "member_refined",
-	KindPortfolioCombine:  "portfolio_combine",
-	KindPortfolioSelect:   "portfolio_select",
-	KindIngestBatch:       "ingest_batch",
-	KindEpochTrigger:      "epoch_trigger",
-	KindEpochLaunch:       "epoch_launch",
-	KindEpochMerge:        "epoch_merge",
+	KindRefineStart:      "refine_start",
+	KindRoundStart:       "round_start",
+	KindGroupCrashed:     "group_crashed",
+	KindGroupStraggler:   "group_straggler",
+	KindWaveScheduled:    "wave_scheduled",
+	KindPairRefined:      "pair_refined",
+	KindWaveCommitted:    "wave_committed",
+	KindShipAccounted:    "ship_accounted",
+	KindRoundEnd:         "round_end",
+	KindRegionSent:       "region_sent",
+	KindRegionRetry:      "region_retry",
+	KindRegionAbort:      "region_abort",
+	KindMigrationSweep:   "migration_sweep",
+	KindRefineEnd:        "refine_end",
+	KindEpochPrepare:     "epoch_prepare",
+	KindEpochCommit:      "epoch_commit",
+	KindEpochAbort:       "epoch_abort",
+	KindDirRecovered:     "dir_recovered",
+	KindPortfolioStart:   "portfolio_start",
+	KindMemberForfeit:    "member_forfeit",
+	KindMemberRefined:    "member_refined",
+	KindPortfolioCombine: "portfolio_combine",
+	KindPortfolioSelect:  "portfolio_select",
+	KindIngestBatch:      "ingest_batch",
+	KindEpochTrigger:     "epoch_trigger",
+	KindEpochLaunch:      "epoch_launch",
+	KindEpochMerge:       "epoch_merge",
 }
 
 // String returns the snake_case event name used by the JSONL sink.
@@ -213,11 +200,10 @@ type Event struct {
 // itself deterministic, because which events drop depends only on the
 // emission sequence, never on timing.
 //
-// Concurrency: Emit/CommitStaged are safe for concurrent use, but
-// sequence numbers then reflect interleaving — the pipeline only ever
-// emits from the coordinator goroutine and routes worker emission
-// through Bufs, which is what keeps the stream bit-identical across
-// worker counts.
+// Concurrency: Emit is safe for concurrent use, but sequence numbers
+// then reflect interleaving — the pipeline only ever emits from the
+// coordinator goroutine, which is what keeps the stream bit-identical
+// across worker counts.
 type Tracer struct {
 	mu      sync.Mutex
 	clock   func() int64
@@ -254,17 +240,14 @@ func (t *Tracer) SetClock(now func() int64) {
 
 // Emit stamps e with the current tick and the next sequence number and
 // appends it to the ring. Coordinator call sites only; worker-pool code
-// stages into a Buf instead. A nil tracer drops the event.
+// reports through task-indexed results instead. A nil tracer drops the
+// event.
 func (t *Tracer) Emit(e Event) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.emitLocked(e)
-	t.mu.Unlock()
-}
-
-func (t *Tracer) emitLocked(e Event) {
+	defer t.mu.Unlock()
 	e.Seq = t.seq
 	t.seq++
 	e.Tick = 0
@@ -283,40 +266,6 @@ func (t *Tracer) emitLocked(e Event) {
 		t.head = 0
 	}
 	t.dropped++
-}
-
-// Buf is a per-worker staging buffer: worker-pool code appends events
-// here (no locks, no stamps) and the coordinator commits contiguous
-// spans in task order at the next barrier via CommitStaged — mirroring
-// the per-worker move arenas of the pair scheduler. A Buf must not be
-// shared between goroutines.
-type Buf struct {
-	ev []Event
-}
-
-// Emit stages one event. Seq/Tick are assigned later, at commit.
-func (b *Buf) Emit(e Event) { b.ev = append(b.ev, e) }
-
-// Mark returns the current staging position; a task's span is
-// [Mark-before, Mark-after).
-func (b *Buf) Mark() int { return len(b.ev) }
-
-// Reset empties the buffer, keeping its backing storage.
-func (b *Buf) Reset() { b.ev = b.ev[:0] }
-
-// CommitStaged stamps and appends the staged span [lo, hi) of b, in
-// staging order. The caller sequences CommitStaged calls in task order,
-// which is what makes the merged stream independent of which worker
-// staged which span.
-func (t *Tracer) CommitStaged(b *Buf, lo, hi int) {
-	if t == nil || b == nil || lo >= hi {
-		return
-	}
-	t.mu.Lock()
-	for _, e := range b.ev[lo:hi] {
-		t.emitLocked(e)
-	}
-	t.mu.Unlock()
 }
 
 // Events returns a copy of the retained events in sequence order.

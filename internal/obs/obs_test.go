@@ -48,22 +48,6 @@ func TestTracerRingDropsOldest(t *testing.T) {
 	}
 }
 
-func TestCommitStagedMergesInCallOrder(t *testing.T) {
-	// Two worker bufs staged out of order; the coordinator commits spans
-	// in task order, so the merged stream is independent of which worker
-	// held which span.
-	tr := NewTracer(16)
-	var b0, b1 Buf
-	b1.Emit(Event{Kind: KindPairRefined, A: 2}) // task 1 staged on worker 1 first
-	b0.Emit(Event{Kind: KindPairRefined, A: 1}) // task 0 staged on worker 0 second
-	tr.CommitStaged(&b0, 0, 1)                  // task 0
-	tr.CommitStaged(&b1, 0, 1)                  // task 1
-	ev := tr.Events()
-	if len(ev) != 2 || ev[0].A != 1 || ev[1].A != 2 {
-		t.Fatalf("merged order wrong: %+v", ev)
-	}
-}
-
 func TestRegistryIdempotentAndTyped(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("refine_moves_total", "kept moves")
@@ -171,9 +155,6 @@ func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.SetClock(func() int64 { return 1 })
 	tr.Emit(Event{Kind: KindRoundStart})
-	var staged Buf
-	staged.Emit(Event{Kind: KindPairRefined})
-	tr.CommitStaged(&staged, 0, staged.Mark())
 	if err := WriteJSONL(&bytes.Buffer{}, tr); err != nil {
 		t.Fatal(err)
 	}

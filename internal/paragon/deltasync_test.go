@@ -90,21 +90,23 @@ func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
 					}
 				}
 				replay := slices.Clone(p.Assign)
-				waves := 0
+				waves, round := 0, -1
 				testWaveSynced = func(sc *WaveEngine, wave int, lo, hi int32) {
 					if wave >= 0 {
 						waves++
+					} else {
+						round++
 					}
 					for ti := lo; ti < hi; ti++ {
 						for _, mv := range sc.TaskMoves(ti) {
-							if sc.round == 0 && (inUntouched[replay[mv.V]] || inUntouched[mv.To]) {
+							if round == 0 && (inUntouched[replay[mv.V]] || inUntouched[mv.To]) {
 								t.Fatalf("workers=%d wave %d: vertex %d moved %d -> %d through a crashed group",
 									workers, wave, mv.V, replay[mv.V], mv.To)
 							}
 							replay[mv.V] = mv.To
 						}
 					}
-					checkBarrierInvariant(t, sc, replay)
+					checkBarrierInvariant(t, sc, round, replay)
 				}
 				st, err := Refine(g, p, c, cfg)
 				testWaveSynced = nil
@@ -145,11 +147,12 @@ func TestPairCandidatesMatchScan(t *testing.T) {
 			var movable []bool // the oracle's mask for the current round
 			words := make([]uint64, partition.MaskWords(n))
 			summary := make([]uint64, partition.MaskWords(int32(len(words))))
-			pairs, candidates := 0, 0
+			pairs, candidates, round := 0, 0, -1
 			testWaveSynced = func(sc *WaveEngine, wave int, _, _ int32) {
 				if wave < 0 {
+					round++
 					movable = movableScan(g, sc.pm, khop)
-					checkMask(t, fmt.Sprintf("khop=%d workers=%d round %d", khop, workers, sc.round), sc, khop)
+					checkMask(t, fmt.Sprintf("khop=%d workers=%d round %d", khop, workers, round), sc, khop)
 				}
 				if wave+2 >= len(sc.Waves) {
 					return // the round's last barrier: no wave left to enumerate for
@@ -165,7 +168,7 @@ func TestPairCandidatesMatchScan(t *testing.T) {
 					partition.SortCandidates(got, words, summary)
 					if !slices.Equal(got, want) {
 						t.Fatalf("khop=%d workers=%d round %d, before wave %d, pair (%d,%d): shadow lists %d candidates, the scan %d",
-							khop, workers, sc.round, wave+1, task[0], task[1], len(got), len(want))
+							khop, workers, round, wave+1, task[0], task[1], len(got), len(want))
 					}
 					pairs++
 					candidates += len(want)
@@ -199,23 +202,24 @@ func archAwareInput(t *testing.T) (*graph.Graph, *partition.Partitioning, [][]fl
 // checkBarrierInvariant compares every piece of engine state that is
 // patched from the move log against the same state built from scratch;
 // replay is the input assignment with every kept move so far applied. An
-// engine without a profile has no segments to compare.
-func checkBarrierInvariant(t *testing.T, sc *WaveEngine, replay []int32) {
+// engine without a profile has no segments to compare. round labels the
+// failure messages.
+func checkBarrierInvariant(t *testing.T, sc *WaveEngine, round int, replay []int32) {
 	t.Helper()
 	if !slices.Equal(sc.pm.Assign, replay) {
-		t.Fatalf("round %d: master differs from the full-copy replay of the kept moves", sc.round)
+		t.Fatalf("round %d: master differs from the full-copy replay of the kept moves", round)
 	}
 	if err := sc.ix.Validate(); err != nil {
-		t.Fatalf("round %d: master index: %v", sc.round, err)
+		t.Fatalf("round %d: master index: %v", round, err)
 	}
 	if !slices.Equal(sc.shadow.Partitioning().Assign, sc.pm.Assign) {
-		t.Fatalf("round %d: shadow view differs from the master", sc.round)
+		t.Fatalf("round %d: shadow view differs from the master", round)
 	}
 	if !slices.Equal(sc.loads, sc.pm.Weights(sc.g)) {
-		t.Fatalf("round %d: loads %v, master weights %v", sc.round, sc.loads, sc.pm.Weights(sc.g))
+		t.Fatalf("round %d: loads %v, master weights %v", round, sc.loads, sc.pm.Weights(sc.g))
 	}
 	if err := sc.shadow.Validate(); err != nil {
-		t.Fatalf("round %d: %v", sc.round, err)
+		t.Fatalf("round %d: %v", round, err)
 	}
 	if sc.profile == nil {
 		return
@@ -228,7 +232,7 @@ func checkBarrierInvariant(t *testing.T, sc *WaveEngine, replay []int32) {
 	for v := int32(0); v < sc.g.NumVertices(); v++ {
 		if !sc.profile.Materialized(v) {
 			if sc.mask.Get(v) {
-				t.Fatalf("round %d: movable vertex %d has no profile segment", sc.round, v)
+				t.Fatalf("round %d: movable vertex %d has no profile segment", round, v)
 			}
 			continue
 		}
@@ -236,10 +240,10 @@ func checkBarrierInvariant(t *testing.T, sc *WaveEngine, replay []int32) {
 		gp, gw, gs := sc.profile.Segment(v)
 		wp, ww, ws := want.Segment(v)
 		if !slices.Equal(gp, wp) || !slices.Equal(gw, ww) || gs != ws {
-			t.Fatalf("round %d: segment of %d = %v/%v size %d, the full table says %v/%v size %d", sc.round, v, gp, gw, gs, wp, ww, ws)
+			t.Fatalf("round %d: segment of %d = %v/%v size %d, the full table says %v/%v size %d", round, v, gp, gw, gs, wp, ww, ws)
 		}
 	}
 	if materialized == 0 {
-		t.Fatalf("round %d: no vertex is materialized; the profile check is vacuous", sc.round)
+		t.Fatalf("round %d: no vertex is materialized; the profile check is vacuous", round)
 	}
 }

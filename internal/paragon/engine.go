@@ -5,20 +5,16 @@ import (
 
 	"paragon/internal/aragon"
 	"paragon/internal/graph"
-	"paragon/internal/obs"
 	"paragon/internal/partition"
 )
 
-// taskSpan locates a task's kept moves inside its worker's arena, and —
-// when tracing — its staged trace events inside the worker's event buf.
-// Arenas and bufs grow by append, so the span stores indices, not slices;
-// both are emptied before every wave, the barrier having consumed them.
+// taskSpan locates a task's kept moves inside its worker's arena. Arenas
+// grow by append, so the span stores indices, not slices; they are emptied
+// before every wave, the barrier having consumed them.
 type taskSpan struct {
 	worker int32
 	mstart int32
 	mend   int32
-	estart int32
-	eend   int32
 }
 
 // span is the work order sent to every worker: one wave's task range.
@@ -61,6 +57,9 @@ var testWaveSynced func(e *WaveEngine, wave int, lo, hi int32)
 //     patches, between waves, in task order; never from how concurrent
 //     pairs interleave.
 //   - Per-pair results land in task-indexed slices, read in task order.
+//     They are all a worker reports: workers never touch the
+//     observability plane, and what a run traces the caller's barrier
+//     emits from Results and Tasks, on the coordinator.
 //
 // Barrier invariant (DESIGN.md §14): outside a wave,
 //
@@ -100,14 +99,6 @@ type WaveEngine struct {
 	// are idle from every Open to its Close; slot w goes to worker w.
 	Spare []*aragon.Refiner
 
-	// Observability: workers stage KindPairRefined events in their ebuf
-	// (never touching the tracer directly); the caller's barrier commits
-	// each task's staged span in task order — the discipline of the move
-	// arenas, and why the trace is bit-identical across worker counts.
-	trace *obs.Tracer
-	round int32
-	ebufs []obs.Buf
-
 	// The schedule, filled by the caller before Run: wave t is
 	// Tasks[Waves[t]:Waves[t+1]], its pairs over pairwise-disjoint
 	// partitions. Results[ti] is task ti's outcome after its wave.
@@ -141,14 +132,13 @@ func (e *WaveEngine) Open(g *graph.Graph, ix *partition.Index, c *partition.Cost
 		}
 		e.refiners = append(e.refiners, r)
 		e.arenas = append(e.arenas, nil)
-		e.ebufs = append(e.ebufs, obs.Buf{})
 	}
 	for _, r := range e.refiners[:w] {
 		r.Bind(e.shadow)
 		r.SetProfile(profile)
 	}
 	e.workers, e.profile, e.mask = w, profile, nil
-	e.c, e.orig, e.maxLoad, e.trace = c, orig, maxLoad, cfg.Trace
+	e.c, e.orig, e.maxLoad = c, orig, maxLoad
 	e.loads = slices.Grow(e.loads[:0], int(e.pm.K))[:e.pm.K]
 	clear(e.loads)
 	for v, q := range e.pm.Assign {
@@ -173,7 +163,7 @@ func (e *WaveEngine) Close() {
 		<-e.done
 	}
 	e.start = nil
-	e.c, e.orig, e.trace = nil, nil, nil
+	e.c, e.orig = nil, nil
 }
 
 func (e *WaveEngine) worker(w int) {
@@ -226,8 +216,8 @@ func (e *WaveEngine) SetMask(mask *partition.Bitset, changed []int32) {
 // wave-start profile and the master index — a delta patch over the move
 // log, never a full copy; a vertex is moved by at most one pair per wave,
 // so pm.Assign[v] is still its wave-start owner when its move is reached.
-// barrier, when non-nil, then sees the wave: Results, TaskMoves and the
-// staged events of its tasks are valid until it returns.
+// barrier, when non-nil, then sees the wave: Results and TaskMoves of its
+// tasks are valid until it returns.
 func (e *WaveEngine) Run(barrier func(t int, lo, hi int32)) {
 	nt := len(e.Tasks)
 	e.Results = slices.Grow(e.Results[:0], nt)[:nt]
@@ -239,7 +229,6 @@ func (e *WaveEngine) Run(barrier func(t int, lo, hi int32)) {
 		}
 		for w := range e.arenas {
 			e.arenas[w] = e.arenas[w][:0]
-			e.ebufs[w].Reset()
 		}
 		e.dispatch(span{lo: lo, hi: hi})
 		for ti := lo; ti < hi; ti++ {
@@ -266,10 +255,8 @@ func (e *WaveEngine) Run(barrier func(t int, lo, hi int32)) {
 }
 
 // runPairs refines this worker's share (static modulo assignment) of
-// one wave's tasks. When tracing, each task's KindPairRefined event is
-// staged in this worker's ebuf — the coordinator commits it at the
-// barrier — so workers never contend on the tracer and the stream stays
-// independent of Workers.
+// one wave's tasks. A worker reports only through the task-indexed Results
+// and its arena; what the run traces, the coordinator emits at the barrier.
 func (e *WaveEngine) runPairs(w int, lo, hi int32) {
 	r := e.refiners[w]
 	for ti := lo; ti < hi; ti++ {
@@ -278,16 +265,8 @@ func (e *WaveEngine) runPairs(w int, lo, hi int32) {
 		}
 		t := e.Tasks[ti]
 		mstart := int32(len(e.arenas[w]))
-		var res aragon.Result
-		e.arenas[w], res = r.RefinePairScheduled(e.arenas[w], e.orig, t[0], t[1], e.c, e.loads, e.maxLoad, e.mask)
-		e.Results[ti] = res
-		estart := e.ebufs[w].Mark()
-		if e.trace != nil {
-			e.ebufs[w].Emit(obs.Event{Kind: obs.KindPairRefined, Round: e.round,
-				A: t[0], B: t[1], N: int64(res.Moves), X: e.c.Real(res.Gain)})
-		}
-		e.spans[ti] = taskSpan{worker: int32(w), mstart: mstart, mend: int32(len(e.arenas[w])),
-			estart: int32(estart), eend: int32(e.ebufs[w].Mark())}
+		e.arenas[w], e.Results[ti] = r.RefinePairScheduled(e.arenas[w], e.orig, t[0], t[1], e.c, e.loads, e.maxLoad, e.mask)
+		e.spans[ti] = taskSpan{worker: int32(w), mstart: mstart, mend: int32(len(e.arenas[w]))}
 	}
 }
 

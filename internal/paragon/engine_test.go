@@ -100,7 +100,7 @@ func TestWaveEngineExplicitSchedule(t *testing.T) {
 						moves++
 					}
 				}
-				checkBarrierInvariant(t, sc, replay)
+				checkBarrierInvariant(t, sc, 0, replay)
 			}
 			for call := 0; call < 2; call++ {
 				e.Open(g, ix, quantised(t, c), p0.Assign, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg, nil)
@@ -192,7 +192,7 @@ func TestMovableMatchesScan(t *testing.T) {
 						replay[mv.V] = mv.To
 					}
 					mov.Moved(e.TaskMoves(ti))
-					checkBarrierInvariant(t, &e, replay)
+					checkBarrierInvariant(t, &e, round, replay)
 					if khop == 0 {
 						mov.Repair(&e)
 						checkMask(t, fmt.Sprintf("round %d barrier %d", round, ti), &e, khop)

@@ -1,10 +1,12 @@
 package paragon
 
 import (
+	"reflect"
 	"testing"
 
 	"paragon/internal/faultsim"
 	"paragon/internal/gen"
+	"paragon/internal/obs"
 	"paragon/internal/partition"
 	"paragon/internal/stream"
 	"paragon/internal/topology"
@@ -96,7 +98,9 @@ func TestFaultScheduleReplaysBitIdentical(t *testing.T) {
 
 // With the fault layer installed but firing nothing (rate 0), the result
 // must be bit-identical to a run with no fault layer at all — the
-// instrumented fault points are pure observers.
+// instrumented fault points are pure observers. A nil *Injector is no
+// fault layer at all: assignment and Stats, virtual ticks included, equal
+// the bare run's, with a metrics registry installed for it to observe.
 func TestZeroFaultFabricIsNoop(t *testing.T) {
 	g := gen.RMAT(2500, 15000, 0.57, 0.19, 0.19, 9)
 	g.UseDegreeWeights()
@@ -134,6 +138,20 @@ func TestZeroFaultFabricIsNoop(t *testing.T) {
 	}
 	if fc := fab.Counters(); fc.Total() != 0 {
 		t.Fatalf("injector fired at rate 0: %+v", fc)
+	}
+
+	nilFab := p0.Clone()
+	stNil, err := Refine(g, nilFab, c, Config{DRP: 4, Shuffles: 3, Seed: 77, KHop: 1, NodeOf: nodeOf,
+		Fabric: (*faultsim.Injector)(nil), Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if assignHash(bare) != assignHash(nilFab) {
+		t.Fatal("nil injector changed the decomposition")
+	}
+	stBare.RefinementTime, stNil.RefinementTime = 0, 0
+	if !reflect.DeepEqual(stNil, stBare) {
+		t.Fatalf("nil injector's stats diverged from the bare run's:\n%+v\nvs\n%+v", stNil, stBare)
 	}
 }
 

@@ -3,11 +3,11 @@ package paragon
 // Observability plumbing (DESIGN.md §13). A Refine call with
 // Config.Trace / Config.Metrics set emits a structured event stream and
 // populates a metrics registry; nil ones are no-ops at every call, so no
-// site is guarded. Every emission happens on the coordinator goroutine —
-// the one exception, the per-pair events of the worker pool, is staged in
-// per-worker obs.Bufs and committed in task order at the wave barrier
-// (schedule.go), mirroring the move arenas. That discipline is what keeps
-// the trace byte-identical across Config.Workers values.
+// site is guarded. Only the coordinator goroutine emits: the worker pool
+// reports through task-indexed results, from which the wave barrier
+// (schedule.go's commitWave) emits each pair's event in task order. That
+// discipline is what keeps the trace byte-identical across Config.Workers
+// values.
 
 import (
 	"paragon/internal/obs"

@@ -70,14 +70,13 @@ type Config struct {
 	// penalty and the region-exchange accounting. Nil treats every
 	// server as its own node.
 	NodeOf []int
-	// Fabric installs a deterministic fault fabric (internal/faultsim):
+	// Fabric installs a deterministic fault injector (internal/faultsim):
 	// group crashes, straggler delays and exchange-reduce drops fire at
-	// its fault points — a seeded faultsim.Injector, or a scripted
-	// schedule being replayed. An Injector keeps counters and a realized
+	// its fault points — seeded, or a scripted schedule being replayed. An Injector keeps counters and a realized
 	// log, so give each Refine call its own. Nil makes the fault layer a
 	// true no-op; a zero-rate injector is not one — the driver still
 	// advances the virtual clock per group.
-	Fabric faultsim.Fabric
+	Fabric *faultsim.Injector
 	// Trace, when non-nil, receives the structured refinement event
 	// stream (round/wave/pair/fault/exchange events, DESIGN.md §13).
 	// Events are stamped with the virtual tick clock and a monotonic
@@ -155,15 +154,6 @@ func (c Config) WithDefaults(k int32) Config {
 	a := c.AragonConfig().WithDefaults()
 	c.Alpha, c.MaxImbalance = a.Alpha, a.MaxImbalance
 	return c
-}
-
-// FaultFabric returns the fabric a run under this config consults,
-// Fabric, after pointing an Injector's fired-fault counters at Metrics.
-func (c Config) FaultFabric() faultsim.Fabric {
-	if in, ok := c.Fabric.(*faultsim.Injector); ok && c.Metrics != nil {
-		in.Observe(c.Metrics)
-	}
-	return c.Fabric
 }
 
 // AragonConfig projects the pairwise-refiner settings out of the driver
@@ -259,7 +249,7 @@ type driver struct {
 	sc  *scheduler
 	c   *partition.Costs
 	cfg Config // defaults applied
-	fab faultsim.Fabric
+	fab *faultsim.Injector
 	pol faultsim.Policy
 	clk *faultsim.Clock
 	tr  *obs.Tracer
@@ -353,17 +343,17 @@ func (d *driver) open() error {
 	}
 	d.st.ExchangeRegions = int((n + d.regionSize - 1) / d.regionSize)
 
-	// The fault layer: a nil fabric is the fast path with zero overhead; an
-	// installed one is consulted at each fault point. Decisions are pure
+	// The fault layer: a nil injector is the fast path with zero overhead;
+	// an installed one is consulted at each fault point. Decisions are pure
 	// hashes of (seed, coordinates), so no phase loses determinism by
 	// asking.
-	d.fab = cfg.FaultFabric()
+	cfg.Fabric.Observe(cfg.Metrics)
+	d.fab = cfg.Fabric
 	d.pol = faultsim.DefaultPolicy()
 	d.clk = faultsim.NewClock()
 	// Observability (DESIGN.md §13): a nil tracer or registry is a no-op at
-	// every call. Phases emit from this coordinator goroutine; the per-pair
-	// worker events are staged per worker and committed in task order at
-	// each wave barrier (schedule.go).
+	// every call. Only this coordinator goroutine emits; the per-pair events
+	// come from the task-indexed results at each wave barrier (schedule.go).
 	d.mx = newRefineMetrics(cfg.Metrics)
 	d.tr.SetClock(d.clk.Now)
 	d.tr.Emit(obs.Event{Kind: obs.KindRefineStart, Round: -1, A: d.st.Master, B: int32(cfg.DRP), N: int64(p.K)})

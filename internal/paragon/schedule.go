@@ -120,7 +120,6 @@ func AppendTournamentRound(dst [][2]int32, group []int32, t int) [][2]int32 {
 // roundTicks of virtual time and is counted in Stats.
 func (d *driver) refineWaves(round int32, roundTicks int64) {
 	sc := d.sc
-	sc.round = round
 	sc.buildSchedule(d.groups)
 	if testWaveSynced != nil {
 		testWaveSynced(sc.WaveEngine, -1, 0, 0)
@@ -140,9 +139,10 @@ func (d *driver) refineWaves(round int32, roundTicks int64) {
 // order, and its move log feeds the two delta structures: the movable
 // mask (whose next repair re-evaluates the moved vertices and their
 // neighbors) and the diff bitset (vertices whose owner differs from the
-// original decomposition, walked by sweepMigration). Staged trace events
-// are committed in task order between the wave's two events; no worker
-// touches the tracer, so the first reads as emitted before the dispatch.
+// original decomposition, walked by sweepMigration). Each task's
+// pair_refined event is emitted here too, in task order between the
+// wave's two events, from the task's result: only the coordinator
+// emits, so the first reads as emitted before the dispatch.
 func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
 	sc := d.sc
 	d.tr.Emit(obs.Event{Kind: obs.KindWaveScheduled, Round: round, A: int32(t), N: int64(hi - lo)})
@@ -158,8 +158,8 @@ func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
 			sc.diff.SetTo(mv.V, mv.To != sc.orig[mv.V])
 		}
 		sc.mov.Moved(moves)
-		sp := sc.spans[ti]
-		d.tr.CommitStaged(&sc.ebufs[sp.worker], int(sp.estart), int(sp.eend))
+		pair := sc.Tasks[ti]
+		d.tr.Emit(obs.Event{Kind: obs.KindPairRefined, Round: round, A: pair[0], B: pair[1], N: int64(res.Moves), X: d.c.Real(res.Gain)})
 	}
 	d.mx.waves.Inc()
 	d.mx.wavePairs.Observe(int64(hi - lo))

@@ -40,17 +40,15 @@ type Options struct {
 	Eps float64
 	// Seed drives the underlying multilevel partitioner.
 	Seed int64
-	// RefinePasses bounds the greedy boundary refinement passes of the
-	// Diffusion method (default 4).
-	RefinePasses int
 }
+
+// refinePasses bounds the greedy boundary refinement passes of the
+// Diffusion method.
+const refinePasses = 4
 
 func (o Options) withDefaults() Options {
 	if o.Eps == 0 {
 		o.Eps = 0.02
-	}
-	if o.RefinePasses == 0 {
-		o.RefinePasses = 4
 	}
 	return o
 }
@@ -212,7 +210,7 @@ func diffusion(g *graph.Graph, old *partition.Partitioning, opt Options) *partit
 	}
 
 	// Phase 2: greedy k-way boundary refinement (cut repair).
-	greedyKWayRefine(g, p, bound, opt.RefinePasses)
+	greedyKWayRefine(g, p, bound, refinePasses)
 	return p
 }
 

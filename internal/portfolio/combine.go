@@ -58,7 +58,6 @@ func (pl *Pool) combine(st *Stats, a, b, base []int32, c *partition.Costs, cfg p
 	}
 
 	e := &scr.eng
-	cfg.Trace = nil // the combine reports through Stats; pair events are Refine's
 	e.Open(scr.g, scr.ix, c, base, partition.BalanceBound(scr.g, scr.p.K, cfg.MaxImbalance), cfg, nil)
 	defer e.Close()
 	e.SetMask(scr.mask, nil) // new to the engine: taken whole

@@ -39,7 +39,7 @@ type memberScratch struct {
 
 // memberParams is the per-run parameter block handed to a scratch: the
 // effective (defaulted) driver settings every member refines under — one
-// worker, no tracer — plus the member's own grouping seed.
+// worker — plus the member's own grouping seed.
 type memberParams struct {
 	seed    int64
 	cfg     paragon.Config

@@ -184,7 +184,8 @@ func (pool *Pool) race(st *Stats, g *graph.Graph, p *partition.Partitioning, cs 
 	// timed-out member forfeits: it does not run and is excluded from
 	// scoring. Fates depend only on (fabric, member id) — not on
 	// workers, not on completion order.
-	fab := cfg.FaultFabric()
+	fab := cfg.Fabric
+	fab.Observe(cfg.Metrics)
 	pol := faultsim.DefaultPolicy()
 	if fab != nil {
 		for m := 0; m < size; m++ {
@@ -264,8 +265,8 @@ func (pool *Pool) race(st *Stats, g *graph.Graph, p *partition.Partitioning, cs 
 
 // runnerParams projects the effective member parameters out of a
 // defaulted config: a member refines on one worker and reports through
-// Stats, never the tracer.
+// Stats (the wave engine never emits).
 func runnerParams(cfg paragon.Config, g *graph.Graph, k int32) memberParams {
-	cfg.Workers, cfg.Trace = 1, nil
+	cfg.Workers = 1
 	return memberParams{cfg: cfg, maxLoad: partition.BalanceBound(g, k, cfg.MaxImbalance)}
 }

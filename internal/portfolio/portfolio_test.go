@@ -186,7 +186,8 @@ func (sb *stringsBuilder) String() string { return string(sb.buf) }
 // members are independent, so crashing one member (via a scripted fate
 // at round -1) must leave every survivor's score bit-identical to the
 // clean run, exclude the victim from selection, and re-crown the best
-// survivor — never silently substitute anything.
+// survivor — never silently substitute anything. A nil injector excludes
+// nobody.
 func TestPortfolioCrashedMemberExclusion(t *testing.T) {
 	g, p0, c := testInput(t, 3000, 18000, 24)
 	cfg := paragon.Config{
@@ -200,6 +201,20 @@ func TestPortfolioCrashedMemberExclusion(t *testing.T) {
 	}
 	if clean.Winner < 0 {
 		t.Fatal("clean run selected no winner")
+	}
+
+	// A nil *Injector is no fault layer at all: nobody forfeits, and the
+	// assignment and every non-stopwatch Stats field equal the clean run's,
+	// with a metrics registry installed for it to observe.
+	cfgNil := cfg
+	cfgNil.Fabric, cfgNil.Metrics = (*faultsim.Injector)(nil), obs.NewRegistry()
+	pNil := p0.Clone()
+	stNil, err := Refine(g, pNil, c, cfgNil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if assignHash(pNil) != assignHash(p) || !statsEqual(zeroTimes(stNil), zeroTimes(clean)) {
+		t.Fatalf("nil injector diverged from the clean run:\n%+v\nvs\n%+v", stNil, clean)
 	}
 
 	// Crash exactly the clean winner.

@@ -31,9 +31,10 @@ type Options struct {
 	// Alpha is the communication/migration weight of Eq. 2 (default 10):
 	// migration nets weigh vs(v)/Alpha against communication nets.
 	Alpha float64
-	// Passes bounds the greedy refinement sweeps (default 4).
-	Passes int
 }
+
+// passes bounds the greedy refinement sweeps.
+const passes = 4
 
 func (o Options) withDefaults() Options {
 	if o.Eps == 0 {
@@ -41,9 +42,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Alpha == 0 {
 		o.Alpha = 10
-	}
-	if o.Passes == 0 {
-		o.Passes = 4
 	}
 	return o
 }
@@ -130,7 +128,7 @@ func Repartition(g *graph.Graph, old *partition.Partitioning, opt Options) (*par
 
 	// Phase 2: greedy connectivity refinement sweeps over boundary
 	// vertices, accepting strictly improving moves within balance.
-	for pass := 0; pass < opt.Passes; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		improved := false
 		for v := int32(0); v < g.NumVertices(); v++ {
 			if !partition.IsBoundary(g, p, v) {

@@ -285,7 +285,7 @@ type FaultConfig = faultsim.Config
 // crashes, straggler delays, exchange message drops, and migration
 // aborts, each a pure hash of (seed, coordinates). Install one via
 // Config.Fabric, a fresh one per Refine call: an injector keeps counters
-// and the log of what fired. Its Realized method returns that schedule,
+// and the log of what fired. A nil *FaultInjector is no fault layer. Its Realized method returns that schedule,
 // which replays bit-identically as FaultConfig.Script.
 type FaultInjector = faultsim.Injector
 
@@ -331,11 +331,8 @@ func BuildMigrationStores(g *Graph, p *Partitioning) []*MigrationStore {
 
 // ExecuteMigration runs a migration plan over the stores, transactional
 // against faults: it either commits fully or rolls back fully. A nil
-// fabric runs fault-free.
+// injector runs fault-free.
 func ExecuteMigration(stores []*MigrationStore, plan *MigrationPlan, ctx MigrationAppContext, fab *FaultInjector) (MigrationStats, error) {
-	if fab == nil {
-		return migrate.Execute(stores, plan, ctx)
-	}
 	return migrate.ExecuteWith(stores, plan, ctx, fab)
 }
 

@@ -56,6 +56,15 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if len(plan.Moves) != changed || changed == 0 {
 		t.Fatalf("plan has %d moves for %d changed owners", len(plan.Moves), changed)
 	}
+	// A nil injector migrates fault-free: the plan commits.
+	stores := paragonlib.BuildMigrationStores(g, old)
+	mst, err := paragonlib.ExecuteMigration(stores, plan, paragonlib.MigrationAppContext{}, nil)
+	if err != nil || mst.Aborted || mst.MovedVertices != int64(changed) {
+		t.Fatalf("fault-free migration: %+v, %v", mst, err)
+	}
+	if err := paragonlib.VerifyMigration(stores, g, p); err != nil {
+		t.Fatal(err)
+	}
 
 	// Run BFS on the refined placement.
 	engine, err := paragonlib.NewEngine(g, p, cluster, paragonlib.EngineOptions{})

@@ -267,6 +267,20 @@ if git grep -nwE 'FatTreeCluster|DragonflyCluster|PageRankConverged|HolmeKim|Pub
     echo "ci: a deleted unlinked function is back; give it a binary that links it or leave it out" >&2
     exit 1
 fi
+# One door per plane (DESIGN.md §13, §11, §19): only coordinators emit
+# trace events (workers report through task-indexed results, and the wave
+# engine does not import obs), the fault layer is the one concrete
+# *faultsim.Injector, migration has one fault-aware door, and the six
+# apparatus/fault settings nobody set stay constants.
+if git grep -nwE 'CommitStaged|ExecOptions|ExecuteOpts|FaultFabric|CoarsenTo|InitTries|MaxDelay' -- '*.go' ':!*_test.go' ||
+    git grep -nE 'faultsim\.Fabric\b|obs\.Buf\b' -- '*.go'; then
+    echo "ci: a second trace, fault or migration door is back; emit from the coordinator, take a *faultsim.Injector" >&2
+    exit 1
+fi
+if grep -q '"paragon/internal/obs"' internal/paragon/engine.go; then
+    echo "ci: internal/paragon/engine.go imports paragon/internal/obs; workers never touch the observability plane" >&2
+    exit 1
+fi
 # Formatting: every tracked Go file outside the lint fixtures (whose
 # columns the lint tests may pin) is gofmt-clean.
 unformatted="$(git ls-files '*.go' ':!internal/lint/testdata' | xargs gofmt -l)"
