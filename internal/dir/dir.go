@@ -76,10 +76,9 @@ type Options struct {
 	// cheaper (less copy-on-write) at slightly more pointer chasing.
 	ShardBits int
 	// Fabric optionally injects publish-phase faults: prepare/commit
-	// journal appends may be dropped (retried under
-	// faultsim.DefaultPolicy's capped backoff), the publisher may crash
-	// between prepare and flip, and a straggler delay may stretch the
-	// window. Nil runs fault-free.
+	// journal appends may be dropped (retried after faultsim.Backoff), the
+	// publisher may crash between prepare and flip, and a straggler delay
+	// may stretch the window. Nil runs fault-free.
 	Fabric *faultsim.Injector
 	// Clock, when set, absorbs the virtual ticks of modeled fsyncs
 	// (fsyncTicks each), backoffs, and straggler delays.
@@ -448,7 +447,6 @@ func (d *Directory) abort(epoch int64, phase int32, attempts int) {
 // loop branch on which caller it serves.
 func (d *Directory) appendRecord(typ byte, epoch int64, payload []byte, fe, op int) (attempts int, err error) {
 	rec := appendRecordBytes(nil, typ, epoch, payload)
-	pol := faultsim.DefaultPolicy()
 	for attempt := 0; ; attempt++ {
 		d.advance(fsyncTicks)
 		if d.fab == nil || !d.fab.Drop(fe, op, attempt) {
@@ -456,11 +454,11 @@ func (d *Directory) appendRecord(typ byte, epoch int64, payload []byte, fe, op i
 			d.mx.journalBytes.Add(int64(len(rec)))
 			return attempt + 1, nil
 		}
-		if attempt >= pol.MaxRetries {
+		if attempt >= faultsim.MaxRetries {
 			return attempt + 1, fmt.Errorf("dir: journal append for epoch %d dropped %d times: %w", epoch, attempt+1, ErrPublishFailed)
 		}
 		d.mx.fsyncRetries.Inc()
-		d.advance(pol.Backoff(attempt))
+		d.advance(faultsim.Backoff(attempt))
 	}
 }
 

@@ -224,7 +224,7 @@ func TestPublishDropRetriesOnVirtualClock(t *testing.T) {
 	}
 	// Prepare fsync'd twice (drop + retry), commit once, plus one base
 	// backoff between the prepare attempts.
-	want := base + 3*fsyncTicks + faultsim.DefaultPolicy().Backoff(0)
+	want := base + 3*fsyncTicks + faultsim.Backoff(0)
 	if clk.Now() != want {
 		t.Fatalf("clock = %d ticks, want %d", clk.Now(), want)
 	}
@@ -233,7 +233,7 @@ func TestPublishDropRetriesOnVirtualClock(t *testing.T) {
 func TestPublishRetryBudgetExhausted(t *testing.T) {
 	assign := testAssign(100, 3, 9)
 	var script []faultsim.Event
-	for attempt := 0; attempt <= faultsim.DefaultPolicy().MaxRetries; attempt++ {
+	for attempt := 0; attempt <= faultsim.MaxRetries; attempt++ {
 		script = append(script, faultsim.Event{Kind: faultsim.KindDrop, Round: 0, Index: opCommit, Attempt: attempt})
 	}
 	fab := faultsim.NewInjector(faultsim.Config{Script: script})

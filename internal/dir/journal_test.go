@@ -22,7 +22,7 @@ func buildHistory(t *testing.T, n int, k int32) (*Directory, map[int64][]int32) 
 	// publish 4's prepare append exhausts the retry budget.
 	var script []faultsim.Event
 	script = append(script, faultsim.Event{Kind: faultsim.KindCrash, Round: 2, Index: 0})
-	for attempt := 0; attempt <= faultsim.DefaultPolicy().MaxRetries; attempt++ {
+	for attempt := 0; attempt <= faultsim.MaxRetries; attempt++ {
 		script = append(script, faultsim.Event{Kind: faultsim.KindDrop, Round: 4, Index: opPrepare, Attempt: attempt})
 	}
 	fab := faultsim.NewInjector(faultsim.Config{Script: script})

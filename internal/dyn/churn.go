@@ -1,7 +1,6 @@
 package dyn
 
 import (
-	"fmt"
 	"math/rand"
 
 	"paragon/internal/graph"
@@ -170,7 +169,6 @@ func DefaultTrigger() TriggerPolicy {
 // Decision explains a trigger evaluation.
 type Decision struct {
 	Refine    bool
-	Reason    string
 	Code      int // firing rule: 0 skew, 1 churn, 2 staleness, -1 none
 	Skew      float64
 	Churn     float64
@@ -185,10 +183,10 @@ type Decision struct {
 // refCost <= 0 disables the staleness check, as does MaxStaleness == 0.
 func (tp TriggerPolicy) EvaluateScore(sc partition.Score, refCost float64, edges, churnedEdges int64) Decision {
 	if tp.MaxSkew == 0 {
-		tp.MaxSkew = 1.1
+		tp.MaxSkew = DefaultTrigger().MaxSkew
 	}
 	if tp.MaxChurn == 0 {
-		tp.MaxChurn = 0.05
+		tp.MaxChurn = DefaultTrigger().MaxChurn
 	}
 	d := Decision{Code: -1, Skew: sc.Skewness}
 	if edges > 0 {
@@ -201,17 +199,12 @@ func (tp TriggerPolicy) EvaluateScore(sc partition.Score, refCost float64, edges
 	case d.Skew > tp.MaxSkew:
 		d.Refine = true
 		d.Code = 0
-		d.Reason = fmt.Sprintf("skewness %.3f exceeds %.3f", d.Skew, tp.MaxSkew)
 	case d.Churn > tp.MaxChurn:
 		d.Refine = true
 		d.Code = 1
-		d.Reason = fmt.Sprintf("churn %.1f%% exceeds %.1f%%", 100*d.Churn, 100*tp.MaxChurn)
 	case tp.MaxStaleness > 0 && refCost > 0 && d.Staleness > 1+tp.MaxStaleness:
 		d.Refine = true
 		d.Code = 2
-		d.Reason = fmt.Sprintf("comm cost grew %.1f%% past the last epoch's %.3f", 100*(d.Staleness-1), refCost)
-	default:
-		d.Reason = "decomposition still healthy"
 	}
 	return d
 }

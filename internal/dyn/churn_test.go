@@ -94,8 +94,8 @@ func TestTriggerPolicyChurn(t *testing.T) {
 	if !churned.Refine {
 		t.Fatalf("10%% churn not flagged: %+v", churned)
 	}
-	if churned.Reason == "" {
-		t.Fatal("decision must carry a reason")
+	if churned.Code != 1 {
+		t.Fatalf("10%% churn fired rule %d, want the churn rule 1", churned.Code)
 	}
 }
 

@@ -82,9 +82,8 @@ type Event struct {
 	Delay   int64
 }
 
-// maxDelay bounds stochastic straggler delays in virtual ticks: with the
-// default Policy.RoundTimeout of 16, roughly half the stragglers that
-// fire are slow enough to be dropped.
+// maxDelay bounds stochastic straggler delays in virtual ticks: with a
+// RoundTimeout of 16, roughly half the stragglers that fire are dropped.
 const maxDelay = 32
 
 // Config tunes an Injector.
@@ -129,7 +128,6 @@ type Injector struct {
 
 	mu       sync.Mutex
 	epoch    int
-	counters Counters
 	realized []Event
 }
 
@@ -210,9 +208,8 @@ func (in *Injector) Observe(r *obs.Registry) {
 	in.mu.Unlock()
 }
 
-func (in *Injector) record(ev Event, count *int64) {
+func (in *Injector) record(ev Event) {
 	in.mu.Lock()
-	*count++
 	in.realized = append(in.realized, ev)
 	fired := in.fired[ev.Kind]
 	in.mu.Unlock()
@@ -237,7 +234,7 @@ func (in *Injector) CrashGroup(round, group int) bool {
 			return false
 		}
 	}
-	in.record(Event{Kind: KindCrash, Round: round, Index: group}, &in.counters.Crashes)
+	in.record(Event{Kind: KindCrash, Round: round, Index: group})
 	return true
 }
 
@@ -259,7 +256,7 @@ func (in *Injector) GroupDelay(round, group int) int64 {
 	if delay <= 0 {
 		return 0
 	}
-	in.record(Event{Kind: KindStraggler, Round: round, Index: group, Delay: delay}, &in.counters.Stragglers)
+	in.record(Event{Kind: KindStraggler, Round: round, Index: group, Delay: delay})
 	return delay
 }
 
@@ -271,7 +268,7 @@ func (in *Injector) Drop(round, op, attempt int) bool {
 			return false
 		}
 	}
-	in.record(Event{Kind: KindDrop, Round: round, Index: op, Attempt: attempt}, &in.counters.Drops)
+	in.record(Event{Kind: KindDrop, Round: round, Index: op, Attempt: attempt})
 	return true
 }
 
@@ -283,15 +280,19 @@ func (in *Injector) AbortMigration(epoch, move int) bool {
 			return false
 		}
 	}
-	in.record(Event{Kind: KindAbort, Round: epoch, Index: move}, &in.counters.Aborts)
+	in.record(Event{Kind: KindAbort, Round: epoch, Index: move})
 	return true
 }
 
-// Counters returns a snapshot of the fired-fault counts.
+// Counters snapshots the fired-fault counts: the realized log by kind.
 func (in *Injector) Counters() Counters {
+	var n [4]int64
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.counters
+	for _, ev := range in.realized {
+		n[ev.Kind]++
+	}
+	return Counters{Crashes: n[KindCrash], Stragglers: n[KindStraggler], Drops: n[KindDrop], Aborts: n[KindAbort]}
 }
 
 // Realized returns the schedule that actually fired, sorted by
@@ -347,67 +348,49 @@ func (c *Clock) Advance(d int64) int64 {
 	return c.now
 }
 
-// Policy bounds recovery: how often a dropped message is retried, how
-// long the virtual backoff grows, and when a slow group server is
-// declared dead.
-type Policy struct {
-	// MaxRetries is the number of redeliveries attempted after the first
-	// loss before the operation is abandoned.
-	MaxRetries int
-	// BackoffBase is the first retry's backoff in virtual ticks; attempt
-	// i waits BackoffBase << i.
-	BackoffBase int64
-	// BackoffCap caps the exponential growth.
-	BackoffCap int64
-	// RoundTimeout is the per-round budget in virtual ticks: a group
-	// server slower than this (crashed servers never answer) has its
-	// outcome discarded and the round commits without it.
-	RoundTimeout int64
-}
-
-// DefaultPolicy returns the recovery defaults: 4 retries, backoff
-// 1,2,4,8 capped at 16 ticks, 16-tick round timeout.
-func DefaultPolicy() Policy {
-	return Policy{MaxRetries: 4, BackoffBase: 1, BackoffCap: 16, RoundTimeout: 16}
-}
+// The recovery policy, in virtual ticks. A dropped message is retried
+// MaxRetries times after the first loss before the operation is
+// abandoned; a group server slower than RoundTimeout (crashed servers
+// never answer) has its outcome discarded and the round commits without
+// it.
+const (
+	MaxRetries   = 4
+	RoundTimeout = 16
+	backoffCap   = 16 // Backoff's ceiling
+)
 
 // Backoff returns the capped exponential backoff, in virtual ticks,
-// before retry attempt (0-based: the wait after the attempt-th loss).
-func (p Policy) Backoff(attempt int) int64 {
-	b := p.BackoffBase
-	for i := 0; i < attempt; i++ {
+// before retry attempt (0-based: the wait after the attempt-th loss):
+// 1, 2, 4, 8, then 16.
+func Backoff(attempt int) int64 {
+	b := int64(1)
+	for i := 0; i < attempt && b < backoffCap; i++ {
 		b <<= 1
-		if b >= p.BackoffCap {
-			return p.BackoffCap
-		}
-	}
-	if b > p.BackoffCap {
-		b = p.BackoffCap
 	}
 	return b
 }
 
 // Deliver is the one retry/backoff loop for a droppable message: it
 // attempts to send message op of round (or epoch) under the injector f,
-// retrying with the policy's capped backoff until the message is
-// delivered or the retry budget is exhausted. Each attempt (including
-// lost ones — the bytes went out) costs size bytes; each backoff advances
-// clk when one is installed. It returns the total bytes spent, the
+// retrying with the capped Backoff until the message is delivered or the
+// retry budget is exhausted. Each attempt (including lost ones — the
+// bytes went out) costs size bytes; each backoff advances clk when one is
+// installed. It returns the total bytes spent, the
 // number of retries performed, and whether the message arrived — on
 // false it was dropped retries+1 times. onRetry, when non-nil, runs on
 // the caller's goroutine after each backoff with the lost attempt's
 // index and the ticks waited: the hook callers hang their own
 // accounting and trace events on.
-func Deliver(f *Injector, pol Policy, clk *Clock, round, op int, size int64, onRetry func(attempt int, backoff int64)) (bytes int64, retries int, delivered bool) {
+func Deliver(f *Injector, clk *Clock, round, op int, size int64, onRetry func(attempt int, backoff int64)) (bytes int64, retries int, delivered bool) {
 	for attempt := 0; ; attempt++ {
 		bytes += size
 		if f == nil || !f.Drop(round, op, attempt) {
 			return bytes, retries, true
 		}
-		if attempt >= pol.MaxRetries {
+		if attempt >= MaxRetries {
 			return bytes, retries, false
 		}
-		b := pol.Backoff(attempt)
+		b := Backoff(attempt)
 		if clk != nil {
 			clk.Advance(b)
 		}

@@ -184,11 +184,10 @@ func TestClock(t *testing.T) {
 	}
 }
 
-func TestPolicyBackoffCapped(t *testing.T) {
-	p := DefaultPolicy()
+func TestBackoffCapped(t *testing.T) {
 	want := []int64{1, 2, 4, 8, 16, 16, 16}
 	for i, w := range want {
-		if got := p.Backoff(i); got != w {
+		if got := Backoff(i); got != w {
 			t.Fatalf("backoff(%d) = %d, want %d", i, got, w)
 		}
 	}

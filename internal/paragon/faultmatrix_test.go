@@ -204,9 +204,8 @@ func checkRoundsCounted(t *testing.T, st Stats) {
 func TestExchangeAbortEndsShufflingEarly(t *testing.T) {
 	g := gen.Mesh2D(40, 40)
 	p := stream.HP(g, 8)
-	pol := faultsim.DefaultPolicy()
 	var script []faultsim.Event
-	for attempt := 0; attempt <= pol.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= faultsim.MaxRetries; attempt++ {
 		script = append(script, faultsim.Event{Kind: faultsim.KindDrop, Round: 1, Index: 0, Attempt: attempt})
 	}
 	fab := faultsim.NewInjector(faultsim.Config{Script: script})
@@ -224,8 +223,8 @@ func TestExchangeAbortEndsShufflingEarly(t *testing.T) {
 		t.Fatalf("rounds = %d, want 2 (round-1 exchange died)", st.Rounds)
 	}
 	checkRoundsCounted(t, st)
-	if st.Faults.ExchangeRetries != pol.MaxRetries {
-		t.Fatalf("retries = %d, want %d", st.Faults.ExchangeRetries, pol.MaxRetries)
+	if st.Faults.ExchangeRetries != faultsim.MaxRetries {
+		t.Fatalf("retries = %d, want %d", st.Faults.ExchangeRetries, faultsim.MaxRetries)
 	}
 	if st.Faults.BackoffTicks == 0 {
 		t.Fatal("no backoff recorded")
@@ -237,10 +236,9 @@ func TestExchangeAbortEndsShufflingEarly(t *testing.T) {
 func TestStragglerTimeoutBoundary(t *testing.T) {
 	g := gen.Mesh2D(30, 30)
 	p0 := stream.HP(g, 8)
-	pol := faultsim.DefaultPolicy()
 
 	slowOK := faultsim.NewInjector(faultsim.Config{Script: []faultsim.Event{
-		{Kind: faultsim.KindStraggler, Round: 0, Index: 1, Delay: pol.RoundTimeout - 1},
+		{Kind: faultsim.KindStraggler, Round: 0, Index: 1, Delay: faultsim.RoundTimeout - 1},
 	}})
 	pA := p0.Clone()
 	stA, err := RefineUniform(g, pA, Config{DRP: 4, Shuffles: 0, Seed: 3, Fabric: slowOK})
@@ -250,12 +248,12 @@ func TestStragglerTimeoutBoundary(t *testing.T) {
 	if stA.Faults.DegradedGroups != 0 {
 		t.Fatalf("in-budget straggler degraded a group: %+v", stA.Faults)
 	}
-	if stA.Faults.VirtualTicks != pol.RoundTimeout {
-		t.Fatalf("virtual ticks = %d, want the straggler's %d", stA.Faults.VirtualTicks, pol.RoundTimeout)
+	if stA.Faults.VirtualTicks != faultsim.RoundTimeout {
+		t.Fatalf("virtual ticks = %d, want the straggler's %d", stA.Faults.VirtualTicks, faultsim.RoundTimeout)
 	}
 
 	tooSlow := faultsim.NewInjector(faultsim.Config{Script: []faultsim.Event{
-		{Kind: faultsim.KindStraggler, Round: 0, Index: 1, Delay: pol.RoundTimeout},
+		{Kind: faultsim.KindStraggler, Round: 0, Index: 1, Delay: faultsim.RoundTimeout},
 	}})
 	pB := p0.Clone()
 	stB, err := RefineUniform(g, pB, Config{DRP: 4, Shuffles: 0, Seed: 3, Fabric: tooSlow})

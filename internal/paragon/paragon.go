@@ -250,7 +250,6 @@ type driver struct {
 	c   *partition.Costs
 	cfg Config // defaults applied
 	fab *faultsim.Injector
-	pol faultsim.Policy
 	clk *faultsim.Clock
 	tr  *obs.Tracer
 	mx  refineMetrics
@@ -349,7 +348,6 @@ func (d *driver) open() error {
 	// asking.
 	cfg.Fabric.Observe(cfg.Metrics)
 	d.fab = cfg.Fabric
-	d.pol = faultsim.DefaultPolicy()
 	d.clk = faultsim.NewClock()
 	// Observability (DESIGN.md §13): a nil tracer or registry is a no-op at
 	// every call. Only this coordinator goroutine emits; the per-pair events
@@ -412,7 +410,7 @@ func (d *driver) resolveFates(round int32) (roundTicks int64) {
 				continue
 			}
 			dur := 1 + d.fab.GroupDelay(int(round), gi)
-			if dur > d.pol.RoundTimeout {
+			if dur > faultsim.RoundTimeout {
 				// Straggler past the timeout: its moves arrive after the
 				// round committed and are discarded.
 				d.st.Faults.StragglerDrops++
@@ -428,7 +426,7 @@ func (d *driver) resolveFates(round int32) (roundTicks int64) {
 	d.sc.live = live
 	if degraded := len(d.groups) - len(live); degraded > 0 {
 		d.st.Faults.DegradedGroups += degraded
-		roundTicks = d.pol.RoundTimeout
+		roundTicks = faultsim.RoundTimeout
 	}
 	return roundTicks
 }
@@ -466,7 +464,7 @@ func (d *driver) exchangeRegions(round int32) bool {
 		if hi > nV {
 			hi = nV
 		}
-		bytes, retries, ok := faultsim.Deliver(d.fab, d.pol, d.clk, int(round), region, (hi-lo)*4,
+		bytes, retries, ok := faultsim.Deliver(d.fab, d.clk, int(round), region, (hi-lo)*4,
 			func(attempt int, b int64) {
 				d.st.Faults.ExchangeRetries++
 				d.st.Faults.BackoffTicks += b

@@ -141,11 +141,11 @@ func MigrationCost(g *graph.Graph, old, now *Partitioning, c [][]float64) float6
 
 // Skewness computes Eq. 4: max w(Pi) / (Σ w(Pi) / n). A perfectly
 // balanced decomposition has skewness 1.
-func Skewness(g *graph.Graph, p *Partitioning) float64 { return skewness(p.Weights(g)) }
+func Skewness(g *graph.Graph, p *Partitioning) float64 { return SkewnessOf(p.Weights(g)) }
 
-// skewness is Eq. 4 over the per-partition weights w: the one division at
-// the end of the integer sums.
-func skewness(w []int64) float64 {
+// SkewnessOf is Eq. 4 over the per-partition weights w: the one division
+// at the end of the integer sums, and 1 when every weight is zero.
+func SkewnessOf(w []int64) float64 {
 	var sum, max int64
 	for _, wi := range w {
 		sum += wi

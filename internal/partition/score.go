@@ -76,7 +76,7 @@ func ComputeScoreInto(g *graph.Graph, p *Partitioning, orig []int32, cs *Costs, 
 			}
 		}
 	}
-	s := Score{EdgeCut: cut, Comm: alpha * comm, Mig: mig << AlphaBits, Skewness: skewness(w)}
+	s := Score{EdgeCut: cut, Comm: alpha * comm, Mig: mig << AlphaBits, Skewness: SkewnessOf(w)}
 	s.CommCost, s.MigrationCost = cs.Real(s.Comm), cs.Real(s.Mig)
 	return s
 }

@@ -157,7 +157,7 @@ func (scr *memberScratch) run(base []int32, c *partition.Costs, par memberParams
 }
 
 // Pool owns the reusable state of portfolio refinement: one
-// memberScratch per worker slot plus the per-member result buffers the
+// memberScratch per worker slot plus the member output assignments the
 // coordinator reads after the join. Reusing one Pool across calls on the
 // same (graph, k) keeps steady-state allocations flat in the member
 // count — asserted by TestPortfolioPoolAllocsFlat.
@@ -167,16 +167,9 @@ type Pool struct {
 	acfg    aragon.Config
 	scratch []*memberScratch
 
-	// Per-member result buffers, indexed by member id: each is written
-	// by exactly the worker that ran the member, then read only by the
-	// coordinator after the join.
+	// assigns[m] is member m's output, written by exactly the worker that
+	// ran it, then read only by the coordinator after the join.
 	assigns [][]int32
-	scores  []partition.Score
-	moves   []int
-	gains   []float64
-	cpu     []int64 // nanoseconds, Stats-only
-	forfeit []bool
-	seeds   []int64
 }
 
 // ensure sizes the pool for a run of size members on workers worker
@@ -201,27 +194,5 @@ func (pl *Pool) ensure(g *graph.Graph, base []int32, k int32, workers, size int,
 	}
 	for len(pl.assigns) < size {
 		pl.assigns = append(pl.assigns, make([]int32, len(base)))
-	}
-	if cap(pl.scores) < size {
-		pl.scores = make([]partition.Score, size)
-		pl.moves = make([]int, size)
-		pl.gains = make([]float64, size)
-		pl.cpu = make([]int64, size)
-		pl.forfeit = make([]bool, size)
-		pl.seeds = make([]int64, size)
-	}
-	pl.scores = pl.scores[:size]
-	pl.moves = pl.moves[:size]
-	pl.gains = pl.gains[:size]
-	pl.cpu = pl.cpu[:size]
-	pl.forfeit = pl.forfeit[:size]
-	pl.seeds = pl.seeds[:size]
-	for m := 0; m < size; m++ {
-		pl.scores[m] = partition.Score{}
-		pl.moves[m] = 0
-		pl.gains[m] = 0
-		pl.cpu[m] = 0
-		pl.forfeit[m] = false
-		pl.seeds[m] = 0
 	}
 }

@@ -83,14 +83,14 @@ func Refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg parago
 
 // runner carries one call's shared state into the worker goroutines.
 // Workers claim members by the static stride m ≡ w (mod workers) and
-// write only member-id-indexed result slots plus their own scratch — the
-// same ownership discipline as the pair scheduler's arenas.
+// write only member m's Stats.Members line and pool.assigns[m] plus their
+// own scratch — the same ownership discipline as the scheduler's arenas.
 type runner struct {
 	pool    *Pool
+	members []MemberStats
 	base    []int32
 	c       *partition.Costs
 	par     memberParams
-	size    int
 	workers int
 	wg      sync.WaitGroup
 }
@@ -99,21 +99,21 @@ func (r *runner) worker(w int) {
 	defer r.wg.Done()
 	pl := r.pool
 	scr := pl.scratch[w]
-	for m := w; m < r.size; m += r.workers {
-		if pl.forfeit[m] {
+	for m := w; m < len(r.members); m += r.workers {
+		if r.members[m].Forfeited {
 			continue
 		}
 		//lint:ignore wallclock per-member CPU stopwatch for MemberStats.CPUTime; never read by refinement decisions
 		t0 := time.Now()
 		par := r.par
-		par.seed = pl.seeds[m]
+		par.seed = r.members[m].Seed
 		mv, gn := scr.run(r.base, r.c, par)
 		copy(pl.assigns[m], scr.p.Assign)
-		pl.scores[m] = partition.ComputeScoreInto(pl.g, scr.p, r.base, r.c, partition.Alpha(par.cfg.Alpha), scr.wbuf)
-		pl.moves[m] = mv
-		pl.gains[m] = r.c.Real(gn)
+		r.members[m].Score = partition.ComputeScoreInto(pl.g, scr.p, r.base, r.c, partition.Alpha(par.cfg.Alpha), scr.wbuf)
+		r.members[m].Moves = mv
+		r.members[m].Gain = r.c.Real(gn)
 		//lint:ignore wallclock per-member CPU stopwatch for MemberStats.CPUTime; never read by refinement decisions
-		pl.cpu[m] = int64(time.Since(t0))
+		r.members[m].CPUTime = time.Since(t0)
 	}
 }
 
@@ -173,8 +173,9 @@ func (pool *Pool) race(st *Stats, g *graph.Graph, p *partition.Partitioning, cs 
 		workers = size
 	}
 	pool.ensure(g, p.Assign, p.K, workers, size, cfg.AragonConfig())
-	for m := 0; m < size; m++ {
-		pool.seeds[m] = memberSeed(cfg.Seed, m)
+	st.Members = make([]MemberStats, size)
+	for m := range st.Members {
+		st.Members[m].Seed = memberSeed(cfg.Seed, m)
 	}
 
 	// Member fates resolve up front, on the coordinator, at round -1 —
@@ -186,11 +187,10 @@ func (pool *Pool) race(st *Stats, g *graph.Graph, p *partition.Partitioning, cs 
 	// workers, not on completion order.
 	fab := cfg.Fabric
 	fab.Observe(cfg.Metrics)
-	pol := faultsim.DefaultPolicy()
 	if fab != nil {
 		for m := 0; m < size; m++ {
-			if fab.CrashGroup(-1, m) || fab.GroupDelay(-1, m) > pol.RoundTimeout {
-				pool.forfeit[m] = true
+			if fab.CrashGroup(-1, m) || fab.GroupDelay(-1, m) > faultsim.RoundTimeout {
+				st.Members[m].Forfeited = true
 				st.Forfeits++
 			}
 		}
@@ -198,9 +198,9 @@ func (pool *Pool) race(st *Stats, g *graph.Graph, p *partition.Partitioning, cs 
 
 	r := &runner{
 		pool:    pool,
+		members: st.Members,
 		base:    p.Assign,
 		c:       cs,
-		size:    size,
 		workers: workers,
 		par:     runnerParams(cfg, g, p.K),
 	}
@@ -213,19 +213,19 @@ func (pool *Pool) race(st *Stats, g *graph.Graph, p *partition.Partitioning, cs 
 	// Selection: ascending member id with the strict Better order — the
 	// lowest id wins full ties, and the fold is independent of which
 	// worker ran what.
-	for m := 0; m < size; m++ {
-		if pool.forfeit[m] {
+	for m, ms := range st.Members {
+		if ms.Forfeited {
 			continue
 		}
-		if st.Winner < 0 || pool.scores[m].Better(pool.scores[st.Winner]) {
+		if st.Winner < 0 || ms.Score.Better(st.Members[st.Winner].Score) {
 			st.Winner = m
 		}
 	}
-	for m := 0; m < size; m++ {
-		if pool.forfeit[m] || m == st.Winner {
+	for m, ms := range st.Members {
+		if ms.Forfeited || m == st.Winner {
 			continue
 		}
-		if st.RunnerUp < 0 || pool.scores[m].Better(pool.scores[st.RunnerUp]) {
+		if st.RunnerUp < 0 || ms.Score.Better(st.Members[st.RunnerUp].Score) {
 			st.RunnerUp = m
 		}
 	}
@@ -233,7 +233,7 @@ func (pool *Pool) race(st *Stats, g *graph.Graph, p *partition.Partitioning, cs 
 	var selected []int32 // nil: all members forfeited, leave p untouched
 	if st.Winner >= 0 {
 		selected = pool.assigns[st.Winner]
-		st.SelectedScore = pool.scores[st.Winner]
+		st.SelectedScore = st.Members[st.Winner].Score
 	}
 
 	if st.RunnerUp >= 0 {
@@ -245,17 +245,8 @@ func (pool *Pool) race(st *Stats, g *graph.Graph, p *partition.Partitioning, cs 
 		}
 	}
 
-	st.Members = make([]MemberStats, size)
-	for m := 0; m < size; m++ {
-		st.Members[m] = MemberStats{
-			Seed:      pool.seeds[m],
-			Forfeited: pool.forfeit[m],
-			Score:     pool.scores[m],
-			Moves:     pool.moves[m],
-			Gain:      pool.gains[m],
-			CPUTime:   time.Duration(pool.cpu[m]),
-		}
-		st.CPUTime += time.Duration(pool.cpu[m])
+	for _, ms := range st.Members {
+		st.CPUTime += ms.CPUTime
 	}
 
 	if selected != nil {

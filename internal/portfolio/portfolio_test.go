@@ -348,12 +348,19 @@ func TestPortfolioPoolAllocsFlat(t *testing.T) {
 			if st.CombinePairs == 0 {
 				t.Fatalf("khop=%d size=%d: the combine refined no pair; its engine is not covered", khop, size)
 			}
-			return testing.AllocsPerRun(3, func() {
+			first := slices.Clone(st.Members)
+			allocs := testing.AllocsPerRun(3, func() {
 				pp := p0.Clone()
 				if _, err := RefineWithPool(g, pp, c, cfg, pool); err != nil {
 					t.Fatal(err)
 				}
 			})
+			// Workers write Stats.Members in place: each call's record is its
+			// own, never a view of the pool that a later call overwrites.
+			if !slices.Equal(st.Members, first) {
+				t.Fatalf("khop=%d size=%d: a later call on the pool rewrote an earlier call's Stats.Members", khop, size)
+			}
+			return allocs
 		}
 		var pool Pool
 		small := measure(2, &pool)

@@ -33,8 +33,8 @@ import (
 // applied, and after the batch the trigger policy may launch a new
 // epoch. Returns what happened, for the caller's bookkeeping.
 func (s *Session) Ingest(b dyn.Batch) (BatchStats, error) {
-	seq := s.batches
-	s.batches++
+	seq := s.st.Batches
+	s.st.Batches++
 	s.clock.Advance(1) // one virtual tick per ingested batch
 	st := BatchStats{Seq: seq}
 
@@ -66,11 +66,11 @@ func (s *Session) Ingest(b dyn.Batch) (BatchStats, error) {
 		}
 	}
 
-	s.opsApplied += int64(st.OpsApplied)
-	s.edgesAdded += int64(st.EdgesAdded)
-	s.edgesRemoved += int64(st.EdgesRemoved)
-	s.arrivals += int64(st.Arrivals)
-	s.rejected += int64(st.Rejected)
+	s.st.OpsApplied += int64(st.OpsApplied)
+	s.st.EdgesAdded += int64(st.EdgesAdded)
+	s.st.EdgesRemoved += int64(st.EdgesRemoved)
+	s.st.Arrivals += int64(st.Arrivals)
+	s.st.ArrivalsRejected += int64(st.Rejected)
 	s.mx.batches.Inc()
 	s.mx.ops.Add(int64(st.OpsApplied))
 	s.mx.edgesAdded.Add(int64(st.EdgesAdded))
@@ -82,7 +82,7 @@ func (s *Session) Ingest(b dyn.Batch) (BatchStats, error) {
 
 	if s.tr != nil {
 		s.tr.Emit(obs.Event{Kind: obs.KindIngestBatch, Round: int32(seq),
-			A: s.active, N: int64(st.OpsApplied), M: int64(st.Arrivals), X: s.skewness()})
+			A: s.active, N: int64(st.OpsApplied), M: int64(st.Arrivals), X: partition.SkewnessOf(s.loads)})
 	}
 
 	if s.run == nil && seq >= s.cooldownUntil {
@@ -104,7 +104,7 @@ func (s *Session) Drain() (committed bool, err error) {
 	if s.run == nil {
 		return false, nil
 	}
-	return s.joinEpoch(s.batches)
+	return s.joinEpoch(s.st.Batches)
 }
 
 // applyOp applies one churn event to the live graph and the maintained
@@ -277,8 +277,8 @@ func (s *Session) placeArrival(a dyn.Arrival) bool {
 // returns immediately — ingest continues concurrently until the join
 // batch.
 func (s *Session) launchEpoch(seq int64, d dyn.Decision) {
-	launch := s.launches
-	s.launches++
+	launch := s.st.EpochsLaunched
+	s.st.EpochsLaunched++
 	s.mx.launches.Inc()
 
 	// Catch the index up with arrivals since the last launch: each was
@@ -376,7 +376,7 @@ func (s *Session) joinEpoch(seq int64) (committed bool, err error) {
 		for _, v := range diff {
 			s.ix.Move(v, s.pre[v])
 		}
-		s.aborts++
+		s.st.EpochsAborted++
 		s.mx.aborts.Inc()
 		s.tr.Emit(obs.Event{Kind: obs.KindEpochMerge, Round: int32(seq),
 			A: 0, N: s.dirc.Epoch(), M: int64(len(diff))})
@@ -420,8 +420,8 @@ func (s *Session) joinEpoch(seq int64) (committed bool, err error) {
 	}
 	s.baseComm = s.comm
 	s.churned = 0
-	s.commits++
-	s.epochMoves += int64(len(diff))
+	s.st.EpochsCommitted++
+	s.st.EpochMoves += int64(len(diff))
 	s.mx.commits.Inc()
 	s.mx.moves.Add(int64(len(diff)))
 	s.tr.Emit(obs.Event{Kind: obs.KindEpochMerge, Round: int32(seq),

@@ -212,17 +212,8 @@ type Session struct {
 
 	nbrBuf, wtBuf []int32 // placeArrival's resolved-neighbor scratch
 
-	batches       int64
 	cooldownUntil int64
-	launches      int64
-	commits       int64
-	aborts        int64
-	epochMoves    int64
-	opsApplied    int64
-	edgesAdded    int64
-	edgesRemoved  int64
-	arrivals      int64
-	rejected      int64
+	st            Stats // the counters Stats reports, incremented in place
 
 	clock  *faultsim.Clock
 	dirc   *dir.Directory
@@ -390,20 +381,7 @@ func (s *Session) recomputeLive() {
 // its own reference).
 func (s *Session) LiveScore() partition.Score {
 	comm := s.alpha * s.comm
-	return partition.Score{EdgeCut: s.cut, Comm: comm, CommCost: s.costs.Real(comm), Skewness: s.skewness()}
-}
-
-func (s *Session) skewness() float64 {
-	if s.totalW == 0 {
-		return 0
-	}
-	var max int64
-	for _, l := range s.loads {
-		if l > max {
-			max = l
-		}
-	}
-	return float64(max) / (float64(s.totalW) / float64(s.k))
+	return partition.Score{EdgeCut: s.cut, Comm: comm, CommCost: s.costs.Real(comm), Skewness: partition.SkewnessOf(s.loads)}
 }
 
 // Directory returns the epoch-versioned serving layer; its Lookup is
@@ -412,23 +390,13 @@ func (s *Session) Directory() *dir.Directory { return s.dirc }
 
 // Stats snapshots the session counters.
 func (s *Session) Stats() Stats {
-	return Stats{
-		Batches:          s.batches,
-		OpsApplied:       s.opsApplied,
-		EdgesAdded:       s.edgesAdded,
-		EdgesRemoved:     s.edgesRemoved,
-		Arrivals:         s.arrivals,
-		ArrivalsRejected: s.rejected,
-		EpochsLaunched:   s.launches,
-		EpochsCommitted:  s.commits,
-		EpochsAborted:    s.aborts,
-		EpochMoves:       s.epochMoves,
-		DirectoryEpoch:   s.dirc.Epoch(),
-		Active:           s.active,
-		Edges:            s.edges,
-		VirtualTicks:     s.clock.Now(),
-		Live:             s.LiveScore(),
-	}
+	st := s.st
+	st.DirectoryEpoch = s.dirc.Epoch()
+	st.Active = s.active
+	st.Edges = s.edges
+	st.VirtualTicks = s.clock.Now()
+	st.Live = s.LiveScore()
+	return st
 }
 
 // AssignHash folds the live assignment, the active count, and the
@@ -441,7 +409,7 @@ func (s *Session) AssignHash() uint64 {
 		h = detrand.FNVFold64(h, uint64(uint32(a)))
 	}
 	h = detrand.FNVFold64(h, uint64(uint32(s.active)))
-	return detrand.FNVFold64(h, uint64(s.commits))
+	return detrand.FNVFold64(h, uint64(s.st.EpochsCommitted))
 }
 
 // Source returns the live adjacency bounded to the active prefix, the

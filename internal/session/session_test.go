@@ -252,7 +252,7 @@ func asymmetricCosts(k int) [][]float64 {
 // from-scratch Eq. 2–4 computation over the materialized live graph.
 func checkLiveScore(t *testing.T, s *Session, when string) {
 	t.Helper()
-	live := &partition.Partitioning{K: tK, Assign: s.live}
+	live := &partition.Partitioning{K: s.k, Assign: s.live}
 	ref := partition.ComputeScore(s.materialize(), live, s.live, s.cfg.Costs, s.cfg.Refine.Alpha)
 	got := s.LiveScore()
 	if got.EdgeCut != ref.EdgeCut || got.Comm != ref.Comm || got.CommCost != ref.CommCost {
@@ -302,7 +302,7 @@ func TestSessionLiveStateConsistency(t *testing.T) {
 				}
 				w := dyn.NewWorkload(13, dyn.WorkloadConfig{Adds: 50, Removes: 20, Arrivals: 6})
 				for i := 0; i < 40; i++ {
-					if s.run != nil && s.batches >= s.run.joinBatch {
+					if s.run != nil && s.st.Batches >= s.run.joinBatch {
 						join(fmt.Sprintf("join before batch %d", i))
 					}
 					if _, err := s.Ingest(w.Next(s.Source())); err != nil {
@@ -381,6 +381,28 @@ func TestSessionCertainFaultsBackOffOnEmptyBatches(t *testing.T) {
 	if st := s.Stats(); st.EpochsAborted != int64(joins) || st.EpochsCommitted != 0 {
 		t.Fatalf("%d joins, but %d aborted and %d committed", joins, st.EpochsAborted, st.EpochsCommitted)
 	}
+}
+
+// A session over an empty base graph has no weight anywhere; its live
+// skewness is Eq. 4's value there, 1, as ComputeScore says, and stays the
+// from-scratch one once arrivals land.
+func TestSessionEmptyBaseLiveScore(t *testing.T) {
+	g0 := graph.NewBuilder(0).Build()
+	p0 := &partition.Partitioning{K: 2, Assign: []int32{}}
+	s, err := New(g0, p0, Config{Capacity: 4, Costs: topology.UniformMatrix(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLiveScore(t, s, "empty")
+	b := dyn.Batch{Arrivals: []dyn.Arrival{{}, {Neighbors: []int32{0}, Weights: []int32{1}}}}
+	if _, err := s.Ingest(b); err != nil {
+		t.Fatal(err)
+	}
+	checkLiveScore(t, s, "after arrivals")
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	checkLiveScore(t, s, "drained")
 }
 
 func TestSessionArrivalCapacity(t *testing.T) {

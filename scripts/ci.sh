@@ -281,6 +281,16 @@ if grep -q '"paragon/internal/obs"' internal/paragon/engine.go; then
     echo "ci: internal/paragon/engine.go imports paragon/internal/obs; workers never touch the observability plane" >&2
     exit 1
 fi
+# One record per fact (DESIGN.md §11, §13, §19): the recovery policy is
+# faultsim's constants and Backoff, Eq. 4 is partition.SkewnessOf, and a
+# trigger decision is its Code. The policy struct, a second skewness in the
+# session and the decision's Reason string must not come back.
+if git grep -nwE 'DefaultPolicy|faultsim\.Policy' -- '*.go' ':!*_test.go' ||
+    git grep -nwE 'Reason' -- 'internal/dyn/*.go' ':!*_test.go' ||
+    git grep -nwE 'func \(s \*Session\) skewness' -- '*.go' ':!*_test.go'; then
+    echo "ci: a second record is back; use faultsim.MaxRetries/RoundTimeout/Backoff, partition.SkewnessOf and Decision.Code" >&2
+    exit 1
+fi
 # Formatting: every tracked Go file outside the lint fixtures (whose
 # columns the lint tests may pin) is gofmt-clean.
 unformatted="$(git ls-files '*.go' ':!internal/lint/testdata' | xargs gofmt -l)"
