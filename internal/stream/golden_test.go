@@ -26,8 +26,8 @@ func assignHash(p *partition.Partitioning) uint64 {
 // The streaming partitioners feed both the batch pipeline and the
 // daemon's arrival placement, so their output for a fixed (graph, k,
 // options) is pinned here — any change to the placement rules must
-// re-pin deliberately instead of shifting silently. (These were the
-// last golden-free partitioners in the tree.)
+// re-pin deliberately instead of shifting silently. (METIS, the other
+// initial partitioner, is pinned by internal/metis's TestPartitionGoldens.)
 func TestStreamPartitionerGoldens(t *testing.T) {
 	g := gen.RMAT(2000, 10000, 0.57, 0.19, 0.19, 8)
 	opt := DefaultOptions()
