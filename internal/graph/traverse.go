@@ -4,6 +4,8 @@ package graph
 // extraction (k-hop BFS of §5 "Reducing Communication Volume"), and the
 // reference implementations the BSP applications are tested against.
 
+import "runtime"
+
 // BFSLevels runs a breadth-first search from src and returns the level
 // (hop distance) of every vertex, with -1 for unreachable vertices.
 func BFSLevels(g *Graph, src int32) []int32 {
@@ -194,24 +196,44 @@ func ExpandFrontier(g *Graph, seeds []int32, k int, dst []int32) []int32 {
 // sorted and must not repeat), preserving vertex weights, sizes, and
 // internal edges. It returns the subgraph (local ids are positions in
 // verts) and the local→global mapping.
+//
+// A dense index over g's vertices maps each global id to its local one
+// (−1 outside verts), and FromSymmetricRows fills the rows straight from
+// g's, runtime.GOMAXPROCS(0) workers wide: the same CSR at every worker
+// count, and the one Builder.Build makes from the same edges.
 func Induced(g *Graph, verts []int32) (*Graph, []int32) {
-	local := make(map[int32]int32, len(verts))
+	n := int32(len(verts))
+	local := make([]int32, g.NumVertices())
+	for i := range local {
+		local[i] = -1
+	}
+	vwgt := make([]int32, n)
+	vsize := make([]int32, n)
 	for i, v := range verts {
 		local[v] = int32(i)
+		vwgt[i], vsize[i] = g.vwgt[v], g.vsize[v]
 	}
-	bld := NewBuilder(int32(len(verts)))
-	for i, v := range verts {
-		bld.SetVertexWeight(int32(i), g.VertexWeight(v))
-		bld.SetVertexSize(int32(i), g.VertexSize(v))
-		adj := g.Neighbors(v)
-		w := g.EdgeWeights(v)
-		for j, u := range adj {
-			if lu, ok := local[u]; ok && v < u {
-				bld.AddWeightedEdge(int32(i), lu, w[j])
+	sub := FromSymmetricRows(n, vwgt, vsize,
+		func(i int32) int32 {
+			var d int32
+			for _, u := range g.Neighbors(verts[i]) {
+				if local[u] >= 0 {
+					d++
+				}
 			}
-		}
-	}
-	return bld.Build(), append([]int32(nil), verts...)
+			return d
+		},
+		func(i int32, to, w []int32) {
+			ew := g.EdgeWeights(verts[i])
+			k := 0
+			for j, u := range g.Neighbors(verts[i]) {
+				if lu := local[u]; lu >= 0 {
+					to[k], w[k] = lu, ew[j]
+					k++
+				}
+			}
+		}, runtime.GOMAXPROCS(0))
+	return sub, append([]int32(nil), verts...)
 }
 
 // sortInt32s sorts a in ascending order (insertion sort below 32 elems,

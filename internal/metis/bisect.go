@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"paragon/internal/graph"
+	"paragon/internal/partition"
 )
 
 // bisection state: side[v] ∈ {0,1}.
@@ -108,30 +109,54 @@ func sideWeights(g *graph.Graph, side []int8) [2]int64 {
 // number of negative-gain moves to escape local minima, and roll back to
 // the best prefix. maxW bounds each side's weight; passes bounds the
 // number of full FM passes.
-func fmRefine(g *graph.Graph, side []int8, maxW [2]int64, passes int) {
+//
+// bnd holds a superset of the boundary (the vertices with a neighbor on
+// the other side) on entry and is left holding one for the refined side.
+// A pass scans only the rows of bnd, seeding the heap with the boundary
+// vertices in ascending order; an interior vertex's gain is computed from
+// its row when a neighbor's move first touches it. An unlocked vertex's
+// gain always equals its current external − internal weight, so this is
+// the heap a full scan of every row would seed and update.
+func fmRefine(g *graph.Graph, side []int8, bnd *partition.Bitset, maxW [2]int64, passes int) {
 	n := g.NumVertices()
 	if n < 2 {
 		return
 	}
 	const badMoveLimit = 64
 	gain := make([]int64, n)
+	known := partition.NewBitset(n) // gain[v] is current this pass
 	locked := make([]bool, n)
 	w := sideWeights(g, side)
-
-	for pass := 0; pass < passes; pass++ {
-		// Compute gains for boundary-ish vertices and build the heap.
-		h := newGainHeap(int(n))
-		for v := int32(0); v < n; v++ {
-			locked[v] = false
-			gain[v] = moveGain(g, side, v)
-			if hasForeignNeighbor(g, side, v) {
-				h.push(v, gain[v])
+	var h gainHeap
+	var history, lockedList []int32 // moved vertices in move order; every locked vertex
+	// rescan sets gain[v] from v's row and returns v's external weight.
+	rescan := func(v int32) int64 {
+		var ext, internal int64
+		ew := g.EdgeWeights(v)
+		for i, u := range g.Neighbors(v) {
+			if side[u] == side[v] {
+				internal += int64(ew[i])
+			} else {
+				ext += int64(ew[i])
 			}
 		}
-		type undo struct {
-			v int32
-		}
-		var history []undo
+		gain[v] = ext - internal
+		known.Set(v)
+		return ext
+	}
+
+	for pass := 0; pass < passes; pass++ {
+		h.reset()
+		known.ClearAll()
+		// Edge weights are positive, so v is boundary iff ext > 0.
+		bnd.Range(func(v int32) {
+			if rescan(v) > 0 {
+				h.push(v, gain[v])
+			} else {
+				bnd.Unset(v)
+			}
+		})
+		history, lockedList = history[:0], lockedList[:0]
 		var prefixGain, bestGain int64
 		bestLen := 0
 		bad := 0
@@ -140,18 +165,18 @@ func fmRefine(g *graph.Graph, side []int8, maxW [2]int64, passes int) {
 			if !ok {
 				break
 			}
+			locked[v] = true
+			lockedList = append(lockedList, v)
 			from := side[v]
 			to := 1 - from
 			if w[to]+int64(g.VertexWeight(v)) > maxW[to] {
-				locked[v] = true // inadmissible this pass
-				continue
+				continue // inadmissible this pass
 			}
 			// Apply the move.
 			side[v] = to
-			locked[v] = true
 			w[from] -= int64(g.VertexWeight(v))
 			w[to] += int64(g.VertexWeight(v))
-			history = append(history, undo{v})
+			history = append(history, v)
 			prefixGain += gv
 			if prefixGain > bestGain {
 				bestGain = prefixGain
@@ -167,11 +192,14 @@ func fmRefine(g *graph.Graph, side []int8, maxW [2]int64, passes int) {
 				if locked[u] {
 					continue
 				}
-				// Edge weight counted twice: once for u's external/internal
-				// flip relative to v's old side, once for the new side.
-				if side[u] == from {
+				switch {
+				case !known.Get(u):
+					rescan(u) // first touch: v's move is already in u's row
+				case side[u] == from:
+					// Edge weight counted twice: once for u's external/internal
+					// flip relative to v's old side, once for the new side.
 					gain[u] += 2 * int64(ew[i])
-				} else {
+				default:
 					gain[u] -= 2 * int64(ew[i])
 				}
 				h.push(u, gain[u])
@@ -179,42 +207,27 @@ func fmRefine(g *graph.Graph, side []int8, maxW [2]int64, passes int) {
 		}
 		// Roll back moves beyond the best prefix.
 		for i := len(history) - 1; i >= bestLen; i-- {
-			v := history[i].v
+			v := history[i]
 			to := side[v]
 			from := 1 - to
 			side[v] = from
 			w[to] -= int64(g.VertexWeight(v))
 			w[from] += int64(g.VertexWeight(v))
 		}
+		// Only a moved vertex and its neighbors can have become boundary.
+		for _, v := range history {
+			bnd.Set(v)
+			for _, u := range g.Neighbors(v) {
+				bnd.Set(u)
+			}
+		}
+		for _, v := range lockedList {
+			locked[v] = false
+		}
 		if bestGain <= 0 {
 			break // pass made no progress
 		}
 	}
-}
-
-// moveGain returns the cut reduction from flipping v to the other side:
-// external degree − internal degree.
-func moveGain(g *graph.Graph, side []int8, v int32) int64 {
-	var ext, internal int64
-	adj := g.Neighbors(v)
-	w := g.EdgeWeights(v)
-	for i, u := range adj {
-		if side[u] == side[v] {
-			internal += int64(w[i])
-		} else {
-			ext += int64(w[i])
-		}
-	}
-	return ext - internal
-}
-
-func hasForeignNeighbor(g *graph.Graph, side []int8, v int32) bool {
-	for _, u := range g.Neighbors(v) {
-		if side[u] != side[v] {
-			return true
-		}
-	}
-	return false
 }
 
 // gainHeap is a lazy max-heap of (vertex, gain) entries. Stale entries
@@ -225,11 +238,10 @@ type gainHeap struct {
 	g []int64
 }
 
-func newGainHeap(capHint int) *gainHeap {
-	return &gainHeap{v: make([]int32, 0, capHint), g: make([]int64, 0, capHint)}
-}
-
 func (h *gainHeap) len() int { return len(h.v) }
+
+// reset empties the heap, keeping its storage for the next pass.
+func (h *gainHeap) reset() { h.v, h.g = h.v[:0], h.g[:0] }
 
 func (h *gainHeap) push(v int32, gain int64) {
 	h.v = append(h.v, v)

@@ -9,6 +9,7 @@ package metis
 
 import (
 	"math/rand"
+	"runtime"
 
 	"paragon/internal/graph"
 )
@@ -81,49 +82,74 @@ func heavyEdgeMatching(g *graph.Graph, rng *rand.Rand) []int32 {
 // contract merges matched pairs into coarse vertices, summing vertex
 // weights and sizes and merging parallel edges by weight. It returns the
 // coarse graph and the fine→coarse map.
+//
+// Coarse vertex cv's row is the merge of its one or two constituents'
+// rows through cmap: slot[cu] remembers where cu sits in the row being
+// merged, so a parallel edge adds its weight in place and the edge
+// between the two constituents is dropped. The merged rows go through
+// graph.FromSymmetricRows, runtime.GOMAXPROCS(0) workers wide, which
+// sorts each one — the same CSR at every worker count, and the one
+// graph.Builder makes when fed every fine edge once.
 func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 	n := g.NumVertices()
 	cmap := make([]int32, n)
 	for i := range cmap {
 		cmap[i] = -1
 	}
-	var coarseN int32
+	first := make([]int32, 0, n) // coarse vertex -> its lower-id constituent
 	for v := int32(0); v < n; v++ {
 		if cmap[v] >= 0 {
 			continue
 		}
-		u := match[v]
-		cmap[v] = coarseN
-		if u != v {
-			cmap[u] = coarseN
-		}
-		coarseN++
+		cv := int32(len(first))
+		cmap[v], cmap[match[v]] = cv, cv
+		first = append(first, v)
 	}
-	bld := graph.NewBuilder(coarseN)
-	vwgt := make([]int64, coarseN)
-	vsize := make([]int64, coarseN)
-	for v := int32(0); v < n; v++ {
-		cv := cmap[v]
-		vwgt[cv] += int64(g.VertexWeight(v))
-		vsize[cv] += int64(g.VertexSize(v))
-		adj := g.Neighbors(v)
-		w := g.EdgeWeights(v)
-		for i, u := range adj {
-			cu := cmap[u]
-			if cv < cu {
-				// Builder merges duplicates by summing, which is exactly
-				// the weight semantics of contraction. Iterating only the
-				// canonical direction (cv < cu) prevents double counting;
-				// v<u alone would miss cross pairs where cv>cu.
-				bld.AddWeightedEdge(cv, cu, w[i])
+	coarseN := int32(len(first))
+	vwgt := make([]int32, coarseN)
+	vsize := make([]int32, coarseN)
+	xadj := make([]int64, coarseN+1)
+	adj := make([]int32, 0, g.NumHalfEdges())
+	ewgt := make([]int32, 0, g.NumHalfEdges())
+	slot := make([]int64, coarseN)
+	for i := range slot {
+		slot[i] = -1
+	}
+	for cv, v := range first {
+		members := [2]int32{v, match[v]}
+		k := 2
+		if members[1] == v {
+			k = 1
+		}
+		var wgt, size int64
+		start := int64(len(adj))
+		for _, x := range members[:k] {
+			wgt += int64(g.VertexWeight(x))
+			size += int64(g.VertexSize(x))
+			w := g.EdgeWeights(x)
+			for j, y := range g.Neighbors(x) {
+				cu := cmap[y]
+				switch {
+				case cu == int32(cv):
+				case slot[cu] >= start:
+					ewgt[slot[cu]] += w[j]
+				default:
+					slot[cu] = int64(len(adj))
+					adj = append(adj, cu)
+					ewgt = append(ewgt, w[j])
+				}
 			}
 		}
+		vwgt[cv], vsize[cv] = clampI32(wgt), clampI32(size)
+		xadj[cv+1] = int64(len(adj))
 	}
-	for cv := int32(0); cv < coarseN; cv++ {
-		bld.SetVertexWeight(cv, clampI32(vwgt[cv]))
-		bld.SetVertexSize(cv, clampI32(vsize[cv]))
-	}
-	return bld.Build(), cmap
+	coarse := graph.FromSymmetricRows(coarseN, vwgt, vsize,
+		func(cv int32) int32 { return int32(xadj[cv+1] - xadj[cv]) },
+		func(cv int32, to, w []int32) {
+			copy(to, adj[xadj[cv]:xadj[cv+1]])
+			copy(w, ewgt[xadj[cv]:xadj[cv+1]])
+		}, runtime.GOMAXPROCS(0))
+	return coarse, cmap
 }
 
 func clampI32(x int64) int32 {

@@ -75,7 +75,11 @@ func PartitionKWay(g *graph.Graph, k int32, opt Options) *partition.Partitioning
 // the greedy k-way refinement used during k-way uncoarsening.
 func kwayRefine(g *graph.Graph, p *partition.Partitioning, bound int64, passes int) {
 	load := p.Weights(g)
-	aff := make(map[int32]int64, 8)
+	// aff[q] is v's edge weight into partition q ≠ Assign[v], nonzero
+	// exactly for the partitions in cand, and zeroed again through cand
+	// before the next vertex. Candidates keep first-seen neighbor order,
+	// which fixes the tie order.
+	aff := make([]int64, p.K)
 	cand := make([]int32, 0, 8)
 	for pass := 0; pass < passes; pass++ {
 		improved := false
@@ -84,19 +88,16 @@ func kwayRefine(g *graph.Graph, p *partition.Partitioning, bound int64, passes i
 			adj := g.Neighbors(v)
 			ew := g.EdgeWeights(v)
 			var internal int64
-			for key := range aff {
-				delete(aff, key)
+			for _, q := range cand {
+				aff[q] = 0
 			}
-			// Candidate partitions are tracked in first-seen neighbor
-			// order: picking the best by ranging over aff would let map
-			// iteration order decide ties and break seeded determinism.
 			cand = cand[:0]
 			for i, u := range adj {
 				pu := p.Assign[u]
 				if pu == pv {
 					internal += int64(ew[i])
 				} else {
-					if _, seen := aff[pu]; !seen {
+					if aff[pu] == 0 { // edge weights are positive
 						cand = append(cand, pu)
 					}
 					aff[pu] += int64(ew[i])

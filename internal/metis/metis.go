@@ -88,17 +88,27 @@ func multilevelBisect(g *graph.Graph, target0 float64, opt Options, rng *rand.Ra
 		int64(float64(total) * (1 - target0) * (1 + opt.Eps)),
 	}
 	// Weight is conserved by contraction, so the same bounds apply at
-	// every level.
-	fmRefine(coarsest, side, maxW, refinePasses)
+	// every level. A fine vertex can be boundary only if its coarse vertex
+	// is, so each level's boundary superset is projected from the one
+	// below; the coarsest level starts from every vertex.
+	bnd := partition.NewBitset(coarsest.NumVertices())
+	for v := int32(0); v < coarsest.NumVertices(); v++ {
+		bnd.Set(v)
+	}
+	fmRefine(coarsest, side, bnd, maxW, refinePasses)
 	for li := len(levels) - 1; li >= 1; li-- {
 		fine := levels[li-1].g
 		cmap := levels[li].map_
 		fineSide := make([]int8, fine.NumVertices())
-		for v := range fineSide {
-			fineSide[v] = side[cmap[v]]
+		fineBnd := partition.NewBitset(fine.NumVertices())
+		for v, cv := range cmap {
+			fineSide[v] = side[cv]
+			if bnd.Get(cv) {
+				fineBnd.Set(int32(v))
+			}
 		}
-		side = fineSide
-		fmRefine(fine, side, maxW, refinePasses)
+		side, bnd = fineSide, fineBnd
+		fmRefine(fine, side, bnd, maxW, refinePasses)
 	}
 	return side
 }

@@ -113,7 +113,7 @@ func TestCoarsenHierarchy(t *testing.T) {
 }
 
 func TestGainHeap(t *testing.T) {
-	h := newGainHeap(8)
+	h := &gainHeap{}
 	gains := []int64{5, -2, 9, 0, 9, 3}
 	for v, g := range gains {
 		h.push(int32(v), g)
@@ -137,7 +137,7 @@ func TestGainHeap(t *testing.T) {
 		t.Fatalf("popped %d of %d", len(popped), len(gains))
 	}
 	// Stale entries are skipped.
-	h2 := newGainHeap(4)
+	h2 := &gainHeap{}
 	h2.push(0, 7)
 	gainArr2 := []int64{3} // heap entry (0,7) is stale
 	h2.push(0, 3)
@@ -157,7 +157,11 @@ func TestFMImprovesRandomBisection(t *testing.T) {
 	before := cutWeight(g, side)
 	total := g.TotalVertexWeight()
 	maxW := [2]int64{int64(float64(total) * 0.55), int64(float64(total) * 0.55)}
-	fmRefine(g, side, maxW, 8)
+	bnd := partition.NewBitset(g.NumVertices())
+	for v := int32(0); v < g.NumVertices(); v++ {
+		bnd.Set(v)
+	}
+	fmRefine(g, side, bnd, maxW, 8)
 	after := cutWeight(g, side)
 	if after >= before {
 		t.Fatalf("FM did not improve cut: %d -> %d", before, after)
