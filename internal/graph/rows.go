@@ -9,8 +9,9 @@ import (
 
 // FromSymmetricRows builds a CSR graph from an adjacency source that is
 // already symmetric and duplicate-free — a live adjacency being frozen,
-// not an edge stream being deduplicated (that is Builder's job). degree(v)
-// is the length of v's row and row(v, to, w) writes v's neighbors and
+// an induced subgraph, a contracted graph's merged rows — not an edge
+// stream being deduplicated (that is Builder's job). degree(v) is the
+// length of v's row and row(v, to, w) writes v's neighbors and
 // their edge weights, in any order, into the two slices of that length;
 // vwgt and vsize (length n) are copied.
 //

@@ -3,8 +3,9 @@
 // matching coarsening, greedy graph-growing initial bisection, boundary
 // Fiduccia–Mattheyses refinement during uncoarsening, and recursive
 // bisection for k-way decompositions. It honors vertex weights (load),
-// vertex sizes, and edge weights, and enforces a configurable imbalance
-// tolerance.
+// vertex sizes, and edge weights. Its configurable imbalance tolerance
+// (Options.Eps) bounds the refinement moves of each bisection, not the
+// balance of the output.
 package metis
 
 import (
@@ -130,7 +131,7 @@ func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 			for j, y := range g.Neighbors(x) {
 				cu := cmap[y]
 				switch {
-				case cu == int32(cv):
+				case cu == int32(cv): // the edge between the two constituents
 				case slot[cu] >= start:
 					ewgt[slot[cu]] += w[j]
 				default:

@@ -10,8 +10,14 @@ import (
 
 // Options configures the multilevel partitioner.
 type Options struct {
-	// Eps is the per-partition imbalance tolerance (default 0.02, the
-	// paper's 2%).
+	// Eps is the imbalance tolerance of each bisection (default 0.02, the
+	// paper's 2%): FM never moves a vertex onto a side that would then
+	// weigh more than (1+Eps) times its target share, and k-way
+	// refinement never moves one above partition.BalanceBound. It is not
+	// a bound on the output. The greedy-growing start can overshoot it by
+	// one coarse vertex, FM only refuses overloading moves and never
+	// rebalances, and recursive bisection compounds the excess over its
+	// levels. DESIGN.md §3 lists measured output skews.
 	Eps float64
 	// Seed drives matching and initial-bisection randomness.
 	Seed int64

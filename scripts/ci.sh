@@ -194,11 +194,15 @@ if git grep -nE 'mx\.[a-zA-Z]+\.(Inc|Add|Set)\(' -- internal/paragon/paragon.go 
     echo "ci: a second metrics accounting path is back; publish from Stats (observe.go)" >&2
     exit 1
 fi
-# One freeze path (DESIGN.md §18): the session snapshot and the overlay
-# are frozen by graph.FromSymmetricRows straight from their adjacency. A
-# Builder staging loop must not come back to either.
-if git grep -n 'NewBuilder' -- 'internal/session/*.go' internal/graph/overlay.go ':!*_test.go'; then
-    echo "ci: a graph.Builder freeze is back; use graph.FromSymmetricRows" >&2
+# One freeze path (DESIGN.md §18): the session snapshot, the overlay, and
+# every induced and coarse graph of METIS's hierarchy (DESIGN.md §14) are
+# built by graph.FromSymmetricRows straight from their adjacency. A
+# Builder staging loop must not come back to any of them, nor a
+# per-vertex map to the partitioner.
+if git grep -n 'NewBuilder' -- 'internal/session/*.go' internal/graph/overlay.go \
+        'internal/metis/*.go' internal/graph/traverse.go ':!*_test.go' ||
+    git grep -nE '(^|[^[:alnum:]_])map\[' -- 'internal/metis/*.go' ':!*_test.go'; then
+    echo "ci: a graph.Builder freeze or a map is back; use graph.FromSymmetricRows and dense tables" >&2
     exit 1
 fi
 # An O(moved) join (DESIGN.md §18): a committed epoch folds its moves into
