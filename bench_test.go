@@ -17,7 +17,6 @@ import (
 	"paragon/internal/aragon"
 	"paragon/internal/bsp"
 	"paragon/internal/exp"
-	"paragon/internal/gas"
 	"paragon/internal/gen"
 	"paragon/internal/graph"
 	"paragon/internal/metis"
@@ -26,8 +25,6 @@ import (
 	"paragon/internal/parmetis"
 	"paragon/internal/stream"
 	"paragon/internal/topology"
-	"paragon/internal/vertexcut"
-	"paragon/internal/zoltan"
 )
 
 // benchScale sizes the datasets for benchmarking (the exp tests use a
@@ -288,21 +285,6 @@ func sinkTables(b *testing.B, tables ...*exp.Table) {
 
 // ---- Extension studies ----
 
-// BenchmarkExchangeStrategies compares the §5 location-exchange
-// strategies (directory vs region reduce).
-func BenchmarkExchangeStrategies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables(b, exp.ExchangeComparison(benchScale))
-	}
-}
-
-// BenchmarkVertexCut compares edge-cut vs vertex-cut replication (§8).
-func BenchmarkVertexCut(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables(b, exp.VertexCutComparison(benchScale))
-	}
-}
-
 // BenchmarkStreamOrder sweeps streaming partitioner arrival orders.
 func BenchmarkStreamOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -326,60 +308,6 @@ func BenchmarkMigrationService(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		stores := migrate.BuildStores(g, old)
 		if _, err := migrate.Execute(stores, plan, migrate.AppContext{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCutModels compares edge-cut BSP and vertex-cut GAS execution
-// of connected components (§8 extension).
-func BenchmarkCutModels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables(b, exp.EdgeCutVsVertexCut(benchScale))
-	}
-}
-
-// BenchmarkRepartitionerLandscape compares every repartitioner family on
-// a churned decomposition (the Figure 1 landscape as a measurement).
-func BenchmarkRepartitionerLandscape(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkTables(b, exp.RepartitionerLandscape(benchScale, 1))
-	}
-}
-
-// BenchmarkGASComponents measures the vertex-cut GAS engine on
-// connected components.
-func BenchmarkGASComponents(b *testing.B) {
-	g := benchGraph(b)
-	a := vertexcut.HDRF(g, 40, 2)
-	e, err := gas.NewEngine(g, a, topology.PittCluster(2), gas.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gas.Components(e, g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHDRFAssign measures HDRF vertex-cut assignment throughput.
-func BenchmarkHDRFAssign(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vertexcut.HDRF(g, 40, 2)
-	}
-}
-
-// BenchmarkZoltanRepartition measures the hypergraph repartitioner.
-func BenchmarkZoltanRepartition(b *testing.B) {
-	g := benchGraph(b)
-	old := stream.DG(g, 40, stream.DefaultOptions())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := zoltan.Repartition(g, old, zoltan.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,5 +1,5 @@
 // Command bspsim runs a distributed graph application (BFS, SSSP, WCC,
-// PageRank, or LPA) on the BSP cluster simulator and reports the job
+// or PageRank) on the BSP cluster simulator and reports the job
 // execution time and communication-volume breakdown — the measurement
 // side of the paper's §7.2.
 //
@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"paragon/internal/apps"
-	"paragon/internal/aragonlb"
 	"paragon/internal/bsp"
 	"paragon/internal/graph"
 	"paragon/internal/metis"
@@ -31,17 +30,16 @@ import (
 func main() {
 	in := flag.String("in", "", "input graph (required)")
 	format := flag.String("format", "metis", "input format: metis, edgelist, or binary")
-	app := flag.String("app", "bfs", "application: bfs, sssp, wcc, pagerank, lpa, kcore, triangles")
+	app := flag.String("app", "bfs", "application: bfs, sssp, wcc, pagerank")
 	clusterName := flag.String("cluster", "pitt", "cluster model: pitt, gordon, or uma")
 	nodes := flag.Int("nodes", 3, "compute nodes")
 	partitioner := flag.String("partitioner", "dg", "initial partitioner: hp, dg, ldg, fennel, metis, metis-kway")
-	refine := flag.String("refine", "none", "refinement: none, paragon, uniparagon, parmetis, aragonlb")
+	refine := flag.String("refine", "none", "refinement: none, paragon, uniparagon, parmetis")
 	lambda := flag.Float64("lambda", 0, "contention degree λ for paragon refinement")
 	drp := flag.Int("drp", 8, "paragon degree of parallelism")
 	shuffles := flag.Int("shuffles", 8, "paragon shuffle rounds")
 	sourceCount := flag.Int("sources", 5, "random sources for bfs/sssp")
-	iters := flag.Int("iters", 10, "iterations for pagerank/lpa")
-	kcore := flag.Int("k", 3, "k for the kcore app")
+	iters := flag.Int("iters", 10, "iterations for pagerank")
 	group := flag.Int("group", 8, "message grouping size")
 	contention := flag.Float64("contention", 0.3, "simulator memory-contention factor")
 	seed := flag.Int64("seed", 42, "seed")
@@ -108,17 +106,6 @@ func main() {
 			fatal(err)
 		}
 		p = p2
-	case "aragonlb":
-		c, err := cl.PartitionCostMatrix(k, *lambda)
-		if err != nil {
-			fatal(err)
-		}
-		st, err := aragonlb.Repartition(g, p, c, aragonlb.Config{})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("aragonlb: %d rebalance + %d refine moves, shipped %d bytes, %s\n",
-			st.RebalanceMoves, st.RefineMoves, st.ShippedVolume, st.Elapsed.Round(0))
 	default:
 		fatal(fmt.Errorf("unknown refinement %q", *refine))
 	}
@@ -169,30 +156,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		accumulate(res)
-	case "lpa":
-		_, res, err := apps.LabelPropagation(engine, g, *iters)
-		if err != nil {
-			fatal(err)
-		}
-		accumulate(res)
-	case "kcore":
-		members, res, err := apps.KCore(engine, g, *kcore)
-		if err != nil {
-			fatal(err)
-		}
-		var inCore int64
-		for _, m := range members {
-			inCore += m
-		}
-		fmt.Printf("%d-core members: %d of %d vertices\n", *kcore, inCore, g.NumVertices())
-		accumulate(res)
-	case "triangles":
-		total, res, err := apps.TriangleCount(engine, g)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("triangles: %d\n", total)
 		accumulate(res)
 	default:
 		fatal(fmt.Errorf("unknown app %q", *app))

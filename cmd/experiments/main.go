@@ -8,9 +8,8 @@
 //
 // Experiment ids: fig7, fig8, fig9 (also produces fig10/fig11), table4,
 // table5, fig12, fig13, fig14, fig15 (also fig16), table1, lambda,
-// ablations, the extension studies vertexcut, exchange, streamorder and
-// cutmodels, and landscape (the Figure 1 repartitioner classification).
-// The default runs everything.
+// ablations, and the extension study streamorder. The default runs
+// everything; an id that is none of these is a usage error.
 package main
 
 import (
@@ -40,8 +39,23 @@ func main() {
 
 	want := map[string]bool{}
 	if *only != "" {
+		// fig10/fig11 and fig16 are tables of the fig9 and fig15 runs.
+		known := map[string]bool{"fig10": true, "fig11": true, "fig16": true}
+		for _, e := range exp.Manifest() {
+			known[e.ID] = true
+		}
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if id == "" {
+				continue
+			}
+			if !known[id] {
+				usage("unknown experiment %q in -only (see -list)", id)
+			}
+			want[id] = true
+		}
+		if len(want) == 0 {
+			usage("no experiment matched -only=%q", *only)
 		}
 	}
 	sel := func(id string) bool { return len(want) == 0 || want[id] }
@@ -97,25 +111,16 @@ func main() {
 	if sel("ablations") {
 		emit(exp.AblationKHop(*scale), exp.AblationServerPenalty(*scale), exp.AblationUniformCost(*scale))
 	}
-	if sel("vertexcut") {
-		emit(exp.VertexCutComparison(*scale))
-	}
-	if sel("exchange") {
-		emit(exp.ExchangeComparison(*scale))
-	}
 	if sel("streamorder") {
 		emit(exp.StreamOrderStudy(*scale))
 	}
-	if sel("cutmodels") {
-		emit(exp.EdgeCutVsVertexCut(*scale))
-	}
-	if sel("landscape") {
-		emit(exp.RepartitionerLandscape(*scale, *sources))
-	}
 
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: no experiment matched -only=%q\n", *only)
-		os.Exit(2)
-	}
 	fmt.Printf("ran %d tables in %s (scale %.2f, %d sources)\n", ran, time.Since(start).Round(time.Millisecond), *scale, *sources)
+}
+
+// usage reports a bad -only list and exits with the flag package's usage
+// status.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
+	os.Exit(2)
 }

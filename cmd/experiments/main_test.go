@@ -31,7 +31,8 @@ func TestCLIErrors(t *testing.T) {
 		{"undefined flag", []string{"-nope"}, "flag provided but not defined: -nope"},
 		{"malformed -scale", []string{"-scale", "big"}, `invalid value "big" for flag -scale`},
 		{"malformed -sources", []string{"-sources", "1.5"}, `invalid value "1.5" for flag -sources`},
-		{"unknown experiment", []string{"-only", "fig99"}, `no experiment matched -only="fig99"`},
+		{"unknown experiment", []string{"-only", "fig99"}, `unknown experiment "fig99" in -only`},
+		{"unknown id beside a known one", []string{"-only", "table1,fig99"}, `unknown experiment "fig99" in -only`},
 		{"only separators", []string{"-only", " , "}, `no experiment matched -only=" , "`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,7 +91,7 @@ func TestCLIOutputShapeAndDeterminism(t *testing.T) {
 		{"table1", "1", false, `^== table1: [^\n]* ==\narch +group `},
 		{"table1", "1", true, `^# table1: [^\n]*\narch,group,`},
 		{"fig12,lambda", "2", false, `^== fig12: `},
-		{"streamorder, vertexcut ,cutmodels", "3", true, `^# vertexcut: `},
+		{"streamorder, table1 ,fig13", "3", true, `^# fig13: `},
 	} {
 		t.Run(tc.only, func(t *testing.T) {
 			args := []string{"-scale", "0.02", "-sources", "1", "-only", tc.only}

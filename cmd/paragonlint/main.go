@@ -42,10 +42,9 @@ import (
 // these packages are the reachability roots: everything they can call is
 // kernel code and must be clock-free, ambient-rand-free, and
 // map-order-clean. The facade is the stack: refinement, partitioning,
-// streaming, serving, trace. The reproduction's baselines and models
-// (aragonlb, zoltan, mizan, exchange) are reached only from the
-// experiment layer and cmd/bspsim, so they stay outside it with the rest
-// of the driver code, whose wall-clock use never enters the set.
+// streaming, serving, trace. The experiment layer (internal/exp) is
+// reached only from cmd/experiments, so it stays outside with the rest of
+// the driver code, whose wall-clock use never enters the set.
 var rootSurfaces = []string{""}
 
 func main() {

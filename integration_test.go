@@ -11,9 +11,7 @@ import (
 
 	"paragon/internal/apps"
 	"paragon/internal/aragon"
-	"paragon/internal/aragonlb"
 	"paragon/internal/bsp"
-	"paragon/internal/exchange"
 	"paragon/internal/gen"
 	"paragon/internal/graph"
 	"paragon/internal/migrate"
@@ -117,47 +115,6 @@ func TestPipelinePartitionRefineMigrateRun(t *testing.T) {
 	}
 }
 
-// TestParagonDeltasReplayThroughExchange replays a PARAGON refinement's
-// final assignment through the §5 region exchange: servers that each
-// own a slice of partitions and know only their own moves end with
-// identical, correct views.
-func TestParagonDeltasReplayThroughExchange(t *testing.T) {
-	g := gen.Mesh2D(30, 30)
-	g.UseDegreeWeights()
-	old := stream.DG(g, 8, stream.DefaultOptions())
-	now := old.Clone()
-	if _, err := paragon.RefineUniform(g, now, paragon.Config{DRP: 4, Shuffles: 2, Seed: 9}); err != nil {
-		t.Fatal(err)
-	}
-	// Four servers, two partitions each; each knows the moves of its own
-	// partitions (destination recorded by final owner's server).
-	servers := make([]*exchange.Server, 4)
-	for i := range servers {
-		servers[i] = &exchange.Server{
-			ID:        i,
-			Locations: append([]int32(nil), old.Assign...),
-			Updates:   map[int32]int32{},
-		}
-	}
-	for v := range old.Assign {
-		if old.Assign[v] != now.Assign[v] {
-			owner := int(now.Assign[v] / 2)
-			servers[owner].Updates[int32(v)] = now.Assign[v]
-		}
-	}
-	if _, err := (exchange.Region{Size: 128}).Propagate(servers); err != nil {
-		t.Fatal(err)
-	}
-	if !exchange.Consistent(servers) {
-		t.Fatal("server views diverged")
-	}
-	for v := range now.Assign {
-		if servers[0].Locations[v] != now.Assign[v] {
-			t.Fatalf("vertex %d: exchanged view %d vs truth %d", v, servers[0].Locations[v], now.Assign[v])
-		}
-	}
-}
-
 // TestFacadeAndInternalAgree pins the facade to the internal packages:
 // the re-exported entry points must produce identical results.
 func TestFacadeAndInternalAgree(t *testing.T) {
@@ -240,10 +197,6 @@ func TestJaggedCostMatrixRejected(t *testing.T) {
 		}},
 		{"session.New", func(p *partition.Partitioning, c [][]float64) error {
 			_, err := session.New(g, p, session.Config{Costs: c})
-			return err
-		}},
-		{"aragonlb.Repartition", func(p *partition.Partitioning, c [][]float64) error {
-			_, err := aragonlb.Repartition(g, p, c, aragonlb.Config{})
 			return err
 		}},
 	}

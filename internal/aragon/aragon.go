@@ -129,75 +129,3 @@ func Refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	}
 	return total, nil
 }
-
-// gainHeap is a lazy max-heap over candidate indices keyed by gain,
-// with stale-entry invalidation like the metis gain heap.
-type gainHeap struct {
-	idx []int32
-	g   []int64
-}
-
-func newGainHeap(capHint int) gainHeap {
-	return gainHeap{idx: make([]int32, 0, capHint), g: make([]int64, 0, capHint)}
-}
-
-func (h *gainHeap) len() int { return len(h.idx) }
-
-// reset empties the heap, keeping its backing storage for reuse.
-func (h *gainHeap) reset() {
-	h.idx = h.idx[:0]
-	h.g = h.g[:0]
-}
-
-func (h *gainHeap) push(i int32, gain int64) {
-	h.idx = append(h.idx, i)
-	h.g = append(h.g, gain)
-	c := len(h.idx) - 1
-	for c > 0 {
-		p := (c - 1) / 2
-		if h.g[p] >= h.g[c] {
-			break
-		}
-		h.swap(p, c)
-		c = p
-	}
-}
-
-func (h *gainHeap) pop() (int32, int64) {
-	i, g := h.idx[0], h.g[0]
-	last := len(h.idx) - 1
-	h.idx[0], h.g[0] = h.idx[last], h.g[last]
-	h.idx, h.g = h.idx[:last], h.g[:last]
-	c := 0
-	for {
-		l, r, s := 2*c+1, 2*c+2, c
-		if l < last && h.g[l] > h.g[s] {
-			s = l
-		}
-		if r < last && h.g[r] > h.g[s] {
-			s = r
-		}
-		if s == c {
-			break
-		}
-		h.swap(c, s)
-		c = s
-	}
-	return i, g
-}
-
-func (h *gainHeap) popValid(gains []int64, moved []bool) (int32, int64, bool) {
-	for h.len() > 0 {
-		i, g := h.pop()
-		if moved[i] || gains[i] != g {
-			continue
-		}
-		return i, g, true
-	}
-	return 0, 0, false
-}
-
-func (h *gainHeap) swap(i, j int) {
-	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
-	h.g[i], h.g[j] = h.g[j], h.g[i]
-}

@@ -287,22 +287,28 @@ func TestRefineKeepsBalanceBound(t *testing.T) {
 	}
 }
 
+// TestGainHeap checks the heap the refiner keeps its candidate moves in:
+// gains pop best first, and a vertex already moved is not popped again.
 func TestGainHeap(t *testing.T) {
-	h := newGainHeap(4)
+	var h partition.GainHeap
 	gains := []int64{15, -3, 80, 0}
 	for i, g := range gains {
-		h.push(int32(i), g)
+		h.Push(int32(i), g)
 	}
 	moved := make([]bool, 4)
+	moved[3] = true
 	var out []int64
 	for {
-		_, g, ok := h.popValid(gains, moved)
+		_, g, ok := h.PopValid(gains, moved)
 		if !ok {
 			break
 		}
 		out = append(out, g)
 	}
-	want := []int64{80, 15, 0, -3}
+	want := []int64{80, 15, -3}
+	if len(out) != len(want) {
+		t.Fatalf("heap order %v, want %v", out, want)
+	}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("heap order %v, want %v", out, want)

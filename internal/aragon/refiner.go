@@ -49,7 +49,7 @@ type Refiner struct {
 	cands   []int32
 	order   []uint64 // ⌈|V|/64⌉-word candidate-ordering bitmap, all-zero between uses
 	osum    []uint64 // its summary, one bit per word of order, all-zero between uses
-	h       gainHeap
+	h       partition.GainHeap
 	history []moveRec
 
 	// Per-candidate state, grown together (grow): own/org are the
@@ -124,7 +124,6 @@ func NewRefiner(g *graph.Graph, ix partition.PairIndexer, cfg Config) *Refiner {
 		slot:  make([]int32, g.NumVertices()),
 		order: scratchWords[uint64](orderWords),
 		osum:  scratchWords[uint64](partition.MaskWords(int32(orderWords))),
-		h:     newGainHeap(64),
 		dfwd:  scratchWords[int64](int(k)),
 		drev:  scratchWords[int64](int(k)),
 	}
@@ -205,9 +204,9 @@ func (r *Refiner) refinePair(orig []int32, pi, pj int32, cs *partition.Costs, lo
 	}
 	r.grow(n)
 	r.seed(pi, pj, orig, cs)
-	r.h.reset()
+	r.h.Reset()
 	for idx, gain := range r.gains {
-		r.h.push(int32(idx), gain)
+		r.h.Push(int32(idx), gain)
 	}
 
 	r.history = r.history[:0]
@@ -215,8 +214,8 @@ func (r *Refiner) refinePair(orig []int32, pi, pj int32, cs *partition.Costs, lo
 	bestLen := 0
 	bad := 0
 
-	for r.h.len() > 0 && bad < badMoveLimit {
-		idx, gv, ok := r.h.popValid(r.gains, r.moved)
+	for r.h.Len() > 0 && bad < badMoveLimit {
+		idx, gv, ok := r.h.PopValid(r.gains, r.moved)
 		if !ok {
 			break
 		}
@@ -266,7 +265,7 @@ func (r *Refiner) refinePair(orig []int32, pi, pj int32, cs *partition.Costs, lo
 				r.dto[ui] += int64(w[i])
 			}
 			r.gains[ui] = r.pairGain(ui, cs.At(fromU, toU))
-			r.h.push(s-1, r.gains[ui])
+			r.h.Push(s-1, r.gains[ui])
 		}
 		if testMoveApplied != nil {
 			testMoveApplied(r, pi, pj)

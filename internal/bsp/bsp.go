@@ -62,11 +62,6 @@ type Options struct {
 	MemoryContention float64
 	// MaxSupersteps aborts runaway programs. Default 100000.
 	MaxSupersteps int
-	// TrackVertexTraffic enables per-vertex message accounting
-	// (Result.VertexTraffic) — the runtime statistics that
-	// Mizan-style repartitioners consume. Off by default (costs one
-	// int64 per vertex plus two increments per message).
-	TrackVertexTraffic bool
 }
 
 func (o Options) withDefaults() Options {
@@ -103,9 +98,6 @@ type VolumeBreakdown struct {
 	InterNode   int64
 }
 
-// Total returns the total remote volume.
-func (v VolumeBreakdown) Total() int64 { return v.IntraSocket + v.InterSocket + v.InterNode }
-
 // Result of a run.
 type Result struct {
 	Values     []int64 // final vertex values
@@ -118,10 +110,6 @@ type Result struct {
 	// mean rank time — the load-balance signal driving Eq. 4's skewness
 	// objective (1.0 = perfectly balanced superstep).
 	StepSkew []float64
-	// VertexTraffic counts, per vertex, messages sent plus received
-	// across the run (only when Options.TrackVertexTraffic is set) — the
-	// runtime signal Mizan-style dynamic repartitioners migrate on.
-	VertexTraffic []int64
 }
 
 // Engine binds a graph, a decomposition, and a cluster.
@@ -203,9 +191,6 @@ func (e *Engine) Run(prog Program) (Result, error) {
 	combined := prog.Combine != nil
 
 	var res Result
-	if e.opts.TrackVertexTraffic {
-		res.VertexTraffic = make([]int64, n)
-	}
 	for anyActive || len(inboxC) > 0 || len(inboxM) > 0 {
 		if res.Supersteps >= e.opts.MaxSupersteps {
 			return res, fmt.Errorf("bsp: exceeded %d supersteps", e.opts.MaxSupersteps)
@@ -224,7 +209,7 @@ func (e *Engine) Run(prog Program) (Result, error) {
 						outcomes[r].panicked = p
 					}
 				}()
-				outcomes[r] = e.runRank(r, prog, values, activeNow, inboxC, inboxM, combined, res.VertexTraffic)
+				outcomes[r] = e.runRank(r, prog, values, activeNow, inboxC, inboxM, combined)
 			}(r)
 		}
 		wg.Wait()
@@ -252,9 +237,6 @@ func (e *Engine) Run(prog Program) (Result, error) {
 			if combined {
 				for _, box := range oc.outbox {
 					for v, m := range box {
-						if res.VertexTraffic != nil {
-							res.VertexTraffic[v]++
-						}
 						if old, ok := nextC[v]; ok {
 							nextC[v] = prog.Combine(old, m)
 						} else {
@@ -265,9 +247,6 @@ func (e *Engine) Run(prog Program) (Result, error) {
 			} else {
 				for _, box := range oc.outMulti {
 					for v, ms := range box {
-						if res.VertexTraffic != nil {
-							res.VertexTraffic[v] += int64(len(ms))
-						}
 						nextM[v] = append(nextM[v], ms...)
 					}
 				}
@@ -288,7 +267,7 @@ func (e *Engine) Run(prog Program) (Result, error) {
 // runRank processes all of rank r's vertices that are active or have
 // messages, in ascending vertex order. It only writes values of its own
 // vertices, so the shared values slice is race-free across ranks.
-func (e *Engine) runRank(r int, prog Program, values []int64, activeNow []bool, inboxC map[int32]int64, inboxM map[int32][]int64, combined bool, traffic []int64) rankOutcome {
+func (e *Engine) runRank(r int, prog Program, values []int64, activeNow []bool, inboxC map[int32]int64, inboxM map[int32][]int64, combined bool) rankOutcome {
 	oc := rankOutcome{
 		msgs: make([]int64, e.ranks),
 	}
@@ -331,16 +310,9 @@ func (e *Engine) runRank(r int, prog Program, values []int64, activeNow []bool, 
 		if !activeNow[v] && msgs == nil {
 			continue
 		}
-		sentBefore := oc.scanned
 		newVal, stayActive := prog.Compute(v, values[v], msgs, send)
 		//lint:ignore sharedwrite rank r owns every v in rankVerts[r]; concurrent ranks write disjoint vertex slots
 		values[v] = newVal
-		if traffic != nil {
-			// Sent messages attributed to the computing vertex; receives
-			// are attributed at delivery (post-combining).
-			//lint:ignore sharedwrite rank r owns every v in rankVerts[r]; concurrent ranks write disjoint vertex slots
-			traffic[v] += oc.scanned - sentBefore
-		}
 		oc.computed++
 		if stayActive {
 			oc.active = append(oc.active, v)

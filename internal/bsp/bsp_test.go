@@ -58,7 +58,7 @@ func TestRunTerminatesAndCountsSteps(t *testing.T) {
 	if res.Values[0] != 100 || res.Values[1] != 1 {
 		t.Fatalf("values wrong: %d %d", res.Values[0], res.Values[1])
 	}
-	if res.Messages != 0 || res.Volume.Total() != 0 {
+	if res.Messages != 0 || res.Volume != (VolumeBreakdown{}) {
 		t.Fatalf("phantom traffic: %+v", res)
 	}
 	if len(res.StepTimes) != 1 || res.JET != res.StepTimes[0] {

@@ -44,11 +44,7 @@ func Manifest() []ExperimentInfo {
 		{"table1", "shared-resource contention matrix", "Table 1"},
 		{"lambda", "contention degree sweep on both clusters", "§6 profiling"},
 		{"ablations", "k-hop, server penalty, uniform-cost ablations", "DESIGN.md §6"},
-		{"vertexcut", "vertex-cut partitioner comparison", "extension (§8)"},
-		{"exchange", "directory vs region location exchange", "extension (§5)"},
 		{"streamorder", "stream arrival-order sensitivity", "extension (§7.1)"},
-		{"cutmodels", "edge-cut BSP vs vertex-cut GAS", "extension (§8)"},
-		{"landscape", "repartitioner families under churn", "extension (Figure 1)"},
 	}
 }
 

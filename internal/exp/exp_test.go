@@ -269,46 +269,10 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestExtensionStudies(t *testing.T) {
-	vc := VertexCutComparison(tiny)
-	if len(vc.Rows) != 3 {
-		t.Fatalf("vertexcut rows = %d", len(vc.Rows))
-	}
-	// HDRF must replicate less than random hashing.
-	if parseF(t, vc.Rows[2][1]) >= parseF(t, vc.Rows[0][1]) {
-		t.Fatalf("HDRF RF %s not below random %s", vc.Rows[2][1], vc.Rows[0][1])
-	}
-	ex := ExchangeComparison(tiny)
-	if len(ex.Rows) != 2 {
-		t.Fatalf("exchange rows = %d", len(ex.Rows))
-	}
-	// Region volume must be below the directory's.
-	if parseF(t, ex.Rows[1][1]) >= parseF(t, ex.Rows[0][1]) {
-		t.Fatalf("region volume %s not below directory %s", ex.Rows[1][1], ex.Rows[0][1])
-	}
+func TestStreamOrderStudy(t *testing.T) {
 	so := StreamOrderStudy(tiny)
 	if len(so.Rows) != 12 { // 4 orders × 3 partitioners
 		t.Fatalf("streamorder rows = %d", len(so.Rows))
-	}
-}
-
-func TestEdgeCutVsVertexCut(t *testing.T) {
-	tab := EdgeCutVsVertexCut(appScale)
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// HDRF must beat random vertex-cut on total volume (the §8 point).
-	var vRandom, vHDRF float64
-	for _, row := range tab.Rows {
-		switch row[1] {
-		case "random":
-			vRandom = parseF(t, row[2])
-		case "HDRF":
-			vHDRF = parseF(t, row[2])
-		}
-	}
-	if vHDRF >= vRandom {
-		t.Fatalf("HDRF volume %v not below random %v", vHDRF, vRandom)
 	}
 }
 
@@ -322,33 +286,9 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestRepartitionerLandscape(t *testing.T) {
-	// Placement effects need enough vertices per partition: run at the
-	// reporting scale with a few sources.
-	tab := RepartitionerLandscape(0.3, 3)
-	if len(tab.Rows) != 7 {
-		t.Fatalf("rows = %d, want 7 repartitioners", len(tab.Rows))
-	}
-	if tab.Rows[0][3] != "0" {
-		t.Fatalf("stale baseline migration = %s, want 0", tab.Rows[0][3])
-	}
-	stale := parseF(t, tab.Rows[0][2])
-	beat := 0
-	for _, row := range tab.Rows[1:] {
-		if v := parseF(t, row[2]); v <= 0 {
-			t.Fatalf("row %v has non-positive JET", row)
-		} else if v < stale {
-			beat++
-		}
-	}
-	if beat < 2 {
-		t.Fatalf("only %d repartitioners beat the stale decomposition", beat)
-	}
-}
-
 func TestManifest(t *testing.T) {
 	m := Manifest()
-	if len(m) != 17 {
+	if len(m) != 13 {
 		t.Fatalf("manifest has %d entries", len(m))
 	}
 	seen := map[string]bool{}

@@ -1,202 +1,13 @@
 package exp
 
 import (
-	"fmt"
-	"time"
-
-	"paragon/internal/apps"
-	"paragon/internal/bsp"
-	"paragon/internal/exchange"
-	"paragon/internal/gas"
 	"paragon/internal/gen"
 	"paragon/internal/partition"
 	"paragon/internal/stream"
-	"paragon/internal/topology"
-	"paragon/internal/vertexcut"
 )
 
-// Extension experiments beyond the paper's own tables: the §8
-// related-work directions the paper points at (vertex-cut partitioning)
-// and the §5 implementation comparison it describes in prose (the
-// distributed data directory vs the region-chunked location exchange).
-
-// VertexCutComparison compares edge-cut and vertex-cut partitioning on a
-// power-law graph: replication factor, balance, and architecture-aware
-// synchronization cost of the replicas.
-func VertexCutComparison(scale float64) *Table {
-	env := microEnv()
-	g := comLJ(scale)
-	k := int32(env.K)
-	c := env.PlainMatrix()
-	tab := &Table{
-		ID:     "vertexcut",
-		Title:  "Vertex-cut partitioners on the com-lj stand-in (extension of §8)",
-		Header: []string{"method", "replication_factor", "edge_imbalance", "arch_sync_cost"},
-		Notes:  "HDRF/Greedy cut hubs, shrinking replicas vs random edge hashing",
-	}
-	for _, m := range []struct {
-		name string
-		run  func() *vertexcut.Assignment
-	}{
-		{"random", func() *vertexcut.Assignment { return vertexcut.Random(g, k) }},
-		{"greedy", func() *vertexcut.Assignment { return vertexcut.Greedy(g, k) }},
-		{"hdrf", func() *vertexcut.Assignment { return vertexcut.HDRF(g, k, 2) }},
-	} {
-		a := m.run()
-		tab.Rows = append(tab.Rows, []string{
-			m.name,
-			f2(a.ReplicationFactor()),
-			f2(a.LoadImbalance()),
-			f0(vertexcut.SyncCost(a, c)),
-		})
-	}
-	return tab
-}
-
-// ExchangeComparison times and measures both §5 location-propagation
-// strategies on a refinement-shaped workload, reproducing the paper's
-// finding that the directory approach is "very inefficient for really
-// big graphs" while the region exchange stays O(|V|).
-func ExchangeComparison(scale float64) *Table {
-	g := comLJ(scale)
-	p := stream.DG(g, 16, stream.DefaultOptions())
-	nServers := 8
-	mkServers := func() []*exchange.Server {
-		servers := make([]*exchange.Server, nServers)
-		bv := partition.BoundaryVertices(g, p)
-		for i := range servers {
-			s := &exchange.Server{
-				ID:        i,
-				Locations: append([]int32(nil), p.Assign...),
-				Updates:   map[int32]int32{},
-			}
-			// Each server owns partitions 2i, 2i+1 and moves its
-			// boundary vertices between them (the shuffle-refinement
-			// update pattern).
-			for _, v := range bv[i*2] {
-				s.Updates[v] = int32(i*2 + 1)
-			}
-			// Needs: the neighbors of its vertices.
-			for v := int32(0); v < g.NumVertices(); v++ {
-				pv := p.Assign[v]
-				if pv == int32(i*2) || pv == int32(i*2+1) {
-					s.Needs = append(s.Needs, g.Neighbors(v)...)
-				}
-			}
-			servers[i] = s
-		}
-		return servers
-	}
-	tab := &Table{
-		ID:     "exchange",
-		Title:  "Shuffle location-exchange strategies (§5 implementation study)",
-		Header: []string{"strategy", "volume_KB", "time"},
-		Notes:  "paper: the directory needs O(|V|+|E|) traffic, the region exchange O(|V|)",
-	}
-	// Ground truth after all updates.
-	truth := append([]int32(nil), p.Assign...)
-	for _, s := range mkServers() {
-		for v, loc := range s.Updates {
-			truth[v] = loc
-		}
-	}
-	for _, s := range []exchange.Strategy{exchange.Directory{}, exchange.Region{}} {
-		servers := mkServers()
-		start := time.Now()
-		vol, err := s.Propagate(servers)
-		if err != nil {
-			panic(fmt.Sprintf("exp: exchange: %v", err))
-		}
-		// The region exchange refreshes everything; the directory only
-		// guarantees freshness for the vertices a server pulled — check
-		// each strategy at its own contract.
-		if _, isRegion := s.(exchange.Region); isRegion {
-			if !exchange.Consistent(servers) {
-				panic("exp: region exchange left views inconsistent")
-			}
-		}
-		for _, sv := range servers {
-			for _, v := range sv.Needs {
-				if sv.Locations[v] != truth[v] {
-					panic(fmt.Sprintf("exp: %s left server %d stale on needed vertex %d", s.Name(), sv.ID, v))
-				}
-			}
-		}
-		tab.Rows = append(tab.Rows, []string{s.Name(), f0(float64(vol) / 1024), secs(time.Since(start))})
-	}
-	return tab
-}
-
-// EdgeCutVsVertexCut runs the same computation — min-label connected
-// components — under both execution models on a power-law graph: the
-// Pregel/BSP engine over edge-cut decompositions and the
-// PowerGraph-style GAS engine over vertex-cut assignments. It extends
-// §8's observation that vertex-cut systems face the same communication
-// heterogeneity: replica placement determines how much sync traffic
-// crosses expensive links.
-func EdgeCutVsVertexCut(scale float64) *Table {
-	d, err := gen.DatasetByName("YouTube")
-	if err != nil {
-		panic(err)
-	}
-	g := d.Build(scale)
-	g.UseDegreeWeights()
-	cl := topology.PittCluster(2)
-	k := int32(cl.TotalCores())
-	tab := &Table{
-		ID:     "cutmodels",
-		Title:  "Connected components: edge-cut BSP vs vertex-cut GAS (YouTube stand-in)",
-		Header: []string{"model", "partitioner", "total_volume_KB", "inter_node_KB", "JET"},
-		Notes:  "vertex-cut trades replicas for locality on power-law graphs (§8)",
-	}
-	// Edge-cut rows.
-	for _, pr := range []struct {
-		name string
-		p    *partition.Partitioning
-	}{
-		{"HP", stream.HP(g, k)},
-		{"DG", stream.DG(g, k, stream.DefaultOptions())},
-	} {
-		e, err := bsp.NewEngine(g, pr.p, cl, bsp.Options{})
-		if err != nil {
-			panic(err)
-		}
-		_, res, err := apps.WCC(e, g)
-		if err != nil {
-			panic(err)
-		}
-		tab.Rows = append(tab.Rows, []string{
-			"BSP/edge-cut", pr.name,
-			f0(float64(res.Volume.Total()) / 1024),
-			f0(float64(res.Volume.InterNode) / 1024),
-			f0(res.JET),
-		})
-	}
-	// Vertex-cut rows.
-	for _, vr := range []struct {
-		name string
-		a    *vertexcut.Assignment
-	}{
-		{"random", vertexcut.Random(g, k)},
-		{"HDRF", vertexcut.HDRF(g, k, 2)},
-	} {
-		e, err := gas.NewEngine(g, vr.a, cl, gas.Options{})
-		if err != nil {
-			panic(err)
-		}
-		res, err := gas.Components(e, g)
-		if err != nil {
-			panic(err)
-		}
-		tab.Rows = append(tab.Rows, []string{
-			"GAS/vertex-cut", vr.name,
-			f0(float64(res.Volume.Total()) / 1024),
-			f0(float64(res.Volume.InterNode) / 1024),
-			f0(res.JET),
-		})
-	}
-	return tab
-}
+// The extension study beyond the paper's own tables: the §7.1 remark on
+// stream arrival order, measured.
 
 // StreamOrderStudy quantifies the §7.1 remark that streaming quality
 // depends on arrival order: DG and LDG cut quality across the four

@@ -127,7 +127,7 @@ func fmRefine(g *graph.Graph, side []int8, bnd *partition.Bitset, maxW [2]int64,
 	known := partition.NewBitset(n) // gain[v] is current this pass
 	locked := make([]bool, n)
 	w := sideWeights(g, side)
-	var h gainHeap
+	var h partition.GainHeap
 	var history, lockedList []int32 // moved vertices in move order; every locked vertex
 	// rescan sets gain[v] from v's row and returns v's external weight.
 	rescan := func(v int32) int64 {
@@ -146,12 +146,12 @@ func fmRefine(g *graph.Graph, side []int8, bnd *partition.Bitset, maxW [2]int64,
 	}
 
 	for pass := 0; pass < passes; pass++ {
-		h.reset()
+		h.Reset()
 		known.ClearAll()
 		// Edge weights are positive, so v is boundary iff ext > 0.
 		bnd.Range(func(v int32) {
 			if rescan(v) > 0 {
-				h.push(v, gain[v])
+				h.Push(v, gain[v])
 			} else {
 				bnd.Unset(v)
 			}
@@ -160,8 +160,8 @@ func fmRefine(g *graph.Graph, side []int8, bnd *partition.Bitset, maxW [2]int64,
 		var prefixGain, bestGain int64
 		bestLen := 0
 		bad := 0
-		for h.len() > 0 && bad < badMoveLimit {
-			v, gv, ok := h.popValid(gain, locked)
+		for h.Len() > 0 && bad < badMoveLimit {
+			v, gv, ok := h.PopValid(gain, locked)
 			if !ok {
 				break
 			}
@@ -202,7 +202,7 @@ func fmRefine(g *graph.Graph, side []int8, bnd *partition.Bitset, maxW [2]int64,
 				default:
 					gain[u] -= 2 * int64(ew[i])
 				}
-				h.push(u, gain[u])
+				h.Push(u, gain[u])
 			}
 		}
 		// Roll back moves beyond the best prefix.
@@ -228,72 +228,4 @@ func fmRefine(g *graph.Graph, side []int8, bnd *partition.Bitset, maxW [2]int64,
 			break // pass made no progress
 		}
 	}
-}
-
-// gainHeap is a lazy max-heap of (vertex, gain) entries. Stale entries
-// (whose recorded gain no longer matches the current gain, or whose
-// vertex is locked) are discarded at pop time.
-type gainHeap struct {
-	v []int32
-	g []int64
-}
-
-func (h *gainHeap) len() int { return len(h.v) }
-
-// reset empties the heap, keeping its storage for the next pass.
-func (h *gainHeap) reset() { h.v, h.g = h.v[:0], h.g[:0] }
-
-func (h *gainHeap) push(v int32, gain int64) {
-	h.v = append(h.v, v)
-	h.g = append(h.g, gain)
-	i := len(h.v) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.g[p] >= h.g[i] {
-			break
-		}
-		h.swap(p, i)
-		i = p
-	}
-}
-
-func (h *gainHeap) pop() (int32, int64) {
-	v, g := h.v[0], h.g[0]
-	last := len(h.v) - 1
-	h.v[0], h.g[0] = h.v[last], h.g[last]
-	h.v, h.g = h.v[:last], h.g[:last]
-	i := 0
-	for {
-		l, r, s := 2*i+1, 2*i+2, i
-		if l < last && h.g[l] > h.g[s] {
-			s = l
-		}
-		if r < last && h.g[r] > h.g[s] {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h.swap(i, s)
-		i = s
-	}
-	return v, g
-}
-
-// popValid pops until it finds an entry that is fresh (gain matches) and
-// unlocked.
-func (h *gainHeap) popValid(gain []int64, locked []bool) (int32, int64, bool) {
-	for h.len() > 0 {
-		v, g := h.pop()
-		if locked[v] || gain[v] != g {
-			continue
-		}
-		return v, g, true
-	}
-	return 0, 0, false
-}
-
-func (h *gainHeap) swap(i, j int) {
-	h.v[i], h.v[j] = h.v[j], h.v[i]
-	h.g[i], h.g[j] = h.g[j], h.g[i]
 }

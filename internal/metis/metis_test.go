@@ -112,17 +112,19 @@ func TestCoarsenHierarchy(t *testing.T) {
 	}
 }
 
+// TestGainHeap checks the heap FM keeps its boundary moves in: gains pop
+// in descending order, and an entry whose gain went stale is skipped.
 func TestGainHeap(t *testing.T) {
-	h := &gainHeap{}
+	h := &partition.GainHeap{}
 	gains := []int64{5, -2, 9, 0, 9, 3}
 	for v, g := range gains {
-		h.push(int32(v), g)
+		h.Push(int32(v), g)
 	}
 	locked := make([]bool, len(gains))
 	gainArr := append([]int64(nil), gains...)
 	var popped []int64
 	for {
-		_, g, ok := h.popValid(gainArr, locked)
+		_, g, ok := h.PopValid(gainArr, locked)
 		if !ok {
 			break
 		}
@@ -137,11 +139,11 @@ func TestGainHeap(t *testing.T) {
 		t.Fatalf("popped %d of %d", len(popped), len(gains))
 	}
 	// Stale entries are skipped.
-	h2 := &gainHeap{}
-	h2.push(0, 7)
+	h2 := &partition.GainHeap{}
+	h2.Push(0, 7)
 	gainArr2 := []int64{3} // heap entry (0,7) is stale
-	h2.push(0, 3)
-	v, g, ok := h2.popValid(gainArr2, []bool{false})
+	h2.Push(0, 3)
+	v, g, ok := h2.PopValid(gainArr2, []bool{false})
 	if !ok || v != 0 || g != 3 {
 		t.Fatalf("stale skip failed: %d %d %v", v, g, ok)
 	}

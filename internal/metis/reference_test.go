@@ -248,7 +248,7 @@ func fmRefineFullScan(g *graph.Graph, side []int8, maxW [2]int64, passes int) {
 	locked := make([]bool, n)
 	w := sideWeights(g, side)
 	for pass := 0; pass < passes; pass++ {
-		h := &gainHeap{}
+		h := &partition.GainHeap{}
 		for v := int32(0); v < n; v++ {
 			locked[v] = false
 			var ext, internal int64
@@ -264,14 +264,14 @@ func fmRefineFullScan(g *graph.Graph, side []int8, maxW [2]int64, passes int) {
 			}
 			gain[v] = ext - internal
 			if foreign {
-				h.push(v, gain[v])
+				h.Push(v, gain[v])
 			}
 		}
 		var history []int32
 		var prefixGain, bestGain int64
 		bestLen, bad := 0, 0
-		for h.len() > 0 && bad < badMoveLimit {
-			v, gv, ok := h.popValid(gain, locked)
+		for h.Len() > 0 && bad < badMoveLimit {
+			v, gv, ok := h.PopValid(gain, locked)
 			if !ok {
 				break
 			}
@@ -302,7 +302,7 @@ func fmRefineFullScan(g *graph.Graph, side []int8, maxW [2]int64, passes int) {
 				} else {
 					gain[u] -= 2 * int64(ew[i])
 				}
-				h.push(u, gain[u])
+				h.Push(u, gain[u])
 			}
 		}
 		for i := len(history) - 1; i >= bestLen; i-- {

@@ -163,17 +163,7 @@ func SkewnessOf(w []int64) float64 {
 // total edge weight v communicates with each partition. The returned
 // slice has length K; entry p.Assign[v] holds v's internal degree.
 func ExternalDegrees(g *graph.Graph, p *Partitioning, v int32) []int64 {
-	return ExternalDegreesInto(g, p, v, make([]int64, p.K))
-}
-
-// ExternalDegreesInto is ExternalDegrees writing into a caller-provided
-// buffer of length >= K (zeroed and truncated to K here) — the
-// allocation-free form used in the refiners' gain loops.
-func ExternalDegreesInto(g *graph.Graph, p *Partitioning, v int32, buf []int64) []int64 {
-	d := buf[:p.K]
-	for i := range d {
-		d[i] = 0
-	}
+	d := make([]int64, p.K)
 	adj := g.Neighbors(v)
 	w := g.EdgeWeights(v)
 	for i, u := range adj {
@@ -192,18 +182,6 @@ func IsBoundary(g *graph.Graph, p *Partitioning, v int32) bool {
 		}
 	}
 	return false
-}
-
-// BoundaryVertices returns all boundary vertices grouped by partition.
-func BoundaryVertices(g *graph.Graph, p *Partitioning) [][]int32 {
-	out := make([][]int32, p.K)
-	for v := int32(0); v < g.NumVertices(); v++ {
-		if IsBoundary(g, p, v) {
-			pv := p.Assign[v]
-			out[pv] = append(out[pv], v)
-		}
-	}
-	return out
 }
 
 // BalanceBound returns the maximum allowed partition weight for a given

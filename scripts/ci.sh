@@ -136,20 +136,22 @@ go test -bench=. -benchtime=1x -run='^$' ./... > /dev/null
 # replay identity across sessions).
 (cd bench && go vet ./... && go test ./...)
 
-# Layering guards: the serving layer must not depend on the exchange
-# strategies, the exchange models stay a fault-free, unobserved model
-# (the driver's region exchange is the one that runs under faults), and
-# the splitmix64/FNV-1a primitives stay defined once, in internal/detrand
-# (its pinned vectors are what keep seeds and journal checksums stable).
-# Plain `! cmd` would be exempt from errexit.
-dirdeps="$(go list -deps ./internal/dir)"
-if grep -q internal/exchange <<< "$dirdeps"; then
-    echo "ci: internal/dir depends on internal/exchange" >&2
+# Layering guards. The stack/apparatus line (DESIGN.md §7): no stack
+# package depends on the reproduction apparatus — the experiment layer,
+# the BSP simulator and its applications, and the METIS/ParMETIS
+# baselines. The apparatus that reproduced nothing in the paper's §7 was
+# deleted (DESIGN.md §19); its import paths must not come back. The
+# splitmix64/FNV-1a primitives stay defined once, in internal/detrand (its
+# pinned vectors are what keep seeds and journal checksums stable). Plain
+# `! cmd` would be exempt from errexit.
+stack=(graph partition topology stream aragon paragon portfolio session dir dyn migrate faultsim obs detrand gen)
+stackdeps="$(go list -deps "${stack[@]/#/./internal/}")"
+if grep -E '^paragon/internal/(exp|bsp|apps|metis|parmetis)$' <<< "$stackdeps"; then
+    echo "ci: a stack package depends on the apparatus above; keep the apparatus out of the stack" >&2
     exit 1
 fi
-exchangedeps="$(go list -deps ./internal/exchange)"
-if grep -qE 'internal/(faultsim|obs)$' <<< "$exchangedeps"; then
-    echo "ci: internal/exchange grew a fault or observability layer again; the driver's exchangeRegions is the faulty exchange" >&2
+if git grep -nE '"paragon/internal/(zoltan|mizan|aragonlb|vertexcut|gas|exchange)"' -- '*.go'; then
+    echo "ci: a deleted apparatus package is imported again; it reproduces no §7 table or figure" >&2
     exit 1
 fi
 if git grep -nE 'func (mix64|sessionMix|splitmixFin|fnvFold|fnvMix)\(' -- '*.go' ':!internal/detrand'; then
