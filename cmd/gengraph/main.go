@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"paragon/internal/gen"
@@ -39,6 +40,18 @@ func main() {
 			fmt.Printf("  %-12s %s\n", d.Name, d.Class)
 		}
 		return
+	}
+
+	// gen panics on a size it cannot build, and int32(*n) would wrap.
+	switch {
+	case *n < 2 || *n > math.MaxInt32:
+		fatal(fmt.Errorf("-n %d out of range [2, %d]", *n, math.MaxInt32))
+	case *m < 1:
+		fatal(fmt.Errorf("-m %d: need at least 1 edge", *m))
+	case *scale <= 0:
+		fatal(fmt.Errorf("-scale %g: need a positive multiplier", *scale))
+	case *shards < 0:
+		fatal(fmt.Errorf("-shards %d: need 0 (serial) or a worker count", *shards))
 	}
 
 	var g *graph.Graph

@@ -49,6 +49,13 @@ func TestCLIErrors(t *testing.T) {
 		{"unknown format", append(small, "-format", "nope"), 1, `unknown format "nope"`},
 		{"unwritable -o", append(small, "-o", "/nonexistent/dir/g.metis"), 1, "no such file"},
 		{"undefined flag", []string{"-nope"}, 2, "flag provided but not defined: -nope"},
+		{"-n 1", []string{"-rmat", "-n", "1"}, 1, "-n 1 out of range"},
+		{"-n 0", []string{"-rmat", "-n", "0"}, 1, "-n 0 out of range"},
+		{"-n past int32", []string{"-rmat", "-n", "4294967396", "-m", "300"}, 1, "-n 4294967396 out of range"},
+		{"negative -m", []string{"-rmat", "-n", "200", "-m", "-5"}, 1, "-m -5"},
+		{"zero -scale", []string{"-dataset", "wave", "-scale", "0"}, 1, "-scale 0"},
+		{"negative -scale", []string{"-dataset", "wave", "-scale", "-1"}, 1, "-scale -1"},
+		{"negative -shards", append(small, "-shards", "-3"), 1, "-shards -3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := run(t, bin, tc.args...)

@@ -18,12 +18,11 @@
 // `//lint:ignore <checker> <reason>`; the staleignore checker fails the
 // gate when a suppression no longer matches a live diagnostic.
 //
-// The wallclock kernel set is not a hand-maintained list: the suite
-// builds a CHA call graph over the loaded packages and computes the set
-// as everything reachable from the kernel entry surface — the module
-// facade, which is the stack a downstream user links (-kernel prints
-// it). The taint checker walks the same graph to flag nondeterminism
-// sources hiding in helpers.
+// The wallclock kernel set is not a hand-maintained list: it is the
+// module-internal import closure of the facade package at the module
+// root, the stack a downstream user links (-kernel prints it). A partial
+// run such as `paragonlint ./internal/paragon` computes the same set but
+// checks only the named packages; the gate is ./... .
 package main
 
 import (
@@ -36,16 +35,6 @@ import (
 
 	"paragon/internal/lint"
 )
-
-// rootSurfaces are the kernel entry surfaces, as module-relative paths
-// ("" is the facade package at the module root). Exported functions of
-// these packages are the reachability roots: everything they can call is
-// kernel code and must be clock-free, ambient-rand-free, and
-// map-order-clean. The facade is the stack: refinement, partitioning,
-// streaming, serving, trace. The experiment layer (internal/exp) is
-// reached only from cmd/experiments, so it stays outside with the rest of
-// the driver code, whose wall-clock use never enters the set.
-var rootSurfaces = []string{""}
 
 func main() {
 	kernel := flag.Bool("kernel", false, "print the computed wallclock kernel package set and exit")
@@ -73,21 +62,18 @@ func main() {
 		}
 	}
 
-	// Interprocedural state: the call graph spans the checked packages
-	// plus every module-internal dependency the loader pulled in, and the
-	// root surfaces are force-loaded so a partial run (e.g. a single
-	// subdirectory) still computes the same kernel set as the full tree.
-	rootPaths := loadRootSurfaces(loader)
-	analysis := loader.AllLoaded()
-	graph := lint.BuildCallGraph(analysis)
-	roots := graph.ExportedRoots(rootPaths...)
-	kernelSet := graph.ReachablePackages(roots)
+	// The kernel set is the facade's import closure. The module root is
+	// loaded even when a pattern does not name it, so every run computes
+	// the same set.
+	if _, err := loader.LoadDir(loader.Root()); err != nil {
+		fatal(err)
+	}
+	kernelSet := loader.Deps(loader.Module())
 	if *kernel {
 		var paths []string
 		for p := range kernelSet {
 			paths = append(paths, p)
 		}
-		// ReachablePackages returns a set; print it sorted.
 		sort.Strings(paths)
 		for _, p := range paths {
 			fmt.Println(p)
@@ -101,7 +87,6 @@ func main() {
 		lint.WallClock{Kernel: func(path string) bool { return kernelSet[path] }},
 		lint.SharedWrite{},
 		lint.ReduceOrder{},
-		lint.NewTaint(graph, roots, pkgs, analysis),
 	})
 	for _, d := range diags {
 		pos := d.Pos
@@ -114,24 +99,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paragonlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// loadRootSurfaces ensures the kernel entry surfaces are part of the
-// loader's analysis set and returns their import paths. Surfaces missing
-// from the module (fixture trees) are skipped.
-func loadRootSurfaces(loader *lint.Loader) []string {
-	var paths []string
-	for _, rel := range rootSurfaces {
-		if _, err := loader.LoadDir(filepath.Join(loader.Root(), filepath.FromSlash(rel))); err != nil {
-			continue
-		}
-		if rel == "" {
-			paths = append(paths, loader.Module())
-		} else {
-			paths = append(paths, loader.Module()+"/"+rel)
-		}
-	}
-	return paths
 }
 
 func fatal(err error) {

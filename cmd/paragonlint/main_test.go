@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -93,15 +94,34 @@ func TestRemovedFlagsRejected(t *testing.T) {
 	}
 }
 
-// The directory, the portfolio and the session sit inside the computed
-// kernel set (the facade re-exports pull them in); if one dropped out,
+// The kernel set is the facade's module-internal import closure: the
+// module packages `go list -deps .` prints at the root, the same from a
+// subdirectory run. The directory, the portfolio and the session sit
+// inside it (the facade re-exports pull them in); if one dropped out,
 // wallclock would silently stop covering it. The experiment layer stays
-// outside: the facade does not reach it, and its timing columns read the
-// clock by design.
+// outside: the facade does not import it, and its timing columns read
+// the clock by design.
 func TestKernelSetCoversServingLayers(t *testing.T) {
 	stdout, stderr, code := run(t, moduleRoot, "-kernel")
 	if code != 0 {
 		t.Fatalf("exit %d\nstderr:\n%s", code, stderr)
+	}
+	golist, err := exec.Command("go", "list", "-C", moduleRoot, "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	var deps []string
+	for _, p := range strings.Fields(string(golist)) {
+		if p == "paragon" || strings.HasPrefix(p, "paragon/") {
+			deps = append(deps, p)
+		}
+	}
+	sort.Strings(deps)
+	if want := strings.Join(deps, "\n") + "\n"; stdout != want {
+		t.Errorf("-kernel output:\n%s\nwant the module packages of go list -deps .:\n%s", stdout, want)
+	}
+	if sub, stderr, code := run(t, filepath.Join(moduleRoot, "internal", "paragon"), "-kernel", "."); code != 0 || sub != stdout {
+		t.Errorf("-kernel . from internal/paragon: exit %d, output:\n%s\nwant the root's:\n%s\nstderr:\n%s", code, sub, stdout, stderr)
 	}
 	kernel := map[string]bool{}
 	for _, p := range strings.Split(strings.TrimSpace(stdout), "\n") {
@@ -113,6 +133,6 @@ func TestKernelSetCoversServingLayers(t *testing.T) {
 		}
 	}
 	if kernel["paragon/internal/exp"] {
-		t.Errorf("paragon/internal/exp in -kernel output, but the facade does not reach it:\n%s", stdout)
+		t.Errorf("paragon/internal/exp in -kernel output, but the facade does not import it:\n%s", stdout)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -12,26 +13,8 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata expect.txt golden files")
 
 // fixtureCheckers is the full suite with permissive scope predicates:
-// fixture packages are always "deterministic" and always "kernel". The
-// interprocedural state (call graph, taint) is built per fixture: the
-// checked package's exported functions are the kernel roots, and the
-// analysis set adds whatever helper packages the fixture imported from
-// beneath its own directory (the crosspkg case).
-func fixtureCheckers(loader *Loader, pkg *Package) []Checker {
-	taint := &Taint{}
-	if pkg != nil {
-		analysis := []*Package{pkg}
-		for _, p := range loader.AllLoaded() {
-			if strings.HasPrefix(p.Path, pkg.Path+"/") {
-				analysis = append(analysis, p)
-			}
-		}
-		graph := BuildCallGraph(analysis)
-		roots := graph.ExportedRoots(pkg.Path)
-		taint = NewTaint(graph, roots, []*Package{pkg}, analysis)
-	}
-	return []Checker{MapRange{}, GlobalRand{}, WallClock{}, SharedWrite{}, ReduceOrder{}, taint}
-}
+// fixture packages are always "deterministic" and always "kernel".
+var fixtureCheckers = []Checker{MapRange{}, GlobalRand{}, WallClock{}, SharedWrite{}, ReduceOrder{}}
 
 // goldenAll names the fixture roots whose goldens hold every finding,
 // not one checker's: suppress, whose lint-malformed diagnostics come
@@ -44,7 +27,9 @@ var goldenAll = map[string]bool{"suppress": true, "floatsum": true, "looprace": 
 // testdata/<checker>/<case>/ (only that checker's findings are golden;
 // besides hits and clean, a checker's cases re-create the bugs it
 // caught in the tree, as they stood before the fix) or testdata/<name>/
-// directly; a goldenAll root goldens every finding.
+// directly; a goldenAll root goldens every finding. testdata/loader
+// holds the loader's own cases: no checker has that name, so their
+// goldens are empty and each case checks that the package type-checks.
 // Golden lines are "file.go:line:col: checker: message", so a drifting
 // position fails the test. Regenerate with
 // go test ./internal/lint -run TestFixtures -update.
@@ -92,7 +77,7 @@ func TestFixtures(t *testing.T) {
 				for _, terr := range pkg.TypeErrors {
 					t.Errorf("fixture does not type-check: %v", terr)
 				}
-				diags := Run([]*Package{pkg}, fixtureCheckers(loader, pkg))
+				diags := Run([]*Package{pkg}, fixtureCheckers)
 				var lines []string
 				for _, d := range diags {
 					// Checker fixtures golden only their own checker so
@@ -124,7 +109,7 @@ func TestFixtures(t *testing.T) {
 			})
 		}
 	}
-	if ran < 26 {
+	if ran < 24 {
 		t.Fatalf("only %d fixture cases ran; expected the full testdata tree", ran)
 	}
 }
@@ -139,7 +124,7 @@ func TestHitFixturesReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := []string{
-		"maprange", "globalrand", "wallclock", "sharedwrite", "reduceorder", "taint", "staleignore",
+		"maprange", "globalrand", "wallclock", "sharedwrite", "reduceorder", "staleignore",
 	}
 	for _, name := range names {
 		cases, err := os.ReadDir(filepath.Join("testdata", name))
@@ -158,7 +143,7 @@ func TestHitFixturesReport(t *testing.T) {
 			// Run the full suite so directives naming sibling checkers
 			// resolve, but count only this checker's findings.
 			count := 0
-			for _, d := range Run([]*Package{pkg}, fixtureCheckers(loader, pkg)) {
+			for _, d := range Run([]*Package{pkg}, fixtureCheckers) {
 				if d.Checker == name {
 					count++
 				}
@@ -219,5 +204,27 @@ func TestLoadSkipsNestedModules(t *testing.T) {
 		if p.Path == "paragon/bench" || strings.HasPrefix(p.Path, "paragon/bench/") {
 			t.Errorf("Load(./...) descended into the nested module: %s", p.Path)
 		}
+	}
+}
+
+// Deps is the module-internal import closure: the crosspkg fixture and
+// the helper package it imports, without the helper's standard-library
+// import; a path the loader has not loaded has an empty closure.
+func TestLoaderDeps(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir("testdata/loader/crosspkg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := loader.Deps(pkg.Path)
+	want := map[string]bool{pkg.Path: true, pkg.Path + "/helpers": true}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Deps(%s) = %v, want %v", pkg.Path, got, want)
+	}
+	if got := loader.Deps("paragon/no/such/package"); len(got) != 0 {
+		t.Fatalf("Deps of an unknown path = %v, want empty", got)
 	}
 }

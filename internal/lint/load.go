@@ -77,19 +77,28 @@ func (l *Loader) Module() string { return l.module }
 // Root returns the module root directory (absolute).
 func (l *Loader) Root() string { return l.root }
 
-// AllLoaded returns every package the loader has parsed so far — the
-// requested packages plus the module-internal dependencies pulled in to
-// type-check them — sorted by import path. Interprocedural checkers
-// build their call graph over this set, so taint can follow a kernel
-// call into a helper package even when only the kernel is being checked.
-func (l *Loader) AllLoaded() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, p := range l.pkgs {
-		if p != nil {
-			out = append(out, p)
+// Deps returns the module-internal import closure of the named packages,
+// themselves included: every package of this module they import,
+// directly or transitively, read from the type-checked packages the
+// loader already holds. Standard-library imports are left out, and so is
+// a path the loader has not loaded.
+func (l *Loader) Deps(paths ...string) map[string]bool {
+	out := map[string]bool{}
+	var walk func(tp *types.Package)
+	walk = func(tp *types.Package) {
+		if out[tp.Path()] || !l.inModule(tp.Path()) {
+			return
+		}
+		out[tp.Path()] = true
+		for _, imp := range tp.Imports() {
+			walk(imp)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	for _, path := range paths {
+		if pkg := l.pkgs[l.dirOf(path)]; pkg != nil && pkg.Path == path && pkg.Types != nil {
+			walk(pkg.Types)
+		}
+	}
 	return out
 }
 
@@ -245,15 +254,25 @@ func (l *Loader) importPath(abs string) string {
 	return filepath.ToSlash(abs)
 }
 
+// inModule reports whether an import path belongs to the loaded module.
+func (l *Loader) inModule(path string) bool {
+	return path == l.module || strings.HasPrefix(path, l.module+"/")
+}
+
+// dirOf is importPath's inverse for a module import path.
+func (l *Loader) dirOf(path string) string {
+	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/")
+	return filepath.Join(l.root, filepath.FromSlash(rel))
+}
+
 type loaderImporter struct{ l *Loader }
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == li.l.module || strings.HasPrefix(path, li.l.module+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, li.l.module), "/")
-		pkg, err := li.l.LoadDir(filepath.Join(li.l.root, filepath.FromSlash(rel)))
+	if li.l.inModule(path) {
+		pkg, err := li.l.LoadDir(li.l.dirOf(path))
 		if err != nil {
 			return nil, err
 		}

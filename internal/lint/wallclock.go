@@ -10,10 +10,10 @@ import (
 // seed): reading the clock there either leaks nondeterminism into
 // results or, more insidiously, tempts time-based tie-breaking and
 // adaptive cutoffs that vary run to run. Timing belongs in the driver
-// layer (cmd/*, internal/exp, the baselines' Stats plumbing), which is
-// outside the kernel set. A kernel-adjacent orchestration layer that
-// legitimately reports wall-clock stats documents each site with
-// //lint:ignore wallclock <reason>.
+// layer (cmd/*, internal/exp), which is outside the kernel set: the
+// facade's module-internal import closure. A kernel-adjacent
+// orchestration layer that legitimately reports wall-clock stats
+// documents each site with //lint:ignore wallclock <reason>.
 type WallClock struct {
 	// Kernel reports whether an import path is a refinement kernel
 	// package. Nil covers every package (useful for fixtures).

@@ -297,6 +297,14 @@ if git grep -nwE 'DefaultPolicy|faultsim\.Policy' -- '*.go' ':!*_test.go' ||
     echo "ci: a second record is back; use faultsim.MaxRetries/RoundTimeout/Backoff, partition.SkewnessOf and Decision.Code" >&2
     exit 1
 fi
+# One clock checker (DESIGN.md §15): wallclock's kernel set is the
+# facade's import closure, lint.Loader.Deps. The CHA call graph, the
+# taint checker that walked it and the loader's whole-set accessor must
+# not come back.
+if git grep -nwE 'BuildCallGraph|NewTaint|ExportedRoots|ReachablePackages|AllLoaded' -- '*.go'; then
+    echo "ci: the call graph or the taint checker is back; the kernel set is loader.Deps(module)" >&2
+    exit 1
+fi
 # Formatting: every tracked Go file outside the lint fixtures (whose
 # columns the lint tests may pin) is gofmt-clean.
 unformatted="$(git ls-files '*.go' ':!internal/lint/testdata' | xargs gofmt -l)"
