@@ -126,20 +126,18 @@ func ChurnOps(src Source, adds, removes int, rng *rand.Rand) []EdgeOp {
 }
 
 // ApplyChurn applies events to an overlay, returning how many actually
-// changed the graph (removals of absent edges and invalid adds are
-// skipped).
+// changed the graph (adds of existing edges, removals of absent ones and
+// invalid adds are skipped).
 func ApplyChurn(o *graph.Overlay, ops []EdgeOp) int {
 	applied := 0
 	for _, op := range ops {
+		var ok bool
 		if op.Add {
-			if o.HasEdge(op.U, op.V) {
-				continue
-			}
-			if err := o.AddEdge(op.U, op.V, op.W); err == nil {
-				applied++
-			}
-		} else if o.HasEdge(op.U, op.V) {
-			o.RemoveEdge(op.U, op.V)
+			ok, _ = o.AddEdge(op.U, op.V, op.W)
+		} else {
+			_, ok = o.RemoveEdge(op.U, op.V)
+		}
+		if ok {
 			applied++
 		}
 	}

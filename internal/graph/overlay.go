@@ -5,151 +5,162 @@ import (
 	"runtime"
 )
 
-// Overlay is a mutable view over an immutable CSR graph: edges can be
-// added and removed without rebuilding the base. It supports the graph
-// dynamism the paper's Pregel background describes (vertex functions may
-// "add or remove vertices/edges to the graph") at the granularity the
-// evaluation actually uses — edge churn between computations — and
-// materializes back to CSR for the partitioners and the BSP engine.
+// Half is one directed half-edge of an overlay row: the neighbor and the
+// edge's weight.
+type Half struct{ To, W int32 }
+
+// Overlay is a mutable copy of a CSR graph: edges can be added and
+// removed, and vertex weights and sizes set, without rebuilding a CSR. It
+// supports the graph dynamism the paper's Pregel background describes
+// (vertex functions may "add or remove vertices/edges to the graph") at
+// the granularity the evaluation actually uses — edge churn between
+// computations — and materializes back to CSR for the partitioners and
+// the BSP engine. It is the streaming session's live graph.
 //
-// Removal beats addition: removing an added edge forgets it; removing a
-// base edge masks it; re-adding a removed base edge unmasks it with the
-// new weight. Overlays are not safe for concurrent mutation.
+// Each vertex owns one row of half-edges, and an edge {u,v} is the pair of
+// halves in u's and v's rows, with one weight. The row order is part of
+// the contract, because a generator drawing "the i-th neighbor" reads it:
+// a row starts in the base graph's order, AddEdge appends and RemoveEdge
+// swap-deletes, each in u's row first, then v's. Materialize sorts every
+// row, so snapshots do not depend on it. Overlays are not safe for
+// concurrent mutation.
 type Overlay struct {
-	base    *Graph
-	added   map[int32][]halfEdge // per endpoint, symmetric
-	removed map[edgeKey]bool     // masked base edges
+	rows        [][]Half
+	vwgt, vsize []int32
+	edges       int64 // undirected edges
+	ewTotal     int64 // Σ edge weights, each edge once
 }
 
-type halfEdge struct {
-	to int32
-	w  int32
-}
-
-type edgeKey struct{ a, b int32 }
-
-func canonKey(u, v int32) edgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return edgeKey{u, v}
-}
-
-// NewOverlay wraps g. The base graph is never modified.
+// NewOverlay copies g's rows, vertex weights and sizes. The base graph is
+// never modified.
 func NewOverlay(g *Graph) *Overlay {
-	return &Overlay{
-		base:    g,
-		added:   make(map[int32][]halfEdge),
-		removed: make(map[edgeKey]bool),
+	o := &Overlay{
+		rows:    make([][]Half, g.NumVertices()),
+		vwgt:    append([]int32(nil), g.vwgt...),
+		vsize:   append([]int32(nil), g.vsize...),
+		edges:   g.NumEdges(),
+		ewTotal: g.TotalEdgeWeight(),
 	}
+	for v := range o.rows {
+		nbrs, ws := g.Neighbors(int32(v)), g.EdgeWeights(int32(v))
+		if len(nbrs) == 0 {
+			continue
+		}
+		row := make([]Half, len(nbrs))
+		for i, u := range nbrs {
+			row[i] = Half{To: u, W: ws[i]}
+		}
+		o.rows[v] = row
+	}
+	return o
 }
 
-// AddEdge inserts the undirected edge {u,v} with weight w. Adding an
-// edge that already exists replaces its weight.
-func (o *Overlay) AddEdge(u, v, w int32) error {
-	n := o.base.NumVertices()
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return fmt.Errorf("graph: overlay edge (%d,%d) out of range [0,%d)", u, v, n)
+// NumVertices returns the number of vertex ids, the base graph's.
+func (o *Overlay) NumVertices() int32 { return int32(len(o.rows)) }
+
+// NumEdges returns the number of undirected edges.
+func (o *Overlay) NumEdges() int64 { return o.edges }
+
+// TotalEdgeWeight returns the sum of edge weights, each edge counted once.
+func (o *Overlay) TotalEdgeWeight() int64 { return o.ewTotal }
+
+// Row returns v's half-edges in their current order. The slice is the
+// overlay's own: read it, do not keep it across a mutation.
+func (o *Overlay) Row(v int32) []Half { return o.rows[v] }
+
+// VertexWeight returns v's weight.
+func (o *Overlay) VertexWeight(v int32) int32 { return o.vwgt[v] }
+
+// SetVertex sets v's weight and size.
+func (o *Overlay) SetVertex(v, weight, size int32) {
+	o.vwgt[v], o.vsize[v] = weight, size
+}
+
+// in reports whether both endpoints are vertex ids of the overlay.
+func (o *Overlay) in(u, v int32) bool {
+	n := o.NumVertices()
+	return u >= 0 && u < n && v >= 0 && v < n
+}
+
+// AddEdge inserts the undirected edge {u,v} with weight w if it is absent
+// and reports whether it did: an existing edge keeps its weight.
+func (o *Overlay) AddEdge(u, v, w int32) (added bool, err error) {
+	if !o.in(u, v) {
+		return false, fmt.Errorf("graph: overlay edge (%d,%d) out of range [0,%d)", u, v, o.NumVertices())
 	}
 	if u == v {
-		return fmt.Errorf("graph: overlay rejects self-loop on %d", u)
+		return false, fmt.Errorf("graph: overlay rejects self-loop on %d", u)
 	}
 	if w <= 0 {
-		return fmt.Errorf("graph: overlay rejects non-positive weight %d", w)
+		return false, fmt.Errorf("graph: overlay rejects non-positive weight %d", w)
 	}
-	key := canonKey(u, v)
-	// Drop any previous overlay state for the edge, then add fresh.
-	o.dropAdded(u, v)
-	o.dropAdded(v, u)
-	delete(o.removed, key)
-	if o.base.HasEdge(u, v) {
-		if o.base.EdgeWeightBetween(u, v) == w {
-			return nil // identical to base; nothing to overlay
+	if o.HasEdge(u, v) {
+		return false, nil
+	}
+	o.rows[u] = append(o.rows[u], Half{To: v, W: w})
+	o.rows[v] = append(o.rows[v], Half{To: u, W: w})
+	o.edges++
+	o.ewTotal += int64(w)
+	return true, nil
+}
+
+// RemoveEdge deletes the undirected edge {u,v} and returns its weight; ok
+// is false, and nothing changes, when the edge is absent.
+func (o *Overlay) RemoveEdge(u, v int32) (w int32, ok bool) {
+	if !o.in(u, v) {
+		return 0, false
+	}
+	if w, ok = o.unlink(u, v); !ok {
+		return 0, false
+	}
+	o.unlink(v, u)
+	o.edges--
+	o.ewTotal -= int64(w)
+	return w, true
+}
+
+// unlink swap-deletes v from u's row: the row's last half-edge takes v's
+// place.
+func (o *Overlay) unlink(u, v int32) (int32, bool) {
+	row := o.rows[u]
+	for i, h := range row {
+		if h.To == v {
+			last := len(row) - 1
+			row[i] = row[last]
+			o.rows[u] = row[:last]
+			return h.W, true
 		}
-		// Mask the base edge and shadow it with the new weight.
-		o.removed[key] = true
 	}
-	o.added[u] = append(o.added[u], halfEdge{v, w})
-	o.added[v] = append(o.added[v], halfEdge{u, w})
-	return nil
+	return 0, false
 }
 
-// RemoveEdge deletes the undirected edge {u,v} if present (base or
-// added). Removing a non-existent edge is a no-op.
-func (o *Overlay) RemoveEdge(u, v int32) {
-	o.dropAdded(u, v)
-	o.dropAdded(v, u)
-	if o.base.HasEdge(u, v) {
-		o.removed[canonKey(u, v)] = true
-	}
-}
-
-func (o *Overlay) dropAdded(u, v int32) {
-	list := o.added[u]
-	for i, he := range list {
-		if he.to == v {
-			o.added[u] = append(list[:i], list[i+1:]...)
-			return
-		}
-	}
-}
-
-// HasEdge reports whether {u,v} exists in the overlaid graph.
+// HasEdge reports whether {u,v} exists. It scans the shorter row.
 func (o *Overlay) HasEdge(u, v int32) bool {
-	for _, he := range o.added[u] {
-		if he.to == v {
+	if !o.in(u, v) {
+		return false
+	}
+	if len(o.rows[v]) < len(o.rows[u]) {
+		u, v = v, u
+	}
+	for _, h := range o.rows[u] {
+		if h.To == v {
 			return true
 		}
 	}
-	if o.removed[canonKey(u, v)] {
-		return false
-	}
-	return o.base.HasEdge(u, v)
+	return false
 }
 
-// ForEachNeighbor visits every current neighbor of v with its weight.
-func (o *Overlay) ForEachNeighbor(v int32, fn func(u int32, w int32)) {
-	adj := o.base.Neighbors(v)
-	ws := o.base.EdgeWeights(v)
-	for i, u := range adj {
-		if !o.removed[canonKey(v, u)] {
-			fn(u, ws[i])
-		}
-	}
-	for _, he := range o.added[v] {
-		fn(he.to, he.w)
-	}
-}
-
-// Materialize flattens the overlay into a fresh immutable CSR graph,
-// carrying the base vertex weights and sizes. A row is the base row minus
-// its masked edges plus the added ones — symmetric and duplicate-free by
-// AddEdge's and RemoveEdge's own bookkeeping — so it goes through the
-// same direct fill as every other freeze.
+// Materialize freezes the overlay into a fresh immutable CSR graph with
+// its current vertex weights and sizes. The rows are symmetric and
+// duplicate-free by AddEdge's and RemoveEdge's own bookkeeping, so they
+// are copied straight into the CSR by the one direct fill every freeze
+// goes through.
 func (o *Overlay) Materialize() *Graph {
-	// Masked base edges per endpoint: the degrees need them before any row
-	// is filled, and rows without one skip the per-neighbor map probes.
-	masked := make([]int32, o.base.NumVertices())
-	for key := range o.removed {
-		masked[key.a]++
-		masked[key.b]++
-	}
-	return FromSymmetricRows(o.base.NumVertices(), o.base.vwgt, o.base.vsize,
-		func(v int32) int32 { return o.base.Degree(v) - masked[v] + int32(len(o.added[v])) },
+	return FromSymmetricRows(o.NumVertices(), o.vwgt, o.vsize,
+		func(v int32) int32 { return int32(len(o.rows[v])) },
 		func(v int32, to, w []int32) {
-			i := 0
-			if masked[v] > 0 {
-				o.ForEachNeighbor(v, func(u, ew int32) {
-					to[i], w[i] = u, ew
-					i++
-				})
-				return
-			}
-			i = copy(to, o.base.Neighbors(v))
-			copy(w, o.base.EdgeWeights(v))
-			for _, he := range o.added[v] {
-				to[i], w[i] = he.to, he.w
-				i++
+			for i, h := range o.rows[v] {
+				to[i], w[i] = h.To, h.W
 			}
 		}, runtime.GOMAXPROCS(0))
 }

@@ -12,11 +12,11 @@ import (
 // arbitrary order — what a live structure hands FromSymmetricRows.
 type symRows struct {
 	vwgt, vsize []int32
-	rows        [][]halfEdge
+	rows        [][]Half
 }
 
 func newSymRows(n int32) *symRows {
-	s := &symRows{vwgt: make([]int32, n), vsize: make([]int32, n), rows: make([][]halfEdge, n)}
+	s := &symRows{vwgt: make([]int32, n), vsize: make([]int32, n), rows: make([][]Half, n)}
 	for v := range s.vwgt {
 		s.vwgt[v], s.vsize[v] = 1, 1
 	}
@@ -24,12 +24,12 @@ func newSymRows(n int32) *symRows {
 }
 
 func (s *symRows) has(u, v int32) bool {
-	return slices.ContainsFunc(s.rows[u], func(h halfEdge) bool { return h.to == v })
+	return slices.ContainsFunc(s.rows[u], func(h Half) bool { return h.To == v })
 }
 
 func (s *symRows) add(u, v, w int32) {
-	s.rows[u] = append(s.rows[u], halfEdge{v, w})
-	s.rows[v] = append(s.rows[v], halfEdge{u, w})
+	s.rows[u] = append(s.rows[u], Half{v, w})
+	s.rows[v] = append(s.rows[v], Half{u, w})
 }
 
 func (s *symRows) shuffle(rng *rand.Rand) {
@@ -43,7 +43,7 @@ func (s *symRows) freeze(workers int) *Graph {
 		func(v int32) int32 { return int32(len(s.rows[v])) },
 		func(v int32, to, w []int32) {
 			for i, h := range s.rows[v] {
-				to[i], w[i] = h.to, h.w
+				to[i], w[i] = h.To, h.W
 			}
 		}, workers)
 }
@@ -56,8 +56,8 @@ func (s *symRows) viaBuilder() *Graph {
 		b.SetVertexWeight(int32(v), s.vwgt[v])
 		b.SetVertexSize(int32(v), s.vsize[v])
 		for _, h := range r {
-			if int32(v) < h.to {
-				b.AddWeightedEdge(int32(v), h.to, h.w)
+			if int32(v) < h.To {
+				b.AddWeightedEdge(int32(v), h.To, h.W)
 			}
 		}
 	}
@@ -158,12 +158,12 @@ func TestFromSymmetricRowsRejects(t *testing.T) {
 		corrupt func(s *symRows)
 		want    string
 	}{
-		{"neighbor past n", func(s *symRows) { s.rows[2][0].to = 4 }, "edge (2,4) out of range [0,4)"},
-		{"negative neighbor", func(s *symRows) { s.rows[2][0].to = -1 }, "edge (2,-1) out of range [0,4)"},
-		{"self-loop", func(s *symRows) { s.rows[1][1].to = 1 }, "self-loop on 1"},
-		{"zero weight", func(s *symRows) { s.rows[3][0].w = 0 }, "non-positive edge weight 0 on (3,2)"},
-		{"negative weight", func(s *symRows) { s.rows[0][0].w = -2 }, "non-positive edge weight -2 on (0,1)"},
-		{"duplicate neighbor", func(s *symRows) { s.rows[1] = append(s.rows[1], halfEdge{0, 9}) }, "duplicate edge (1,0)"},
+		{"neighbor past n", func(s *symRows) { s.rows[2][0].To = 4 }, "edge (2,4) out of range [0,4)"},
+		{"negative neighbor", func(s *symRows) { s.rows[2][0].To = -1 }, "edge (2,-1) out of range [0,4)"},
+		{"self-loop", func(s *symRows) { s.rows[1][1].To = 1 }, "self-loop on 1"},
+		{"zero weight", func(s *symRows) { s.rows[3][0].W = 0 }, "non-positive edge weight 0 on (3,2)"},
+		{"negative weight", func(s *symRows) { s.rows[0][0].W = -2 }, "non-positive edge weight -2 on (0,1)"},
+		{"duplicate neighbor", func(s *symRows) { s.rows[1] = append(s.rows[1], Half{0, 9}) }, "duplicate edge (1,0)"},
 		{"short vertex weights", func(s *symRows) { s.vwgt = s.vwgt[:3] }, "3 vertex weights"},
 	}
 	for _, tc := range cases {

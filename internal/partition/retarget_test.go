@@ -41,18 +41,17 @@ func TestRetargetMatchesRebuild(t *testing.T) {
 		}{false, v, g0.Neighbors(v)[0]})
 	}
 	for _, op := range ops {
+		changed := false
 		if op.add {
-			if o.HasEdge(op.u, op.v) {
-				continue
-			}
-			if err := o.AddEdge(op.u, op.v, 1); err != nil {
+			var err error
+			if changed, err = o.AddEdge(op.u, op.v, 1); err != nil {
 				t.Fatalf("add (%d,%d): %v", op.u, op.v, err)
 			}
 		} else {
-			if !o.HasEdge(op.u, op.v) {
-				continue
-			}
-			o.RemoveEdge(op.u, op.v)
+			_, changed = o.RemoveEdge(op.u, op.v)
+		}
+		if !changed {
+			continue
 		}
 		dirtySet[op.u] = true
 		dirtySet[op.v] = true
@@ -103,7 +102,7 @@ func TestRetargetThenMove(t *testing.T) {
 	ix := BuildIndex(g0, p)
 
 	o := graph.NewOverlay(g0)
-	if err := o.AddEdge(0, 399, 1); err != nil {
+	if _, err := o.AddEdge(0, 399, 1); err != nil {
 		t.Fatal(err)
 	}
 	o.RemoveEdge(0, 1)

@@ -23,7 +23,7 @@ import (
 //
 // Between launch and join the epoch goroutine exclusively owns the
 // snapshot-side state (pidx, ix, snap); the ingest side keeps mutating
-// only the live-side state (adj, live, loads, score). The join receives
+// only the live-side state (the overlay g, live, loads, score). The join receives
 // ownership back through the result channel (a happens-before edge), so
 // there is no lock and no timing-dependent interleaving anywhere.
 
@@ -78,7 +78,7 @@ func (s *Session) Ingest(b dyn.Batch) (BatchStats, error) {
 	s.mx.arrivals.Add(int64(st.Arrivals))
 	s.mx.rejected.Add(int64(st.Rejected))
 	s.mx.activeGauge.Set(float64(s.active))
-	s.mx.edgesGauge.Set(float64(s.edges))
+	s.mx.edgesGauge.Set(float64(s.g.NumEdges()))
 
 	if s.tr != nil {
 		s.tr.Emit(obs.Event{Kind: obs.KindIngestBatch, Round: int32(seq),
@@ -86,7 +86,7 @@ func (s *Session) Ingest(b dyn.Batch) (BatchStats, error) {
 	}
 
 	if s.run == nil && seq >= s.cooldownUntil {
-		d := s.cfg.Trigger.EvaluateScore(s.LiveScore(), s.costs.Real(s.alpha*s.baseComm), s.edges, s.churned)
+		d := s.cfg.Trigger.EvaluateScore(s.LiveScore(), s.costs.Real(s.alpha*s.baseComm), s.g.NumEdges(), s.churned)
 		st.Trigger = d
 		if d.Refine {
 			s.launchEpoch(seq, d)
@@ -118,28 +118,18 @@ func (s *Session) applyOp(op dyn.EdgeOp) (added, removed bool) {
 		return false, false
 	}
 	if op.Add {
-		w := op.W
-		if w <= 0 {
-			w = 1
-		}
-		if s.hasEdge(u, v) {
+		w := max(op.W, 1)
+		if added, _ := s.g.AddEdge(u, v, w); !added {
 			return false, false
 		}
-		s.adj[u] = append(s.adj[u], half{to: v, w: w})
-		s.adj[v] = append(s.adj[v], half{to: u, w: w})
-		s.edges++
-		s.ewTotal += int64(w)
 		s.scoreEdge(u, v, w, +1)
 		s.markChurned(u, v)
 		return true, false
 	}
-	w, ok := s.removeHalf(u, v)
+	w, ok := s.g.RemoveEdge(u, v)
 	if !ok {
 		return false, false
 	}
-	s.removeHalf(v, u)
-	s.edges--
-	s.ewTotal -= int64(w)
 	s.scoreEdge(u, v, w, -1)
 	s.markChurned(u, v)
 	return false, true
@@ -161,35 +151,6 @@ func (s *Session) scoreEdge(u, v, w int32, sign int) {
 	sw := int64(sign) * int64(w)
 	s.cut += sw
 	s.comm += sw * s.costs.At(s.live[lo], s.live[hi])
-}
-
-func (s *Session) hasEdge(u, v int32) bool {
-	a := s.adj[u]
-	if len(s.adj[v]) < len(a) {
-		a, u, v = s.adj[v], v, u
-	}
-	for _, h := range a {
-		if h.to == v {
-			return true
-		}
-	}
-	return false
-}
-
-// removeHalf drops v from u's half-edge list (swap-delete; adjacency
-// order is maintained data, not an invariant — every consumer iterates
-// whatever order is current, which is itself deterministic).
-func (s *Session) removeHalf(u, v int32) (w int32, ok bool) {
-	a := s.adj[u]
-	for i, h := range a {
-		if h.to == v {
-			last := len(a) - 1
-			a[i] = a[last]
-			s.adj[u] = a[:last]
-			return h.w, true
-		}
-	}
-	return 0, false
 }
 
 // markChurned records both endpoints dirty for the next epoch's
@@ -218,7 +179,7 @@ func (s *Session) placeArrival(a dyn.Arrival) bool {
 
 	// Resolve the arrival's valid neighbors: active, distinct, not v. The
 	// two lists live in session scratch: the placer reads them and returns,
-	// and the edges are copied into adj below.
+	// and the edges are copied into the overlay below.
 	nbrs, wts := s.nbrBuf[:0], s.wtBuf[:0]
 	for i, u := range a.Neighbors {
 		if u < 0 || u >= s.active || u == v {
@@ -247,12 +208,11 @@ func (s *Session) placeArrival(a dyn.Arrival) bool {
 	// ⌊(1+eps)·⌈W/k⌉⌋, except W grows with the stream.
 	const vw = 1
 	capacity := max(partition.LoadBound(s.totalW+vw, s.k, s.cfg.Eps), 1)
-	penalty := stream.FennelPenalty(s.k, s.ewTotal, s.totalW+vw)
+	penalty := stream.FennelPenalty(s.k, s.g.TotalEdgeWeight(), s.totalW+vw)
 	best := s.placer.Place(nbrs, wts, s.live, s.loads, vw, capacity, penalty)
 
 	s.active++
-	s.weight[v] = vw
-	s.vsize[v] = 1
+	s.g.SetVertex(v, vw, 1)
 	s.live[v] = best
 	s.loads[best] += vw
 	s.totalW += vw
@@ -261,10 +221,7 @@ func (s *Session) placeArrival(a dyn.Arrival) bool {
 
 	for i, u := range nbrs {
 		w := wts[i]
-		s.adj[v] = append(s.adj[v], half{to: u, w: w})
-		s.adj[u] = append(s.adj[u], half{to: v, w: w})
-		s.edges++
-		s.ewTotal += int64(w)
+		s.g.AddEdge(v, u, w) // u is active, distinct and not v: always added
 		s.scoreEdge(v, u, w, +1)
 		s.churned++
 		s.markDirty(u)
@@ -288,7 +245,7 @@ func (s *Session) launchEpoch(seq int64, d dyn.Decision) {
 	for _, v := range s.placed {
 		s.ix.Move(v, s.live[v])
 	}
-	s.snap = s.materialize()
+	s.snap = s.g.Materialize()
 	if err := s.ix.Retarget(s.snap, s.dirtyList); err != nil {
 		// Impossible by construction (same capacity); fail loudly in
 		// tests rather than corrupting silently.
@@ -406,16 +363,16 @@ func (s *Session) joinEpoch(seq int64) (committed bool, err error) {
 
 	// Commit: fold the refined moves into the live side, the score edge by edge.
 	for _, v := range diff {
-		w := int64(s.weight[v])
+		w := int64(s.g.VertexWeight(v))
 		from, to := s.live[v], s.pidx.Assign[v]
 		s.loads[from] -= w
 		s.loads[to] += w
-		for _, h := range s.adj[v] {
-			s.scoreEdge(v, h.to, h.w, -1)
+		for _, h := range s.g.Row(v) {
+			s.scoreEdge(v, h.To, h.W, -1)
 		}
 		s.live[v] = to
-		for _, h := range s.adj[v] {
-			s.scoreEdge(v, h.to, h.w, +1)
+		for _, h := range s.g.Row(v) {
+			s.scoreEdge(v, h.To, h.W, +1)
 		}
 	}
 	s.baseComm = s.comm

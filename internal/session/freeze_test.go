@@ -10,17 +10,26 @@ import (
 	"paragon/internal/graph"
 )
 
-// builderFreeze is the freeze materialize used to be: every live edge once
-// into a graph.Builder, which symmetrizes, counting-sorts and merges. It
-// stays here as the reference the direct fill is compared against.
-func builderFreeze(s *Session) *graph.Graph {
+// builderFreeze is the freeze the session's materialize used to be: every
+// live edge once into a graph.Builder, which symmetrizes, counting-sorts
+// and merges. It stays here as the reference the direct fill is compared
+// against. Vertex sizes follow the session's rule: g0's, 1 for an
+// arrival, 0 for an inactive id.
+func builderFreeze(s *Session, g0 *graph.Graph) *graph.Graph {
 	b := graph.NewBuilder(s.cap)
 	for v := int32(0); v < s.cap; v++ {
-		b.SetVertexWeight(v, s.weight[v])
-		b.SetVertexSize(v, s.vsize[v])
-		for _, h := range s.adj[v] {
-			if v < h.to {
-				b.AddWeightedEdge(v, h.to, h.w)
+		b.SetVertexWeight(v, s.g.VertexWeight(v))
+		switch {
+		case v < s.n0:
+			b.SetVertexSize(v, g0.VertexSize(v))
+		case v < s.active:
+			b.SetVertexSize(v, 1)
+		default:
+			b.SetVertexSize(v, 0)
+		}
+		for _, h := range s.g.Row(v) {
+			if v < h.To {
+				b.AddWeightedEdge(v, h.To, h.W)
 			}
 		}
 	}
@@ -47,15 +56,15 @@ func requireSameGraph(t *testing.T, got, want *graph.Graph) {
 
 // hostile wraps one generated batch in everything a replayed or
 // hand-written schedule can get wrong. None of it may reach the live
-// adjacency in a form the freeze would have to repair: applyOp and
+// graph in a form the freeze would have to repair: applyOp and
 // placeArrival drop or normalise each one.
 func hostile(s *Session, b dyn.Batch, rng *rand.Rand) dyn.Batch {
 	act := s.active
 	u := rng.Int31n(act)
-	for len(s.adj[u]) == 0 {
+	for len(s.g.Row(u)) == 0 {
 		u = rng.Int31n(act)
 	}
-	v := s.adj[u][0].to
+	v := s.g.Row(u)[0].To
 	x, y := rng.Int31n(act), rng.Int31n(act)
 	b.Ops = append([]dyn.EdgeOp{
 		{Add: true, U: u, V: v, W: 1},         // duplicate add
@@ -81,8 +90,8 @@ func hostile(s *Session, b dyn.Batch, rng *rand.Rand) dyn.Batch {
 // TestSessionFreezeMatchesBuilder drives a session through a hostile
 // schedule that also overruns Capacity and includes empty batches, and
 // after New and after every launch demands that the snapshot the epoch
-// refines is element for element the Builder freeze of the live
-// adjacency, and a valid (symmetric) CSR, at every Refine.Workers value.
+// refines is element for element the Builder freeze of the live graph,
+// and a valid (symmetric) CSR, at every Refine.Workers value.
 func TestSessionFreezeMatchesBuilder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -91,7 +100,7 @@ func TestSessionFreezeMatchesBuilder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameGraph(t, s.snap, builderFreeze(s))
+			requireSameGraph(t, s.snap, builderFreeze(s, g0))
 			rng := rand.New(rand.NewSource(29))
 			w := dyn.NewWorkload(101, dyn.WorkloadConfig{Adds: 40, Removes: 15, Arrivals: 5})
 			for i := 0; i < 60; i++ {
@@ -105,8 +114,8 @@ func TestSessionFreezeMatchesBuilder(t *testing.T) {
 				}
 				if st.Launched {
 					// The epoch goroutine only reads the snapshot, and launch is
-					// the last thing Ingest does, so adj is what was frozen.
-					requireSameGraph(t, s.snap, builderFreeze(s))
+					// the last thing Ingest does, so the overlay is what was frozen.
+					requireSameGraph(t, s.snap, builderFreeze(s, g0))
 					if err := s.snap.Validate(); err != nil {
 						t.Fatalf("batch %d: %v", i, err)
 					}
@@ -139,14 +148,15 @@ func TestPlaceArrivalScratchNotRetained(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if want := []half{{1, 4}, {2, 5}, {3, 6}}; !slices.Equal(s.adj[first], want) {
-		t.Fatalf("first arrival's row = %v, want %v", s.adj[first], want)
+	if want := []graph.Half{{To: 1, W: 4}, {To: 2, W: 5}, {To: 3, W: 6}}; !slices.Equal(s.g.Row(first), want) {
+		t.Fatalf("first arrival's row = %v, want %v", s.g.Row(first), want)
 	}
-	if want := []half{{7, 1}, {8, 1}, {9, 1}, {10, 1}}; !slices.Equal(s.adj[first+1], want) {
-		t.Fatalf("second arrival's row = %v, want %v", s.adj[first+1], want)
+	if want := []graph.Half{{To: 7, W: 1}, {To: 8, W: 1}, {To: 9, W: 1}, {To: 10, W: 1}}; !slices.Equal(s.g.Row(first+1), want) {
+		t.Fatalf("second arrival's row = %v, want %v", s.g.Row(first+1), want)
 	}
 	for i, u := range []int32{1, 2, 3} {
-		if back := s.adj[u][len(s.adj[u])-1]; back != (half{first, int32(4 + i)}) {
+		row := s.g.Row(u)
+		if back := row[len(row)-1]; back != (graph.Half{To: first, W: int32(4 + i)}) {
 			t.Fatalf("vertex %d's newest half-edge = %v, want {%d %d}", u, back, first, 4+i)
 		}
 	}

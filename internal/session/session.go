@@ -90,9 +90,6 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// half is one directed half-edge of the live adjacency.
-type half struct{ to, w int32 }
-
 // epochResult crosses the epoch goroutine's channel exactly once.
 type epochResult struct {
 	st  paragon.Stats
@@ -175,23 +172,18 @@ type Session struct {
 	costs *partition.Costs // cfg.Costs on the objective grid
 	alpha int64            // cfg.Refine.Alpha on it
 
-	// Live graph (ingest-side truth). adj/weight/vsize are indexed by
-	// vertex id over [0, cap); ids >= active are inactive: weight 0, no
-	// edges, placeholder partition — invisible to scoring and never
-	// moved by refinement.
+	// Live graph (ingest-side truth) over the id space [0, cap); ids >=
+	// active are inactive: weight 0, no edges, placeholder partition —
+	// invisible to scoring and never moved by refinement.
 	active int32
-	adj    [][]half
-	weight []int32
-	vsize  []int32
+	g      *graph.Overlay
 
 	// Live decomposition and its incrementally maintained score.
-	live    []int32
-	loads   []int64
-	totalW  int64
-	edges   int64
-	ewTotal int64
-	cut     int64
-	comm    int64 // raw Σ w·C on the grid (Score.Comm = alpha·comm)
+	live   []int32
+	loads  []int64
+	totalW int64
+	cut    int64
+	comm   int64 // raw Σ w·C on the grid (Score.Comm = alpha·comm)
 
 	// Trigger state.
 	baseComm int64 // comm reference of the last committed epoch
@@ -272,9 +264,6 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 		costs:  costs,
 		alpha:  partition.Alpha(cfg.Refine.Alpha),
 		active: n0,
-		adj:    make([][]half, capN),
-		weight: make([]int32, capN),
-		vsize:  make([]int32, capN),
 		live:   make([]int32, capN),
 		loads:  make([]int64, k),
 		pre:    make([]int32, capN),
@@ -285,25 +274,33 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 		tr:     cfg.Trace,
 		mx:     newSessionMetrics(cfg.Metrics),
 	}
+	vwgt, vsize := make([]int32, capN), make([]int32, capN)
 	for v := int32(0); v < n0; v++ {
-		nbrs := g0.Neighbors(v)
-		wts := g0.EdgeWeights(v)
-		hs := make([]half, len(nbrs))
-		for i, u := range nbrs {
-			hs[i] = half{to: u, w: wts[i]}
-		}
-		s.adj[v] = hs
-		s.weight[v] = g0.VertexWeight(v)
-		s.vsize[v] = g0.VertexSize(v)
+		vwgt[v], vsize[v] = g0.VertexWeight(v), g0.VertexSize(v)
 		s.live[v] = p0.Assign[v]
-		s.loads[p0.Assign[v]] += int64(g0.VertexWeight(v))
-		s.totalW += int64(g0.VertexWeight(v))
+		s.loads[p0.Assign[v]] += int64(vwgt[v])
+		s.totalW += int64(vwgt[v])
 	}
 	for v := n0; v < capN; v++ {
 		s.live[v] = v % k // placeholder rank for not-yet-arrived ids
 	}
-	s.edges = g0.NumEdges()
-	s.ewTotal = g0.TotalEdgeWeight()
+	// The capacity-padded base: g0, then isolated weight-0 ids (a default
+	// weight of 1 would hand the refiner phantom unit weights). It is both
+	// the live graph's starting copy and the first snapshot.
+	s.snap = graph.FromSymmetricRows(capN, vwgt, vsize,
+		func(v int32) int32 {
+			if v < n0 {
+				return g0.Degree(v)
+			}
+			return 0
+		},
+		func(v int32, to, w []int32) {
+			if v < n0 {
+				copy(to, g0.Neighbors(v))
+				copy(w, g0.EdgeWeights(v))
+			}
+		}, cfg.Refine.Workers)
+	s.g = graph.NewOverlay(s.snap)
 	s.recomputeLive()
 	s.baseComm = s.comm
 
@@ -311,7 +308,6 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 
 	// Epoch-side mirror: the persistent index over the padded snapshot.
 	s.pidx = &partition.Partitioning{K: k, Assign: append([]int32(nil), s.live...)}
-	s.snap = s.materialize()
 	s.ix = partition.BuildIndex(s.snap, s.pidx)
 
 	// The serving layer, on the session clock, with its own fault
@@ -337,23 +333,7 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 	return s, nil
 }
 
-// materialize freezes the live graph into an immutable CSR snapshot over
-// the full capacity id space (inactive vertices isolated, weight 0 — so
-// they are invisible to Eq. 3/4 and to the refiner's balance bound). The
-// live adjacency is symmetric and duplicate-free by applyOp's and
-// placeArrival's own checks, so its rows are copied straight into the
-// snapshot by the refinement workers, all idle at every call site.
-func (s *Session) materialize() *graph.Graph {
-	return graph.FromSymmetricRows(s.cap, s.weight, s.vsize,
-		func(v int32) int32 { return int32(len(s.adj[v])) },
-		func(v int32, to, w []int32) {
-			for i, h := range s.adj[v] {
-				to[i], w[i] = h.to, h.w
-			}
-		}, s.cfg.Refine.Workers)
-}
-
-// recomputeLive derives the cut and raw comm sum from the live adjacency
+// recomputeLive derives the cut and raw comm sum from the live graph
 // in one ascending-vertex sweep — O(|E|), run at construction only; from
 // then on every edge op, arrival and committed move folds its own delta
 // in (scoreEdge).
@@ -362,13 +342,13 @@ func (s *Session) recomputeLive() {
 	for v := int32(0); v < s.active; v++ {
 		pv := s.live[v]
 		row := s.costs.Row(pv)
-		for _, h := range s.adj[v] {
-			if h.to <= v {
+		for _, h := range s.g.Row(v) {
+			if h.To <= v {
 				continue
 			}
-			if pu := s.live[h.to]; pu != pv {
-				cut += int64(h.w)
-				comm += int64(h.w) * row[pu]
+			if pu := s.live[h.To]; pu != pv {
+				cut += int64(h.W)
+				comm += int64(h.W) * row[pu]
 			}
 		}
 	}
@@ -393,7 +373,7 @@ func (s *Session) Stats() Stats {
 	st := s.st
 	st.DirectoryEpoch = s.dirc.Epoch()
 	st.Active = s.active
-	st.Edges = s.edges
+	st.Edges = s.g.NumEdges()
 	st.VirtualTicks = s.clock.Now()
 	st.Live = s.LiveScore()
 	return st
@@ -412,13 +392,13 @@ func (s *Session) AssignHash() uint64 {
 	return detrand.FNVFold64(h, uint64(s.st.EpochsCommitted))
 }
 
-// Source returns the live adjacency bounded to the active prefix, the
-// view the workload generator draws churn against. The view is only
-// valid on the ingest goroutine between Ingest calls.
+// Source returns the live graph bounded to the active prefix, the view
+// the workload generator draws churn against, in the overlay's row order.
+// The view is only valid on the ingest goroutine between Ingest calls.
 func (s *Session) Source() dyn.Source { return liveView{s} }
 
 type liveView struct{ s *Session }
 
 func (v liveView) NumVertices() int32        { return v.s.active }
-func (v liveView) Degree(u int32) int32      { return int32(len(v.s.adj[u])) }
-func (v liveView) Neighbor(u, i int32) int32 { return v.s.adj[u][i].to }
+func (v liveView) Degree(u int32) int32      { return int32(len(v.s.g.Row(u))) }
+func (v liveView) Neighbor(u, i int32) int32 { return v.s.g.Row(u)[i].To }

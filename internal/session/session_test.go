@@ -253,7 +253,7 @@ func asymmetricCosts(k int) [][]float64 {
 func checkLiveScore(t *testing.T, s *Session, when string) {
 	t.Helper()
 	live := &partition.Partitioning{K: s.k, Assign: s.live}
-	ref := partition.ComputeScore(s.materialize(), live, s.live, s.cfg.Costs, s.cfg.Refine.Alpha)
+	ref := partition.ComputeScore(s.g.Materialize(), live, s.live, s.cfg.Costs, s.cfg.Refine.Alpha)
 	got := s.LiveScore()
 	if got.EdgeCut != ref.EdgeCut || got.Comm != ref.Comm || got.CommCost != ref.CommCost {
 		t.Fatalf("%s: incremental cut %d comm %d (%v) != recomputed %d, %d (%v)", when, got.EdgeCut, got.Comm, got.CommCost, ref.EdgeCut, ref.Comm, ref.CommCost)
@@ -323,7 +323,7 @@ func TestSessionLiveStateConsistency(t *testing.T) {
 				// Loads must agree with a fresh per-partition weight sum.
 				var loads [tK]int64
 				for v := int32(0); v < s.cap; v++ {
-					loads[s.live[v]] += int64(s.weight[v])
+					loads[s.live[v]] += int64(s.g.VertexWeight(v))
 				}
 				for q := 0; q < tK; q++ {
 					if loads[q] != s.loads[q] {

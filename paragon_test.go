@@ -136,7 +136,7 @@ func TestPublicAPIDatasetsAndOverlay(t *testing.T) {
 	}
 	g := paragonlib.Mesh2D(6, 6)
 	o := paragonlib.NewOverlay(g)
-	if err := o.AddEdge(0, 35, 2); err != nil {
+	if _, err := o.AddEdge(0, 35, 2); err != nil {
 		t.Fatal(err)
 	}
 	m := o.Materialize()
