@@ -12,6 +12,7 @@ import (
 
 	"paragon/internal/graph"
 	"paragon/internal/partition"
+	"paragon/internal/stream"
 )
 
 // Snapshot is one prefix of the arrival stream. Vertices are relabeled
@@ -72,8 +73,8 @@ func Snapshots(g *graph.Graph, s int, seed int64) ([]Snapshot, error) {
 
 // Inject extends a decomposition of the previous snapshot to the current
 // one: vertices below snap.FirstNew keep their partitions from prev, and
-// each new vertex is streamed in with the deterministic-greedy rule
-// (most-affine partition with remaining capacity, least-loaded
+// each new vertex is streamed in with stream.Placer's deterministic-greedy
+// rule (most-affine partition with remaining capacity, least-loaded
 // fallback) — how the paper injects newly appeared vertices with DG.
 func Inject(snap Snapshot, prev *partition.Partitioning, k int32, eps float64) (*partition.Partitioning, error) {
 	g := snap.Graph
@@ -99,45 +100,12 @@ func Inject(snap Snapshot, prev *partition.Partitioning, k int32, eps float64) (
 		}
 	}
 	capacity := partition.BalanceBound(g, k, eps)
-	aff := make([]int64, k)
-	var touched []int32
+	pl := stream.NewPlacer(stream.PlaceDG, k)
 	for v := snap.FirstNew; v < n; v++ {
-		touched = touched[:0]
-		adj := g.Neighbors(v)
-		w := g.EdgeWeights(v)
-		for i, u := range adj {
-			pu := p.Assign[u]
-			if pu < 0 {
-				continue
-			}
-			if aff[pu] == 0 {
-				touched = append(touched, pu)
-			}
-			aff[pu] += int64(w[i])
-		}
-		best := int32(-1)
-		var bestAff int64 = -1
-		for _, pi := range touched {
-			if load[pi]+int64(g.VertexWeight(v)) > capacity {
-				continue
-			}
-			if aff[pi] > bestAff || (aff[pi] == bestAff && best >= 0 && load[pi] < load[best]) {
-				best, bestAff = pi, aff[pi]
-			}
-		}
-		if best < 0 {
-			best = 0
-			for pi := int32(1); pi < k; pi++ {
-				if load[pi] < load[best] {
-					best = pi
-				}
-			}
-		}
+		vw := int64(g.VertexWeight(v))
+		best := pl.Place(g.Neighbors(v), g.EdgeWeights(v), p.Assign, load, vw, capacity, 0)
 		p.Assign[v] = best
-		load[best] += int64(g.VertexWeight(v))
-		for _, pi := range touched {
-			aff[pi] = 0
-		}
+		load[best] += vw
 	}
 	return p, nil
 }
