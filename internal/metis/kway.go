@@ -13,18 +13,7 @@ import (
 // project back refining with greedy k-way boundary moves at every level.
 // Compared to pure recursive bisection it coarsens the graph once
 // instead of once per bisection, which is markedly faster for large k,
-// at a small quality cost on some inputs — the classic METIS trade-off,
-// exposed here as Method for ablation.
-
-// Method selects the k-way construction strategy.
-type Method int
-
-const (
-	// RecursiveBisection coarsens and bisects recursively (pmetis).
-	RecursiveBisection Method = iota
-	// KWay coarsens once and refines k ways directly (kmetis).
-	KWay
-)
+// at a small quality cost on some inputs — the classic METIS trade-off.
 
 // PartitionKWay computes a k-way decomposition with the direct k-way
 // multilevel strategy.
@@ -59,7 +48,7 @@ func PartitionKWay(g *graph.Graph, k int32, opt Options) *partition.Partitioning
 		assign = fineAssign
 		p := &partition.Partitioning{K: k, Assign: assign}
 		bound := partition.BalanceBound(fine, k, opt.Eps)
-		kwayRefine(fine, p, bound, refinePasses)
+		RefineKWay(fine, p, bound, refinePasses)
 	}
 	out := &partition.Partitioning{K: k, Assign: assign}
 	// The input graph itself is levels[0]; if no coarsening happened the
@@ -70,10 +59,13 @@ func PartitionKWay(g *graph.Graph, k int32, opt Options) *partition.Partitioning
 	return out
 }
 
-// kwayRefine sweeps boundary vertices, moving each to the adjacent
-// partition with the highest positive cut gain while balance allows —
-// the greedy k-way refinement used during k-way uncoarsening.
-func kwayRefine(g *graph.Graph, p *partition.Partitioning, bound int64, passes int) {
+// RefineKWay sweeps the vertices of g in id order for at most passes
+// passes, moving each to the adjacent partition with the highest positive
+// cut gain while its load stays within bound (ties go to the partition
+// seen first among v's neighbours), and stops after a pass that moves
+// nothing. It is the greedy k-way refinement of k-way uncoarsening, and
+// the cut repair of ParMETIS-style diffusion.
+func RefineKWay(g *graph.Graph, p *partition.Partitioning, bound int64, passes int) {
 	load := p.Weights(g)
 	// aff[q] is v's edge weight into partition q ≠ Assign[v], nonzero
 	// exactly for the partitions in cand, and zeroed again through cand

@@ -69,7 +69,7 @@ func TestKWayRefineImprovesCut(t *testing.T) {
 	p := stream.HP(g, 4)
 	before := partition.EdgeCut(g, p)
 	bound := partition.BalanceBound(g, 4, 0.1)
-	kwayRefine(g, p, bound, 6)
+	RefineKWay(g, p, bound, 6)
 	after := partition.EdgeCut(g, p)
 	if after >= before {
 		t.Fatalf("k-way refine did not improve: %d -> %d", before, after)

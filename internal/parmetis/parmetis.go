@@ -153,6 +153,7 @@ func diffusion(g *graph.Graph, old *partition.Partitioning, opt Options) *partit
 	k := p.K
 	bound := partition.BalanceBound(g, k, opt.Eps)
 	load := p.Weights(g)
+	aff, cand := make([]int64, k), make([]int32, 0, k)
 
 	// Phase 1: load diffusion. Repeatedly take the most overloaded
 	// partition and push its boundary vertices toward the least-loaded
@@ -174,7 +175,7 @@ func diffusion(g *graph.Graph, old *partition.Partitioning, opt Options) *partit
 			}
 			// Prefer migrating to the neighbor partition with the most
 			// affinity; fall back to the globally least-loaded partition.
-			dst := bestUnderloadedNeighbor(g, p, v, load, bound)
+			dst := bestUnderloadedNeighbor(g, p, v, load, bound, aff, cand)
 			if dst < 0 {
 				continue
 			}
@@ -210,80 +211,32 @@ func diffusion(g *graph.Graph, old *partition.Partitioning, opt Options) *partit
 	}
 
 	// Phase 2: greedy k-way boundary refinement (cut repair).
-	greedyKWayRefine(g, p, bound, refinePasses)
+	metis.RefineKWay(g, p, bound, refinePasses)
 	return p
 }
 
-func bestUnderloadedNeighbor(g *graph.Graph, p *partition.Partitioning, v int32, load []int64, bound int64) int32 {
-	w := int64(g.VertexWeight(v))
-	best := int32(-1)
-	var bestAff int64 = -1
-	aff := map[int32]int64{}
-	var cand []int32 // first-seen order, so ties resolve deterministically
-	adj := g.Neighbors(v)
+// bestUnderloadedNeighbor returns the partition other than v's own that
+// holds most of v's edge weight and still fits v under bound — the first
+// seen among v's neighbours on ties — or -1 when none fits. aff is a
+// zeroed k-length row, left zeroed; cand is empty scratch of capacity k.
+func bestUnderloadedNeighbor(g *graph.Graph, p *partition.Partitioning, v int32, load []int64, bound int64, aff []int64, cand []int32) int32 {
 	ew := g.EdgeWeights(v)
-	for i, u := range adj {
-		pu := p.Assign[u]
-		if pu != p.Assign[v] {
-			if _, seen := aff[pu]; !seen {
+	for i, u := range g.Neighbors(v) {
+		if pu := p.Assign[u]; pu != p.Assign[v] {
+			if aff[pu] == 0 { // edge weights are positive
 				cand = append(cand, pu)
 			}
 			aff[pu] += int64(ew[i])
 		}
 	}
+	w := int64(g.VertexWeight(v))
+	best := int32(-1)
+	var bestAff int64 = -1
 	for _, pu := range cand {
 		if a := aff[pu]; load[pu]+w <= bound && a > bestAff {
 			best, bestAff = pu, a
 		}
+		aff[pu] = 0
 	}
 	return best
-}
-
-// greedyKWayRefine sweeps boundary vertices, moving each to the adjacent
-// partition with the highest positive cut gain whenever balance allows.
-func greedyKWayRefine(g *graph.Graph, p *partition.Partitioning, bound int64, passes int) {
-	load := p.Weights(g)
-	for pass := 0; pass < passes; pass++ {
-		improved := false
-		for v := int32(0); v < g.NumVertices(); v++ {
-			pv := p.Assign[v]
-			adj := g.Neighbors(v)
-			ew := g.EdgeWeights(v)
-			var internal int64
-			aff := map[int32]int64{}
-			var cand []int32 // first-seen order, not map order: ties must be deterministic
-			for i, u := range adj {
-				pu := p.Assign[u]
-				if pu == pv {
-					internal += int64(ew[i])
-				} else {
-					if _, seen := aff[pu]; !seen {
-						cand = append(cand, pu)
-					}
-					aff[pu] += int64(ew[i])
-				}
-			}
-			if len(cand) == 0 {
-				continue
-			}
-			w := int64(g.VertexWeight(v))
-			best := int32(-1)
-			var bestGain int64
-			for _, pu := range cand {
-				gain := aff[pu] - internal
-				if gain > bestGain && load[pu]+w <= bound {
-					best, bestGain = pu, gain
-				}
-			}
-			if best >= 0 {
-				p.Assign[v] = best
-				load[pv] -= w
-				load[best] += w
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
-	}
 }
