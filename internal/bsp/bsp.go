@@ -48,11 +48,6 @@ type Options struct {
 	// rank coalesced into one transfer (the paper's "message grouping",
 	// 8–16 in §7.2). Default 8.
 	MsgGroupSize int
-	// ComputePerVertex and ComputePerEdge are the model's compute time
-	// units per processed vertex and scanned edge, in the same relative
-	// units as the topology latency model. Defaults 0.02 and 0.002.
-	ComputePerVertex float64
-	ComputePerEdge   float64
 	// MemoryContention ∈ [0,1] is the fraction of *other* ranks'
 	// intra-node transfer time that delays a rank on the same node
 	// (shared memory bus and cache pollution, §2.2). Inter-node RDMA
@@ -60,19 +55,21 @@ type Options struct {
 	// PittMPICluster (intra-node bound), ~0.1 its Gordon (network
 	// bound).
 	MemoryContention float64
-	// MaxSupersteps aborts runaway programs. Default 100000.
-	MaxSupersteps int
 }
+
+// The model's compute time units per processed vertex and per scanned
+// edge, in the same relative units as the topology latency model.
+const (
+	computePerVertex = 0.02
+	computePerEdge   = 0.002
+)
+
+// maxSupersteps aborts runaway programs. Tests lower it.
+var maxSupersteps = 100000
 
 func (o Options) withDefaults() Options {
 	if o.MsgGroupSize <= 0 {
 		o.MsgGroupSize = 8
-	}
-	if o.ComputePerVertex == 0 {
-		o.ComputePerVertex = 0.02
-	}
-	if o.ComputePerEdge == 0 {
-		o.ComputePerEdge = 0.002
 	}
 	if o.MemoryContention == 0 {
 		o.MemoryContention = 0.3
@@ -82,9 +79,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MemoryContention > 1 {
 		o.MemoryContention = 1
-	}
-	if o.MaxSupersteps <= 0 {
-		o.MaxSupersteps = 100000
 	}
 	return o
 }
@@ -192,8 +186,8 @@ func (e *Engine) Run(prog Program) (Result, error) {
 
 	var res Result
 	for anyActive || len(inboxC) > 0 || len(inboxM) > 0 {
-		if res.Supersteps >= e.opts.MaxSupersteps {
-			return res, fmt.Errorf("bsp: exceeded %d supersteps", e.opts.MaxSupersteps)
+		if res.Supersteps >= maxSupersteps {
+			return res, fmt.Errorf("bsp: exceeded %d supersteps", maxSupersteps)
 		}
 		outcomes := make([]rankOutcome, e.ranks)
 		var wg sync.WaitGroup
@@ -334,7 +328,7 @@ func (e *Engine) accountStep(outcomes []rankOutcome, res *Result) float64 {
 
 	for r := 0; r < e.ranks; r++ {
 		oc := &outcomes[r]
-		compute[r] = e.opts.ComputePerVertex*float64(oc.computed) + e.opts.ComputePerEdge*float64(oc.scanned)
+		compute[r] = computePerVertex*float64(oc.computed) + computePerEdge*float64(oc.scanned)
 		for dst := 0; dst < e.ranks; dst++ {
 			m := oc.msgs[dst]
 			if m == 0 || dst == r {

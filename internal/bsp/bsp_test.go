@@ -72,9 +72,10 @@ func TestMaxSuperstepsGuard(t *testing.T) {
 		Init:    func(v int32) (int64, bool) { return 0, v == 0 },
 		Compute: func(v int32, val int64, msgs []int64, send func(int32, int64)) (int64, bool) { return val, true },
 	}
-	eSmall := *e
-	eSmall.opts.MaxSupersteps = 10
-	if _, err := eSmall.Run(prog); err == nil {
+	old := maxSupersteps
+	maxSupersteps = 10
+	t.Cleanup(func() { maxSupersteps = old })
+	if _, err := e.Run(prog); err == nil {
 		t.Fatal("expected superstep-limit error")
 	}
 }
