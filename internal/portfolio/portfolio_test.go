@@ -697,8 +697,9 @@ func TestPortfolioLeavesNoGoroutine(t *testing.T) {
 			t.Fatal("the combine refined no pair; its workers never started")
 		}
 		// A goroutine that has signalled its exit may still be on its way
-		// out: yield to it, never sleep.
-		for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		// out, for long on a loaded box under -race: yield to it, never
+		// sleep.
+		for end := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
 			runtime.Gosched()
 		}
 		if n := runtime.NumGoroutine(); n > before {
