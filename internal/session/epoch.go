@@ -119,7 +119,7 @@ func (s *Session) applyOp(op dyn.EdgeOp) (added, removed bool) {
 	}
 	if op.Add {
 		w := max(op.W, 1)
-		if added, _ := s.g.AddEdge(u, v, w); !added {
+		if ok, _ := s.g.AddEdge(u, v, w); !ok { // the checks above leave no error to report
 			return false, false
 		}
 		s.scoreEdge(u, v, w, +1)

@@ -199,12 +199,23 @@ fi
 # One freeze path (DESIGN.md §18): the session snapshot, the overlay, and
 # every induced and coarse graph of METIS's hierarchy (DESIGN.md §14) are
 # built by graph.FromSymmetricRows straight from their adjacency. A
-# Builder staging loop must not come back to any of them, nor a
-# per-vertex map to the partitioner.
+# Builder staging loop must not come back to any of them, nor a map to
+# the partitioner, the repartitioner or the overlay's rows.
 if git grep -n 'NewBuilder' -- 'internal/session/*.go' internal/graph/overlay.go \
         'internal/metis/*.go' internal/graph/traverse.go ':!*_test.go' ||
-    git grep -nE '(^|[^[:alnum:]_])map\[' -- 'internal/metis/*.go' ':!*_test.go'; then
+    git grep -nE '(^|[^[:alnum:]_])map\[' -- 'internal/metis/*.go' 'internal/parmetis/*.go' \
+        internal/graph/overlay.go ':!*_test.go'; then
     echo "ci: a graph.Builder freeze or a map is back; use graph.FromSymmetricRows and dense tables" >&2
+    exit 1
+fi
+# One live graph (DESIGN.md §18): graph.Overlay is the session's adjacency,
+# and the greedy k-way rule has one copy, metis.RefineKWay. The session's
+# own rows and their helpers, the overlay's added/removed maps and their
+# keys, and parmetis's copy of the refiner must not come back (the lint
+# fixtures keep the historical bodies their checkers caught).
+if git grep -nwE 'removeHalf|canonKey|edgeKey|dropAdded|greedyKWayRefine' -- '*.go' ':!internal/lint/testdata' ||
+    git grep -nF '[][]half' -- 'internal/session/*.go'; then
+    echo "ci: a second mutable graph or a copied k-way refiner is back; use graph.Overlay and metis.RefineKWay" >&2
     exit 1
 fi
 # An O(moved) join (DESIGN.md §18): a committed epoch folds its moves into
@@ -261,7 +272,7 @@ fi
 # caller set must not come back, and a refinement's fault layer is spelled
 # one way, Config.Fabric — the (FaultSeed, FaultRate) pair lives in the
 # session and the CLIs, which build the injectors.
-if git grep -nwE 'BadMoveLimit|RegionSize|CombineTop|FsyncTicks' -- '*.go' ||
+if git grep -nwE 'BadMoveLimit|RegionSize|CombineTop|FsyncTicks|ComputePerVertex|ComputePerEdge|MaxSupersteps' -- '*.go' ||
     git grep -nE 'FaultRate|FaultSeed' -- 'internal/paragon/*.go' 'internal/portfolio/*.go' ':!*_test.go'; then
     echo "ci: a deleted setting is back; make it a constant or give it a production caller" >&2
     exit 1
