@@ -51,13 +51,14 @@ type Graph = graph.Graph
 // Builder accumulates edges and produces a Graph.
 type Builder = graph.Builder
 
-// Overlay is a mutable edge add/remove view over a Graph.
+// Overlay is a mutable copy of a Graph: add and remove edges, then
+// Materialize a new Graph.
 type Overlay = graph.Overlay
 
 // NewBuilder returns a builder for a graph with n vertices.
 func NewBuilder(n int32) *Builder { return graph.NewBuilder(n) }
 
-// NewOverlay wraps a graph for edge mutation.
+// NewOverlay copies a graph for edge mutation.
 func NewOverlay(g *Graph) *Overlay { return graph.NewOverlay(g) }
 
 // ReadMETIS parses a METIS .graph stream.
