@@ -34,7 +34,7 @@ func RMAT(n int32, m int64, a, b, c float64, seed int64) *graph.Graph {
 	if n < 2 {
 		panic("gen: RMAT needs n >= 2")
 	}
-	if a <= 0 || b < 0 || c < 0 || a+b+c >= 1 {
+	if !(a > 0 && b >= 0 && c >= 0 && a+b+c < 1) {
 		panic(fmt.Sprintf("gen: RMAT bad probabilities a=%v b=%v c=%v", a, b, c))
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -43,46 +43,111 @@ func RMAT(n int32, m int64, a, b, c float64, seed int64) *graph.Graph {
 		levels++
 	}
 	size := int64(1) << levels
-	perm := rng.Perm(int(size))
+	// ids[x] is the compacted id of padded id x, perm[x] mod n.
+	ids := make([]int32, size)
+	for x, p := range rng.Perm(int(size)) {
+		ids[x] = int32(p % int(n))
+	}
+	// A draw x of rng.Int63 picks the quadrant rng.Float64 would have
+	// picked from float64(x)/2^63: below tA top-left, below tAB
+	// top-right, below tABC bottom-left, else bottom-right; a draw at
+	// or above t1 is one Float64 resamples.
+	tA, tAB, tABC, t1 := int63Threshold(a), int63Threshold(a+b), int63Threshold(a+b+c), int63Threshold(1)
+	// At most min(m, n(n-1)/2) distinct edges are accepted; ensureNoIsolates
+	// adds at most one more per vertex.
+	maxAdded := min(m, int64(n)*int64(n-1)/2)
 	bld := graph.NewBuilder(n)
+	bld.Reserve(maxAdded + int64(n))
 	attempts := m * 4
 	var added int64
-	seen := make(map[int64]struct{}, m)
-	for i := int64(0); i < attempts && added < m; i++ {
-		var u, v int64
-		for l := 0; l < levels; l++ {
-			r := rng.Float64()
-			u <<= 1
-			v <<= 1
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				v |= 1
-			case r < a+b+c:
-				u |= 1
-			default:
-				u |= 1
-				v |= 1
+	seen := newEdgeSet(maxAdded)
+	// Attempts are drawn in batches and then deduplicated in order. A
+	// batch never holds more attempts than edges are missing, so every
+	// attempt in it is one the draw-then-dedup loop would also have
+	// made, and the rng stream is consumed exactly as by that loop; the
+	// batch's set probes are independent, so their cache misses overlap.
+	var bu, bv [64]int32
+	for i := int64(0); i < attempts && added < m; {
+		nb := min(int64(len(bu)), m-added, attempts-i)
+		i += nb
+		for j := range nb {
+			var u, v int64
+			for l := 0; l < levels; l++ {
+				x := rng.Int63()
+				for x >= t1 {
+					x = rng.Int63()
+				}
+				ub := atLeast(x, tAB)
+				u = u<<1 | ub
+				v = v<<1 | atLeast(x, tA)&^ub | atLeast(x, tABC)
 			}
+			bu[j], bv[j] = min(ids[u], ids[v]), max(ids[u], ids[v])
 		}
-		pu, pv := int64(perm[u])%int64(n), int64(perm[v])%int64(n)
-		if pu == pv {
-			continue
+		for j := range nb {
+			pu, pv := bu[j], bv[j]
+			if pu == pv || !seen.add(int64(pu)*int64(n)+int64(pv)) {
+				continue
+			}
+			bld.AddEdge(pu, pv)
+			added++
 		}
-		if pu > pv {
-			pu, pv = pv, pu
-		}
-		key := pu*int64(n) + pv
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		bld.AddEdge(int32(pu), int32(pv))
-		added++
 	}
 	ensureNoIsolates(bld, rng)
 	return bld.Build()
+}
+
+// int63Threshold returns the smallest x with float64(x)/2^63 >= p, for
+// p in (0, 1]. The conversion is monotone in x and the division by a
+// power of two is exact, so for every draw x of rng.Int63,
+// x < int63Threshold(p) exactly when float64(x)/(1<<63) < p: the
+// comparison rng.Float64 makes, on integers.
+func int63Threshold(p float64) int64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return int64(lo)
+}
+
+// atLeast returns 1 when x >= t and 0 otherwise, without a branch, for
+// x in [0, 2^63) and t in [1, 2^63).
+func atLeast(x, t int64) int64 { return int64(uint64(t-1-x) >> 63) }
+
+// edgeSet is an open-addressed set of canonical edge keys u·n+v with
+// u < v. Such a key is never 0, so 0 marks an empty slot. The table is
+// a power of two with at least 4/3 of the capacity's slots, hashed by
+// a Fibonacci multiply on the top bits and probed linearly.
+type edgeSet struct {
+	slots []int64
+	shift uint
+}
+
+// newEdgeSet returns a set that holds up to capacity keys.
+func newEdgeSet(capacity int64) edgeSet {
+	bits := uint(1)
+	for int64(1)<<bits <= capacity+capacity/3 {
+		bits++
+	}
+	return edgeSet{slots: make([]int64, int64(1)<<bits), shift: 64 - bits}
+}
+
+// add inserts key and reports whether it was absent.
+func (s *edgeSet) add(key int64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := uint64(key) * 0x9e3779b97f4a7c15 >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = key
+			return true
+		case key:
+			return false
+		}
+	}
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: vertices
@@ -139,7 +204,7 @@ func ErdosRenyi(n int32, m int64, seed int64) *graph.Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	bld := graph.NewBuilder(n)
-	seen := make(map[int64]struct{}, m)
+	seen := newEdgeSet(m)
 	for added := int64(0); added < m; {
 		u, v := int32(rng.Intn(int(n))), int32(rng.Intn(int(n)))
 		if u == v {
@@ -148,11 +213,9 @@ func ErdosRenyi(n int32, m int64, seed int64) *graph.Graph {
 		if u > v {
 			u, v = v, u
 		}
-		key := int64(u)*int64(n) + int64(v)
-		if _, dup := seen[key]; dup {
+		if !seen.add(int64(u)*int64(n) + int64(v)) {
 			continue
 		}
-		seen[key] = struct{}{}
 		bld.AddEdge(u, v)
 		added++
 	}

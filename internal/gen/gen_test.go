@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +75,7 @@ func TestRMATPanics(t *testing.T) {
 		func() { RMAT(1, 10, 0.5, 0.2, 0.2, 1) },
 		func() { RMAT(100, 10, 0, 0.2, 0.2, 1) },
 		func() { RMAT(100, 10, 0.5, 0.3, 0.3, 1) },
+		func() { RMAT(100, 10, math.NaN(), 0.2, 0.2, 1) },
 	} {
 		func() {
 			defer func() {
@@ -282,5 +284,36 @@ func TestQuickGeneratorsValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInt63Threshold checks RMAT's integer quadrant draw against
+// rng.Float64's float comparison: for every probability the generators
+// use, t is the first x with float64(x)/2^63 >= p, and a draw is redrawn
+// exactly when Float64 would resample it (its quotient rounds to 1).
+func TestInt63Threshold(t *testing.T) {
+	const two63 = 1 << 63
+	var ps []float64
+	for _, abc := range [][3]float64{{.57, .19, .19}, {.45, .22, .22}, {.5, .2, .2}, {.25, .25, .25}, {.45, .15, .15}} {
+		a, b, c := abc[0], abc[1], abc[2]
+		ps = append(ps, a, a+b, a+b+c)
+	}
+	ps = append(ps, 1)
+	for _, p := range ps {
+		th := int63Threshold(p)
+		if !(float64(th-1)/two63 < p && p <= float64(th)/two63) {
+			t.Fatalf("p=%v: threshold %d does not separate the quotients", p, th)
+		}
+		for x, hi := max(th-2048, 0), th+min(2048, math.MaxInt64-th); x < hi; x++ {
+			if (x < th) != (float64(x)/two63 < p) {
+				t.Fatalf("p=%v: x=%d compares differently on integers", p, x)
+			}
+		}
+	}
+	t1 := int63Threshold(1)
+	for x := int64(two63 - 1); x >= two63-4096; x-- {
+		if (x >= t1) != (float64(x)/two63 == 1) {
+			t.Fatalf("x=%d: redraw %v, Float64 resamples %v", x, x >= t1, float64(x)/two63 == 1)
+		}
 	}
 }

@@ -20,7 +20,7 @@ const rmatShards = 64
 // undirected edges — but in parallel across `workers` goroutines, each
 // drawing from its own deterministic splitmix64 stream. It exists for
 // the 10M-vertex scale path, where the serial generator's single
-// math/rand stream and single m-entry dedup map dominate wall time and
+// math/rand stream and single m-entry dedup set dominate wall time and
 // transient memory.
 //
 // Design, and why the output is worker-count invariant:
@@ -47,9 +47,9 @@ const rmatShards = 64
 //     also order- and worker-independent.
 //
 // Transient memory is capped by the per-shard dedup: each in-flight
-// shard holds a map of at most m/64 entries, so at w workers the peak
-// map footprint is w/64 of the serial generator's, and the merge works
-// on flat []int64 keys (8 bytes/edge) rather than map entries.
+// shard holds an edge-key set of at most m/64 entries, so at w workers
+// the peak set footprint is w/64 of the serial generator's, and the
+// merge works on flat []int64 keys (8 bytes/edge).
 //
 // RMATSharded is NOT stream-compatible with RMAT: the same seed gives a
 // different (equally valid) graph. Goldens that pin serial RMAT output
@@ -59,7 +59,7 @@ func RMATSharded(n int32, m int64, a, b, c float64, seed int64, workers int) *gr
 	if n < 2 {
 		panic("gen: RMATSharded needs n >= 2")
 	}
-	if a <= 0 || b < 0 || c < 0 || a+b+c >= 1 {
+	if !(a > 0 && b >= 0 && c >= 0 && a+b+c < 1) {
 		panic(fmt.Sprintf("gen: RMATSharded bad probabilities a=%v b=%v c=%v", a, b, c))
 	}
 	if workers < 1 {
@@ -123,7 +123,7 @@ func rmatShard(n int32, m int64, a, b, c float64, seed int64, salt uint64, level
 	}
 	rng := splitmix{state: detrand.Fin64(detrand.Fin64(uint64(seed)) + uint64(s)*0x9e3779b97f4a7c15)}
 	ab, abc := a+b, a+b+c
-	seen := make(map[int64]struct{}, quota)
+	seen := newEdgeSet(quota)
 	keys := make([]int64, 0, quota)
 	attempts := quota * 4
 	for i := int64(0); i < attempts && int64(len(keys)) < quota; i++ {
@@ -153,10 +153,9 @@ func rmatShard(n int32, m int64, a, b, c float64, seed int64, salt uint64, level
 			pu, pv = pv, pu
 		}
 		key := pu*int64(n) + pv
-		if _, dup := seen[key]; dup {
+		if !seen.add(key) {
 			continue
 		}
-		seen[key] = struct{}{}
 		keys = append(keys, key)
 	}
 	return keys

@@ -8,8 +8,28 @@ import (
 )
 
 // Parser fuzzing: whatever bytes arrive, the readers must either return
-// an error or a graph that passes Validate — never panic, never produce
-// a corrupt CSR.
+// an error or a graph that passes Validate and that its consumers can
+// use — never panic, never produce a corrupt CSR.
+
+// checkParsed is the oracle for a graph a reader accepted: it passes
+// Validate, and an overlay freezes it without a panic into the same
+// bytes, as a session's first freeze does.
+func checkParsed(t *testing.T, g *Graph) {
+	t.Helper()
+	if err := g.Validate(); err != nil {
+		t.Fatalf("parsed graph invalid: %v", err)
+	}
+	var want, got bytes.Buffer
+	if err := WriteBinary(&want, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&got, NewOverlay(g).Materialize()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("the overlay's freeze differs from the parsed graph")
+	}
+}
 
 func FuzzParseMETIS(f *testing.F) {
 	f.Add("3 3\n2 3\n1 3\n1 2\n")
@@ -20,14 +40,13 @@ func FuzzParseMETIS(f *testing.F) {
 	f.Add("-1 0\n")         // negative n once flowed into make() and panicked
 	f.Add("1 -5\n\n")       // negative m
 	f.Add("2147483648 0\n") // n overflows int32
+	f.Add("2147483640 8\n") // a 2^31-vertex header over an empty body
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadMETIS(strings.NewReader(in))
 		if err != nil {
 			return
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("parsed graph invalid: %v\ninput: %q", err, in)
-		}
+		checkParsed(t, g)
 	})
 }
 
@@ -40,9 +59,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("parsed graph invalid: %v\ninput: %q", err, in)
-		}
+		checkParsed(t, g)
 	})
 }
 
@@ -60,9 +77,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("parsed graph invalid: %v", err)
-		}
+		checkParsed(t, g)
 	})
 }
 

@@ -17,6 +17,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Graph is an immutable undirected graph in CSR form. Use a Builder to
@@ -92,16 +93,14 @@ func (g *Graph) TotalEdgeWeight() int64 {
 }
 
 // EdgeWeightBetween returns the weight of edge {u,v}, or 0 when the edge
-// does not exist. It scans the shorter adjacency list.
+// does not exist. It binary-searches the shorter adjacency list, which
+// every constructor sorts (and Validate demands).
 func (g *Graph) EdgeWeightBetween(u, v int32) int32 {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	adj := g.Neighbors(u)
-	for i, nb := range adj {
-		if nb == v {
-			return g.EdgeWeights(u)[i]
-		}
+	if i, ok := slices.BinarySearch(g.Neighbors(u), v); ok {
+		return g.EdgeWeights(u)[i]
 	}
 	return 0
 }
@@ -130,8 +129,11 @@ func (g *Graph) AvgDegree() float64 {
 }
 
 // Validate checks internal CSR invariants: monotone xadj, neighbor ids in
-// range, no self-loops, positive weights, and symmetry of both structure
-// and weights. It is O(V+E·logE) and intended for tests and tooling.
+// range, strictly ascending rows (so no repeated neighbor), no
+// self-loops, positive weights, and symmetry of both structure and
+// weights. Every constructor sorts its rows, so only a hand-written
+// binary file can fail the order check. It is O(V+E·logE) and intended
+// for tests and tooling.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if int64(len(g.xadj)) != int64(n)+1 && n != 0 {
@@ -168,7 +170,6 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: negative vertex weight/size at %d", v)
 		}
 		prev := int32(-1)
-		dup := false
 		for i := g.xadj[v]; i < g.xadj[v+1]; i++ {
 			u := g.adj[i]
 			if u < 0 || u >= n {
@@ -180,21 +181,23 @@ func (g *Graph) Validate() error {
 			if g.ewgt[i] <= 0 {
 				return fmt.Errorf("graph: non-positive edge weight on (%d,%d)", v, u)
 			}
-			if u == prev {
-				dup = true
+			if u <= prev {
+				return fmt.Errorf("graph: row of %d not strictly ascending at neighbor %d", v, u)
 			}
 			prev = u
 		}
-		if dup {
-			return fmt.Errorf("graph: duplicate neighbor in sorted list of %d", v)
-		}
 	}
-	// Symmetry: every half-edge must have a matching reverse with equal weight.
+	// Symmetry: every half-edge must have a matching reverse with equal
+	// weight. Rows are strictly ascending, so the reverse is one binary
+	// search away.
 	for v := int32(0); v < n; v++ {
-		adj := g.Neighbors(v)
 		w := g.EdgeWeights(v)
-		for i, u := range adj {
-			if rw := g.EdgeWeightBetween(u, v); rw != w[i] {
+		for i, u := range g.Neighbors(v) {
+			j, ok := slices.BinarySearch(g.Neighbors(u), v)
+			if !ok {
+				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs 0", v, u, w[i])
+			}
+			if rw := g.EdgeWeights(u)[j]; rw != w[i] {
 				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs %d", v, u, w[i], rw)
 			}
 		}

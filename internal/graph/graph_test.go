@@ -156,6 +156,30 @@ func TestEdgeWeightBetween(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnsortedRows: row 0 = [1, 2, 1] repeats neighbour 1
+// away from its first copy, and row 0 = [2, 1] is a simple graph out of
+// order. Validate and ReadBinary must refuse both. Before rows had to be
+// strictly ascending, the first passed, and its first freeze panicked.
+func TestValidateRejectsUnsortedRows(t *testing.T) {
+	for _, g := range []*Graph{
+		{xadj: []int64{0, 3, 4, 5}, adj: []int32{1, 2, 1, 0, 0}, ewgt: []int32{1, 1, 1, 1, 1}},
+		{xadj: []int64{0, 2, 3, 4}, adj: []int32{2, 1, 0, 0}, ewgt: []int32{1, 1, 1, 1}},
+	} {
+		g.vwgt, g.vsize = []int32{1, 1, 1}, []int32{1, 1, 1}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBinary(&buf); err == nil {
+			t.Errorf("ReadBinary accepted row 0 = %v", g.Neighbors(0))
+		}
+		if err := g.Validate(); err == nil {
+			t.Errorf("Validate accepted row 0 = %v", g.Neighbors(0))
+			NewOverlay(g).Materialize()
+		}
+	}
+}
+
 func TestUseDegreeWeights(t *testing.T) {
 	g := buildPaperGraph()
 	g.UseDegreeWeights()

@@ -102,7 +102,10 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 		hasEWgt = code[2] == '1'
 	}
 	n := int32(n64)
-	b := NewBuilder(n)
+	// The vertex attributes grow with the lines read, not with the
+	// header's n: a header that claims 2^31 vertices over an empty body
+	// once allocated 16 GB before its first EOF (found by FuzzParseMETIS).
+	b := &Builder{n: n}
 	for v := int32(0); v < n; v++ {
 		line, err := nextDataLine(sc)
 		if err != nil {
@@ -110,28 +113,29 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 		}
 		toks := strings.Fields(line)
 		i := 0
+		size, weight := int32(1), int32(1)
 		if hasVSize {
-			s, err := parseI32(toks, i)
+			size, err = parseI32(toks, i)
 			if err != nil {
 				return nil, fmt.Errorf("graph: vertex %d size: %w", v+1, err)
 			}
-			if s < 0 {
-				return nil, fmt.Errorf("graph: vertex %d has negative size %d", v+1, s)
+			if size < 0 {
+				return nil, fmt.Errorf("graph: vertex %d has negative size %d", v+1, size)
 			}
-			b.SetVertexSize(v, s)
 			i++
 		}
 		if hasVWgt {
-			s, err := parseI32(toks, i)
+			weight, err = parseI32(toks, i)
 			if err != nil {
 				return nil, fmt.Errorf("graph: vertex %d weight: %w", v+1, err)
 			}
-			if s < 0 {
-				return nil, fmt.Errorf("graph: vertex %d has negative weight %d", v+1, s)
+			if weight < 0 {
+				return nil, fmt.Errorf("graph: vertex %d has negative weight %d", v+1, weight)
 			}
-			b.SetVertexWeight(v, s)
 			i++
 		}
+		b.vsize = append(b.vsize, size)
+		b.vwgt = append(b.vwgt, weight)
 		for i < len(toks) {
 			u, err := parseI32(toks, i)
 			if err != nil {

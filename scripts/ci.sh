@@ -65,6 +65,9 @@ go test -race -cpu=1,4 ./internal/graph/ ./internal/partition/
 # The direct CSR fill against the Builder reference on fuzzed edge sets,
 # for a fixed short time (the seed corpus alone runs in every `go test`).
 go test -run='^$' -fuzz=FuzzFromSymmetricRows -fuzztime=5s ./internal/graph/
+# The binary reader on fuzzed bytes: an error, or a graph that passes
+# Validate and freezes through an overlay into the same bytes.
+go test -run='^$' -fuzz=FuzzReadBinary -fuzztime=5s ./internal/graph/
 
 # Obs determinism end to end: the same seeded faulty run at -workers 1
 # and 8 must serialize byte-identical trace and metrics files — the
@@ -206,6 +209,13 @@ if git grep -n 'NewBuilder' -- 'internal/session/*.go' internal/graph/overlay.go
     git grep -nE '(^|[^[:alnum:]_])map\[' -- 'internal/metis/*.go' 'internal/parmetis/*.go' \
         internal/graph/overlay.go ':!*_test.go'; then
     echo "ci: a graph.Builder freeze or a map is back; use graph.FromSymmetricRows and dense tables" >&2
+    exit 1
+fi
+# One edge-key set (DESIGN.md §19): RMAT, ErdosRenyi and the sharded
+# generator's shards dedup through gen's open-addressed edgeSet. A map of
+# edge keys must not come back to them.
+if git grep -n 'map\[int64\]' -- 'internal/gen/*.go' ':!*_test.go'; then
+    echo "ci: a map dedup is back in the edge generators; use edgeSet" >&2
     exit 1
 fi
 # One live graph (DESIGN.md §18): graph.Overlay is the session's adjacency,
