@@ -158,8 +158,8 @@ func TestEdgeWeightBetween(t *testing.T) {
 
 // TestValidateRejectsUnsortedRows: row 0 = [1, 2, 1] repeats neighbour 1
 // away from its first copy, and row 0 = [2, 1] is a simple graph out of
-// order. Validate and ReadBinary must refuse both. Before rows had to be
-// strictly ascending, the first passed, and its first freeze panicked.
+// order. Validate and ReadBinary must refuse both: a graph with a
+// repeated neighbour panics at its first freeze.
 func TestValidateRejectsUnsortedRows(t *testing.T) {
 	for _, g := range []*Graph{
 		{xadj: []int64{0, 3, 4, 5}, adj: []int32{1, 2, 1, 0, 0}, ewgt: []int32{1, 1, 1, 1, 1}},

@@ -103,8 +103,8 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 	}
 	n := int32(n64)
 	// The vertex attributes grow with the lines read, not with the
-	// header's n: a header that claims 2^31 vertices over an empty body
-	// once allocated 16 GB before its first EOF (found by FuzzParseMETIS).
+	// header's n, so a header that claims 2^31 vertices over an empty
+	// body fails at its first EOF instead of allocating 16 GB.
 	b := &Builder{n: n}
 	for v := int32(0); v < n; v++ {
 		line, err := nextDataLine(sc)
