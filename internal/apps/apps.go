@@ -33,14 +33,10 @@ func BFS(e *bsp.Engine, g *graph.Graph, src int32) ([]int64, bsp.Result, error) 
 			}
 			return inf, false
 		},
-		Compute: func(v int32, value int64, msgs []int64, send func(int32, int64)) (int64, bool) {
-			improved := false
-			if msgs == nil {
-				// Initial activation of the source.
-				improved = true
-			} else if m := msgs[0]; m < value {
-				value = m
-				improved = true
+		Compute: func(v int32, value, msg int64, ok bool, send func(int32, int64)) (int64, bool) {
+			improved := !ok // the source's initial activation
+			if ok && msg < value {
+				value, improved = msg, true
 			}
 			if improved {
 				for _, u := range g.Neighbors(v) {
@@ -71,13 +67,10 @@ func SSSP(e *bsp.Engine, g *graph.Graph, src int32) ([]int64, bsp.Result, error)
 			}
 			return inf, false
 		},
-		Compute: func(v int32, value int64, msgs []int64, send func(int32, int64)) (int64, bool) {
-			improved := false
-			if msgs == nil {
-				improved = true
-			} else if m := msgs[0]; m < value {
-				value = m
-				improved = true
+		Compute: func(v int32, value, msg int64, ok bool, send func(int32, int64)) (int64, bool) {
+			improved := !ok
+			if ok && msg < value {
+				value, improved = msg, true
 			}
 			if improved {
 				adj := g.Neighbors(v)
@@ -102,11 +95,10 @@ func SSSP(e *bsp.Engine, g *graph.Graph, src int32) ([]int64, bsp.Result, error)
 func WCC(e *bsp.Engine, g *graph.Graph) ([]int64, bsp.Result, error) {
 	prog := bsp.Program{
 		Init: func(v int32) (int64, bool) { return int64(v), true },
-		Compute: func(v int32, value int64, msgs []int64, send func(int32, int64)) (int64, bool) {
-			improved := msgs == nil // initial round: everyone broadcasts
-			if msgs != nil && msgs[0] < value {
-				value = msgs[0]
-				improved = true
+		Compute: func(v int32, value, msg int64, ok bool, send func(int32, int64)) (int64, bool) {
+			improved := !ok // initial round: everyone broadcasts
+			if ok && msg < value {
+				value, improved = msg, true
 			}
 			if improved {
 				for _, u := range g.Neighbors(v) {
@@ -137,20 +129,15 @@ func PageRank(e *bsp.Engine, g *graph.Graph, iters int) ([]int64, bsp.Result, er
 		return nil, bsp.Result{}, nil
 	}
 	base := PageRankScale * 15 / (100 * n)
-	// remaining is indexed by vertex and only touched by the vertex's
-	// own rank goroutine, so no synchronization is needed.
+	// remaining[v] counts the supersteps v still has to run.
 	remaining := make([]int32, n)
 	for i := range remaining {
 		remaining[i] = int32(iters)
 	}
 	prog := bsp.Program{
 		Init: func(v int32) (int64, bool) { return PageRankScale / n, true },
-		Compute: func(v int32, value int64, msgs []int64, send func(int32, int64)) (int64, bool) {
-			if msgs != nil {
-				var sum int64
-				for _, m := range msgs {
-					sum += m
-				}
+		Compute: func(v int32, value, sum int64, ok bool, send func(int32, int64)) (int64, bool) {
+			if ok {
 				value = base + sum*85/100
 			}
 			remaining[v]--

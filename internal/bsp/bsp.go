@@ -3,8 +3,9 @@
 // reproduction's substitute for the paper's MPI testbeds (§7.2).
 //
 // A run places partition i of the decomposition on rank (core) i of a
-// topology.Cluster, executes a vertex program superstep by superstep with
-// real message passing between rank goroutines, and *models* time: each
+// topology.Cluster, executes a vertex program superstep by superstep —
+// ranks in order on the calling goroutine, each message combined into
+// its destination's inbox for the next superstep — and *models* time: each
 // rank's superstep time is a compute term (vertices processed + edges
 // scanned) plus communication terms derived from the cluster's relative
 // cost matrix, with message grouping (the paper groups 8–16 messages per
@@ -16,12 +17,13 @@
 // JET = Σ_i SET(i), where SET(i) is the i-th superstep time of the
 // slowest rank. The simulator also accumulates the communication-volume
 // breakdown (intra-socket / inter-socket / inter-node) of Figures 12–13.
+// Because time is modeled, not measured, running the ranks one after
+// another changes nothing a run reports.
 package bsp
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"paragon/internal/graph"
 	"paragon/internal/partition"
@@ -33,12 +35,14 @@ import (
 type Program struct {
 	// Init returns the initial value of v and whether v starts active.
 	Init func(v int32) (value int64, active bool)
-	// Compute processes v given its current value and (combined)
-	// incoming messages; it may send messages via send and returns the
-	// new value plus whether v stays active without messages.
-	Compute func(v int32, value int64, msgs []int64, send func(to int32, m int64)) (int64, bool)
-	// Combine optionally merges two messages bound for the same vertex
-	// (e.g. min for BFS/SSSP). Nil delivers all messages individually.
+	// Compute processes v given its current value and the combined
+	// message sent to it last superstep (ok is false, and msg 0, if none
+	// was); it may send messages via send and returns the new value plus
+	// whether v stays active without messages.
+	Compute func(v int32, value, msg int64, ok bool, send func(to int32, m int64)) (int64, bool)
+	// Combine merges two messages bound for the same vertex (min for
+	// BFS, SSSP and WCC, + for PageRank). Messages to a vertex fold in
+	// send order, so Combine must be associative.
 	Combine func(a, b int64) int64
 }
 
@@ -153,171 +157,100 @@ func NewEngine(g *graph.Graph, p *partition.Partitioning, cl *topology.Cluster, 
 // bytesPerMessage models an 8-byte payload plus a 4-byte vertex id.
 const bytesPerMessage = 12
 
-// rankOutcome is what one rank goroutine produces per superstep.
-type rankOutcome struct {
-	outbox   []map[int32]int64 // per destination rank: combined messages per vertex
-	outMulti []map[int32][]int64
-	msgs     []int64 // message count per destination rank
-	computed int64   // vertices processed
-	scanned  int64   // edges scanned (sends attempted)
-	active   []int32 // vertices voting to stay active
-	panicked interface{}
+// inbox holds at most one combined message per vertex: msg[v] where
+// has[v], 0 elsewhere. n counts the vertices that have one.
+type inbox struct {
+	msg []int64
+	has []bool
+	n   int
 }
 
 // Run executes the program to completion and returns the result.
 func (e *Engine) Run(prog Program) (Result, error) {
-	if prog.Init == nil || prog.Compute == nil {
-		return Result{}, fmt.Errorf("bsp: program needs Init and Compute")
+	if prog.Init == nil || prog.Compute == nil || prog.Combine == nil {
+		return Result{}, fmt.Errorf("bsp: program needs Init, Compute and Combine")
 	}
 	n := e.g.NumVertices()
 	values := make([]int64, n)
-	activeNow := make([]bool, n)
+	active := make([]bool, n)
 	anyActive := false
 	for v := int32(0); v < n; v++ {
 		val, act := prog.Init(v)
 		values[v] = val
-		activeNow[v] = act
+		active[v] = act
 		anyActive = anyActive || act
 	}
-	// inbox[v] holds the combined (or listed) messages for v this step.
-	inboxC := make(map[int32]int64)   // combined
-	inboxM := make(map[int32][]int64) // uncombined
-	combined := prog.Combine != nil
+	// cur is read this superstep; sends fold into next, and the two swap
+	// at the barrier.
+	cur := inbox{msg: make([]int64, n), has: make([]bool, n)}
+	next := inbox{msg: make([]int64, n), has: make([]bool, n)}
+	msgs := make([]int64, e.ranks*e.ranks) // messages by (source, destination) rank
+	computed := make([]int64, e.ranks)     // vertices processed per rank
+	r := 0                                 // the rank being run
+	send := func(to int32, m int64) {
+		msgs[r*e.ranks+int(e.p.Assign[to])]++
+		if next.has[to] {
+			next.msg[to] = prog.Combine(next.msg[to], m)
+		} else {
+			next.msg[to], next.has[to] = m, true
+			next.n++
+		}
+	}
 
 	var res Result
-	for anyActive || len(inboxC) > 0 || len(inboxM) > 0 {
+	for anyActive || cur.n > 0 {
 		if res.Supersteps >= maxSupersteps {
 			return res, fmt.Errorf("bsp: exceeded %d supersteps", maxSupersteps)
 		}
-		outcomes := make([]rankOutcome, e.ranks)
-		var wg sync.WaitGroup
-		for r := 0; r < e.ranks; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				defer func() {
-					// A panicking vertex program must not take down the
-					// whole simulation (mirrors an MPI rank aborting):
-					// surface it as an error after the barrier.
-					if p := recover(); p != nil {
-						outcomes[r].panicked = p
+		clear(msgs)
+		clear(computed)
+		anyActive = false
+		err := func() (err error) {
+			defer func() {
+				// A panicking vertex program must not take down the
+				// whole simulation (mirrors an MPI rank aborting).
+				if p := recover(); p != nil {
+					err = fmt.Errorf("bsp: rank %d panicked in superstep %d: %v", r, res.Supersteps, p)
+				}
+			}()
+			// Ranks run in order, each over its vertices ascending. A
+			// vertex is visited once per superstep, so its active flag
+			// and inbox slot are read and then rewritten in place.
+			for r = 0; r < e.ranks; r++ {
+				for _, v := range e.rankVerts[r] {
+					msg, ok := cur.msg[v], cur.has[v]
+					if !active[v] && !ok {
+						continue
 					}
-				}()
-				outcomes[r] = e.runRank(r, prog, values, activeNow, inboxC, inboxM, combined)
-			}(r)
-		}
-		wg.Wait()
-		for r := 0; r < e.ranks; r++ {
-			if p := outcomes[r].panicked; p != nil {
-				return res, fmt.Errorf("bsp: rank %d panicked in superstep %d: %v", r, res.Supersteps, p)
+					cur.msg[v], cur.has[v] = 0, false
+					values[v], active[v] = prog.Compute(v, values[v], msg, ok, send)
+					anyActive = anyActive || active[v]
+					computed[r]++
+				}
 			}
+			return nil
+		}()
+		if err != nil {
+			return res, err
 		}
 
 		// Timing and volume (deterministic rank-order reduction).
-		stepTime := e.accountStep(outcomes, &res)
+		stepTime := e.accountStep(msgs, computed, &res)
 		res.StepTimes = append(res.StepTimes, stepTime)
 		res.JET += stepTime
 		res.Supersteps++
 
-		// Deliver: build next inboxes and active set.
-		nextC := make(map[int32]int64)
-		nextM := make(map[int32][]int64)
-		for v := range activeNow {
-			activeNow[v] = false
-		}
-		anyActive = false
-		for r := 0; r < e.ranks; r++ {
-			oc := &outcomes[r]
-			if combined {
-				for _, box := range oc.outbox {
-					for v, m := range box {
-						if old, ok := nextC[v]; ok {
-							nextC[v] = prog.Combine(old, m)
-						} else {
-							nextC[v] = m
-						}
-					}
-				}
-			} else {
-				for _, box := range oc.outMulti {
-					for v, ms := range box {
-						nextM[v] = append(nextM[v], ms...)
-					}
-				}
-			}
-			for _, v := range oc.active {
-				if !activeNow[v] {
-					activeNow[v] = true
-					anyActive = true
-				}
-			}
-		}
-		inboxC, inboxM = nextC, nextM
+		cur, next = next, cur
+		next.n = 0
 	}
 	res.Values = values
 	return res, nil
 }
 
-// runRank processes all of rank r's vertices that are active or have
-// messages, in ascending vertex order. It only writes values of its own
-// vertices, so the shared values slice is race-free across ranks.
-func (e *Engine) runRank(r int, prog Program, values []int64, activeNow []bool, inboxC map[int32]int64, inboxM map[int32][]int64, combined bool) rankOutcome {
-	oc := rankOutcome{
-		msgs: make([]int64, e.ranks),
-	}
-	if combined {
-		oc.outbox = make([]map[int32]int64, e.ranks)
-	} else {
-		oc.outMulti = make([]map[int32][]int64, e.ranks)
-	}
-	var msgScratch [1]int64
-	send := func(to int32, m int64) {
-		dst := int(e.p.Assign[to])
-		oc.msgs[dst]++
-		oc.scanned++
-		if combined {
-			if oc.outbox[dst] == nil {
-				oc.outbox[dst] = make(map[int32]int64)
-			}
-			if old, ok := oc.outbox[dst][to]; ok {
-				oc.outbox[dst][to] = prog.Combine(old, m)
-			} else {
-				oc.outbox[dst][to] = m
-			}
-		} else {
-			if oc.outMulti[dst] == nil {
-				oc.outMulti[dst] = make(map[int32][]int64)
-			}
-			oc.outMulti[dst][to] = append(oc.outMulti[dst][to], m)
-		}
-	}
-	for _, v := range e.rankVerts[r] {
-		var msgs []int64
-		if combined {
-			if m, ok := inboxC[v]; ok {
-				msgScratch[0] = m
-				msgs = msgScratch[:]
-			}
-		} else if ms, ok := inboxM[v]; ok {
-			msgs = ms
-		}
-		if !activeNow[v] && msgs == nil {
-			continue
-		}
-		newVal, stayActive := prog.Compute(v, values[v], msgs, send)
-		//lint:ignore sharedwrite rank r owns every v in rankVerts[r]; concurrent ranks write disjoint vertex slots
-		values[v] = newVal
-		oc.computed++
-		if stayActive {
-			oc.active = append(oc.active, v)
-		}
-	}
-	return oc
-}
-
-// accountStep converts the rank outcomes of one superstep into model
-// time and volume, returning SET = max over ranks of per-rank time.
-func (e *Engine) accountStep(outcomes []rankOutcome, res *Result) float64 {
+// accountStep converts one superstep's per-rank counts — msgs by
+// (source, destination) rank and vertices computed — into model time and
+// volume, returning SET = max over ranks of per-rank time.
+func (e *Engine) accountStep(msgs, computed []int64, res *Result) float64 {
 	group := float64(e.opts.MsgGroupSize)
 	// Per-rank send/recv transfer times split by locality.
 	sendIntra := make([]float64, e.ranks) // shared-memory transfers (same node)
@@ -327,10 +260,13 @@ func (e *Engine) accountStep(outcomes []rankOutcome, res *Result) float64 {
 	compute := make([]float64, e.ranks)
 
 	for r := 0; r < e.ranks; r++ {
-		oc := &outcomes[r]
-		compute[r] = computePerVertex*float64(oc.computed) + computePerEdge*float64(oc.scanned)
-		for dst := 0; dst < e.ranks; dst++ {
-			m := oc.msgs[dst]
+		row := msgs[r*e.ranks : (r+1)*e.ranks]
+		var scanned int64 // every send scans one edge, local ones too
+		for _, m := range row {
+			scanned += m
+		}
+		compute[r] = computePerVertex*float64(computed[r]) + computePerEdge*float64(scanned)
+		for dst, m := range row {
 			if m == 0 || dst == r {
 				continue // local messages are free and unreported
 			}
@@ -355,7 +291,7 @@ func (e *Engine) accountStep(outcomes []rankOutcome, res *Result) float64 {
 	}
 	// Intra-node contention (§2.2): a rank is also delayed by a fraction
 	// of the other intra-node (shared-memory) transfer time on its node.
-	nodeIntra := map[int]float64{}
+	nodeIntra := make([]float64, len(e.cl.Nodes))
 	for r := 0; r < e.ranks; r++ {
 		nodeIntra[e.node[r]] += sendIntra[r] + recvIntra[r]
 	}

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"fmt"
 	"testing"
 
 	"paragon/internal/gen"
@@ -44,9 +45,10 @@ func TestRunTerminatesAndCountsSteps(t *testing.T) {
 	// A program where only vertex 0 is active once and sends nothing.
 	prog := Program{
 		Init: func(v int32) (int64, bool) { return int64(v), v == 0 },
-		Compute: func(v int32, val int64, msgs []int64, send func(int32, int64)) (int64, bool) {
+		Compute: func(v int32, val, msg int64, ok bool, send func(int32, int64)) (int64, bool) {
 			return val + 100, false
 		},
+		Combine: add,
 	}
 	res, err := e.Run(prog)
 	if err != nil {
@@ -70,13 +72,14 @@ func TestMaxSuperstepsGuard(t *testing.T) {
 	e, _ := testEngine(t, 2)
 	prog := Program{
 		Init:    func(v int32) (int64, bool) { return 0, v == 0 },
-		Compute: func(v int32, val int64, msgs []int64, send func(int32, int64)) (int64, bool) { return val, true },
+		Compute: func(v int32, val, msg int64, ok bool, send func(int32, int64)) (int64, bool) { return val, true },
+		Combine: add,
 	}
 	old := maxSupersteps
 	maxSupersteps = 10
 	t.Cleanup(func() { maxSupersteps = old })
-	if _, err := e.Run(prog); err == nil {
-		t.Fatal("expected superstep-limit error")
+	if _, err := e.Run(prog); err == nil || err.Error() != "bsp: exceeded 10 supersteps" {
+		t.Fatalf("err = %v, want the superstep-limit error", err)
 	}
 }
 
@@ -94,9 +97,9 @@ func TestMessageDeliveryAndCombiner(t *testing.T) {
 	// means each vertex ends with its smallest neighbor id.
 	prog := Program{
 		Init: func(v int32) (int64, bool) { return int64(v), true },
-		Compute: func(v int32, val int64, msgs []int64, send func(int32, int64)) (int64, bool) {
-			if msgs != nil {
-				return msgs[0], false
+		Compute: func(v int32, val, msg int64, ok bool, send func(int32, int64)) (int64, bool) {
+			if ok {
+				return msg, false
 			}
 			for _, u := range g.Neighbors(v) {
 				send(u, int64(v))
@@ -133,35 +136,14 @@ func TestMessageDeliveryAndCombiner(t *testing.T) {
 	}
 }
 
-func TestUncombinedDelivery(t *testing.T) {
-	// Without a combiner every message arrives individually: a counting
-	// program sees exactly degree-many messages.
-	g := gen.Mesh2D(5, 5)
-	p := stream.HP(g, 3)
-	e, err := NewEngine(g, p, topology.PittCluster(1), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := Program{
-		Init: func(v int32) (int64, bool) { return 0, true },
-		Compute: func(v int32, val int64, msgs []int64, send func(int32, int64)) (int64, bool) {
-			if msgs != nil {
-				return int64(len(msgs)), false
-			}
-			for _, u := range g.Neighbors(v) {
-				send(u, 1)
-			}
-			return 0, false
-		},
-	}
-	res, err := e.Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := int32(0); v < g.NumVertices(); v++ {
-		if res.Values[v] != int64(g.Degree(v)) {
-			t.Fatalf("vertex %d counted %d messages, want its degree %d", v, res.Values[v], g.Degree(v))
-		}
+func TestRunNeedsCombine(t *testing.T) {
+	// Messages to a vertex are always folded into one: a program
+	// without a combiner is refused before any superstep runs.
+	e, _ := testEngine(t, 4)
+	prog := floodProgram(gen.Mesh2D(12, 12))
+	prog.Combine = nil
+	if _, err := e.Run(prog); err == nil || err.Error() != "bsp: program needs Init, Compute and Combine" {
+		t.Fatalf("err = %v, want the nil-Combine refusal", err)
 	}
 }
 
@@ -192,13 +174,14 @@ func TestVolumeBreakdownClasses(t *testing.T) {
 	// node).
 	prog := Program{
 		Init: func(v int32) (int64, bool) { return 0, v == 0 },
-		Compute: func(v int32, val int64, msgs []int64, send func(int32, int64)) (int64, bool) {
-			if msgs == nil && v == 0 {
+		Compute: func(v int32, val, msg int64, ok bool, send func(int32, int64)) (int64, bool) {
+			if !ok && v == 0 {
 				send(4, 1)
 				send(8, 1)
 			}
 			return val, false
 		},
+		Combine: add,
 	}
 	res, err := e.Run(prog)
 	if err != nil {
@@ -264,17 +247,19 @@ func floodProgram(g interface {
 }) Program {
 	return Program{
 		Init: func(v int32) (int64, bool) { return 0, true },
-		Compute: func(v int32, val int64, msgs []int64, send func(int32, int64)) (int64, bool) {
-			if msgs == nil {
+		Compute: func(v int32, val, msg int64, ok bool, send func(int32, int64)) (int64, bool) {
+			if !ok {
 				for _, u := range g.Neighbors(v) {
 					send(u, 1)
 				}
 			}
 			return val, false
 		},
-		Combine: func(a, b int64) int64 { return a + b },
+		Combine: add,
 	}
 }
+
+func add(a, b int64) int64 { return a + b }
 
 func TestBetterPlacementLowersJET(t *testing.T) {
 	// The Table 4 mechanism in miniature: a topology-aligned placement
@@ -317,18 +302,20 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestPanicRecovery(t *testing.T) {
-	e, _ := testEngine(t, 4)
+	e, p := testEngine(t, 4)
 	prog := Program{
 		Init: func(v int32) (int64, bool) { return 0, true },
-		Compute: func(v int32, val int64, msgs []int64, send func(int32, int64)) (int64, bool) {
+		Compute: func(v int32, val, msg int64, ok bool, send func(int32, int64)) (int64, bool) {
 			if v == 17 {
 				panic("vertex program bug")
 			}
 			return val, false
 		},
+		Combine: add,
 	}
-	if _, err := e.Run(prog); err == nil {
-		t.Fatal("expected panic to surface as an error")
+	want := fmt.Sprintf("bsp: rank %d panicked in superstep 0: vertex program bug", p.Assign[17])
+	if _, err := e.Run(prog); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

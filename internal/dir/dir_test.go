@@ -23,7 +23,7 @@ func testAssign(n int, k int32, seed uint64) []int32 {
 	return assign
 }
 
-func mustNew(t *testing.T, assign []int32, k int32, opts Options) *Directory {
+func mustNew(t testing.TB, assign []int32, k int32, opts Options) *Directory {
 	t.Helper()
 	d, err := New(assign, k, opts)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"paragon/internal/faultsim"
@@ -15,7 +16,7 @@ import (
 // committed flips interleaved with a crashed publish and an exhausted
 // retry budget — and records every committed epoch's full assignment.
 // Returns the directory and the committed assignment per epoch.
-func buildHistory(t *testing.T, n int, k int32) (*Directory, map[int64][]int32) {
+func buildHistory(t testing.TB, n int, k int32) (*Directory, map[int64][]int32) {
 	t.Helper()
 	assign := testAssign(n, k, 99)
 	// Fabric epochs 0..: publish 2 crashes between prepare and flip,
@@ -240,5 +241,26 @@ func TestRecordParseRejectsTampering(t *testing.T) {
 		if _, _, _, _, ok := parseRecord(rec[:cut]); ok {
 			t.Fatalf("truncation at %d still parsed", cut)
 		}
+	}
+}
+
+func TestRecoverRefusesShortBaseWithoutAllocatingIt(t *testing.T) {
+	// A 12-byte base payload claiming 2^24 vertices at k = 2^30 (64 MB of
+	// packed words) holds no words at all. Recovery must refuse it before
+	// allocating the table the header describes: at n = k = 2^31 − 1 that
+	// table would be 8 GB.
+	payload := binary.LittleEndian.AppendUint32(nil, 1<<30)
+	payload = binary.LittleEndian.AppendUint32(payload, 1<<24)
+	payload = binary.LittleEndian.AppendUint32(payload, 16)
+	j := appendRecordBytes(nil, recBase, 0, payload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Recover(j, Options{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrJournalCorrupt) {
+		t.Fatalf("err = %v, want ErrJournalCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("refusing a %d-byte journal allocated %d bytes", len(j), got)
 	}
 }

@@ -160,10 +160,16 @@ func (b *Builder) Build() *Graph {
 		}
 	}
 	newXadj[n] = int64(len(outAdj))
+	// Without a merged duplicate the arrays are already exact; after a
+	// merge they are copied so the graph does not pin the longer ones.
+	if int64(len(outAdj)) < m {
+		outAdj = append([]int32(nil), outAdj...)
+		outW = append([]int32(nil), outW...)
+	}
 	g := &Graph{
 		xadj:  newXadj,
-		adj:   append([]int32(nil), outAdj...),
-		ewgt:  append([]int32(nil), outW...),
+		adj:   outAdj,
+		ewgt:  outW,
 		vwgt:  append([]int32(nil), b.vwgt...),
 		vsize: append([]int32(nil), b.vsize...),
 	}

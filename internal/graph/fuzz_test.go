@@ -41,6 +41,8 @@ func FuzzParseMETIS(f *testing.F) {
 	f.Add("1 -5\n\n")       // negative m
 	f.Add("2147483648 0\n") // n overflows int32
 	f.Add("2147483640 8\n") // a 2^31-vertex header over an empty body
+	f.Add("3 1\n2\n1\n\n")  // a blank line is vertex 3, with no neighbors
+	f.Add("3 1\n2\n1\n1\n") // vertex 3 lists 1, vertex 1 does not list 3
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadMETIS(strings.NewReader(in))
 		if err != nil {

@@ -270,6 +270,32 @@ func TestReadMETISComments(t *testing.T) {
 	}
 }
 
+func TestReadMETISBlankLineIsIsolatedVertex(t *testing.T) {
+	// A vertex with no neighbors and no weight fields is a blank line.
+	g, err := ReadMETIS(strings.NewReader("3 1\n2\n1\n\n"))
+	if err != nil {
+		t.Fatalf("ReadMETIS: %v", err)
+	}
+	if g.NumVertices() != 3 || g.NumEdges() != 1 || g.Degree(2) != 0 || !g.HasEdge(0, 1) {
+		t.Fatalf("got %d vertices, %d edges, degree(3) = %d", g.NumVertices(), g.NumEdges(), g.Degree(2))
+	}
+}
+
+func TestReadMETISRejectsAsymmetricListing(t *testing.T) {
+	for _, in := range []string{
+		"3 1\n2\n1\n1\n",    // 3 lists 1, 1 does not list 3
+		"3 2\n2\n1 3\n\n",   // 2 lists 3, 3 lists nothing
+		"2 1\n2 2\n1\n",     // 1 lists 2 twice
+		"2 1\n2\n1 1\n",     // 2 lists 1 twice
+		"2 1 1\n2 3\n1 4\n", // two weights for one edge
+		"3 2\n3\n3\n1 1\n",  // 3 lists 1 twice and leaves 2 out
+	} {
+		if g, err := ReadMETIS(strings.NewReader(in)); err == nil {
+			t.Errorf("%q: accepted, %d edges", in, g.NumEdges())
+		}
+	}
+}
+
 func TestReadMETISErrors(t *testing.T) {
 	cases := []string{
 		"",                       // empty

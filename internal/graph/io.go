@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -70,7 +71,7 @@ func WriteMETIS(w io.Writer, g *Graph) error {
 func ReadMETIS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	line, err := nextDataLine(sc)
+	line, err := nextLine(sc, false)
 	if err != nil {
 		return nil, fmt.Errorf("graph: METIS header: %w", err)
 	}
@@ -106,8 +107,12 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 	// header's n, so a header that claims 2^31 vertices over an empty
 	// body fails at its first EOF instead of allocating 16 GB.
 	b := &Builder{n: n}
+	// Every listed entry is kept, so the listing can be checked against
+	// the built rows: vertex v's entries are listed[lend[v-1]:lend[v]].
+	var listed, listedW []int32
+	var lend []int64
 	for v := int32(0); v < n; v++ {
-		line, err := nextDataLine(sc)
+		line, err := nextLine(sc, true)
 		if err != nil {
 			return nil, fmt.Errorf("graph: METIS vertex %d: %w", v+1, err)
 		}
@@ -164,9 +169,33 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 			if v < u-1 {
 				b.AddWeightedEdge(v, u-1, w)
 			}
+			listed = append(listed, u-1)
+			listedW = append(listedW, w)
 		}
+		lend = append(lend, int64(len(listed)))
 	}
 	g := b.Build()
+	// A symmetric listing names each edge at both endpoints, once, with
+	// one weight. Row v of the built graph holds each of v's edges once,
+	// so it must match v's listed entries one to one.
+	seen := make([]bool, len(g.adj))
+	lo := int64(0)
+	for v := int32(0); v < n; v++ {
+		hi := lend[v]
+		if int64(g.Degree(v)) != hi-lo {
+			return nil, fmt.Errorf("graph: METIS vertex %d lists %d neighbors, its symmetric row has %d", v+1, hi-lo, g.Degree(v))
+		}
+		row := g.Neighbors(v)
+		for i := lo; i < hi; i++ {
+			j, ok := slices.BinarySearch(row, listed[i])
+			p := g.xadj[v] + int64(j)
+			if !ok || seen[p] || g.ewgt[p] != listedW[i] {
+				return nil, fmt.Errorf("graph: METIS vertex %d: neighbor %d is not listed once at both ends with one weight", v+1, listed[i]+1)
+			}
+			seen[p] = true
+		}
+		lo = hi
+	}
 	if g.NumEdges() != m64 {
 		return nil, fmt.Errorf("graph: METIS edge count mismatch: header %d, found %d", m64, g.NumEdges())
 	}
@@ -263,10 +292,13 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return b.Build(), nil
 }
 
-func nextDataLine(sc *bufio.Scanner) (string, error) {
+// nextLine returns the next line that is not a % comment, also skipping
+// blank ones unless keepBlank: in METIS a blank vertex line is a vertex
+// with no neighbors, while blank lines before the header mean nothing.
+func nextLine(sc *bufio.Scanner, keepBlank bool) (string, error) {
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '%' {
+		if (line == "" && !keepBlank) || (line != "" && line[0] == '%') {
 			continue
 		}
 		return line, nil

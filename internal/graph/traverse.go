@@ -4,7 +4,10 @@ package graph
 // extraction (k-hop BFS of §5 "Reducing Communication Volume"), and the
 // reference implementations the BSP applications are tested against.
 
-import "runtime"
+import (
+	"runtime"
+	"slices"
+)
 
 // BFSLevels runs a breadth-first search from src and returns the level
 // (hop distance) of every vertex, with -1 for unreachable vertices.
@@ -188,7 +191,7 @@ func ExpandFrontier(g *Graph, seeds []int32, k int, dst []int32) []int32 {
 	for v := range seen {
 		out = append(out, v)
 	}
-	sortInt32s(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -234,34 +237,4 @@ func Induced(g *Graph, verts []int32) (*Graph, []int32) {
 			}
 		}, runtime.GOMAXPROCS(0))
 	return sub, append([]int32(nil), verts...)
-}
-
-// sortInt32s sorts a in ascending order (insertion sort below 32 elems,
-// otherwise a simple in-place quicksort to avoid reflection).
-func sortInt32s(a []int32) {
-	if len(a) < 32 {
-		for i := 1; i < len(a); i++ {
-			for j := i; j > 0 && a[j] < a[j-1]; j-- {
-				a[j], a[j-1] = a[j-1], a[j]
-			}
-		}
-		return
-	}
-	pivot := a[len(a)/2]
-	lo, hi := 0, len(a)-1
-	for lo <= hi {
-		for a[lo] < pivot {
-			lo++
-		}
-		for a[hi] > pivot {
-			hi--
-		}
-		if lo <= hi {
-			a[lo], a[hi] = a[hi], a[lo]
-			lo++
-			hi--
-		}
-	}
-	sortInt32s(a[:hi+1])
-	sortInt32s(a[lo:])
 }

@@ -14,10 +14,9 @@ import (
 // by a static worker or shard id and the coordinator folds the slice
 // front to back. The refinement objective and the stream placers are
 // integer (DESIGN.md §10). The float sums that remain are the topology
-// cost model, on one goroutine, and the bsp execution model, whose
-// per-rank float outcomes of a superstep are folded in rank order;
-// bsp is reachable from the facade through NewEngine. The checker keeps
-// that fold, and any new one, out of completion order.
+// cost model and the bsp execution model, which runs a superstep's ranks
+// in order and folds their float outcomes in rank order, both on one
+// goroutine. The checker keeps any new fold out of completion order.
 //
 // The checker reports two shapes that violate the convention:
 //

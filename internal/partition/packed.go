@@ -43,9 +43,13 @@ func NewPacked(n, k int32) *Packed {
 		panic(fmt.Sprintf("partition: packed n = %d must be non-negative", n))
 	}
 	b := bitsFor(k)
-	per := int32(64 / int(b))
-	nwords := (int(n) + int(per) - 1) / int(per)
-	return &Packed{words: make([]uint64, nwords), n: n, k: k, bits: b, per: per}
+	return &Packed{words: make([]uint64, packedWords(n, k)), n: n, k: k, bits: b, per: int32(64 / int(b))}
+}
+
+// packedWords is the number of words n entries in [0, k) occupy.
+func packedWords(n, k int32) int {
+	per := 64 / int(bitsFor(k))
+	return (int(n) + per - 1) / per
 }
 
 // PackAssign packs a plain assignment slice (values in [0, k)).
@@ -110,10 +114,12 @@ func PackedFromWords(n, k int32, words []uint64) (*Packed, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("partition: packed n = %d must be non-negative", n)
 	}
-	p := NewPacked(n, k)
-	if len(words) != len(p.words) {
-		return nil, fmt.Errorf("partition: packed (n=%d, k=%d) needs %d words, got %d", n, k, len(p.words), len(words))
+	// The count is checked before anything is allocated: n comes from
+	// the same untrusted bytes as words.
+	if need := packedWords(n, k); len(words) != need {
+		return nil, fmt.Errorf("partition: packed (n=%d, k=%d) needs %d words, got %d", n, k, need, len(words))
 	}
+	p := NewPacked(n, k)
 	copy(p.words, words)
 	for v := int32(0); v < n; v++ {
 		if r := p.Get(v); r >= k {

@@ -19,7 +19,7 @@ import (
 //
 //	INGESTING ──trigger fires──▶ EPOCH IN FLIGHT ──join batch──▶ MERGE
 //	    ▲                                                      │
-//	    └???────commit (publish ok) / abort (fault) ◀──────────┘
+//	    └───────commit (publish ok) / abort (fault) ◀──────────┘
 //
 // Between launch and join the epoch goroutine exclusively owns the
 // snapshot-side state (pidx, ix, snap); the ingest side keeps mutating

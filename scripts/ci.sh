@@ -68,6 +68,10 @@ go test -run='^$' -fuzz=FuzzFromSymmetricRows -fuzztime=5s ./internal/graph/
 # The binary reader on fuzzed bytes: an error, or a graph that passes
 # Validate and freezes through an overlay into the same bytes.
 go test -run='^$' -fuzz=FuzzReadBinary -fuzztime=5s ./internal/graph/
+# The journal reader on fuzzed bytes: an error, or a directory whose
+# snapshot re-packs to its own hash; a cut or bit-flipped journal
+# recovers to the last epoch it committed before the damage.
+go test -run='^$' -fuzz=FuzzJournal -fuzztime=5s ./internal/dir/
 
 # Obs determinism end to end: the same seeded faulty run at -workers 1
 # and 8 must serialize byte-identical trace and metrics files — the
@@ -209,6 +213,15 @@ if git grep -n 'NewBuilder' -- 'internal/session/*.go' internal/graph/overlay.go
     git grep -nE '(^|[^[:alnum:]_])map\[' -- 'internal/metis/*.go' 'internal/parmetis/*.go' \
         internal/graph/overlay.go ':!*_test.go'; then
     echo "ci: a graph.Builder freeze or a map is back; use graph.FromSymmetricRows and dense tables" >&2
+    exit 1
+fi
+# One goroutine, dense inboxes (DESIGN.md §8, §19): the BSP simulator
+# runs a superstep's ranks in order on the calling goroutine and folds
+# every send through Program.Combine into a dense next-superstep inbox.
+# Rank goroutines, the sync import and map-keyed outboxes or inboxes must
+# not come back to it.
+if git grep -nE '(^|[^[:alnum:]_])(go[[:space:]]+[[:alnum:]_.]+\(|go[[:space:]]+func|map\[)|"sync(/atomic)?"' -- 'internal/bsp/*.go' ':!*_test.go'; then
+    echo "ci: a goroutine, the sync import or a map is back in internal/bsp; run ranks in order into dense inboxes" >&2
     exit 1
 fi
 # One edge-key set (DESIGN.md §19): RMAT, ErdosRenyi and the sharded
