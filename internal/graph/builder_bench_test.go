@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"paragon/internal/dyn"
+	"paragon/internal/gen"
 	"paragon/internal/graph"
 )
 
@@ -93,6 +95,27 @@ func BenchmarkFromSymmetricRows(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkOverlayMaterialize measures one streaming epoch's freeze: the
+// churn_rmat200k_k32 base graph (RMAT 200 k / 1.2 M at seed 42) with about
+// 90 k edge ops applied — an epoch's worth at that workload's 2 000 adds
+// and 800 removes per batch — frozen by Materialize, which merges the
+// logged edits into the base graph's rows.
+func BenchmarkOverlayMaterialize(b *testing.B) {
+	g := gen.RMAT(200_000, 1_200_000, 0.57, 0.19, 0.19, 42)
+	ops := dyn.RandomChurn(g, 64_000, 26_000, 43)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		o := graph.NewOverlay(g)
+		dyn.ApplyChurn(o, ops)
+		b.StartTimer()
+		if m := o.Materialize(); m.NumEdges() != o.NumEdges() {
+			b.Fatal("bad freeze")
 		}
 	}
 }

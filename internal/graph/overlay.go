@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync/atomic"
 )
 
 // Half is one directed half-edge of an overlay row: the neighbor and the
@@ -21,18 +24,33 @@ type Half struct{ To, W int32 }
 // halves in u's and v's rows, with one weight. The row order is part of
 // the contract, because a generator drawing "the i-th neighbor" reads it:
 // a row starts in the base graph's order, AddEdge appends and RemoveEdge
-// swap-deletes, each in u's row first, then v's. Materialize sorts every
-// row, so snapshots do not depend on it. Overlays are not safe for
-// concurrent mutation.
+// swap-deletes, each in u's row first, then v's. Snapshots do not depend
+// on it: Materialize writes every row ascending by neighbor. Overlays are
+// not safe for concurrent mutation.
+//
+// The overlay keeps its last snapshot — NewOverlay's input, then each
+// Materialize result — and a log of the edits applied since, so the next
+// freeze merges the edits into the snapshot's sorted rows instead of
+// sorting the live ones. The log is dropped when it reaches the edge
+// count, which bounds the memory of an overlay that is never frozen; the
+// next freeze then sorts the live rows and logging resumes from it.
 type Overlay struct {
 	rows        [][]Half
 	vwgt, vsize []int32
 	edges       int64 // undirected edges
 	ewTotal     int64 // Σ edge weights, each edge once
+
+	base *Graph // the last snapshot; nil while nothing is logged
+	log  []edit // the edits applied since base, oldest first
 }
 
+// edit is one logged change of the undirected edge {u,v}: an add with its
+// weight, or a removal with the removed weight negated.
+type edit struct{ u, v, w int32 }
+
 // NewOverlay copies g's rows, vertex weights and sizes. The base graph is
-// never modified.
+// never modified; the overlay keeps it as the snapshot its first freeze
+// merges into, unless a row of g is not strictly ascending.
 func NewOverlay(g *Graph) *Overlay {
 	o := &Overlay{
 		rows:    make([][]Half, g.NumVertices()),
@@ -40,6 +58,7 @@ func NewOverlay(g *Graph) *Overlay {
 		vsize:   append([]int32(nil), g.vsize...),
 		edges:   g.NumEdges(),
 		ewTotal: g.TotalEdgeWeight(),
+		base:    g,
 	}
 	for v := range o.rows {
 		nbrs, ws := g.Neighbors(int32(v)), g.EdgeWeights(int32(v))
@@ -49,6 +68,9 @@ func NewOverlay(g *Graph) *Overlay {
 		row := make([]Half, len(nbrs))
 		for i, u := range nbrs {
 			row[i] = Half{To: u, W: ws[i]}
+			if i > 0 && nbrs[i-1] >= u {
+				o.base = nil
+			}
 		}
 		o.rows[v] = row
 	}
@@ -101,6 +123,7 @@ func (o *Overlay) AddEdge(u, v, w int32) (added bool, err error) {
 	o.rows[v] = append(o.rows[v], Half{To: u, W: w})
 	o.edges++
 	o.ewTotal += int64(w)
+	o.record(u, v, w)
 	return true, nil
 }
 
@@ -116,6 +139,7 @@ func (o *Overlay) RemoveEdge(u, v int32) (w int32, ok bool) {
 	o.unlink(v, u)
 	o.edges--
 	o.ewTotal -= int64(w)
+	o.record(u, v, -w)
 	return w, true
 }
 
@@ -150,17 +174,119 @@ func (o *Overlay) HasEdge(u, v int32) bool {
 	return false
 }
 
+// record appends one edit to the log, or drops the log when it reaches
+// the edge count.
+func (o *Overlay) record(u, v, w int32) {
+	if o.base == nil {
+		return
+	}
+	if int64(len(o.log)) >= o.edges {
+		o.base, o.log = nil, nil
+		return
+	}
+	o.log = append(o.log, edit{u, v, w})
+}
+
 // Materialize freezes the overlay into a fresh immutable CSR graph with
-// its current vertex weights and sizes. The rows are symmetric and
-// duplicate-free by AddEdge's and RemoveEdge's own bookkeeping, so they
-// are copied straight into the CSR by the one direct fill every freeze
-// goes through.
+// its current vertex weights and sizes, through the one direct fill every
+// freeze goes through. With a log, each row is the last snapshot's row
+// merged with the row's edits; without one, the live rows are copied and
+// sorted, and they are symmetric and duplicate-free by AddEdge's and
+// RemoveEdge's own bookkeeping. Either way the snapshot is the same, and
+// it becomes the base the next freeze merges into.
 func (o *Overlay) Materialize() *Graph {
-	return FromSymmetricRows(o.NumVertices(), o.vwgt, o.vsize,
-		func(v int32) int32 { return int32(len(o.rows[v])) },
+	degree := func(v int32) int32 { return int32(len(o.rows[v])) }
+	var g *Graph
+	if o.base != nil {
+		g = o.merge(degree)
+	} else {
+		g = FromSymmetricRows(o.NumVertices(), o.vwgt, o.vsize, degree,
+			func(v int32, to, w []int32) {
+				for i, h := range o.rows[v] {
+					to[i], w[i] = h.To, h.W
+				}
+			}, runtime.GOMAXPROCS(0))
+	}
+	o.base, o.log = g, o.log[:0]
+	return g
+}
+
+// merge writes every row as the base row with its logged edits applied.
+// The log's half-edits are bucketed by row in one counting pass, keeping
+// log order within a row; a row's bucket is then stable-sorted by
+// neighbor, so the last edit of each neighbor decides — present with its
+// weight after an add, absent after a removal — and those net edits are
+// merged into the base row, which is already ascending. A row without
+// edits is the base row, copied. The live rows give only the lengths.
+func (o *Overlay) merge(degree func(v int32) int32) *Graph {
+	n := o.NumVertices()
+	start := make([]int, n+1) // row v's half-edits are halves[start[v]:start[v+1]]
+	for _, e := range o.log {
+		start[e.u+1]++
+		start[e.v+1]++
+	}
+	for v := int32(1); v <= n; v++ {
+		start[v] += start[v-1]
+	}
+	halves := make([]Half, 2*len(o.log))
+	for _, e := range o.log {
+		halves[start[e.u]] = Half{To: e.v, W: e.w}
+		start[e.u]++
+		halves[start[e.v]] = Half{To: e.u, W: e.w}
+		start[e.v]++
+	}
+	copy(start[1:], start[:n]) // each start[v] ran to v's end, v+1's start
+	start[0] = 0
+
+	var bad atomic.Int32 // the lowest row whose merge disagrees with its live length
+	bad.Store(n)
+	base := o.base
+	g := FromSymmetricRows(n, o.vwgt, o.vsize, degree,
 		func(v int32, to, w []int32) {
-			for i, h := range o.rows[v] {
-				to[i], w[i] = h.To, h.W
+			edits := halves[start[v]:start[v+1]]
+			slices.SortStableFunc(edits, func(a, b Half) int { return cmp.Compare(a.To, b.To) })
+			if mergeRow(to, w, base.Neighbors(v), base.EdgeWeights(v), edits) != len(to) {
+				for b := bad.Load(); v < b && !bad.CompareAndSwap(b, v); b = bad.Load() {
+				}
 			}
 		}, runtime.GOMAXPROCS(0))
+	if v := bad.Load(); v < n {
+		panic(fmt.Sprintf("graph: overlay row %d does not merge to its %d live half-edges", v, degree(v)))
+	}
+	return g
+}
+
+// mergeRow writes the ascending row old/oldW with the neighbor-sorted
+// edits applied into to/w and returns the merged length; it writes no
+// further than len(to) and returns len(to)+1 for a longer merge.
+func mergeRow(to, w, old, oldW []int32, edits []Half) int {
+	k, i := 0, 0
+	for j := 0; j < len(edits); j++ {
+		x := edits[j].To
+		for j+1 < len(edits) && edits[j+1].To == x {
+			j++
+		}
+		for ; i < len(old) && old[i] < x; i++ {
+			if k == len(to) {
+				return k + 1
+			}
+			to[k], w[k] = old[i], oldW[i]
+			k++
+		}
+		if i < len(old) && old[i] == x {
+			i++
+		}
+		if edits[j].W > 0 {
+			if k == len(to) {
+				return k + 1
+			}
+			to[k], w[k] = x, edits[j].W
+			k++
+		}
+	}
+	if len(old)-i > len(to)-k {
+		return len(to) + 1
+	}
+	copy(w[k:], oldW[i:])
+	return k + copy(to[k:], old[i:])
 }

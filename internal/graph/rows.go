@@ -18,10 +18,11 @@ import (
 // The degrees are prefix-summed into the offset table, [0, n) is split
 // into `workers` contiguous ranges of near-equal half-edge count
 // (VertexRanges), and each worker copies its rows straight into their
-// final CSR regions and sorts each one ascending by neighbor. Neighbor ids
-// are unique within a row, so that order is total and the result is
-// byte-identical for every worker count — and to Builder.Build fed the
-// same edges. row is called from the workers — once per vertex, different
+// final CSR regions and sorts each one ascending by neighbor. A row that
+// arrives strictly ascending — a copied or merged CSR row — is only
+// checked. Neighbor ids are unique within a row, so that order is total
+// and the result is byte-identical for every worker count — and to
+// Builder.Build fed the same edges. row is called from the workers — once per vertex, different
 // vertices concurrently — so it must not write shared state.
 //
 // Every row entry gets the checks Builder.AddWeightedEdge makes — neighbor
@@ -68,8 +69,9 @@ func FromSymmetricRows(n int32, vwgt, vsize []int32, degree func(v int32) int32,
 	return g
 }
 
-// fillRows fills and sorts the rows of [lo, hi) in place and returns the
-// first violation it meets, "" when there is none. Rows are disjoint
+// fillRows fills the rows of [lo, hi) in place, sorts each one that is
+// not already strictly ascending, and returns the first violation it
+// meets, "" when there is none. Rows are disjoint
 // regions of adj/ewgt, so concurrent calls on disjoint ranges share
 // nothing they write.
 func (g *Graph) fillRows(lo, hi int32, row func(v int32, to, w []int32)) string {
@@ -79,7 +81,7 @@ func (g *Graph) fillRows(lo, hi int32, row func(v int32, to, w []int32)) string 
 		to := g.adj[g.xadj[v]:g.xadj[v+1]]
 		w := g.ewgt[g.xadj[v]:g.xadj[v+1]]
 		row(v, to, w)
-		keys = keys[:0]
+		ascending := true
 		for i, u := range to {
 			switch {
 			case u < 0 || u >= n:
@@ -89,6 +91,13 @@ func (g *Graph) fillRows(lo, hi int32, row func(v int32, to, w []int32)) string 
 			case u == v:
 				return fmt.Sprintf("graph: self-loop on %d", v)
 			}
+			ascending = ascending && (i == 0 || to[i-1] < u)
+		}
+		if ascending {
+			continue // already the sorted row, and a strictly ascending row has no duplicate
+		}
+		keys = keys[:0]
+		for i, u := range to {
 			keys = append(keys, uint64(u)<<32|uint64(w[i]))
 		}
 		slices.Sort(keys)
