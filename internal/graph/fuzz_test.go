@@ -37,12 +37,14 @@ func FuzzParseMETIS(f *testing.F) {
 	f.Add("% comment\n1 0\n\n")
 	f.Add("3 2 100\n7 2\n7 1 3\n7 2\n")
 	f.Add("junk")
-	f.Add("-1 0\n")         // negative n once flowed into make() and panicked
-	f.Add("1 -5\n\n")       // negative m
-	f.Add("2147483648 0\n") // n overflows int32
-	f.Add("2147483640 8\n") // a 2^31-vertex header over an empty body
-	f.Add("3 1\n2\n1\n\n")  // a blank line is vertex 3, with no neighbors
-	f.Add("3 1\n2\n1\n1\n") // vertex 3 lists 1, vertex 1 does not list 3
+	f.Add("-1 0\n")                   // negative n once flowed into make() and panicked
+	f.Add("1 -5\n\n")                 // negative m
+	f.Add("2147483648 0\n")           // n overflows int32
+	f.Add("2147483640 8\n")           // a 2^31-vertex header over an empty body
+	f.Add("3 1\n2\n1\n\n")            // a blank line is vertex 3, with no neighbors
+	f.Add("3 1\n2\n1\n1\n")           // vertex 3 lists 1, vertex 1 does not list 3
+	f.Add("2 1 1011\n1 2 5\n1 1 5\n") // four fmt digits, once read as fmt 101
+	f.Add("2 1 7\n2\n1\n")            // fmt 7, once read as fmt 0
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadMETIS(strings.NewReader(in))
 		if err != nil {

@@ -296,6 +296,28 @@ func TestReadMETISRejectsAsymmetricListing(t *testing.T) {
 	}
 }
 
+// The header's fmt field is one to three 0/1 digits and its ncon field,
+// if present, is 1 and last; anything else is refused, not misread.
+func TestReadMETISRejectsBadHeaderFields(t *testing.T) {
+	for _, in := range []string{
+		"2 1 1011\n1 2 5\n1 1 5\n", // four fmt digits once read as fmt 101
+		"2 1 7\n2\n1\n",            // a fmt digit that is not 0 or 1, once read as fmt 0
+		"2 1 1x\n2 5\n1 5\n",
+		"2 1 1 2\n2 5\n1 5\n",   // ncon 2
+		"2 1 1 x\n2 5\n1 5\n",   // ncon not a number
+		"2 1 1 1 9\n2 5\n1 5\n", // a field after ncon
+	} {
+		if g, err := ReadMETIS(strings.NewReader(in)); err == nil {
+			t.Errorf("%q: accepted, %d edges", in, g.NumEdges())
+		}
+	}
+	for _, in := range []string{"2 1 1 1\n2 5\n1 5\n", "2 1 001\n2 5\n1 5\n", "2 1 01\n2 5\n1 5\n"} {
+		if g, err := ReadMETIS(strings.NewReader(in)); err != nil || g.EdgeWeightBetween(0, 1) != 5 {
+			t.Errorf("%q: %v", in, err)
+		}
+	}
+}
+
 func TestReadMETISErrors(t *testing.T) {
 	cases := []string{
 		"",                       // empty

@@ -66,8 +66,10 @@ func WriteMETIS(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadMETIS parses a METIS .graph stream. It supports fmt codes 0, 1, 10,
-// 11, 100, 110, and 111 and an optional ncon=1 constraint count.
+// ReadMETIS parses a METIS .graph stream. The header is n and m, then an
+// optional fmt code of one to three 0/1 digits — vertex sizes, vertex
+// weights, edge weights, right-aligned — and an optional ncon of 1; any
+// other fmt or ncon, or a fifth field, is an error.
 func ReadMETIS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
@@ -92,12 +94,19 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 	if n64 < 0 || m64 < 0 {
 		return nil, fmt.Errorf("graph: METIS header has negative count: n=%d m=%d", n64, m64)
 	}
+	if len(fields) > 4 {
+		return nil, fmt.Errorf("graph: METIS header has %d fields, at most 4 (n, m, fmt, ncon): %q", len(fields), line)
+	}
+	if len(fields) == 4 && fields[3] != "1" {
+		return nil, fmt.Errorf("graph: METIS header ncon %q, only 1 is supported", fields[3])
+	}
 	var hasVSize, hasVWgt, hasEWgt bool
 	if len(fields) >= 3 {
 		code := fields[2]
-		for len(code) < 3 {
-			code = "0" + code
+		if len(code) > 3 || strings.Trim(code, "01") != "" {
+			return nil, fmt.Errorf("graph: METIS header fmt %q is not one to three 0/1 digits", code)
 		}
+		code = strings.Repeat("0", 3-len(code)) + code
 		hasVSize = code[0] == '1'
 		hasVWgt = code[1] == '1'
 		hasEWgt = code[2] == '1'

@@ -231,14 +231,58 @@ func TestNeighborProfileWorkersAgree(t *testing.T) {
 			want, _, _ := instalments(t, tc.g, tc.k, 1)
 			for _, workers := range []int{2, 8} {
 				got, _, _ := instalments(t, tc.g, tc.k, workers)
-				if !slices.Equal(got.off, want.off) || got.tail != want.tail || len(got.chunks) != len(want.chunks) {
-					t.Fatalf("workers=%d: offsets, tail %d or chunk count %d differ from one worker's (%d, %d)", workers, got.tail, len(got.chunks), want.tail, len(want.chunks))
-				}
-				for c := range want.chunks {
-					if !slices.Equal(got.chunks[c].parts, want.chunks[c].parts) || !slices.Equal(got.chunks[c].ws, want.chunks[c].ws) {
-						t.Fatalf("workers=%d: chunk %d differs from one worker's", workers, c)
+				requireSameTable(t, got, want, fmt.Sprintf("workers=%d", workers))
+			}
+		})
+	}
+}
+
+// requireSameTable demands the same offsets, tail and arena bytes.
+func requireSameTable(t *testing.T, got, want *NeighborProfile, what string) {
+	t.Helper()
+	if !slices.Equal(got.off, want.off) || got.tail != want.tail || len(got.chunks) != len(want.chunks) {
+		t.Fatalf("%s: offsets, tail %d or chunk count %d differ from the reference's (%d, %d)", what, got.tail, len(got.chunks), want.tail, len(want.chunks))
+	}
+	for c := range want.chunks {
+		if !slices.Equal(got.chunks[c].parts, want.chunks[c].parts) || !slices.Equal(got.chunks[c].ws, want.chunks[c].ws) {
+			t.Fatalf("%s: chunk %d differs from the reference's", what, c)
+		}
+	}
+}
+
+// TestNeighborProfileRepeatedIDs: a vertex listed more than once gets one
+// segment, and the table is the one the same call builds from the list
+// without the repeats — for a list in any order and an ascending one, at
+// one worker and at two.
+func TestNeighborProfileRepeatedIDs(t *testing.T) {
+	for _, tc := range profileGraphs() {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			p := randomPartitioning(tc.g, tc.k, rng)
+			var distinct, repeated []int32
+			for v := int32(0); v < tc.g.NumVertices(); v++ {
+				if rng.Intn(3) == 0 {
+					distinct = append(distinct, v)
+					for r := rng.Intn(3); r >= 0; r-- {
+						repeated = append(repeated, v)
 					}
 				}
+			}
+			shuffled := slices.Clone(repeated)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			for _, workers := range []int{1, 2} {
+				build := func(vs []int32) *NeighborProfile {
+					np, err := NewNeighborProfile(tc.g, tc.k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					np.Materialize(tc.g, p.Assign, nil, vs, workers)
+					return np
+				}
+				want := build(distinct)
+				checkSegments(t, tc.g, want, p.Assign, tc.k)
+				requireSameTable(t, build(repeated), want, fmt.Sprintf("ascending, workers=%d", workers))
+				requireSameTable(t, build(shuffled), want, fmt.Sprintf("shuffled, workers=%d", workers))
 			}
 		})
 	}

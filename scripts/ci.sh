@@ -62,16 +62,27 @@ go test -race -cpu=1,4 ./internal/session/
 # their tests assert the output is byte-identical at every worker count.
 go test -race -cpu=1,4 ./internal/graph/ ./internal/partition/
 
-# The direct CSR fill against the Builder reference on fuzzed edge sets,
-# for a fixed short time (the seed corpus alone runs in every `go test`).
-go test -run='^$' -fuzz=FuzzFromSymmetricRows -fuzztime=5s ./internal/graph/
+# Fuzz steps, each for a fixed short time (the seed corpus alone runs in
+# every `go test`). Minimizing a new input is capped at 100 runs, so the
+# 5 s keep exploring instead of spending themselves on one shrink (the
+# default cap is 60 s).
+fuzz() { go test -run='^$' -fuzz="$1" -fuzztime=5s -fuzzminimizetime=100x "$2"; }
+# The direct CSR fill against the Builder reference on fuzzed edge sets.
+fuzz FuzzFromSymmetricRows ./internal/graph/
 # The binary reader on fuzzed bytes: an error, or a graph that passes
 # Validate and freezes through an overlay into the same bytes.
-go test -run='^$' -fuzz=FuzzReadBinary -fuzztime=5s ./internal/graph/
+fuzz FuzzReadBinary ./internal/graph/
+# The overlay's merging freeze on fuzzed edit schedules: after every
+# freeze, the bytes of the sorted fill of the live rows.
+fuzz FuzzOverlayFreeze ./internal/graph/
+# A graph any reader accepts opens a session, takes a batch and drains,
+# freezes into the sorted fill of its rows, and refines to a valid
+# decomposition.
+fuzz FuzzSessionInput ./internal/session/
 # The journal reader on fuzzed bytes: an error, or a directory whose
 # snapshot re-packs to its own hash; a cut or bit-flipped journal
 # recovers to the last epoch it committed before the damage.
-go test -run='^$' -fuzz=FuzzJournal -fuzztime=5s ./internal/dir/
+fuzz FuzzJournal ./internal/dir/
 
 # Obs determinism end to end: the same seeded faulty run at -workers 1
 # and 8 must serialize byte-identical trace and metrics files — the
