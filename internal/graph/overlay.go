@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync/atomic"
 )
 
 // Half is one directed half-edge of an overlay row: the neighbor and the
@@ -238,38 +237,25 @@ func (o *Overlay) merge(degree func(v int32) int32) *Graph {
 	copy(start[1:], start[:n]) // each start[v] ran to v's end, v+1's start
 	start[0] = 0
 
-	var bad atomic.Int32 // the lowest row whose merge disagrees with its live length
-	bad.Store(n)
 	base := o.base
-	g := FromSymmetricRows(n, o.vwgt, o.vsize, degree,
+	return FromSymmetricRows(n, o.vwgt, o.vsize, degree,
 		func(v int32, to, w []int32) {
 			edits := halves[start[v]:start[v+1]]
 			slices.SortStableFunc(edits, func(a, b Half) int { return cmp.Compare(a.To, b.To) })
-			if mergeRow(to, w, base.Neighbors(v), base.EdgeWeights(v), edits) != len(to) {
-				for b := bad.Load(); v < b && !bad.CompareAndSwap(b, v); b = bad.Load() {
-				}
-			}
+			mergeRow(to, w, base.Neighbors(v), base.EdgeWeights(v), edits)
 		}, runtime.GOMAXPROCS(0))
-	if v := bad.Load(); v < n {
-		panic(fmt.Sprintf("graph: overlay row %d does not merge to its %d live half-edges", v, degree(v)))
-	}
-	return g
 }
 
 // mergeRow writes the ascending row old/oldW with the neighbor-sorted
-// edits applied into to/w and returns the merged length; it writes no
-// further than len(to) and returns len(to)+1 for a longer merge.
-func mergeRow(to, w, old, oldW []int32, edits []Half) int {
+// edits applied into to/w, whose length is the live row's.
+func mergeRow(to, w, old, oldW []int32, edits []Half) {
 	k, i := 0, 0
 	for j := 0; j < len(edits); j++ {
 		x := edits[j].To
 		for j+1 < len(edits) && edits[j+1].To == x {
-			j++
+			j++ // the last edit of x decides
 		}
 		for ; i < len(old) && old[i] < x; i++ {
-			if k == len(to) {
-				return k + 1
-			}
 			to[k], w[k] = old[i], oldW[i]
 			k++
 		}
@@ -277,16 +263,10 @@ func mergeRow(to, w, old, oldW []int32, edits []Half) int {
 			i++
 		}
 		if edits[j].W > 0 {
-			if k == len(to) {
-				return k + 1
-			}
 			to[k], w[k] = x, edits[j].W
 			k++
 		}
 	}
-	if len(old)-i > len(to)-k {
-		return len(to) + 1
-	}
+	copy(to[k:], old[i:])
 	copy(w[k:], oldW[i:])
-	return k + copy(to[k:], old[i:])
 }

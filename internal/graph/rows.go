@@ -22,8 +22,9 @@ import (
 // arrives strictly ascending — a copied or merged CSR row — is only
 // checked. Neighbor ids are unique within a row, so that order is total
 // and the result is byte-identical for every worker count — and to
-// Builder.Build fed the same edges. row is called from the workers — once per vertex, different
-// vertices concurrently — so it must not write shared state.
+// Builder.Build fed the same edges. row is called from the workers — once
+// per vertex, different vertices concurrently — so it must not write
+// shared state.
 //
 // Every row entry gets the checks Builder.AddWeightedEdge makes — neighbor
 // in range, positive weight — plus the two inputs Build would paper over:
@@ -71,9 +72,8 @@ func FromSymmetricRows(n int32, vwgt, vsize []int32, degree func(v int32) int32,
 
 // fillRows fills the rows of [lo, hi) in place, sorts each one that is
 // not already strictly ascending, and returns the first violation it
-// meets, "" when there is none. Rows are disjoint
-// regions of adj/ewgt, so concurrent calls on disjoint ranges share
-// nothing they write.
+// meets, "" when there is none. Rows are disjoint regions of adj/ewgt, so
+// concurrent calls on disjoint ranges share nothing they write.
 func (g *Graph) fillRows(lo, hi int32, row func(v int32, to, w []int32)) string {
 	n := g.NumVertices()
 	var keys []uint64 // (neighbor << 32 | weight) per entry of the row being sorted
