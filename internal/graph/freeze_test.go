@@ -121,21 +121,6 @@ func TestOverlayLogOverflow(t *testing.T) {
 	freezeChecked(t, o)
 }
 
-// TestOverlayBaseNotAscending: a base with a row out of order is not kept
-// as a base, and the first freeze sorts the live rows.
-func TestOverlayBaseNotAscending(t *testing.T) {
-	g := buildPath(4)
-	g.adj[1], g.adj[2] = g.adj[2], g.adj[1] // vertex 1's row: 2, 0
-	o := NewOverlay(g)
-	if o.base != nil {
-		t.Fatal("an unsorted base was kept")
-	}
-	o.AddEdge(0, 3, 2)
-	if m := freezeChecked(t, o); m.Neighbors(1)[0] != 0 {
-		t.Fatalf("row 1 froze as %v", m.Neighbors(1))
-	}
-}
-
 // runFreezeSchedule reads a schedule from bytes, four per step — an add,
 // a removal, a SetVertex, a freeze or a row emptied, on ids taken modulo
 // n — over randomSymRows(n, seed) frozen, checks every freeze, and

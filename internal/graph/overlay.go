@@ -49,7 +49,8 @@ type edit struct{ u, v, w int32 }
 
 // NewOverlay copies g's rows, vertex weights and sizes. The base graph is
 // never modified; the overlay keeps it as the snapshot its first freeze
-// merges into, unless a row of g is not strictly ascending.
+// merges into, whose rows are ascending as every Graph constructor writes
+// them.
 func NewOverlay(g *Graph) *Overlay {
 	o := &Overlay{
 		rows:    make([][]Half, g.NumVertices()),
@@ -67,9 +68,6 @@ func NewOverlay(g *Graph) *Overlay {
 		row := make([]Half, len(nbrs))
 		for i, u := range nbrs {
 			row[i] = Half{To: u, W: ws[i]}
-			if i > 0 && nbrs[i-1] >= u {
-				o.base = nil
-			}
 		}
 		o.rows[v] = row
 	}

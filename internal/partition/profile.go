@@ -128,10 +128,11 @@ func (np *NeighborProfile) Materialized(v int32) bool { return np.off[v] >= 0 }
 
 // Materialize gives every vertex of vs whose mask bit is set (a nil mask
 // admits all) and that has no segment yet one, filled from assign; vs
-// lists vertices in any order, and a repeated one gets one segment. Cost O(len(vs)) to find the new
-// ones, O(new + k) to lay them out at the arena's tail by (owner, id) — a
-// serial counting sort of their slots in two ascending-id passes — plus
-// O(Σ deg) over them to fill; the chunks the offsets reach are allocated.
+// lists vertices in any order, and a repeated one gets one segment. Cost
+// O(len(vs)) to find the new ones, O(new + k) to lay them out at the
+// arena's tail by (owner, id) — a serial counting sort of their slots in
+// two ascending-id passes — plus O(Σ deg) over them to fill; the chunks
+// the offsets reach are allocated.
 // The new segments are disjoint, so `workers` goroutines fill them over
 // runs of near-equal half-edge count, each with its own accumulators: the
 // table is byte-identical for every worker count. Must not run
@@ -143,15 +144,14 @@ func (np *NeighborProfile) Materialize(g *graph.Graph, assign []int32, mask *Bit
 			fresh = append(fresh, v)
 		}
 	}
+	np.fresh = fresh
 	if len(fresh) == 0 {
-		np.fresh = fresh
 		return
 	}
 	if !slices.IsSorted(fresh) {
 		slices.Sort(fresh)
 	}
 	fresh = slices.Compact(fresh)
-	np.fresh = fresh
 	// start[q+1] counts owner q's slots, then start[q] is where its region
 	// begins (inside int32 by the constructor's check).
 	start := np.start

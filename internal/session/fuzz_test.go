@@ -2,7 +2,6 @@ package session
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"paragon/internal/dyn"
@@ -13,29 +12,14 @@ import (
 	"paragon/internal/topology"
 )
 
-// sortedFill is the freeze a session made before the overlay kept an
-// edit log: the live rows copied into graph.FromSymmetricRows, which sorts
-// each one. Vertex sizes are g0's; the fuzzed sessions have no arrivals.
-func sortedFill(s *Session, g0 *graph.Graph) *graph.Graph {
-	vwgt, vsize := make([]int32, s.cap), make([]int32, s.cap)
-	for v := range vwgt {
-		vwgt[v], vsize[v] = s.g.VertexWeight(int32(v)), g0.VertexSize(int32(v))
-	}
-	return graph.FromSymmetricRows(s.cap, vwgt, vsize,
-		func(v int32) int32 { return int32(len(s.g.Row(v))) },
-		func(v int32, to, w []int32) {
-			for i, h := range s.g.Row(v) {
-				to[i], w[i] = h.To, h.W
-			}
-		}, 1)
-}
-
 // FuzzSessionInput feeds bytes through a graph reader — ReadBinary,
 // ReadMETIS or ReadEdgeList, chosen by the first byte — and holds what a
 // reader accepts, with at least two vertices, to what the stack promises
 // it: a session at k = 2 opens on it, takes a batch of adds and removes
-// and drains, and its overlay then freezes into the sorted fill of its
-// rows; one Refine at k = 2 leaves a valid decomposition.
+// and drains, and the overlay's next freeze is the graph its live rows
+// describe (builderFreeze, the reference TestSessionFreezeMatchesBuilder
+// holds every launch to); one Refine at k = 2 leaves a valid
+// decomposition.
 func FuzzSessionInput(f *testing.F) {
 	var bin bytes.Buffer
 	if err := graph.WriteBinary(&bin, gen.RMAT(40, 120, 0.57, 0.19, 0.19, 3)); err != nil {
@@ -56,7 +40,7 @@ func FuzzSessionInput(f *testing.F) {
 		case 0:
 			g0, err = graph.ReadBinary(body)
 		case 1:
-			g0, err = graph.ReadMETIS(strings.NewReader(string(in[1:])))
+			g0, err = graph.ReadMETIS(body)
 		default:
 			g0, err = graph.ReadEdgeList(body)
 		}
@@ -92,7 +76,7 @@ func FuzzSessionInput(f *testing.F) {
 		if _, err := s.Drain(); err != nil {
 			t.Fatalf("Drain: %v", err)
 		}
-		requireSameGraph(t, s.g.Materialize(), sortedFill(s, g0))
+		requireSameGraph(t, s.g.Materialize(), builderFreeze(s, g0))
 
 		p := p0.Clone()
 		rcfg := paragon.DefaultConfig()

@@ -76,7 +76,7 @@ fuzz FuzzReadBinary ./internal/graph/
 # freeze, the bytes of the sorted fill of the live rows.
 fuzz FuzzOverlayFreeze ./internal/graph/
 # A graph any reader accepts opens a session, takes a batch and drains,
-# freezes into the sorted fill of its rows, and refines to a valid
+# freezes into the graph its live rows describe, and refines to a valid
 # decomposition.
 fuzz FuzzSessionInput ./internal/session/
 # The journal reader on fuzzed bytes: an error, or a directory whose
