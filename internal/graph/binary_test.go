@@ -76,6 +76,17 @@ func TestBinaryErrors(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(bad2)); err == nil {
 		t.Fatal("bad version accepted")
 	}
+	// An empty graph whose one offset is not 0 once passed validation and
+	// froze into different bytes.
+	var empty bytes.Buffer
+	if err := WriteBinary(&empty, buildPath(0)); err != nil {
+		t.Fatal(err)
+	}
+	bad4 := append([]byte(nil), empty.Bytes()...)
+	bad4[24+3] = 0x15 // xadj[0] = 0x15 << 24
+	if _, err := ReadBinary(bytes.NewReader(bad4)); err == nil {
+		t.Fatal("an empty graph with xadj[0] != 0 accepted")
+	}
 	// Corrupted payload (asymmetric edge) must fail validation.
 	bad3 := append([]byte(nil), full...)
 	bad3[len(bad3)-1] ^= 0xff // flips a vsize byte -> negative size

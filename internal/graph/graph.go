@@ -147,10 +147,10 @@ func (g *Graph) Validate() error {
 	}
 	// Offset sanity first: every later check indexes adj via xadj, so a
 	// corrupt offset table must be rejected before it can be followed.
+	if len(g.xadj) > 0 && g.xadj[0] != 0 { // n = 0 too: a binary file still carries xadj[0]
+		return fmt.Errorf("graph: xadj[0] = %d, want 0", g.xadj[0])
+	}
 	if n > 0 {
-		if g.xadj[0] != 0 {
-			return fmt.Errorf("graph: xadj[0] = %d, want 0", g.xadj[0])
-		}
 		if g.xadj[n] != int64(len(g.adj)) {
 			return fmt.Errorf("graph: xadj[n] = %d, want adj length %d", g.xadj[n], len(g.adj))
 		}
