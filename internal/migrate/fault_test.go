@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"paragon/internal/faultsim"
 	"paragon/internal/gen"
+	"paragon/internal/partition"
 	"paragon/internal/stream"
 )
 
@@ -241,5 +243,85 @@ func TestExecuteFaultSweepAtomic(t *testing.T) {
 		if a1 != a2 || n1 != n2 {
 			t.Fatalf("seed %d nondeterministic: (%v,%d) vs (%v,%d)", seed, a1, n1, a2, n2)
 		}
+	}
+}
+
+// The hooks run on the caller's goroutine in plan order, so they may
+// write plain maps. The plan sends from and to every rank: every third
+// vertex of a 40×40 mesh moves one rank on at k = 8. Save and Restore
+// see the plan's vertices in plan order on commit and, under a scripted
+// abort, on rollback.
+func TestExecuteHooksRunInPlanOrder(t *testing.T) {
+	g := gen.Mesh2D(40, 40)
+	const k = 8
+	old := stream.HP(g, k)
+	now := old.Clone()
+	for v := int32(0); v < g.NumVertices(); v += 3 {
+		now.Assign[v] = (now.Assign[v] + 1) % k
+	}
+	plan, err := NewPlan(old, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int32, len(plan.Moves))
+	for i, m := range plan.Moves {
+		order[i] = m.Vertex
+	}
+	abortAt := len(plan.Moves) / 2
+	for _, tc := range []struct {
+		name   string
+		fab    *faultsim.Injector
+		want   []int32
+		verify *partition.Partitioning
+	}{
+		{"commit", nil, order, now},
+		{"rollback", faultsim.NewInjector(faultsim.Config{Script: []faultsim.Event{
+			{Kind: faultsim.KindAbort, Round: 0, Index: abortAt},
+		}}), order[:abortAt], old},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			saved := map[int32][]byte{}
+			restored := map[int32][]byte{}
+			var saveOrder, restoreOrder []int32
+			ctx := AppContext{
+				Save: func(v int32) []byte {
+					saved[v] = binary.LittleEndian.AppendUint32(nil, uint32(v))
+					saveOrder = append(saveOrder, v)
+					return saved[v]
+				},
+				Restore: func(v int32, data []byte) {
+					restored[v] = data
+					restoreOrder = append(restoreOrder, v)
+				},
+			}
+			stores := BuildStores(g, old)
+			st, err := ExecuteWith(stores, plan, ctx, tc.fab)
+			if tc.fab == nil {
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < k; r++ {
+					if st.PerRankSent[r] == 0 || st.PerRankRecv[r] == 0 {
+						t.Fatalf("rank %d sent %d and received %d; the plan must touch every rank", r, st.PerRankSent[r], st.PerRankRecv[r])
+					}
+				}
+			} else if !errors.Is(err, ErrAborted) {
+				t.Fatalf("err = %v, want ErrAborted", err)
+			}
+			if !slices.Equal(saveOrder, tc.want) {
+				t.Fatalf("Save saw %d vertices out of plan order, want the plan's first %d", len(saveOrder), len(tc.want))
+			}
+			if !slices.Equal(restoreOrder, tc.want) {
+				t.Fatalf("Restore saw %d vertices out of plan order, want the plan's first %d", len(restoreOrder), len(tc.want))
+			}
+			for _, v := range tc.want {
+				if !bytes.Equal(restored[v], saved[v]) {
+					t.Fatalf("vertex %d: restored %v, saved %v", v, restored[v], saved[v])
+				}
+			}
+			if err := Verify(stores, g, tc.verify); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

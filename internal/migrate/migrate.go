@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"paragon/internal/faultsim"
 	"paragon/internal/graph"
@@ -113,17 +112,6 @@ func DecodePlan(data []byte) (*Plan, error) {
 	return p, nil
 }
 
-// SendsFrom returns the moves departing a rank.
-func (p *Plan) SendsFrom(rank int32) []Move {
-	var out []Move
-	for _, m := range p.Moves {
-		if m.From == rank {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // VertexData is the graph payload of one vertex held by a rank store.
 type VertexData struct {
 	Adj     []int32
@@ -159,8 +147,10 @@ func BuildStores(g *graph.Graph, p *partition.Partitioning) []*Store {
 
 // AppContext lets the application carry per-vertex state across a
 // migration, as §5 requires: Save is called on the sender before the
-// vertex departs, Restore on the receiver after it arrives. Either hook
-// may be nil.
+// vertex departs, Restore on the receiver after it arrives (or on the
+// sender again, when the migration rolls back). Both run on the caller's
+// goroutine, one vertex at a time in plan order, so they may write plain
+// maps. Either hook may be nil.
 type AppContext struct {
 	Save    func(v int32) []byte
 	Restore func(v int32, data []byte)
@@ -176,50 +166,48 @@ type Stats struct {
 	RolledBack    int64 // vertices that departed and were restored to their sender
 }
 
-// Execute runs the migration: one goroutine per rank exchanges vertex
-// payloads over channels according to the plan, invoking the application
-// hooks around each move. Stores are updated in place.
+// Execute runs the migration: every move of the plan ships its vertex
+// payload from the sender's store to the receiver's, invoking the
+// application hooks around each move. Stores are updated in place.
 func Execute(stores []*Store, plan *Plan, ctx AppContext) (Stats, error) {
 	return ExecuteWith(stores, plan, ctx, nil)
 }
 
 // validatePlan rejects malformed plans before any store is touched:
 // out-of-range ranks, degenerate moves, and conflicting moves (the same
-// vertex scheduled twice). It returns the vertex -> plan-index map the
-// abort machinery needs.
-func validatePlan(plan *Plan, k int32) (map[int32]int, error) {
+// vertex scheduled twice).
+func validatePlan(plan *Plan, k int32) error {
 	index := make(map[int32]int, len(plan.Moves))
 	for i, m := range plan.Moves {
 		if m.From < 0 || m.From >= k || m.To < 0 || m.To >= k {
-			return nil, fmt.Errorf("migrate: move %d sends vertex %d between out-of-range ranks %d -> %d (k=%d)", i, m.Vertex, m.From, m.To, k)
+			return fmt.Errorf("migrate: move %d sends vertex %d between out-of-range ranks %d -> %d (k=%d)", i, m.Vertex, m.From, m.To, k)
 		}
 		if m.From == m.To {
-			return nil, fmt.Errorf("migrate: move %d is degenerate: vertex %d stays on rank %d", i, m.Vertex, m.From)
+			return fmt.Errorf("migrate: move %d is degenerate: vertex %d stays on rank %d", i, m.Vertex, m.From)
 		}
 		if j, dup := index[m.Vertex]; dup {
-			return nil, fmt.Errorf("migrate: conflicting plan: vertex %d scheduled by moves %d and %d", m.Vertex, j, i)
+			return fmt.Errorf("migrate: conflicting plan: vertex %d scheduled by moves %d and %d", m.Vertex, j, i)
 		}
 		index[m.Vertex] = i
 	}
-	return index, nil
+	return nil
 }
 
 // ExecuteWith is Execute under a fault fabric (nil = fault-free). The
-// migration is a transaction: senders journal every departing vertex,
-// receivers stage arrivals without applying them, and only a
-// fully-staged plan commits. If the fabric aborts the migration mid-plan
-// (or a sender finds a vertex missing), every journaled departure is
-// restored to its sender — application context included, via the Restore
-// hook — and ExecuteWith returns ErrAborted (or the protocol error).
-// Either way Verify holds afterwards: against the new decomposition on
-// commit, against the old one on rollback.
+// migration is a transaction: every departing vertex is journaled in plan
+// order and staged, and only a fully-staged plan commits. If the fabric
+// aborts the migration mid-plan (or a sender finds a vertex missing),
+// every journaled departure is restored to its sender — application
+// context included, via the Restore hook — and ExecuteWith returns
+// ErrAborted (or the protocol error). Either way Verify holds afterwards:
+// against the new decomposition on commit, against the old one on
+// rollback.
 func ExecuteWith(stores []*Store, plan *Plan, ctx AppContext, fab *faultsim.Injector) (Stats, error) {
 	k := int32(len(stores))
 	if plan.K != k {
 		return Stats{}, fmt.Errorf("migrate: plan for %d ranks, %d stores", plan.K, k)
 	}
-	moveIndex, err := validatePlan(plan, k)
-	if err != nil {
+	if err := validatePlan(plan, k); err != nil {
 		return Stats{}, err
 	}
 	// The abort point is fixed up front from the schedule: the first plan
@@ -236,104 +224,62 @@ func ExecuteWith(stores []*Store, plan *Plan, ctx AppContext, fab *faultsim.Inje
 		}
 	}
 	type parcel struct {
-		vertex int32
-		data   *VertexData
+		m    Move
+		data *VertexData
 	}
-	// Channel fabric: inbox per rank, buffered to the plan size so
-	// senders never block on slow receivers.
-	inbox := make([]chan parcel, k)
-	for r := range inbox {
-		inbox[r] = make(chan parcel, len(plan.Moves)+1)
-	}
+	// Staging walks the plan up to the abort point and journals each
+	// departure in plan order. A missing vertex is a protocol violation;
+	// the lowest one is reported.
 	stats := Stats{PerRankSent: make([]int64, k), PerRankRecv: make([]int64, k)}
-	perRankBytes := make([]int64, k)
-	journal := make([][]parcel, k) // per sender: departed vertices, in send order
-	missing := make([][]int32, k)  // per sender: vertices absent at send time
-
-	var wg sync.WaitGroup
-	for r := int32(0); r < k; r++ {
-		wg.Add(1)
-		go func(r int32) {
-			defer wg.Done()
-			st := stores[r]
-			for _, m := range plan.SendsFrom(r) {
-				if moveIndex[m.Vertex] >= abortAt {
-					continue // the migration dies before this send
-				}
-				vd, ok := st.Vertices[m.Vertex]
-				if !ok {
-					missing[r] = append(missing[r], m.Vertex)
-					continue
-				}
-				if ctx.Save != nil {
-					vd.App = ctx.Save(m.Vertex)
-				}
-				delete(st.Vertices, m.Vertex)
-				journal[r] = append(journal[r], parcel{m.Vertex, vd})
-				inbox[m.To] <- parcel{m.Vertex, vd}
-				perRankBytes[r] += payloadBytes(vd)
-				stats.PerRankSent[r]++
+	journal := make([]parcel, 0, abortAt)
+	missing := -1
+	for i, m := range plan.Moves[:abortAt] {
+		vd, ok := stores[m.From].Vertices[m.Vertex]
+		if !ok {
+			if missing < 0 || m.Vertex < plan.Moves[missing].Vertex {
+				missing = i
 			}
-		}(r)
+			continue
+		}
+		if ctx.Save != nil {
+			vd.App = ctx.Save(m.Vertex)
+		}
+		delete(stores[m.From].Vertices, m.Vertex)
+		journal = append(journal, parcel{m, vd})
+		stats.MovedVertices++
+		stats.MovedBytes += payloadBytes(vd)
+		stats.PerRankSent[m.From]++
+		stats.PerRankRecv[m.To]++
 	}
-	wg.Wait()
 
-	// Deterministic verdict: a protocol violation outranks a scheduled
-	// abort, and the reported vertex is the lowest missing one however
-	// the goroutines interleaved.
+	// A protocol violation outranks a scheduled abort.
 	var verdict error
-	var missingAll []int32
-	for r := int32(0); r < k; r++ {
-		missingAll = append(missingAll, missing[r]...)
-	}
-	if len(missingAll) > 0 {
-		sort.Slice(missingAll, func(i, j int) bool { return missingAll[i] < missingAll[j] })
-		v := missingAll[0]
-		verdict = fmt.Errorf("migrate: rank %d does not hold vertex %d; rolled back", plan.Moves[moveIndex[v]].From, v)
+	if missing >= 0 {
+		m := plan.Moves[missing]
+		verdict = fmt.Errorf("migrate: rank %d does not hold vertex %d; rolled back", m.From, m.Vertex)
 	} else if abortAt < len(plan.Moves) {
 		verdict = fmt.Errorf("migrate: fault at plan move %d of %d: %w", abortAt, len(plan.Moves), ErrAborted)
 	}
 
-	if verdict != nil {
-		// Rollback: discard everything in flight and restore each
-		// journaled departure to its sender, handing the application
-		// context back through the Restore hook at the origin rank.
-		for r := int32(0); r < k; r++ {
-			close(inbox[r])
-			for range inbox[r] {
-			}
-			for _, pc := range journal[r] {
-				stores[r].Vertices[pc.vertex] = pc.data
-				if ctx.Restore != nil {
-					ctx.Restore(pc.vertex, pc.data.App)
-				}
-				stats.RolledBack++
-			}
+	// Commit delivers each journaled parcel to its receiver; rollback
+	// restores it to its sender. Either way the application context is
+	// handed back through the Restore hook, in plan order.
+	for _, pc := range journal {
+		r := pc.m.To
+		if verdict != nil {
+			r = pc.m.From
 		}
-		stats.Aborted = true
-		stats.PerRankSent = make([]int64, k) // nothing moved
-		return stats, verdict
+		stores[r].Vertices[pc.m.Vertex] = pc.data
+		if ctx.Restore != nil {
+			ctx.Restore(pc.m.Vertex, pc.data.App)
+		}
 	}
-
-	// Commit phase: all sends staged, drain inboxes into the stores.
-	for r := int32(0); r < k; r++ {
-		wg.Add(1)
-		go func(r int32) {
-			defer wg.Done()
-			close(inbox[r])
-			for pc := range inbox[r] {
-				stores[r].Vertices[pc.vertex] = pc.data
-				if ctx.Restore != nil {
-					ctx.Restore(pc.vertex, pc.data.App)
-				}
-				stats.PerRankRecv[r]++
-			}
-		}(r)
-	}
-	wg.Wait()
-	for r := int32(0); r < k; r++ {
-		stats.MovedBytes += perRankBytes[r]
-		stats.MovedVertices += stats.PerRankSent[r]
+	if verdict != nil {
+		// Nothing moved.
+		return Stats{
+			PerRankSent: make([]int64, k), PerRankRecv: make([]int64, k),
+			Aborted: true, RolledBack: int64(len(journal)),
+		}, verdict
 	}
 	return stats, nil
 }

@@ -30,9 +30,6 @@ func TestNewPlanDiff(t *testing.T) {
 	if plan.Moves[1] != (Move{Vertex: 3, From: 2, To: 0}) {
 		t.Fatalf("second move = %+v", plan.Moves[1])
 	}
-	if got := plan.SendsFrom(0); len(got) != 1 || got[0].Vertex != 1 {
-		t.Fatalf("SendsFrom(0) = %v", got)
-	}
 }
 
 func TestNewPlanErrors(t *testing.T) {
