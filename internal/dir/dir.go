@@ -68,13 +68,9 @@ var ErrPublishCrashed = fmt.Errorf("publisher crashed between prepare and flip: 
 // forwardable state.
 var ErrFutureEpoch = errors.New("lookup pinned to an uncommitted epoch")
 
-// Options tunes a Directory. The zero value is usable: 2^16-vertex
-// shards, no fault injection, no observability.
+// Options tunes a Directory. The zero value is usable: no fault
+// injection, no observability.
 type Options struct {
-	// ShardBits is log2 of the vertex-id range covered by one shard
-	// (default 16, clamped to [6, 24]). Smaller shards make epoch flips
-	// cheaper (less copy-on-write) at slightly more pointer chasing.
-	ShardBits int
 	// Fabric optionally injects publish-phase faults: prepare/commit
 	// journal appends may be dropped (retried after faultsim.Backoff), the
 	// publisher may crash between prepare and flip, and a straggler delay
@@ -92,18 +88,13 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o Options) withDefaults() Options {
-	if o.ShardBits == 0 {
-		o.ShardBits = 16
-	}
-	if o.ShardBits < 6 {
-		o.ShardBits = 6
-	}
-	if o.ShardBits > 24 {
-		o.ShardBits = 24
-	}
-	return o
-}
+// shardBits is log2 of the vertex-id range covered by one shard of a
+// new directory: 2^16-vertex shards. Smaller shards make epoch flips
+// cheaper (less copy-on-write) at slightly more pointer chasing; tests
+// lower it, within the [6, 24] a base record may carry, to exercise many
+// shards on small inputs. The base record stores the width, so Recover
+// rebuilds from the width it reads.
+var shardBits uint = 16
 
 // fsyncTicks is the virtual-clock cost of one modeled journal fsync.
 const fsyncTicks = 2
@@ -273,11 +264,10 @@ func newDirMetrics(r *obs.Registry) dirMetrics {
 // number of goroutines and never block; publishes are serialized
 // internally (last caller wins the next epoch number).
 type Directory struct {
-	opts Options
-	fab  *faultsim.Injector
-	clk  *faultsim.Clock
-	tr   *obs.Tracer
-	mx   dirMetrics
+	fab *faultsim.Injector
+	clk *faultsim.Clock
+	tr  *obs.Tracer
+	mx  dirMetrics
 
 	cur atomic.Pointer[Snapshot]
 
@@ -299,13 +289,12 @@ func New(assign []int32, k int32, opts Options) (*Directory, error) {
 			return nil, fmt.Errorf("dir: vertex %d assigned to %d outside [0,%d)", v, r, k)
 		}
 	}
-	opts = opts.withDefaults()
 	d := &Directory{
-		opts: opts, fab: opts.Fabric, clk: opts.Clock, tr: opts.Trace,
+		fab: opts.Fabric, clk: opts.Clock, tr: opts.Trace,
 		mx: newDirMetrics(opts.Metrics),
 	}
-	s0 := buildSnapshot(assign, k, uint(opts.ShardBits), 0)
-	d.j = appendBaseRecord(d.j, assign, k, uint(opts.ShardBits))
+	s0 := buildSnapshot(assign, k, shardBits, 0)
+	d.j = appendBaseRecord(d.j, assign, k, shardBits)
 	d.mx.journalBytes.Add(int64(len(d.j)))
 	d.advance(fsyncTicks)
 	d.cur.Store(s0)

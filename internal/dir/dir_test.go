@@ -32,9 +32,18 @@ func mustNew(t testing.TB, assign []int32, k int32, opts Options) *Directory {
 	return d
 }
 
+// withShardBits sets the shard width of the directories a test builds and
+// restores the default when the test ends.
+func withShardBits(t testing.TB, bits uint) {
+	old := shardBits
+	shardBits = bits
+	t.Cleanup(func() { shardBits = old })
+}
+
 func TestNewAndLookup(t *testing.T) {
 	assign := testAssign(1000, 7, 1)
-	d := mustNew(t, assign, 7, Options{ShardBits: 8})
+	withShardBits(t, 8)
+	d := mustNew(t, assign, 7, Options{})
 	if d.Epoch() != 0 {
 		t.Fatalf("fresh directory epoch = %d, want 0", d.Epoch())
 	}
@@ -60,7 +69,8 @@ func TestNewAndLookup(t *testing.T) {
 
 func TestPublishFlipsEpochAndPreservesOldSnapshot(t *testing.T) {
 	assign := testAssign(600, 4, 2)
-	d := mustNew(t, assign, 4, Options{ShardBits: 7})
+	withShardBits(t, 7)
+	d := mustNew(t, assign, 4, Options{})
 	before := d.Current()
 	moves := []migrate.Move{
 		{Vertex: 5, From: assign[5], To: (assign[5] + 1) % 4},
@@ -125,7 +135,8 @@ func TestPublishValidation(t *testing.T) {
 
 func TestPublishAssignDiffsAgainstLiveEpoch(t *testing.T) {
 	assign := testAssign(500, 5, 4)
-	d := mustNew(t, assign, 5, Options{ShardBits: 6})
+	withShardBits(t, 6)
+	d := mustNew(t, assign, 5, Options{})
 	target := append([]int32(nil), assign...)
 	for v := 0; v < 500; v += 3 {
 		target[v] = (target[v] + 1) % 5
@@ -268,7 +279,8 @@ func TestPublishRetryBudgetExhausted(t *testing.T) {
 
 func TestCopyOnWriteSharesUntouchedShards(t *testing.T) {
 	assign := testAssign(1<<10, 4, 10)
-	d := mustNew(t, assign, 4, Options{ShardBits: 6}) // 16 shards of 64
+	withShardBits(t, 6)
+	d := mustNew(t, assign, 4, Options{}) // 16 shards of 64
 	s0 := d.Current()
 	if _, err := d.Publish([]migrate.Move{{Vertex: 70, From: assign[70], To: (assign[70] + 1) % 4}}); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,8 @@ func runPublishSweep(t *testing.T, fab *faultsim.Injector) sweepOutcome {
 	assign := testAssign(n, k, 1234)
 	clk := faultsim.NewClock()
 	reg := obs.NewRegistry()
-	d := mustNew(t, assign, int32(k), Options{ShardBits: 7, Fabric: fab, Clock: clk, Metrics: reg})
+	withShardBits(t, 7)
+	d := mustNew(t, assign, int32(k), Options{Fabric: fab, Clock: clk, Metrics: reg})
 
 	committedHash := d.Current().AssignHash()
 	target := append([]int32(nil), assign...)

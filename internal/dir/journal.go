@@ -151,7 +151,6 @@ func decodeBasePayload(payload []byte) (assign []int32, k int32, shardBits uint,
 // opts supplies the runtime wiring (fabric, clock, observability) of the
 // recovered instance; shard geometry comes from the journal itself.
 func Recover(journal []byte, opts Options) (*Directory, error) {
-	opts = opts.withDefaults()
 	var (
 		cur          *Snapshot
 		pendingPlan  *migrate.Plan
@@ -172,7 +171,6 @@ func Recover(journal []byte, opts Options) (*Directory, error) {
 			if err != nil {
 				return nil, err
 			}
-			opts.ShardBits = int(shardBits)
 			cur = buildSnapshot(assign, k, shardBits, 0)
 		case recPrepare:
 			if cur == nil {
@@ -210,7 +208,7 @@ func Recover(journal []byte, opts Options) (*Directory, error) {
 	}
 	torn := len(journal) - off
 	d := &Directory{
-		opts: opts, fab: opts.Fabric, clk: opts.Clock, tr: opts.Trace,
+		fab: opts.Fabric, clk: opts.Clock, tr: opts.Trace,
 		mx: newDirMetrics(opts.Metrics),
 	}
 	d.j = append([]byte(nil), journal[:off]...)

@@ -27,7 +27,8 @@ func buildHistory(t testing.TB, n int, k int32) (*Directory, map[int64][]int32) 
 		script = append(script, faultsim.Event{Kind: faultsim.KindDrop, Round: 4, Index: opPrepare, Attempt: attempt})
 	}
 	fab := faultsim.NewInjector(faultsim.Config{Script: script})
-	d := mustNew(t, assign, k, Options{ShardBits: 7, Fabric: fab})
+	withShardBits(t, 7)
+	d := mustNew(t, assign, k, Options{Fabric: fab})
 	committed := map[int64][]int32{0: append([]int32(nil), assign...)}
 
 	target := append([]int32(nil), assign...)

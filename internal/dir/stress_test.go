@@ -23,7 +23,8 @@ func TestConcurrentLookupsDuringFlips(t *testing.T) {
 		readers = 4
 	)
 	assign := testAssign(n, k, 77)
-	d := mustNew(t, assign, k, Options{ShardBits: 8})
+	withShardBits(t, 8)
+	d := mustNew(t, assign, k, Options{})
 
 	var expected sync.Map // epoch int64 -> []int32
 	expected.Store(int64(0), append([]int32(nil), assign...))
@@ -92,7 +93,8 @@ func TestConcurrentLookupsDuringFlips(t *testing.T) {
 func TestConcurrentPublishersSerialize(t *testing.T) {
 	const n, k, writers, each = 512, 4, 4, 25
 	assign := testAssign(n, k, 13)
-	d := mustNew(t, assign, k, Options{ShardBits: 7})
+	withShardBits(t, 7)
+	d := mustNew(t, assign, k, Options{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -136,7 +138,8 @@ func FuzzEpochLookup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		const n, k = 256, 4
 		assign := testAssign(n, k, seed)
-		d, err := New(assign, k, Options{ShardBits: 6})
+		withShardBits(t, 6)
+		d, err := New(assign, k, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

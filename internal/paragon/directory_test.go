@@ -19,7 +19,7 @@ func TestRefinePublishesDirectoryEpochs(t *testing.T) {
 	g.UseDegreeWeights()
 	p := stream.DG(g, 16, stream.DefaultOptions())
 
-	d, err := dir.New(p.Assign, p.K, dir.Options{ShardBits: 8})
+	d, err := dir.New(p.Assign, p.K, dir.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRefineSurvivesDirectoryPublishFaults(t *testing.T) {
 	}
 
 	fab := faultsim.NewInjector(faultsim.Config{Seed: 8, Rate: 0.5})
-	d, err := dir.New(base.Assign, base.K, dir.Options{ShardBits: 8, Fabric: fab})
+	d, err := dir.New(base.Assign, base.K, dir.Options{Fabric: fab})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestMismatchedDirectoryRejectedBeforeRefining(t *testing.T) {
 		{"k-1 ranks", fewerRanks, base.K - 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := dir.New(tc.assign, tc.k, dir.Options{ShardBits: 8})
+			d, err := dir.New(tc.assign, tc.k, dir.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

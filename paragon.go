@@ -351,8 +351,8 @@ func VerifyMigration(stores []*MigrationStore, g *Graph, now *Partitioning) erro
 // Refine publish each committed round as an epoch.
 type PartitionDirectory = dir.Directory
 
-// DirectoryOptions tunes a PartitionDirectory (shard geometry, fault
-// fabric, virtual clock, observability).
+// DirectoryOptions tunes a PartitionDirectory (fault fabric, virtual
+// clock, observability). Shards cover 2^16 vertex ids each.
 type DirectoryOptions = dir.Options
 
 // DirectorySnapshot is one immutable committed epoch of a directory.
