@@ -1,0 +1,97 @@
+package portfolio
+
+import (
+	"slices"
+	"testing"
+
+	"paragon/internal/graph"
+	"paragon/internal/paragon"
+	"paragon/internal/partition"
+	"paragon/internal/topology"
+)
+
+// timesThree is g with every edge weight and every vertex size ×3 and the
+// vertex weights, and so the balance bound, unchanged.
+func timesThree(g *graph.Graph) *graph.Graph {
+	vw, vs := make([]int32, g.NumVertices()), make([]int32, g.NumVertices())
+	for v := range vw {
+		vw[v], vs[v] = g.VertexWeight(int32(v)), 3*g.VertexSize(int32(v))
+	}
+	return graph.FromSymmetricRows(g.NumVertices(), vw, vs, g.Degree, func(v int32, to, w []int32) {
+		copy(to, g.Neighbors(v))
+		for i, x := range g.EdgeWeights(v) {
+			w[i] = 3 * x
+		}
+	}, 1)
+}
+
+// portfolioMoves lists each member's kept moves, then the combine's.
+func portfolioMoves(st Stats) []int {
+	var moves []int
+	for _, ms := range st.Members {
+		moves = append(moves, ms.Moves)
+	}
+	return append(moves, st.CombineMoves)
+}
+
+// A metamorphic relation (ROADMAP item 4): every Eq. 5 gain, communication
+// and migration term alike, scales by 3 when the edge weights and vertex
+// sizes do, so paragon.Refine and portfolio.Refine must take the same moves
+// and land on the same assignment, at exactly 3× the objective.
+func TestRefineInvariantUnderWeightAndSizeScaling(t *testing.T) {
+	const k = 16
+	pitt, err := topology.PittCluster(2).PartitionCostMatrix(k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mc := range []struct {
+		name string
+		c    [][]float64
+	}{{"uniform", topology.UniformMatrix(k)}, {"pitt", pitt}} {
+		for _, seed := range []int64{1, 7, 42} {
+			g, p0 := ledgerInput(seed)
+			g3 := timesThree(g)
+			cfg := paragon.DefaultConfig()
+			cfg.Seed = seed
+			cfg.Portfolio.Size = 4
+			check := func(door string, p, p3 *partition.Partitioning, moves, moves3 []int) {
+				t.Helper()
+				if moves[0] == 0 {
+					t.Fatalf("%s %s seed %d kept no move; the relation was not exercised", door, mc.name, seed)
+				}
+				if !slices.Equal(p.Assign, p3.Assign) {
+					t.Fatalf("%s %s seed %d: the ×3 graph refined to another assignment", door, mc.name, seed)
+				}
+				if !slices.Equal(moves, moves3) {
+					t.Fatalf("%s %s seed %d: moves %v, %v on the ×3 graph", door, mc.name, seed, moves, moves3)
+				}
+				obj := objective(g, p, p0.Assign, mc.c, cfg.Alpha)
+				if obj3 := objective(g3, p3, p0.Assign, mc.c, cfg.Alpha); obj3 != 3*obj {
+					t.Fatalf("%s %s seed %d: Comm + Mig %d on the ×3 graph, want 3 × %d", door, mc.name, seed, obj3, obj)
+				}
+			}
+
+			p, p3 := p0.Clone(), p0.Clone()
+			st, err := paragon.Refine(g, p, mc.c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st3, err := paragon.Refine(g3, p3, mc.c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("paragon.Refine", p, p3, []int{st.Moves}, []int{st3.Moves})
+
+			p, p3 = p0.Clone(), p0.Clone()
+			pst, err := Refine(g, p, mc.c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pst3, err := Refine(g3, p3, mc.c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("portfolio.Refine", p, p3, portfolioMoves(pst), portfolioMoves(pst3))
+		}
+	}
+}
