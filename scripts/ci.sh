@@ -235,6 +235,13 @@ if git grep -nE '(^|[^[:alnum:]_])(go[[:space:]]+[[:alnum:]_.]+\(|go[[:space:]]+
     echo "ci: a goroutine, the sync import or a map is back in internal/bsp; run ranks in order into dense inboxes" >&2
     exit 1
 fi
+# One loop (DESIGN.md §8, §19): the migration service walks the plan in
+# order on the calling goroutine and journals departures in one slice.
+# Rank goroutines, the sync import and channels must not come back to it.
+if git grep -nE '(^|[^[:alnum:]_])(go[[:space:]]+[[:alnum:]_.]+\(|go[[:space:]]+func|chan([^[:alnum:]_]|$))|"sync(/atomic)?"' -- 'internal/migrate/*.go' ':!*_test.go'; then
+    echo "ci: a goroutine, the sync import or a channel is back in internal/migrate; walk the plan in order" >&2
+    exit 1
+fi
 # One edge-key set (DESIGN.md §19): RMAT, ErdosRenyi and the sharded
 # generator's shards dedup through gen's open-addressed edgeSet. A map of
 # edge keys must not come back to them.
@@ -306,7 +313,7 @@ fi
 # caller set must not come back, and a refinement's fault layer is spelled
 # one way, Config.Fabric — the (FaultSeed, FaultRate) pair lives in the
 # session and the CLIs, which build the injectors.
-if git grep -nwE 'BadMoveLimit|RegionSize|CombineTop|FsyncTicks|ComputePerVertex|ComputePerEdge|MaxSupersteps' -- '*.go' ||
+if git grep -nwE 'BadMoveLimit|RegionSize|CombineTop|FsyncTicks|ComputePerVertex|ComputePerEdge|MaxSupersteps|ShardBits' -- '*.go' ||
     git grep -nE 'FaultRate|FaultSeed' -- 'internal/paragon/*.go' 'internal/portfolio/*.go' ':!*_test.go'; then
     echo "ci: a deleted setting is back; make it a constant or give it a production caller" >&2
     exit 1
