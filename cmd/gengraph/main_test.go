@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"paragon/internal/graph"
 )
 
 // buildCLI compiles this command into a temp dir.
@@ -55,7 +58,8 @@ func TestCLIErrors(t *testing.T) {
 		{"negative -m", []string{"-rmat", "-n", "200", "-m", "-5"}, 1, "-m -5"},
 		{"zero -scale", []string{"-dataset", "wave", "-scale", "0"}, 1, "-scale 0"},
 		{"negative -scale", []string{"-dataset", "wave", "-scale", "-1"}, 1, "-scale -1"},
-		{"negative -shards", append(small, "-shards", "-3"), 1, "-shards -3"},
+		{"removed flag -shards", append(small, "-shards", "2"), 2, "flag provided but not defined: -shards"},
+		{"removed flag -binary-out", append(small, "-binary-out", "x"), 2, "flag provided but not defined: -binary-out"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := run(t, bin, tc.args...)
@@ -83,7 +87,6 @@ func TestCLIOutputShapeAndDeterminism(t *testing.T) {
 	}{
 		{"metis", []string{"-rmat", "-n", "200", "-m", "800"}, `^200 \d+ 111 1\n(\d+ \d+( \d+ \d+)*\n){200}$`},
 		{"edgelist", []string{"-rmat", "-n", "200", "-m", "800", "-format", "edgelist"}, `^# 200 \d+\n(\d+ \d+ \d+\n)+$`},
-		{"sharded", []string{"-rmat", "-n", "200", "-m", "800", "-shards", "2", "-format", "edgelist"}, `^# 200 \d+\n(\d+ \d+ \d+\n)+$`},
 		{"dataset", []string{"-dataset", "wave", "-scale", "0.01", "-format", "edgelist"}, `^# \d+ \d+\n(\d+ \d+ \d+\n)+$`},
 		{"stats", []string{"-rmat", "-n", "200", "-m", "800", "-stats"}, `^vertices: +200\nedges: +\d+\ndegree: .*\ncomponents: .*\nclustering: .*\n`},
 		{"list", []string{"-list"}, `^available dataset stand-ins.*\n(  \S+ +\S.*\n)+$`},
@@ -105,5 +108,51 @@ func TestCLIOutputShapeAndDeterminism(t *testing.T) {
 	_, b, _ := run(t, bin, "-rmat", "-n", "200", "-m", "800", "-seed", "2")
 	if a == b {
 		t.Fatal("-seed 1 and -seed 2 generated the same graph")
+	}
+
+	// -format binary writes, through -o, the graph the METIS run writes.
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if code, _, stderr := run(t, bin, "-rmat", "-n", "200", "-m", "800", "-seed", "1", "-format", "binary", "-o", path); code != 0 {
+		t.Fatalf("-format binary: exit code %d: %s", code, stderr)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := graph.ReadBinary(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("ReadBinary: %v", err)
+	}
+	gm, err := graph.ReadMETIS(strings.NewReader(a))
+	if err != nil {
+		t.Fatalf("ReadMETIS: %v", err)
+	}
+	var wb, wm bytes.Buffer
+	if err := graph.WriteBinary(&wb, gb); err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteBinary(&wm, gm); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wb.Bytes(), wm.Bytes()) {
+		t.Fatal("-format binary and -format metis wrote different graphs for the same flags")
+	}
+}
+
+// A refused -format leaves an existing -o file as it was: the format is
+// checked before any file is created.
+func TestCLIUnknownFormatKeepsOutput(t *testing.T) {
+	bin := buildCLI(t)
+	path := filepath.Join(t.TempDir(), "keep.txt")
+	want := []byte("precious\n")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := run(t, bin, "-rmat", "-n", "100", "-m", "300", "-format", "bogus", "-o", path)
+	if code != 1 || !strings.Contains(stderr, `unknown format "bogus"`) || stdout != "" {
+		t.Fatalf("exit code %d, stdout %q, stderr %q; want 1 and an unknown-format error", code, stdout, stderr)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("-o file after a refused -format: %q (%v), want %q", got, err, want)
 	}
 }

@@ -2,8 +2,49 @@ package gen
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
+
+// graphFingerprint hashes the full CSR adjacency (degrees + sorted
+// neighbor lists) so two graphs fingerprint equal iff their edge sets
+// are identical.
+func graphFingerprint(t *testing.T, g interface {
+	NumVertices() int32
+	Neighbors(int32) []int32
+}) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	buf := make([]byte, 8)
+	put := func(x int64) {
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(x >> (8 * i))
+		}
+		h.Write(buf)
+	}
+	n := g.NumVertices()
+	put(int64(n))
+	for v := int32(0); v < n; v++ {
+		adj := g.Neighbors(v)
+		put(int64(len(adj)))
+		for _, u := range adj {
+			put(int64(u))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestRMATSerialGoldenUnchanged pins the legacy serial generator: the
+// staging-scan isolate fix must reproduce the historical throwaway-Build
+// scan byte for byte (same isolate set, same order, same rng draws).
+func TestRMATSerialGoldenUnchanged(t *testing.T) {
+	g := RMAT(2000, 8000, 0.57, 0.19, 0.19, 7)
+	got := fmt.Sprintf("%#x", graphFingerprint(t, g))
+	const want = "0x7c69926acc37128b"
+	if got != want {
+		t.Fatalf("serial RMAT stream changed: fingerprint %s, want %s", got, want)
+	}
+}
 
 // TestRMATBenchGoldens pins the inputs of the three RMAT benchmark
 // workloads (bench/workloads.go, bench/churn.go) at input seeds 42 and

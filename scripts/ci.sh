@@ -242,11 +242,18 @@ if git grep -nE '(^|[^[:alnum:]_])(go[[:space:]]+[[:alnum:]_.]+\(|go[[:space:]]+
     echo "ci: a goroutine, the sync import or a channel is back in internal/migrate; walk the plan in order" >&2
     exit 1
 fi
-# One edge-key set (DESIGN.md §19): RMAT, ErdosRenyi and the sharded
-# generator's shards dedup through gen's open-addressed edgeSet. A map of
-# edge keys must not come back to them.
+# One edge-key set (DESIGN.md §19): RMAT and ErdosRenyi dedup through
+# gen's open-addressed edgeSet. A map of edge keys must not come back to
+# them.
 if git grep -n 'map\[int64\]' -- 'internal/gen/*.go' ':!*_test.go'; then
     echo "ci: a map dedup is back in the edge generators; use edgeSet" >&2
+    exit 1
+fi
+# One RMAT generator (DESIGN.md §8, §19): every graph comes from gen's
+# serial generators on the calling goroutine. Worker goroutines and the
+# sync import must not come back to internal/gen.
+if git grep -nE '(^|[^[:alnum:]_])(go[[:space:]]+[[:alnum:]_.]+\(|go[[:space:]]+func)|"sync(/atomic)?"' -- 'internal/gen/*.go' ':!*_test.go'; then
+    echo "ci: a goroutine or the sync import is back in internal/gen; generate on the calling goroutine" >&2
     exit 1
 fi
 # One live graph (DESIGN.md §18): graph.Overlay is the session's adjacency,
@@ -321,7 +328,7 @@ fi
 # Every function earns a caller (DESIGN.md §19): what no binary linked and
 # no test held other code against was deleted. Its names must not come
 # back in non-test Go; the audit there lists what may stay unlinked.
-if git grep -nwE 'FatTreeCluster|DragonflyCluster|PageRankConverged|HolmeKim|PublishPlan|WriteJournal|DegreeHistogram|FromCSR|PendingChanges|AddedEdges|ReceivesAt|AvgSkew' -- '*.go' ':!*_test.go'; then
+if git grep -nwE 'FatTreeCluster|DragonflyCluster|PageRankConverged|HolmeKim|PublishPlan|WriteJournal|DegreeHistogram|FromCSR|PendingChanges|AddedEdges|ReceivesAt|AvgSkew|RMATSharded' -- '*.go' ':!*_test.go'; then
     echo "ci: a deleted unlinked function is back; give it a binary that links it or leave it out" >&2
     exit 1
 fi
