@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -92,6 +93,82 @@ func TestRefineInvariantUnderWeightAndSizeScaling(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("portfolio.Refine", p, p3, portfolioMoves(pst), portfolioMoves(pst3))
+		}
+	}
+}
+
+// scaled is c with every entry ×2^j.
+func scaled(c [][]float64, j int) [][]float64 {
+	out := make([][]float64, len(c))
+	for i, row := range c {
+		out[i] = make([]float64, len(row))
+		for q, x := range row {
+			out[i][q] = math.Ldexp(x, j)
+		}
+	}
+	return out
+}
+
+// The 2^j relation (ROADMAP item 4): scaling the cost matrix by 2^j leaves
+// partition.CheckCosts' integer matrix as it was and shifts only its
+// exponent, so paragon.Refine and portfolio.Refine must take the same
+// moves to the same assignment, and every cost they report must be exactly
+// 2^j times the unscaled one. Same corpus as the ×3 relation above.
+func TestRefineInvariantUnderCostScaling(t *testing.T) {
+	const k = 16
+	pitt, err := topology.PittCluster(2).PartitionCostMatrix(k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mc := range []struct {
+		name string
+		c    [][]float64
+	}{{"uniform", topology.UniformMatrix(k)}, {"pitt", pitt}} {
+		for _, seed := range []int64{1, 7, 42} {
+			g, p0 := ledgerInput(seed)
+			cfg := paragon.DefaultConfig()
+			cfg.Seed = seed
+			cfg.Portfolio.Size = 4
+			p := p0.Clone()
+			st, err := paragon.Refine(g, p, mc.c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Moves == 0 {
+				t.Fatalf("%s seed %d kept no move; the relation was not exercised", mc.name, seed)
+			}
+			pp := p0.Clone()
+			pst, err := Refine(g, pp, mc.c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range []int{-3, 5} {
+				c2 := scaled(mc.c, j)
+				p2 := p0.Clone()
+				st2, err := paragon.Refine(g, p2, c2, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(p.Assign, p2.Assign) || st.Moves != st2.Moves || st.PairsRefined != st2.PairsRefined ||
+					st.MigratedVertices != st2.MigratedVertices || st.BoundaryShipped != st2.BoundaryShipped {
+					t.Fatalf("paragon.Refine %s seed %d j %d: another assignment or count (moves %d, %d)", mc.name, seed, j, st.Moves, st2.Moves)
+				}
+				if st2.Gain != math.Ldexp(st.Gain, j) || st2.MigrationCost != math.Ldexp(st.MigrationCost, j) {
+					t.Fatalf("paragon.Refine %s seed %d j %d: gain %v, migration %v; want 2^j × %v, %v", mc.name, seed, j, st2.Gain, st2.MigrationCost, st.Gain, st.MigrationCost)
+				}
+
+				pp2 := p0.Clone()
+				pst2, err := Refine(g, pp2, c2, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(pp.Assign, pp2.Assign) || !slices.Equal(portfolioMoves(pst), portfolioMoves(pst2)) {
+					t.Fatalf("portfolio.Refine %s seed %d j %d: another assignment or moves (%v, %v)", mc.name, seed, j, portfolioMoves(pst), portfolioMoves(pst2))
+				}
+				if got, want := pst2.SelectedScore.Cost(), math.Ldexp(pst.SelectedScore.Cost(), j); got != want {
+					t.Fatalf("portfolio.Refine %s seed %d j %d: selected cost %v, want %v", mc.name, seed, j, got, want)
+				}
+			}
 		}
 	}
 }

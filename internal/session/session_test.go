@@ -60,18 +60,19 @@ type runResult struct {
 // returns everything the replay contract pins.
 func runSchedule(t *testing.T, workers int, faultRate float64, batches int) runResult {
 	t.Helper()
-	return runScheduleRefine(t, paragon.Config{Workers: workers, Seed: 11}, faultRate, batches)
+	return runScheduleRefine(t, paragon.Config{Workers: workers, Seed: 11}, topology.UniformMatrix(tK), faultRate, batches)
 }
 
 // runScheduleRefine is runSchedule with the per-epoch refinement config
-// spelled out by the caller.
-func runScheduleRefine(t *testing.T, refine paragon.Config, faultRate float64, batches int) runResult {
+// and the cost matrix spelled out by the caller.
+func runScheduleRefine(t *testing.T, refine paragon.Config, costs [][]float64, faultRate float64, batches int) runResult {
 	t.Helper()
 	g0, p0 := testBase(t)
 	tr := obs.NewTracer(1 << 14)
 	mr := obs.NewRegistry()
 	cfg := testConfig(refine.Workers, faultRate, tr, mr)
 	cfg.Refine = refine
+	cfg.Costs = costs
 	s, err := New(g0, p0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -246,6 +247,47 @@ func asymmetricCosts(k int) [][]float64 {
 		}
 	}
 	return c
+}
+
+// The 2^j relation (ROADMAP item 4) through a session: scaling the cost
+// matrix by 2^j changes no integer the session or its epochs decide by, so
+// the same seeded schedule must end in the same live assignment, directory
+// and counters, with the live communication cost exactly ×2^j. Checked
+// under the uniform and an asymmetric matrix, with and without faults.
+func TestSessionInvariantUnderCostScaling(t *testing.T) {
+	refine := paragon.Config{Workers: 2, Seed: 11}
+	for _, mc := range []struct {
+		name string
+		c    [][]float64
+	}{{"uniform", topology.UniformMatrix(tK)}, {"asymmetric", asymmetricCosts(tK)}} {
+		for _, rate := range []float64{0, 0.35} {
+			base := runScheduleRefine(t, refine, mc.c, rate, 40)
+			if base.committed == 0 {
+				t.Fatalf("%s rate %v: no epoch committed; the relation was not exercised", mc.name, rate)
+			}
+			for _, j := range []int{-3, 5} {
+				c := make([][]float64, tK)
+				for i, row := range mc.c {
+					c[i] = make([]float64, tK)
+					for q, x := range row {
+						c[i][q] = math.Ldexp(x, j)
+					}
+				}
+				got := runScheduleRefine(t, refine, c, rate, 40)
+				if got.hash != base.hash || got.dirHash != base.dirHash || got.committed != base.committed {
+					t.Fatalf("%s rate %v j %d: hash %#x dir %#x committed %d, want %#x %#x %d", mc.name, rate, j,
+						got.hash, got.dirHash, got.committed, base.hash, base.dirHash, base.committed)
+				}
+				if want := math.Ldexp(base.stats.Live.CommCost, j); got.stats.Live.CommCost != want {
+					t.Fatalf("%s rate %v j %d: live comm cost %v, want %v", mc.name, rate, j, got.stats.Live.CommCost, want)
+				}
+				got.stats.Live.CommCost = base.stats.Live.CommCost
+				if got.stats != base.stats {
+					t.Fatalf("%s rate %v j %d: stats %+v, want %+v", mc.name, rate, j, got.stats, base.stats)
+				}
+			}
+		}
+	}
 }
 
 // checkLiveScore holds the incrementally maintained score to a
@@ -451,14 +493,14 @@ func TestSessionConfigValidation(t *testing.T) {
 // like the same config with its defaults spelled out, and not like the
 // all-defaults one.
 func TestSparseRefineConfigReachesEpochs(t *testing.T) {
-	sparse := runScheduleRefine(t, paragon.Config{Workers: 1, Seed: 11, KHop: 1, MaxImbalance: 0.05}, 0, 40)
+	sparse := runScheduleRefine(t, paragon.Config{Workers: 1, Seed: 11, KHop: 1, MaxImbalance: 0.05}, topology.UniformMatrix(tK), 0, 40)
 	if sparse.committed == 0 {
 		t.Fatal("schedule never committed an epoch")
 	}
 	full := paragon.DefaultConfig()
 	full.Shuffles, full.Workers, full.Seed = 2, 1, 11
 	full.KHop, full.MaxImbalance = 1, 0.05
-	if want := runScheduleRefine(t, full, 0, 40); sparse.hash != want.hash || !bytes.Equal(sparse.metrics, want.metrics) {
+	if want := runScheduleRefine(t, full, topology.UniformMatrix(tK), 0, 40); sparse.hash != want.hash || !bytes.Equal(sparse.metrics, want.metrics) {
 		t.Errorf("sparse Refine config diverged from its spelled-out form: hash %#x vs %#x", sparse.hash, want.hash)
 	}
 	if defaults := runSchedule(t, 1, 0, 40); bytes.Equal(sparse.metrics, defaults.metrics) {
