@@ -62,7 +62,7 @@ const (
 	// partition-disjoint pairs about to execute.
 	KindWaveScheduled
 	// KindPairRefined reports one refined partition pair (A, B): N kept
-	// moves, X realized Eq. 5 gain. Emitted by the coordinator at the
+	// moves, X claimed Eq. 5 gain. Emitted by the coordinator at the
 	// wave barrier, in task order, from the pair's task-indexed result.
 	KindPairRefined
 	// KindWaveCommitted closes wave A of Round: N moves entered the
@@ -71,7 +71,7 @@ const (
 	// KindShipAccounted reports the round's boundary-shipping volume:
 	// N vertices, M accompanying half-edges.
 	KindShipAccounted
-	// KindRoundEnd closes a round: N kept moves, X realized gain.
+	// KindRoundEnd closes a round: N kept moves, X claimed gain.
 	KindRoundEnd
 	// KindRegionSent reports one location-exchange region reduce that
 	// was ultimately delivered: region A of Round, N bytes spent
@@ -87,7 +87,7 @@ const (
 	// Refine call: N vertices whose owner changed, X Eq. 3 cost.
 	KindMigrationSweep
 	// KindRefineEnd closes a Refine call: N total kept moves, X total
-	// realized gain.
+	// claimed gain (paragon.Stats.Gain).
 	KindRefineEnd
 	// KindEpochPrepare reports a directory epoch publish whose prepare
 	// record reached the journal: N = target epoch, M = delta moves.

@@ -171,10 +171,16 @@ type Stats struct {
 	Rounds       int       // refinement rounds executed (1 + shuffles unless an exchange abort ended shuffling)
 	GroupServers [][]int32 // per round, the server chosen for each group
 
-	PairsRefined int       // partition pairs refined across all rounds
-	Moves        int       // vertex moves kept
-	Gain         float64   // total Eq. 5 gain realized
-	RoundGains   []float64 // gain realized per refinement round
+	PairsRefined int // partition pairs refined across all rounds
+	Moves        int // vertex moves kept
+	// Gain is the total Eq. 5 gain the pairs claimed, each priced against
+	// its wave-start view of foreign partitions; RoundGains is the same
+	// sum per refinement round. Under a uniform matrix the claim equals
+	// the realized drop of Comm + Mig; under a general one another pair of
+	// the same wave may move those foreign vertices, and the two differ
+	// (DESIGN.md §10).
+	Gain       float64
+	RoundGains []float64
 
 	BoundaryShipped       int64 // vertices shipped to group servers (all rounds)
 	ShippedEdgeVolume     int64 // half-edges accompanying shipped vertices

@@ -63,7 +63,7 @@ type Stats struct {
 	CombinePairs   int             // pair refinements its rounds ran (every pair of the touched partitions, per round)
 	CombineWaves   int             // wave barriers they ran in
 	CombineMoves   int             // moves kept by the boundary-restricted rounds
-	CombineGain    float64         // realized Eq. 5 gain of those rounds
+	CombineGain    float64         // claimed Eq. 5 gain of those rounds, as paragon.Stats.Gain
 	CombinedScore  partition.Score // score of the overlay after re-refinement
 	CombineApplied bool            // the overlay beat the winner and was selected
 
