@@ -34,11 +34,11 @@
 //
 //	paragon -in graph.metis -trace run.jsonl -metrics run.prom -summary
 //
-// The serving layer (DESIGN.md §16): -dir-journal runs the refinement
-// against an epoch-versioned partition directory, writes the directory's
-// crash-safe epoch journal to the given path, and proves it by
-// recovering the journal and comparing the recovered assignment hash
-// against the live directory:
+// The serving layer (DESIGN.md §16): -dir-journal publishes the refined
+// assignment once to an epoch-versioned partition directory whose base is
+// the input decomposition, writes the directory's crash-safe epoch
+// journal to the given path, and proves it by recovering the journal and
+// comparing the recovered assignment hash against the live directory:
 //
 //	paragon -in graph.metis -dir-journal dir.journal
 package main
@@ -91,7 +91,7 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write refinement metrics here (Prometheus text format, deterministic)")
 	summary := flag.Bool("summary", false, "print a per-phase metrics summary table after refinement")
 	pprofHTTP := flag.String("pprof-http", "", "serve net/http/pprof on this address (e.g. localhost:6060) during the run")
-	dirJournal := flag.String("dir-journal", "", "serve the refinement through a partition directory and write its epoch journal here (recovery-verified)")
+	dirJournal := flag.String("dir-journal", "", "publish the refined assignment to a partition directory and write its epoch journal here (recovery-verified)")
 	flag.Parse()
 
 	if *pprofHTTP != "" {
@@ -200,8 +200,9 @@ func main() {
 		fabric = faultsim.NewInjector(faultsim.Config{Seed: *faultSeed, Rate: *faultRate})
 	}
 
-	// The serving layer: every committed round becomes one directory
-	// epoch; the journal written at the end replays to the final state.
+	// The serving layer: the directory serves the input decomposition as
+	// its base and the refined one as its next epoch, published once after
+	// refinement; the journal written at the end replays to it.
 	var directory *dir.Directory
 	if *dirJournal != "" {
 		var derr error
@@ -211,8 +212,6 @@ func main() {
 		}
 	}
 
-	var dirEpochs int
-	var pubAborts int
 	if *portfolioSize > 0 {
 		pst, err := portfolio.Refine(g, p, c, paragon.Config{
 			DRP: *drp, Workers: *workers, Shuffles: *shuffles, KHop: *khop,
@@ -243,24 +242,15 @@ func main() {
 				pst.Winner, pst.RunnerUp, pst.CombineDiff, pst.CombinePairs, pst.CombineWaves, pst.CombineMoves, pst.CombineGain, pst.CombineApplied)
 		}
 		fmt.Printf("selected:   cost %.0f (input %.0f)\n", pst.SelectedScore.Cost(), pst.InputScore.Cost())
-		// The portfolio commits no per-round epochs — members race on
-		// private scratch — so flip the directory once to the selection.
-		if directory != nil && pst.Winner >= 0 {
-			if _, err := directory.PublishAssign(p.Assign); err != nil {
-				fatal(err)
-			}
-			dirEpochs = 1
-		}
 	} else {
 		st, err := paragon.Refine(g, p, c, paragon.Config{
 			DRP: *drp, Workers: *workers, Shuffles: *shuffles, KHop: *khop,
 			Alpha: *alpha, MaxImbalance: *eps, Seed: *seed, NodeOf: nodeOf, Fabric: fabric,
-			Trace: tracer, Metrics: registry, Directory: directory,
+			Trace: tracer, Metrics: registry,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		dirEpochs, pubAborts = st.DirectoryEpochs, st.Faults.PublishAborts
 		report("refined", partition.Evaluate(g, p, c, *alpha))
 		fmt.Printf("refinement: master=%d drp=%d rounds=%d pairs=%d moves=%d gain=%.0f time=%s\n",
 			st.Master, st.DRP, st.Rounds, st.PairsRefined, st.Moves, st.Gain, st.RefinementTime.Round(0))
@@ -274,6 +264,11 @@ func main() {
 				st.Faults.CrashedGroups, st.Faults.StragglerDrops, st.Faults.DegradedGroups,
 				st.Faults.ExchangeRetries, st.Faults.ExchangeAborts,
 				st.Faults.VirtualTicks, st.Faults.BackoffTicks)
+		}
+	}
+	if directory != nil {
+		if _, err := directory.PublishAssign(p.Assign); err != nil {
+			fatal(err)
 		}
 	}
 
@@ -312,11 +307,9 @@ func main() {
 	}
 
 	if directory != nil {
-		fmt.Printf("directory:  %d epochs published (%d aborted), journal %d bytes, assignment hash %#x\n",
-			dirEpochs, pubAborts, len(directory.JournalBytes()), directory.Current().AssignHash())
-	}
-	if *dirJournal != "" {
 		j := directory.JournalBytes()
+		fmt.Printf("directory:  epoch %d, journal %d bytes, assignment hash %#x\n",
+			directory.Epoch(), len(j), directory.Current().AssignHash())
 		if err := os.WriteFile(*dirJournal, j, 0o644); err != nil {
 			fatal(err)
 		}

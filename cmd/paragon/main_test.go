@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"paragon/internal/dir"
 )
 
 // buildCLI compiles this command into a temp dir.
@@ -58,12 +60,11 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
-// The refinement is deterministic in -workers: the same seeded faulty run
-// must write byte-identical assignment, trace, and metrics files.
-func TestCLIOutputIdenticalAcrossWorkers(t *testing.T) {
-	bin := buildCLI(t)
-	dir := t.TempDir()
-	const side = 12 // a side×side grid as an edge list
+// writeGrid writes a 12×12 grid as an edge list into tmp and returns its
+// path.
+func writeGrid(t *testing.T, tmp string) string {
+	t.Helper()
+	const side = 12
 	var g bytes.Buffer
 	for r := 0; r < side; r++ {
 		for c := 0; c < side; c++ {
@@ -76,12 +77,75 @@ func TestCLIOutputIdenticalAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	in := filepath.Join(dir, "grid.txt")
+	in := filepath.Join(tmp, "grid.txt")
 	if err := os.WriteFile(in, g.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return in
+}
+
+// -dir-journal on both refinement paths: the CLI publishes the refined
+// assignment once, verifies the journal's recovery, and the recovered
+// directory serves exactly the assignment written to -out.
+func TestCLIDirJournalServesOutput(t *testing.T) {
+	bin := buildCLI(t)
+	tmp := t.TempDir()
+	in := writeGrid(t, tmp)
+	for _, tc := range []struct {
+		name  string
+		extra []string
+	}{
+		{"plain", nil},
+		{"portfolio", []string{"-portfolio", "4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			journal, assign := filepath.Join(tmp, tc.name+".journal"), filepath.Join(tmp, tc.name+".assign")
+			args := append([]string{"-in", in, "-format", "edgelist", "-k", "8", "-cluster", "uma", "-nodes", "1",
+				"-partitioner", "hp", "-shuffles", "2", "-dir-journal", journal, "-out", assign}, tc.extra...)
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+			if !strings.Contains(string(out), "(recovery verified at epoch 1)") {
+				t.Fatalf("no recovery-verified line for one published epoch:\n%s", out)
+			}
+			j, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := dir.Recover(j, dir.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := os.ReadFile(assign)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSuffix(string(a), "\n"), "\n")
+			if n := d.Current().NumVertices(); int(n) != len(lines) {
+				t.Fatalf("directory serves %d vertices, -out has %d", n, len(lines))
+			}
+			for _, line := range lines {
+				var v, rank int32
+				if _, err := fmt.Sscanf(line, "%d %d", &v, &rank); err != nil {
+					t.Fatalf("-out line %q: %v", line, err)
+				}
+				if got, _ := d.Lookup(v); got != rank {
+					t.Fatalf("vertex %d: directory serves %d, -out says %d", v, got, rank)
+				}
+			}
+		})
+	}
+}
+
+// The refinement is deterministic in -workers: the same seeded faulty run
+// must write byte-identical assignment, trace, and metrics files.
+func TestCLIOutputIdenticalAcrossWorkers(t *testing.T) {
+	bin := buildCLI(t)
+	tmp := t.TempDir()
+	in := writeGrid(t, tmp)
 	kinds := []string{"assign", "trace", "metrics"}
-	path := func(kind, workers string) string { return filepath.Join(dir, kind+workers) }
+	path := func(kind, workers string) string { return filepath.Join(tmp, kind+workers) }
 	for _, w := range []string{"1", "2"} {
 		out, err := exec.Command(bin, "-in", in, "-format", "edgelist", "-k", "8", "-cluster", "uma", "-nodes", "1",
 			"-partitioner", "hp", "-shuffles", "2", "-fault-rate", "0.3", "-workers", w,

@@ -3,6 +3,10 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -135,4 +139,93 @@ func TestKernelSetCoversServingLayers(t *testing.T) {
 	if kernel["paragon/internal/exp"] {
 		t.Errorf("paragon/internal/exp in -kernel output, but the facade does not import it:\n%s", stdout)
 	}
+}
+
+// goSites are the places a non-test go statement may start a goroutine,
+// as file and enclosing function: the six sites of DESIGN.md §8. A new
+// site is added here and to that table together.
+var goSites = map[string]bool{
+	"internal/paragon/engine.go WaveEngine.Open":                true,
+	"internal/portfolio/portfolio.go Pool.race":                 true,
+	"internal/session/epoch.go Session.launchEpoch":             true,
+	"internal/graph/rows.go FromSymmetricRows":                  true,
+	"internal/partition/profile.go NeighborProfile.Materialize": true,
+	"cmd/paragon/main.go main":                                  true,
+}
+
+// Every go statement in the module's non-test Go (testdata, the lint
+// fixtures among it, is skipped) sits at a listed site, and every listed
+// site still has one.
+func TestGoStatementsOnlyAtListedSites(t *testing.T) {
+	seen := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != moduleRoot && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(moduleRoot, path)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			site := filepath.ToSlash(rel) + " " + funcName(decl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					if !goSites[site] {
+						t.Errorf("%s: go statement in %s, not a site of DESIGN.md §8", fset.Position(g.Pos()), site)
+					}
+					seen[site] = true
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for site := range goSites {
+		if !seen[site] {
+			t.Errorf("listed site %q has no go statement; drop it here and in DESIGN.md §8", site)
+		}
+	}
+}
+
+// funcName names a top-level declaration as Recv.Method, Func, or
+// "(package scope)" for a variable's initializer.
+func funcName(decl ast.Decl) string {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return "(package scope)"
+	}
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	typ := fd.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name + "." + fd.Name.Name
+	}
+	return fd.Name.Name
 }

@@ -41,7 +41,7 @@ func publishStats(r *obs.Registry, st *Stats) {
 	r.Counter("refine_rounds_total", "refinement rounds committed (initial + shuffles)").Add(int64(st.Rounds))
 	r.Counter("refine_pairs_total", "partition pairs refined").Add(int64(st.PairsRefined))
 	r.Counter("refine_moves_total", "vertex moves kept across all rounds").Add(int64(st.Moves))
-	r.Gauge("refine_gain", "total realized Eq. 5 gain").Set(st.Gain)
+	r.Gauge("refine_gain", "total Eq. 5 gain the pairs claimed (the realized drop under a uniform matrix)").Set(st.Gain)
 
 	r.Counter("ship_boundary_vertices_total", "k-hop boundary vertices shipped to group servers").Add(st.BoundaryShipped)
 	r.Counter("ship_half_edges_total", "half-edges accompanying shipped vertices").Add(st.ShippedEdgeVolume)

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"paragon/internal/aragon"
-	"paragon/internal/dir"
 	"paragon/internal/faultsim"
 	"paragon/internal/graph"
 	"paragon/internal/obs"
@@ -95,16 +94,6 @@ type Config struct {
 	// the combine operator. Consumed only by the portfolio driver — plain
 	// Refine ignores it.
 	Portfolio PortfolioConfig
-	// Directory, when non-nil, is the epoch-versioned serving layer
-	// (internal/dir): after each committed refinement round the driver
-	// publishes the master assignment as one whole epoch, so concurrent
-	// lookups follow the refinement without ever observing a torn
-	// mapping. A publish killed by the directory's own fault fabric is
-	// counted in Faults.PublishAborts and the previous epoch stays live —
-	// the next round's publish diffs against the directory's snapshot and
-	// catches it up. It must serve g's vertex count over p.K ranks
-	// (checked on entry). Nil skips the serving layer entirely.
-	Directory *dir.Directory
 }
 
 // DefaultConfig returns the paper's evaluation defaults: drp = 8, eight
@@ -189,7 +178,6 @@ type Stats struct {
 
 	MigratedVertices int64         // vertices whose final owner changed
 	MigrationCost    float64       // Eq. 3 against the input decomposition
-	DirectoryEpochs  int           // epochs published to Config.Directory (one per committed round)
 	RefinementTime   time.Duration // wall clock of the whole refinement
 
 	Faults FaultStats // degraded-mode accounting (all zero without a fault fabric)
@@ -206,7 +194,6 @@ type FaultStats struct {
 	DegradedGroups  int   // total discarded group outcomes (crashes + straggler drops)
 	ExchangeRetries int   // region reduces retransmitted after a drop
 	ExchangeAborts  int   // reduces abandoned after the retry budget (ends shuffling)
-	PublishAborts   int   // directory epoch publishes killed by the directory's fault layer
 	BackoffTicks    int64 // virtual ticks spent backing off dropped reduces
 	VirtualTicks    int64 // total virtual time: per-round barriers plus backoff
 }
@@ -243,7 +230,7 @@ func RefineIndexed(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg
 // driver is one Refine call. Its methods are the rows of Algorithm 1 in
 // loop order — repairBoundary, selectServers, accountShipping,
 // resolveFates, refineWaves (with commitWave at every barrier),
-// publishEpoch, exchangeRegions, and sweepMigration after the last round —
+// exchangeRegions, and sweepMigration after the last round —
 // each called from exactly one place, so a phase is timed by wrapping one
 // call. The phases that work the scheduler's shared state live beside it in
 // schedule.go. st is the one record of the run: phases write it, trace
@@ -291,14 +278,6 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	if cfg.NodeOf != nil && int32(len(cfg.NodeOf)) < p.K {
 		return Stats{}, fmt.Errorf("paragon: NodeOf has %d entries for k=%d", len(cfg.NodeOf), p.K)
 	}
-	if cfg.Directory != nil {
-		// Checked here, not by the first publish: that one runs after round
-		// 0 has already committed its moves into p.
-		if s := cfg.Directory.Current(); s.NumVertices() != g.NumVertices() || s.K() != p.K {
-			return Stats{}, fmt.Errorf("paragon: Directory serves %d vertices over %d ranks, the decomposition has %d over %d",
-				s.NumVertices(), s.K(), g.NumVertices(), p.K)
-		}
-	}
 	cfg = cfg.WithDefaults(p.K)
 	if err := partition.CheckObjective(g, cs, cfg.Alpha); err != nil {
 		return Stats{}, fmt.Errorf("paragon: %w", err)
@@ -322,9 +301,6 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 		d.accountShipping(round, servers)
 		roundTicks := d.resolveFates(round)
 		d.refineWaves(round, roundTicks)
-		if err := d.publishEpoch(round); err != nil {
-			return d.finish(start, err)
-		}
 		if int(round) == cfg.Shuffles || !d.exchangeRegions(round) {
 			break
 		}
@@ -435,25 +411,6 @@ func (d *driver) resolveFates(round int32) (roundTicks int64) {
 		roundTicks = faultsim.RoundTimeout
 	}
 	return roundTicks
-}
-
-// publishEpoch makes the committed round one whole epoch of the serving
-// layer. The directory runs its own fault fabric; an aborted flip leaves
-// the previous epoch live, and the diff of the next round's publish
-// resynchronizes it.
-func (d *driver) publishEpoch(round int32) error {
-	if d.cfg.Directory == nil {
-		return nil
-	}
-	switch _, err := d.cfg.Directory.PublishAssign(d.p.Assign); {
-	case err == nil:
-		d.st.DirectoryEpochs++
-	case errors.Is(err, dir.ErrPublishFailed):
-		d.st.Faults.PublishAborts++
-	default:
-		return fmt.Errorf("paragon: directory publish after round %d: %w", round, err)
-	}
-	return nil
 }
 
 // exchangeRegions is the chunked location exchange of §5: every group

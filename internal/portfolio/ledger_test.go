@@ -1,11 +1,14 @@
 package portfolio
 
 import (
+	"fmt"
 	"testing"
 
+	"paragon/internal/aragon"
 	"paragon/internal/faultsim"
 	"paragon/internal/gen"
 	"paragon/internal/graph"
+	"paragon/internal/metis"
 	"paragon/internal/paragon"
 	"paragon/internal/partition"
 	"paragon/internal/stream"
@@ -128,6 +131,83 @@ func TestLedgerPittClusterDifference(t *testing.T) {
 			}
 			drop := objective(g, p0, p0.Assign, c, cfg.Alpha) - objective(g, p, p0.Assign, c, cfg.Alpha)
 			t.Logf("λ %v seed %d: claimed %v, realized %v", lambda, seed, st.Gain, cs.Real(drop))
+		}
+	}
+}
+
+// The Figure 8 probe (DESIGN.md §10): serial ARAGON, the driver at DRP 1
+// without shuffles, and the driver at DRP 8 over a shuffle sweep, on a
+// METIS mesh under GordonCluster(2) and a DG RMAT under PittCluster(2), at
+// λ = 1 and one partition per core, so partitions span both nodes as in
+// the benchmark's inputs. It logs each cell's Eq. 2 cost, Comm + Mig,
+// claimed and realized gain, moves and skewness, and asserts one fact:
+// serial ARAGON refines every pair against the current assignment, so its
+// claim is its realized drop to the grid unit under every matrix.
+func TestLedgerFig8Probe(t *testing.T) {
+	inputs := []struct {
+		name    string
+		cluster *topology.Cluster
+		build   func(seed int64) (*graph.Graph, *partition.Partitioning)
+	}{
+		{"mesh/metis/gordon", topology.GordonCluster(2), func(seed int64) (*graph.Graph, *partition.Partitioning) {
+			g := gen.Mesh2D(60, 60)
+			return g, metis.Partition(g, 32, metis.Options{Seed: seed})
+		}},
+		{"rmat/dg/pitt", topology.PittCluster(2), func(seed int64) (*graph.Graph, *partition.Partitioning) {
+			g := gen.RMAT(3000, 18000, 0.57, 0.19, 0.19, seed)
+			g.UseDegreeWeights()
+			return g, stream.DG(g, 40, stream.DefaultOptions())
+		}},
+	}
+	type run struct {
+		name          string
+		drp, shuffles int // drp 0 runs aragon.Refine
+	}
+	runs := []run{{"aragon", 0, 0}, {"drp1/S0", 1, 0}}
+	for _, s := range []int{0, 4, 8, 11, 16} {
+		runs = append(runs, run{fmt.Sprintf("drp8/S%d", s), 8, s})
+	}
+	for _, in := range inputs {
+		for _, seed := range []int64{42, 7} {
+			g, p0 := in.build(seed)
+			c, err := in.cluster.PartitionCostMatrix(int(p0.K), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, err := partition.CheckCosts(c, p0.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := paragon.DefaultConfig()
+			cfg.Seed = seed
+			before := objective(g, p0, p0.Assign, c, cfg.Alpha)
+			for _, r := range runs {
+				p := p0.Clone()
+				var claim float64
+				var moves int
+				if r.drp == 0 {
+					res, err := aragon.Refine(g, p, c, cfg.AragonConfig())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if drop := before - objective(g, p, p0.Assign, c, cfg.Alpha); res.Gain != drop {
+						t.Errorf("%s seed %d: aragon.Refine claims %d grid units, realizes %d", in.name, seed, res.Gain, drop)
+					}
+					claim, moves = cs.Real(res.Gain), res.Moves
+				} else {
+					run := cfg
+					run.DRP, run.Shuffles = r.drp, r.shuffles
+					st, err := paragon.Refine(g, p, c, run)
+					if err != nil {
+						t.Fatal(err)
+					}
+					claim, moves = st.Gain, st.Moves
+				}
+				sc := partition.ComputeScore(g, p, p0.Assign, c, cfg.Alpha)
+				t.Logf("%s seed %d %-8s comm %.0f  comm+mig %.0f  claim %.0f  realized %.0f  moves %d  skew %.4f",
+					in.name, seed, r.name, sc.CommCost, cs.Real(sc.Comm+sc.Mig), claim,
+					cs.Real(before-(sc.Comm+sc.Mig)), moves, sc.Skewness)
+			}
 		}
 	}
 }

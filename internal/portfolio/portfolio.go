@@ -43,7 +43,7 @@ type MemberStats struct {
 	Forfeited bool            // excluded by the fault fabric before running
 	Score     partition.Score // zero value when forfeited
 	Moves     int             // kept moves across the member's rounds
-	Gain      float64         // total realized Eq. 5 gain
+	Gain      float64         // claimed Eq. 5 gain of its rounds, as paragon.Stats.Gain
 	CPUTime   time.Duration   // wall time of the member's run on its worker
 }
 

@@ -260,8 +260,7 @@ func (s *Session) launchEpoch(seq int64, d dyn.Decision) {
 
 	refCfg := s.cfg.Refine
 	refCfg.Seed = int64(detrand.Fin64(uint64(s.cfg.Refine.Seed) ^ detrand.Fin64(uint64(launch)+0x51)))
-	refCfg.Trace = nil     // the tracer is single-goroutine; the session owns it
-	refCfg.Directory = nil // the session publishes at the merge, not per round
+	refCfg.Trace = nil // the tracer is single-goroutine; the session owns it
 	refCfg.Metrics = s.cfg.Metrics
 	refCfg.Fabric = nil
 	if s.cfg.FaultRate > 0 {

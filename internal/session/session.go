@@ -65,8 +65,8 @@ type Config struct {
 	// cannot clear does not relaunch every batch.
 	CooldownBatches int
 	// Refine configures the per-epoch refinement. The session overrides
-	// the ownership fields — Trace and Directory are forced nil (the
-	// session emits its own events and owns publishing), Fabric is
+	// the ownership fields — Trace is forced nil (the session emits its
+	// own events and publishes each join to its directory), Fabric is
 	// replaced by the session's per-epoch injector, and Seed is folded
 	// with the epoch launch index so each epoch draws a fresh
 	// deterministic schedule. Zero fields get the paper's defaults

@@ -347,8 +347,9 @@ func VerifyMigration(stores []*MigrationStore, g *Graph, now *Partitioning) erro
 // PartitionDirectory is the epoch-versioned serving layer: lock-free
 // vertex→rank lookups against immutable epoch snapshots, crash-safe
 // atomic epoch flips through a fault-injectable journal, and
-// deterministic journal recovery. Wire one into Config.Directory to have
-// Refine publish each committed round as an epoch.
+// deterministic journal recovery. Refine publishes nothing: a caller
+// that serves the decomposition publishes the refined assignment itself
+// (PublishAssign), as Session does at each epoch join.
 type PartitionDirectory = dir.Directory
 
 // DirectoryOptions tunes a PartitionDirectory (fault fabric, virtual

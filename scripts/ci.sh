@@ -226,20 +226,24 @@ if git grep -n 'NewBuilder' -- 'internal/session/*.go' internal/graph/overlay.go
     echo "ci: a graph.Builder freeze or a map is back; use graph.FromSymmetricRows and dense tables" >&2
     exit 1
 fi
-# One goroutine, dense inboxes (DESIGN.md §8, §19): the BSP simulator
-# runs a superstep's ranks in order on the calling goroutine and folds
-# every send through Program.Combine into a dense next-superstep inbox.
-# Rank goroutines, the sync import and map-keyed outboxes or inboxes must
-# not come back to it.
-if git grep -nE '(^|[^[:alnum:]_])(go[[:space:]]+[[:alnum:]_.]+\(|go[[:space:]]+func|map\[)|"sync(/atomic)?"' -- 'internal/bsp/*.go' ':!*_test.go'; then
-    echo "ci: a goroutine, the sync import or a map is back in internal/bsp; run ranks in order into dense inboxes" >&2
+# Goroutines start only at the six sites of DESIGN.md §8:
+# cmd/paragonlint's TestGoStatementsOnlyAtListedSites (run by go test
+# above) fails on a go statement anywhere else. The guards below keep
+# the rest of each retired fan-out out.
+#
+# Dense inboxes (DESIGN.md §8, §19): the BSP simulator runs a superstep's
+# ranks in order on the calling goroutine and folds every send through
+# Program.Combine into a dense next-superstep inbox. The sync import and
+# map-keyed outboxes or inboxes must not come back to it.
+if git grep -nE '(^|[^[:alnum:]_])map\[|"sync(/atomic)?"' -- 'internal/bsp/*.go' ':!*_test.go'; then
+    echo "ci: the sync import or a map is back in internal/bsp; run ranks in order into dense inboxes" >&2
     exit 1
 fi
 # One loop (DESIGN.md §8, §19): the migration service walks the plan in
 # order on the calling goroutine and journals departures in one slice.
-# Rank goroutines, the sync import and channels must not come back to it.
-if git grep -nE '(^|[^[:alnum:]_])(go[[:space:]]+[[:alnum:]_.]+\(|go[[:space:]]+func|chan([^[:alnum:]_]|$))|"sync(/atomic)?"' -- 'internal/migrate/*.go' ':!*_test.go'; then
-    echo "ci: a goroutine, the sync import or a channel is back in internal/migrate; walk the plan in order" >&2
+# The sync import and channels must not come back to it.
+if git grep -nE '(^|[^[:alnum:]_])chan([^[:alnum:]_]|$)|"sync(/atomic)?"' -- 'internal/migrate/*.go' ':!*_test.go'; then
+    echo "ci: the sync import or a channel is back in internal/migrate; walk the plan in order" >&2
     exit 1
 fi
 # One edge-key set (DESIGN.md §19): RMAT and ErdosRenyi dedup through
@@ -250,10 +254,10 @@ if git grep -n 'map\[int64\]' -- 'internal/gen/*.go' ':!*_test.go'; then
     exit 1
 fi
 # One RMAT generator (DESIGN.md §8, §19): every graph comes from gen's
-# serial generators on the calling goroutine. Worker goroutines and the
-# sync import must not come back to internal/gen.
-if git grep -nE '(^|[^[:alnum:]_])(go[[:space:]]+[[:alnum:]_.]+\(|go[[:space:]]+func)|"sync(/atomic)?"' -- 'internal/gen/*.go' ':!*_test.go'; then
-    echo "ci: a goroutine or the sync import is back in internal/gen; generate on the calling goroutine" >&2
+# serial generators on the calling goroutine. The sync import must not
+# come back to internal/gen.
+if git grep -nE '"sync(/atomic)?"' -- 'internal/gen/*.go' ':!*_test.go'; then
+    echo "ci: the sync import is back in internal/gen; generate on the calling goroutine" >&2
     exit 1
 fi
 # One live graph (DESIGN.md §18): graph.Overlay is the session's adjacency,
@@ -323,6 +327,13 @@ fi
 if git grep -nwE 'BadMoveLimit|RegionSize|CombineTop|FsyncTicks|ComputePerVertex|ComputePerEdge|MaxSupersteps|ShardBits' -- '*.go' ||
     git grep -nE 'FaultRate|FaultSeed' -- 'internal/paragon/*.go' 'internal/portfolio/*.go' ':!*_test.go'; then
     echo "ci: a deleted setting is back; make it a constant or give it a production caller" >&2
+    exit 1
+fi
+# Refine publishes nothing (DESIGN.md §16, §19): callers publish the
+# refined assignment to a directory themselves. The driver's publish
+# phase and its counters must not come back to internal/paragon.
+if git grep -nwE 'publishEpoch|DirectoryEpochs|PublishAborts' -- 'internal/paragon/*.go'; then
+    echo "ci: the driver publishes to a directory again; publish the refined assignment from the caller" >&2
     exit 1
 fi
 # Every function earns a caller (DESIGN.md §19): what no binary linked and
