@@ -1,5 +1,7 @@
 package partition
 
+import "paragon/internal/graph"
+
 // SetMaxProfileEntries changes the arena limit NewNeighborProfile refuses
 // past, so a test (TestRefineRefusesOversizedProfile lives outside the
 // package, to import the refiner) reaches the refusal with a graph it can
@@ -17,4 +19,43 @@ func SetMaxObjective(n int64) (restore func()) {
 	old := maxObjective
 	maxObjective = n
 	return func() { maxObjective = old }
+}
+
+// IndexState is what an Index maintains, exposed to the external tests.
+type IndexState struct {
+	Buckets  [][]int32
+	Pos, Ext []int32
+	Incident []int64
+}
+
+// State returns ix's maintained structures; the slices alias the index.
+func (ix *Index) State() IndexState {
+	return IndexState{Buckets: ix.buckets, Pos: ix.pos, Ext: ix.ext, Incident: ix.incident}
+}
+
+// SerialIndexState derives an index's structures for p over g the way the
+// serial Rebuild does, one ascending pass over the vertices: the reference
+// BuildIndex and Rebuild must reproduce exactly, bucket order included.
+func SerialIndexState(g *graph.Graph, p *Partitioning) IndexState {
+	n := g.NumVertices()
+	s := IndexState{
+		Buckets:  make([][]int32, p.K),
+		Pos:      make([]int32, n),
+		Ext:      make([]int32, n),
+		Incident: make([]int64, p.K),
+	}
+	for v := int32(0); v < n; v++ {
+		pv := p.Assign[v]
+		s.Pos[v] = int32(len(s.Buckets[pv]))
+		s.Buckets[pv] = append(s.Buckets[pv], v)
+		s.Incident[pv] += int64(g.Degree(v))
+		var ext int32
+		for _, u := range g.Neighbors(v) {
+			if p.Assign[u] != pv {
+				ext++
+			}
+		}
+		s.Ext[v] = ext
+	}
+	return s
 }
