@@ -142,7 +142,7 @@ func TestKernelSetCoversServingLayers(t *testing.T) {
 }
 
 // goSites are the places a non-test go statement may start a goroutine,
-// as file and enclosing function: the six sites of DESIGN.md §8. A new
+// as file and enclosing function: the seven sites of DESIGN.md §8. A new
 // site is added here and to that table together.
 var goSites = map[string]bool{
 	"internal/paragon/engine.go WaveEngine.Open":                true,
@@ -150,6 +150,7 @@ var goSites = map[string]bool{
 	"internal/session/epoch.go Session.launchEpoch":             true,
 	"internal/graph/rows.go FromSymmetricRows":                  true,
 	"internal/partition/profile.go NeighborProfile.Materialize": true,
+	"internal/partition/index.go BuildIndex":                    true,
 	"cmd/paragon/main.go main":                                  true,
 }
 

@@ -87,7 +87,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: binary vsize: %w", err)
 	}
-	g := &Graph{xadj: xadj, adj: adj, ewgt: ewgt, vwgt: vwgt, vsize: vsize}
+	g := &Graph{xadj: xadj, adj: adj, ewgt: ewgt, vwgt: vwgt, vsize: vsize,
+		ewTotal: sum64(ewgt) / 2, vwTotal: sum64(vwgt), vsTotal: sum64(vsize)}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: binary payload: %w", err)
 	}

@@ -135,13 +135,17 @@ func (b *Builder) Build() *Graph {
 	clear(fill)
 	adj := make([]int32, m)
 	ewgt := make([]int32, m)
+	var ewHalf, vwTotal, vsTotal int64
 	for d := int64(0); d < n; d++ {
 		for p := xadj[d]; p < xadj[d+1]; p++ {
 			s := bsrc[p]
 			q := xadj[s] + fill[s]
 			adj[q], ewgt[q] = int32(d), bw[p]
+			ewHalf += int64(bw[p])
 			fill[s]++
 		}
+		vwTotal += int64(b.vwgt[d])
+		vsTotal += int64(b.vsize[d])
 	}
 	// Merge duplicates in place (lists are sorted, duplicates adjacent).
 	outAdj := adj[:0]
@@ -172,6 +176,8 @@ func (b *Builder) Build() *Graph {
 		ewgt:  outW,
 		vwgt:  append([]int32(nil), b.vwgt...),
 		vsize: append([]int32(nil), b.vsize...),
+
+		ewTotal: ewHalf / 2, vwTotal: vwTotal, vsTotal: vsTotal,
 	}
 	return g
 }

@@ -12,18 +12,22 @@ import (
 // use — never panic, never produce a corrupt CSR.
 
 // checkParsed is the oracle for a graph a reader accepted: it passes
-// Validate, and an overlay freezes it without a panic into the same
-// bytes, as a session's first freeze does.
+// Validate, its cached totals equal a recount, and an overlay freezes it
+// without a panic into the same bytes and totals, as a session's first
+// freeze does.
 func checkParsed(t *testing.T, g *Graph) {
 	t.Helper()
 	if err := g.Validate(); err != nil {
 		t.Fatalf("parsed graph invalid: %v", err)
 	}
+	checkTotals(t, "parsed", g)
 	var want, got bytes.Buffer
 	if err := WriteBinary(&want, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(&got, NewOverlay(g).Materialize()); err != nil {
+	frozen := NewOverlay(g).Materialize()
+	checkTotals(t, "frozen", frozen)
+	if err := WriteBinary(&got, frozen); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {

@@ -28,6 +28,10 @@ type Graph struct {
 	ewgt  []int32 // parallel to adj; weight of each half-edge
 	vwgt  []int32 // length n; computational weight of each vertex
 	vsize []int32 // length n; data size of each vertex
+
+	// Totals of ewgt (each undirected edge once), vwgt and vsize, set by
+	// every constructor in a pass that already reads the weights.
+	ewTotal, vwTotal, vsTotal int64
 }
 
 // NumVertices returns the number of vertices in g.
@@ -75,21 +79,21 @@ func (g *Graph) VertexWeight(v int32) int32 { return g.vwgt[v] }
 func (g *Graph) VertexSize(v int32) int32 { return g.vsize[v] }
 
 // TotalVertexWeight returns the sum of all vertex weights.
-func (g *Graph) TotalVertexWeight() int64 {
-	var t int64
-	for _, w := range g.vwgt {
-		t += int64(w)
-	}
-	return t
-}
+func (g *Graph) TotalVertexWeight() int64 { return g.vwTotal }
+
+// TotalVertexSize returns the sum of all vertex sizes.
+func (g *Graph) TotalVertexSize() int64 { return g.vsTotal }
 
 // TotalEdgeWeight returns the sum of w(e) over undirected edges.
-func (g *Graph) TotalEdgeWeight() int64 {
-	var t int64
-	for _, w := range g.ewgt {
-		t += int64(w)
+func (g *Graph) TotalEdgeWeight() int64 { return g.ewTotal }
+
+// sum64 sums xs, for the totals of a graph whose arrays were read rather
+// than built.
+func sum64(xs []int32) (t int64) {
+	for _, x := range xs {
+		t += int64(x)
 	}
-	return t / 2
+	return t
 }
 
 // EdgeWeightBetween returns the weight of edge {u,v}, or 0 when the edge
@@ -213,6 +217,8 @@ func (g *Graph) Clone() *Graph {
 		ewgt:  append([]int32(nil), g.ewgt...),
 		vwgt:  append([]int32(nil), g.vwgt...),
 		vsize: append([]int32(nil), g.vsize...),
+
+		ewTotal: g.ewTotal, vwTotal: g.vwTotal, vsTotal: g.vsTotal,
 	}
 	return cp
 }
@@ -221,12 +227,12 @@ func (g *Graph) Clone() *Graph {
 // weight and the vertex size of every vertex to its degree (minimum 1), and
 // leaves edge weights untouched.
 func (g *Graph) UseDegreeWeights() {
+	var t int64
 	for v := int32(0); v < g.NumVertices(); v++ {
-		d := g.Degree(v)
-		if d < 1 {
-			d = 1
-		}
+		d := max(g.Degree(v), 1)
 		g.vwgt[v] = d
 		g.vsize[v] = d
+		t += int64(d)
 	}
+	g.vwTotal, g.vsTotal = t, t
 }

@@ -52,32 +52,47 @@ func FromSymmetricRows(n int32, vwgt, vsize []int32, degree func(v int32) int32,
 	g.ewgt = make([]int32, g.xadj[n])
 
 	bounds := g.VertexRanges(workers)
-	bad := make([]string, len(bounds)-1)
+	fills := make([]rowFill, len(bounds)-1)
 	var wg sync.WaitGroup
-	for i := range bad {
+	for i := range fills {
 		wg.Add(1)
 		go func(i int, lo, hi int32) {
 			defer wg.Done()
-			bad[i] = g.fillRows(lo, hi, row)
+			fills[i] = g.fillRows(lo, hi, row)
 		}(i, bounds[i], bounds[i+1])
 	}
 	wg.Wait()
-	for _, msg := range bad {
-		if msg != "" {
-			panic(msg)
+	var ewHalf int64
+	for _, f := range fills {
+		if f.bad != "" {
+			panic(f.bad)
 		}
+		ewHalf += f.ew
+		g.vwTotal += f.vw
+		g.vsTotal += f.vs
 	}
+	g.ewTotal = ewHalf / 2
 	return g
 }
 
+// rowFill is what filling one vertex range reports: the first violation
+// it met ("" when none) and its partial sums of the half-edge weights and
+// of the vertex weights and sizes, which the graph's totals add up.
+type rowFill struct {
+	bad        string
+	ew, vw, vs int64
+}
+
 // fillRows fills the rows of [lo, hi) in place, sorts each one that is
-// not already strictly ascending, and returns the first violation it
-// meets, "" when there is none. Rows are disjoint regions of adj/ewgt, so
-// concurrent calls on disjoint ranges share nothing they write.
-func (g *Graph) fillRows(lo, hi int32, row func(v int32, to, w []int32)) string {
+// not already strictly ascending, and sums the range's weights. Rows are
+// disjoint regions of adj/ewgt, so concurrent calls on disjoint ranges
+// share nothing they write.
+func (g *Graph) fillRows(lo, hi int32, row func(v int32, to, w []int32)) (f rowFill) {
 	n := g.NumVertices()
 	var keys []uint64 // (neighbor << 32 | weight) per entry of the row being sorted
 	for v := lo; v < hi; v++ {
+		f.vw += int64(g.vwgt[v])
+		f.vs += int64(g.vsize[v])
 		to := g.adj[g.xadj[v]:g.xadj[v+1]]
 		w := g.ewgt[g.xadj[v]:g.xadj[v+1]]
 		row(v, to, w)
@@ -85,12 +100,16 @@ func (g *Graph) fillRows(lo, hi int32, row func(v int32, to, w []int32)) string 
 		for i, u := range to {
 			switch {
 			case u < 0 || u >= n:
-				return fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", v, u, n)
+				f.bad = fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", v, u, n)
+				return f
 			case w[i] <= 0:
-				return fmt.Sprintf("graph: non-positive edge weight %d on (%d,%d)", w[i], v, u)
+				f.bad = fmt.Sprintf("graph: non-positive edge weight %d on (%d,%d)", w[i], v, u)
+				return f
 			case u == v:
-				return fmt.Sprintf("graph: self-loop on %d", v)
+				f.bad = fmt.Sprintf("graph: self-loop on %d", v)
+				return f
 			}
+			f.ew += int64(w[i])
 			ascending = ascending && (i == 0 || to[i-1] < u)
 		}
 		if ascending {
@@ -103,13 +122,14 @@ func (g *Graph) fillRows(lo, hi int32, row func(v int32, to, w []int32)) string 
 		slices.Sort(keys)
 		for i, key := range keys {
 			if i > 0 && key>>32 == keys[i-1]>>32 {
-				return fmt.Sprintf("graph: duplicate edge (%d,%d)", v, key>>32)
+				f.bad = fmt.Sprintf("graph: duplicate edge (%d,%d)", v, key>>32)
+				return f
 			}
 			//lint:ignore sharedwrite row v's CSR region belongs to the one worker whose [lo, hi) holds v
 			to[i], w[i] = int32(key>>32), int32(uint32(key))
 		}
 	}
-	return ""
+	return f
 }
 
 // VertexRanges splits [0, n) into parts contiguous vertex ranges holding

@@ -318,3 +318,33 @@ func TestQuickPartitionValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Every coarse graph contract builds — the hierarchy each of Partition's
+// bisections coarsens through — carries cached totals equal to a recount:
+// contraction conserves vertex weight and size and drops the weight of the
+// edges it collapses.
+func TestContractTotalsMatchRecount(t *testing.T) {
+	g := gen.RMAT(3000, 20000, 0.57, 0.19, 0.19, 4)
+	g.UseDegreeWeights()
+	levels := coarsen(g, coarsenTo, rand.New(rand.NewSource(5)))
+	if len(levels) < 3 {
+		t.Fatalf("%d levels; the test wants at least two contractions", len(levels))
+	}
+	for li, l := range levels {
+		var ew, vw, vs int64
+		for v := int32(0); v < l.g.NumVertices(); v++ {
+			for _, w := range l.g.EdgeWeights(v) {
+				ew += int64(w)
+			}
+			vw += int64(l.g.VertexWeight(v))
+			vs += int64(l.g.VertexSize(v))
+		}
+		got := [3]int64{l.g.TotalEdgeWeight(), l.g.TotalVertexWeight(), l.g.TotalVertexSize()}
+		if want := [3]int64{ew / 2, vw, vs}; got != want {
+			t.Fatalf("level %d: totals (edge, vertex weight, vertex size) = %v, recount %v", li, got, want)
+		}
+		if vw != g.TotalVertexWeight() || vs != g.TotalVertexSize() {
+			t.Fatalf("level %d: vertex weight %d and size %d, the input's %d and %d", li, vw, vs, g.TotalVertexWeight(), g.TotalVertexSize())
+		}
+	}
+}

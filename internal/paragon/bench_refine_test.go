@@ -2,15 +2,18 @@ package paragon
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"paragon/internal/aragon"
 	"paragon/internal/faultsim"
 	"paragon/internal/gen"
 	"paragon/internal/graph"
 	"paragon/internal/metis"
 	"paragon/internal/obs"
+	"paragon/internal/partition"
 	"paragon/internal/stream"
 	"paragon/internal/topology"
 )
@@ -149,6 +152,52 @@ func BenchmarkParagonRoundMesh(b *testing.B) {
 	}
 }
 
+var (
+	meshBenchOnce sync.Once
+	meshBenchIn   struct {
+		g   *graph.Graph
+		p   *partition.Partitioning
+		c   [][]float64
+		cfg Config
+	}
+)
+
+// BenchmarkParagonRoundMeshBench is bench/'s mesh1m_metis_k32 call at full
+// size, input seed 42: Mesh2D(1000, 1000) cut by METIS into k = 32 with
+// seed 42, refined against GordonCluster(2) at λ = 1 with its NodeOf and
+// DefaultConfig at seed 42. Its set-up takes seconds and is paid once per
+// process. DESIGN.md §14's "where a Refine call goes" mesh column is this
+// benchmark, phase by phase.
+func BenchmarkParagonRoundMeshBench(b *testing.B) {
+	const k = 32
+	meshBenchOnce.Do(func() {
+		in := &meshBenchIn
+		in.g = gen.Mesh2D(1000, 1000)
+		in.p = metis.Partition(in.g, k, metis.Options{Seed: 42})
+		cl := topology.GordonCluster(2)
+		var err error
+		if in.c, err = cl.PartitionCostMatrix(k, 1); err != nil {
+			b.Fatal(err)
+		}
+		in.cfg = DefaultConfig()
+		in.cfg.Seed = 42
+		if in.cfg.NodeOf, err = cl.NodeOf(k); err != nil {
+			b.Fatal(err)
+		}
+	})
+	in := &meshBenchIn
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := in.p.Clone()
+		b.StartTimer()
+		if _, err := Refine(in.g, p, in.c, in.cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkParagonRoundWorkers is the worker-scaling curve of the
 // pair-level scheduler: the identical round at Workers ∈ {1, 2, 4,
 // GOMAXPROCS}. Every point computes the bit-identical decomposition —
@@ -178,5 +227,113 @@ func BenchmarkParagonRoundWorkers(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// round0Pairs runs one round-0 tournament of the rmat100k_dg_k128 input
+// (bench/'s input seed 42: groups dealt from rand.Perm(k) by the seed, as
+// bench/'s aragon.pairs_s probe deals them) on a fresh copy of the input,
+// pair after pair, and returns the moves kept and the assignment's hash.
+// scan is that probe's kernel: RefinePair on a bare Index, whose seeds scan
+// each candidate's adjacency over the live assignment. Otherwise the pairs
+// run one per wave on a one-worker WaveEngine with a neighbor profile, the
+// mask repaired at every barrier as a portfolio member's is: the kernel
+// round 0 runs, its first repair (the profile's first materialization)
+// included. Only the pairs and the repairs are timed.
+func round0Pairs(b *testing.B, scan bool) (moves int, hash uint64) {
+	const k, seed = 128, 42
+	g := benchGraph100k()
+	p0 := round0Input.p
+	cfg := DefaultConfig().WithDefaults(k)
+	cfg.Workers = 1
+	groups := make([][]int32, cfg.DRP)
+	for i, q := range rand.New(rand.NewSource(seed)).Perm(k) {
+		groups[i%cfg.DRP] = append(groups[i%cfg.DRP], int32(q))
+	}
+	var pairs [][2]int32
+	for _, grp := range groups {
+		for t := 0; t < len(grp)+(len(grp)&1)-1; t++ {
+			pairs = AppendTournamentRound(pairs, grp, t)
+		}
+	}
+	maxLoad := partition.BalanceBound(g, k, cfg.MaxImbalance)
+
+	b.StopTimer()
+	p := p0.Clone()
+	ix := partition.BuildIndex(g, p)
+	if scan {
+		ref := aragon.NewRefiner(g, ix, cfg.AragonConfig())
+		loads := p.Weights(g)
+		b.StartTimer()
+		for _, pr := range pairs {
+			moves += ref.RefinePair(p0.Assign, pr[0], pr[1], round0Input.c, loads, maxLoad, nil).Moves
+		}
+		b.StopTimer()
+	} else {
+		cs, err := partition.CheckCosts(round0Input.c, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		profile, err := partition.NewNeighborProfile(g, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var e WaveEngine
+		e.Open(g, ix, cs, p0.Assign, maxLoad, cfg, profile)
+		var mov Movable
+		mov.Reset(ix, 0)
+		e.Tasks = pairs
+		e.Waves = append(e.Waves[:0], 0)
+		for ti := range pairs {
+			e.Waves = append(e.Waves, int32(ti+1))
+		}
+		b.StartTimer()
+		mov.Repair(&e)
+		e.Run(func(_ int, ti, _ int32) {
+			moves += e.Results[ti].Moves
+			mov.Moved(e.TaskMoves(ti))
+			mov.Repair(&e)
+		})
+		b.StopTimer()
+		e.Close()
+	}
+	if err := ix.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	return moves, partition.PackAssign(p.Assign, k).Hash64()
+}
+
+var round0Input struct {
+	once sync.Once
+	p    *partition.Partitioning
+	c    [][]float64
+}
+
+// BenchmarkRound0Pairs times bench/'s aragon.pairs_s probe (scan) against
+// the same tournament through round 0's own kernel (profile); both must
+// keep the same moves and reach the same assignment. DESIGN.md §14 ("What
+// aragon.pairs_s measures") has the reading.
+func BenchmarkRound0Pairs(b *testing.B) {
+	round0Input.once.Do(func() {
+		const k = 128
+		round0Input.p = stream.DG(benchGraph100k(), k, stream.DefaultOptions())
+		var err error
+		if round0Input.c, err = topology.PittCluster(7).PartitionCostMatrix(k, 1); err != nil {
+			b.Fatal(err)
+		}
+	})
+	scanMoves, scanHash := round0Pairs(b, true)
+	profMoves, profHash := round0Pairs(b, false)
+	if scanMoves != profMoves || scanHash != profHash {
+		b.Fatalf("scan kept %d moves (hash %#x), profile %d (hash %#x)", scanMoves, scanHash, profMoves, profHash)
+	}
+	for _, kind := range []string{"scan", "profile"} {
+		b.Run(kind, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if moves, hash := round0Pairs(b, kind == "scan"); moves != scanMoves || hash != scanHash {
+					b.Fatalf("%s: %d moves (hash %#x), want %d (hash %#x)", kind, moves, hash, scanMoves, scanHash)
+				}
+			}
+		})
 	}
 }

@@ -20,10 +20,12 @@ type taskSpan struct {
 // span is the work order sent to every worker: one wave's task range.
 // Workers pick the indices congruent to their id modulo Workers — a static
 // assignment, so allocation counts are deterministic for a fixed worker
-// count (no work stealing).
+// count (no work stealing). A patch span asks instead for the wave's
+// profile patch over the worker's vertex range (patchProfile).
 type span struct {
-	lo int32
-	hi int32
+	lo    int32
+	hi    int32
+	patch bool
 }
 
 // testWaveSynced, consulted only when non-nil (set by tests, from the
@@ -90,6 +92,7 @@ type WaveEngine struct {
 	profile *partition.NeighborProfile // wave-start neighbor weights, patched at barriers; nil: seed from the master
 	loads   []int64                    // per-partition weights, written by the refiners
 	mask    *partition.Bitset          // the movable vertices (SetMask)
+	ranges  []int32                    // worker w patches the profile of [ranges[w], ranges[w+1])
 
 	// refiners[w] is worker w's, for every worker count the engine has been
 	// opened with: Spare[w] where the caller lends one, else built here once.
@@ -138,6 +141,9 @@ func (e *WaveEngine) Open(g *graph.Graph, ix *partition.Index, c *partition.Cost
 		r.SetProfile(profile)
 	}
 	e.workers, e.profile, e.mask = w, profile, nil
+	if len(e.ranges) != w+1 {
+		e.ranges = g.VertexRanges(w)
+	}
 	e.c, e.orig, e.maxLoad = c, orig, maxLoad
 	e.loads = slices.Grow(e.loads[:0], int(e.pm.K))[:e.pm.K]
 	clear(e.loads)
@@ -168,7 +174,11 @@ func (e *WaveEngine) Close() {
 
 func (e *WaveEngine) worker(w int) {
 	for sp := range e.start[w] {
-		e.runPairs(w, sp.lo, sp.hi)
+		if sp.patch {
+			e.patchProfile(w, sp.lo, sp.hi)
+		} else {
+			e.runPairs(w, sp.lo, sp.hi)
+		}
 		e.done <- struct{}{}
 	}
 	e.done <- struct{}{}
@@ -181,7 +191,11 @@ func (e *WaveEngine) worker(w int) {
 // workers' reads, and theirs before its next ones.
 func (e *WaveEngine) dispatch(sp span) {
 	if e.workers == 1 {
-		e.runPairs(0, sp.lo, sp.hi)
+		if sp.patch {
+			e.patchProfile(0, sp.lo, sp.hi)
+		} else {
+			e.runPairs(0, sp.lo, sp.hi)
+		}
 		return
 	}
 	for _, ch := range e.start {
@@ -212,12 +226,11 @@ func (e *WaveEngine) SetMask(mask *partition.Bitset, changed []int32) {
 }
 
 // Run executes the schedule wave by wave. At each wave's barrier the
-// coordinator replays the tasks' kept moves, in task order, into the
-// wave-start profile and the master index — a delta patch over the move
-// log, never a full copy; a vertex is moved by at most one pair per wave,
-// so pm.Assign[v] is still its wave-start owner when its move is reached.
-// barrier, when non-nil, then sees the wave: Results and TaskMoves of its
-// tasks are valid until it returns.
+// tasks' kept moves are replayed, in task order, into the wave-start
+// profile (by the workers, each over its own vertex range: patchProfile)
+// and then, by the coordinator, into the master index — a delta patch over
+// the move log, never a full copy. barrier, when non-nil, then sees the
+// wave: Results and TaskMoves of its tasks are valid until it returns.
 func (e *WaveEngine) Run(barrier func(t int, lo, hi int32)) {
 	nt := len(e.Tasks)
 	e.Results = slices.Grow(e.Results[:0], nt)[:nt]
@@ -231,17 +244,11 @@ func (e *WaveEngine) Run(barrier func(t int, lo, hi int32)) {
 			e.arenas[w] = e.arenas[w][:0]
 		}
 		e.dispatch(span{lo: lo, hi: hi})
+		if e.profile != nil && slices.ContainsFunc(e.arenas, func(a []aragon.Move) bool { return len(a) > 0 }) {
+			e.dispatch(span{lo: lo, hi: hi, patch: true}) // a wave that kept no move has nothing to patch
+		}
 		for ti := lo; ti < hi; ti++ {
 			for _, mv := range e.TaskMoves(ti) {
-				if e.profile != nil {
-					old := e.pm.Assign[mv.V]
-					adj := e.g.Neighbors(mv.V)
-					ew := e.g.EdgeWeights(mv.V)
-					ew = ew[:len(adj)]
-					for i, u := range adj {
-						e.profile.MoveNeighbor(u, old, mv.To, int64(ew[i]))
-					}
-				}
 				e.ix.Move(mv.V, mv.To)
 			}
 		}
@@ -267,6 +274,30 @@ func (e *WaveEngine) runPairs(w int, lo, hi int32) {
 		mstart := int32(len(e.arenas[w]))
 		e.arenas[w], e.Results[ti] = r.RefinePairScheduled(e.arenas[w], e.orig, t[0], t[1], e.c, e.loads, e.maxLoad, e.mask)
 		e.spans[ti] = taskSpan{worker: int32(w), mstart: mstart, mend: int32(len(e.arenas[w]))}
+	}
+}
+
+// patchProfile replays the kept moves of tasks [lo, hi), in task order,
+// into the profile segments of the neighbors in worker w's vertex range.
+// Segments are per vertex, so the workers' ranges split the patch into
+// disjoint writes, and each segment still takes its patches in task order.
+// The master is not written until every worker is done, and every vertex
+// moves at most once per wave, so pm.Assign[v] is the wave-start owner
+// each move shifts weight from.
+func (e *WaveEngine) patchProfile(w int, lo, hi int32) {
+	vlo, vhi := e.ranges[w], e.ranges[w+1]
+	for ti := lo; ti < hi; ti++ {
+		for _, mv := range e.TaskMoves(ti) {
+			old := e.pm.Assign[mv.V]
+			adj := e.g.Neighbors(mv.V)
+			ew := e.g.EdgeWeights(mv.V)
+			ew = ew[:len(adj)]
+			for i, u := range adj {
+				if u >= vlo && u < vhi {
+					e.profile.MoveNeighbor(u, old, mv.To, int64(ew[i]))
+				}
+			}
+		}
 	}
 }
 

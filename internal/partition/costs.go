@@ -98,12 +98,8 @@ func CheckObjective(g *graph.Graph, cs *Costs, alpha float64) error {
 	if !(alpha >= 0) || math.IsInf(alpha, 1) {
 		return fmt.Errorf("α = %v must be finite and non-negative", alpha)
 	}
-	var sizes int64
-	for v := int32(0); v < g.NumVertices(); v++ {
-		sizes += int64(g.VertexSize(v))
-	}
 	cmax := float64(slices.Max(cs.C))
-	score := cmax * (math.Round(math.Ldexp(alpha, AlphaBits))*float64(g.TotalEdgeWeight()) + math.Ldexp(float64(sizes), AlphaBits))
+	score := cmax * (math.Round(math.Ldexp(alpha, AlphaBits))*float64(g.TotalEdgeWeight()) + math.Ldexp(float64(g.TotalVertexSize()), AlphaBits))
 	if b := max(score, cmax*float64(cs.K)*float64(g.NumHalfEdges())); b >= float64(maxObjective) {
 		return fmt.Errorf("the objective can reach %.3g grid units, past the int64 limit of 2^62; refine with a smaller α, a narrower cost range or a smaller graph", b)
 	}

@@ -3,7 +3,9 @@ package partition
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
 
 	"paragon/internal/graph"
 )
@@ -61,33 +63,65 @@ type Index struct {
 	pos      []int32   // vertex -> position in its bucket
 	ext      []int32   // per-vertex count of neighbors outside own partition
 	incident []int64   // per-partition Σ deg(v)
+	next     []int32   // Rebuild's per-partition counts, then next slots
 }
 
 // BuildIndex constructs the index for p over g in O(|V| + |E|). The index
 // keeps references to both; all subsequent moves must go through Move so
 // the maintained structures stay consistent with p.Assign.
+//
+// The build runs over g.VertexRanges(GOMAXPROCS) in two passes, one
+// goroutine per range each: tally counts every range's members of each
+// partition (and fills ext and the incident sums), the counts are
+// prefix-summed, range by range, into each range's first slot in every
+// bucket, and scatter writes each range's members there in ascending id.
+// So every bucket holds its members in ascending id, as one serial pass
+// would put them, for every GOMAXPROCS.
 func BuildIndex(g *graph.Graph, p *Partitioning) *Index {
-	n := g.NumVertices()
+	n, k := g.NumVertices(), p.K
 	ix := &Index{
 		g:        g,
 		p:        p,
-		buckets:  make([][]int32, p.K),
+		buckets:  make([][]int32, k),
 		pos:      make([]int32, n),
 		ext:      make([]int32, n),
-		incident: make([]int64, p.K),
+		incident: make([]int64, k),
+		next:     make([]int32, k),
 	}
-	// Exact-size bucket preallocation: a counting pass first, then one
-	// allocation per bucket with growth slack. Appending into nil
-	// buckets instead costs O(K·log(|V|/K)) reallocations, which shows
-	// up as allocation counts that grow with the graph size.
-	cnt := make([]int32, p.K)
-	for v := int32(0); v < n; v++ {
-		cnt[p.Assign[v]]++
+	bounds := g.VertexRanges(runtime.GOMAXPROCS(0))
+	parts := len(bounds) - 1
+	// cnt[r][q] is range r's count of partition q, then its first slot.
+	cnt, inc := make([][]int32, parts), make([][]int64, parts)
+	for r := range cnt {
+		cnt[r], inc[r] = make([]int32, k), make([]int64, k)
 	}
+	var wg sync.WaitGroup
+	for r := range cnt {
+		wg.Add(1)
+		go func(r int, lo, hi int32) {
+			defer wg.Done()
+			rcnt, rinc := cnt[r], inc[r] // range r's own tallies
+			ix.tally(lo, hi, rcnt, rinc)
+		}(r, bounds[r], bounds[r+1])
+	}
+	wg.Wait()
 	for q := range ix.buckets {
-		ix.buckets[q] = make([]int32, 0, bucketCap(cnt[q]))
+		var size int32
+		for r := range cnt {
+			size, cnt[r][q] = size+cnt[r][q], size
+			ix.incident[q] += inc[r][q]
+		}
+		ix.buckets[q] = make([]int32, size, bucketCap(size))
 	}
-	ix.Rebuild()
+	for r := range cnt {
+		wg.Add(1)
+		go func(r int, lo, hi int32) {
+			defer wg.Done()
+			next := cnt[r] // range r's own first slots
+			ix.scatter(lo, hi, next)
+		}(r, bounds[r], bounds[r+1])
+	}
+	wg.Wait()
 	return ix
 }
 
@@ -96,25 +130,50 @@ func BuildIndex(g *graph.Graph, p *Partitioning) *Index {
 // only ever grows). It is how a pooled member scratch of the portfolio
 // layer re-seeds an Index after overwriting Assign wholesale — cheaper
 // than BuildIndex by all the allocations, and valid for the same (g, p)
-// the index was built over.
+// the index was built over. It runs BuildIndex's two passes as one range
+// on the calling goroutine: portfolio members already run one per worker.
 func (ix *Index) Rebuild() {
-	for q := range ix.buckets {
-		ix.buckets[q] = ix.buckets[q][:0]
-		ix.incident[q] = 0
-	}
+	clear(ix.next)
+	clear(ix.incident)
 	n := ix.g.NumVertices()
-	for v := int32(0); v < n; v++ {
-		pv := ix.p.Assign[v]
-		ix.pos[v] = int32(len(ix.buckets[pv]))
-		ix.buckets[pv] = append(ix.buckets[pv], v)
-		ix.incident[pv] += int64(ix.g.Degree(v))
+	ix.tally(0, n, ix.next, ix.incident)
+	for q, size := range ix.next {
+		if cap(ix.buckets[q]) < int(size) {
+			ix.buckets[q] = make([]int32, 0, bucketCap(size))
+		}
+		ix.buckets[q], ix.next[q] = ix.buckets[q][:size], 0
+	}
+	ix.scatter(0, n, ix.next)
+}
+
+// tally counts into cnt[q] the vertices of [lo, hi) in partition q and
+// adds their degrees into inc[q], and sets their ext.
+func (ix *Index) tally(lo, hi int32, cnt []int32, inc []int64) {
+	assign := ix.p.Assign
+	for v := lo; v < hi; v++ {
+		pv := assign[v]
+		cnt[pv]++
+		inc[pv] += int64(ix.g.Degree(v))
 		var ext int32
 		for _, u := range ix.g.Neighbors(v) {
-			if ix.p.Assign[u] != pv {
+			if assign[u] != pv {
 				ext++
 			}
 		}
 		ix.ext[v] = ext
+	}
+}
+
+// scatter places the vertices of [lo, hi) in ascending id into their
+// buckets, each partition q's from slot next[q] on, and records pos.
+func (ix *Index) scatter(lo, hi int32, next []int32) {
+	for v := lo; v < hi; v++ {
+		q := ix.p.Assign[v]
+		i := next[q]
+		next[q]++
+		//lint:ignore sharedwrite slots [next[q], next[q] + this range's count of q) of bucket q belong to the one worker whose [lo, hi) holds those vertices: BuildIndex's prefix sum gave each range its own run
+		ix.buckets[q][i] = v
+		ix.pos[v] = i
 	}
 }
 
@@ -303,30 +362,38 @@ func SortCandidates(vs []int32, words, summary []uint64) {
 	}
 }
 
-// Validate checks every maintained invariant against a from-scratch
-// rebuild. O(|V| + |E|); intended for tests.
+// Validate checks every maintained invariant against a recount from
+// p.Assign with plain loops, sharing no code with BuildIndex or Rebuild:
+// every vertex sits at pos[v] of its partition's bucket and each bucket is
+// exactly as long as its partition, so membership is exact; ext and the
+// incident sums equal their definitions. O(|V| + |E|); the tests and the
+// benchmark's per-call gate run it.
 func (ix *Index) Validate() error {
-	fresh := BuildIndex(ix.g, ix.p.Clone())
-	for v := range ix.ext {
-		if ix.ext[v] != fresh.ext[v] {
-			return fmt.Errorf("index: ext[%d] = %d, want %d", v, ix.ext[v], fresh.ext[v])
+	assign := ix.p.Assign
+	size := make([]int32, ix.p.K)
+	incident := make([]int64, ix.p.K)
+	for v, q := range assign {
+		var ext int32
+		for _, u := range ix.g.Neighbors(int32(v)) {
+			if assign[u] != q {
+				ext++
+			}
 		}
-	}
-	for q := int32(0); q < ix.p.K; q++ {
-		if ix.incident[q] != fresh.incident[q] {
-			return fmt.Errorf("index: incident[%d] = %d, want %d", q, ix.incident[q], fresh.incident[q])
+		if ix.ext[v] != ext {
+			return fmt.Errorf("index: ext[%d] = %d, want %d", v, ix.ext[v], ext)
 		}
-		a := append([]int32(nil), ix.buckets[q]...)
-		b := append([]int32(nil), fresh.buckets[q]...)
-		slices.Sort(a)
-		slices.Sort(b)
-		if !slices.Equal(a, b) {
-			return fmt.Errorf("index: bucket %d membership diverged", q)
-		}
-	}
-	for v, q := range ix.p.Assign {
-		if ix.pos[v] < 0 || ix.pos[v] >= int32(len(ix.buckets[q])) || ix.buckets[q][ix.pos[v]] != int32(v) {
+		if i := ix.pos[v]; i < 0 || i >= int32(len(ix.buckets[q])) || ix.buckets[q][i] != int32(v) {
 			return fmt.Errorf("index: pos[%d] inconsistent with bucket %d", v, q)
+		}
+		size[q]++
+		incident[q] += int64(ix.g.Degree(int32(v)))
+	}
+	for q := range size {
+		if ix.incident[q] != incident[q] {
+			return fmt.Errorf("index: incident[%d] = %d, want %d", q, ix.incident[q], incident[q])
+		}
+		if int32(len(ix.buckets[q])) != size[q] {
+			return fmt.Errorf("index: bucket %d membership diverged: %d members, its partition has %d", q, len(ix.buckets[q]), size[q])
 		}
 	}
 	return nil

@@ -99,6 +99,16 @@ for w in 1 8; do
 done
 cmp "$obsdir/t1.jsonl" "$obsdir/t8.jsonl"
 cmp "$obsdir/m1.prom" "$obsdir/m8.prom"
+# The same -workers 1 run at GOMAXPROCS 1 and 4: the range-parallel fills
+# (the CSR freeze, BuildIndex) size themselves by GOMAXPROCS, which the
+# -workers flag does not vary.
+for procs in 1 4; do
+    GOMAXPROCS="$procs" "$obsdir/paragon" -in "$obsdir/g.metis" -k 24 -workers 1 -seed 9 \
+        -fault-rate 0.05 -fault-seed 3 \
+        -trace "$obsdir/tp$procs.jsonl" -metrics "$obsdir/mp$procs.prom" > /dev/null
+    cmp "$obsdir/t1.jsonl" "$obsdir/tp$procs.jsonl"
+    cmp "$obsdir/m1.prom" "$obsdir/mp$procs.prom"
+done
 
 # Daemon determinism end to end: the same seeded churn schedule with the
 # fault layer on must produce byte-identical replay summaries, traces,
