@@ -254,7 +254,7 @@ func TestDeltaGainMatchesOracle(t *testing.T) {
 					for i, u := range g.Neighbors(mv.V) {
 						profile.MoveNeighbor(u, p.Assign[mv.V], mv.To, int64(w[i]))
 					}
-					ix.Move(mv.V, mv.To)
+					shadow.Commit(mv.V, mv.To)
 				}
 				if !slices.Equal(p.Assign, cur.Assign) {
 					t.Fatalf("wave %d: master and live view disagree after the barrier", wave)

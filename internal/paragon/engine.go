@@ -50,9 +50,9 @@ var testWaveSynced func(e *WaveEngine, wave int, lo, hi int32)
 // Determinism is structural, not incidental:
 //
 //   - Pairs within a wave touch pairwise-disjoint partitions, so their
-//     candidate buckets, load entries, and moved vertices are disjoint —
-//     every shared write during a wave goes to memory owned by exactly
-//     one pair.
+//     load entries and moved vertices are disjoint — every shared write
+//     during a wave goes to memory owned by exactly one pair — and the
+//     movable lists they gather from are not written until the barrier.
 //   - What a pair learns about vertices OUTSIDE it comes from wave-start
 //     state — the neighbor profile or, without one, the master's
 //     assignment (partition.Shadow.Master) — which only the coordinator
@@ -65,19 +65,22 @@ var testWaveSynced func(e *WaveEngine, wave int, lo, hi int32)
 //
 // Barrier invariant (DESIGN.md §14): outside a wave,
 //
-//	shadow view == pm.Assign (bucket membership == the master index's),
+//	shadow view == pm.Assign,
 //	loads == pm.Weights(g),
 //	profile segment of v == that of a full table over pm.Assign, for
 //	    every materialized v — and every mask-set v is materialized,
-//	shadow bucket prefix of q == {v ∈ P_q : mask bit set}.
+//	shadow movable list of q == {v : pm.Assign[v] == q, mask bit set}.
 //
 // Open establishes the first two with one O(|V|) copy and SetMask the
-// last two; each wave barrier restores all four by replaying the wave's
-// kept moves — which the refiners already applied to the shadow and to
-// loads (rolled-back moves were undone through both before the barrier)
-// — into the master index and the profile. The master is therefore the
-// wave-start view: every vertex moves at most once per wave, so
-// pm.Assign[v] at the barrier is still the owner the wave started from.
+// last two. During a wave workers write the view, loads, their arenas and
+// their tasks' result slots, nothing else that is shared. Each barrier
+// restores all four by replaying the wave's kept moves — which the
+// refiners already applied to the view and to loads (rolled-back moves
+// were undone through both before the barrier) — into the profile and,
+// through Shadow.Commit, into the lists and the master index. The master
+// is therefore the wave-start view: every vertex moves at most once per
+// wave, so pm.Assign[v] at the barrier is still the owner the wave
+// started from.
 type WaveEngine struct {
 	g       *graph.Graph
 	pm      *partition.Partitioning // master (authoritative) partitioning
@@ -124,7 +127,7 @@ func (e *WaveEngine) Open(g *graph.Graph, ix *partition.Index, c *partition.Cost
 		*e = WaveEngine{g: g, pm: ix.Partitioning(), ix: ix, acfg: acfg, shadow: ix.NewShadow(),
 			Spare: e.Spare, Tasks: e.Tasks, Waves: e.Waves}
 	} else {
-		e.shadow.Resync(ix)
+		e.shadow.Resync()
 	}
 	for i := len(e.refiners); i < w; i++ {
 		var r *aragon.Refiner
@@ -208,7 +211,7 @@ func (e *WaveEngine) dispatch(sp span) {
 
 // SetMask makes mask the movable set of the waves to come. changed lists
 // every vertex whose bit differs from what the engine last saw of it: the
-// shadow re-sorts those into or out of their bucket's movable prefix, and
+// shadow lists or unlists those in their partition's movable list, and
 // the profile gives the ones admitted for the first time their segment,
 // filled from the master. A mask new to the engine since Open is taken
 // whole, whatever changed says — so no caller has to list every set bit.
@@ -228,9 +231,10 @@ func (e *WaveEngine) SetMask(mask *partition.Bitset, changed []int32) {
 // Run executes the schedule wave by wave. At each wave's barrier the
 // tasks' kept moves are replayed, in task order, into the wave-start
 // profile (by the workers, each over its own vertex range: patchProfile)
-// and then, by the coordinator, into the master index — a delta patch over
-// the move log, never a full copy. barrier, when non-nil, then sees the
-// wave: Results and TaskMoves of its tasks are valid until it returns.
+// and then, by the coordinator, into the shadow's movable lists and the
+// master index (Shadow.Commit) — a delta patch over the move log, never a
+// full copy. barrier, when non-nil, then sees the wave: Results and
+// TaskMoves of its tasks are valid until it returns.
 func (e *WaveEngine) Run(barrier func(t int, lo, hi int32)) {
 	nt := len(e.Tasks)
 	e.Results = slices.Grow(e.Results[:0], nt)[:nt]
@@ -249,7 +253,7 @@ func (e *WaveEngine) Run(barrier func(t int, lo, hi int32)) {
 		}
 		for ti := lo; ti < hi; ti++ {
 			for _, mv := range e.TaskMoves(ti) {
-				e.ix.Move(mv.V, mv.To)
+				e.shadow.Commit(mv.V, mv.To)
 			}
 		}
 		if barrier != nil {

@@ -2,6 +2,7 @@ package paragon
 
 import (
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"paragon/internal/gen"
@@ -34,7 +35,8 @@ func assignHash(p *partition.Partitioning) uint64 {
 // — fixed point. mesh-uniform-drp8 kept its original hash: with groups
 // of two the tournament degenerates to the old one-pair-per-group order.
 // Any further drift is a regression: the scheduler contract is that the
-// output is bit-identical for every Config.Workers value.
+// output is bit-identical for every Config.Workers value, at every
+// GOMAXPROCS (each case runs at the process's, 1 and 3).
 func TestGoldenRefineHashes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -122,17 +124,24 @@ func TestGoldenRefineHashes(t *testing.T) {
 			},
 		},
 	}
+	// BuildIndex splits its work by GOMAXPROCS, the engine by Workers: no
+	// pairing of the two may change a byte.
+	procs := []int{runtime.GOMAXPROCS(0), 1, 3}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			workers := tc.workers
 			if workers == nil {
 				workers = []int{0}
 			}
-			for _, w := range workers {
-				got := assignHash(tc.run(t, w))
-				t.Logf("assign hash %s workers=%d = %#x", tc.name, w, got)
-				if got != tc.want {
-					t.Fatalf("workers=%d: assign hash = %#x, want %#x — refinement output drifted from the scan-based reference", w, got, tc.want)
+			for _, n := range procs {
+				runtime.GOMAXPROCS(n)
+				for _, w := range workers {
+					got := assignHash(tc.run(t, w))
+					t.Logf("assign hash %s GOMAXPROCS=%d workers=%d = %#x", tc.name, n, w, got)
+					if got != tc.want {
+						t.Fatalf("GOMAXPROCS=%d workers=%d: assign hash = %#x, want %#x — refinement output drifted from the scan-based reference", n, w, got, tc.want)
+					}
 				}
 			}
 		})

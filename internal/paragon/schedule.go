@@ -17,10 +17,10 @@ package paragon
 // proportional to *moved/boundary* vertices, never to |V|. The shared
 // shadow and the boundary bitset are initialized once per Refine and
 // thereafter patched only from the move log — the barrier commit leaves
-// master and shadow bit-identical after every wave, so nothing is ever
-// re-copied. What the pair kernel reads holds the movable vertices only:
-// the profile has a segment per vertex the mask ever admitted, and the
-// shadow keeps each bucket's movable members as a prefix, which the ship
+// master and shadow view bit-identical after every wave, so nothing is
+// ever re-copied. What the pair kernel reads holds the movable vertices
+// only: the profile has a segment per vertex the mask ever admitted, and
+// the shadow lists each partition's movable members, which the ship
 // accounting walks too. The migration sweep walks a bit-packed mask at 64
 // vertices per word.
 //
@@ -178,8 +178,8 @@ func (d *driver) repairBoundary() {
 // accountShipping is the boundary-shipping volume pass: every member
 // partition ships its k-hop boundary set, with its half-edges, to the
 // group server (the server's own partition stays put). It walks only the
-// shipping partitions' movable members, which repairBoundary left as the
-// shadow's bucket prefixes, and its two sums are integers, so their order
+// shipping partitions' movable members, which repairBoundary left in the
+// shadow's movable lists, and its two sums are integers, so their order
 // is immaterial.
 func (d *driver) accountShipping(round int32, servers []int32) {
 	sc := d.sc

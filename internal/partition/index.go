@@ -22,8 +22,8 @@ import (
 // PairIndexer is the minimal surface the pairwise refiner needs: candidate
 // enumeration for a partition pair and delta-maintained vertex moves.
 // Index (full boundary tracking) and Shadow (the wave engine's shared
-// bucket view of the master, which tracks no boundary and keeps the
-// movable members of every bucket as a prefix) both implement it, and
+// view of the master, which tracks no boundary and lists the movable
+// members of every master partition) both implement it, and
 // each takes one kind of mask: an Index only nil (its live boundary), a
 // Shadow only the mask it is synced to. Either panics on the other.
 type PairIndexer interface {
@@ -399,75 +399,64 @@ func (ix *Index) Validate() error {
 	return nil
 }
 
-// Shadow is the pair-level scheduler's live view: one mutable bucket
-// shadow of a master Index with its own copy of the assignment, shared by
-// every group server. Groups own disjoint partitions and every tournament
-// wave's pairs are partition-disjoint, so concurrent pair refinements
-// touch disjoint buckets, disjoint pos entries, and disjoint Assign
-// entries of the shared view — no per-group copies, no synchronization
-// beyond the scheduler's wave barriers. It tracks no boundary counts —
-// scheduled refinement always runs under the round's movable mask, which
-// subsumes the boundary test — so Move is O(1), not O(deg).
+// Shadow is the wave engine's view of a master Index, split by who writes
+// what. The view, the shadow's own copy of the assignment, is written by
+// the workers: Move is one store, and the pairs of a wave are
+// partition-disjoint, so they write disjoint entries. The movable lists
+// are written by the coordinator only, between waves (Sync, Commit):
 //
-// The shadow is synced to that one mask (Sync): every bucket keeps its
-// mask-set members as a prefix,
+//	movable[q] == {v : master.Assign[v] == q, mask bit of v set}, v at pos[v],
+//	pos[v] == -1 for every v not listed.
 //
-//	buckets[q].vs[:front] == {v : Assign[v] == q, mask bit of v set},
-//
-// which Move preserves, so a pair's candidates are two prefix copies —
-// O(|B_i| + |B_j|), not a mask test per member of both partitions.
+// A pair gathers its candidates once, before its first move, and no other
+// pair of its wave moves a vertex of its two partitions, so at that point
+// the master and the view agree on them: the pair's candidates are two
+// list copies, O(|B_i| + |B_j|), not a mask test per member of both
+// partitions. The shadow tracks no boundary counts: scheduled refinement
+// always runs under the round's movable mask, which subsumes the boundary
+// test.
 type Shadow struct {
-	p       *Partitioning
-	master  *Partitioning // the index's: written at wave barriers only
-	buckets []shadowBucket
-	pos     []int32 // vertex -> position in its bucket
-	mask    *Bitset // the mask the prefixes are synced to; nil before the first Sync
+	ix      *Index        // the master: written through Commit, at wave barriers only
+	p       *Partitioning // the view
+	movable [][]int32     // q -> the mask-set vertices the master puts in q
+	pos     []int32       // vertex -> position in its list, -1 if not listed
+	mask    *Bitset       // the mask the lists follow; nil before the first Sync
 }
 
-// shadowBucket is one partition's vertex list with its masked prefix.
-// Both the slice header and front are rewritten on every move into or out
-// of the partition, by whichever worker refines it this wave, so each
-// bucket fills a cache line pair of its own (the adjacent-line prefetcher
-// pulls the neighbor line along): side by side, two workers' moves would
-// keep stealing one line from each other (DESIGN.md §9).
-type shadowBucket struct {
-	vs    []int32
-	front int32
-	_     [shadowBucketStride - 28]byte
-}
-
-const shadowBucketStride = 128
-
-// NewShadow returns a shadow seeded from the index in O(|V|): its own
-// copy of the assignment, the buckets (sized with move headroom) and the
-// positions, synced to no mask yet. Whoever applies to ix every move the
-// shadow keeps leaves the two in agreement without ever copying again
-// (DESIGN.md §14).
+// NewShadow returns a shadow of ix with its own copy of the assignment,
+// synced to no mask yet. Whoever moves the master through Commit only
+// leaves the two in agreement without ever copying again (DESIGN.md §14).
 func (ix *Index) NewShadow() *Shadow {
 	s := &Shadow{
+		ix:      ix,
 		p:       &Partitioning{K: ix.p.K, Assign: make([]int32, len(ix.pos))},
-		master:  ix.p,
-		buckets: make([]shadowBucket, len(ix.buckets)),
+		movable: make([][]int32, ix.p.K),
 		pos:     make([]int32, len(ix.pos)),
 	}
-	s.Resync(ix)
+	for v := range s.pos {
+		s.pos[v] = -1
+	}
+	s.Resync()
 	return s
 }
 
-// Resync re-seeds the shadow from ix — the index it was made from, after
-// moves the shadow did not see — reusing every backing array: a pooled
-// shadow starts its next call the way a new one would, synced to no mask.
-func (s *Shadow) Resync(ix *Index) {
-	copy(s.p.Assign, ix.p.Assign)
-	copy(s.pos, ix.pos)
-	for q, b := range ix.buckets {
-		vs := s.buckets[q].vs
-		if cap(vs) < len(b) {
-			vs = make([]int32, 0, bucketCap(int32(len(b))))
-		}
-		s.buckets[q].vs, s.buckets[q].front = append(vs[:0], b...), 0
-	}
+// Resync re-seeds the view from the index, after moves the shadow did not
+// see, and empties the lists, reusing every backing array: a pooled shadow
+// starts its next call the way a new one would, synced to no mask.
+func (s *Shadow) Resync() {
+	copy(s.p.Assign, s.ix.p.Assign)
+	s.unlistAll()
 	s.mask = nil
+}
+
+// unlistAll empties every list in O(listed).
+func (s *Shadow) unlistAll() {
+	for q, l := range s.movable {
+		for _, v := range l {
+			s.pos[v] = -1
+		}
+		s.movable[q] = l[:0]
+	}
 }
 
 // Partitioning returns the shadow's own view of the decomposition.
@@ -475,91 +464,99 @@ func (s *Shadow) Partitioning() *Partitioning { return s.p }
 
 // Master implements PairIndexer: the index's decomposition, which no
 // worker writes during a wave — the wave-start view of every partition.
-func (s *Shadow) Master() *Partitioning { return s.master }
+func (s *Shadow) Master() *Partitioning { return s.ix.p }
 
-// Sync makes mask the mask the prefixes follow. changed must list every
+// Sync makes mask the mask the lists follow. changed must list every
 // vertex whose bit differs from what the shadow last saw of it — in any
 // order, repeats and unchanged vertices allowed. A mask the shadow was not
 // synced to before is taken whole instead, whatever changed says: the
-// prefixes start over from its set bits. O(len(changed)), or O(K + |V|/64
-// + set bits) on a change of mask.
+// lists start over from its set bits, each pre-sized from a count.
+// O(len(changed)), or O(K + |V|/64 + listed + set bits) on a change of
+// mask. Between waves only.
 func (s *Shadow) Sync(mask *Bitset, changed []int32) {
 	if mask != s.mask {
-		for q := range s.buckets {
-			s.buckets[q].front = 0
-		}
+		s.unlistAll()
 		s.mask = mask
-		mask.Range(s.resort)
+		count := make([]int32, len(s.movable))
+		mask.Range(func(v int32) { count[s.ix.p.Assign[v]]++ })
+		s.reserve(count)
+		mask.Range(s.list)
 		return
 	}
 	for _, v := range changed {
-		s.resort(v)
+		switch on := mask.Get(v); {
+		case on && s.pos[v] < 0:
+			s.list(v)
+		case !on && s.pos[v] >= 0:
+			s.unlist(v)
+		}
 	}
 }
 
-// resort moves v across its bucket's prefix boundary if it sits on the
-// side its mask bit does not say.
-func (s *Shadow) resort(v int32) {
-	b := &s.buckets[s.p.Assign[v]]
-	switch i, on := s.pos[v], s.mask.Get(v); {
-	case on && i >= b.front:
-		s.swap(b, i, b.front)
-		b.front++
-	case !on && i < b.front:
-		b.front--
-		s.swap(b, i, b.front)
+// reserve gives every list room for count[q] members and headroom for
+// the vertices later rounds admit. The lists that lack it are carved out
+// of one backing array, each window capped, so a list that outgrows its
+// window later moves out alone.
+func (s *Shadow) reserve(count []int32) {
+	need := 0
+	for q, c := range count {
+		if cap(s.movable[q]) < int(c) {
+			need += s.listCap(q, c)
+		}
+	}
+	arena := make([]int32, need)
+	for q, c := range count {
+		if cap(s.movable[q]) < int(c) {
+			n := s.listCap(q, c)
+			s.movable[q], arena = arena[:0:n], arena[n:]
+		}
 	}
 }
 
-// swap exchanges the vertices at positions i and j of bucket b.
-func (s *Shadow) swap(b *shadowBucket, i, j int32) {
-	v, w := b.vs[i], b.vs[j]
-	b.vs[i], b.vs[j] = w, v
-	s.pos[v], s.pos[w] = j, i
+// listCap is list q's capacity for c synced members: twice that, since a
+// mesh's lists grow up to fourfold over its refinement rounds as the cut
+// roughens, but never more than the index's bucket of q has, since a list
+// holds members of that partition only.
+func (s *Shadow) listCap(q int, c int32) int {
+	return min(2*int(c)+16, cap(s.ix.buckets[q]))
 }
 
-// Move implements PairIndexer in O(1): v's slot is refilled from the end
-// of its bucket and v appended to the other, each through the prefix
-// boundary when v is masked — the last masked member takes v's slot and
-// the last member that one's; on arrival the first unmasked member steps
-// to the end and v takes its slot. Concurrent calls are safe iff they
-// move vertices of disjoint partition pairs, which the tournament
-// schedule guarantees within a wave.
-func (s *Shadow) Move(v, to int32) {
-	from := s.p.Assign[v]
-	if from == to {
-		return
-	}
-	b := &s.buckets[from]
-	i, last := s.pos[v], int32(len(b.vs))-1
-	masked := i < b.front
-	if masked {
-		b.front--
-		w := b.vs[b.front]
-		b.vs[i], s.pos[w] = w, i
-		i = b.front
-	}
-	if i != last {
-		w := b.vs[last]
-		b.vs[i], s.pos[w] = w, i
-	}
-	b.vs = b.vs[:last]
-
-	b = &s.buckets[to]
-	i = int32(len(b.vs))
-	b.vs = append(b.vs, v)
-	if masked {
-		w := b.vs[b.front]
-		b.vs[i], s.pos[w] = w, i
-		i = b.front
-		b.vs[i] = v
-		b.front++
-	}
-	s.pos[v] = i
-	s.p.Assign[v] = to
+// list appends v to its master owner's list.
+func (s *Shadow) list(v int32) {
+	q := s.ix.p.Assign[v]
+	s.pos[v] = int32(len(s.movable[q]))
+	s.movable[q] = append(s.movable[q], v)
 }
 
-// AppendPairUnsorted implements PairIndexer: the two masked prefixes. A
+// unlist swap-deletes v from its master owner's list.
+func (s *Shadow) unlist(v int32) {
+	q := s.ix.p.Assign[v]
+	l := s.movable[q]
+	i, last := s.pos[v], l[len(l)-1]
+	l[i], s.pos[last] = last, i
+	s.movable[q], s.pos[v] = l[:len(l)-1], -1
+}
+
+// Move implements PairIndexer: one store into the view. Concurrent calls
+// are safe iff they move vertices of disjoint partition pairs, which the
+// tournament schedule guarantees within a wave.
+func (s *Shadow) Move(v, to int32) { s.p.Assign[v] = to }
+
+// Commit applies to the master index a move the view kept, at a wave
+// barrier: v's list entry, if it has one, moves along to partition to,
+// then Index.Move. Between waves only.
+func (s *Shadow) Commit(v, to int32) {
+	listed := s.pos[v] >= 0
+	if listed {
+		s.unlist(v)
+	}
+	s.ix.Move(v, to)
+	if listed {
+		s.list(v)
+	}
+}
+
+// AppendPairUnsorted implements PairIndexer: the two movable lists. A
 // Shadow tracks no boundary counts, so the mask is mandatory, and it must
 // be the one the shadow is synced to — any other would silently get that
 // one's candidates. The shadow carries no ordering scratch — it is shared
@@ -574,37 +571,32 @@ func (s *Shadow) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *Bitset) 
 	return append(append(dst, s.Masked(pi)...), s.Masked(pj)...)
 }
 
-// Masked returns the members of partition q whose bit is set in the
-// synced mask — its bucket's prefix, in bucket order — valid until the
-// next Move or Sync.
-func (s *Shadow) Masked(q int32) []int32 { return s.buckets[q].vs[:s.buckets[q].front] }
+// Masked returns the members of master partition q whose bit is set in
+// the synced mask, in list order, valid until the next Commit or Sync.
+func (s *Shadow) Masked(q int32) []int32 { return s.movable[q] }
 
-// Validate checks the shadow's invariants against a scan of its view:
-// every bucket holds exactly its partition's vertices, each at pos[v],
-// and — once synced — the mask-set ones are exactly its prefix. O(|V|);
+// Validate checks the lists against a scan of the master: every mask-set
+// vertex sits at pos[v] of its master owner's list, every other one is
+// unlisted, and each list is exactly as long as that count. O(|V|);
 // intended for tests.
 func (s *Shadow) Validate() error {
-	sizes := make([]int32, len(s.buckets))
-	masked := make([]int32, len(s.buckets))
-	for v, q := range s.p.Assign {
-		b := &s.buckets[q]
+	sizes := make([]int32, len(s.movable))
+	for v, q := range s.ix.p.Assign {
 		i := s.pos[v]
-		if i < 0 || int(i) >= len(b.vs) || b.vs[i] != int32(v) {
-			return fmt.Errorf("shadow: pos[%d] = %d is not where bucket %d holds it", v, i, q)
+		if s.mask == nil || !s.mask.Get(int32(v)) {
+			if i != -1 {
+				return fmt.Errorf("shadow: vertex %d is listed at %d with its mask bit clear", v, i)
+			}
+			continue
+		}
+		if l := s.movable[q]; i < 0 || int(i) >= len(l) || l[i] != int32(v) {
+			return fmt.Errorf("shadow: pos[%d] = %d is not where list %d holds it", v, i, q)
 		}
 		sizes[q]++
-		on := s.mask != nil && s.mask.Get(int32(v))
-		if on {
-			masked[q]++
-		}
-		if on != (i < b.front) {
-			return fmt.Errorf("shadow: vertex %d (mask bit %v) at %d of bucket %d, whose prefix is %d long", v, on, i, q, b.front)
-		}
 	}
-	for q := range s.buckets {
-		if b := &s.buckets[q]; int32(len(b.vs)) != sizes[q] || b.front != masked[q] {
-			return fmt.Errorf("shadow: bucket %d has %d members and a prefix of %d, its partition %d members, %d of them masked",
-				q, len(b.vs), b.front, sizes[q], masked[q])
+	for q, l := range s.movable {
+		if int32(len(l)) != sizes[q] {
+			return fmt.Errorf("shadow: list %d has %d members, its partition %d masked ones", q, len(l), sizes[q])
 		}
 	}
 	return nil

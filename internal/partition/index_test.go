@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"paragon/internal/gen"
 	"paragon/internal/graph"
@@ -137,18 +136,20 @@ func mustPanic(t *testing.T, what string, fn func()) {
 }
 
 // TestShadow drives a shadow through random interleavings of what the
-// scheduler does to it — moves, an FM-style run of moves rolled back in
-// reverse, mask flips followed by a Sync of the flipped vertices — and
-// after every step demands the masked-prefix invariant, consistent
-// positions, and pair candidates equal to the O(|V|) scan.
+// wave engine does to it — waves of moves through the view, plain or an
+// FM-style run rolled back in reverse, then a barrier that commits the
+// view's net moves; mask flips followed by a Sync that hears of repeats
+// and unflipped vertices; a change of mask. Moves through the view must
+// leave the master and the movable lists untouched until the barrier;
+// after every barrier and Sync the lists must equal a scan over the
+// master, and a pair's candidates the O(|V|) scan.
 func TestShadow(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
 		k    int32
-		// one vertex in `sparse` starts unmasked: 1 is the power-law case,
-		// where a bucket is all prefix and its last masked member is its
-		// last member.
+		// one vertex in `sparse` starts masked: 1 is the power-law case,
+		// where every member of a partition is listed.
 		sparse int
 	}{
 		{"er", gen.ErdosRenyi(200, 800, 5), 6, 2},
@@ -169,7 +170,7 @@ func TestShadow(t *testing.T) {
 			ix := BuildIndex(g, p)
 			s := ix.NewShadow()
 			view := s.Partitioning()
-			if view == p || !slices.Equal(view.Assign, p.Assign) {
+			if view == p || !slices.Equal(view.Assign, p.Assign) || s.Master() != p {
 				t.Fatal("shadow must start on its own copy of the master assignment")
 			}
 
@@ -183,15 +184,21 @@ func TestShadow(t *testing.T) {
 
 			words := make([]uint64, MaskWords(n))
 			summary := make([]uint64, MaskWords(int32(len(words))))
-			check := func() {
+			check := func(mask *Bitset) {
 				t.Helper()
 				if err := s.Validate(); err != nil {
 					t.Fatal(err)
 				}
+				if err := ix.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(view.Assign, p.Assign) {
+					t.Fatal("master and shadow view disagree at a barrier")
+				}
 				for pi := int32(0); pi < k; pi++ {
 					for pj := pi + 1; pj < k; pj++ {
-						want := scanPairCandidates(g, view, pi, pj, allowed)
-						got := s.AppendPairUnsorted(nil, pi, pj, allowed)
+						want := scanPairCandidates(g, p, pi, pj, mask)
+						got := s.AppendPairUnsorted(nil, pi, pj, mask)
 						SortCandidates(got, words, summary)
 						if !slices.Equal(got, want) {
 							t.Fatalf("pair (%d,%d): got %v want %v", pi, pj, got, want)
@@ -199,26 +206,16 @@ func TestShadow(t *testing.T) {
 					}
 				}
 			}
-			check()
+			lists := func() (out [][]int32) {
+				for q := int32(0); q < k; q++ {
+					out = append(out, slices.Clone(s.Masked(q)))
+				}
+				return out
+			}
+			check(allowed)
 			var flipped []int32
 			for step := 0; step < 150; step++ {
-				switch rng.Intn(3) {
-				case 0: // plain moves, masked or not
-					for i := 0; i < 8; i++ {
-						s.Move(rng.Int31n(n), rng.Int31n(k))
-					}
-				case 1: // a pair's hill climb whose suffix is rolled back
-					type rec struct{ v, from int32 }
-					var hist []rec
-					for i := 0; i < 10; i++ {
-						v := rng.Int31n(n)
-						hist = append(hist, rec{v, view.Assign[v]})
-						s.Move(v, rng.Int31n(k))
-					}
-					for i := len(hist) - 1; i >= 3; i-- {
-						s.Move(hist[i].v, hist[i].from)
-					}
-				case 2: // the mask changes; Sync hears of more than what flipped
+				if rng.Intn(3) == 2 { // the mask changes; Sync hears of more than what flipped
 					flipped = flipped[:0]
 					for i := 0; i < 12; i++ {
 						v := rng.Int31n(n)
@@ -228,62 +225,64 @@ func TestShadow(t *testing.T) {
 						flipped = append(flipped, v, v)
 					}
 					s.Sync(allowed, flipped)
+					check(allowed)
+					continue
 				}
-				check()
+				// A wave: moves through the view, masked or not, some of
+				// them an FM-style hill climb whose suffix is rolled back.
+				master, before := slices.Clone(p.Assign), lists()
+				for i := 0; i < 8; i++ {
+					s.Move(rng.Int31n(n), rng.Int31n(k))
+				}
+				type rec struct{ v, from int32 }
+				var hist []rec
+				for i := 0; i < 10; i++ {
+					v := rng.Int31n(n)
+					hist = append(hist, rec{v, view.Assign[v]})
+					s.Move(v, rng.Int31n(k))
+				}
+				for i := len(hist) - 1; i >= 3; i-- {
+					s.Move(hist[i].v, hist[i].from)
+				}
+				if !slices.Equal(p.Assign, master) {
+					t.Fatal("a move through the view reached the master")
+				}
+				if after := lists(); !slices.EqualFunc(after, before, slices.Equal) {
+					t.Fatal("a move through the view changed the movable lists before the barrier")
+				}
+				// The barrier: the view's net moves, committed.
+				for v, q := range view.Assign {
+					if q != p.Assign[v] {
+						s.Commit(int32(v), q)
+					}
+				}
+				check(allowed)
 			}
 
-			// A second mask starts the prefixes over; the first is then foreign.
+			// A second mask starts the lists over; the first is then foreign.
 			other := NewBitset(n)
 			for v := int32(0); v < n; v += 3 {
 				other.Set(v)
 			}
-			s.Sync(other, other.AppendSet(nil))
-			if err := s.Validate(); err != nil {
-				t.Fatal(err)
-			}
+			s.Sync(other, nil)
+			check(other)
 			mustPanic(t, "gather under a mask the shadow is not synced to", func() { s.AppendPairUnsorted(nil, 0, 1, allowed) })
 			// A nil mask is a programming error for shadows.
 			mustPanic(t, "gather under a nil mask", func() { s.AppendPairUnsorted(nil, 0, 1, nil) })
 
-			// Moves through the shadow must not have leaked into the base index
-			// or the base partitioning.
-			if err := ix.Validate(); err != nil {
-				t.Fatalf("base index corrupted by shadow moves: %v", err)
+			// Resync, after master moves the shadow did not see, empties the
+			// lists and copies the view again.
+			ix.Move(0, (p.Assign[0]+1)%k)
+			s.Resync()
+			if !slices.Equal(view.Assign, p.Assign) {
+				t.Fatal("Resync left the view behind the master")
 			}
-			// Replaying the shadow's net moves into the index brings the two
-			// back into agreement — how the scheduler keeps them in sync
-			// without ever re-copying. (Validate ties the index's buckets to
-			// p.Assign, as the shadow's Validate tied its buckets to the view.)
-			for v, q := range view.Assign {
-				ix.Move(int32(v), q)
+			if err := s.Validate(); err != nil {
+				t.Fatalf("after Resync: %v", err)
 			}
-			if err := ix.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(p.Assign, view.Assign) {
-				t.Fatal("master and shadow view disagree after the replay")
-			}
+			s.Sync(other, nil)
+			check(other)
 		})
-	}
-}
-
-// TestShadowKeepsWorkersOffSharedLines extends the refiner's
-// false-sharing guard (aragon.TestRefinerKeepsWorkersOffSharedLines) to
-// the per-partition state a wave writes: a bucket's slice header and its
-// prefix length are rewritten on every move into or out of the partition.
-// Each bucket spans a full line pair, so wherever the allocator puts the
-// array, two partitions' hot words are at least a line pair apart.
-func TestShadowKeepsWorkersOffSharedLines(t *testing.T) {
-	var b shadowBucket
-	if sz := unsafe.Sizeof(b); sz != shadowBucketStride || sz%128 != 0 {
-		t.Errorf("shadowBucket is %d bytes, want %d (a multiple of the 128-byte line pair)", sz, shadowBucketStride)
-	}
-	if hot := unsafe.Offsetof(b.front) + unsafe.Sizeof(b.front); hot > 64 {
-		t.Errorf("bucket header and front end at byte %d, want them inside the bucket's first line", hot)
-	}
-	s := BuildIndex(gen.Mesh2D(6, 6), New(3, 36)).NewShadow()
-	if d := uintptr(unsafe.Pointer(&s.buckets[1])) - uintptr(unsafe.Pointer(&s.buckets[0])); d != shadowBucketStride {
-		t.Errorf("adjacent buckets are %d bytes apart, want %d", d, shadowBucketStride)
 	}
 }
 

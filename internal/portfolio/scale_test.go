@@ -113,7 +113,8 @@ func scaled(c [][]float64, j int) [][]float64 {
 // partition.CheckCosts' integer matrix as it was and shifts only its
 // exponent, so paragon.Refine and portfolio.Refine must take the same
 // moves to the same assignment, and every cost they report must be exactly
-// 2^j times the unscaled one. Same corpus as the ×3 relation above.
+// 2^j times the unscaled one. Same corpus as the ×3 relation above. The
+// uniform matrix also goes in times non-dyadic constants.
 func TestRefineInvariantUnderCostScaling(t *testing.T) {
 	const k = 16
 	pitt, err := topology.PittCluster(2).PartitionCostMatrix(k, 0)
@@ -167,6 +168,38 @@ func TestRefineInvariantUnderCostScaling(t *testing.T) {
 				}
 				if got, want := pst2.SelectedScore.Cost(), math.Ldexp(pst.SelectedScore.Cost(), j); got != want {
 					t.Fatalf("portfolio.Refine %s seed %d j %d: selected cost %v, want %v", mc.name, seed, j, got, want)
+				}
+			}
+			if mc.name != "uniform" {
+				continue
+			}
+			// Any positive constant as a uniform matrix: every entry off the
+			// diagonal quantises to one integer, which every gain carries as
+			// a factor, so the moves are those at c = 1. A non-dyadic
+			// constant does not scale the grid exactly, so costs are not
+			// compared.
+			for _, f := range []float64{3, 0.1, 7.3, 1e6} {
+				cf := topology.UniformMatrix(k)
+				for _, row := range cf {
+					for q := range row {
+						row[q] *= f
+					}
+				}
+				p2 := p0.Clone()
+				st2, err := paragon.Refine(g, p2, cf, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(p.Assign, p2.Assign) || st.Moves != st2.Moves || st.PairsRefined != st2.PairsRefined {
+					t.Fatalf("paragon.Refine uniform×%v seed %d: another assignment or count (moves %d, %d)", f, seed, st.Moves, st2.Moves)
+				}
+				pp2 := p0.Clone()
+				pst2, err := Refine(g, pp2, cf, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(pp.Assign, pp2.Assign) || !slices.Equal(portfolioMoves(pst), portfolioMoves(pst2)) {
+					t.Fatalf("portfolio.Refine uniform×%v seed %d: another assignment or moves (%v, %v)", f, seed, portfolioMoves(pst), portfolioMoves(pst2))
 				}
 			}
 		}

@@ -288,10 +288,19 @@ if git grep -n 'recomputeLive' -- internal/session/epoch.go; then
 fi
 # Pay for the boundary, not the graph (DESIGN.md §14): the scheduler's
 # profile starts empty and is materialized for movable vertices only (the
-# shadow gathers a pair from two masked prefixes; appendMasked is guarded
+# shadow gathers a pair from two movable lists; appendMasked is guarded
 # above). The all-vertices build in the scheduler must not come back.
 if git grep -n 'BuildNeighborProfile(' -- 'internal/paragon/*.go' ':!internal/paragon/*_test.go'; then
     echo "ci: the full-table profile build is back on the scheduler's path" >&2
+    exit 1
+fi
+# The wave's live view is one assignment array (DESIGN.md §9): a worker's
+# move is one store into the shadow's Assign, and the movable lists follow
+# the master, written between waves by Sync and Commit only. The padded
+# per-partition buckets whose masked prefix every move kept must not come
+# back.
+if git grep -nE 'shadowBucket|\.front\b' -- 'internal/partition/*.go' ':!internal/partition/*_test.go'; then
+    echo "ci: the shadow's masked-prefix buckets are back; workers write the view's Assign only" >&2
     exit 1
 fi
 # Seed where the data is (DESIGN.md §14): a profile segment's live count
