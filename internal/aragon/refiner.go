@@ -205,9 +205,7 @@ func (r *Refiner) refinePair(orig []int32, pi, pj int32, cs *partition.Costs, lo
 	r.grow(n)
 	r.seed(pi, pj, orig, cs)
 	r.h.Reset()
-	for idx, gain := range r.gains {
-		r.h.Push(int32(idx), gain)
-	}
+	r.h.PushAll(r.gains)
 
 	r.history = r.history[:0]
 	var prefix, best int64
@@ -324,12 +322,14 @@ func sized[T any](s []T, n, c int) []T {
 // gathers each candidate's owner, original owner and (with a profile)
 // segment offset: independent id-indexed loads in a loop short enough for
 // the core to keep many in flight. Then one loop per path walks the
-// segments or adjacency lists. Under a uniform cost matrix only the
-// pair-local degrees are needed (g_topo is identically zero); under a
-// general one every partition v touches adds its weight times the pair's
-// difference row (beginPair), 0 at `from` and `to`, so no walk branches on
-// the partition for the sum. The walks leave v's data size in gmig for the
-// last loop, which forms the Eq. 5 terms.
+// segments or adjacency lists and forms each candidate's Eq. 5 terms and
+// gain as soon as its walk ends, from the registers the walk left. Under
+// a uniform cost matrix only the pair-local degrees are needed (g_topo is
+// identically zero), and a profile walk stops at the pair's higher
+// partition, since segments are sorted; under a general one every
+// partition v touches adds its weight times the pair's difference row
+// (beginPair), 0 at `from` and `to`, so no walk branches on the partition
+// for the sum.
 func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
 	// Seeds precede the pair's first move, so both views agree on a
 	// candidate's owner: a scan reads it where it reads the neighbors', a
@@ -351,6 +351,7 @@ func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
 		for idx, off := range r.off {
 			from, to, _ := r.orient(idx, pi, pj)
 			parts, ws, size := np.SegmentAt(off)
+			last := max(from, to)
 			var dfrom, dto int64
 			for i, k := range parts {
 				if k == from {
@@ -358,8 +359,14 @@ func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
 				} else if k == to {
 					dto = ws[i]
 				}
+				if k >= last {
+					break
+				}
 			}
-			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, 0, size
+			k0 := r.org[idx]
+			gmig := (size * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
+			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, 0, gmig
+			r.gains[idx] = r.alpha*(dto-dfrom)*cs.At(from, to) + gmig
 		}
 	case cs.Uniform:
 		for idx, v := range r.cands {
@@ -376,7 +383,10 @@ func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
 					dto += int64(w[i])
 				}
 			}
-			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, 0, int64(r.g.VertexSize(v))
+			k0 := r.org[idx]
+			gmig := (int64(r.g.VertexSize(v)) * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
+			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, 0, gmig
+			r.gains[idx] = r.alpha*(dto-dfrom)*cs.At(from, to) + gmig
 		}
 	case np != nil:
 		for idx, off := range r.off {
@@ -394,7 +404,11 @@ func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
 					dto = w
 				}
 			}
-			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, gtopo, size
+			k0 := r.org[idx]
+			gtopo *= r.alpha
+			gmig := (size * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
+			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, gtopo, gmig
+			r.gains[idx] = r.alpha*(dto-dfrom)*cs.At(from, to) + gtopo + gmig
 		}
 	default:
 		for idx, v := range r.cands {
@@ -413,14 +427,12 @@ func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
 					dto += wi
 				}
 			}
-			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, gtopo, int64(r.g.VertexSize(v))
+			k0 := r.org[idx]
+			gtopo *= r.alpha
+			gmig := (int64(r.g.VertexSize(v)) * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
+			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, gtopo, gmig
+			r.gains[idx] = r.alpha*(dto-dfrom)*cs.At(from, to) + gtopo + gmig
 		}
-	}
-	for idx, k0 := range r.org {
-		from, to, _ := r.orient(idx, pi, pj)
-		r.gtopo[idx] *= r.alpha
-		r.gmig[idx] = (r.gmig[idx] * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
-		r.gains[idx] = r.pairGain(idx, cs.At(from, to))
 	}
 }
 

@@ -145,8 +145,9 @@ func TestUniformGainMatchesDense(t *testing.T) {
 }
 
 // TestDeltaGainMatchesOracle is the differential test of the delta-mode
-// kernel: RefinePair is driven over many pairs under a non-uniform
-// matrix with k = 130, and after
+// kernel: RefinePair is driven over many pairs with k = 130, under a
+// non-uniform matrix and under the uniform one (whose seeds take the
+// pair-local scan and the early-stopping profile walk), and after
 // every applied move the maintained gain of every unmoved candidate must
 // equal the dense Eq. 5 evaluation on the view the read rule prescribes.
 // Two modes: a serial Index without a profile (every neighbor read
@@ -158,112 +159,116 @@ func TestUniformGainMatchesDense(t *testing.T) {
 // absorb the kept moves at each wave barrier, as the scheduler does.
 func TestDeltaGainMatchesOracle(t *testing.T) {
 	const k = 130
-	c := mixedCostMatrix(k)
-	cs := quantised(t, c)
 	cfg := Config{}.WithDefaults()
 	defer func() { testMoveApplied = nil }()
-	for _, seed := range []int64{3, 17} {
-		g := gen.RMAT(2600, 16000, 0.57, 0.19, 0.19, seed)
-		g.UseDegreeWeights()
-		n := g.NumVertices()
-		p0, orig := perturbed(g, k, 500, rand.New(rand.NewSource(seed+1)))
+	for _, m := range []struct {
+		prefix string
+		c      [][]float64
+	}{{"", mixedCostMatrix(k)}, {"uniform-", topology.UniformMatrix(k)}} {
+		c, cs := m.c, quantised(t, m.c)
+		for _, seed := range []int64{3, 17} {
+			g := gen.RMAT(2600, 16000, 0.57, 0.19, 0.19, seed)
+			g.UseDegreeWeights()
+			n := g.NumVertices()
+			p0, orig := perturbed(g, k, 500, rand.New(rand.NewSource(seed+1)))
 
-		// oracle compares every unmoved candidate of the running pair
-		// against gainFromDegrees over owner(u), the prescribed view.
-		checks := 0
-		dense := make([]int64, k)
-		oracle := func(t *testing.T, owner func(u, pi, pj int32) int32) func(r *Refiner, pi, pj int32) {
-			return func(r *Refiner, pi, pj int32) {
-				for idx, v := range r.cands {
-					if r.moved[idx] {
-						continue
+			// oracle compares every unmoved candidate of the running pair
+			// against gainFromDegrees over owner(u), the prescribed view.
+			checks := 0
+			dense := make([]int64, k)
+			oracle := func(t *testing.T, owner func(u, pi, pj int32) int32) func(r *Refiner, pi, pj int32) {
+				return func(r *Refiner, pi, pj int32) {
+					for idx, v := range r.cands {
+						if r.moved[idx] {
+							continue
+						}
+						from := r.p.Assign[v]
+						to := pi
+						if from == pi {
+							to = pj
+						}
+						clear(dense)
+						w := g.EdgeWeights(v)
+						for i, u := range g.Neighbors(v) {
+							dense[owner(u, pi, pj)] += int64(w[i])
+						}
+						want := gainFromDegrees(g, dense, orig, v, from, to, cs, r.alpha)
+						if got := r.gains[idx]; got != want {
+							t.Fatalf("seed %d pair (%d,%d): maintained gain of %d = %d, oracle %d", seed, pi, pj, v, got, want)
+						}
+						checks++
 					}
-					from := r.p.Assign[v]
-					to := pi
-					if from == pi {
-						to = pj
-					}
-					clear(dense)
-					w := g.EdgeWeights(v)
-					for i, u := range g.Neighbors(v) {
-						dense[owner(u, pi, pj)] += int64(w[i])
-					}
-					want := gainFromDegrees(g, dense, orig, v, from, to, cs, r.alpha)
-					if got := r.gains[idx]; got != want {
-						t.Fatalf("seed %d pair (%d,%d): maintained gain of %d = %d, oracle %d", seed, pi, pj, v, got, want)
-					}
-					checks++
 				}
 			}
-		}
-		t.Run("index", func(t *testing.T) {
-			p := p0.Clone()
-			ix := partition.BuildIndex(g, p)
-			r := NewRefiner(g, ix, cfg)
-			loads := p.Weights(g)
-			testMoveApplied = oracle(t, func(u, _, _ int32) int32 { return p.Assign[u] })
-			checks = 0
-			moves := 0
-			for pi := int32(0); pi < k; pi++ {
-				for _, d := range []int32{1, 7, 64} {
-					moves += r.RefinePair(orig, pi, (pi+d)%k, c, loads, math.MaxInt64, nil).Moves
+			t.Run(m.prefix+"index", func(t *testing.T) {
+				p := p0.Clone()
+				ix := partition.BuildIndex(g, p)
+				r := NewRefiner(g, ix, cfg)
+				loads := p.Weights(g)
+				testMoveApplied = oracle(t, func(u, _, _ int32) int32 { return p.Assign[u] })
+				checks = 0
+				moves := 0
+				for pi := int32(0); pi < k; pi++ {
+					for _, d := range []int32{1, 7, 64} {
+						moves += r.RefinePair(orig, pi, (pi+d)%k, c, loads, math.MaxInt64, nil).Moves
+					}
 				}
-			}
-			if err := ix.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if moves < 100 || checks < 1000 {
-				t.Fatalf("%d kept moves, %d oracle comparisons: the differential is near-vacuous", moves, checks)
-			}
-		})
-
-		t.Run("shadow-profile", func(t *testing.T) {
-			p := p0.Clone()
-			ix := partition.BuildIndex(g, p)
-			shadow := ix.NewShadow()
-			cur := shadow.Partitioning()
-			profile, err := partition.BuildNeighborProfile(g, p.Assign, k, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := NewRefiner(g, shadow, cfg)
-			r.SetProfile(profile)
-			all := partition.NewBitset(n)
-			for v := int32(0); v < n; v++ {
-				all.Set(v)
-			}
-			shadow.Sync(all, all.AppendSet(nil))
-			loads := p.Weights(g)
-			testMoveApplied = oracle(t, func(u, pi, pj int32) int32 {
-				if a := p.Assign[u]; a != pi && a != pj {
-					return a
+				if err := ix.Validate(); err != nil {
+					t.Fatal(err)
 				}
-				return cur.Assign[u]
+				if moves < 100 || checks < 1000 {
+					t.Fatalf("%d kept moves, %d oracle comparisons: the differential is near-vacuous", moves, checks)
+				}
 			})
-			checks = 0
-			var kept []Move
-			for wave := int32(0); wave < 6; wave++ {
-				kept = kept[:0]
-				for i := int32(0); i < k/2; i++ {
-					pi, pj := (2*i+wave)%k, (2*i+1+wave)%k
-					kept, _ = r.RefinePairScheduled(kept, orig, pi, pj, cs, loads, math.MaxInt64, all)
+
+			t.Run(m.prefix+"shadow-profile", func(t *testing.T) {
+				p := p0.Clone()
+				ix := partition.BuildIndex(g, p)
+				shadow := ix.NewShadow()
+				cur := shadow.Partitioning()
+				profile, err := partition.BuildNeighborProfile(g, p.Assign, k, 1)
+				if err != nil {
+					t.Fatal(err)
 				}
-				// Wave barrier.
-				for _, mv := range kept {
-					w := g.EdgeWeights(mv.V)
-					for i, u := range g.Neighbors(mv.V) {
-						profile.MoveNeighbor(u, p.Assign[mv.V], mv.To, int64(w[i]))
+				r := NewRefiner(g, shadow, cfg)
+				r.SetProfile(profile)
+				all := partition.NewBitset(n)
+				for v := int32(0); v < n; v++ {
+					all.Set(v)
+				}
+				shadow.Sync(all, all.AppendSet(nil))
+				loads := p.Weights(g)
+				testMoveApplied = oracle(t, func(u, pi, pj int32) int32 {
+					if a := p.Assign[u]; a != pi && a != pj {
+						return a
 					}
-					shadow.Commit(mv.V, mv.To)
+					return cur.Assign[u]
+				})
+				checks = 0
+				var kept []Move
+				for wave := int32(0); wave < 6; wave++ {
+					kept = kept[:0]
+					for i := int32(0); i < k/2; i++ {
+						pi, pj := (2*i+wave)%k, (2*i+1+wave)%k
+						kept, _ = r.RefinePairScheduled(kept, orig, pi, pj, cs, loads, math.MaxInt64, all)
+					}
+					// Wave barrier.
+					for _, mv := range kept {
+						w := g.EdgeWeights(mv.V)
+						for i, u := range g.Neighbors(mv.V) {
+							profile.MoveNeighbor(u, p.Assign[mv.V], mv.To, int64(w[i]))
+						}
+						shadow.Commit(mv.V, mv.To)
+					}
+					if !slices.Equal(p.Assign, cur.Assign) {
+						t.Fatalf("wave %d: master and live view disagree after the barrier", wave)
+					}
 				}
-				if !slices.Equal(p.Assign, cur.Assign) {
-					t.Fatalf("wave %d: master and live view disagree after the barrier", wave)
+				if checks < 1000 {
+					t.Fatalf("%d oracle comparisons: the differential is near-vacuous", checks)
 				}
-			}
-			if checks < 1000 {
-				t.Fatalf("%d oracle comparisons: the differential is near-vacuous", checks)
-			}
-		})
+			})
+		}
 	}
 }
 

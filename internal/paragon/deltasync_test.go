@@ -19,7 +19,7 @@ import (
 // scratch: the master — patched only from the move log — equals a full
 // copy of the input with the waves' kept moves replayed in task order,
 // its index validates against a rebuild, the shadow's view equals the
-// master and its bucket prefixes are the movable members, the scheduler's
+// master and its movable lists are the movable members, the scheduler's
 // loads equal the master's partition weights, every movable vertex has a
 // profile segment, and every segment equals the one a table built over
 // the master for all vertices holds. The state repairBoundary leaves
@@ -134,8 +134,8 @@ func TestDeltaWaveSyncMatchesFullCopy(t *testing.T) {
 // scheduler's mask be that set; at that point and at every wave barrier
 // it enumerates, for each pair of the wave about to run, every vertex of
 // the two partitions under the master assignment whose oracle bit is set,
-// and demands exactly that list from the shadow's prefix copy ordered by
-// SortCandidates. Index, Shadow, NeighborProfile and the mask repair
+// and demands exactly that list from the shadow's movable lists ordered
+// by SortCandidates. Index, Shadow, NeighborProfile and the mask repair
 // appear on one side only. K-hop 0, 1 and 2, Workers 1/2/8, with a third
 // of the groups degraded so schedules with holes are covered.
 func TestPairCandidatesMatchScan(t *testing.T) {

@@ -209,7 +209,7 @@ func TestMovableMatchesScan(t *testing.T) {
 }
 
 // TestShipAccountingMatchesScan holds accountShipping's walk of the
-// shadow's masked bucket prefixes to its definition — every vertex of the
+// shadow's movable lists to its definition — every vertex of the
 // movable scan whose partition's group server is another partition, with
 // its degree — on every round of a driven refinement, at k-hop 0, 1 and 2.
 func TestShipAccountingMatchesScan(t *testing.T) {

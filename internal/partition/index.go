@@ -321,20 +321,20 @@ func (ix *Index) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *Bitset) 
 	return dst
 }
 
-// SortCandidates sorts the distinct vertex ids vs ascending in place —
-// the order the refiner's heap tie-breaking depends on — without a
-// comparison. words and summary are caller-owned bitmaps, all-zero on
-// entry and restored to all-zero on return: words covers the vertex-id
-// space (MaskWords(|V|)), summary has one bit per word of it
-// (MaskWords(len(words))). The ids are set as bits of words, the words
-// they touch as bits of summary, and the summary's [min, max] span is
-// drained low bit first, each set bit naming the next non-empty word:
-// O(c + span/4096) for c ids, so a pair whose few boundary vertices lie
-// scattered over two far-apart id ranges pays for the vertices, not for
-// the empty words between them.
-func SortCandidates(vs []int32, words, summary []uint64) {
+// SortCandidates sorts the vertex ids vs ascending in place — the order
+// the refiner's heap tie-breaking depends on — without a comparison, and
+// returns the sorted prefix: a repeated id is kept once. words and summary
+// are caller-owned bitmaps, all-zero on entry and restored to all-zero on
+// return: words covers the vertex-id space (MaskWords(|V|)), summary has
+// one bit per word of it (MaskWords(len(words))). The ids are set as bits
+// of words, the words they touch as bits of summary, and the summary's
+// [min, max] span is drained low bit first, each set bit naming the next
+// non-empty word: O(c + span/4096) for c ids, so a pair whose few
+// boundary vertices lie scattered over two far-apart id ranges pays for
+// the vertices, not for the empty words between them.
+func SortCandidates(vs []int32, words, summary []uint64) []int32 {
 	if len(vs) < 2 {
-		return
+		return vs
 	}
 	lo, hi := vs[0]>>6, vs[0]>>6
 	for _, v := range vs {
@@ -360,6 +360,7 @@ func SortCandidates(vs []int32, words, summary []uint64) {
 			}
 		}
 	}
+	return vs[:n]
 }
 
 // Validate checks every maintained invariant against a recount from

@@ -290,8 +290,9 @@ func TestShadow(t *testing.T) {
 // the shapes the scheduler produces — a few dozen to a few thousand
 // boundary vertices scattered over a 1M and a 10M id space (two METIS
 // blobs far apart: the mesh shape), and the dense power-law shape where
-// most words of the span are hit — plus the degenerate sizes, with both
-// scratch levels left all-zero for the next call.
+// most words of the span are hit — plus the degenerate sizes, once with
+// distinct ids and once with every id twice, with both scratch levels
+// left all-zero for the next call.
 func TestSortCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, space := range []int32{1 << 16, 1_000_000, 10_000_000} {
@@ -339,6 +340,12 @@ func TestSortCandidates(t *testing.T) {
 			SortCandidates(vs, words, summary)
 			if !slices.Equal(vs, want) {
 				t.Fatalf("space %d, %s: result differs from slices.Sort", space, tc.name)
+			}
+			// Every id twice, shuffled: the returned prefix holds each once.
+			dup := append(slices.Clone(want), want...)
+			rng.Shuffle(len(dup), func(i, j int) { dup[i], dup[j] = dup[j], dup[i] })
+			if got := SortCandidates(dup, words, summary); !slices.Equal(got, want) {
+				t.Fatalf("space %d, %s: repeated ids sort to %d ids, want the %d distinct ones", space, tc.name, len(got), len(want))
 			}
 			for w, b := range words {
 				if b != 0 {

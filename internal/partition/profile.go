@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"paragon/internal/graph"
@@ -55,6 +54,8 @@ type NeighborProfile struct {
 	tail   int64   // arena offset the next segment starts at
 	fresh  []int32 // Materialize scratch: the vertices it is adding
 	start  []int32 // Materialize scratch: where each owner's next segment goes
+	// Materialize scratch: SortCandidates' all-zero bitmaps over the ids.
+	words, summary []uint64
 }
 
 // profileChunk is 2^profileChunkShift offsets of the arena.
@@ -99,7 +100,9 @@ func NewNeighborProfile(g *graph.Graph, k int32) (*NeighborProfile, error) {
 			return nil, err
 		}
 	}
-	np := &NeighborProfile{k: k, off: make([]int32, n), start: make([]int32, k+1)}
+	words := MaskWords(n)
+	np := &NeighborProfile{k: k, off: make([]int32, n), start: make([]int32, k+1),
+		words: make([]uint64, words), summary: make([]uint64, MaskWords(int32(words)))}
 	for v := range np.off {
 		np.off[v] = -1
 	}
@@ -129,7 +132,8 @@ func (np *NeighborProfile) Materialized(v int32) bool { return np.off[v] >= 0 }
 // Materialize gives every vertex of vs whose mask bit is set (a nil mask
 // admits all) and that has no segment yet one, filled from assign; vs
 // lists vertices in any order, and a repeated one gets one segment. Cost
-// O(len(vs)) to find the new ones, O(new + k) to lay them out at the
+// O(len(vs)) to find the new ones, O(new + span/4096) to order them by
+// id (SortCandidates, no comparison), O(new + k) to lay them out at the
 // arena's tail by (owner, id) — a serial counting sort of their slots in
 // two ascending-id passes — plus O(Σ deg) over them to fill; the chunks
 // the offsets reach are allocated.
@@ -148,10 +152,7 @@ func (np *NeighborProfile) Materialize(g *graph.Graph, assign []int32, mask *Bit
 	if len(fresh) == 0 {
 		return
 	}
-	if !slices.IsSorted(fresh) {
-		slices.Sort(fresh)
-	}
-	fresh = slices.Compact(fresh)
+	fresh = SortCandidates(fresh, np.words, np.summary)
 	// start[q+1] counts owner q's slots, then start[q] is where its region
 	// begins (inside int32 by the constructor's check).
 	start := np.start

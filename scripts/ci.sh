@@ -303,6 +303,14 @@ if git grep -nE 'shadowBucket|\.front\b' -- 'internal/partition/*.go' ':!interna
     echo "ci: the shadow's masked-prefix buckets are back; workers write the view's Assign only" >&2
     exit 1
 fi
+# One interleaved gain heap (DESIGN.md §9): an entry's gain and id share
+# one array element and sift through a hole. The parallel id/gain slices
+# and their swap must not come back.
+heapSlices=$(git grep -hcE '^[[:space:]]+[[:alnum:]_, ]+[[:space:]]\[\]' -- internal/partition/gainheap.go || echo 0)
+if git grep -nE 'func \(h \*GainHeap\) swap' -- internal/partition/gainheap.go || [ "$heapSlices" -gt 1 ]; then
+    echo "ci: the gain heap holds parallel slices again ($heapSlices slice declarations); keep one interleaved array" >&2
+    exit 1
+fi
 # Seed where the data is (DESIGN.md §14): a profile segment's live count
 # and the vertex's data size sit in its header entry, behind the one
 # offset lookup. The per-vertex live array must not come back.
