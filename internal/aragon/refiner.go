@@ -55,9 +55,9 @@ type Refiner struct {
 	// Per-candidate state, grown together (grow): own/org are the
 	// candidate's owner at seed time (where it stays until it moves) and its
 	// original owner, off its profile header offset; dfrom/dto its edge
-	// weight toward its own/the other partition of the pair; gtopo and gmig
-	// its Eq. 8 and Eq. 9 terms, constant while the pair is refined; gains
-	// the current Eq. 5 value.
+	// weight toward its own/the other partition of the pair; gfix the sum
+	// α·g_topo + g_mig of its Eq. 8 and Eq. 9 terms, constant while the
+	// pair is refined; gains the current Eq. 5 value.
 	gains []int64
 	moved []bool
 	own   []int32
@@ -65,8 +65,7 @@ type Refiner struct {
 	off   []int32
 	dfrom []int64
 	dto   []int64
-	gtopo []int64
-	gmig  []int64
+	gfix  []int64
 
 	// profile, when non-nil, is the scheduler's wave-start
 	// neighbor-partition weight table. Seeding runs before any of the
@@ -149,8 +148,10 @@ func (r *Refiner) SetProfile(np *partition.NeighborProfile) {
 // Move is one committed vertex relocation, recorded by
 // RefinePairScheduled so the parallel scheduler can replay the kept
 // prefix against the master partitioning in deterministic task order.
+// From is the owner the pair found V at: under a wave engine, the
+// wave-start master's.
 type Move struct {
-	V, To int32
+	V, From, To int32
 }
 
 // RefinePairScheduled is RefinePair on a quantised matrix plus a record of
@@ -161,7 +162,7 @@ type Move struct {
 func (r *Refiner) RefinePairScheduled(dst []Move, orig []int32, pi, pj int32, cs *partition.Costs, loads []int64, maxLoad int64, allowed *partition.Bitset) ([]Move, Result) {
 	res := r.refinePair(orig, pi, pj, cs, loads, maxLoad, allowed)
 	for _, m := range r.history[:res.Moves] {
-		dst = append(dst, Move{V: m.v, To: m.to})
+		dst = append(dst, Move{V: m.v, From: m.from, To: m.to})
 	}
 	return dst, res
 }
@@ -305,7 +306,7 @@ func (r *Refiner) grow(n int) {
 	r.gains, r.moved = sized(r.gains, n, c), sized(r.moved, n, c)
 	r.own, r.org, r.off = sized(r.own, n, c), sized(r.org, n, c), sized(r.off, n, c)
 	r.dfrom, r.dto = sized(r.dfrom, n, c), sized(r.dto, n, c)
-	r.gtopo, r.gmig = sized(r.gtopo, n, c), sized(r.gmig, n, c)
+	r.gfix = sized(r.gfix, n, c)
 	clear(r.moved)
 }
 
@@ -365,7 +366,7 @@ func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
 			}
 			k0 := r.org[idx]
 			gmig := (size * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
-			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, 0, gmig
+			r.dfrom[idx], r.dto[idx], r.gfix[idx] = dfrom, dto, gmig
 			r.gains[idx] = r.alpha*(dto-dfrom)*cs.At(from, to) + gmig
 		}
 	case cs.Uniform:
@@ -385,7 +386,7 @@ func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
 			}
 			k0 := r.org[idx]
 			gmig := (int64(r.g.VertexSize(v)) * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
-			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, 0, gmig
+			r.dfrom[idx], r.dto[idx], r.gfix[idx] = dfrom, dto, gmig
 			r.gains[idx] = r.alpha*(dto-dfrom)*cs.At(from, to) + gmig
 		}
 	case np != nil:
@@ -405,10 +406,9 @@ func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
 				}
 			}
 			k0 := r.org[idx]
-			gtopo *= r.alpha
-			gmig := (size * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
-			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, gtopo, gmig
-			r.gains[idx] = r.alpha*(dto-dfrom)*cs.At(from, to) + gtopo + gmig
+			gfix := r.alpha*gtopo + (size*(cs.At(from, k0)-cs.At(to, k0)))<<partition.AlphaBits
+			r.dfrom[idx], r.dto[idx], r.gfix[idx] = dfrom, dto, gfix
+			r.gains[idx] = r.alpha*(dto-dfrom)*cs.At(from, to) + gfix
 		}
 	default:
 		for idx, v := range r.cands {
@@ -428,10 +428,9 @@ func (r *Refiner) seed(pi, pj int32, orig []int32, cs *partition.Costs) {
 				}
 			}
 			k0 := r.org[idx]
-			gtopo *= r.alpha
-			gmig := (int64(r.g.VertexSize(v)) * (cs.At(from, k0) - cs.At(to, k0))) << partition.AlphaBits
-			r.dfrom[idx], r.dto[idx], r.gtopo[idx], r.gmig[idx] = dfrom, dto, gtopo, gmig
-			r.gains[idx] = r.alpha*(dto-dfrom)*cs.At(from, to) + gtopo + gmig
+			gfix := r.alpha*gtopo + (int64(r.g.VertexSize(v))*(cs.At(from, k0)-cs.At(to, k0)))<<partition.AlphaBits
+			r.dfrom[idx], r.dto[idx], r.gfix[idx] = dfrom, dto, gfix
+			r.gains[idx] = r.alpha*(dto-dfrom)*cs.At(from, to) + gfix
 		}
 	}
 }
@@ -447,8 +446,9 @@ func (r *Refiner) orient(idx int, pi, pj int32) (from, to int32, d []int64) {
 }
 
 // pairGain is Eq. 5 from candidate idx's maintained state: Eq. 6 from the
-// two pair-local degrees and c(from, to), plus the constant Eq. 8 and
-// Eq. 9 terms.
+// two pair-local degrees and c(from, to), plus the constant sum of the
+// Eq. 8 and Eq. 9 terms. int64 addition wraps, so adding the sum equals
+// adding the two terms one after the other.
 func (r *Refiner) pairGain(idx int, cft int64) int64 {
-	return r.alpha*(r.dto[idx]-r.dfrom[idx])*cft + r.gtopo[idx] + r.gmig[idx]
+	return r.alpha*(r.dto[idx]-r.dfrom[idx])*cft + r.gfix[idx]
 }

@@ -280,19 +280,16 @@ func round0Pairs(b *testing.B, scan bool) (moves int, hash uint64) {
 		}
 		var e WaveEngine
 		e.Open(g, ix, cs, p0.Assign, maxLoad, cfg, profile)
-		var mov Movable
-		mov.Reset(ix, 0)
 		e.Tasks = pairs
 		e.Waves = append(e.Waves[:0], 0)
 		for ti := range pairs {
 			e.Waves = append(e.Waves, int32(ti+1))
 		}
 		b.StartTimer()
-		mov.Repair(&e)
+		e.Repair()
 		e.Run(func(_ int, ti, _ int32) {
 			moves += e.Results[ti].Moves
-			mov.Moved(e.TaskMoves(ti))
-			mov.Repair(&e)
+			e.Repair()
 		})
 		b.StopTimer()
 		e.Close()

@@ -39,8 +39,9 @@ var testWaveSynced func(e *WaveEngine, wave int, lo, hi int32)
 // pairs on a bounded worker pool (DESIGN.md §12): the shadow view the
 // waves refine, the per-worker refiners and move arenas, the partition
 // loads, and the barrier that replays each wave's kept moves into the
-// master index. It runs pairs and nothing else. Refine's scheduler feeds
-// it tournament waves, with a profile; the portfolio's combine
+// master index. Besides pairs it keeps the movable mask of §5 (Repair),
+// because the barrier's walk of the kept moves is what changes it. Refine
+// feeds it tournament waves, with a profile; the portfolio's combine
 // anti-diagonal waves and its members one pair per wave, without. The
 // zero value is ready for Open, and one engine serves any number of Open
 // … Close calls, keeping its state while (graph, index, refiner config)
@@ -97,6 +98,18 @@ type WaveEngine struct {
 	mask    *partition.Bitset          // the movable vertices (SetMask)
 	ranges  []int32                    // worker w patches the profile of [ranges[w], ranges[w+1])
 
+	// The mask Repair keeps. filled: a Repair since Open scanned the
+	// boundary into bmask, and the barriers record in dirty each moved
+	// vertex and its neighbors, the only ones whose boundary status a move
+	// can change.
+	khop     int
+	filled   bool
+	bmask    *partition.Bitset // the boundary
+	kmask    *partition.Bitset // k-hop > 0: its expansion, allocated on first use
+	dirty    []int32           // moved vertices + neighbors since the last Repair
+	frontier []int32           // k-hop > 0: the set bits of kmask, in discovery order
+	previous []int32           // k-hop > 0: the frontier before, whose kmask bits the next expansion clears
+
 	// refiners[w] is worker w's, for every worker count the engine has been
 	// opened with: Spare[w] where the caller lends one, else built here once.
 	refiners []*aragon.Refiner
@@ -120,7 +133,9 @@ type WaveEngine struct {
 // Open readies the engine for waves over the master ix indexes: shadow and
 // loads are refilled from it and, beyond the first, cfg.Workers workers
 // started, to live until Close. c is the quantised matrix, orig the
-// migration reference, profile (empty, or nil) what candidates seed from.
+// migration reference, profile (empty, or nil) what candidates seed from,
+// cfg.KHop the radius of the mask Repair keeps; the next Repair scans the
+// whole boundary.
 func (e *WaveEngine) Open(g *graph.Graph, ix *partition.Index, c *partition.Costs, orig []int32, maxLoad int64, cfg Config, profile *partition.NeighborProfile) {
 	w, acfg := cfg.Workers, cfg.AragonConfig()
 	if e.g != g || e.ix != ix || e.acfg != acfg {
@@ -144,6 +159,7 @@ func (e *WaveEngine) Open(g *graph.Graph, ix *partition.Index, c *partition.Cost
 		r.SetProfile(profile)
 	}
 	e.workers, e.profile, e.mask = w, profile, nil
+	e.khop, e.filled, e.dirty = cfg.KHop, false, e.dirty[:0]
 	if len(e.ranges) != w+1 {
 		e.ranges = g.VertexRanges(w)
 	}
@@ -228,13 +244,69 @@ func (e *WaveEngine) SetMask(mask *partition.Bitset, changed []int32) {
 	e.profile.Materialize(e.g, e.pm.Assign, mask, changed, e.workers)
 }
 
+// Repair brings the mask of §5 in line with the master index and makes it
+// the waves' movable set (SetMask). The first Repair after Open scans the
+// whole boundary; a later one re-evaluates only the vertices the barriers
+// recorded since, so its cost follows the moved volume, not |V|. At a
+// positive k-hop radius the mask is the boundary's expansion, a
+// breadth-first search with that mask itself as the visited set. Refine
+// repairs once per round; a portfolio member at every barrier (k-hop 0)
+// or once per round. A caller that sets its own mask (SetMask) and never
+// repairs records nothing.
+func (e *WaveEngine) Repair() {
+	// dirty becomes the vertices whose boundary bit changed since the last
+	// repair: what is left of the recorded ones once those that kept their
+	// status are dropped. The first repair lists none — the mask is new to
+	// the engine since Open, which takes it whole.
+	if !e.filled {
+		if e.bmask == nil {
+			e.bmask = partition.NewBitset(e.g.NumVertices())
+		}
+		e.bmask.ClearAll()
+		for v := int32(0); v < e.bmask.Len(); v++ {
+			if e.ix.IsBoundary(v) {
+				e.bmask.Set(v)
+			}
+		}
+		e.dirty = e.dirty[:0]
+		e.filled = true
+	} else {
+		flipped := e.dirty[:0]
+		for _, v := range e.dirty {
+			if on := e.ix.IsBoundary(v); on != e.bmask.Get(v) {
+				e.bmask.SetTo(v, on)
+				flipped = append(flipped, v)
+			}
+		}
+		e.dirty = flipped
+	}
+	mask, changed := e.bmask, e.dirty
+	if e.khop > 0 {
+		// kmask loses members of its old frontier only and gains members of
+		// its new one only.
+		if e.kmask == nil {
+			e.kmask = partition.NewBitset(e.bmask.Len())
+		}
+		e.previous, e.frontier = e.frontier, e.previous
+		for _, v := range e.previous {
+			e.kmask.Unset(v)
+		}
+		e.frontier = e.kmask.Expand(e.g, e.bmask.AppendSet(e.frontier[:0]), e.khop)
+		e.SetMask(e.kmask, e.previous) // all of them materialized before
+		mask, changed = e.kmask, e.frontier
+	}
+	e.SetMask(mask, changed)
+	e.dirty = e.dirty[:0]
+}
+
 // Run executes the schedule wave by wave. At each wave's barrier the
 // tasks' kept moves are replayed, in task order, into the wave-start
 // profile (by the workers, each over its own vertex range: patchProfile)
 // and then, by the coordinator, into the shadow's movable lists and the
 // master index (Shadow.Commit) — a delta patch over the move log, never a
-// full copy. barrier, when non-nil, then sees the wave: Results and
-// TaskMoves of its tasks are valid until it returns.
+// full copy. The same walk records, once a Repair has filled the mask,
+// what the next Repair re-evaluates. barrier, when non-nil, then sees the
+// wave: Results and TaskMoves of its tasks are valid until it returns.
 func (e *WaveEngine) Run(barrier func(t int, lo, hi int32)) {
 	nt := len(e.Tasks)
 	e.Results = slices.Grow(e.Results[:0], nt)[:nt]
@@ -254,6 +326,10 @@ func (e *WaveEngine) Run(barrier func(t int, lo, hi int32)) {
 		for ti := lo; ti < hi; ti++ {
 			for _, mv := range e.TaskMoves(ti) {
 				e.shadow.Commit(mv.V, mv.To)
+				if e.filled {
+					e.dirty = append(e.dirty, mv.V)
+					e.dirty = append(e.dirty, e.g.Neighbors(mv.V)...)
+				}
 			}
 		}
 		if barrier != nil {
@@ -285,20 +361,18 @@ func (e *WaveEngine) runPairs(w int, lo, hi int32) {
 // into the profile segments of the neighbors in worker w's vertex range.
 // Segments are per vertex, so the workers' ranges split the patch into
 // disjoint writes, and each segment still takes its patches in task order.
-// The master is not written until every worker is done, and every vertex
-// moves at most once per wave, so pm.Assign[v] is the wave-start owner
-// each move shifts weight from.
+// Every vertex moves at most once per wave, so a move's From is the
+// wave-start owner it shifts weight from.
 func (e *WaveEngine) patchProfile(w int, lo, hi int32) {
 	vlo, vhi := e.ranges[w], e.ranges[w+1]
 	for ti := lo; ti < hi; ti++ {
 		for _, mv := range e.TaskMoves(ti) {
-			old := e.pm.Assign[mv.V]
 			adj := e.g.Neighbors(mv.V)
 			ew := e.g.EdgeWeights(mv.V)
 			ew = ew[:len(adj)]
 			for i, u := range adj {
 				if u >= vlo && u < vhi {
-					e.profile.MoveNeighbor(u, old, mv.To, int64(ew[i]))
+					e.profile.MoveNeighbor(u, mv.From, mv.To, int64(ew[i]))
 				}
 			}
 		}

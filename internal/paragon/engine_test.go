@@ -70,7 +70,8 @@ func TestAntiDiagonalSchedule(t *testing.T) {
 // shadow equals it and validates against the mask, the loads are its
 // weights. Uniform and architecture-aware costs (the two no-profile
 // seedings), Workers 1/2/8, two Open…Close calls on one engine; the result
-// must not depend on the worker count.
+// must not depend on the worker count. The runs record nothing for the
+// engine's own mask, and a Repair after them equals the boundary scan.
 func TestWaveEngineExplicitSchedule(t *testing.T) {
 	defer func() { testWaveSynced = nil }()
 	g, p0, arch := archAwareInput(t)
@@ -110,6 +111,13 @@ func TestWaveEngineExplicitSchedule(t *testing.T) {
 				e.Close()
 			}
 			testWaveSynced = nil
+			// A caller's own mask is never repaired, so the barriers recorded
+			// nothing for a Repair; the first one scans the boundary whole.
+			if len(e.dirty) != 0 {
+				t.Fatalf("%s workers=%d: the explicit-mask runs recorded %d dirty vertices", name, workers, len(e.dirty))
+			}
+			e.Repair()
+			checkMask(t, fmt.Sprintf("%s workers=%d: repair after the explicit-mask runs", name, workers), &e, 0)
 			if barriers != 2*15 || moves == 0 {
 				t.Fatalf("%s workers=%d: %d barriers, %d moves; the check is vacuous", name, workers, barriers, moves)
 			}
@@ -124,7 +132,7 @@ func TestWaveEngineExplicitSchedule(t *testing.T) {
 
 // movableScan is the movable set by definition: every vertex with a
 // neighbor in another partition, expanded khop hops by graph.ExpandFrontier
-// — nothing shared with Movable, Index or Bitset.Expand.
+// — nothing shared with WaveEngine.Repair, Index or Bitset.Expand.
 func movableScan(g *graph.Graph, p *partition.Partitioning, khop int) []bool {
 	var boundary []int32
 	for v := int32(0); v < g.NumVertices(); v++ {
@@ -166,17 +174,15 @@ func TestMovableMatchesScan(t *testing.T) {
 			ix := partition.BuildIndex(g, p)
 			cfg := Config{Workers: 1, KHop: khop}.WithDefaults(p.K)
 			var e WaveEngine
-			var mov Movable
 			e.Open(g, ix, quantised(t, c), p0.Assign, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg, nil)
 			defer e.Close()
-			mov.Reset(ix, khop)
 			rng := rand.New(rand.NewSource(3))
 			groups := randomGrouping(p.K, 3, rng)
 			replay := slices.Clone(p.Assign)
 			barriers := 0
 			var shuffle []int
 			for round := 0; round < 3; round++ {
-				mov.Repair(&e)
+				e.Repair()
 				checkMask(t, fmt.Sprintf("round %d start", round), &e, khop)
 				e.Tasks, e.Waves = e.Tasks[:0], append(e.Waves[:0], 0)
 				for _, grp := range groups {
@@ -191,10 +197,9 @@ func TestMovableMatchesScan(t *testing.T) {
 					for _, mv := range e.TaskMoves(ti) {
 						replay[mv.V] = mv.To
 					}
-					mov.Moved(e.TaskMoves(ti))
 					checkBarrierInvariant(t, &e, round, replay)
 					if khop == 0 {
-						mov.Repair(&e)
+						e.Repair()
 						checkMask(t, fmt.Sprintf("round %d barrier %d", round, ti), &e, khop)
 					}
 					barriers++
@@ -243,7 +248,7 @@ func TestShipAccountingMatchesScan(t *testing.T) {
 			d.refineWaves(round, d.resolveFates(round))
 			d.shuffle = ShuffleGroupsScratch(d.groups, d.rng, int(round), d.shuffle)
 		}
-		d.sc.Close()
+		d.eng.Close()
 	}
 }
 
@@ -270,9 +275,7 @@ func TestOneWorkerEngineRunsInline(t *testing.T) {
 		if started := runtime.NumGoroutine() - before; (workers == 1) != (started == 0) {
 			t.Fatalf("workers=%d: Open started %d goroutines", workers, started)
 		}
-		var mov Movable
-		mov.Reset(ix, 0)
-		mov.Repair(e)
+		e.Repair()
 		e.Tasks, e.Waves = append(e.Tasks[:0], pairs...), append(e.Waves[:0], 0)
 		for ti := range e.Tasks {
 			e.Waves = append(e.Waves, int32(ti+1))
@@ -280,8 +283,7 @@ func TestOneWorkerEngineRunsInline(t *testing.T) {
 		var results []aragon.Result
 		e.Run(func(_ int, ti, _ int32) {
 			results = append(results, e.Results[ti])
-			mov.Moved(e.TaskMoves(ti))
-			mov.Repair(e)
+			e.Repair()
 		})
 		e.Close()
 		// A worker that has signalled its exit may still be on its way out,

@@ -232,14 +232,14 @@ func RefineIndexed(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg
 // resolveFates, refineWaves (with commitWave at every barrier),
 // exchangeRegions, and sweepMigration after the last round —
 // each called from exactly one place, so a phase is timed by wrapping one
-// call. The phases that work the scheduler's shared state live beside it in
-// schedule.go. st is the one record of the run: phases write it, trace
-// events report it, and finish publishes the metrics from it.
+// call. The phases that work the wave engine's state live in schedule.go.
+// st is the one record of the run: phases write it, trace events report
+// it, and finish publishes the metrics from it.
 type driver struct {
 	g   *graph.Graph
 	p   *partition.Partitioning
 	ix  *partition.Index
-	sc  *scheduler
+	eng WaveEngine // runs the tournament waves; its workers live until Close
 	c   *partition.Costs
 	cfg Config // defaults applied
 	fab *faultsim.Injector
@@ -249,10 +249,12 @@ type driver struct {
 	rng *rand.Rand
 
 	groups     [][]int32 // the current grouping, reshuffled after every exchange
+	live       []int32   // surviving group indices this round, ascending
 	shuffle    []int     // ShuffleGroupsScratch's permutation buffer
 	ps         []int64   // pooled incident-edge sums, reused per round
 	regionSize int64
 	gain       int64 // Stats.Gain on the objective grid
+	mig        int64 // Stats.MigrationCost on the grid, before the α shift
 	st         Stats
 }
 
@@ -293,7 +295,7 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 	if err := d.open(); err != nil {
 		return d.finish(start, fmt.Errorf("paragon: %w", err))
 	}
-	defer d.sc.Close()
+	defer d.eng.Close()
 	for round := int32(0); ; round++ {
 		d.tr.Emit(obs.Event{Kind: obs.KindRoundStart, Round: round, N: int64(len(d.groups))})
 		d.repairBoundary()
@@ -313,7 +315,7 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 
 // open builds what every round shares: the seeded grouping, the fault
 // fabric, and the scratch that is allocated once and reused by every
-// round — the index and the pair-level scheduler.
+// round — the index and the wave engine.
 func (d *driver) open() error {
 	g, p, cfg := d.g, d.p, d.cfg
 	d.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -347,10 +349,15 @@ func (d *driver) open() error {
 	if d.ix == nil {
 		d.ix = partition.BuildIndex(g, p)
 	}
+	// Empty: repairBoundary materializes the movable vertices, round by
+	// round. A table too large for its offsets is still refused here.
+	profile, err := partition.NewNeighborProfile(g, p.K)
+	if err != nil {
+		return err
+	}
 	orig := append([]int32(nil), p.Assign...)
-	var err error
-	d.sc, err = newScheduler(g, d.ix, d.c, orig, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg)
-	return err
+	d.eng.Open(g, d.ix, d.c, orig, partition.BalanceBound(g, p.K, cfg.MaxImbalance), cfg, profile)
+	return nil
 }
 
 // finish is the way out of every Refine that got past validation with
@@ -373,7 +380,7 @@ func (d *driver) selectServers() []int32 {
 	return servers
 }
 
-// resolveFates fills sc.live with the groups that survive the round and
+// resolveFates fills d.live with the groups that survive the round and
 // returns the round's length in virtual ticks. Fault fates are resolved up
 // front: the injector's decisions are pure hashes of (seed, round, group),
 // so a crashed or dropped group is known before any pair runs and none of
@@ -381,7 +388,7 @@ func (d *driver) selectServers() []int32 {
 // degraded server's entire round, wherever its pairs would have sat in the
 // tournament.
 func (d *driver) resolveFates(round int32) (roundTicks int64) {
-	live := d.sc.live[:0]
+	live := d.live[:0]
 	for gi := range d.groups {
 		if d.fab != nil {
 			if d.fab.CrashGroup(int(round), gi) {
@@ -405,7 +412,7 @@ func (d *driver) resolveFates(round int32) (roundTicks int64) {
 		}
 		live = append(live, int32(gi))
 	}
-	d.sc.live = live
+	d.live = live
 	if degraded := len(d.groups) - len(live); degraded > 0 {
 		d.st.Faults.DegradedGroups += degraded
 		roundTicks = faultsim.RoundTimeout

@@ -10,73 +10,50 @@ package paragon
 //
 // What makes a wave deterministic is the wave engine's (engine.go). The
 // per-round passes outside the waves run on the coordinator: the boundary
-// scan, the ship accounting and the migration sweep are integer,
+// repair, the ship accounting and the migration totals are integer,
 // order-free sums.
 //
 // Scaling discipline (DESIGN.md §14): all per-round sequential work is
 // proportional to *moved/boundary* vertices, never to |V|. The shared
-// shadow and the boundary bitset are initialized once per Refine and
-// thereafter patched only from the move log — the barrier commit leaves
-// master and shadow view bit-identical after every wave, so nothing is
-// ever re-copied. What the pair kernel reads holds the movable vertices
-// only: the profile has a segment per vertex the mask ever admitted, and
-// the shadow lists each partition's movable members, which the ship
-// accounting walks too. The migration sweep walks a bit-packed mask at 64
-// vertices per word.
+// shadow and the engine's movable mask are initialized once per Refine
+// and thereafter patched only from the move log — the barrier commit
+// leaves master and shadow view bit-identical after every wave, so
+// nothing is ever re-copied, and the same walk records what the next
+// repair re-evaluates. What the pair kernel reads holds the movable
+// vertices only: the profile has a segment per vertex the mask ever
+// admitted, and the shadow lists each partition's movable members, which
+// the ship accounting walks too. The migration totals change with every
+// kept move at the barrier, so the end of the call reads them off.
 //
 // The result is bit-identical to serial execution of the same schedule
 // for any Config.Workers, which TestSchedulerDeterminism asserts.
 
 import (
-	"paragon/internal/graph"
 	"paragon/internal/obs"
 	"paragon/internal/partition"
 )
 
-// scheduler is one Refine call's use of the wave engine (engine.go): the
-// tournament schedule it feeds it, the movable-vertex mask it hands it
-// every round, and the diff bitset of the migration sweep. It is created
-// once per Refine and its worker goroutines live until Close.
-type scheduler struct {
-	*WaveEngine
-	live []int32 // surviving group indices this round, ascending
-	mov  Movable
-	diff *partition.Bitset // v set iff pm.Assign[v] != orig[v]
-}
-
-func newScheduler(g *graph.Graph, ix *partition.Index, c *partition.Costs, orig []int32, maxLoad int64, cfg Config) (*scheduler, error) {
-	// Empty: repairBoundary materializes the movable vertices, round by
-	// round. A table too large for its offsets is still refused here.
-	profile, err := partition.NewNeighborProfile(g, ix.Partitioning().K)
-	if err != nil {
-		return nil, err
-	}
-	sc := &scheduler{WaveEngine: new(WaveEngine), diff: partition.NewBitset(g.NumVertices())}
-	sc.Open(g, ix, c, orig, maxLoad, cfg, profile)
-	sc.mov.Reset(ix, cfg.KHop)
-	return sc, nil
-}
-
-// buildSchedule lays out the round's tasks: wave t holds, in ascending
-// group order, every surviving group's tournament-round-t pairs. Groups
-// of uneven size finish early; their slots simply stop contributing to
-// later waves.
-func (sc *scheduler) buildSchedule(groups [][]int32) {
-	sc.Tasks = sc.Tasks[:0]
-	sc.Waves = sc.Waves[:0]
+// buildSchedule lays out the round's tasks on the engine: wave t holds,
+// in ascending group order, every surviving group's tournament-round-t
+// pairs. Groups of uneven size finish early; their slots simply stop
+// contributing to later waves.
+func (d *driver) buildSchedule() {
+	e := &d.eng
+	e.Tasks = e.Tasks[:0]
+	e.Waves = e.Waves[:0]
 	maxR := 0
-	for _, gi := range sc.live {
-		m := len(groups[gi])
+	for _, gi := range d.live {
+		m := len(d.groups[gi])
 		if r := m + (m & 1) - 1; r > maxR {
 			maxR = r
 		}
 	}
-	sc.Waves = append(sc.Waves, 0)
+	e.Waves = append(e.Waves, 0)
 	for t := 0; t < maxR; t++ {
-		for _, gi := range sc.live {
-			sc.Tasks = AppendTournamentRound(sc.Tasks, groups[gi], t)
+		for _, gi := range d.live {
+			e.Tasks = AppendTournamentRound(e.Tasks, d.groups[gi], t)
 		}
-		sc.Waves = append(sc.Waves, int32(len(sc.Tasks)))
+		e.Waves = append(e.Waves, int32(len(e.Tasks)))
 	}
 }
 
@@ -119,13 +96,12 @@ func AppendTournamentRound(dst [][2]int32, group []int32, t int) [][2]int32 {
 // profile, every wave committed at its barrier. The round then costs
 // roundTicks of virtual time and is counted in Stats.
 func (d *driver) refineWaves(round int32, roundTicks int64) {
-	sc := d.sc
-	sc.buildSchedule(d.groups)
+	d.buildSchedule()
 	if testWaveSynced != nil {
-		testWaveSynced(sc.WaveEngine, -1, 0, 0)
+		testWaveSynced(&d.eng, -1, 0, 0)
 	}
 	before, roundMoves := d.gain, 0
-	sc.Run(func(t int, lo, hi int32) { roundMoves += d.commitWave(round, t, lo, hi) })
+	d.eng.Run(func(t int, lo, hi int32) { roundMoves += d.commitWave(round, t, lo, hi) })
 	d.st.Gain = d.c.Real(d.gain)
 	d.st.RoundGains = append(d.st.RoundGains, d.c.Real(d.gain-before))
 	d.clk.Advance(roundTicks)
@@ -134,31 +110,38 @@ func (d *driver) refineWaves(round int32, roundTicks int64) {
 }
 
 // commitWave is the driver's half of the wave barrier, after the engine
-// put the wave's kept moves into the master: each task's result is
-// reduced into Stats (its gain into the driver's exact total) in task
-// order, and its move log feeds the two delta structures: the movable
-// mask (whose next repair re-evaluates the moved vertices and their
-// neighbors) and the diff bitset (vertices whose owner differs from the
-// original decomposition, walked by sweepMigration). Each task's
-// pair_refined event is emitted here too, in task order between the
-// wave's two events, from the task's result: only the coordinator
-// emits, so the first reads as emitted before the dispatch.
+// put the wave's kept moves into the master and recorded them for the
+// next Repair: each task's result is reduced into Stats (its gain into the
+// driver's exact total) in task order, and each kept move updates the
+// migration totals against the original decomposition — it takes its
+// vertex off From and onto To, so MigratedVertices changes by
+// −[From≠orig] + [To≠orig] and Eq. 3 by the matching size·c(orig, ·)
+// terms. Integer sums telescope, so at the end they are those of the final
+// assignment. Each task's pair_refined event is emitted here too, in task
+// order between the wave's two events, from the task's result: only the
+// coordinator emits, so the first reads as emitted before the dispatch.
 func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
-	sc := d.sc
+	e := &d.eng
 	d.tr.Emit(obs.Event{Kind: obs.KindWaveScheduled, Round: round, A: int32(t), N: int64(hi - lo)})
 	for ti := lo; ti < hi; ti++ {
-		res := sc.Results[ti]
+		res := e.Results[ti]
 		d.st.PairsRefined++
 		d.st.Moves += res.Moves
 		d.gain += res.Gain
 		waveMoves += res.Moves
 		d.mx.pairMoves.Observe(int64(res.Moves))
-		moves := sc.TaskMoves(ti)
-		for _, mv := range moves {
-			sc.diff.SetTo(mv.V, mv.To != sc.orig[mv.V])
+		for _, mv := range e.TaskMoves(ti) {
+			o, size := e.orig[mv.V], int64(d.g.VertexSize(mv.V))
+			if mv.From != o {
+				d.st.MigratedVertices--
+				d.mig -= size * d.c.At(o, mv.From)
+			}
+			if mv.To != o {
+				d.st.MigratedVertices++
+				d.mig += size * d.c.At(o, mv.To)
+			}
 		}
-		sc.mov.Moved(moves)
-		pair := sc.Tasks[ti]
+		pair := e.Tasks[ti]
 		d.tr.Emit(obs.Event{Kind: obs.KindPairRefined, Round: round, A: pair[0], B: pair[1], N: int64(res.Moves), X: d.c.Real(res.Gain)})
 	}
 	d.mx.waves.Inc()
@@ -167,12 +150,12 @@ func (d *driver) commitWave(round int32, t int, lo, hi int32) (waveMoves int) {
 	return waveMoves
 }
 
-// repairBoundary refreshes the movable-vertex mask of §5 (Movable: one
-// full boundary scan on the first round, afterwards the last round's moved
-// vertices and their neighbors, expanded at a positive k-hop radius) and
-// brings what the pair kernel reads in line with it (SetMask).
+// repairBoundary refreshes the movable-vertex mask of §5 and brings what
+// the pair kernel reads in line with it (WaveEngine.Repair: one full
+// boundary scan on the first round, afterwards the last round's moved
+// vertices and their neighbors, expanded at a positive k-hop radius).
 func (d *driver) repairBoundary() {
-	d.sc.mov.Repair(d.sc.WaveEngine)
+	d.eng.Repair()
 }
 
 // accountShipping is the boundary-shipping volume pass: every member
@@ -182,16 +165,15 @@ func (d *driver) repairBoundary() {
 // shadow's movable lists, and its two sums are integers, so their order
 // is immaterial.
 func (d *driver) accountShipping(round int32, servers []int32) {
-	sc := d.sc
 	var verts, edges int64
 	for gi, grp := range d.groups {
 		for _, q := range grp {
 			if q == servers[gi] {
 				continue
 			}
-			for _, v := range sc.shadow.Masked(q) {
+			for _, v := range d.eng.shadow.Masked(q) {
 				verts++
-				edges += int64(sc.g.Degree(v))
+				edges += int64(d.g.Degree(v))
 			}
 		}
 	}
@@ -200,18 +182,10 @@ func (d *driver) accountShipping(round int32, servers []int32) {
 	d.tr.Emit(obs.Event{Kind: obs.KindShipAccounted, Round: round, N: verts, M: edges})
 }
 
-// sweepMigration computes the physical data migration plan vs. the input
-// decomposition by walking the maintained diff bitset — cost
-// proportional to migrated vertices (plus the O(|V|/64) word scan),
-// not |V|.
+// sweepMigration reports the physical data migration plan vs. the input
+// decomposition: the totals commitWave kept current move by move, so it
+// costs nothing in |V| or in the migrated vertices.
 func (d *driver) sweepMigration() {
-	sc := d.sc
-	assign := sc.pm.Assign
-	var mv, mc int64
-	sc.diff.Range(func(v int32) {
-		mv++
-		mc += int64(sc.g.VertexSize(v)) * d.c.At(sc.orig[v], assign[v])
-	})
-	d.st.MigratedVertices, d.st.MigrationCost = mv, d.c.Real(mc<<partition.AlphaBits)
-	d.tr.Emit(obs.Event{Kind: obs.KindMigrationSweep, Round: -1, N: mv, X: d.st.MigrationCost})
+	d.st.MigrationCost = d.c.Real(d.mig << partition.AlphaBits)
+	d.tr.Emit(obs.Event{Kind: obs.KindMigrationSweep, Round: -1, N: d.st.MigratedVertices, X: d.st.MigrationCost})
 }

@@ -11,18 +11,18 @@ import (
 
 // memberScratch is everything one portfolio member needs to refine: a
 // private Partitioning + Index over the shared frozen graph, the wave
-// engine and movable mask its rounds run on, a seeded rng, and every
-// per-round buffer, all reused across members. A scratch carries no member
-// identity — run fully re-seeds it from the (assignment, seed) of
-// whichever member it executes — which is what makes the member-id-keyed
-// free list (member m runs on slot m mod workers) a pure scheduling choice
-// with no effect on any member's output.
+// engine its rounds run on (which keeps their movable mask), a seeded
+// rng, and every per-round buffer, all reused across members. A scratch
+// carries no member identity — run fully re-seeds it from the
+// (assignment, seed) of whichever member it executes — which is what
+// makes the member-id-keyed free list (member m runs on slot m mod
+// workers) a pure scheduling choice with no effect on any member's
+// output.
 type memberScratch struct {
 	g   *graph.Graph
 	p   *partition.Partitioning
 	ix  *partition.Index
 	eng paragon.WaveEngine // one worker for the member; scratch 0's also runs the combine
-	mov paragon.Movable
 	src rand.Source
 	rng *rand.Rand
 
@@ -123,10 +123,9 @@ func (scr *memberScratch) run(base []int32, c *partition.Costs, par memberParams
 	e := &scr.eng
 	e.Open(scr.g, scr.ix, c, base, par.maxLoad, par.cfg, nil)
 	defer e.Close()
-	scr.mov.Reset(scr.ix, par.cfg.KHop)
 	rounds := 1 + par.cfg.Shuffles
 	for round := 0; round < rounds; round++ {
-		scr.mov.Repair(e)
+		e.Repair()
 		e.Tasks, e.Waves = e.Tasks[:0], append(e.Waves[:0], 0)
 		for _, grp := range groups {
 			m := len(grp)
@@ -142,9 +141,8 @@ func (scr *memberScratch) run(base []int32, c *partition.Costs, par memberParams
 		e.Run(func(_ int, ti, _ int32) {
 			mv += e.Results[ti].Moves
 			gn += e.Results[ti].Gain
-			scr.mov.Moved(e.TaskMoves(ti))
 			if par.cfg.KHop == 0 {
-				scr.mov.Repair(e)
+				e.Repair()
 			}
 		})
 		moves += mv

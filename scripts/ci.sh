@@ -203,8 +203,8 @@ if git grep -nwE 'frozen|roundLoads|commitRound' -- 'internal/paragon/*.go' ':!i
     exit 1
 fi
 # One pair loop (DESIGN.md §12, §17): members and combine run their pairs
-# on paragon.WaveEngine, which runs pairs only, and the mask comes from
-# paragon.Movable or the bitset search. Neither a serial pair loop in the
+# on paragon.WaveEngine, and the mask comes from WaveEngine.Repair or the
+# bitset search. Neither a serial pair loop in the
 # portfolio (members' or combine's), the map-and-sort expansion, the
 # engine's sharded sweeps nor a masked gather on an Index may come back.
 if git grep -n 'RefinePair(' -- 'internal/portfolio/*.go' ':!internal/portfolio/*_test.go' ||
@@ -301,6 +301,16 @@ fi
 # back.
 if git grep -nE 'shadowBucket|\.front\b' -- 'internal/partition/*.go' ':!internal/partition/*_test.go'; then
     echo "ci: the shadow's masked-prefix buckets are back; workers write the view's Assign only" >&2
+    exit 1
+fi
+# One owner for what a barrier's moves change (DESIGN.md §12, §14): the
+# wave engine's commit walk records each kept move for its movable mask,
+# and the driver adds it to the migration totals at the same barrier. The
+# Movable type that the driver and the members drove beside the engine,
+# the scheduler wrapper around it, and the driver's diff bitset with its
+# end-of-call sweep must not come back.
+if git grep -nE 'type Movable([^[:alnum:]_]|$)|newScheduler|mov\.Moved|diff[[:space:]]+\*partition\.Bitset|\.diff\.(SetTo|Range)\(' -- 'internal/paragon/*.go' 'internal/portfolio/*.go' ':!*_test.go'; then
+    echo "ci: a second keeper of the movable mask or the diff bitset is back; the wave engine records moves at its barrier" >&2
     exit 1
 fi
 # One interleaved gain heap (DESIGN.md §9): an entry's gain and id share
