@@ -222,7 +222,7 @@ func BenchmarkAragonSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := initial.Clone()
-		if _, err := aragon.Refine(g, p, c, aragon.Config{}); err != nil {
+		if _, err := paragon.RefineSerial(g, p, c, aragon.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -185,8 +185,8 @@ func TestJaggedCostMatrixRejected(t *testing.T) {
 			_, err := paragon.Refine(g, p, c, paragon.Config{Seed: 1})
 			return err
 		}},
-		{"aragon.Refine", func(p *partition.Partitioning, c [][]float64) error {
-			_, err := aragon.Refine(g, p, c, aragon.Config{})
+		{"paragon.RefineSerial", func(p *partition.Partitioning, c [][]float64) error {
+			_, err := paragon.RefineSerial(g, p, c, aragon.Config{})
 			return err
 		}},
 		{"portfolio.RefineWithPool", func(p *partition.Partitioning, c [][]float64) error {

@@ -16,12 +16,11 @@
 // vertices of the pair — a vertex with no neighbor in the partner
 // partition can still gain via g_topo and g_mig — and must visit all
 // n(n−1)/2 partition pairs because any pair may improve under nonuniform
-// costs.
+// costs. The serial sweep over all of them is paragon.RefineSerial: this
+// package's Refiner on the wave engine, one pair per wave.
 package aragon
 
 import (
-	"fmt"
-
 	"paragon/internal/graph"
 	"paragon/internal/partition"
 )
@@ -93,39 +92,4 @@ func gainFromDegrees(g *graph.Graph, dext []int64, orig []int32, v, i, j int32, 
 	k0 := orig[v]
 	gMig := (int64(g.VertexSize(v)) * (ci[k0] - cj[k0])) << partition.AlphaBits
 	return gStd + alpha*gTopo + gMig
-}
-
-// Refine runs full ARAGON: it applies RefinePair to every pair of the
-// n-way decomposition sequentially and returns the aggregate result. p is
-// modified in place; the original assignment is captured up front as the
-// migration reference.
-func Refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config) (Result, error) {
-	if err := p.Validate(g); err != nil {
-		return Result{}, fmt.Errorf("aragon: %w", err)
-	}
-	cs, err := partition.CheckCosts(c, p.K)
-	if err != nil {
-		return Result{}, fmt.Errorf("aragon: %w", err)
-	}
-	cfg = cfg.WithDefaults()
-	if err := partition.CheckObjective(g, cs, cfg.Alpha); err != nil {
-		return Result{}, fmt.Errorf("aragon: %w", err)
-	}
-	orig := append([]int32(nil), p.Assign...)
-	loads := p.Weights(g)
-	maxLoad := partition.BalanceBound(g, p.K, cfg.MaxImbalance)
-	// One index serves all k(k−1)/2 pairs: every move (and rollback)
-	// delta-maintains it, so per-pair candidate enumeration is
-	// O(|P_i| + |P_j|) instead of a full-vertex scan.
-	ref := NewRefiner(g, partition.BuildIndex(g, p), cfg)
-	var total Result
-	for i := int32(0); i < p.K; i++ {
-		for j := i + 1; j < p.K; j++ {
-			r := ref.refinePair(orig, i, j, cs, loads, maxLoad, nil)
-			total.Moves += r.Moves
-			total.Gain += r.Gain
-			total.PairsSeen += r.PairsSeen
-		}
-	}
-	return total, nil
 }

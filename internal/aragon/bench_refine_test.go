@@ -31,9 +31,10 @@ func benchGraph100k() *graph.Graph {
 // k(k-1)/2m times per group per round — under a uniform matrix and under
 // the paper's case, a non-uniform PittCluster matrix, each seeded from
 // adjacency scans (serial ARAGON) and from a neighbor profile (the
-// scheduler's arrangement). The index and the profile are built outside
-// the timed region, as in a real sweep where they amortize over all
-// k(k-1)/2 pairs.
+// scheduler's arrangement). The pair gathers its candidates from a shadow
+// synced to the boundary mask, as every production sweep does. The index,
+// the shadow and the profile are built outside the timed region, as in a
+// real sweep where they amortize over all k(k-1)/2 pairs.
 func BenchmarkRefinePairHot(b *testing.B) {
 	for _, k := range []int32{32, 128} {
 		pitt, err := topology.PittCluster(int(k+19)/20).PartitionCostMatrix(int(k), 0)
@@ -62,10 +63,17 @@ func BenchmarkRefinePairHot(b *testing.B) {
 						b.StopTimer()
 						p := p0.Clone()
 						loads := p.Weights(g)
-						r := NewRefiner(g, partition.BuildIndex(g, p), Config{})
+						ix := partition.BuildIndex(g, p)
+						boundary := partition.NewBitset(g.NumVertices())
+						for _, v := range ix.Boundary() {
+							boundary.Set(v)
+						}
+						s := ix.NewShadow()
+						s.Sync(boundary, nil)
+						r := NewRefiner(g, s, Config{})
 						r.SetProfile(profile)
 						b.StartTimer()
-						r.RefinePair(orig, 0, 1, m.c, loads, maxLoad, nil)
+						r.RefinePair(orig, 0, 1, m.c, loads, maxLoad, boundary)
 					}
 				})
 			}

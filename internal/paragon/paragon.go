@@ -460,3 +460,52 @@ func (d *driver) exchangeRegions(round int32) bool {
 func RefineUniform(g *graph.Graph, p *partition.Partitioning, cfg Config) (Stats, error) {
 	return Refine(g, p, topology.UniformMatrix(int(p.K)), cfg)
 }
+
+// RefineSerial runs serial ARAGON: the pair kernel over every pair of the
+// k-way decomposition, one after another, and returns the aggregate
+// result. p is modified in place; its input assignment is the migration
+// reference of Eq. 9.
+func RefineSerial(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg aragon.Config) (aragon.Result, error) {
+	if err := p.Validate(g); err != nil {
+		return aragon.Result{}, fmt.Errorf("paragon: %w", err)
+	}
+	cs, err := partition.CheckCosts(c, p.K)
+	if err != nil {
+		return aragon.Result{}, fmt.Errorf("paragon: %w", err)
+	}
+	cfg = cfg.WithDefaults()
+	if err := partition.CheckObjective(g, cs, cfg.Alpha); err != nil {
+		return aragon.Result{}, fmt.Errorf("paragon: %w", err)
+	}
+	orig := append([]int32(nil), p.Assign...)
+	return sweepSerial(g, partition.BuildIndex(g, p), cs, orig, cfg), nil
+}
+
+// sweepSerial is serial ARAGON on a one-worker wave engine over the master
+// ix: every pair (i < j) in lexicographic order, one pair per wave, the
+// movable mask repaired before the first wave and at every barrier, so
+// each pair's candidates are the live boundary of its two partitions.
+func sweepSerial(g *graph.Graph, ix *partition.Index, cs *partition.Costs, orig []int32, cfg aragon.Config) aragon.Result {
+	k := ix.Partitioning().K
+	var e WaveEngine
+	e.Open(g, ix, cs, orig, partition.BalanceBound(g, k, cfg.MaxImbalance),
+		Config{Workers: 1, Alpha: cfg.Alpha, MaxImbalance: cfg.MaxImbalance}, nil)
+	defer e.Close()
+	e.Waves = append(e.Waves, 0)
+	for i := int32(0); i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			e.Tasks = append(e.Tasks, [2]int32{i, j})
+			e.Waves = append(e.Waves, int32(len(e.Tasks)))
+		}
+	}
+	var total aragon.Result
+	e.Repair()
+	e.Run(func(_ int, ti, _ int32) {
+		r := e.Results[ti]
+		total.Moves += r.Moves
+		total.Gain += r.Gain
+		total.PairsSeen += r.PairsSeen
+		e.Repair()
+	})
+	return total
+}

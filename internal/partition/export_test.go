@@ -23,31 +23,26 @@ func SetMaxObjective(n int64) (restore func()) {
 
 // IndexState is what an Index maintains, exposed to the external tests.
 type IndexState struct {
-	Buckets  [][]int32
-	Pos, Ext []int32
+	Ext      []int32
 	Incident []int64
 }
 
 // State returns ix's maintained structures; the slices alias the index.
 func (ix *Index) State() IndexState {
-	return IndexState{Buckets: ix.buckets, Pos: ix.pos, Ext: ix.ext, Incident: ix.incident}
+	return IndexState{Ext: ix.ext, Incident: ix.incident}
 }
 
-// SerialIndexState derives an index's structures for p over g the way the
-// serial Rebuild does, one ascending pass over the vertices: the reference
-// BuildIndex and Rebuild must reproduce exactly, bucket order included.
+// SerialIndexState derives an index's structures for p over g in one
+// ascending pass over the vertices, as a serial Rebuild would: the
+// reference BuildIndex and Rebuild must reproduce exactly.
 func SerialIndexState(g *graph.Graph, p *Partitioning) IndexState {
 	n := g.NumVertices()
 	s := IndexState{
-		Buckets:  make([][]int32, p.K),
-		Pos:      make([]int32, n),
 		Ext:      make([]int32, n),
 		Incident: make([]int64, p.K),
 	}
 	for v := int32(0); v < n; v++ {
 		pv := p.Assign[v]
-		s.Pos[v] = int32(len(s.Buckets[pv]))
-		s.Buckets[pv] = append(s.Buckets[pv], v)
 		s.Incident[pv] += int64(g.Degree(v))
 		var ext int32
 		for _, u := range g.Neighbors(v) {

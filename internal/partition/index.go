@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 
 	"paragon/internal/graph"
@@ -12,12 +11,14 @@ import (
 
 // This file holds the incrementally maintained hot-path data structures
 // behind the ARAGON/PARAGON refiners. The naive refinement loop re-scans
-// every vertex of the graph for every partition pair — O(k²·|V|) of pure
-// scanning per sweep. The Index replaces those scans with per-partition
-// vertex buckets plus a per-vertex external-neighbor count, both updated
-// in O(deg(v)) on every Move, so enumerating the candidates of a pair
-// costs O(|P_i| + |P_j|) instead of O(|V|). See DESIGN.md §"Hot-path
-// data structures" for the complexity table and the Move invariants.
+// every vertex of the graph for every partition pair, O(k²·|V|) of pure
+// scanning per sweep, and walks every candidate's adjacency to test it
+// for the boundary. The Index keeps a per-vertex external-neighbor count
+// (the boundary test) and the per-partition incident-edge sums, both
+// updated in O(deg(v)) on every Move; the wave engine's Shadow lists the
+// movable members of every partition, so a pair's candidates cost
+// O(|B_i| + |B_j|). See DESIGN.md §"Hot-path data structures" for the
+// complexity table and the Move invariants.
 
 // PairIndexer is the minimal surface the pairwise refiner needs: candidate
 // enumeration for a partition pair and delta-maintained vertex moves.
@@ -35,7 +36,7 @@ type PairIndexer interface {
 	// agrees with Partitioning until that pair's first move.
 	Master() *Partitioning
 	// AppendPairUnsorted appends the movable candidates of the pair
-	// (pi, pj) to dst in bucket (unspecified) order and returns dst; the
+	// (pi, pj) to dst in an order the indexer chooses and returns dst; the
 	// caller orders them (SortCandidates). With a mask, the candidates are
 	// exactly the members of the two partitions whose mask bit is set;
 	// without one they are the pair's boundary vertices.
@@ -46,113 +47,79 @@ type PairIndexer interface {
 }
 
 // Index is the full incremental refinement index over a partitioning:
-// per-partition vertex buckets, per-vertex external-neighbor counts (the
-// boundary test), and per-partition incident-edge sums (ps of Eq. 10).
+// per-vertex external-neighbor counts (the boundary test) and
+// per-partition incident-edge sums (ps of Eq. 10). It keeps no
+// membership lists: the wave engine's Shadow lists the movable members.
 //
 // Invariants preserved by Move, for every vertex v and partition q:
 //
-//	buckets[q] holds exactly {v : Assign[v] == q}, each at pos[v];
 //	ext[v] == |{u ∈ N(v) : Assign[u] != Assign[v]}|;
-//	incident[q] == Σ_{v ∈ buckets[q]} deg(v).
+//	incident[q] == Σ_{v : Assign[v] == q} deg(v).
 //
-// All queries are O(1) or output-sensitive; Move is O(deg(v)).
+// Queries are O(1) but for the O(|V|) scans (Boundary, the pair gather);
+// Move is O(deg(v)).
 type Index struct {
 	g        *graph.Graph
 	p        *Partitioning
-	buckets  [][]int32 // per-partition vertex lists (unordered, swap-delete)
-	pos      []int32   // vertex -> position in its bucket
-	ext      []int32   // per-vertex count of neighbors outside own partition
-	incident []int64   // per-partition Σ deg(v)
-	next     []int32   // Rebuild's per-partition counts, then next slots
+	ext      []int32 // per-vertex count of neighbors outside own partition
+	incident []int64 // per-partition Σ deg(v)
 }
 
 // BuildIndex constructs the index for p over g in O(|V| + |E|). The index
 // keeps references to both; all subsequent moves must go through Move so
 // the maintained structures stay consistent with p.Assign.
 //
-// The build runs over g.VertexRanges(GOMAXPROCS) in two passes, one
-// goroutine per range each: tally counts every range's members of each
-// partition (and fills ext and the incident sums), the counts are
-// prefix-summed, range by range, into each range's first slot in every
-// bucket, and scatter writes each range's members there in ascending id.
-// So every bucket holds its members in ascending id, as one serial pass
-// would put them, for every GOMAXPROCS.
+// The build is one pass over g.VertexRanges(GOMAXPROCS), one goroutine
+// per range: tally sets the range's ext counts and sums its incident
+// edges per partition into the range's own row, and the rows are added up
+// after the join. The sums are integers, so the state is the same for
+// every GOMAXPROCS.
 func BuildIndex(g *graph.Graph, p *Partitioning) *Index {
-	n, k := g.NumVertices(), p.K
+	k := p.K
 	ix := &Index{
 		g:        g,
 		p:        p,
-		buckets:  make([][]int32, k),
-		pos:      make([]int32, n),
-		ext:      make([]int32, n),
+		ext:      make([]int32, g.NumVertices()),
 		incident: make([]int64, k),
-		next:     make([]int32, k),
 	}
 	bounds := g.VertexRanges(runtime.GOMAXPROCS(0))
-	parts := len(bounds) - 1
-	// cnt[r][q] is range r's count of partition q, then its first slot.
-	cnt, inc := make([][]int32, parts), make([][]int64, parts)
-	for r := range cnt {
-		cnt[r], inc[r] = make([]int32, k), make([]int64, k)
-	}
+	inc := make([][]int64, len(bounds)-1)
 	var wg sync.WaitGroup
-	for r := range cnt {
+	for r := range inc {
+		inc[r] = make([]int64, k)
 		wg.Add(1)
-		go func(r int, lo, hi int32) {
+		go func(rinc []int64, lo, hi int32) {
 			defer wg.Done()
-			rcnt, rinc := cnt[r], inc[r] // range r's own tallies
-			ix.tally(lo, hi, rcnt, rinc)
-		}(r, bounds[r], bounds[r+1])
+			ix.tally(lo, hi, rinc)
+		}(inc[r], bounds[r], bounds[r+1])
 	}
 	wg.Wait()
-	for q := range ix.buckets {
-		var size int32
-		for r := range cnt {
-			size, cnt[r][q] = size+cnt[r][q], size
-			ix.incident[q] += inc[r][q]
+	for _, rinc := range inc {
+		for q, d := range rinc {
+			ix.incident[q] += d
 		}
-		ix.buckets[q] = make([]int32, size, bucketCap(size))
 	}
-	for r := range cnt {
-		wg.Add(1)
-		go func(r int, lo, hi int32) {
-			defer wg.Done()
-			next := cnt[r] // range r's own first slots
-			ix.scatter(lo, hi, next)
-		}(r, bounds[r], bounds[r+1])
-	}
-	wg.Wait()
 	return ix
 }
 
 // Rebuild re-derives every maintained structure from the current
-// p.Assign in O(|V| + |E|), reusing all backing arrays (bucket capacity
-// only ever grows). It is how a pooled member scratch of the portfolio
-// layer re-seeds an Index after overwriting Assign wholesale — cheaper
-// than BuildIndex by all the allocations, and valid for the same (g, p)
-// the index was built over. It runs BuildIndex's two passes as one range
-// on the calling goroutine: portfolio members already run one per worker.
+// p.Assign in O(|V| + |E|), reusing the backing arrays. It is how a pooled
+// member scratch of the portfolio layer re-seeds an Index after
+// overwriting Assign wholesale — cheaper than BuildIndex by all the
+// allocations, and valid for the same (g, p) the index was built over. It
+// runs BuildIndex's pass as one range on the calling goroutine: portfolio
+// members already run one per worker.
 func (ix *Index) Rebuild() {
-	clear(ix.next)
 	clear(ix.incident)
-	n := ix.g.NumVertices()
-	ix.tally(0, n, ix.next, ix.incident)
-	for q, size := range ix.next {
-		if cap(ix.buckets[q]) < int(size) {
-			ix.buckets[q] = make([]int32, 0, bucketCap(size))
-		}
-		ix.buckets[q], ix.next[q] = ix.buckets[q][:size], 0
-	}
-	ix.scatter(0, n, ix.next)
+	ix.tally(0, ix.g.NumVertices(), ix.incident)
 }
 
-// tally counts into cnt[q] the vertices of [lo, hi) in partition q and
-// adds their degrees into inc[q], and sets their ext.
-func (ix *Index) tally(lo, hi int32, cnt []int32, inc []int64) {
+// tally adds into inc[q] the degrees of the vertices of [lo, hi) in
+// partition q, and sets their ext.
+func (ix *Index) tally(lo, hi int32, inc []int64) {
 	assign := ix.p.Assign
 	for v := lo; v < hi; v++ {
 		pv := assign[v]
-		cnt[pv]++
 		inc[pv] += int64(ix.g.Degree(v))
 		var ext int32
 		for _, u := range ix.g.Neighbors(v) {
@@ -163,23 +130,6 @@ func (ix *Index) tally(lo, hi int32, cnt []int32, inc []int64) {
 		ix.ext[v] = ext
 	}
 }
-
-// scatter places the vertices of [lo, hi) in ascending id into their
-// buckets, each partition q's from slot next[q] on, and records pos.
-func (ix *Index) scatter(lo, hi int32, next []int32) {
-	for v := lo; v < hi; v++ {
-		q := ix.p.Assign[v]
-		i := next[q]
-		next[q]++
-		//lint:ignore sharedwrite slots [next[q], next[q] + this range's count of q) of bucket q belong to the one worker whose [lo, hi) holds those vertices: BuildIndex's prefix sum gave each range its own run
-		ix.buckets[q][i] = v
-		ix.pos[v] = i
-	}
-}
-
-// bucketCap adds headroom for refinement moves on top of a bucket's
-// seeded size, so steady-state rounds rarely reallocate.
-func bucketCap(n int32) int32 { return n + n/8 + 8 }
 
 // Partitioning returns the decomposition this index maintains.
 func (ix *Index) Partitioning() *Partitioning { return ix.p }
@@ -199,7 +149,7 @@ func (ix *Index) Graph() *graph.Graph { return ix.g }
 // removed edge); vertices outside dirty are assumed bit-identical in
 // both snapshots. Cost: O(Σ_{v ∈ dirty} (deg_old(v) + deg_new(v))).
 //
-// Buckets and positions are untouched (membership is a function of the
+// The assignment is untouched (membership is a function of the
 // partitioning, not the graph); the per-partition incident-edge sums
 // take the degree delta of each dirty vertex and the external-neighbor
 // counts of dirty vertices are recomputed against g. A duplicate entry
@@ -227,21 +177,14 @@ func (ix *Index) Retarget(g *graph.Graph, dirty []int32) error {
 	return nil
 }
 
-// Move reassigns v to partition `to` in O(deg(v)): the bucket membership,
-// the external-neighbor counts of v and all its neighbors, and the
-// incident-edge sums are all delta-updated. A self-move is a no-op.
+// Move reassigns v to partition `to` in O(deg(v)): the external-neighbor
+// counts of v and all its neighbors and the incident-edge sums are
+// delta-updated. A self-move is a no-op.
 func (ix *Index) Move(v, to int32) {
 	from := ix.p.Assign[v]
 	if from == to {
 		return
 	}
-	l := ix.buckets[from]
-	i, last := ix.pos[v], int32(len(l))-1
-	l[i] = l[last]
-	ix.pos[l[i]] = i
-	ix.buckets[from] = l[:last]
-	ix.pos[v] = int32(len(ix.buckets[to]))
-	ix.buckets[to] = append(ix.buckets[to], v)
 	deg := int64(ix.g.Degree(v))
 	ix.incident[from] -= deg
 	ix.incident[to] += deg
@@ -294,28 +237,25 @@ func (ix *Index) AppendIncidentEdges(dst []int64) []int64 {
 	return append(dst, ix.incident...)
 }
 
-// AppendPairCandidates is AppendPairUnsorted followed by a comparison
-// sort: the candidates in ascending vertex order (the order the scan-based
-// enumeration produced), for callers without an ordering scratch.
+// AppendPairCandidates appends the pair's boundary vertices to dst in
+// ascending vertex order, the order the refiner seeds them in. The gather
+// is AppendPairUnsorted's, which already yields that order.
 func (ix *Index) AppendPairCandidates(dst []int32, pi, pj int32, allowed *Bitset) []int32 {
-	n0 := len(dst)
-	dst = ix.AppendPairUnsorted(dst, pi, pj, allowed)
-	slices.Sort(dst[n0:])
-	return dst
+	return ix.AppendPairUnsorted(dst, pi, pj, allowed)
 }
 
 // AppendPairUnsorted implements PairIndexer: the pair's boundary vertices,
-// gathered from the two buckets — O(|P_i| + |P_j|) — instead of a full
-// vertex scan. An Index takes no mask; a masked gather is a Shadow's.
+// in ascending order, from one O(|V|) scan of the assignment and the
+// maintained counts. No production sweep gathers here — they gather from
+// a Shadow's movable lists — so the scan serves probes and tests. An
+// Index takes no mask; a masked gather is a Shadow's.
 func (ix *Index) AppendPairUnsorted(dst []int32, pi, pj int32, allowed *Bitset) []int32 {
 	if allowed != nil {
 		panic("partition: Index.AppendPairUnsorted takes no mask (a masked gather is a Shadow's)")
 	}
-	for _, b := range [2][]int32{ix.buckets[pi], ix.buckets[pj]} {
-		for _, v := range b {
-			if ix.ext[v] > 0 {
-				dst = append(dst, v)
-			}
+	for v, q := range ix.p.Assign {
+		if (q == pi || q == pj) && ix.ext[v] > 0 {
+			dst = append(dst, int32(v))
 		}
 	}
 	return dst
@@ -365,13 +305,10 @@ func SortCandidates(vs []int32, words, summary []uint64) []int32 {
 
 // Validate checks every maintained invariant against a recount from
 // p.Assign with plain loops, sharing no code with BuildIndex or Rebuild:
-// every vertex sits at pos[v] of its partition's bucket and each bucket is
-// exactly as long as its partition, so membership is exact; ext and the
-// incident sums equal their definitions. O(|V| + |E|); the tests and the
-// benchmark's per-call gate run it.
+// ext and the incident sums equal their definitions. O(|V| + |E|); the
+// tests and the benchmark's per-call gate run it.
 func (ix *Index) Validate() error {
 	assign := ix.p.Assign
-	size := make([]int32, ix.p.K)
 	incident := make([]int64, ix.p.K)
 	for v, q := range assign {
 		var ext int32
@@ -383,18 +320,11 @@ func (ix *Index) Validate() error {
 		if ix.ext[v] != ext {
 			return fmt.Errorf("index: ext[%d] = %d, want %d", v, ix.ext[v], ext)
 		}
-		if i := ix.pos[v]; i < 0 || i >= int32(len(ix.buckets[q])) || ix.buckets[q][i] != int32(v) {
-			return fmt.Errorf("index: pos[%d] inconsistent with bucket %d", v, q)
-		}
-		size[q]++
 		incident[q] += int64(ix.g.Degree(int32(v)))
 	}
-	for q := range size {
+	for q := range incident {
 		if ix.incident[q] != incident[q] {
 			return fmt.Errorf("index: incident[%d] = %d, want %d", q, ix.incident[q], incident[q])
-		}
-		if int32(len(ix.buckets[q])) != size[q] {
-			return fmt.Errorf("index: bucket %d membership diverged: %d members, its partition has %d", q, len(ix.buckets[q]), size[q])
 		}
 	}
 	return nil
@@ -430,9 +360,9 @@ type Shadow struct {
 func (ix *Index) NewShadow() *Shadow {
 	s := &Shadow{
 		ix:      ix,
-		p:       &Partitioning{K: ix.p.K, Assign: make([]int32, len(ix.pos))},
+		p:       &Partitioning{K: ix.p.K, Assign: make([]int32, len(ix.ext))},
 		movable: make([][]int32, ix.p.K),
-		pos:     make([]int32, len(ix.pos)),
+		pos:     make([]int32, len(ix.ext)),
 	}
 	for v := range s.pos {
 		s.pos[v] = -1
@@ -502,25 +432,22 @@ func (s *Shadow) reserve(count []int32) {
 	need := 0
 	for q, c := range count {
 		if cap(s.movable[q]) < int(c) {
-			need += s.listCap(q, c)
+			need += listCap(c)
 		}
 	}
 	arena := make([]int32, need)
 	for q, c := range count {
 		if cap(s.movable[q]) < int(c) {
-			n := s.listCap(q, c)
+			n := listCap(c)
 			s.movable[q], arena = arena[:0:n], arena[n:]
 		}
 	}
 }
 
-// listCap is list q's capacity for c synced members: twice that, since a
+// listCap is a list's capacity for c synced members: twice that, since a
 // mesh's lists grow up to fourfold over its refinement rounds as the cut
-// roughens, but never more than the index's bucket of q has, since a list
-// holds members of that partition only.
-func (s *Shadow) listCap(q int, c int32) int {
-	return min(2*int(c)+16, cap(s.ix.buckets[q]))
-}
+// roughens.
+func listCap(c int32) int { return 2*int(c) + 16 }
 
 // list appends v to its master owner's list.
 func (s *Shadow) list(v int32) {

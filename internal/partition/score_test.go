@@ -110,7 +110,7 @@ func TestIndexRebuild(t *testing.T) {
 	p := randomPartitioning(g, k, rng)
 	ix := BuildIndex(g, p)
 	for trial := 0; trial < 5; trial++ {
-		// Mutate through Move first so buckets are mid-life, then clobber
+		// Mutate through Move first so the counts are mid-life, then clobber
 		// the assignment directly — the state Rebuild must recover from.
 		for i := 0; i < 200; i++ {
 			ix.Move(rng.Int31n(g.NumVertices()), rng.Int31n(k))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"paragon/internal/aragon"
 	"paragon/internal/faultsim"
 	"paragon/internal/gen"
 	"paragon/internal/graph"
@@ -161,7 +160,7 @@ func TestLedgerFig8Probe(t *testing.T) {
 	}
 	type run struct {
 		name          string
-		drp, shuffles int // drp 0 runs aragon.Refine
+		drp, shuffles int // drp 0 runs paragon.RefineSerial
 	}
 	runs := []run{{"aragon", 0, 0}, {"drp1/S0", 1, 0}}
 	for _, s := range []int{0, 4, 8, 11, 16} {
@@ -186,12 +185,12 @@ func TestLedgerFig8Probe(t *testing.T) {
 				var claim float64
 				var moves int
 				if r.drp == 0 {
-					res, err := aragon.Refine(g, p, c, cfg.AragonConfig())
+					res, err := paragon.RefineSerial(g, p, c, cfg.AragonConfig())
 					if err != nil {
 						t.Fatal(err)
 					}
 					if drop := before - objective(g, p, p0.Assign, c, cfg.Alpha); res.Gain != drop {
-						t.Errorf("%s seed %d: aragon.Refine claims %d grid units, realizes %d", in.name, seed, res.Gain, drop)
+						t.Errorf("%s seed %d: paragon.RefineSerial claims %d grid units, realizes %d", in.name, seed, res.Gain, drop)
 					}
 					claim, moves = cs.Real(res.Gain), res.Moves
 				} else {

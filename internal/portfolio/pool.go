@@ -48,10 +48,9 @@ type memberParams struct {
 
 // newMemberScratch builds a scratch whose engine has its own refiner, lent
 // to it through Spare so the pool can lend the same one to scratch 0's.
-func newMemberScratch(g *graph.Graph, base []int32, k int32, acfg aragon.Config) *memberScratch {
+func newMemberScratch(g *graph.Graph, k int32, acfg aragon.Config) *memberScratch {
 	n := g.NumVertices()
 	p := &partition.Partitioning{K: k, Assign: make([]int32, n)}
-	copy(p.Assign, base) // realistic bucket sizes for the index prealloc
 	ix := partition.BuildIndex(g, p)
 	src := rand.NewSource(0)
 	scr := &memberScratch{
@@ -181,7 +180,7 @@ func (pl *Pool) ensure(g *graph.Graph, base []int32, k int32, workers, size int,
 		pl.assigns = pl.assigns[:0]
 	}
 	for len(pl.scratch) < workers {
-		scr := newMemberScratch(g, base, k, acfg)
+		scr := newMemberScratch(g, k, acfg)
 		if len(pl.scratch) > 0 {
 			// The combine runs on scratch 0's engine after the join, when every
 			// member's refiner is idle: its worker w borrows scratch w's.

@@ -570,7 +570,7 @@ func TestCombineWavesMatchSerialSweep(t *testing.T) {
 // (the Index's own gather), the round-start boundary expanded by
 // graph.ExpandFrontier otherwise. The grouping is the member's own.
 func serialMember(g *graph.Graph, base []int32, k int32, c [][]float64, cfg paragon.Config, seed int64) (assign []int32, loads []int64, moves int, gain int64) {
-	scr := newMemberScratch(g, base, k, cfg.AragonConfig())
+	scr := newMemberScratch(g, k, cfg.AragonConfig())
 	scr.src.Seed(seed)
 	groups := scr.regroup(cfg.DRP)
 	p := &partition.Partitioning{K: k, Assign: slices.Clone(base)}

@@ -199,7 +199,7 @@ func RefineUniform(g *Graph, p *Partitioning, cfg Config) (Stats, error) {
 
 // RefineSerial runs the serial ARAGON refiner over all partition pairs.
 func RefineSerial(g *Graph, p *Partitioning, c [][]float64, alpha, maxImbalance float64) error {
-	_, err := aragon.Refine(g, p, c, aragon.Config{Alpha: alpha, MaxImbalance: maxImbalance})
+	_, err := paragon.RefineSerial(g, p, c, aragon.Config{Alpha: alpha, MaxImbalance: maxImbalance})
 	return err
 }
 

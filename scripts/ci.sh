@@ -303,6 +303,15 @@ if git grep -nE 'shadowBucket|\.front\b' -- 'internal/partition/*.go' ':!interna
     echo "ci: the shadow's masked-prefix buckets are back; workers write the view's Assign only" >&2
     exit 1
 fi
+# One gather path (DESIGN.md §9, §12): every production sweep takes a
+# pair's candidates from the Shadow's movable lists, and serial ARAGON is
+# paragon.RefineSerial on the wave engine. The Index's membership buckets,
+# their scatter fill and aragon's own all-pairs loop must not come back.
+if git grep -nwE 'buckets|bucketCap|scatter' -- internal/partition/index.go ||
+    git grep -nF 'func Refine(' -- 'internal/aragon/*.go' ':!internal/aragon/*_test.go'; then
+    echo "ci: the Index's membership buckets or aragon's own pair loop is back; gather from the Shadow, sweep on the wave engine" >&2
+    exit 1
+fi
 # One owner for what a barrier's moves change (DESIGN.md §12, §14): the
 # wave engine's commit walk records each kept move for its movable mask,
 # and the driver adds it to the migration totals at the same barrier. The
