@@ -42,7 +42,8 @@ var testWaveSynced func(e *WaveEngine, wave int, lo, hi int32)
 // master index. Besides pairs it keeps the movable mask of §5 (Repair),
 // because the barrier's walk of the kept moves is what changes it. Refine
 // feeds it tournament waves, with a profile; the portfolio's combine
-// anti-diagonal waves and its members one pair per wave, without. The
+// anti-diagonal waves, and RefineSerial and the portfolio's members one
+// pair per wave, without. The
 // zero value is ready for Open, and one engine serves any number of Open
 // … Close calls, keeping its state while (graph, index, refiner config)
 // stay the same — a new worker count only starts other workers. One
@@ -250,8 +251,8 @@ func (e *WaveEngine) SetMask(mask *partition.Bitset, changed []int32) {
 // recorded since, so its cost follows the moved volume, not |V|. At a
 // positive k-hop radius the mask is the boundary's expansion, a
 // breadth-first search with that mask itself as the visited set. Refine
-// repairs once per round; a portfolio member at every barrier (k-hop 0)
-// or once per round. A caller that sets its own mask (SetMask) and never
+// repairs once per round; RefineSerial at every barrier, and a portfolio
+// member at every barrier (k-hop 0) or once per round. A caller that sets its own mask (SetMask) and never
 // repairs records nothing.
 func (e *WaveEngine) Repair() {
 	// dirty becomes the vertices whose boundary bit changed since the last
